@@ -23,8 +23,14 @@ all: build test
 build:
 	$(GO) build ./...
 
+# benchmark/ is a module of its own (replace gossip => ../), so ./... does
+# not reach it: vet and test it here too, or a change to the surface it
+# compiles against (gossip.Dispatch, PrepareDist, DriverOptions, sim.Run,
+# sim.Config, spanner.Build) breaks it unseen.
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 race:
 	$(GO) test -race ./...

@@ -118,7 +118,7 @@ func BenchmarkAblationRRFilter(b *testing.B) {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := proto.RunRR(g, proto.RROptions{
+				res, err := proto.Dispatch("rr", g, proto.DriverOptions{
 					Spanner: sp, K: k, Seed: uint64(i + 1), MaxRounds: 1 << 19,
 				})
 				if err != nil {
@@ -170,14 +170,14 @@ func BenchmarkAblationPushPullVsUnified(b *testing.B) {
 	g := graphgen.Clique(64, 1)
 	b.Run("push-pull", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := proto.RunPushPull(g, 0, uint64(i+1), 1<<18); err != nil {
+			if _, err := proto.Dispatch("push-pull", g, proto.DriverOptions{Seed: uint64(i + 1), MaxRounds: 1 << 18}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("unified", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := proto.Unified(g, proto.UnifiedOptions{
+			if _, err := proto.Unified(g, proto.DriverOptions{
 				Source: 0, KnownLatencies: true, Seed: uint64(i + 1), MaxRounds: 1 << 18,
 			}); err != nil {
 				b.Fatal(err)
@@ -192,7 +192,7 @@ func BenchmarkSimPushPullRound(b *testing.B) {
 	g := graphgen.Clique(256, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := proto.RunPushPull(g, 0, uint64(i+1), 1<<16); err != nil {
+		if _, err := proto.Dispatch("push-pull", g, proto.DriverOptions{Seed: uint64(i + 1), MaxRounds: 1 << 16}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func BenchmarkSimLargeScale(b *testing.B) {
 		b.ReportAllocs()
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			res, err := proto.RunDTG(g, proto.DTGOptions{Seed: uint64(i + 1)})
+			res, err := proto.Dispatch("dtg", g, proto.DriverOptions{Seed: uint64(i + 1)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func BenchmarkSimLargeScale(b *testing.B) {
 		b.ReportAllocs()
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			res, err := proto.RunPushPull(g, 0, uint64(i+1), 1<<18)
+			res, err := proto.Dispatch("push-pull", g, proto.DriverOptions{Seed: uint64(i + 1), MaxRounds: 1 << 18})
 			if err != nil {
 				b.Fatal(err)
 			}

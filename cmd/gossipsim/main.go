@@ -233,12 +233,12 @@ func run() int {
 	fmt.Printf("run: algorithm=%s rounds=%d exchanges=%d completed=%v\n",
 		out.Algorithm, out.Rounds, out.Exchanges, out.Completed)
 	if opts.curve {
-		res, err := gossip.RunPushPull(g, opts.source, opts.seed, 1<<20)
+		res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Source: opts.source, Seed: opts.seed, MaxRounds: 1 << 20})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Println(viz.Curve("push-pull spread", res.SpreadCurve(), 48))
+		fmt.Println(viz.Curve("push-pull spread", res.Sim.SpreadCurve(), 48))
 	}
 	if !out.Completed {
 		return 2

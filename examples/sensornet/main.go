@@ -51,14 +51,14 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "%-4s %-18s %-10s %-22s\n", "ℓ", "rounds (ℓ-DTG)", "complete", "neighbors covered")
 
 	for _, ell := range []int{1, 4, degradedLatency} {
-		res, err := gossip.RunDTG(g, gossip.DTGOptions{Ell: ell, Seed: 3, MaxRounds: 1 << 20})
+		res, err := gossip.Dispatch("dtg", g, gossip.DriverOptions{Ell: ell, Seed: 3, MaxRounds: 1 << 20})
 		if err != nil {
 			return err
 		}
 		// Count how many (node, neighbor) obligations the threshold
 		// covers and how many were met.
 		covered, met := 0, 0
-		rumors := res.FinalRumors()
+		rumors := res.Sim.FinalRumors()
 		for u := 0; u < g.N(); u++ {
 			for _, nb := range g.Neighbors(u) {
 				if nb.Latency <= ell {
@@ -75,12 +75,12 @@ func run(w io.Writer) error {
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "escalating: full dissemination of all readings to every sensor")
-	res, err := gossip.PatternBroadcast(g, gossip.PatternOptions{Seed: 3})
+	res, err := gossip.Dispatch("pattern", g, gossip.DriverOptions{Seed: 3})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "pattern broadcast (no global knowledge needed): %d rounds, complete=%v, final k=%d\n",
-		res.Rounds, res.Completed, res.FinalGuess)
+		res.Rounds, res.Completed, res.Broadcast.FinalGuess)
 	fmt.Fprintln(w, "the T(k) schedule hugs fast links and touches degraded links as rarely as possible")
 	return nil
 }

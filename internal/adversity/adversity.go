@@ -74,8 +74,7 @@ type Flap struct {
 }
 
 // Crash fail-stops Nodes at Round (a batch of the classical crash
-// schedule; sim.Config.CrashAt expresses the same thing as a per-node
-// vector).
+// schedule): each node leaves at Round and never returns.
 type Crash struct {
 	Round int
 	Nodes []graph.NodeID
@@ -109,7 +108,7 @@ func (s *Spec) HasAmnesia() bool {
 }
 
 // Fails reports whether the spec ever takes node u down — by churn or
-// by a crash batch (nil-safe). Callers layering a legacy crash vector
+// by a crash batch (nil-safe). Callers layering further crash batches
 // on top of a spec use it to reject double-specified nodes.
 func (s *Spec) Fails(u graph.NodeID) bool {
 	if s == nil {
@@ -155,8 +154,7 @@ func (s *Spec) NeverReturns(u graph.NodeID) bool {
 // after offset rounds have already elapsed: intervals entirely in the
 // past are dropped (their effect is already baked into the rumor state
 // carried between phases), straddling intervals are clamped to start at
-// round 0, and loss probabilities are untouched. Mirrors the crash-vector
-// shifting the multi-phase pipelines have always done. Nil-safe.
+// round 0, and loss probabilities are untouched. Nil-safe.
 func (s *Spec) Shift(offset int) *Spec {
 	if s == nil {
 		return nil
@@ -191,34 +189,6 @@ func (s *Spec) Shift(offset int) *Spec {
 		out.Crashes = append(out.Crashes, nb)
 	}
 	return out
-}
-
-// CrashAtVector flattens crash batches into the per-node crash-round
-// vector form of sim.Config.CrashAt (-1 = never). A node named in two
-// batches is an error.
-func CrashAtVector(n int, crashes []Crash) ([]int, error) {
-	if len(crashes) == 0 {
-		return nil, nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = -1
-	}
-	for _, b := range crashes {
-		if b.Round < 0 {
-			return nil, fmt.Errorf("adversity: crash round %d negative", b.Round)
-		}
-		for _, u := range b.Nodes {
-			if u < 0 || u >= n {
-				return nil, fmt.Errorf("adversity: crash node %d out of range [0,%d)", u, n)
-			}
-			if out[u] >= 0 {
-				return nil, fmt.Errorf("adversity: node %d crashes twice (rounds %d and %d)", u, out[u], b.Round)
-			}
-			out[u] = b.Round
-		}
-	}
-	return out, nil
 }
 
 // span is one compiled down interval: [from, to), to == forever for ∞.
@@ -324,13 +294,17 @@ func (s *Spec) Compile(n int) (*Schedule, error) {
 		}
 		c.down[ch.Node] = append(c.down[ch.Node], span{from: ch.Leave, to: to, amnesia: ch.Amnesia})
 	}
-	crashAt, err := CrashAtVector(n, s.Crashes)
-	if err != nil {
-		return nil, err
-	}
-	for u, r := range crashAt {
-		if r >= 0 {
-			c.down[u] = append(c.down[u], span{from: r, to: forever})
+	for _, b := range s.Crashes {
+		if b.Round < 0 {
+			return nil, fmt.Errorf("adversity: crash round %d negative", b.Round)
+		}
+		// A node named in two batches fails the overlap check below: its
+		// first crash interval never ends.
+		for _, u := range b.Nodes {
+			if u < 0 || u >= n {
+				return nil, fmt.Errorf("adversity: crash node %d out of range [0,%d)", u, n)
+			}
+			c.down[u] = append(c.down[u], span{from: b.Round, to: forever})
 		}
 	}
 	for u := range c.down {

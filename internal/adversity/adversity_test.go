@@ -202,18 +202,28 @@ func TestSpecPredicates(t *testing.T) {
 	}
 }
 
-func TestCrashAtVector(t *testing.T) {
-	v, err := CrashAtVector(4, []Crash{{Round: 3, Nodes: []int{1}}, {Round: 7, Nodes: []int{3}}})
+// TestCrashBatchValidation pins Compile's handling of crash batches: a
+// crash is a down interval that never ends, and malformed batches error.
+func TestCrashBatchValidation(t *testing.T) {
+	sched, err := (&Spec{Crashes: []Crash{{Round: 3, Nodes: []int{1}}, {Round: 7, Nodes: []int{3}}}}).Compile(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v, []int{-1, 3, -1, 7}) {
-		t.Fatalf("vector %v", v)
+	for _, tc := range []struct {
+		node, round int
+		down        bool
+	}{{1, 2, false}, {1, 3, true}, {3, 6, false}, {3, 7, true}, {3, 1 << 30, true}, {0, 1 << 30, false}} {
+		if got := sched.Down(tc.node, tc.round); got != tc.down {
+			t.Errorf("Down(%d, %d) = %v, want %v", tc.node, tc.round, got, tc.down)
+		}
 	}
-	if v, err := CrashAtVector(4, nil); v != nil || err != nil {
-		t.Fatalf("empty schedule: %v, %v", v, err)
-	}
-	if _, err := CrashAtVector(2, []Crash{{Round: 1, Nodes: []int{5}}}); err == nil {
-		t.Fatal("out-of-range node accepted")
+	for name, bad := range map[string][]Crash{
+		"out-of-range node":  {{Round: 1, Nodes: []int{5}}},
+		"negative round":     {{Round: -1, Nodes: []int{0}}},
+		"node crashes twice": {{Round: 1, Nodes: []int{1}}, {Round: 4, Nodes: []int{1}}},
+	} {
+		if _, err := (&Spec{Crashes: bad}).Compile(2); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"gossip/internal/adversity"
@@ -190,20 +191,24 @@ func Disseminate(g *graph.Graph, opts Options) (Outcome, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = sim.DefaultMaxRounds
 	}
-	crashAt, err := adversity.CrashAtVector(g.N(), opts.Crashes)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("core: %w", err)
-	}
-	// A node failed by both the crash schedule and the adversity spec is
-	// the same double-specification CrashAtVector rejects within one
-	// schedule: refuse it rather than letting the earlier failure
-	// silently shadow the other.
-	if crashAt != nil && opts.Adversity.HasFailures() {
-		for u, r := range crashAt {
-			if r >= 0 && opts.Adversity.Fails(u) {
-				return Outcome{}, fmt.Errorf("core: node %d is failed by both the crash schedule and the Adversity spec", u)
+	// Crashes ride on the fault schedule: appended to a copy, never to the
+	// caller's spec. A node failed by both mechanisms is refused rather
+	// than letting the earlier failure silently shadow the other.
+	adv := opts.Adversity
+	if len(opts.Crashes) > 0 {
+		for _, b := range opts.Crashes {
+			for _, u := range b.Nodes {
+				if adv.Fails(u) {
+					return Outcome{}, fmt.Errorf("core: node %d is failed by both the crash schedule and the Adversity spec", u)
+				}
 			}
 		}
+		merged := adversity.Spec{}
+		if adv != nil {
+			merged = *adv
+		}
+		merged.Crashes = slices.Concat(merged.Crashes, opts.Crashes)
+		adv = &merged
 	}
 	res, err := gossip.Dispatch(string(name), g, gossip.DriverOptions{
 		Source:         opts.Source,
@@ -211,10 +216,9 @@ func Disseminate(g *graph.Graph, opts Options) (Outcome, error) {
 		D:              opts.D,
 		Seed:           opts.Seed,
 		MaxRounds:      opts.MaxRounds,
-		CrashAt:        crashAt,
 		FaultTolerant:  opts.FaultTolerant,
 		ExecOptions: gossip.ExecOptions{
-			Adversity: opts.Adversity,
+			Adversity: adv,
 			Workers:   opts.Workers,
 		},
 	})

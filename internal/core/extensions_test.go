@@ -58,12 +58,17 @@ func TestDisseminateCrashSchedule(t *testing.T) {
 	}); err == nil {
 		t.Fatal("node failed by both Crashes and Adversity accepted")
 	}
-	// Disjoint node sets across the two mechanisms are fine.
+	// Disjoint node sets across the two mechanisms are fine, and the
+	// caller's spec is left as it was.
+	spec := &adversity.Spec{Loss: 0.05, Churn: []adversity.Churn{{Node: 5, Leave: 3, Rejoin: 9}}}
 	if _, err := Disseminate(g, Options{
 		Algorithm: PushPull, Seed: 5, MaxRounds: 1 << 14,
 		Crashes:   []adversity.Crash{{Round: 2, Nodes: []int{4}}},
-		Adversity: &adversity.Spec{Loss: 0.05, Churn: []adversity.Churn{{Node: 5, Leave: 3, Rejoin: 9}}},
+		Adversity: spec,
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if len(spec.Crashes) != 0 {
+		t.Fatalf("Disseminate mutated the caller's spec: %+v", spec)
 	}
 }

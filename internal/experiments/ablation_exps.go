@@ -44,13 +44,13 @@ func runE17(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E17", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			cse := cases[c.CellIndex]
-			d, err := gossip.RunDTG(cse.g, gossip.DTGOptions{
+			d, err := gossip.Dispatch("dtg", cse.g, gossip.DriverOptions{
 				Ell: cse.ell, Seed: seed, MaxRounds: 1 << 19,
 			})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			s, err := gossip.RunSuperstep(cse.g, gossip.SuperstepOptions{
+			s, err := gossip.Dispatch("superstep", cse.g, gossip.DriverOptions{
 				Ell: cse.ell, Seed: seed, MaxRounds: 1 << 19,
 			})
 			if err != nil {
@@ -110,11 +110,11 @@ func runE18(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E18", names, cfg.Trials*2,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := cases[c.CellIndex].g
-			a, err := gossip.RunPushPull(g, 0, seed, 1<<20)
+			a, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			b, err := gossip.RunPushPullBlocking(g, 0, seed, 1<<20)
+			b, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Variant: gossip.VariantBlocking, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -174,21 +174,21 @@ func runE19(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E19", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			res, err := gossip.RunPushPull(cases[c.CellIndex].g, 0, seed, 1<<20)
+			res, err := gossip.Dispatch("push-pull", cases[c.CellIndex].g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
 			if !res.Completed {
 				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
-			ht := res.HalfTime()
+			ht := res.Sim.HalfTime()
 			return runner.Sample{
 				Values: map[string]float64{
 					"rounds":   float64(res.Rounds),
 					"halftime": float64(ht),
 				},
 				Labels: map[string]string{
-					"curve": viz.SparklineInts(downsampleInts(res.SpreadCurve(), 24)),
+					"curve": viz.SparklineInts(downsampleInts(res.Sim.SpreadCurve(), 24)),
 				},
 			}, nil
 		})
@@ -248,14 +248,14 @@ func runE20(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E20", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := cases[c.CellIndex].g
-			pp, err := gossip.RunPushPullAllToAll(g, seed, 1<<20)
+			pp, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Objective: gossip.AllToAll, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
 			if !pp.Completed {
 				return runner.Sample{}, fmt.Errorf("push-pull incomplete")
 			}
-			sp, err := gossip.SpannerBroadcast(g, gossip.SpannerOptions{
+			sp, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed + 1, SkipCheck: true,
 				D: int(g.WeightedDiameter()),
 			})
@@ -366,24 +366,17 @@ func runE22(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(crashCounts), func(i int) string { return fmt.Sprintf("crashed=%d", crashCounts[i]) })
 	cells, err := runGrid(ctx, cfg, "E22", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			crashes := crashCounts[c.CellIndex]
-			crashAt := make([]int, n)
-			for u := range crashAt {
-				crashAt[u] = -1
-			}
-			for i := 0; i < crashes; i++ {
-				crashAt[1+i] = 5
-			}
+			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashCounts[c.CellIndex], 5)}
 			g := graphgen.Clique(n, 2)
-			plain, err := gossip.SpannerBroadcast(g, gossip.SpannerOptions{
-				KnownLatencies: true, Seed: seed, MaxPhaseRounds: 4096, CrashAt: crashAt,
+			plain, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
+				KnownLatencies: true, Seed: seed, MaxRounds: 4096, ExecOptions: exec,
 			})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			robust, err := gossip.SpannerBroadcast(g, gossip.SpannerOptions{
-				KnownLatencies: true, Seed: seed, MaxPhaseRounds: 4096,
-				CrashAt: crashAt, UseSuperstep: true, LBTimeout: 8,
+			robust, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
+				KnownLatencies: true, Seed: seed, MaxRounds: 4096,
+				FaultTolerant: true, LBTimeout: 8, ExecOptions: exec,
 			})
 			if err != nil {
 				return runner.Sample{}, err

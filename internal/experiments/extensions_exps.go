@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"gossip/internal/adversity"
 	"gossip/internal/gossip"
 	"gossip/internal/graph"
 	"gossip/internal/graphgen"
@@ -22,6 +23,19 @@ var expE14Robustness = Experiment{
 	Title:  "robustness under fail-stop crashes",
 	Source: "Section 6 (robustness discussion)",
 	Run:    runE14,
+}
+
+// crashLowIDs is the fault schedule that fail-stops nodes 1..k (never
+// node 0, the source) at round; nil when k is 0.
+func crashLowIDs(k, round int) *adversity.Spec {
+	if k == 0 {
+		return nil
+	}
+	nodes := make([]graph.NodeID, k)
+	for i := range nodes {
+		nodes[i] = 1 + i
+	}
+	return &adversity.Spec{Crashes: []adversity.Crash{{Round: round, Nodes: nodes}}}
 }
 
 func runE14(ctx context.Context, cfg Config) (*Table, error) {
@@ -53,17 +67,11 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			tp, crashes := cellCase(c.CellIndex)
 			g := tp.mk()
-			crashAt := make([]int, g.N())
-			for u := range crashAt {
-				crashAt[u] = -1
-			}
 			// Fail low-ID nodes (never the source) at round 5 — mid-run,
 			// while exchanges with them are in flight. On the grid these
 			// IDs sit on the top edge, so survivors stay connected.
-			for i := 0; i < crashes; i++ {
-				crashAt[1+i] = 5
-			}
-			res, err := gossip.RunPushPullWithCrashes(g, 0, crashAt, seed, 1<<18)
+			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashes, 5)}
+			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18, ExecOptions: exec})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -74,11 +82,11 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 			// The spanner pipeline run is deterministic per cell; trial 0
 			// carries it so the cell has exactly one sample of it.
 			if c.Trial == 0 {
-				sp, err := gossip.SpannerBroadcast(tp.mk(), gossip.SpannerOptions{
+				sp, err := gossip.SpannerBroadcast(tp.mk(), gossip.DriverOptions{
 					KnownLatencies: true,
 					Seed:           seed,
-					MaxPhaseRounds: 8192,
-					CrashAt:        crashAt,
+					MaxRounds:      8192,
+					ExecOptions:    exec,
 				})
 				if err != nil {
 					return runner.Sample{}, err
@@ -140,7 +148,7 @@ func runE15(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E15", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := graphgen.Clique(ns[c.CellIndex], 1)
-			res, err := gossip.RunPushPull(g, 0, seed, 1<<18)
+			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -213,7 +221,7 @@ func runE16(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := graphs[c.CellIndex/len(caps)].g
 			cap := caps[c.CellIndex%len(caps)]
-			res, err := gossip.RunPushPullBoundedInDegree(g, 0, cap, seed, 1<<18)
+			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{MaxInPerRound: cap, Seed: seed, MaxRounds: 1 << 18})
 			if err != nil {
 				return runner.Sample{}, err
 			}

@@ -38,7 +38,7 @@ func runE4(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			res, err := gossip.RunPushPullLocalBroadcast(net.Graph, seed+1, 1<<20)
+			res, err := gossip.Dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -97,7 +97,7 @@ func runE5(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			ensureCover(net, rng)
-			res, err := gossip.RunPushPullLocalBroadcast(net.Graph, seed+1, 1<<19)
+			res, err := gossip.Dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 19})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -182,7 +182,7 @@ func runE6(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			g := ring.Graph
-			res, err := gossip.Unified(g, gossip.UnifiedOptions{
+			res, err := gossip.Unified(g, gossip.DriverOptions{
 				Source:         0,
 				KnownLatencies: false,
 				Seed:           seed + 1,

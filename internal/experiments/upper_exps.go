@@ -154,7 +154,7 @@ func runE8(ctx context.Context, cfg Config) (*Table, error) {
 			l := lens[c.CellIndex-len(ns)]
 			g := graphgen.Path(l, 2)
 			d := int(g.WeightedDiameter())
-			res, err := gossip.SpannerBroadcast(g, gossip.SpannerOptions{
+			res, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
 				D: d, KnownLatencies: true, Seed: seed, SkipCheck: true,
 			})
 			if err != nil {
@@ -220,7 +220,7 @@ func runE9(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := graphgen.Cycle(lens[c.CellIndex], 2)
 			d := int(g.WeightedDiameter())
-			res, err := gossip.PatternBroadcast(g, gossip.PatternOptions{
+			res, err := gossip.PatternBroadcast(g, gossip.DriverOptions{
 				D: d, Seed: seed, SkipCheck: true,
 			})
 			if err != nil {
@@ -305,7 +305,7 @@ func runE10(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E10", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			res, err := gossip.Unified(cases[c.CellIndex].g, gossip.UnifiedOptions{
+			res, err := gossip.Unified(cases[c.CellIndex].g, gossip.DriverOptions{
 				Source: 0, KnownLatencies: true, Seed: seed, MaxRounds: 1 << 21,
 			})
 			if err != nil {
@@ -369,7 +369,7 @@ func runE11(ctx context.Context, cfg Config) (*Table, error) {
 				n = ns[c.CellIndex-len(ells)]
 			}
 			g := graphgen.Clique(n, ell)
-			res, err := gossip.RunDTG(g, gossip.DTGOptions{Ell: ell, Seed: seed, MaxRounds: 1 << 20})
+			res, err := gossip.Dispatch("dtg", g, gossip.DriverOptions{Ell: ell, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -436,7 +436,7 @@ func runE12(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			k := int(g.WeightedDiameter()) * (2*sp.K - 1)
-			res, err := gossip.RunRR(g, gossip.RROptions{
+			res, err := gossip.Dispatch("rr", g, gossip.DriverOptions{
 				Spanner: sp, K: k, Seed: seed + 1, MaxRounds: 1 << 21,
 				Stop: sim.StopAllHaveAll(),
 			})
@@ -444,7 +444,7 @@ func runE12(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			full := 1.0
-			for _, r := range res.FinalRumors() {
+			for _, r := range res.Sim.FinalRumors() {
 				if !r.Full() {
 					full = 0
 				}

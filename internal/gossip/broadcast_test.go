@@ -14,7 +14,7 @@ func TestFloodStarCostsNTimesD(t *testing.T) {
 	// in the blocking regime; push-pull needs ~D.
 	n, lat := 12, 8
 	g := graphgen.Star(n, lat)
-	flood, err := RunFlood(g, 0, true, 1, 1000000)
+	flood, err := Dispatch("flood", g, DriverOptions{Source: 0, Seed: 1, MaxRounds: 1000000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestFloodStarCostsNTimesD(t *testing.T) {
 	if flood.Rounds < (n-1)*lat {
 		t.Fatalf("blocking flood took %d rounds, expected >= %d", flood.Rounds, (n-1)*lat)
 	}
-	pp, err := RunPushPull(g, 0, 1, 1000000)
+	pp, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 1, MaxRounds: 1000000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFloodStarCostsNTimesD(t *testing.T) {
 
 func TestFloodNonBlocking(t *testing.T) {
 	g := graphgen.Star(12, 8)
-	res, err := RunFlood(g, 0, false, 2, 100000)
+	res, err := Dispatch("flood", g, DriverOptions{Source: 0, Variant: VariantNonBlocking, Seed: 2, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFloodNonBlocking(t *testing.T) {
 
 func TestFloodFromLeaf(t *testing.T) {
 	g := graphgen.Star(8, 3)
-	res, err := RunFlood(g, 5, true, 3, 100000)
+	res, err := Dispatch("flood", g, DriverOptions{Source: 5, Seed: 3, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestRRBroadcastDeliversWithinLemma21Budget(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := int(g.WeightedDiameter()) * (2*sp.K - 1)
-	res, err := RunRR(g, RROptions{Spanner: sp, K: k, Seed: 4, MaxRounds: 1 << 20})
+	res, err := Dispatch("rr", g, DriverOptions{Spanner: sp, K: k, Seed: 4, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rumors := res.FinalRumors()
+	rumors := res.Sim.FinalRumors()
 	for u := 0; u < g.N(); u++ {
 		if !rumors[u].Full() {
 			t.Fatalf("node %d missing rumors after RR budget", u)
@@ -87,7 +87,7 @@ func TestRRStopsEarlyWithStopFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunRR(g, RROptions{
+	res, err := Dispatch("rr", g, DriverOptions{
 		Spanner: sp, K: 100, Seed: 6, MaxRounds: 1 << 20,
 		Stop: sim.StopAllHaveAll(),
 	})
@@ -108,11 +108,11 @@ func TestRRLatencyFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunRR(g, RROptions{Spanner: sp, K: 10, Seed: 8, MaxRounds: 1 << 18})
+	res, err := Dispatch("rr", g, DriverOptions{Spanner: sp, K: 10, Seed: 8, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rumors := res.FinalRumors()
+	rumors := res.Sim.FinalRumors()
 	if rumors[0].Contains(7) {
 		t.Fatal("rumor crossed an edge above the K filter")
 	}
@@ -121,7 +121,7 @@ func TestRRLatencyFilter(t *testing.T) {
 func TestSpannerBroadcastKnownD(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
 	d := int(g.WeightedDiameter())
-	res, err := SpannerBroadcast(g, SpannerOptions{D: d, KnownLatencies: true, Seed: 1, SkipCheck: true})
+	res, err := SpannerBroadcast(g, DriverOptions{D: d, KnownLatencies: true, Seed: 1, SkipCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSpannerBroadcastKnownD(t *testing.T) {
 
 func TestSpannerBroadcastUnknownD(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
-	res, err := SpannerBroadcast(g, SpannerOptions{KnownLatencies: true, Seed: 2})
+	res, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSpannerBroadcastUnknownLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 6, rng)
-	res, err := SpannerBroadcast(g, SpannerOptions{KnownLatencies: false, Seed: 3})
+	res, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: false, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSpannerBroadcastAvoidsSlowEdges(t *testing.T) {
 	// Dumbbell where the direct bridge is slow but D is small... here D
 	// includes the bridge; spanner broadcast must still complete.
 	g := graphgen.Dumbbell(6, 9)
-	res, err := SpannerBroadcast(g, SpannerOptions{KnownLatencies: true, Seed: 4})
+	res, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPatternSequence(t *testing.T) {
 func TestPatternBroadcastKnownD(t *testing.T) {
 	g := graphgen.Grid(3, 4, 2)
 	d := int(g.WeightedDiameter())
-	res, err := PatternBroadcast(g, PatternOptions{D: d, Seed: 5, SkipCheck: true})
+	res, err := PatternBroadcast(g, DriverOptions{D: d, Seed: 5, SkipCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPatternBroadcastKnownD(t *testing.T) {
 
 func TestPatternBroadcastUnknownD(t *testing.T) {
 	g := graphgen.Cycle(10, 3)
-	res, err := PatternBroadcast(g, PatternOptions{Seed: 6})
+	res, err := PatternBroadcast(g, DriverOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPatternReachesDistanceK(t *testing.T) {
 	g.MustAddEdge(3, 4, 4)
 	// T(4): nodes within distance 4 must know each other afterwards.
 	var out BroadcastResult
-	rumors, err := runPattern(g, 4, PatternOptions{Seed: 7}, &out, nil, "t")
+	rumors, err := runPattern(g, 4, DriverOptions{Seed: 7}, &out, nil, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPatternReachesDistanceK(t *testing.T) {
 
 func TestDiscovery(t *testing.T) {
 	g := graphgen.Dumbbell(4, 20)
-	res, err := RunDiscovery(g, g.MaxDegree()+25, 1, nil)
+	res, err := runDiscovery(g, DriverOptions{Seed: 1, MaxRounds: g.MaxDegree() + 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestUnifiedPicksWinner(t *testing.T) {
 	// Well-connected clique: push-pull should win (log n rounds vs the
 	// spanner pipeline's polylog overhead).
 	g := graphgen.Clique(24, 1)
-	res, err := Unified(g, UnifiedOptions{Source: 0, KnownLatencies: true, Seed: 1, MaxRounds: 1 << 20})
+	res, err := Unified(g, DriverOptions{Source: 0, KnownLatencies: true, Seed: 1, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestUnifiedSpannerWinsOnBadConductance(t *testing.T) {
 	// rarely picks the bridge (probability 1/deg per round), while the
 	// spanner algorithm uses it deterministically.
 	g := graphgen.Dumbbell(16, 4)
-	res, err := Unified(g, UnifiedOptions{Source: 0, KnownLatencies: true, Seed: 2, MaxRounds: 1 << 20})
+	res, err := Unified(g, DriverOptions{Source: 0, KnownLatencies: true, Seed: 2, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,8 @@ func TestElectionBenignElectsMaxID(t *testing.T) {
 // everywhere, and the surviving maximum must win the second wave.
 func TestElectionReelectsAfterLeaderCrash(t *testing.T) {
 	g := graphgen.Clique(10, 1)
-	crashAt := make([]int, g.N())
-	for i := range crashAt {
-		crashAt[i] = -1
-	}
-	crashAt[g.N()-1] = 30 // beyond first convergence start, before settling
-	res, err := Dispatch("election", g, DriverOptions{Seed: 3, MaxRounds: 1 << 13, CrashAt: crashAt})
+	// Round 30 is beyond first convergence start, before settling.
+	res, err := Dispatch("election", g, DriverOptions{Seed: 3, MaxRounds: 1 << 13, ExecOptions: crashes(30, g.N()-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +138,7 @@ func TestEchoCompletesAndRootHearsAll(t *testing.T) {
 // round 0: the wave must still complete, judged over survivors only.
 func TestEchoCompletesOverSurvivorsUnderCrash(t *testing.T) {
 	g := graphgen.Clique(8, 1)
-	crashAt := make([]int, g.N())
-	for i := range crashAt {
-		crashAt[i] = -1
-	}
-	crashAt[5] = 0
-	res, err := Dispatch("echo", g, DriverOptions{Seed: 4, MaxRounds: 1 << 13, CrashAt: crashAt})
+	res, err := Dispatch("echo", g, DriverOptions{Seed: 4, MaxRounds: 1 << 13, ExecOptions: crashes(0, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +208,7 @@ func TestStopLeaderStableNoFacet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(cfg, factory, sim.StopLeaderStable(nil, nil))
+	res, err := sim.Run(cfg, factory, sim.StopLeaderStable(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package gossip
 
 import (
-	"gossip/internal/adversity"
-	"gossip/internal/bitset"
 	"gossip/internal/graph"
 	"gossip/internal/sim"
 )
@@ -56,29 +54,24 @@ func (d *Discover) NextWake(round int) int {
 	return round + 1
 }
 
-// RunDiscovery runs a discovery phase with the given round budget
-// (typically Δ + current diameter guess). The returned result's Rounds is
-// always the budget: discovery cost is paid in full.
-func RunDiscovery(g *graph.Graph, budget int, seed uint64, initial []*bitset.Set) (sim.Result, error) {
-	return runDiscovery(g, budget, seed, initial, nil, 0)
-}
-
-// runDiscovery is RunDiscovery with an explicit fault schedule and
-// intra-round worker count.
-func runDiscovery(g *graph.Graph, budget int, seed uint64, initial []*bitset.Set, adv *adversity.Spec, workers int) (sim.Result, error) {
-	res, err := sim.Run(sim.Config{
+// runDiscovery runs a discovery phase whose round budget is
+// opts.MaxRounds (typically Δ + current diameter guess), reading Seed,
+// InitialRumors, Adversity and Workers besides. The returned result's
+// Rounds is always the budget: discovery cost is paid in full.
+func runDiscovery(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
+	res, err := fromSimResult(sim.Run(sim.Config{
 		Graph:         g,
-		Workers:       workers,
-		Seed:          seed,
-		MaxRounds:     budget,
+		Workers:       opts.Workers,
+		Seed:          opts.Seed,
+		MaxRounds:     opts.MaxRounds,
 		Mode:          sim.AllToAll,
-		InitialRumors: initial,
-		Adversity:     adv,
-	}, func(nv *sim.NodeView) sim.Protocol { return NewDiscover(nv) }, sim.StopNever())
+		InitialRumors: opts.InitialRumors,
+		Adversity:     opts.Adversity,
+	}, func(nv *sim.NodeView) sim.Protocol { return NewDiscover(nv) }, sim.StopNever()))
 	if err != nil {
 		return res, err
 	}
-	res.Rounds = budget
+	res.Rounds = opts.MaxRounds
 	res.Completed = true
 	return res, nil
 }

@@ -18,7 +18,7 @@ type Objective int
 
 const (
 	// Broadcast is one-to-all: every node (or every survivor, under a
-	// crash schedule) holds the source rumor. The default.
+	// failure schedule) holds the source rumor. The default.
 	Broadcast Objective = iota
 	// AllToAll: every node holds every rumor.
 	AllToAll
@@ -37,13 +37,11 @@ const (
 	VariantNonBlocking = "nonblocking"
 )
 
-// ExecOptions is the execution surface shared by every option struct in
-// this package — engine knobs orthogonal to any protocol choice. It is
-// embedded in DriverOptions and in each phase-level option struct
-// (RROptions, DTGOptions, SuperstepOptions, SpannerOptions,
-// PatternOptions, UnifiedOptions), so the knobs are declared and
-// documented once; Go field promotion keeps opts.Workers / opts.Adversity
-// / opts.CSR reads working everywhere.
+// ExecOptions is the execution surface of a run — engine knobs
+// orthogonal to any protocol choice. It is embedded in DriverOptions, so
+// a pipeline hands the whole surface to a phase (or rebases part of it)
+// as one value; Go field promotion keeps opts.Workers / opts.Adversity /
+// opts.CSR reads working.
 type ExecOptions struct {
 	// Workers shards intra-round simulation across goroutines (see
 	// sim.Config.Workers); results are bit-identical for any value.
@@ -52,18 +50,18 @@ type ExecOptions struct {
 	// churn, link flaps, crash batches (see package adversity and
 	// sim.Config.Adversity). Every registered driver accepts it; the
 	// multi-phase pipelines rebase it between phases by the rounds
-	// already consumed, exactly as they shift CrashAt. When the schedule
-	// takes nodes down, completion is judged over survivors: nodes it
+	// already consumed (Spec.Shift). It is the one failure model: when it
+	// takes nodes down, completion is judged over survivors — nodes it
 	// never permanently removes, including temporarily-churned nodes,
 	// which must be informed after rejoining.
 	Adversity *adversity.Spec
 	// CSR supplies the topology in compressed sparse row form. The
-	// single-phase drivers (push-pull, flood, dtg, superstep) accept it
-	// with a nil *graph.Graph — the million-node path, where the
-	// adjacency-map representation is never materialized. The pipeline
-	// drivers (rr, spanner, pattern, auto) and the phase option structs
-	// of graph-requiring pipelines still need the legacy graph and
-	// ignore CSR.
+	// single-phase drivers (push-pull, flood, dtg, superstep, echo,
+	// election) accept it with a nil *graph.Graph — the million-node
+	// path, where the adjacency-map representation is never
+	// materialized. The pipeline drivers (rr, spanner, pattern, auto)
+	// still need the legacy graph and run their phases on it, ignoring
+	// CSR.
 	CSR *graph.CSR
 }
 
@@ -102,8 +100,6 @@ type DriverOptions struct {
 	Spanner *spanner.Spanner
 	// InitialRumors carries state from a previous phase.
 	InitialRumors []*bitset.Set
-	// CrashAt injects fail-stop crashes (see sim.Config.CrashAt).
-	CrashAt []int
 	// MaxInPerRound caps accepted incoming initiations per node per
 	// round (0 = unbounded).
 	MaxInPerRound int
@@ -356,7 +352,7 @@ func topologyN(g *graph.Graph, opts DriverOptions) int {
 // representation (spanner construction, latency filters over g).
 func needGraph(name string, g *graph.Graph) error {
 	if g == nil {
-		return fmt.Errorf("gossip: driver %q requires an adjacency-map graph (CSR-only topologies are supported by push-pull, flood, dtg and superstep)", name)
+		return fmt.Errorf("gossip: driver %q requires an adjacency-map graph (CSR-only topologies are supported by push-pull, flood, dtg, superstep, echo and election)", name)
 	}
 	return nil
 }
@@ -396,22 +392,17 @@ func fromBroadcastResult(res BroadcastResult, err error) (DriverResult, error) {
 }
 
 // broadcastStop picks the stop condition for a Broadcast-objective run.
-// Under a failure model completion is judged over survivors: with a
-// crash-only schedule "survivor" and "currently alive" coincide
-// (crashes are permanent), but churn intervals can end, so under an
-// adversity schedule the run must also inform every node that will
-// rejoin — the same goneForever semantics the multi-phase pipelines
-// use, keeping identical fault schedules comparable across drivers.
+// Under a schedule that takes nodes down, completion is judged over
+// survivors: crashes are permanent, but churn intervals can end, so the
+// run must also inform every node that will rejoin — the same
+// never-returns semantics the multi-phase pipelines use, keeping
+// identical fault schedules comparable across drivers.
 func broadcastStop(opts DriverOptions) sim.StopFunc {
 	stopFor := func(s graph.NodeID) sim.StopFunc {
-		switch {
-		case opts.Adversity.HasFailures():
-			return sim.StopAllSurvivorsInformed(s, opts.CrashAt, opts.Adversity)
-		case opts.CrashAt != nil:
-			return sim.StopAllAliveInformed(s)
-		default:
-			return sim.StopAllInformed(s)
+		if opts.Adversity.HasFailures() {
+			return sim.StopAllSurvivorsInformed(s, opts.Adversity)
 		}
+		return sim.StopAllInformed(s)
 	}
 	if len(opts.Sources) > 0 {
 		stops := make([]sim.StopFunc, len(opts.Sources))
@@ -458,7 +449,6 @@ func init() {
 			{"Source/Sources", "watched rumor origin(s) for the Broadcast objective", []string{"source", "sources"}},
 			{"Objective", "Broadcast (default), AllToAll or LocalBroadcast", []string{"objective"}},
 			{"Variant", "\"blocking\" waits out each exchange before the next", []string{"variant"}},
-			{"CrashAt", "fail-stop schedule; completion judged over survivors", nil},
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"MaxInPerRound", "bounded in-degree model of Daum et al.", []string{"max_in_per_round"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
@@ -489,7 +479,6 @@ func init() {
 				Mode:          objectiveMode(opts),
 				Source:        opts.Source,
 				Sources:       opts.Sources,
-				CrashAt:       opts.CrashAt,
 				Adversity:     opts.Adversity,
 				MaxInPerRound: opts.MaxInPerRound,
 			}, factory, objectiveStop(opts), nil
@@ -501,7 +490,6 @@ func init() {
 		Options: []OptionDoc{
 			{"Source", "rumor origin; only informed nodes act", []string{"source"}},
 			{"Variant", "\"nonblocking\" initiates every round", []string{"variant"}},
-			{"CrashAt", "fail-stop schedule; completion judged over survivors", nil},
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -515,7 +503,6 @@ func init() {
 					MaxRounds: opts.MaxRounds,
 					Mode:      sim.OneToAll,
 					Source:    opts.Source,
-					CrashAt:   opts.CrashAt,
 					Adversity: opts.Adversity,
 				}, func(nv *sim.NodeView) sim.Protocol {
 					return NewFlood(nv, opts.Source, blocking)
@@ -528,7 +515,6 @@ func init() {
 		Options: []OptionDoc{
 			{"Ell", "latency filter defining G_ℓ (0 = all edges)", []string{"ell"}},
 			{"InitialRumors", "state carried from a previous phase", nil},
-			{"CrashAt", "fail-stop schedule (DTG stalls on dead peers)", nil},
 			{"Adversity", "fault schedule (DTG stalls on lost exchanges)", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -542,7 +528,6 @@ func init() {
 					MaxRounds:      opts.MaxRounds,
 					Mode:           sim.AllToAll,
 					InitialRumors:  opts.InitialRumors,
-					CrashAt:        opts.CrashAt,
 					Adversity:      opts.Adversity,
 				}, func(nv *sim.NodeView) sim.Protocol {
 					return NewDTG(nv, opts.Ell)
@@ -556,7 +541,6 @@ func init() {
 			{"Ell", "latency filter defining G_ℓ (0 = all edges)", []string{"ell"}},
 			{"LBTimeout", "abandon stalled exchanges after this many rounds", []string{"lb_timeout"}},
 			{"InitialRumors", "state carried from a previous phase", nil},
-			{"CrashAt", "fail-stop schedule", nil},
 			{"Adversity", "fault schedule; timeouts recover from losses", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -570,7 +554,6 @@ func init() {
 					MaxRounds:      opts.MaxRounds,
 					Mode:           sim.AllToAll,
 					InitialRumors:  opts.InitialRumors,
-					CrashAt:        opts.CrashAt,
 					Adversity:      opts.Adversity,
 				}, func(nv *sim.NodeView) sim.Protocol {
 					return NewSuperstep(nv, opts.Ell, opts.LBTimeout)
@@ -584,40 +567,10 @@ func init() {
 			{"Spanner", "out-edge orientation (nil = build Baswana-Sen from Seed)", nil},
 			{"K", "latency filter on out-edges; drives the Lemma 21 budget", []string{"k"}},
 			{"Budget", "override the K·Δout + K budget", []string{"budget"}},
-			{"InitialRumors/CrashAt/Adversity/Stop", "phase state, failures, early stop", []string{"fault_spec"}},
+			{"InitialRumors/Adversity/Stop", "phase state, failures, early stop", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-			if err := needGraph("rr", g); err != nil {
-				return sim.Config{}, nil, nil, err
-			}
-			sp := opts.Spanner
-			if sp == nil {
-				k := log2CeilInt(g.N())
-				if k < 1 {
-					k = 1
-				}
-				var err error
-				sp, err = spanner.Build(g, spanner.Options{K: k, Seed: opts.Seed ^ 0x5bd1e995})
-				if err != nil {
-					return sim.Config{}, nil, nil, err
-				}
-			}
-			k := opts.K
-			if k <= 0 {
-				k = g.MaxLatency()
-			}
-			return prepareRR(g, sp, RROptions{
-				K:             k,
-				Budget:        opts.Budget,
-				Seed:          opts.Seed,
-				MaxRounds:     opts.MaxRounds,
-				InitialRumors: opts.InitialRumors,
-				Stop:          opts.Stop,
-				CrashAt:       opts.CrashAt,
-				ExecOptions:   opts.ExecOptions,
-			})
-		},
+		Prepare: prepareRR,
 	})
 	Register(&Driver{
 		Name:        "spanner",
@@ -627,7 +580,6 @@ func init() {
 			{"KnownLatencies", "Section 4 model; else discovery phases are prepended", []string{"known_latencies"}},
 			{"FaultTolerant/LBTimeout", "swap DTG for timeout-hardened Superstep", []string{"fault_tolerant", "lb_timeout"}},
 			{"SkipCheck", "drop the Termination_Check phase for known D", []string{"skip_check"}},
-			{"CrashAt", "fail-stop schedule; completion judged over survivors", nil},
 			{"Adversity", "fault schedule, rebased per phase", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
@@ -635,24 +587,7 @@ func init() {
 			if err := needGraph("spanner", g); err != nil {
 				return DriverResult{}, err
 			}
-			spOpts := SpannerOptions{
-				D:              opts.D,
-				KnownLatencies: opts.KnownLatencies,
-				Seed:           opts.Seed,
-				MaxPhaseRounds: opts.MaxRounds,
-				SkipCheck:      opts.SkipCheck,
-				CrashAt:        opts.CrashAt,
-				ExecOptions:    opts.ExecOptions,
-			}
-			if opts.FaultTolerant {
-				spOpts.UseSuperstep = true
-				spOpts.LBTimeout = opts.LBTimeout
-				if spOpts.LBTimeout <= 0 {
-					// Safely above any single round trip.
-					spOpts.LBTimeout = 2*g.MaxLatency() + 4
-				}
-			}
-			return fromBroadcastResult(SpannerBroadcast(g, spOpts))
+			return fromBroadcastResult(SpannerBroadcast(g, opts))
 		},
 	})
 	Register(&Driver{
@@ -668,13 +603,7 @@ func init() {
 			if err := needGraph("pattern", g); err != nil {
 				return DriverResult{}, err
 			}
-			return fromBroadcastResult(PatternBroadcast(g, PatternOptions{
-				D:              opts.D,
-				Seed:           opts.Seed,
-				MaxPhaseRounds: opts.MaxRounds,
-				SkipCheck:      opts.SkipCheck,
-				ExecOptions:    opts.ExecOptions,
-			}))
+			return fromBroadcastResult(PatternBroadcast(g, opts))
 		},
 	})
 	Register(&Driver{
@@ -691,14 +620,7 @@ func init() {
 			if err := needGraph("auto", g); err != nil {
 				return DriverResult{}, err
 			}
-			res, err := Unified(g, UnifiedOptions{
-				Source:         opts.Source,
-				KnownLatencies: opts.KnownLatencies,
-				D:              opts.D,
-				Seed:           opts.Seed,
-				MaxRounds:      opts.MaxRounds,
-				ExecOptions:    opts.ExecOptions,
-			})
+			res, err := Unified(g, opts)
 			if err != nil {
 				return DriverResult{}, err
 			}

@@ -1,8 +1,11 @@
 package gossip
 
 import (
+	"reflect"
 	"testing"
 
+	"gossip/internal/adversity"
+	"gossip/internal/graph"
 	"gossip/internal/graphgen"
 )
 
@@ -62,20 +65,40 @@ func TestDispatchAllDriversComplete(t *testing.T) {
 	}
 }
 
-// TestDispatchMatchesWrapper pins the wrapper sugar to the driver path:
-// both spellings must be the same run bit for bit.
-func TestDispatchMatchesWrapper(t *testing.T) {
-	g := graphgen.Dumbbell(6, 16)
-	wrap, err := RunPushPull(g, 0, 42, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 42, MaxRounds: 1 << 18})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrap.Rounds != drv.Rounds || wrap.Exchanges != drv.Exchanges || wrap.Messages != drv.Messages {
-		t.Fatalf("wrapper %+v != driver %+v", wrap, drv)
+// TestCrashBatchIsForeverChurn pins the single failure model across the
+// whole registry: a crash batch and the same nodes churned out at the
+// same round with no rejoin are one schedule spelled two ways, so every
+// driver must report the identical result for both — for a crash at
+// round 0, mid-run, and long after the run is over.
+func TestCrashBatchIsForeverChurn(t *testing.T) {
+	dead := []graph.NodeID{2, 5}
+	for fname, g := range map[string]*graph.Graph{
+		"grid":     graphgen.Grid(4, 4, 2),
+		"dumbbell": graphgen.Dumbbell(5, 6),
+	} {
+		for _, name := range Names() {
+			for _, round := range []int{0, 5, 1 << 14} {
+				crash := &adversity.Spec{Crashes: []adversity.Crash{{Round: round, Nodes: dead}}}
+				churn := &adversity.Spec{}
+				for _, u := range dead {
+					churn.Churn = append(churn.Churn, adversity.Churn{Node: u, Leave: round, Rejoin: adversity.Forever})
+				}
+				run := func(spec *adversity.Spec) DriverResult {
+					res, err := Dispatch(name, g, DriverOptions{
+						Seed: 7, KnownLatencies: true, MaxRounds: 1 << 15,
+						ExecOptions: ExecOptions{Adversity: spec},
+					})
+					if err != nil {
+						t.Fatalf("%s/%s crash@%d: %v", fname, name, round, err)
+					}
+					res.Sim = nil // per-run engine state; the reported fields are what must agree
+					return res
+				}
+				if a, b := run(crash), run(churn); !reflect.DeepEqual(a, b) {
+					t.Errorf("%s/%s crash@%d: crash batch and forever-churn disagree:\n crash %+v\n churn %+v", fname, name, round, a, b)
+				}
+			}
+		}
 	}
 }
 
@@ -83,14 +106,9 @@ func TestSpannerDriverDefaultsLBTimeout(t *testing.T) {
 	// FaultTolerant with LBTimeout 0 must pick a timeout above any round
 	// trip (2·ℓmax + slack) rather than disabling abandonment.
 	g := graphgen.Clique(8, 4)
-	crashAt := make([]int, 8)
-	for i := range crashAt {
-		crashAt[i] = -1
-	}
-	crashAt[3] = 2
 	res, err := Dispatch("spanner", g, DriverOptions{
 		KnownLatencies: true, Seed: 3, MaxRounds: 1 << 14,
-		FaultTolerant: true, CrashAt: crashAt,
+		FaultTolerant: true, ExecOptions: crashes(2, 3),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package gossip
 
-import (
-	"gossip/internal/bitset"
-	"gossip/internal/graph"
-	"gossip/internal/sim"
-)
+import "gossip/internal/sim"
 
 // DTG is the ℓ-DTG local broadcast protocol (Appendix A.1, Algorithm 6):
 // Haeupler's Deterministic Tree Gossip run on the subgraph G_ℓ of edges
@@ -164,33 +160,4 @@ func (d *DTG) OnDeliver(dv sim.Delivery) {
 	if dv.Initiator && dv.NeighborIndex == d.pending {
 		d.pending = -1
 	}
-}
-
-// DTGOptions configures one ℓ-DTG phase run.
-type DTGOptions struct {
-	Ell       int
-	Seed      uint64
-	MaxRounds int
-	// InitialRumors carries state from a previous phase (nil seeds
-	// AllToAll).
-	InitialRumors []*bitset.Set
-	// CrashAt injects fail-stop crashes (see sim.Config.CrashAt). DTG
-	// has no timeout mechanism, so a node waiting on a crashed peer
-	// stalls — the fragility the paper's Section 6 notes; the embedded
-	// ExecOptions fault schedule stalls it the same way.
-	CrashAt []int
-	ExecOptions
-}
-
-// RunDTG runs one ℓ-DTG phase to quiescence (every node's local
-// broadcast complete) and returns the simulation result.
-func RunDTG(g *graph.Graph, opts DTGOptions) (sim.Result, error) {
-	return dispatchSim("dtg", g, DriverOptions{
-		Ell:           opts.Ell,
-		Seed:          opts.Seed,
-		MaxRounds:     opts.MaxRounds,
-		InitialRumors: opts.InitialRumors,
-		CrashAt:       opts.CrashAt,
-		ExecOptions:   opts.ExecOptions,
-	})
 }

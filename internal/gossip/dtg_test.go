@@ -6,14 +6,13 @@ import (
 
 	"gossip/internal/graph"
 	"gossip/internal/graphgen"
-	"gossip/internal/sim"
 )
 
 // verifyLocalBroadcast checks every node ended up with the rumor of each
 // G_ℓ neighbor.
-func verifyLocalBroadcast(t *testing.T, g *graph.Graph, res sim.Result, ell int) {
+func verifyLocalBroadcast(t *testing.T, g *graph.Graph, res DriverResult, ell int) {
 	t.Helper()
-	rumors := res.FinalRumors()
+	rumors := res.Sim.FinalRumors()
 	for u := 0; u < g.N(); u++ {
 		for _, nb := range g.Neighbors(u) {
 			if ell > 0 && nb.Latency > ell {
@@ -28,7 +27,7 @@ func verifyLocalBroadcast(t *testing.T, g *graph.Graph, res sim.Result, ell int)
 
 func TestDTGSolvesLocalBroadcastClique(t *testing.T) {
 	g := graphgen.Clique(16, 1)
-	res, err := RunDTG(g, DTGOptions{Ell: 1, Seed: 1, MaxRounds: 100000})
+	res, err := Dispatch("dtg", g, DriverOptions{Ell: 1, Seed: 1, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func TestDTGSolvesLocalBroadcastStar(t *testing.T) {
 	// a star center has n-1 neighbors and must exchange with each (its
 	// i-trees are vertex disjoint), still the schedule completes.
 	g := graphgen.Star(16, 1)
-	res, err := RunDTG(g, DTGOptions{Ell: 1, Seed: 2, MaxRounds: 100000})
+	res, err := Dispatch("dtg", g, DriverOptions{Ell: 1, Seed: 2, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestDTGRespectsLatencyFilter(t *testing.T) {
 	// Dumbbell with slow bridge: 1-DTG must complete local broadcast
 	// within each clique and never wait on the bridge.
 	g := graphgen.Dumbbell(6, 100)
-	res, err := RunDTG(g, DTGOptions{Ell: 1, Seed: 3, MaxRounds: 100000})
+	res, err := Dispatch("dtg", g, DriverOptions{Ell: 1, Seed: 3, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestDTGRespectsLatencyFilter(t *testing.T) {
 	// Node 0 must not have node 6..11's rumors... except via its clique?
 	// The bridge endpoints only exchange across the bridge, which is
 	// filtered, so side A cannot know side B.
-	rumors := res.FinalRumors()
+	rumors := res.Sim.FinalRumors()
 	if rumors[1].Contains(7) {
 		t.Fatal("rumor crossed the filtered bridge")
 	}
@@ -88,7 +87,7 @@ func TestDTGCostScalesWithEll(t *testing.T) {
 	// linearly with the edge latency (every wait is ℓ).
 	rounds := func(lat int) int {
 		g := graphgen.Clique(8, lat)
-		res, err := RunDTG(g, DTGOptions{Ell: lat, Seed: 4, MaxRounds: 1000000})
+		res, err := Dispatch("dtg", g, DriverOptions{Ell: lat, Seed: 4, MaxRounds: 1000000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +110,7 @@ func TestDTGWeightedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 8, rng)
-	res, err := RunDTG(g, DTGOptions{Ell: 8, Seed: 6, MaxRounds: 1000000})
+	res, err := Dispatch("dtg", g, DriverOptions{Ell: 8, Seed: 6, MaxRounds: 1000000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +122,11 @@ func TestDTGWeightedGraph(t *testing.T) {
 
 func TestDTGCarriesInitialRumors(t *testing.T) {
 	g := graphgen.Clique(6, 1)
-	first, err := RunDTG(g, DTGOptions{Ell: 1, Seed: 7, MaxRounds: 10000})
+	first, err := Dispatch("dtg", g, DriverOptions{Ell: 1, Seed: 7, MaxRounds: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunDTG(g, DTGOptions{Ell: 1, Seed: 8, MaxRounds: 10000, InitialRumors: first.FinalRumors()})
+	second, err := Dispatch("dtg", g, DriverOptions{Ell: 1, Seed: 8, MaxRounds: 10000, InitialRumors: first.Sim.FinalRumors()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +145,11 @@ func TestDTGPathPipelining(t *testing.T) {
 	// O(log² n) rounds, independent of path length.
 	short := graphgen.Path(8, 1)
 	long := graphgen.Path(64, 1)
-	rs, err := RunDTG(short, DTGOptions{Ell: 1, Seed: 9, MaxRounds: 100000})
+	rs, err := Dispatch("dtg", short, DriverOptions{Ell: 1, Seed: 9, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := RunDTG(long, DTGOptions{Ell: 1, Seed: 9, MaxRounds: 100000})
+	rl, err := Dispatch("dtg", long, DriverOptions{Ell: 1, Seed: 9, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,6 @@ func init() {
 		Description: "echo/convergecast wave: the root floods a token and acks converge back until the root heard every survivor",
 		Options: []OptionDoc{
 			{"Source", "wave root collecting the acks", []string{"source"}},
-			{"CrashAt", "fail-stop schedule; completion judged over survivors", nil},
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -127,9 +126,8 @@ func init() {
 				MaxRounds: opts.MaxRounds,
 				Mode:      sim.AllToAll,
 				Source:    opts.Source,
-				CrashAt:   opts.CrashAt,
 				Adversity: opts.Adversity,
-			}, factory, sim.StopRootAcked(opts.Source, opts.CrashAt, opts.Adversity), nil
+			}, factory, sim.StopRootAcked(opts.Source, opts.Adversity), nil
 		},
 	})
 }

@@ -186,7 +186,6 @@ func init() {
 		Options: []OptionDoc{
 			{"SuspectAfter", "rounds without evidence of the leader before a node suspects it and reverts to self-candidacy (0 = graph-derived default)", []string{"suspect_after"}},
 			{"StableRounds", "rounds a node's choice must survive unchanged to count as decided (0 = graph-derived default)", []string{"stable_rounds"}},
-			{"CrashAt", "fail-stop schedule; stability is judged over survivors", nil},
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -220,9 +219,8 @@ func init() {
 				MaxRounds: opts.MaxRounds,
 				Mode:      sim.OneToAll,
 				Source:    0,
-				CrashAt:   opts.CrashAt,
 				Adversity: opts.Adversity,
-			}, factory, sim.StopLeaderStable(opts.CrashAt, opts.Adversity), nil
+			}, factory, sim.StopLeaderStable(opts.Adversity), nil
 		},
 	})
 }

@@ -8,17 +8,22 @@ import (
 	"gossip/internal/graphgen"
 )
 
+// crashes is the execution surface that fail-stops nodes at round.
+func crashes(round int, nodes ...graph.NodeID) ExecOptions {
+	return ExecOptions{Adversity: &adversity.Spec{Crashes: []adversity.Crash{{Round: round, Nodes: nodes}}}}
+}
+
 func TestPushPullBlockingSlower(t *testing.T) {
 	// On a slow-edged clique the blocking variant cannot pipeline, so it
 	// should need at least as many rounds on average.
 	g := graphgen.Clique(16, 8)
 	sumNB, sumB := 0, 0
 	for seed := uint64(0); seed < 5; seed++ {
-		nb, err := RunPushPull(g, 0, seed, 1<<18)
+		nb, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 18})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bl, err := RunPushPullBlocking(g, 0, seed, 1<<18)
+		bl, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Variant: VariantBlocking, Seed: seed, MaxRounds: 1 << 18})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +40,11 @@ func TestPushPullBlockingSlower(t *testing.T) {
 
 func TestPushPullMultiSource(t *testing.T) {
 	g := graphgen.Cycle(16, 2)
-	single, err := RunPushPull(g, 0, 3, 1<<18)
+	single, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 3, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunPushPullMultiSource(g, []graph.NodeID{0, 8}, 3, 1<<18)
+	multi, err := Dispatch("push-pull", g, DriverOptions{Sources: []graph.NodeID{0, 8}, Seed: 3, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +60,7 @@ func TestPushPullMultiSource(t *testing.T) {
 
 func TestPushPullWithCrashesInformsSurvivors(t *testing.T) {
 	g := graphgen.Clique(16, 1)
-	crashAt := make([]int, 16)
-	for i := range crashAt {
-		crashAt[i] = -1
-	}
-	crashAt[5], crashAt[6] = 2, 2
-	res, err := RunPushPullWithCrashes(g, 0, crashAt, 7, 1<<18)
+	res, err := Dispatch("push-pull", g, DriverOptions{Seed: 7, MaxRounds: 1 << 18, ExecOptions: crashes(2, 5, 6)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestPushPullBoundedInDegreeStar(t *testing.T) {
 	// Cap 1 on a star serializes the center: Θ(n) rounds.
 	n := 17
 	g := graphgen.Star(n, 1)
-	capped, err := RunPushPullBoundedInDegree(g, 0, 1, 5, 1<<18)
+	capped, err := Dispatch("push-pull", g, DriverOptions{Source: 0, MaxInPerRound: 1, Seed: 5, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := RunPushPullBoundedInDegree(g, 0, 0, 5, 1<<18)
+	free, err := Dispatch("push-pull", g, DriverOptions{Source: 0, MaxInPerRound: 0, Seed: 5, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,8 @@ func TestPushPullBoundedInDegreeStar(t *testing.T) {
 
 func TestSpannerBroadcastWithMidRunCrashes(t *testing.T) {
 	g := graphgen.Clique(16, 2)
-	crashAt := make([]int, 16)
-	for i := range crashAt {
-		crashAt[i] = -1
-	}
-	crashAt[1] = 5
-	res, err := SpannerBroadcast(g, SpannerOptions{
-		KnownLatencies: true, Seed: 3, MaxPhaseRounds: 4096, CrashAt: crashAt,
+	res, err := SpannerBroadcast(g, DriverOptions{
+		KnownLatencies: true, Seed: 3, MaxRounds: 4096, ExecOptions: crashes(5, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,49 +110,36 @@ func TestSpannerBroadcastWithMidRunCrashes(t *testing.T) {
 	}
 }
 
-func TestShiftCrashes(t *testing.T) {
-	in := []int{-1, 0, 5, 10}
-	out := shiftCrashes(in, 5)
-	want := []int{-1, 0, 0, 5}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("shiftCrashes = %v, want %v", out, want)
-		}
-	}
-	if shiftCrashes(nil, 3) != nil {
-		t.Fatal("nil schedule must stay nil")
-	}
-}
-
 func TestRumorsFullAlive(t *testing.T) {
 	g := graphgen.Clique(4, 1)
 	_ = g
-	res, err := RunDTG(graphgen.Clique(4, 1), DTGOptions{Ell: 1, Seed: 1, MaxRounds: 1000})
+	res, err := Dispatch("dtg", graphgen.Clique(4, 1), DriverOptions{Ell: 1, Seed: 1, MaxRounds: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rumors := res.FinalRumors()
-	if !rumorsFullAlive(rumors, nil, nil) {
+	rumors := res.Sim.FinalRumors()
+	if !rumorsFullAlive(rumors, nil) {
 		t.Fatal("complete run not full")
 	}
 	// Mark node 3 dead: fullness over survivors must ignore it.
 	rumors[3].Clear()
-	if rumorsFullAlive(rumors, []int{-1, -1, -1, 0}, nil) != true {
+	dead3 := crashes(0, 3).Adversity
+	if rumorsFullAlive(rumors, dead3) != true {
 		t.Fatal("alive-fullness should ignore the crashed node")
 	}
 	rumors[0].Remove(1)
-	if rumorsFullAlive(rumors, []int{-1, -1, -1, 0}, nil) {
+	if rumorsFullAlive(rumors, dead3) {
 		t.Fatal("missing survivor rumor not detected")
 	}
 }
 
 func TestSpreadCurveFromPushPull(t *testing.T) {
 	g := graphgen.Clique(32, 1)
-	res, err := RunPushPull(g, 0, 9, 1<<18)
+	res, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 9, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := res.SpreadCurve()
+	curve := res.Sim.SpreadCurve()
 	if len(curve) != res.Rounds+1 {
 		t.Fatalf("curve length %d for %d rounds", len(curve), res.Rounds)
 	}
@@ -171,7 +153,7 @@ func TestSpreadCurveFromPushPull(t *testing.T) {
 	}
 	// Epidemic S-shape: the half-time is before the final round on a
 	// clique (exponential growth phase then stragglers).
-	if ht := res.HalfTime(); ht < 0 || ht > res.Rounds {
+	if ht := res.Sim.HalfTime(); ht < 0 || ht > res.Rounds {
 		t.Fatalf("HalfTime = %d", ht)
 	}
 }
@@ -185,8 +167,8 @@ func TestSpreadCurveFromPushPull(t *testing.T) {
 // the peers whose exchanges died with the down interval move on.
 func TestSuperstepAmnesiaRestartsProtocol(t *testing.T) {
 	g := graphgen.Clique(6, 1)
-	res, err := RunSuperstep(g, SuperstepOptions{
-		Timeout:   4,
+	res, err := Dispatch("superstep", g, DriverOptions{
+		LBTimeout: 4,
 		Seed:      3,
 		MaxRounds: 1 << 12,
 		ExecOptions: ExecOptions{
@@ -202,7 +184,7 @@ func TestSuperstepAmnesiaRestartsProtocol(t *testing.T) {
 	// The amnesic node lost everything at round 12; quiescence after a
 	// protocol restart means it re-gathered its full neighborhood.
 	for v := 0; v < g.N(); v++ {
-		if !res.World.Views[2].Knows(v) {
+		if !res.Sim.World.Views[2].Knows(v) {
 			t.Fatalf("amnesic node 2 completed without re-learning rumor %d (heard set survived the reset?)", v)
 		}
 	}

@@ -76,14 +76,3 @@ func (f *Flood) NextWake(round int) int {
 	}
 	return round + 1
 }
-
-// RunFlood runs one-to-all flooding from source.
-func RunFlood(g *graph.Graph, source graph.NodeID, blocking bool, seed uint64, maxRounds int) (sim.Result, error) {
-	variant := ""
-	if !blocking {
-		variant = VariantNonBlocking
-	}
-	return dispatchSim("flood", g, DriverOptions{
-		Source: source, Variant: variant, Seed: seed, MaxRounds: maxRounds,
-	})
-}

@@ -78,19 +78,19 @@ func goldenRuns(t *testing.T, g *graph.Graph, workers int) map[string]goldenReco
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RunRR(g, RROptions{Spanner: sp, K: g.MaxLatency(), Seed: 9, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
+	rr, err := Dispatch("rr", g, DriverOptions{Spanner: sp, K: g.MaxLatency(), Seed: 9, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["rr"] = goldenRecord{rr.Rounds, rr.Completed, rr.Exchanges, rr.InformedAt}
 
-	dtg, err := RunDTG(g, DTGOptions{Ell: 0, Seed: 13, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
+	dtg, err := Dispatch("dtg", g, DriverOptions{Ell: 0, Seed: 13, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["dtg"] = goldenRecord{dtg.Rounds, dtg.Completed, dtg.Exchanges, dtg.InformedAt}
 
-	sb, err := SpannerBroadcast(g, SpannerOptions{KnownLatencies: true, Seed: 11, MaxPhaseRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
+	sb, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 11, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestInformationSpeedLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 9, rng)
-	res, err := RunPushPull(g, 0, 5, 1<<18)
+	res, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 5, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestInformationSpeedLimit(t *testing.T) {
 // snapshot semantics; spot-check the spanner pipeline on a weighted path.
 func TestPipelineSpeedLimit(t *testing.T) {
 	g := graphgen.Path(10, 7)
-	res, err := SpannerBroadcast(g, SpannerOptions{
+	res, err := SpannerBroadcast(g, DriverOptions{
 		D: int(g.WeightedDiameter()), KnownLatencies: true, Seed: 3, SkipCheck: true,
 	})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestPipelineSpeedLimit(t *testing.T) {
 func TestQuickUnifiedIsMin(t *testing.T) {
 	g := graphgen.Clique(12, 2)
 	f := func(seed uint16) bool {
-		res, err := Unified(g, UnifiedOptions{
+		res, err := Unified(g, DriverOptions{
 			Source: 0, KnownLatencies: true, Seed: uint64(seed), MaxRounds: 1 << 18,
 		})
 		if err != nil {
@@ -134,11 +134,11 @@ func TestRRNoOutEdges(t *testing.T) {
 func TestDiscoveryBudgetSemantics(t *testing.T) {
 	g := graphgen.Dumbbell(4, 50)
 	budget := g.MaxDegree() + 10 // bridge (50) cannot respond in time
-	res, err := RunDiscovery(g, budget, 1, nil)
+	res, err := runDiscovery(g, DriverOptions{Seed: 1, MaxRounds: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := res.World.Views
+	views := res.Sim.World.Views
 	// Bridge endpoints: the latency-50 edge must still be unknown.
 	idx := views[0].NeighborIndex(4)
 	if idx >= 0 {
@@ -156,7 +156,7 @@ func TestDiscoveryBudgetSemantics(t *testing.T) {
 // DTG must also work when some nodes have no eligible neighbors at all.
 func TestDTGIsolatedUnderFilter(t *testing.T) {
 	g := graphgen.Star(6, 10) // all edges latency 10
-	res, err := RunDTG(g, DTGOptions{Ell: 1, Seed: 1, MaxRounds: 1000})
+	res, err := Dispatch("dtg", g, DriverOptions{Ell: 1, Seed: 1, MaxRounds: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

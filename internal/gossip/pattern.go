@@ -5,7 +5,6 @@ import (
 
 	"gossip/internal/bitset"
 	"gossip/internal/graph"
-	"gossip/internal/sim"
 )
 
 // PatternSequence returns the ℓ-parameters of the recursive schedule T(k)
@@ -33,31 +32,18 @@ func PatternSequence(k int) ([]int, error) {
 	return out, nil
 }
 
-// PatternOptions configures PatternBroadcast.
-type PatternOptions struct {
-	// D is the known weighted diameter; 0 engages guess-and-double.
-	D    int
-	Seed uint64
-	// MaxPhaseRounds caps each ℓ-DTG phase.
-	MaxPhaseRounds int
-	// SkipCheck drops the Termination_Check pass for known D.
-	SkipCheck bool
-	// Adversity attaches a declarative fault schedule with rounds
-	// absolute against the schedule's cumulative count; each ℓ-DTG
-	// invocation receives it rebased by the rounds already consumed.
-	// Completion is judged over nodes that are not permanently gone.
-	// Workers shards intra-round simulation in every phase with
-	// bit-identical results. Both ride on the embedded ExecOptions.
-	ExecOptions
-}
-
 // PatternBroadcast runs Algorithm 5: execute the schedule T(k) of ℓ-DTG
 // invocations (Lemma 26 guarantees all pairs within distance k have
 // exchanged rumors afterwards), doubling k with a Termination_Check pass
 // (one more T(k) execution, the broadcast the check prescribes) until
 // dissemination completes. Unlike Spanner Broadcast it is deterministic
 // and needs no bound on n.
-func PatternBroadcast(g *graph.Graph, opts PatternOptions) (BroadcastResult, error) {
+//
+// It reads D (0 = guess-and-double), Seed, MaxRounds (the cap on each
+// ℓ-DTG phase), SkipCheck, Adversity and Workers; Adversity is rebased
+// per ℓ-DTG invocation and completion judged over nodes that are not
+// permanently gone, as in SpannerBroadcast.
+func PatternBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
 	var out BroadcastResult
 	if err := g.Validate(); err != nil {
 		return out, fmt.Errorf("gossip: pattern broadcast: %w", err)
@@ -75,13 +61,13 @@ func PatternBroadcast(g *graph.Graph, opts PatternOptions) (BroadcastResult, err
 		if err != nil {
 			return out, err
 		}
-		done := rumorsFullAlive(rumors, nil, opts.Adversity)
+		done := rumorsFullAlive(rumors, opts.Adversity)
 		if !opts.SkipCheck || !known {
 			rumors, err = runPattern(g, guess, opts, &out, rumors, "check")
 			if err != nil {
 				return out, err
 			}
-			done = rumorsFullAlive(rumors, nil, opts.Adversity)
+			done = rumorsFullAlive(rumors, opts.Adversity)
 		}
 		out.FinalGuess = guess
 		if done {
@@ -98,47 +84,33 @@ func PatternBroadcast(g *graph.Graph, opts PatternOptions) (BroadcastResult, err
 	}
 }
 
-// runPattern executes one full T(guess) schedule.
-func runPattern(g *graph.Graph, guess int, opts PatternOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
+// runPattern executes one full T(guess) schedule, recorded in out as the
+// single phase tag(k=guess).
+func runPattern(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
 	seqEll, err := PatternSequence(guess)
 	if err != nil {
 		return nil, err
 	}
-	maxRounds := opts.MaxPhaseRounds
-	if maxRounds <= 0 {
-		maxRounds = sim.DefaultMaxRounds
-	}
-	total := 0
-	exch := int64(0)
-	payload := int64(0)
-	dropped, delivered := int64(0), int64(0)
+	var total DriverResult
 	for i, ell := range seqEll {
-		res, err := RunDTG(g, DTGOptions{
+		res, err := Dispatch("dtg", g, DriverOptions{
 			Ell:           ell,
 			Seed:          opts.Seed + uint64(i)*31 + 7,
-			MaxRounds:     maxRounds,
+			MaxRounds:     opts.MaxRounds,
 			InitialRumors: rumors,
-			ExecOptions: ExecOptions{
-				Adversity: opts.Adversity.Shift(out.Rounds + total),
-				Workers:   opts.Workers,
-			},
+			ExecOptions:   phaseExec(opts, out.Rounds+total.Rounds),
 		})
 		if err != nil {
 			return nil, err
 		}
-		total += res.Rounds
-		exch += res.Exchanges
-		payload += res.RumorPayload
-		dropped += res.Dropped
-		delivered += res.Delivered
-		rumors = res.FinalRumors()
+		total.Rounds += res.Rounds
+		total.Exchanges += res.Exchanges
+		total.Dropped += res.Dropped
+		total.Delivered += res.Delivered
+		total.RumorPayload += res.RumorPayload
+		rumors = res.Sim.FinalRumors()
 	}
-	out.Phases = append(out.Phases, Phase{Name: fmt.Sprintf("%s(k=%d)", tag, guess), Rounds: total, Exchanges: exch, Payload: payload})
-	out.Rounds += total
-	out.Exchanges += exch
-	out.Dropped += dropped
-	out.Delivered += delivered
-	out.RumorPayload += payload
+	out.addPhase(fmt.Sprintf("%s(k=%d)", tag, guess), total)
 	return rumors, nil
 }
 

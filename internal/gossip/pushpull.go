@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"gossip/internal/graph"
 	"gossip/internal/sim"
 )
 
@@ -74,66 +73,6 @@ func (p *PushPull) NextWake(round int) int {
 		return sim.WakeOnDelivery
 	}
 	return round + 1
-}
-
-// dispatchSim routes a wrapper through the driver registry and unwraps
-// the single-phase result: every Run* helper below is sugar over the one
-// driver code path.
-func dispatchSim(name string, g *graph.Graph, opts DriverOptions) (sim.Result, error) {
-	dr, err := Dispatch(name, g, opts)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return *dr.Sim, nil
-}
-
-// RunPushPull runs one-to-all push-pull from source and returns the
-// simulation result.
-func RunPushPull(g *graph.Graph, source graph.NodeID, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{Source: source, Seed: seed, MaxRounds: maxRounds})
-}
-
-// RunPushPullLocalBroadcast runs push-pull in all-to-all mode until every
-// node holds every graph neighbor's rumor (local broadcast), returning
-// the rounds used.
-func RunPushPullLocalBroadcast(g *graph.Graph, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{Objective: LocalBroadcast, Seed: seed, MaxRounds: maxRounds})
-}
-
-// RunPushPullBlocking runs the blocking ablation of one-to-all push-pull.
-func RunPushPullBlocking(g *graph.Graph, source graph.NodeID, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{
-		Source: source, Variant: VariantBlocking, Seed: seed, MaxRounds: maxRounds,
-	})
-}
-
-// RunPushPullMultiSource runs push-pull with several simultaneous sources
-// until every node holds every source's rumor.
-func RunPushPullMultiSource(g *graph.Graph, sources []graph.NodeID, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{Sources: sources, Seed: seed, MaxRounds: maxRounds})
-}
-
-// RunPushPullWithCrashes runs one-to-all push-pull under fail-stop
-// crashes (crashAt[u] is the round node u dies; negative = never) until
-// every surviving node is informed.
-func RunPushPullWithCrashes(g *graph.Graph, source graph.NodeID, crashAt []int, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{
-		Source: source, CrashAt: crashAt, Seed: seed, MaxRounds: maxRounds,
-	})
-}
-
-// RunPushPullBoundedInDegree runs one-to-all push-pull where each node
-// accepts at most maxIn incoming connections per round (the restricted
-// model of Daum et al. raised in the paper's conclusion).
-func RunPushPullBoundedInDegree(g *graph.Graph, source graph.NodeID, maxIn int, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{
-		Source: source, MaxInPerRound: maxIn, Seed: seed, MaxRounds: maxRounds,
-	})
-}
-
-// RunPushPullAllToAll runs push-pull until every node holds every rumor.
-func RunPushPullAllToAll(g *graph.Graph, seed uint64, maxRounds int) (sim.Result, error) {
-	return dispatchSim("push-pull", g, DriverOptions{Objective: AllToAll, Seed: seed, MaxRounds: maxRounds})
 }
 
 // PushPullBound returns the Theorem 29 upper bound (ℓ*/φ*)·ln n given the

@@ -15,7 +15,7 @@ func condExact(g *graph.Graph) (conductance.Result, error) { return conductance.
 
 func TestPushPullCompletesOnClique(t *testing.T) {
 	g := graphgen.Clique(32, 1)
-	res, err := RunPushPull(g, 0, 1, 10000)
+	res, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 1, MaxRounds: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPushPullCompletesOnWeightedGraphs(t *testing.T) {
 	graphgen.AssignRandomLatencies(er, 1, 10, rng)
 	grid := graphgen.Grid(6, 6, 3)
 	for name, g := range map[string]*graph.Graph{"er": er, "grid": grid} {
-		res, err := RunPushPull(g, 3, 5, 100000)
+		res, err := Dispatch("push-pull", g, DriverOptions{Source: 3, Seed: 5, MaxRounds: 100000})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -57,7 +57,7 @@ func TestPushPullStarPullEffect(t *testing.T) {
 	// contact round... every leaf contacts the center every round, so 2
 	// rounds suffice with unit latencies.
 	g := graphgen.Star(50, 1)
-	res, err := RunPushPull(g, 0, 9, 1000)
+	res, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 9, MaxRounds: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPushPullStarPullEffect(t *testing.T) {
 func TestPushPullDumbbellWaitsForBridge(t *testing.T) {
 	bridge := 64
 	g := graphgen.Dumbbell(8, bridge)
-	res, err := RunPushPull(g, 0, 11, 100000)
+	res, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 11, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPushPullTheorem29Bound(t *testing.T) {
 	}
 	var rounds []float64
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err := RunPushPull(g, 0, seed, 1000000)
+		res, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: seed, MaxRounds: 1000000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestPushPullBoundErrors(t *testing.T) {
 
 func TestPushPullLocalBroadcast(t *testing.T) {
 	g := graphgen.Clique(16, 1)
-	res, err := RunPushPullLocalBroadcast(g, 3, 10000)
+	res, err := Dispatch("push-pull", g, DriverOptions{Objective: LocalBroadcast, Seed: 3, MaxRounds: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPushPullLocalBroadcast(t *testing.T) {
 
 func TestPushPullAllToAll(t *testing.T) {
 	g := graphgen.Cycle(12, 2)
-	res, err := RunPushPullAllToAll(g, 5, 100000)
+	res, err := Dispatch("push-pull", g, DriverOptions{Objective: AllToAll, Seed: 5, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +144,18 @@ func TestPushPullAllToAll(t *testing.T) {
 
 func TestPushPullDeterministicBySeed(t *testing.T) {
 	g := graphgen.Grid(5, 5, 2)
-	a, err := RunPushPull(g, 0, 42, 100000)
+	a, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 42, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPushPull(g, 0, 42, 100000)
+	b, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 42, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Rounds != b.Rounds || a.Exchanges != b.Exchanges {
 		t.Fatal("same seed, different outcome")
 	}
-	c, err := RunPushPull(g, 0, 43, 100000)
+	c, err := Dispatch("push-pull", g, DriverOptions{Source: 0, Seed: 43, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"gossip/internal/bitset"
 	"gossip/internal/graph"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
@@ -67,47 +66,36 @@ func (r *RR) NextWake(round int) int {
 	return round + 1
 }
 
-// RROptions configures one RR Broadcast phase.
-type RROptions struct {
-	// Spanner supplies the out-edge orientation.
-	Spanner *spanner.Spanner
-	// K is the Algorithm 1 parameter: only out-edges with latency <= K
-	// are used and the budget is K·Δout + K (Δout measured over usable
-	// edges) unless Budget overrides it.
-	K int
-	// Budget overrides the Lemma 21 budget when positive.
-	Budget        int
-	Seed          uint64
-	MaxRounds     int
-	InitialRumors []*bitset.Set
-	// Stop ends the phase early (defaults to budget exhaustion).
-	Stop sim.StopFunc
-	// CrashAt injects fail-stop crashes (see sim.Config.CrashAt).
-	CrashAt []int
-	ExecOptions
-}
-
-// RunRR runs one RR Broadcast phase. It is sugar for the "rr" driver
-// with an explicit spanner.
-func RunRR(g *graph.Graph, opts RROptions) (sim.Result, error) {
-	return runRR(g, opts.Spanner, opts)
-}
-
-// runRR is the "rr" driver body: spanner-oriented round-robin broadcast.
-func runRR(g *graph.Graph, sp *spanner.Spanner, opts RROptions) (sim.Result, error) {
-	cfg, factory, stop, err := prepareRR(g, sp, opts)
-	if err != nil {
-		return sim.Result{}, err
+// prepareRR expands one RR Broadcast phase into its sim.Run invocation
+// without executing it: the "rr" driver's Prepare hook, and thus what
+// warm-start forking goes through. opts.Spanner supplies the out-edge
+// orientation (nil builds a default Baswana-Sen spanner from Seed); only
+// out-edges with latency <= K are used (K <= 0 means all) and the budget
+// is K·Δout + K (Δout measured over usable edges) unless Budget overrides
+// it; Stop ends the phase early (the default is budget exhaustion). The
+// orientation is rebuilt deterministically from the spanner, so
+// re-preparing a variant against a frozen snapshot reproduces the
+// schedule bit-identically.
+func prepareRR(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+	if err := needGraph("rr", g); err != nil {
+		return sim.Config{}, nil, nil, err
 	}
-	return sim.Run(cfg, factory, stop)
-}
-
-// prepareRR expands one RR phase into its sim.Run invocation without
-// executing it; the "rr" driver's Prepare hook (and thus warm-start
-// forking) goes through here. The out-edge orientation is rebuilt
-// deterministically from the spanner, so re-preparing a variant against
-// a frozen snapshot reproduces the schedule bit-identically.
-func prepareRR(g *graph.Graph, sp *spanner.Spanner, opts RROptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+	sp := opts.Spanner
+	if sp == nil {
+		kCluster := log2CeilInt(g.N())
+		if kCluster < 1 {
+			kCluster = 1
+		}
+		var err error
+		sp, err = spanner.Build(g, spanner.Options{K: kCluster, Seed: opts.Seed ^ 0x5bd1e995})
+		if err != nil {
+			return sim.Config{}, nil, nil, err
+		}
+	}
+	k := opts.K
+	if k <= 0 {
+		k = g.MaxLatency()
+	}
 	outIdx := make([][]int, g.N())
 	maxOut := 0
 	for u := 0; u < g.N(); u++ {
@@ -117,7 +105,7 @@ func prepareRR(g *graph.Graph, sp *spanner.Spanner, opts RROptions) (sim.Config,
 			pos[nb.ID] = i
 		}
 		for _, e := range sp.Out[u] {
-			if opts.K > 0 && e.Latency > opts.K {
+			if e.Latency > k {
 				continue
 			}
 			outIdx[u] = append(outIdx[u], pos[e.ID])
@@ -128,13 +116,11 @@ func prepareRR(g *graph.Graph, sp *spanner.Spanner, opts RROptions) (sim.Config,
 	}
 	budget := opts.Budget
 	if budget <= 0 {
-		budget = opts.K*maxOut + opts.K
+		budget = k*maxOut + k
 	}
-	stop := opts.Stop
-	if stop == nil {
-		stop = sim.StopAllDone()
-	} else {
-		stop = sim.StopOr(stop, sim.StopAllDone())
+	stop := sim.StopAllDone()
+	if opts.Stop != nil {
+		stop = sim.StopOr(opts.Stop, stop)
 	}
 	return sim.Config{
 		Graph:          g,
@@ -144,7 +130,6 @@ func prepareRR(g *graph.Graph, sp *spanner.Spanner, opts RROptions) (sim.Config,
 		MaxRounds:      opts.MaxRounds,
 		Mode:           sim.AllToAll,
 		InitialRumors:  opts.InitialRumors,
-		CrashAt:        opts.CrashAt,
 		Adversity:      opts.Adversity,
 	}, func(nv *sim.NodeView) sim.Protocol { return NewRR(outIdx[nv.ID()], budget) }, stop, nil
 }

@@ -42,72 +42,13 @@ type BroadcastResult struct {
 	SpannerEdges, SpannerMaxOut int
 }
 
-func (r *BroadcastResult) addPhase(name string, res sim.Result) {
+func (r *BroadcastResult) addPhase(name string, res DriverResult) {
 	r.Phases = append(r.Phases, Phase{Name: name, Rounds: res.Rounds, Exchanges: res.Exchanges, Payload: res.RumorPayload})
 	r.Rounds += res.Rounds
 	r.Exchanges += res.Exchanges
 	r.Dropped += res.Dropped
 	r.Delivered += res.Delivered
 	r.RumorPayload += res.RumorPayload
-}
-
-// SpannerOptions configures SpannerBroadcast.
-type SpannerOptions struct {
-	// D is the known weighted diameter; 0 means unknown, engaging the
-	// guess-and-double wrapper of Section 4.1.4.
-	D int
-	// KnownLatencies selects the Section 4 model. When false, every
-	// guess is preceded by a latency-discovery phase (Section 5.2's
-	// "tweaked" variant) whose budget is Δ + guess.
-	KnownLatencies bool
-	Seed           uint64
-	// MaxPhaseRounds caps each phase (default sim.DefaultMaxRounds).
-	MaxPhaseRounds int
-	// SkipCheck drops the Termination_Check accounting phase; useful for
-	// measuring the bare pipeline when D is known.
-	SkipCheck bool
-	// UseSuperstep swaps the DTG neighborhood-gathering phases for the
-	// randomized Superstep primitive (Censor-Hillel et al. style); with
-	// LBTimeout > 0 the primitive abandons stalled exchanges, making the
-	// pipeline crash-tolerant (this repository's Section 7 extension).
-	UseSuperstep bool
-	LBTimeout    int
-	// CrashAt injects fail-stop crashes at absolute rounds (measured
-	// against the pipeline's cumulative round count; each phase receives
-	// the schedule shifted by the rounds already consumed). Completion
-	// is judged over surviving nodes. The pipeline has no recovery
-	// mechanism — Section 6 calls out exactly this fragility versus
-	// push-pull: DTG stalls forever on a dead peer.
-	CrashAt []int
-	// Adversity attaches a declarative fault schedule (see package
-	// adversity). Rounds are absolute against the pipeline's cumulative
-	// count; each phase receives the spec rebased by the rounds already
-	// consumed, exactly like CrashAt. Completion is judged over nodes
-	// that are not permanently gone.
-	// consumed, exactly like CrashAt; Workers shards intra-round
-	// simulation in every phase with bit-identical results. Both ride on
-	// the embedded ExecOptions.
-	ExecOptions
-}
-
-// shiftCrashes rebases an absolute crash schedule to a phase that starts
-// after offset rounds have already elapsed.
-func shiftCrashes(crashAt []int, offset int) []int {
-	if crashAt == nil {
-		return nil
-	}
-	out := make([]int, len(crashAt))
-	for i, r := range crashAt {
-		switch {
-		case r < 0:
-			out[i] = -1
-		case r <= offset:
-			out[i] = 0
-		default:
-			out[i] = r - offset
-		}
-	}
-	return out
 }
 
 // SpannerBroadcast runs Algorithm 2 (known D) or Algorithm 4 (unknown D):
@@ -119,10 +60,29 @@ func shiftCrashes(crashAt []int, offset int) []int {
 // evaluated from global state; Lemma 24 proves the distributed predicate
 // agrees with it, and its communication cost is charged as one extra RR
 // phase.
-func SpannerBroadcast(g *graph.Graph, opts SpannerOptions) (BroadcastResult, error) {
+//
+// It reads D (0 = unknown), KnownLatencies (when false every guess is
+// preceded by a latency-discovery phase with budget Δ + guess, Section
+// 5.2's "tweaked" variant), Seed, MaxRounds (the per-phase cap),
+// SkipCheck, FaultTolerant/LBTimeout, Adversity and Workers.
+// FaultTolerant swaps the DTG neighborhood-gathering phases for the
+// randomized Superstep primitive (Censor-Hillel et al. style), which
+// abandons exchanges stalled for LBTimeout rounds and so makes the
+// pipeline crash-tolerant (this repository's Section 7 extension).
+// Without it the pipeline has no recovery mechanism — Section 6 calls out
+// exactly this fragility versus push-pull: DTG stalls forever on a dead
+// peer. Adversity rounds are absolute against the pipeline's cumulative
+// round count: each phase receives the spec rebased by the rounds
+// already consumed, and completion is judged over nodes that are not
+// permanently gone.
+func SpannerBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
 	var out BroadcastResult
 	if err := g.Validate(); err != nil {
 		return out, fmt.Errorf("gossip: spanner broadcast: %w", err)
+	}
+	if opts.FaultTolerant && opts.LBTimeout <= 0 {
+		// Safely above any single round trip.
+		opts.LBTimeout = 2*g.MaxLatency() + 4
 	}
 	known := opts.D > 0
 	guess := opts.D
@@ -133,22 +93,19 @@ func SpannerBroadcast(g *graph.Graph, opts SpannerOptions) (BroadcastResult, err
 	cap64 := int64(g.N()) * int64(g.MaxLatency()) * 2
 	var rumors []*bitset.Set
 	for {
-		res, err := spannerPipeline(g, guess, opts, &out, rumors)
+		var err error
+		rumors, err = spannerPipeline(g, guess, opts, &out, rumors)
 		if err != nil {
 			return out, err
 		}
-		rumors = res
-		done := rumorsFullAlive(rumors, opts.CrashAt, opts.Adversity)
+		done := rumorsFullAlive(rumors, opts.Adversity)
 		if !opts.SkipCheck || !known {
 			// Termination_Check: one more RR-style broadcast pass.
-			check, sp, err := runRRPhase(g, guess, opts, rumors, out.Rounds, fmt.Sprintf("check(k=%d)", guess))
+			rumors, err = runRRPhase(g, guess, opts, &out, rumors, "check")
 			if err != nil {
 				return out, err
 			}
-			out.addPhase(check.name, check.res)
-			out.SpannerEdges, out.SpannerMaxOut = sp.NumEdges(), sp.MaxOutDegree()
-			rumors = check.res.FinalRumors()
-			done = rumorsFullAlive(rumors, opts.CrashAt, opts.Adversity)
+			done = rumorsFullAlive(rumors, opts.Adversity)
 		}
 		out.FinalGuess = guess
 		if done {
@@ -167,80 +124,58 @@ func SpannerBroadcast(g *graph.Graph, opts SpannerOptions) (BroadcastResult, err
 
 // spannerPipeline runs the DTG repetitions and the RR broadcast for one
 // diameter guess, returning the carried rumor sets.
-func spannerPipeline(g *graph.Graph, guess int, opts SpannerOptions, out *BroadcastResult, rumors []*bitset.Set) ([]*bitset.Set, error) {
-	maxRounds := opts.MaxPhaseRounds
-	if maxRounds <= 0 {
-		maxRounds = sim.DefaultMaxRounds
-	}
+func spannerPipeline(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set) ([]*bitset.Set, error) {
 	if !opts.KnownLatencies {
-		budget := g.MaxDegree() + guess
-		res, err := runDiscovery(g, budget, opts.Seed, rumors, opts.Adversity.Shift(out.Rounds), opts.Workers)
+		res, err := runDiscovery(g, DriverOptions{
+			Seed:          opts.Seed,
+			MaxRounds:     g.MaxDegree() + guess,
+			InitialRumors: rumors,
+			ExecOptions:   phaseExec(opts, out.Rounds),
+		})
 		if err != nil {
 			return nil, err
 		}
 		out.addPhase(fmt.Sprintf("discover(k=%d)", guess), res)
-		rumors = res.FinalRumors()
+		rumors = res.Sim.FinalRumors()
 	}
 	reps := log2CeilInt(g.N())
 	if reps < 1 {
 		reps = 1
 	}
+	gather := "dtg"
+	if opts.FaultTolerant {
+		gather = "superstep"
+	}
 	for rep := 0; rep < reps; rep++ {
-		var res sim.Result
-		var err error
-		name := fmt.Sprintf("dtg(ℓ=%d,#%d)", guess, rep+1)
-		if opts.UseSuperstep {
-			name = fmt.Sprintf("superstep(ℓ=%d,#%d)", guess, rep+1)
-			res, err = RunSuperstep(g, SuperstepOptions{
-				Ell:           guess,
-				Timeout:       opts.LBTimeout,
-				Seed:          opts.Seed + uint64(rep) + 1,
-				MaxRounds:     maxRounds,
-				InitialRumors: rumors,
-				CrashAt:       shiftCrashes(opts.CrashAt, out.Rounds),
-				ExecOptions: ExecOptions{
-					Adversity: opts.Adversity.Shift(out.Rounds),
-					Workers:   opts.Workers,
-				},
-			})
-		} else {
-			res, err = RunDTG(g, DTGOptions{
-				Ell:           guess,
-				Seed:          opts.Seed + uint64(rep) + 1,
-				MaxRounds:     maxRounds,
-				InitialRumors: rumors,
-				CrashAt:       shiftCrashes(opts.CrashAt, out.Rounds),
-				ExecOptions: ExecOptions{
-					Adversity: opts.Adversity.Shift(out.Rounds),
-					Workers:   opts.Workers,
-				},
-			})
-		}
+		res, err := Dispatch(gather, g, DriverOptions{
+			Ell:           guess,
+			LBTimeout:     opts.LBTimeout,
+			Seed:          opts.Seed + uint64(rep) + 1,
+			MaxRounds:     opts.MaxRounds,
+			InitialRumors: rumors,
+			ExecOptions:   phaseExec(opts, out.Rounds),
+		})
 		if err != nil {
 			return nil, err
 		}
-		out.addPhase(name, res)
-		rumors = res.FinalRumors()
+		out.addPhase(fmt.Sprintf("%s(ℓ=%d,#%d)", gather, guess, rep+1), res)
+		rumors = res.Sim.FinalRumors()
 	}
-	rr, sp, err := runRRPhase(g, guess, opts, rumors, out.Rounds, fmt.Sprintf("rr(k=%d)", guess))
-	if err != nil {
-		return nil, err
-	}
-	out.addPhase(rr.name, rr.res)
-	out.SpannerEdges, out.SpannerMaxOut = sp.NumEdges(), sp.MaxOutDegree()
-	return rr.res.FinalRumors(), nil
+	return runRRPhase(g, guess, opts, out, rumors, "rr")
 }
 
-type phaseRun struct {
-	name string
-	res  sim.Result
+// phaseExec is the execution surface of a pipeline phase that starts
+// after offset rounds: the fault schedule rebased to the phase's round
+// zero, the same worker count, and the pipeline's graph (never opts.CSR).
+func phaseExec(opts DriverOptions, offset int) ExecOptions {
+	return ExecOptions{Adversity: opts.Adversity.Shift(offset), Workers: opts.Workers}
 }
 
-// runRRPhase builds the spanner for G_guess and runs one RR Broadcast
-// with parameter k = guess·(2·ceil(log2 n) - 1): the spanner stretch bound
-// applied to the diameter guess. offset is the pipeline's cumulative
-// round count, used to rebase the crash schedule.
-func runRRPhase(g *graph.Graph, guess int, opts SpannerOptions, rumors []*bitset.Set, offset int, name string) (phaseRun, *spanner.Spanner, error) {
+// runRRPhase builds the spanner for G_guess, runs one RR Broadcast with
+// parameter k = guess·(2·ceil(log2 n) - 1) — the spanner stretch bound
+// applied to the diameter guess — records it in out as phase tag(k=guess)
+// and returns the carried rumor sets.
+func runRRPhase(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
 	kCluster := log2CeilInt(g.N())
 	if kCluster < 1 {
 		kCluster = 1
@@ -251,35 +186,27 @@ func runRRPhase(g *graph.Graph, guess int, opts SpannerOptions, rumors []*bitset
 		MaxLatency: guess,
 	})
 	if err != nil {
-		return phaseRun{}, nil, err
+		return nil, err
 	}
-	kRR := guess * (2*kCluster - 1)
-	maxRounds := opts.MaxPhaseRounds
-	if maxRounds <= 0 {
-		maxRounds = sim.DefaultMaxRounds
-	}
-	phaseCrash := shiftCrashes(opts.CrashAt, offset)
 	stop := sim.StopAllHaveAll()
-	if phaseCrash != nil || opts.Adversity.HasFailures() {
-		stop = stopAliveHaveAlive(phaseCrash, opts.Adversity)
+	if opts.Adversity.HasFailures() {
+		stop = stopAliveHaveAlive(opts.Adversity)
 	}
-	res, err := RunRR(g, RROptions{
+	res, err := Dispatch("rr", g, DriverOptions{
 		Spanner:       sp,
-		K:             kRR,
+		K:             guess * (2*kCluster - 1),
 		Seed:          opts.Seed ^ 0x27d4eb2f,
-		MaxRounds:     maxRounds,
+		MaxRounds:     opts.MaxRounds,
 		InitialRumors: rumors,
 		Stop:          stop,
-		CrashAt:       phaseCrash,
-		ExecOptions: ExecOptions{
-			Adversity: opts.Adversity.Shift(offset),
-			Workers:   opts.Workers,
-		},
+		ExecOptions:   phaseExec(opts, out.Rounds),
 	})
 	if err != nil {
-		return phaseRun{}, nil, err
+		return nil, err
 	}
-	return phaseRun{name: name, res: res}, sp, nil
+	out.addPhase(fmt.Sprintf("%s(k=%d)", tag, guess), res)
+	out.SpannerEdges, out.SpannerMaxOut = sp.NumEdges(), sp.MaxOutDegree()
+	return res.Sim.FinalRumors(), nil
 }
 
 // rumorsFull reports whether every node holds all n rumors.
@@ -295,32 +222,23 @@ func rumorsFull(rumors []*bitset.Set, n int) bool {
 	return true
 }
 
-// goneForever reports whether node u is permanently removed by the
-// failure model: crashed per the legacy vector, or never returning per
-// the adversity spec. Temporarily-churned nodes are NOT gone — they
-// rejoin and must still be informed.
-func goneForever(crashAt []int, spec *adversity.Spec, u int) bool {
-	if crashAt != nil && crashAt[u] >= 0 {
-		return true
-	}
-	return spec.NeverReturns(u)
-}
-
-// rumorsFullAlive reports whether every surviving node holds every
-// surviving node's rumor; with no failure model it is rumorsFull.
-func rumorsFullAlive(rumors []*bitset.Set, crashAt []int, spec *adversity.Spec) bool {
+// rumorsFullAlive reports whether every surviving node — every node the
+// fault schedule never permanently removes; temporarily-churned nodes
+// rejoin and must still be informed — holds every surviving node's
+// rumor; with no failure model it is rumorsFull.
+func rumorsFullAlive(rumors []*bitset.Set, spec *adversity.Spec) bool {
 	if rumors == nil {
 		return false
 	}
-	if crashAt == nil && !spec.HasFailures() {
+	if !spec.HasFailures() {
 		return rumorsFull(rumors, len(rumors))
 	}
 	for u, r := range rumors {
-		if goneForever(crashAt, spec, u) {
+		if spec.NeverReturns(u) {
 			continue
 		}
 		for v := range rumors {
-			if !goneForever(crashAt, spec, v) && !r.Contains(v) {
+			if !spec.NeverReturns(v) && !r.Contains(v) {
 				return false
 			}
 		}
@@ -330,14 +248,14 @@ func rumorsFullAlive(rumors []*bitset.Set, crashAt []int, spec *adversity.Spec) 
 
 // stopAliveHaveAlive stops when every surviving node holds every
 // surviving node's rumor.
-func stopAliveHaveAlive(crashAt []int, spec *adversity.Spec) sim.StopFunc {
+func stopAliveHaveAlive(spec *adversity.Spec) sim.StopFunc {
 	return func(w *sim.World) bool {
 		for u, nv := range w.Views {
-			if goneForever(crashAt, spec, u) {
+			if spec.NeverReturns(u) {
 				continue
 			}
 			for v := range w.Views {
-				if !goneForever(crashAt, spec, v) && !nv.Knows(v) {
+				if !spec.NeverReturns(v) && !nv.Knows(v) {
 					return false
 				}
 			}

@@ -1,10 +1,6 @@
 package gossip
 
-import (
-	"gossip/internal/bitset"
-	"gossip/internal/graph"
-	"gossip/internal/sim"
-)
+import "gossip/internal/sim"
 
 // Superstep is the randomized local broadcast primitive in the style of
 // Censor-Hillel et al. [5] (the alternative to DTG that the paper's
@@ -162,31 +158,4 @@ func (s *Superstep) OnDeliver(dv sim.Delivery) {
 	if dv.Initiator && dv.NeighborIndex == s.pending {
 		s.pending = -1
 	}
-}
-
-// SuperstepOptions configures one randomized local-broadcast phase.
-type SuperstepOptions struct {
-	Ell           int
-	Timeout       int
-	Seed          uint64
-	MaxRounds     int
-	InitialRumors []*bitset.Set
-	CrashAt       []int
-	// With Timeout > 0 the primitive abandons exchanges the embedded
-	// ExecOptions fault schedule loses, so it degrades gracefully where
-	// DTG stalls.
-	ExecOptions
-}
-
-// RunSuperstep runs one randomized local-broadcast phase to quiescence.
-func RunSuperstep(g *graph.Graph, opts SuperstepOptions) (sim.Result, error) {
-	return dispatchSim("superstep", g, DriverOptions{
-		Ell:           opts.Ell,
-		LBTimeout:     opts.Timeout,
-		Seed:          opts.Seed,
-		MaxRounds:     opts.MaxRounds,
-		InitialRumors: opts.InitialRumors,
-		CrashAt:       opts.CrashAt,
-		ExecOptions:   opts.ExecOptions,
-	})
 }

@@ -16,14 +16,14 @@ func TestSuperstepSolvesLocalBroadcast(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := graphgen.Clique(16, tc.ell)
-			res, err := RunSuperstep(g, SuperstepOptions{Ell: tc.ell, Seed: 1, MaxRounds: 1 << 18})
+			res, err := Dispatch("superstep", g, DriverOptions{Ell: tc.ell, Seed: 1, MaxRounds: 1 << 18})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Completed {
 				t.Fatal("incomplete")
 			}
-			rumors := res.FinalRumors()
+			rumors := res.Sim.FinalRumors()
 			for u := 0; u < g.N(); u++ {
 				for _, nb := range g.Neighbors(u) {
 					if nb.Latency <= tc.ell && !rumors[u].Contains(nb.ID) {
@@ -37,7 +37,7 @@ func TestSuperstepSolvesLocalBroadcast(t *testing.T) {
 
 func TestSuperstepRespectsFilter(t *testing.T) {
 	g := graphgen.Dumbbell(6, 100)
-	res, err := RunSuperstep(g, SuperstepOptions{Ell: 1, Seed: 2, MaxRounds: 1 << 18})
+	res, err := Dispatch("superstep", g, DriverOptions{Ell: 1, Seed: 2, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,7 @@ func TestSuperstepRespectsFilter(t *testing.T) {
 
 func TestSuperstepStallsOnCrashWithoutTimeout(t *testing.T) {
 	g := graphgen.Clique(8, 2)
-	crashAt := []int{-1, 1, -1, -1, -1, -1, -1, -1}
-	res, err := RunSuperstep(g, SuperstepOptions{Ell: 2, Seed: 3, MaxRounds: 2000, CrashAt: crashAt})
+	res, err := Dispatch("superstep", g, DriverOptions{Ell: 2, Seed: 3, MaxRounds: 2000, ExecOptions: crashes(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +65,8 @@ func TestSuperstepStallsOnCrashWithoutTimeout(t *testing.T) {
 
 func TestSuperstepTimeoutRecovers(t *testing.T) {
 	g := graphgen.Clique(8, 2)
-	crashAt := []int{-1, 1, -1, -1, -1, -1, -1, -1}
-	res, err := RunSuperstep(g, SuperstepOptions{
-		Ell: 2, Timeout: 6, Seed: 3, MaxRounds: 2000, CrashAt: crashAt,
+	res, err := Dispatch("superstep", g, DriverOptions{
+		Ell: 2, LBTimeout: 6, Seed: 3, MaxRounds: 2000, ExecOptions: crashes(1, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +75,7 @@ func TestSuperstepTimeoutRecovers(t *testing.T) {
 		t.Fatal("timeout variant did not recover from the crash")
 	}
 	// Survivors must have completed local broadcast among themselves.
-	rumors := res.FinalRumors()
+	rumors := res.Sim.FinalRumors()
 	for u := 0; u < g.N(); u++ {
 		if u == 1 {
 			continue
@@ -97,11 +95,11 @@ func TestSuperstepComparableToDTG(t *testing.T) {
 	// Both primitives solve the same problem; neither should be more
 	// than ~10x the other on a clique.
 	g := graphgen.Clique(32, 4)
-	dtg, err := RunDTG(g, DTGOptions{Ell: 4, Seed: 5, MaxRounds: 1 << 18})
+	dtg, err := Dispatch("dtg", g, DriverOptions{Ell: 4, Seed: 5, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := RunSuperstep(g, SuperstepOptions{Ell: 4, Seed: 5, MaxRounds: 1 << 18})
+	ss, err := Dispatch("superstep", g, DriverOptions{Ell: 4, Seed: 5, MaxRounds: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +113,8 @@ func TestSuperstepComparableToDTG(t *testing.T) {
 
 func TestSpannerBroadcastWithSuperstep(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
-	res, err := SpannerBroadcast(g, SpannerOptions{
-		KnownLatencies: true, Seed: 7, UseSuperstep: true,
+	res, err := SpannerBroadcast(g, DriverOptions{
+		KnownLatencies: true, Seed: 7, FaultTolerant: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +135,9 @@ func TestSpannerBroadcastWithSuperstep(t *testing.T) {
 
 func TestSpannerBroadcastTimeoutSurvivesCrashes(t *testing.T) {
 	g := graphgen.Clique(16, 2)
-	crashAt := make([]int, 16)
-	for i := range crashAt {
-		crashAt[i] = -1
-	}
-	crashAt[1], crashAt[2] = 5, 5
-	res, err := SpannerBroadcast(g, SpannerOptions{
-		KnownLatencies: true, Seed: 9, UseSuperstep: true, LBTimeout: 8,
-		MaxPhaseRounds: 4096, CrashAt: crashAt,
+	res, err := SpannerBroadcast(g, DriverOptions{
+		KnownLatencies: true, Seed: 9, FaultTolerant: true, LBTimeout: 8,
+		MaxRounds: 4096, ExecOptions: crashes(5, 1, 2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,42 +21,30 @@ type UnifiedResult struct {
 	Spanner BroadcastResult
 }
 
-// UnifiedOptions configures Unified.
-type UnifiedOptions struct {
-	Source graph.NodeID
-	// KnownLatencies selects the Section 4 model for the spanner arm.
-	KnownLatencies bool
-	// D, when positive and latencies are known, skips guess-and-double.
-	D         int
-	Seed      uint64
-	MaxRounds int
-	// Adversity attaches a fault schedule to both arms (the paper's
-	// side-by-side execution faces one network, so both arms see the
-	// same schedule).
-	// Workers shards intra-round simulation in both arms with
-	// bit-identical results. Both ride on the embedded ExecOptions.
-	ExecOptions
-}
-
 // Unified runs the Theorem 31 algorithm: push-pull and the spanner-based
 // broadcast in parallel, taking whichever finishes first. With unknown
 // latencies the spanner arm prepends latency discovery (Section 5.2),
 // achieving O(min((D+Δ)·log³n, (ℓ*/φ*)·log n)).
-func Unified(g *graph.Graph, opts UnifiedOptions) (UnifiedResult, error) {
+//
+// It reads Source (the push-pull arm's rumor origin), KnownLatencies and
+// D (the spanner arm's model; a positive D skips guess-and-double), Seed,
+// MaxRounds and the execution surface; the paper's side-by-side execution
+// faces one network, so both arms see the same Adversity schedule.
+func Unified(g *graph.Graph, opts DriverOptions) (UnifiedResult, error) {
 	var out UnifiedResult
-	pp, err := dispatchSim("push-pull", g, DriverOptions{
+	pp, err := Dispatch("push-pull", g, DriverOptions{
 		Source: opts.Source, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
 		ExecOptions: opts.ExecOptions,
 	})
 	if err != nil {
 		return out, fmt.Errorf("gossip: unified push-pull arm: %w", err)
 	}
-	out.PushPull = pp
-	sb, err := SpannerBroadcast(g, SpannerOptions{
+	out.PushPull = *pp.Sim
+	sb, err := SpannerBroadcast(g, DriverOptions{
 		D:              opts.D,
 		KnownLatencies: opts.KnownLatencies,
 		Seed:           opts.Seed + 1,
-		MaxPhaseRounds: opts.MaxRounds,
+		MaxRounds:      opts.MaxRounds,
 		ExecOptions:    opts.ExecOptions,
 	})
 	if err != nil {

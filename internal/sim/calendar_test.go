@@ -125,7 +125,7 @@ func TestCrashRoundIsCalendarEvent(t *testing.T) {
 	g := pathGraph(1, 500)
 	res, err := Run(Config{
 		Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1 << 20,
-		CrashAt: []int{-1, -1, 7},
+		Adversity: crashes(7, 2),
 	}, func(nv *NodeView) Protocol {
 		sched := map[int]int{}
 		switch nv.ID() {

@@ -16,7 +16,7 @@ import (
 // its contiguous owned node range (the same contiguous partition the
 // in-process sharded engine uses). Per processed round a worker:
 //
-//  1. applies the replicated crash/adversity calendar events,
+//  1. applies the replicated fault-event calendar,
 //  2. drains its own delivery calendar and delivers to owned endpoints
 //     only, collecting every rumor gain of an owned node,
 //  3. activates its owned range and resolves each intent's peer, edge
@@ -312,7 +312,7 @@ func (e *engine) distDrainDue(round int) {
 	for i := range e.due {
 		ex := &e.due[i]
 		mine := d.owns(ex.u)
-		if ex.lost || e.crashed(int(ex.u), ex.deliver) || e.crashed(int(ex.v), ex.deliver) {
+		if ex.lost {
 			if mine {
 				e.res.Dropped++
 			}
@@ -460,9 +460,6 @@ func (e *engine) ownedLeader() int32 {
 	w := e.world
 	leader := LeaderAgnostic
 	for u := e.dist.lo; u < e.dist.hi; u++ {
-		if e.cfg.CrashAt != nil && e.cfg.CrashAt[u] >= 0 {
-			continue
-		}
 		if e.cfg.Adversity.NeverReturns(u) {
 			continue
 		}
@@ -633,32 +630,7 @@ func (e *engine) runDist(stop StopFunc) (Result, error) {
 	w := e.world
 	for round := 0; round <= e.cfg.MaxRounds; {
 		w.Round = round
-		// Crash and churn calendars are config-derived and replicated:
-		// every worker applies them identically, including the amnesia
-		// data reset of remote nodes (protocol-facet restarts happen
-		// owner-side only — remote facets are nil).
-		for e.nextCrash < len(e.crashRounds) && e.crashRounds[e.nextCrash] <= round {
-			for _, u := range e.crashNodes[e.crashRounds[e.nextCrash]] {
-				w.alive.Remove(int(u))
-			}
-			e.nextCrash++
-		}
-		for e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round <= round {
-			ev := &e.advEvents[e.nextAdvEvent]
-			for _, u := range ev.Leave {
-				w.alive.Remove(u)
-			}
-			for _, rj := range ev.Rejoin {
-				w.alive.Add(rj.Node)
-				if rj.Amnesia {
-					e.amnesia(rj.Node, round)
-				}
-				if e.wake[rj.Node] > round {
-					e.wake[rj.Node] = round
-				}
-			}
-			e.nextAdvEvent++
-		}
+		e.applyFaultEvents(round)
 
 		f := &d.frames[d.barriers&1]
 		f.reset(round, d.shard)
@@ -805,29 +777,16 @@ func (e *engine) runDist(stop StopFunc) (Result, error) {
 				return e.res, nil
 			}
 		}
-		next := minWake
-		if nd := e.nextDeliver(round); nd >= 0 && nd < next {
-			next = nd
+		// Deliveries held by other shards — pending before the merge, or
+		// scheduled by it — bound the jump like local ones.
+		soonest := minWake
+		if ndRemote >= 0 && ndRemote < soonest {
+			soonest = ndRemote
 		}
-		if ndRemote >= 0 && ndRemote < next {
-			next = ndRemote
+		if minNew >= 0 && minNew < soonest {
+			soonest = minNew
 		}
-		if minNew >= 0 && minNew < next {
-			next = minNew
-		}
-		if e.nextCrash < len(e.crashRounds) && e.crashRounds[e.nextCrash] < next {
-			next = e.crashRounds[e.nextCrash]
-		}
-		if e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round < next {
-			next = e.advEvents[e.nextAdvEvent].Round
-		}
-		if called && round+1 < next {
-			next = round + 1
-		}
-		if next <= round {
-			next = round + 1
-		}
-		round = next
+		round = e.nextRound(round, soonest, called)
 	}
 	e.res.Rounds = e.cfg.MaxRounds
 	e.res.Completed = false

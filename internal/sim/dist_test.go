@@ -94,15 +94,11 @@ func (p *distMetaProto) OnAmnesia() {
 func TestDistMatchesSerial(t *testing.T) {
 	const n = 37
 	g := denseTestGraph(n)
-	crashAt := make([]int, n)
-	for u := range crashAt {
-		crashAt[u] = -1
-	}
-	crashAt[5], crashAt[11] = 4, 9
+	twoCrashes := adversity.MustParseSpec("crash=4:5;crash=9:11")
 	cfgs := map[string]Config{
 		"plain":    {Graph: g, Seed: 42, Mode: OneToAll, Source: 0, MaxRounds: 1 << 12},
 		"alltoall": {Graph: g, Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
-		"crashes":  {Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, CrashAt: crashAt},
+		"crashes":  {Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
 		"adversity": {Graph: g, Seed: 3, Mode: OneToAll, Source: 2, MaxRounds: 1 << 12,
 			Adversity: adversity.MustParseSpec("loss=0.15;churn=2:6-14:amnesia;flap=0-1:3-8;crash=9:5")},
 	}
@@ -112,10 +108,10 @@ func TestDistMatchesSerial(t *testing.T) {
 			switch {
 			case base.Mode == AllToAll:
 				stop = StopAllHaveAll()
-			case base.CrashAt != nil:
+			case name == "crashes":
 				stop = StopAllAliveInformed(base.Source)
 			case base.Adversity != nil:
-				stop = StopAllSurvivorsInformed(base.Source, nil, base.Adversity)
+				stop = StopAllSurvivorsInformed(base.Source, base.Adversity)
 			}
 			factory := func(nv *NodeView) Protocol { return &randomProto{nv: nv} }
 			serial, err := Run(base, factory, stop)

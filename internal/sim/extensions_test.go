@@ -3,14 +3,19 @@ package sim
 import (
 	"testing"
 
+	"gossip/internal/adversity"
 	"gossip/internal/graph"
 )
 
+// crashes is the fault schedule that fail-stops the given nodes at round.
+func crashes(round int, nodes ...int) *adversity.Spec {
+	return &adversity.Spec{Crashes: []adversity.Crash{{Round: round, Nodes: nodes}}}
+}
+
 func TestCrashStopsActivation(t *testing.T) {
 	g := pathGraph(1, 1)
-	crashAt := []int{-1, 2, -1}
 	activations := map[int][]int{}
-	_, err := Run(Config{Graph: g, Mode: AllToAll, MaxRounds: 6, CrashAt: crashAt},
+	_, err := Run(Config{Graph: g, Mode: AllToAll, MaxRounds: 6, Adversity: crashes(2, 1)},
 		func(nv *NodeView) Protocol {
 			return &recordingProto{nv: nv, log: activations}
 		}, StopNever())
@@ -45,7 +50,7 @@ func TestCrashDropsInFlightExchanges(t *testing.T) {
 	g := pathGraph(5)
 	res, err := Run(Config{
 		Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 20,
-		CrashAt: []int{-1, 3},
+		Adversity: crashes(3, 1),
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 		if nv.ID() == 0 {
@@ -70,7 +75,7 @@ func TestCrashBeforeDeliveryCutsBothWays(t *testing.T) {
 	got := 0
 	_, err := Run(Config{
 		Graph: g, Mode: AllToAll, MaxRounds: 20,
-		CrashAt: []int{-1, 3},
+		Adversity: crashes(3, 1),
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 		if nv.ID() == 0 {
@@ -103,7 +108,7 @@ func TestStopAllAliveInformed(t *testing.T) {
 	// run should stop once nodes 0 and 1 are informed.
 	res, err := Run(Config{
 		Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1000,
-		CrashAt: []int{-1, -1, 1},
+		Adversity: crashes(1, 2),
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 		if nv.ID() == 0 {
@@ -124,10 +129,18 @@ func TestStopAllAliveInformed(t *testing.T) {
 
 func TestCrashConfigValidation(t *testing.T) {
 	g := pathGraph(1)
-	_, err := Run(Config{Graph: g, MaxRounds: 5, CrashAt: []int{1}},
-		func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
-	if err == nil {
-		t.Fatal("expected error for wrong-length CrashAt")
+	for name, spec := range map[string]*adversity.Spec{
+		"node out of range": crashes(1, 2),
+		"negative round":    crashes(-1, 0),
+		"node crashes twice": {Crashes: []adversity.Crash{
+			{Round: 1, Nodes: []int{1}}, {Round: 3, Nodes: []int{1}},
+		}},
+	} {
+		_, err := Run(Config{Graph: g, MaxRounds: 5, Adversity: spec},
+			func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
+		if err == nil {
+			t.Fatalf("%s: expected a config error", name)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
 	"sync"
 
 	"gossip/internal/adversity"
@@ -34,8 +33,6 @@ type World struct {
 	Views  []*NodeView
 	Protos []Protocol
 	Round  int
-	// crashAt mirrors Config.CrashAt (nil when no failures configured).
-	crashAt []int
 	// adv is the compiled adversity schedule (nil when benign).
 	adv *adversity.Schedule
 	// watched is the rumor whose spread InformedAt tracks; informed is
@@ -44,7 +41,8 @@ type World struct {
 	// per-node set probes.
 	watched  graph.NodeID
 	informed *bitset.Set
-	// alive tracks non-crashed nodes (nil when no failures configured).
+	// alive tracks the nodes currently up (nil when the schedule never
+	// takes a node down).
 	alive *bitset.Set
 	// dones caches the DoneReporter facet per node (nil entries for
 	// protocols without one) so quiescence stops skip per-check type
@@ -68,9 +66,6 @@ type World struct {
 // Alive reports whether node u is up (not crashed, not churned out) as
 // of the current round.
 func (w *World) Alive(u graph.NodeID) bool {
-	if w.crashAt != nil && w.crashAt[u] >= 0 && w.Round >= w.crashAt[u] {
-		return false
-	}
 	return w.adv == nil || !w.adv.Down(u, w.Round)
 }
 
@@ -92,8 +87,8 @@ type exch struct {
 	// lost marks an exchange the adversity schedule kills (message
 	// loss, churned-out endpoint, flapped link). It is decided at
 	// initiation — serially, in node order, so sharded runs agree — but
-	// executed at the delivery round, so calendar occupancy and idle
-	// detection match the fail-stop crash path exactly.
+	// executed at the delivery round, so the exchange occupies the
+	// calendar (and holds off idle detection) for its whole transit.
 	lost         bool
 	uMeta, vMeta any
 	uNews, vNews []int32 // news *for* u (v's window) / *for* v (u's window)
@@ -215,10 +210,6 @@ type engine struct {
 	snapRound  int
 	snapped    bool
 
-	crashRounds []int
-	crashNodes  map[int][]int32
-	nextCrash   int
-
 	// adv is the compiled fault schedule; advRNG holds the per-node
 	// loss-draw PCG streams (allocated only when the schedule can lose
 	// exchanges, and distinct from the protocol streams so faults do not
@@ -234,18 +225,10 @@ type engine struct {
 	dist *distRun
 }
 
-// down reports whether node u is unavailable at round (crashed per the
-// legacy schedule, or inside an adversity down interval).
+// down reports whether node u is unavailable at round (crashed or
+// churned out per the adversity schedule).
 func (e *engine) down(u int, round int) bool {
-	if e.crashed(u, round) {
-		return true
-	}
 	return e.adv != nil && e.adv.Down(u, round)
-}
-
-func (e *engine) crashed(u int, round int) bool {
-	ca := e.cfg.CrashAt
-	return ca != nil && ca[u] >= 0 && round >= ca[u]
 }
 
 func (e *engine) actualLatency(nominal int) int {
@@ -340,9 +323,6 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("sim: source %d out of range", s)
 		}
-	}
-	if cfg.CrashAt != nil && len(cfg.CrashAt) != n {
-		return nil, fmt.Errorf("sim: %d crash entries for %d nodes", len(cfg.CrashAt), n)
 	}
 	var sched *adversity.Schedule
 	if !cfg.Adversity.Empty() {
@@ -491,30 +471,17 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	}
 
 	var alive *bitset.Set
-	if cfg.CrashAt != nil || (sched != nil && sched.HasDown()) {
+	if sched != nil && sched.HasDown() {
 		alive = bitset.New(n)
 		for u := 0; u < n; u++ {
 			alive.Add(u)
 		}
 	}
-	if cfg.CrashAt != nil {
-		// Scheduled crashes are calendar events: a stop condition
-		// quantifying over alive nodes can flip at a crash round with no
-		// other activity.
-		e.crashNodes = map[int][]int32{}
-		for u, r := range cfg.CrashAt {
-			if r >= 0 {
-				e.crashNodes[r] = append(e.crashNodes[r], int32(u))
-			}
-		}
-		for r := range e.crashNodes {
-			e.crashRounds = append(e.crashRounds, r)
-		}
-		sort.Ints(e.crashRounds)
-	}
 	if sched != nil {
-		// Leave/rejoin transitions are calendar events too, applied
-		// serially at the top of their round.
+		// Crash/leave/rejoin transitions are calendar events, applied
+		// serially at the top of their round: a stop condition
+		// quantifying over alive nodes can flip there with no other
+		// activity.
 		e.advEvents = sched.Events()
 		if sched.HasLoss() {
 			e.advPCG = make([]rand.PCG, n)
@@ -528,7 +495,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 
 	e.world = &World{
 		Graph: cfg.Graph, CSR: csr, Views: views, Protos: protos,
-		crashAt: cfg.CrashAt, adv: sched, watched: watched, informed: informed,
+		adv: sched, watched: watched, informed: informed,
 		alive: alive, dones: dones, leaders: leaders,
 	}
 	e.res.InformedAt = informedAt
@@ -688,17 +655,15 @@ func (e *engine) collectDue(round int) {
 }
 
 // drainDue collects the exchanges completing at round into e.due in
-// (deliver, seq) order, applies crash drops and payload accounting, and
-// routes per-endpoint delivery records to the owning shards.
+// (deliver, seq) order, applies schedule drops and payload accounting,
+// and routes per-endpoint delivery records to the owning shards.
 func (e *engine) drainDue(round int) {
 	e.collectDue(round)
 	for i := range e.due {
 		ex := &e.due[i]
-		// A fail-stop endpoint neither responds nor forwards: the whole
-		// exchange is lost if either side is down at completion time.
 		// Adversity losses (ex.lost) were decided at initiation and are
-		// executed here the same way: no payload, no delivery records.
-		if ex.lost || e.crashed(int(ex.u), ex.deliver) || e.crashed(int(ex.v), ex.deliver) {
+		// executed here: no payload, no delivery records.
+		if ex.lost {
 			e.res.Dropped++
 			ex.uNews, ex.vNews = nil, nil
 			continue
@@ -966,11 +931,60 @@ func (e *engine) amnesia(u int, round int) {
 	}
 }
 
+// applyFaultEvents applies every crash/leave/rejoin transition scheduled
+// at or before round to the alive set, in calendar order. The calendar
+// is config-derived, so on distributed shard workers every replica
+// applies it identically — including the amnesia data reset of remote
+// nodes (protocol-facet restarts happen owner-side only; remote facets
+// are nil).
+func (e *engine) applyFaultEvents(round int) {
+	for e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round <= round {
+		ev := &e.advEvents[e.nextAdvEvent]
+		for _, u := range ev.Leave {
+			e.world.alive.Remove(u)
+		}
+		for _, rj := range ev.Rejoin {
+			e.world.alive.Add(rj.Node)
+			if rj.Amnesia {
+				e.amnesia(rj.Node, round)
+			}
+			// A rejoin is a wake event: the node may act this round.
+			if e.wake[rj.Node] > round {
+				e.wake[rj.Node] = round
+			}
+		}
+		e.nextAdvEvent++
+	}
+}
+
+// nextRound jumps to the next round where anything can change: soonest
+// (the earliest eligible activation, plus — on a shard worker — the
+// earliest delivery other shards hold), a pending local delivery, a
+// scheduled fault event — or the immediately following round when
+// protocols acted this round, since a stop condition over protocol
+// state may flip then.
+func (e *engine) nextRound(round, soonest int, called bool) int {
+	next := soonest
+	if nd := e.nextDeliver(round); nd >= 0 && nd < next {
+		next = nd
+	}
+	if e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round < next {
+		next = e.advEvents[e.nextAdvEvent].Round
+	}
+	if called && round+1 < next {
+		next = round + 1
+	}
+	if next <= round {
+		next = round + 1
+	}
+	return next
+}
+
 func (e *engine) run(stop StopFunc) (Result, error) {
 	for round := e.startRound; round <= e.cfg.MaxRounds; {
 		// Capture barrier: the top of an iteration is the one point where
 		// no intermediate state exists — due is nil, shard buffers are
-		// empty, this round's crash/adversity events are unprocessed — so
+		// empty, this round's fault events are unprocessed — so
 		// freezing here and re-entering at the same round replays the
 		// iteration exactly. Round jumps may overshoot snapAt; the round
 		// actually captured is recorded, and it is by construction a round
@@ -981,29 +995,7 @@ func (e *engine) run(stop StopFunc) (Result, error) {
 			return e.res, nil
 		}
 		e.world.Round = round
-		for e.nextCrash < len(e.crashRounds) && e.crashRounds[e.nextCrash] <= round {
-			for _, u := range e.crashNodes[e.crashRounds[e.nextCrash]] {
-				e.world.alive.Remove(int(u))
-			}
-			e.nextCrash++
-		}
-		for e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round <= round {
-			ev := &e.advEvents[e.nextAdvEvent]
-			for _, u := range ev.Leave {
-				e.world.alive.Remove(u)
-			}
-			for _, rj := range ev.Rejoin {
-				e.world.alive.Add(rj.Node)
-				if rj.Amnesia {
-					e.amnesia(rj.Node, round)
-				}
-				// A rejoin is a wake event: the node may act this round.
-				if e.wake[rj.Node] > round {
-					e.wake[rj.Node] = round
-				}
-			}
-			e.nextAdvEvent++
-		}
+		e.applyFaultEvents(round)
 		e.drainDue(round)
 		e.parallel(func(s *shard) { e.deliverShard(s, round) })
 		e.finishDeliveries(round)
@@ -1061,27 +1053,7 @@ func (e *engine) run(stop StopFunc) (Result, error) {
 				return e.res, nil
 			}
 		}
-		// Jump to the next round where anything can change: a delivery,
-		// an eligible activation, a scheduled crash — or the immediately
-		// following round when protocols acted this round, since a stop
-		// condition over protocol state may flip then.
-		next := minWake
-		if nd := e.nextDeliver(round); nd >= 0 && nd < next {
-			next = nd
-		}
-		if e.nextCrash < len(e.crashRounds) && e.crashRounds[e.nextCrash] < next {
-			next = e.crashRounds[e.nextCrash]
-		}
-		if e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round < next {
-			next = e.advEvents[e.nextAdvEvent].Round
-		}
-		if called && round+1 < next {
-			next = round + 1
-		}
-		if next <= round {
-			next = round + 1
-		}
-		round = next
+		round = e.nextRound(round, minWake, called)
 	}
 	e.res.Rounds = e.cfg.MaxRounds
 	e.res.Completed = false

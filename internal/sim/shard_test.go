@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gossip/internal/adversity"
 	"gossip/internal/graph"
 )
 
@@ -57,16 +58,12 @@ func denseTestGraph(n int) *graph.Graph {
 func TestWorkerCountDeterminism(t *testing.T) {
 	const n = 37 // deliberately not a multiple of typical worker counts
 	g := denseTestGraph(n)
-	crashAt := make([]int, n)
-	for u := range crashAt {
-		crashAt[u] = -1
-	}
-	crashAt[5], crashAt[11] = 4, 9
+	twoCrashes := adversity.MustParseSpec("crash=4:5;crash=9:11")
 	cfgs := map[string]Config{
 		"plain":    {Graph: g, Seed: 42, Mode: OneToAll, Source: 0, MaxRounds: 1 << 12},
 		"alltoall": {Graph: g, Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
 		"jitter":   {Graph: g, Seed: 9, Mode: OneToAll, Source: 3, MaxRounds: 1 << 12, LatencyJitter: 0.4},
-		"crashes":  {Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, CrashAt: crashAt},
+		"crashes":  {Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
 		"bounded":  {Graph: g, Seed: 13, Mode: AllToAll, MaxRounds: 1 << 12, MaxInPerRound: 2},
 	}
 	for name, base := range cfgs {
@@ -75,7 +72,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			if base.Mode == AllToAll {
 				stop = StopAllHaveAll()
 			}
-			if base.CrashAt != nil {
+			if base.Adversity != nil {
 				stop = StopAllAliveInformed(base.Source)
 			}
 			var want shardFingerprint

@@ -21,8 +21,8 @@
 // instead an activation calendar tracks, per node, the next round at
 // which the node's protocol may act, and a delivery heap tracks in-flight
 // exchanges. The engine processes only rounds where something can happen
-// — a delivery, an eligible activation, or a scheduled crash — and jumps
-// over idle spans, so a run costs O(events), not O(maxRounds·n). By
+// — a delivery, an eligible activation, or a scheduled fault event — and
+// jumps over idle spans, so a run costs O(events), not O(maxRounds·n). By
 // default a protocol is woken every round (exactly the classical loop:
 // push-pull behaves identically); protocols opt into sleeping by
 // implementing Sleeper. A delivery always re-wakes its endpoints.
@@ -91,13 +91,6 @@ type Config struct {
 	// (multi-source dissemination); Source is ignored and completion is
 	// judged against all of them.
 	Sources []graph.NodeID
-	// CrashAt[u], when non-nil, is the round at which node u fails
-	// (negative = never). A crashed node stops initiating, and any
-	// exchange involving it that would complete at or after the crash
-	// round is lost entirely — matching a fail-stop node that neither
-	// responds nor forwards. Stop conditions should quantify over alive
-	// nodes (see StopAllAliveInformed).
-	CrashAt []int
 	// Adversity attaches a declarative fault schedule: per-edge message
 	// loss, node churn (leave/rejoin with retention or amnesia), link
 	// flaps and crash batches — see package adversity. The spec is
@@ -341,8 +334,8 @@ type Result struct {
 	// messages (2 per exchange, per the bidirectional model).
 	Exchanges int64
 	Messages  int64
-	// Dropped counts exchanges lost to crashes, the in-degree cap, or
-	// the adversity schedule (message loss, churn, link flaps).
+	// Dropped counts exchanges lost to the in-degree cap or the adversity
+	// schedule (message loss, churn, crashes, link flaps).
 	Dropped int64
 	// Delivered counts exchanges whose payload reached both endpoints.
 	// Among initiated exchanges, Delivered + (dropped in flight) +

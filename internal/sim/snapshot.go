@@ -1,8 +1,8 @@
 // Deterministic engine snapshot/restore: CaptureAt runs a configuration
 // to a round barrier and freezes the complete engine state — gain
 // journals and rumor sets, the delivery calendar (bucket ring + overflow
-// heap), per-node protocol and loss-draw RNG stream cursors, adversity
-// and crash cursors, the informed tally and transport counters. Resume
+// heap), per-node protocol and loss-draw RNG stream cursors, the
+// adversity cursor, the informed tally and transport counters. Resume
 // rebuilds a fresh engine from an equivalent configuration and splices
 // the frozen state over it, so the continued run is bit-identical to a
 // cold run that never stopped — or, when the resume configuration
@@ -80,10 +80,10 @@ func (s *Snapshot) Done() bool { return s.done }
 // Resume continues the frozen run under cfg with a fresh engine. cfg
 // must agree with the capture configuration on everything that shaped
 // the prefix — topology (same Graph/CSR values), Seed, KnownLatencies,
-// Mode, Source/Sources, InitialRumors, CrashAt, LatencyJitter — and may
-// diverge on Workers, MaxRounds, MaxInPerRound and Adversity. With an
-// identical configuration the continued run is bit-identical to a cold
-// run at any worker count.
+// Mode, Source/Sources, InitialRumors, LatencyJitter — and may diverge
+// on Workers, MaxRounds, MaxInPerRound and Adversity. With an identical
+// configuration the continued run is bit-identical to a cold run at any
+// worker count.
 //
 // Adversity divergence semantics: the prefix ran under the capture
 // schedule — in-flight exchange fates and the alive set carry over
@@ -159,7 +159,6 @@ func (s *Snapshot) Resume(cfg Config, factory Factory, stop StopFunc) (Result, e
 	e.res.Dropped = src.res.Dropped
 	e.res.Delivered = src.res.Delivered
 	e.res.RumorPayload = src.res.RumorPayload
-	e.nextCrash = src.nextCrash
 	e.jitterPCG = src.jitterPCG
 
 	if sameSpec(cfg.Adversity, src.cfg.Adversity) {
@@ -204,8 +203,6 @@ func compatible(capture, resume *Config) error {
 		return fmt.Errorf("sim: resume source %d differs from the snapshot's %d", resume.Source, capture.Source)
 	case !sameIntSlice(resume.Sources, capture.Sources):
 		return fmt.Errorf("sim: resume sources differ from the snapshot's")
-	case !sameIntSlice(resume.CrashAt, capture.CrashAt):
-		return fmt.Errorf("sim: resume crash schedule differs from the snapshot's")
 	case !sameRumorSeed(resume, capture):
 		return fmt.Errorf("sim: resume initial rumors differ from the snapshot's (same slice required)")
 	case resume.LatencyJitter != capture.LatencyJitter:

@@ -83,7 +83,6 @@ func TestResumeRejectsIncompatibleConfig(t *testing.T) {
 		{"seed", func(c *Config) { c.Seed = 4 }},
 		{"graph", func(c *Config) { c.Graph = graphgen.Clique(8, 1) }},
 		{"source", func(c *Config) { c.Source = 1 }},
-		{"crashes", func(c *Config) { c.CrashAt = make([]int, 8) }},
 		{"jitter", func(c *Config) { c.LatencyJitter = 0.25 }},
 		{"horizon-before-fork", func(c *Config) { c.MaxRounds = 1 }},
 	}

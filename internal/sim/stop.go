@@ -92,25 +92,16 @@ func StopAllAliveInformed(r graph.NodeID) StopFunc {
 // never permanently removes holds rumor r — the completion criterion
 // under churn. A temporarily-down node rejoins and must still be
 // informed, so unlike StopAllAliveInformed the run cannot end while it
-// is away; only nodes a crash schedule or a never-rejoining churn
-// interval removes for good are exempt. This matches the goneForever
-// semantics the multi-phase pipelines judge completion with. When r is
-// the watched rumor the check is a word-level subset test of the
-// survivor mask against the engine-maintained informed tally.
-func StopAllSurvivorsInformed(r graph.NodeID, crashAt []int, spec *adversity.Spec) StopFunc {
+// is away; only nodes a crash batch or a never-rejoining churn interval
+// removes for good are exempt. This matches the never-returns semantics
+// the multi-phase pipelines judge completion with. When r is the
+// watched rumor the check is a word-level subset test of the survivor
+// mask against the engine-maintained informed tally.
+func StopAllSurvivorsInformed(r graph.NodeID, spec *adversity.Spec) StopFunc {
 	var survivors *bitset.Set
 	return func(w *World) bool {
 		if survivors == nil {
-			survivors = bitset.New(len(w.Views))
-			for u := range w.Views {
-				if crashAt != nil && crashAt[u] >= 0 {
-					continue
-				}
-				if spec.NeverReturns(u) {
-					continue
-				}
-				survivors.Add(u)
-			}
+			survivors = survivorSet(len(w.Views), spec)
 		}
 		if w.informed != nil && r == w.watched {
 			return survivors.SubsetOf(w.informed)
@@ -122,6 +113,17 @@ func StopAllSurvivorsInformed(r graph.NodeID, crashAt []int, spec *adversity.Spe
 		}
 		return true
 	}
+}
+
+// survivorSet is the mask of nodes spec never permanently removes.
+func survivorSet(n int, spec *adversity.Spec) *bitset.Set {
+	survivors := bitset.New(n)
+	for u := 0; u < n; u++ {
+		if !spec.NeverReturns(u) {
+			survivors.Add(u)
+		}
+	}
+	return survivors
 }
 
 // Per-shard leader summaries of a distributed run (World.distLeader):
@@ -145,25 +147,12 @@ const (
 // facet count as undecided. On a distributed shard worker the check
 // combines the per-shard leader summaries every owner captured at the
 // same point of the round the serial engine would read its facets.
-func StopLeaderStable(crashAt []int, spec *adversity.Spec) StopFunc {
+func StopLeaderStable(spec *adversity.Spec) StopFunc {
 	var survivors *bitset.Set
-	ensure := func(w *World) {
-		if survivors != nil {
-			return
-		}
-		survivors = bitset.New(len(w.Views))
-		for u := range w.Views {
-			if crashAt != nil && crashAt[u] >= 0 {
-				continue
-			}
-			if spec.NeverReturns(u) {
-				continue
-			}
-			survivors.Add(u)
-		}
-	}
 	return func(w *World) bool {
-		ensure(w)
+		if survivors == nil {
+			survivors = survivorSet(len(w.Views), spec)
+		}
 		leader := LeaderAgnostic
 		if w.distLeader != nil {
 			for _, l := range w.distLeader {
@@ -210,20 +199,11 @@ func StopLeaderStable(crashAt []int, spec *adversity.Spec) StopFunc {
 // root has heard the full survivor set. The check reads only rumor
 // state, which distributed workers replicate for all nodes, so it is
 // shard-safe with no extra barrier traffic.
-func StopRootAcked(root graph.NodeID, crashAt []int, spec *adversity.Spec) StopFunc {
+func StopRootAcked(root graph.NodeID, spec *adversity.Spec) StopFunc {
 	var survivors *bitset.Set
 	return func(w *World) bool {
 		if survivors == nil {
-			survivors = bitset.New(len(w.Views))
-			for u := range w.Views {
-				if crashAt != nil && crashAt[u] >= 0 {
-					continue
-				}
-				if spec.NeverReturns(u) {
-					continue
-				}
-				survivors.Add(u)
-			}
+			survivors = survivorSet(len(w.Views), spec)
 		}
 		rv := w.Views[root]
 		if len(rv.journal) < survivors.Count() {
