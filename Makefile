@@ -211,5 +211,6 @@ lint-docs:
 	fi; \
 	echo "lint-docs: every package documented"
 
+# The git-ignored products of the targets above and of benchmark/run.sh.
 clean:
-	rm -rf results
+	rm -rf results cover.out cover-test.log BENCH_sim.json .bench_build

@@ -2,6 +2,9 @@ package gossip
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"gossip/internal/graph"
 	"gossip/internal/sim"
@@ -39,7 +42,8 @@ func PrepareDist(name string, g *graph.Graph, opts DriverOptions) (sim.Config, s
 		return sim.Config{}, nil, nil, fmt.Errorf("gossip: unknown driver %q", name)
 	}
 	if !distributable[d.Name] {
-		return sim.Config{}, nil, nil, fmt.Errorf("gossip: driver %q does not support distributed execution (distributable: push-pull, flood, dtg, superstep, election, echo)", d.Name)
+		names := slices.Sorted(maps.Keys(distributable))
+		return sim.Config{}, nil, nil, fmt.Errorf("gossip: driver %q does not support distributed execution (distributable: %s)", d.Name, strings.Join(names, ", "))
 	}
 	if opts.Stop != nil {
 		// A caller-supplied closure cannot be shipped to workers, and a

@@ -162,7 +162,10 @@ func readWake(p []byte) (int, []byte, error) {
 	return int(v) - 1, p[n:], nil
 }
 
-func readUvarint(p []byte) (uint64, []byte, error) {
+// ReadUvarint consumes one uvarint from the front of a frame payload (the
+// one varint reader of both frame users: the shard RPC codecs here and
+// transport.TCPMesh's packet headers).
+func ReadUvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("api: truncated varint")
@@ -232,11 +235,11 @@ func AppendRoundFrame(dst []byte, f *sim.DistFrame) []byte {
 func DecodeRoundFrame(p []byte, f *sim.DistFrame) error {
 	var v uint64
 	var err error
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Round = int(v)
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Shard = int(v)
@@ -258,66 +261,66 @@ func DecodeRoundFrame(p []byte, f *sim.DistFrame) error {
 	if f.SleeperWake, p, err = readWake(p); err != nil {
 		return err
 	}
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.NextDeliver = int(v) - 1
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.LeadPre = int32(v) - 2
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.LeadPost = int32(v) - 2
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Intents = f.Intents[:0]
 	for i := uint64(0); i < v; i++ {
 		var in sim.DistIntent
 		var u uint64
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		in.U = int32(u)
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		in.Idx = int32(u)
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		in.V = int32(u)
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		in.VIdx = int32(u)
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		in.Lost = u&1 != 0
 		in.Lat = int32(u >> 1)
 		f.Intents = append(f.Intents, in)
 	}
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Gains = f.Gains[:0]
 	for i := uint64(0); i < v; i++ {
 		var g sim.DistGain
 		var u uint64
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		g.Node = int32(u)
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		g.Rumor = int32(u)
 		f.Gains = append(f.Gains, g)
 	}
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	if uint64(len(p)) != v {
@@ -347,32 +350,32 @@ func AppendMetaFrame(dst []byte, f *sim.DistMetaFrame) []byte {
 func DecodeMetaFrame(p []byte, f *sim.DistMetaFrame) error {
 	var v uint64
 	var err error
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Round = int(v)
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Shard = int(v)
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return err
 	}
 	f.Metas = f.Metas[:0]
 	for i := uint64(0); i < v; i++ {
 		var m sim.DistNodeMeta
 		var u uint64
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		m.Node = int32(u)
-		if u, p, err = readUvarint(p); err != nil {
+		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
 		m.Meta = make([]int32, 0, u)
 		for j := uint64(0); j < u; j++ {
 			var r uint64
-			if r, p, err = readUvarint(p); err != nil {
+			if r, p, err = ReadUvarint(p); err != nil {
 				return err
 			}
 			m.Meta = append(m.Meta, int32(r))
@@ -451,7 +454,7 @@ func DecodeShardResult(p []byte) (*ShardResult, error) {
 	r := &ShardResult{}
 	var v uint64
 	var err error
-	if v, p, err = readUvarint(p); err != nil {
+	if v, p, err = ReadUvarint(p); err != nil {
 		return nil, err
 	}
 	r.Rounds = int(v)
@@ -461,12 +464,12 @@ func DecodeShardResult(p []byte) (*ShardResult, error) {
 	r.Completed = p[0] == 1
 	p = p[1:]
 	for _, dst := range []*int64{&r.Exchanges, &r.Messages, &r.Dropped, &r.Delivered, &r.RumorPayload} {
-		if v, p, err = readUvarint(p); err != nil {
+		if v, p, err = ReadUvarint(p); err != nil {
 			return nil, err
 		}
 		*dst = int64(v)
 	}
-	if r.Hash, p, err = readUvarint(p); err != nil {
+	if r.Hash, p, err = ReadUvarint(p); err != nil {
 		return nil, err
 	}
 	if len(p) < 1 {
@@ -475,13 +478,13 @@ func DecodeShardResult(p []byte) (*ShardResult, error) {
 	hasInformed := p[0] == 1
 	p = p[1:]
 	if hasInformed {
-		if v, p, err = readUvarint(p); err != nil {
+		if v, p, err = ReadUvarint(p); err != nil {
 			return nil, err
 		}
 		r.InformedAt = make([]int, v)
 		for i := range r.InformedAt {
 			var at uint64
-			if at, p, err = readUvarint(p); err != nil {
+			if at, p, err = ReadUvarint(p); err != nil {
 				return nil, err
 			}
 			r.InformedAt[i] = int(at) - 1
@@ -489,7 +492,7 @@ func DecodeShardResult(p []byte) (*ShardResult, error) {
 	}
 	st := &r.Stats
 	for _, dst := range []*int64{&st.Rounds, &st.Barriers, &st.MetaBarriers, &st.Intents, &st.CrossIntents, &st.Gains, &st.ComputeNS, &st.WaitNS} {
-		if v, p, err = readUvarint(p); err != nil {
+		if v, p, err = ReadUvarint(p); err != nil {
 			return nil, err
 		}
 		*dst = int64(v)

@@ -10,37 +10,39 @@ import (
 // Distributed execution: one simulation sharded across cooperating
 // worker processes (or goroutines), bit-identical to a serial run.
 //
+// There is no distributed round loop. A shard worker runs engine.run —
+// the same drain, deliver, activate and merge stages as a serial engine,
+// restricted by ownership to its part of the contiguous node partition —
+// and this file is the barrier seam that loop calls when e.dist != nil.
+//
 // Every worker builds the full deterministic node-state arenas from the
 // same Config — views, journals, RNG streams, rumor seeding are all
 // derivable from the config alone — but instantiates protocols only for
-// its contiguous owned node range (the same contiguous partition the
-// in-process sharded engine uses). Per processed round a worker:
+// its owned node range. The seam adds, per processed round:
 //
-//  1. applies the replicated fault-event calendar,
-//  2. drains its own delivery calendar and delivers to owned endpoints
-//     only, collecting every rumor gain of an owned node,
-//  3. activates its owned range and resolves each intent's peer, edge
-//     latency and (when an adversity schedule is attached) loss fate —
-//     the loss draw order per initiator stream matches the serial merge
-//     exactly because a node initiates at most one exchange per round,
-//  4. exchanges one DistFrame with every other shard at the round
-//     barrier (all-to-all; the coordinator is a dumb lockstep relay),
-//  5. applies remote gains in the owner's true order (journal order is
-//     positional — remote node state is never mutated except through
-//     these shipped appends), evaluates the stop condition exactly where
-//     the serial engine would, and
-//  6. merges ALL shards' intents in shard-then-node order, assigning the
-//     identical global sequence numbers, scheduling only the exchanges
-//     that touch its range, and computing the identical next processed
-//     round from the broadcast flags.
+//   - begin: a fresh outgoing DistFrame, which deliverShard fills with
+//     every rumor gain of an owned node;
+//   - capture: the owned DoneReporter/LeaderReporter summaries before and
+//     after the activations (remote protocol facets are not materialized,
+//     so stop conditions read these instead);
+//   - barrier: the owned intents resolved to peer, latency and loss fate,
+//     one all-to-all frame exchange (the coordinator is a dumb lockstep
+//     relay), the other workers' gains applied in their owners' order
+//     (remote node state is never mutated except through these shipped
+//     appends), the stop condition evaluated against the pre-activation
+//     capture — exactly the state a serial engine evaluates it on — a
+//     meta sub-barrier when a cross-shard exchange needs a remote
+//     MetaProducer's snapshot, and the other workers' activation flags
+//     and calendars folded into the round's tally.
 //
-// Because every decision after the barrier is a pure function of the
-// frame bundle plus replicated config-derived state, all workers process
-// the same round sequence, take the same exit, and return Results whose
-// shared fields (Rounds, Completed, InformedAt) are byte-identical to a
-// serial run; the counter fields are partial sums attributed to the
-// initiating node's owner, so summing them across workers reproduces the
-// serial totals.
+// mergeIntents then walks the whole bundle in shard-then-node order,
+// which is the serial merge order. Because every decision after the
+// barrier is a pure function of the bundle plus replicated
+// config-derived state, all workers process the same round sequence,
+// take the same exit, and return Results whose shared fields (Rounds,
+// Completed, InformedAt) are byte-identical to a serial run; the counter
+// fields are partial sums attributed to the initiating node's owner, so
+// summing them across workers reproduces the serial totals.
 
 // DistIntent is one exported activation: node U contacts its Idx-th
 // neighbor V over an edge of latency Lat. The initiator's owner resolves
@@ -141,11 +143,11 @@ type DistMetaFrame struct {
 // included).
 //
 // Aliasing contract: returned frames stay valid until the caller's next
-// Exchange call; a frame passed in must not be mutated by the caller
-// until its second following barrier of the same kind completes. The
-// engine honours this by double-buffering its outgoing frames, which is
-// what lets an in-memory Exchanger hand frames between workers without
-// copying.
+// ExchangeFrames call, so a frame passed in must not be mutated by the
+// caller until the following round barrier completes. The engine honours
+// this by double-buffering its outgoing round frames (a meta frame is
+// rebuilt only after that barrier), which is what lets an in-memory
+// Exchanger hand frames between workers without copying.
 type Exchanger interface {
 	ExchangeFrames(f *DistFrame) ([]*DistFrame, error)
 	ExchangeMetas(f *DistMetaFrame) ([]*DistMetaFrame, error)
@@ -180,36 +182,27 @@ type DistConfig struct {
 	Stats *DistStats
 }
 
-// distRun is the per-engine distributed state.
+// distRun is the barrier seam of one shard worker's engine.
 type distRun struct {
+	e             *engine
 	shard, shards int
-	lo, hi        int
-	per           int
 	ex            Exchanger
 	stats         *DistStats
 	hasDones      bool
 	metaAny       bool
-	// frames/metaFrames are the double-buffered outgoing frames (see the
-	// Exchanger aliasing contract).
-	frames       [2]DistFrame
-	metaFrames   [2]DistMetaFrame
-	barriers     int
-	metaBarriers int
+	// frames are the double-buffered outgoing round frames (see the
+	// Exchanger aliasing contract); frame is the one the round in progress
+	// fills. The outgoing meta frame needs no twin: it is rebuilt only
+	// after the next round barrier, which every reader has passed by then.
+	frames    [2]DistFrame
+	frame     *DistFrame
+	barriers  int
+	metaFrame DistMetaFrame
 	// metaStamp deduplicates meta-frame entries per round (stamped with
 	// round+1; processed rounds strictly increase).
 	metaStamp []int
 	// remoteMeta indexes the current round's shipped metadata by node.
 	remoteMeta map[int32][]int32
-}
-
-func (d *distRun) owns(u int32) bool { return int(u) >= d.lo && int(u) < d.hi }
-
-func (d *distRun) ownerOf(u int32) int {
-	i := int(u) / d.per
-	if i >= d.shards {
-		i = d.shards - 1
-	}
-	return i
 }
 
 // RunDist executes one shard of a distributed simulation. Every worker
@@ -241,14 +234,9 @@ func RunDist(cfg Config, dc DistConfig, factory Factory, stop StopFunc) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	d := &distRun{
-		shard: dc.Shard, shards: dc.Shards,
-		lo: e.shards[0].lo, hi: e.shards[0].hi,
-		per:   (e.n + dc.Shards - 1) / dc.Shards,
-		ex:    dc.Exchanger,
-		stats: dc.Stats,
-	}
-	for u := d.lo; u < d.hi; u++ {
+	d := &distRun{e: e, shard: dc.Shard, shards: dc.Shards, ex: dc.Exchanger, stats: dc.Stats}
+	lo, hi := e.owned()
+	for u := lo; u < hi; u++ {
 		if e.world.dones[u] != nil {
 			d.hasDones = true
 		}
@@ -268,7 +256,7 @@ func RunDist(cfg Config, dc DistConfig, factory Factory, stop StopFunc) (Result,
 	}
 	start := time.Now()
 	cpu0 := threadCPUNS()
-	res, err := e.runDist(stop)
+	res, err := e.run(stop)
 	if d.stats != nil {
 		if cpu1 := threadCPUNS(); cpu0 >= 0 && cpu1 >= 0 {
 			d.stats.ComputeNS = cpu1 - cpu0
@@ -301,100 +289,132 @@ func (d *distRun) exchangeMetas(mf *DistMetaFrame) ([]*DistMetaFrame, error) {
 	return out, err
 }
 
-// distDrainDue is drainDue for a shard worker: deliveries route only to
-// owned endpoints, and the drop/delivery/payload counters are attributed
-// to the initiating node's owner so per-worker partial sums reproduce
-// the serial totals.
-func (e *engine) distDrainDue(round int) {
-	e.collectDue(round)
-	d := e.dist
-	s := &e.shards[0]
-	for i := range e.due {
-		ex := &e.due[i]
-		mine := d.owns(ex.u)
-		if ex.lost {
-			if mine {
-				e.res.Dropped++
-			}
-			ex.uNews, ex.vNews = nil, nil
-			continue
-		}
-		if mine {
-			e.res.Delivered++
-			e.res.RumorPayload += int64(ex.uEnd) + int64(ex.vEnd)
-		}
-		ex.uNews = e.views[ex.v].journal[ex.vStart:ex.vEnd]
-		ex.vNews = e.views[ex.u].journal[ex.uStart:ex.uEnd]
-		if mine {
-			s.recs = append(s.recs, uint32(i)<<1)
-		}
-		if d.owns(ex.v) {
-			s.recs = append(s.recs, uint32(i)<<1|1)
-		}
-	}
+// begin opens round's outgoing frame; the delivery stage appends the
+// owned gains to it.
+func (d *distRun) begin(round int) {
+	d.frame = &d.frames[d.barriers&1]
+	d.frame.reset(round, d.shard)
 }
 
-// deliverShardDist is deliverShard with gain capture: every rumor an
-// owned node gains is appended to the outgoing frame in application
-// order, which is the owner's journal order — the order every replica
-// must reproduce.
-func (e *engine) deliverShardDist(s *shard, round int, f *DistFrame) {
-	watched := int32(e.watched)
-	for _, enc := range s.recs {
-		ex := &e.due[enc>>1]
-		var self, peer, selfIdx int32
-		var news []int32
-		var meta any
-		initiator := enc&1 == 0
-		if initiator {
-			self, peer, selfIdx = ex.u, ex.v, ex.uIdx
-			news, meta = ex.uNews, ex.vMeta
+// capture records the per-shard conjuncts of StopAllDone and
+// StopLeaderStable over the owned range. It runs before and after the
+// activations: the post-delivery stop check needs pre-activation state
+// (an ordinary engine evaluates it before activating), the
+// idle-termination stop call post-activation state.
+//
+// The leader summary scans the owned survivors (survivorship is
+// config-derived, so every shard computes it identically) for their
+// unanimously decided leader: LeaderUnsettled when some owned survivor is
+// down, undecided, facet-less or disagreeing, LeaderAgnostic when the
+// shard owns no survivors. On non-coordination protocols (no
+// LeaderReporter facets) the first owned survivor short-circuits to
+// LeaderUnsettled, keeping the per-round cost O(1) off the election path.
+func (d *distRun) capture() (done bool, leader int32) {
+	e, w := d.e, d.e.world
+	lo, hi := e.owned()
+	done = true
+	if d.hasDones {
+		for u := lo; u < hi && done; u++ {
+			dr := w.dones[u]
+			done = dr == nil || !w.Alive(u) || dr.Done()
+		}
+	}
+	leader = LeaderAgnostic
+	for u := lo; u < hi; u++ {
+		if e.cfg.Adversity.NeverReturns(u) {
+			continue
+		}
+		lr := w.leaders[u]
+		if lr == nil || !w.Alive(u) {
+			return done, LeaderUnsettled
+		}
+		l, decided := lr.Leader()
+		if !decided || (leader != LeaderAgnostic && leader != int32(l)) {
+			return done, LeaderUnsettled
+		}
+		leader = int32(l)
+	}
+	return done, leader
+}
+
+// loadCapture publishes the bundle's per-shard done flags and leader
+// summaries (the pre- or the post-activation capture) for the next stop
+// evaluation.
+func (d *distRun) loadCapture(frames []*DistFrame, post bool) {
+	w := d.e.world
+	for i, f := range frames {
+		if post {
+			w.distDone[i], w.distLeader[i] = f.DonePost, f.LeadPost
 		} else {
-			self, peer, selfIdx = ex.v, ex.u, ex.vIdx
-			news, meta = ex.vNews, ex.uMeta
+			w.distDone[i], w.distLeader[i] = f.DonePre, f.LeadPre
 		}
-		nv := e.views[self]
-		gained := 0
-		for _, r := range news {
-			if nv.gain(int(r)) {
-				gained++
-				f.Gains = append(f.Gains, DistGain{Node: self, Rumor: r})
-			}
-		}
-		nv.known[selfIdx] = ex.latency
-		if e.informedAt[self] < 0 && nv.rum.contains(watched) {
-			e.informedAt[self] = ex.deliver
-			s.newlyInformed = append(s.newlyInformed, self)
-		}
-		if e.wake[self] > round {
-			e.wake[self] = round
-		}
-		e.protos[self].OnDeliver(Delivery{
-			Round:         ex.deliver,
-			InitRound:     ex.initRound,
-			Peer:          int(peer),
-			NeighborIndex: int(selfIdx),
-			Latency:       int(ex.latency),
-			Initiator:     initiator,
-			News:          news,
-			NewRumors:     gained,
-			PeerMeta:      meta,
-		})
 	}
-	s.recs = s.recs[:0]
 }
 
-// applyRemoteGains grows the replicas of remote nodes exactly as their
-// owners did this round. gain() is idempotent and journal-ordered, so
-// replicated journals stay positionally identical to the owner's — the
-// invariant exchange windows depend on.
-func (e *engine) applyRemoteGains(frames []*DistFrame, round int) {
+// barrier is the one synchronization point of a processed round, called
+// after the owned range has activated. It completes the outgoing frame
+// (post-activation capture, resolved intents, the shard's activation
+// aggregates and calendar state), exchanges it, replays the other
+// workers' gains, evaluates stop on the pre-activation capture, runs the
+// meta sub-barrier when needed, and folds the other workers' aggregates
+// into t. It returns the bundle for mergeIntents, or stopped.
+func (d *distRun) barrier(round int, stop StopFunc, t *tally) (frames []*DistFrame, stopped bool, err error) {
+	e, f, s := d.e, d.frame, &d.e.shards[0]
+	f.DonePost, f.LeadPost = d.capture()
+	for _, it := range s.intents {
+		u, idx := int(it.u), int(it.idx)
+		nv := e.views[u]
+		v, lat := int(nv.nbrs[idx]), int(nv.lats[idx])
+		// The initiator's owner resolves the peer row position and the
+		// loss fate once, so no other worker reads u's CSR rows or loss
+		// stream.
+		di := DistIntent{U: it.u, Idx: it.idx, V: int32(v), VIdx: int32(e.csr.PeerIndex(u, idx)), Lat: int32(lat)}
+		if e.adv != nil {
+			di.Lost = e.fate(u, v, round, round+lat)
+		}
+		f.Intents = append(f.Intents, di)
+	}
+	s.intents = s.intents[:0]
+	f.Idle, f.Called = s.idle, s.called
+	f.MinWake, f.SleeperWake = s.minWake, s.sleeperWake
+	f.Pending = e.pendingLen() > 0
+	f.NextDeliver = e.nextDeliver(round)
+	f.MetaCapable = d.metaAny
+	f.Waiting = t.waiting
+	if s.err != nil {
+		f.Err = s.err.Error()
+		s.err = nil
+	}
+	if d.stats != nil {
+		d.stats.Rounds++
+		d.stats.Intents += int64(len(f.Intents))
+		d.stats.Gains += int64(len(f.Gains))
+	}
+
+	frames, err = d.exchangeFrames(f)
+	if err != nil {
+		return nil, false, fmt.Errorf("sim: shard %d round %d barrier: %w", d.shard, round, err)
+	}
+	if len(frames) != d.shards {
+		return nil, false, fmt.Errorf("sim: round %d barrier returned %d frames for %d shards", round, len(frames), d.shards)
+	}
+	for i, rf := range frames {
+		if rf == nil || rf.Shard != i || rf.Round != round {
+			return nil, false, fmt.Errorf("sim: round %d barrier frame %d is misaligned", round, i)
+		}
+	}
+	d.barriers++
+
+	// Grow the replicas of remote nodes exactly as their owners did this
+	// round. gain() is idempotent and journal-ordered, so replicated
+	// journals stay positionally identical to the owner's — the invariant
+	// exchange windows depend on.
 	watched := int32(e.watched)
-	for _, f := range frames {
-		if f.Shard == e.dist.shard {
+	for _, rf := range frames {
+		if rf.Shard == d.shard {
 			continue
 		}
-		for _, g := range f.Gains {
+		for _, g := range rf.Gains {
 			nv := e.views[g.Node]
 			nv.gain(int(g.Rumor))
 			if e.informedAt[g.Node] < 0 && nv.rum.contains(watched) {
@@ -403,139 +423,79 @@ func (e *engine) applyRemoteGains(frames []*DistFrame, round int) {
 			}
 		}
 	}
-}
 
-// exportIntents resolves this shard's buffered activations into wire
-// intents: peer id, edge latency, and — when an adversity schedule is
-// attached — the loss fate, pre-drawn here in node order. A node
-// initiates at most one exchange per round, so per-initiator loss
-// streams advance in exactly the order the serial merge draws them.
-func (e *engine) exportIntents(s *shard, round int, f *DistFrame) {
-	for _, it := range s.intents {
-		u, idx := int(it.u), int(it.idx)
-		nv := e.views[u]
-		v := int(nv.nbrs[idx])
-		lat := int(nv.lats[idx])
-		di := DistIntent{
-			U: it.u, Idx: it.idx, V: int32(v),
-			VIdx: int32(e.csr.PeerIndex(u, idx)),
-			Lat:  int32(lat),
-		}
-		if e.adv != nil {
-			di.Lost = e.adv.DownDuring(u, round, round+lat) ||
-				e.adv.DownDuring(v, round, round+lat) ||
-				e.adv.LinkDownDuring(u, v, round, round+lat)
-			if !di.Lost && e.advRNG != nil {
-				if p := e.adv.LossProb(u, v); p > 0 && e.advRNG[u].Float64() < p {
-					di.Lost = true
-				}
-			}
-		}
-		f.Intents = append(f.Intents, di)
+	// The post-delivery stop check of an ordinary engine. Activation
+	// already ran locally, but Activate mutates no state a Result field
+	// or stop condition reads except DoneReporter/LeaderReporter facets —
+	// and those are evaluated from the pre-activation capture — so a
+	// stop-exit here returns the byte-identical serial Result.
+	d.loadCapture(frames, false)
+	if stop(e.world) {
+		return nil, true, nil
 	}
-	s.intents = s.intents[:0]
-}
-
-// ownedAllDone captures "every owned live DoneReporter is done" (the
-// per-shard conjunct of StopAllDone).
-func (e *engine) ownedAllDone() bool {
-	w := e.world
-	for u := e.dist.lo; u < e.dist.hi; u++ {
-		if dr := w.dones[u]; dr != nil && w.Alive(u) && !dr.Done() {
-			return false
+	for _, rf := range frames {
+		if rf.Err != "" {
+			return nil, false, fmt.Errorf("sim: %s", rf.Err)
 		}
 	}
-	return true
-}
+	if err := d.exchangeRemoteMeta(frames, round); err != nil {
+		return nil, false, err
+	}
 
-// ownedLeader captures the per-shard conjunct of StopLeaderStable:
-// scanning the owned survivors (survivorship is config-derived, so every
-// shard computes it identically), it returns their unanimously decided
-// leader, LeaderUnsettled when some owned survivor is down, undecided,
-// facet-less or disagreeing, or LeaderAgnostic when the shard owns no
-// survivors. On non-coordination protocols (no LeaderReporter facets)
-// the first owned survivor short-circuits to LeaderUnsettled, keeping
-// the per-round cost O(1) off the election path.
-func (e *engine) ownedLeader() int32 {
-	w := e.world
-	leader := LeaderAgnostic
-	for u := e.dist.lo; u < e.dist.hi; u++ {
-		if e.cfg.Adversity.NeverReturns(u) {
+	// Global quiescence is every shard's own: the other calendars are
+	// judged before the merge like the local one (no intents anywhere
+	// means none of them grows), and the deliveries they hold bound the
+	// next-round jump like local ones.
+	for _, rf := range frames {
+		if rf.Shard == d.shard {
 			continue
 		}
-		lr := w.leaders[u]
-		if lr == nil || !w.Alive(u) {
-			return LeaderUnsettled
-		}
-		l, decided := lr.Leader()
-		if !decided {
-			return LeaderUnsettled
-		}
-		if leader == LeaderAgnostic {
-			leader = int32(l)
-		} else if leader != int32(l) {
-			return LeaderUnsettled
+		t.quiet = t.quiet && rf.Idle && !rf.Pending && rf.SleeperWake == never
+		t.waiting = t.waiting || rf.Waiting
+		t.called = t.called || rf.Called
+		t.soonest = min(t.soonest, rf.MinWake)
+		if rf.NextDeliver >= 0 {
+			t.soonest = min(t.soonest, rf.NextDeliver)
 		}
 	}
-	return leader
+	return frames, false, nil
 }
 
-// ownedWaiting reports a live Waiter on the owned range.
-func (e *engine) ownedWaiting(round int) bool {
-	for u := e.dist.lo; u < e.dist.hi; u++ {
-		if w := e.waiter[u]; w != nil && !e.down(u, round) && w.Waiting() {
-			return true
+// exchangeRemoteMeta runs the meta sub-barrier, needed only when a
+// meta-capable shard exists and some intent crosses shards this round
+// (every worker computes the same decision from the bundle): each worker
+// ships the post-activation metadata of every owned MetaProducer endpoint
+// of a cross-shard intent, deduplicated, in the deterministic
+// shard-then-node intent order, and indexes what the others shipped in
+// remoteMeta for the merge.
+func (d *distRun) exchangeRemoteMeta(frames []*DistFrame, round int) error {
+	e := d.e
+	clear(d.remoteMeta)
+	metaCap, cross := false, false
+	for _, rf := range frames {
+		metaCap = metaCap || rf.MetaCapable
+		for i := 0; i < len(rf.Intents) && !cross; i++ {
+			cross = e.ownerOf(rf.Intents[i].U) != e.ownerOf(rf.Intents[i].V)
 		}
 	}
-	return false
-}
-
-// loadDone publishes the bundle's captured per-shard done flags and
-// leader summaries for the next stop evaluation (pre- or post-activation
-// capture).
-func (d *distRun) loadDone(w *World, frames []*DistFrame, post bool) {
-	for i, f := range frames {
-		if post {
-			w.distDone[i] = f.DonePost
-			w.distLeader[i] = f.LeadPost
-		} else {
-			w.distDone[i] = f.DonePre
-			w.distLeader[i] = f.LeadPre
-		}
+	if !metaCap || !cross {
+		return nil
 	}
-}
-
-func (d *distRun) checkBundle(frames []*DistFrame, round int) error {
-	if len(frames) != d.shards {
-		return fmt.Errorf("sim: round %d barrier returned %d frames for %d shards", round, len(frames), d.shards)
-	}
-	for i, f := range frames {
-		if f == nil || f.Shard != i || f.Round != round {
-			return fmt.Errorf("sim: round %d barrier frame %d is misaligned", round, i)
-		}
-	}
-	return nil
-}
-
-// buildMetaFrame collects the post-activation metadata of every owned
-// MetaProducer endpoint of a cross-shard intent, deduplicated, in the
-// deterministic shard-then-node intent order.
-func (e *engine) buildMetaFrame(mf *DistMetaFrame, frames []*DistFrame, round int) error {
-	d := e.dist
+	mf := &d.metaFrame
 	mf.Round, mf.Shard = round, d.shard
 	mf.Metas = mf.Metas[:0]
 	if d.metaStamp == nil {
 		d.metaStamp = make([]int, e.n)
 	}
 	stamp := round + 1
-	for _, f := range frames {
-		for i := range f.Intents {
-			in := &f.Intents[i]
-			if d.ownerOf(in.U) == d.ownerOf(in.V) {
+	for _, rf := range frames {
+		for i := range rf.Intents {
+			in := &rf.Intents[i]
+			if e.ownerOf(in.U) == e.ownerOf(in.V) {
 				continue
 			}
 			for _, node := range [2]int32{in.U, in.V} {
-				if !d.owns(node) || e.meta[node] == nil || d.metaStamp[node] == stamp {
+				if e.shardOf(node) == nil || e.meta[node] == nil || d.metaStamp[node] == stamp {
 					continue
 				}
 				d.metaStamp[node] = stamp
@@ -551,246 +511,25 @@ func (e *engine) buildMetaFrame(mf *DistMetaFrame, frames []*DistFrame, round in
 			}
 		}
 	}
+	mfs, err := d.exchangeMetas(mf)
+	if err != nil {
+		return fmt.Errorf("sim: shard %d round %d meta barrier: %w", d.shard, round, err)
+	}
+	if len(mfs) != d.shards {
+		return fmt.Errorf("sim: round %d meta barrier returned %d frames for %d shards", round, len(mfs), d.shards)
+	}
+	if d.remoteMeta == nil {
+		d.remoteMeta = make(map[int32][]int32)
+	}
+	for _, rmf := range mfs {
+		if rmf == nil || rmf.Shard == d.shard {
+			continue
+		}
+		for _, nm := range rmf.Metas {
+			d.remoteMeta[nm.Node] = nm.Meta
+		}
+	}
 	return nil
-}
-
-// distMerge is mergeIntents over the broadcast bundle: every intent in
-// shard-then-node order advances the identical global sequence number,
-// but only exchanges touching this worker's range are scheduled, with
-// the shipped loss fate and peer resolution. It returns the earliest
-// delivery round among ALL new exchanges (touching or not), which every
-// worker needs for the identical next-round computation.
-func (e *engine) distMerge(round int, frames []*DistFrame) int {
-	d := e.dist
-	minNew := -1
-	for _, f := range frames {
-		for i := range f.Intents {
-			in := &f.Intents[i]
-			deliver := round + int(in.Lat)
-			if minNew < 0 || deliver < minNew {
-				minNew = deliver
-			}
-			seq := e.seq
-			e.seq++
-			uOwned := d.owns(in.U)
-			if uOwned {
-				e.res.Exchanges++
-				e.res.Messages += 2
-			}
-			vOwned := d.owns(in.V)
-			if !uOwned && !vOwned {
-				continue
-			}
-			if uOwned != vOwned && d.stats != nil {
-				d.stats.CrossIntents++
-			}
-			u, v := int(in.U), int(in.V)
-			vIdx := int(in.VIdx)
-			ex := exch{
-				deliver:   deliver,
-				initRound: round,
-				seq:       seq,
-				u:         in.U, v: in.V,
-				uIdx: in.Idx, vIdx: int32(vIdx),
-				latency: in.Lat,
-				uEnd:    int32(len(e.views[u].journal)),
-				vEnd:    int32(len(e.views[v].journal)),
-				lost:    in.Lost,
-			}
-			if e.sent != nil && !ex.lost {
-				hu := e.csr.HalfIndex(u, int(in.Idx))
-				hv := e.csr.HalfIndex(v, vIdx)
-				ex.uStart = e.sent[hu]
-				ex.vStart = e.sent[hv]
-				e.sent[hu] = ex.uEnd
-				e.sent[hv] = ex.vEnd
-			}
-			if mp := e.meta[u]; mp != nil {
-				ex.uMeta = mp.Meta()
-			} else if m, ok := d.remoteMeta[in.U]; ok {
-				ex.uMeta = m
-			}
-			if mp := e.meta[v]; mp != nil {
-				ex.vMeta = mp.Meta()
-			} else if m, ok := d.remoteMeta[in.V]; ok {
-				ex.vMeta = m
-			}
-			e.push(ex, round)
-		}
-	}
-	return minNew
-}
-
-// runDist is the distributed event loop. It mirrors run() decision for
-// decision; divergences are confined to how cross-shard state travels
-// (frames instead of shared memory) and are individually justified
-// against the serial semantics in the comments below.
-func (e *engine) runDist(stop StopFunc) (Result, error) {
-	d := e.dist
-	w := e.world
-	for round := 0; round <= e.cfg.MaxRounds; {
-		w.Round = round
-		e.applyFaultEvents(round)
-
-		f := &d.frames[d.barriers&1]
-		f.reset(round, d.shard)
-
-		s := &e.shards[0]
-		e.distDrainDue(round)
-		e.deliverShardDist(s, round, f)
-		e.finishDeliveries(round)
-
-		// The serial engine evaluates stop before activating and (on the
-		// idle-termination path) again after; capture the owned done
-		// conjunct at both points so either evaluation sees the state the
-		// serial engine would.
-		f.DonePre = !d.hasDones || e.ownedAllDone()
-		f.LeadPre = e.ownedLeader()
-		e.activateShard(s, round)
-		f.DonePost = !d.hasDones || e.ownedAllDone()
-		f.LeadPost = e.ownedLeader()
-		e.exportIntents(s, round, f)
-		f.Idle, f.Called = s.idle, s.called
-		f.MinWake, f.SleeperWake = s.minWake, s.sleeperWake
-		f.Pending = e.pendingLen() > 0
-		f.NextDeliver = e.nextDeliver(round)
-		f.MetaCapable = d.metaAny
-		if s.err != nil {
-			f.Err = s.err.Error()
-			s.err = nil
-		}
-		if s.idle && !f.Pending && s.sleeperWake == never {
-			// Only computed when this shard is locally quiescent — the
-			// only case the global idle check can trigger, and the serial
-			// engine's own lazy-scan condition.
-			f.Waiting = e.ownedWaiting(round)
-		}
-		if d.stats != nil {
-			d.stats.Rounds++
-			d.stats.Intents += int64(len(f.Intents))
-			d.stats.Gains += int64(len(f.Gains))
-		}
-
-		frames, err := d.exchangeFrames(f)
-		if err != nil {
-			return e.res, fmt.Errorf("sim: shard %d round %d barrier: %w", d.shard, round, err)
-		}
-		if err := d.checkBundle(frames, round); err != nil {
-			return e.res, err
-		}
-		d.barriers++
-
-		e.applyRemoteGains(frames, round)
-
-		// Post-delivery stop check, exactly where run() evaluates it.
-		// Activation already ran locally, but Activate mutates no state a
-		// Result field or stop condition reads except DoneReporter flags
-		// — and those are evaluated from the pre-activation capture — so
-		// a stop-exit here returns the byte-identical serial Result.
-		d.loadDone(w, frames, false)
-		if stop(w) {
-			e.res.Rounds = round
-			e.res.Completed = true
-			return e.res, nil
-		}
-		for _, rf := range frames {
-			if rf.Err != "" {
-				return e.res, fmt.Errorf("sim: %s", rf.Err)
-			}
-		}
-
-		// Meta sub-barrier: needed only when a meta-capable shard exists
-		// and some intent crosses shards this round. Every worker
-		// computes the same decision from the bundle.
-		metaCap, cross := false, false
-		for _, rf := range frames {
-			metaCap = metaCap || rf.MetaCapable
-			if !cross {
-				for i := range rf.Intents {
-					in := &rf.Intents[i]
-					if d.ownerOf(in.U) != d.ownerOf(in.V) {
-						cross = true
-						break
-					}
-				}
-			}
-		}
-		clear(d.remoteMeta)
-		if metaCap && cross {
-			mf := &d.metaFrames[d.metaBarriers&1]
-			if err := e.buildMetaFrame(mf, frames, round); err != nil {
-				return e.res, err
-			}
-			mfs, err := d.exchangeMetas(mf)
-			if err != nil {
-				return e.res, fmt.Errorf("sim: shard %d round %d meta barrier: %w", d.shard, round, err)
-			}
-			if len(mfs) != d.shards {
-				return e.res, fmt.Errorf("sim: round %d meta barrier returned %d frames for %d shards", round, len(mfs), d.shards)
-			}
-			if d.remoteMeta == nil {
-				d.remoteMeta = make(map[int32][]int32)
-			}
-			for _, rmf := range mfs {
-				if rmf == nil || rmf.Shard == d.shard {
-					continue
-				}
-				for _, nm := range rmf.Metas {
-					d.remoteMeta[nm.Node] = nm.Meta
-				}
-			}
-		}
-
-		minNew := e.distMerge(round, frames)
-
-		idle, called := true, false
-		minWake, sleeperWake := never, never
-		pendingRemote, waiting := false, false
-		ndRemote := -1
-		for _, rf := range frames {
-			idle = idle && rf.Idle
-			called = called || rf.Called
-			if rf.MinWake < minWake {
-				minWake = rf.MinWake
-			}
-			if rf.SleeperWake < sleeperWake {
-				sleeperWake = rf.SleeperWake
-			}
-			waiting = waiting || rf.Waiting
-			if rf.Shard != d.shard {
-				if rf.Pending {
-					pendingRemote = true
-				}
-				if rf.NextDeliver >= 0 && (ndRemote < 0 || rf.NextDeliver < ndRemote) {
-					ndRemote = rf.NextDeliver
-				}
-			}
-		}
-		// Global quiescence: local calendar empty post-merge, every
-		// remote calendar empty pre-merge, and nobody activated (idle
-		// implies zero intents, so no remote calendar grew).
-		if idle && e.pendingLen() == 0 && !pendingRemote && sleeperWake == never && e.nextAdvEvent >= len(e.advEvents) {
-			if !waiting {
-				d.loadDone(w, frames, true)
-				e.res.Rounds = round
-				e.res.Completed = stop(w)
-				return e.res, nil
-			}
-		}
-		// Deliveries held by other shards — pending before the merge, or
-		// scheduled by it — bound the jump like local ones.
-		soonest := minWake
-		if ndRemote >= 0 && ndRemote < soonest {
-			soonest = ndRemote
-		}
-		if minNew >= 0 && minNew < soonest {
-			soonest = minNew
-		}
-		round = e.nextRound(round, soonest, called)
-	}
-	e.res.Rounds = e.cfg.MaxRounds
-	e.res.Completed = false
-	return e.res, nil
 }
 
 // localHub is the in-memory Exchanger: a reusable all-to-all barrier for

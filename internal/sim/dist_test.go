@@ -86,51 +86,163 @@ func (p *distMetaProto) OnAmnesia() {
 	p.done = false
 }
 
-// TestDistMatchesSerial is the distributed bit-identity gate at the
-// engine level: RunDistLocal must reproduce the serial Run fingerprint —
-// counters, informed times, every node's gain journal — for every shard
-// count, across seeding modes, fail-stop crashes and the full adversity
-// surface (loss draws, amnesic churn, link flaps, crash batches).
+// timerProto is a one-shot timer: silent until round at, then it fires —
+// initiating one exchange, or (quiet) only flipping its DoneReporter flag
+// inside Activate. Its two shapes differ in how the pending timer holds
+// the run open: sleeperTimer declares the fire round as a future wake
+// (the SleeperWake aggregate), waiterTimer is woken every round and
+// reports Waiting until it fired.
+type timerProto struct {
+	nv    *NodeView
+	at    int
+	quiet bool
+	fired bool
+}
+
+func (p *timerProto) Activate(round int) (int, bool) {
+	if p.fired || round < p.at {
+		return 0, false
+	}
+	p.fired = true
+	return p.at % p.nv.Degree(), !p.quiet
+}
+func (p *timerProto) OnDeliver(Delivery) {}
+func (p *timerProto) Done() bool         { return p.fired }
+
+type sleeperTimer struct{ timerProto }
+
+func (p *sleeperTimer) NextWake(int) int {
+	if p.fired {
+		return WakeOnDelivery
+	}
+	return p.at
+}
+
+type waiterTimer struct{ timerProto }
+
+func (p *waiterTimer) Waiting() bool { return !p.fired }
+
+// timerFactory staggers the timers over rounds 3..13 and makes node 0 the
+// last one, firing quietly at round 40 with nothing else in flight: the
+// run must stay open until then on node 0's timer alone, then terminate
+// idle in that very round, complete only when stop sees the done flag
+// node 0 flipped in Activate (the post-activation capture).
+func timerFactory(sleeper bool) Factory {
+	return func(nv *NodeView) Protocol {
+		tp := timerProto{nv: nv, at: 3 + nv.ID()%11}
+		if nv.ID() == 0 {
+			tp.at, tp.quiet = 40, true
+		}
+		if sleeper {
+			return &sleeperTimer{tp}
+		}
+		return &waiterTimer{tp}
+	}
+}
+
+// leaderProto gossips at random and elects the highest id it has heard
+// of, deciding once that has not changed for three of its activations.
+// The decision state moves inside Activate, so StopLeaderStable must read
+// the pre-activation capture to stop where the serial engine does.
+type leaderProto struct {
+	nv             *NodeView
+	leader, stable int
+}
+
+func (p *leaderProto) Activate(int) (int, bool) {
+	top := p.nv.N() - 1
+	for !p.nv.Knows(top) {
+		top--
+	}
+	if top != p.leader {
+		p.leader, p.stable = top, 0
+	}
+	p.stable++
+	return p.nv.RNG().IntN(p.nv.Degree()), true
+}
+func (p *leaderProto) OnDeliver(Delivery)  {}
+func (p *leaderProto) Leader() (int, bool) { return p.leader, p.stable > 3 }
+
+// distRow is one configuration of the execution-mode identity tables;
+// rounds, when set, is the round the serial run must end at.
+type distRow struct {
+	name    string
+	cfg     Config
+	factory Factory
+	stop    StopFunc
+	shards  []int
+	rounds  int
+}
+
+// checkModes runs row serially, worker-sharded and distributed at every
+// shard count, requires one fingerprint — counters, informed times, every
+// node's gain journal — from all three execution modes, and returns the
+// serial result; each distributed run's stats go to perShards.
+func (row distRow) checkModes(t *testing.T, perShards func(shards int, stats []DistStats)) Result {
+	t.Helper()
+	serial, err := Run(row.cfg, row.factory, row.stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(serial)
+	sharded := row.cfg
+	sharded.Workers = 3
+	res, err := Run(sharded, row.factory, row.stop)
+	if err != nil {
+		t.Fatalf("workers=3: %v", err)
+	}
+	if got := fingerprint(res); !reflect.DeepEqual(got, want) {
+		t.Fatalf("workers=3 diverged from serial:\n got %+v\nwant %+v", got, want)
+	}
+	for _, shards := range row.shards {
+		res, stats, err := RunDistLocal(row.cfg, shards, row.factory, row.stop)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		// The assembled World is shard 0's replica: journals are
+		// synchronized every round, so the fingerprint matches in full.
+		if got := fingerprint(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d diverged from serial:\n got %+v\nwant %+v", shards, got, want)
+		}
+		perShards(shards, stats)
+	}
+	return serial
+}
+
+// TestDistMatchesSerial is the execution-mode bit-identity gate at the
+// engine level: a worker-sharded Run and RunDistLocal at every shard
+// count (more shards than nodes included) must reproduce the serial Run
+// fingerprint across seeding modes, fail-stop crashes, the full adversity
+// surface (loss draws, amnesic churn, link flaps, crash batches), timers
+// that hold a silent run open, and a leader-quantified stop.
 func TestDistMatchesSerial(t *testing.T) {
 	const n = 37
 	g := denseTestGraph(n)
 	twoCrashes := adversity.MustParseSpec("crash=4:5;crash=9:11")
-	cfgs := map[string]Config{
-		"plain":    {Graph: g, Seed: 42, Mode: OneToAll, Source: 0, MaxRounds: 1 << 12},
-		"alltoall": {Graph: g, Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
-		"crashes":  {Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
-		"adversity": {Graph: g, Seed: 3, Mode: OneToAll, Source: 2, MaxRounds: 1 << 12,
-			Adversity: adversity.MustParseSpec("loss=0.15;churn=2:6-14:amnesia;flap=0-1:3-8;crash=9:5")},
+	full := adversity.MustParseSpec("loss=0.15;churn=2:6-14:amnesia;flap=0-1:3-8;crash=9:5")
+	random := func(nv *NodeView) Protocol { return &randomProto{nv: nv} }
+	rows := []distRow{
+		{name: "plain", cfg: Config{Graph: g, Seed: 42, Mode: OneToAll, Source: 0, MaxRounds: 1 << 12},
+			factory: random, stop: StopAllInformed(0)},
+		{name: "alltoall", cfg: Config{Graph: g, Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
+			factory: random, stop: StopAllHaveAll()},
+		{name: "crashes", cfg: Config{Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
+			factory: random, stop: StopAllAliveInformed(1)},
+		{name: "adversity", cfg: Config{Graph: g, Seed: 3, Mode: OneToAll, Source: 2, MaxRounds: 1 << 12, Adversity: full},
+			factory: random, stop: StopAllSurvivorsInformed(2, full), shards: []int{2, 3, 5, n + 4}},
+		{name: "sleeper-timer", cfg: Config{Graph: g, Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},
+			factory: timerFactory(true), stop: StopAllDone(), rounds: 40},
+		{name: "waiter-timer", cfg: Config{Graph: g, Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},
+			factory: timerFactory(false), stop: StopAllDone(), rounds: 40},
+		{name: "leader", cfg: Config{Graph: g, Seed: 13, Mode: AllToAll, MaxRounds: 1 << 12, Adversity: twoCrashes},
+			factory: func(nv *NodeView) Protocol { return &leaderProto{nv: nv, leader: -1} }, stop: StopLeaderStable(twoCrashes)},
 	}
-	for name, base := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			stop := StopAllInformed(base.Source)
-			switch {
-			case base.Mode == AllToAll:
-				stop = StopAllHaveAll()
-			case name == "crashes":
-				stop = StopAllAliveInformed(base.Source)
-			case base.Adversity != nil:
-				stop = StopAllSurvivorsInformed(base.Source, base.Adversity)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.shards == nil {
+				row.shards = []int{2, 3, 5}
 			}
-			factory := func(nv *NodeView) Protocol { return &randomProto{nv: nv} }
-			serial, err := Run(base, factory, stop)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fingerprint(serial)
-			for _, shards := range []int{2, 3, 5} {
-				res, stats, err := RunDistLocal(base, shards, factory, stop)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				// The assembled World is shard 0's replica: journals are
-				// synchronized every round, so the fingerprint matches in
-				// full.
-				got := fingerprint(res)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d diverged from serial:\n got %+v\nwant %+v", shards, got, want)
-				}
+			serial := row.checkModes(t, func(shards int, stats []DistStats) {
 				var rounds int64
 				for i := range stats {
 					rounds += stats[i].Rounds
@@ -138,6 +250,12 @@ func TestDistMatchesSerial(t *testing.T) {
 				if rounds == 0 {
 					t.Fatalf("shards=%d: no rounds recorded in stats", shards)
 				}
+			})
+			if !serial.Completed {
+				t.Fatalf("serial run did not complete: %+v", serial)
+			}
+			if row.rounds != 0 && serial.Rounds != row.rounds {
+				t.Fatalf("serial run ended at round %d, want %d", serial.Rounds, row.rounds)
 			}
 		})
 	}
@@ -149,31 +267,16 @@ func TestDistMatchesSerial(t *testing.T) {
 // StopAllDone path must agree with the serial facet scan.
 func TestDistMetaProtocols(t *testing.T) {
 	g := denseTestGraph(29)
-	cfgs := map[string]Config{
-		"benign": {Graph: g, Seed: 17, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true},
-		"churny": {Graph: g, Seed: 23, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true,
-			Adversity: adversity.MustParseSpec("churn=3:2-9:amnesia;flap=1-2:3-7")},
-	}
 	factory := func(nv *NodeView) Protocol { return newDistMetaProto(nv) }
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			serial, err := Run(cfg, factory, StopAllDone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !serial.Completed {
-				t.Fatalf("serial meta run did not complete: %+v", serial)
-			}
-			want := fingerprint(serial)
-			for _, shards := range []int{2, 4} {
-				res, stats, err := RunDistLocal(cfg, shards, factory, StopAllDone())
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				got := fingerprint(res)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d diverged from serial:\n got %+v\nwant %+v", shards, got, want)
-				}
+	rows := []distRow{
+		{name: "benign", cfg: Config{Graph: g, Seed: 17, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true}},
+		{name: "churny", cfg: Config{Graph: g, Seed: 23, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true,
+			Adversity: adversity.MustParseSpec("churn=3:2-9:amnesia;flap=1-2:3-7")}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			row.factory, row.stop, row.shards = factory, StopAllDone(), []int{2, 4}
+			serial := row.checkModes(t, func(shards int, stats []DistStats) {
 				var cross int64
 				for i := range stats {
 					cross += stats[i].CrossIntents
@@ -181,6 +284,9 @@ func TestDistMetaProtocols(t *testing.T) {
 				if cross == 0 {
 					t.Fatalf("shards=%d: no cross-shard intents — the meta barrier was never exercised", shards)
 				}
+			})
+			if !serial.Completed {
+				t.Fatalf("serial meta run did not complete: %+v", serial)
 			}
 		})
 	}

@@ -25,9 +25,6 @@ type StopFunc func(w *World) bool
 
 // World is the global state a StopFunc may inspect.
 type World struct {
-	// Graph is the adjacency-map form of the network; nil when the run
-	// was configured with Config.CSR only.
-	Graph *graph.Graph
 	// CSR is the compressed sparse row form the engine executes on.
 	CSR    *graph.CSR
 	Views  []*NodeView
@@ -189,8 +186,11 @@ type engine struct {
 	// bucket through doublings every round.
 	spare []exch
 
-	shards  []shard
-	workers int
+	// shards are the execution shards this engine runs: every part of the
+	// contiguous node partition on an ordinary engine, the one owned part
+	// on a distributed shard worker. per is the partition's part width.
+	shards []shard
+	per    int
 
 	// jitterPCG is the jitter draw stream, held by value (jitterRNG wraps
 	// it) so snapshots can copy the cursor like any per-node stream.
@@ -220,9 +220,25 @@ type engine struct {
 	advEvents    []adversity.Event
 	nextAdvEvent int
 
-	// dist is the distributed-execution state of a shard worker (nil in
+	// dist is the barrier seam of a distributed shard worker (nil in
 	// ordinary runs); see dist.go.
 	dist *distRun
+}
+
+// tally is what a round's epilogue needs to know about its activations,
+// aggregated over the local shards and — on a distributed shard worker —
+// folded with every other worker's frame at the barrier.
+type tally struct {
+	// quiet: nobody initiated, nothing is in flight, no Sleeper declared
+	// a future wake and no fault event is still to come.
+	quiet bool
+	// waiting: a live Waiter holds a quiet run open.
+	waiting bool
+	// called: some protocol's Activate ran this round.
+	called bool
+	// soonest is the earliest eligible activation (plus, on a shard
+	// worker, the earliest delivery other workers hold).
+	soonest int
 }
 
 // down reports whether node u is unavailable at round (crashed or
@@ -241,6 +257,17 @@ func (e *engine) actualLatency(nominal int) int {
 		l = 1
 	}
 	return l
+}
+
+// partWidth is the part width of the contiguous k-way partition of
+// [0,n): node u belongs to part u/partWidth (engine.ownerOf).
+func partWidth(n, k int) int { return (n + k - 1) / k }
+
+// partition returns part i of that partition; parts past the end are
+// empty (k need not divide n, and may exceed it).
+func partition(n, k, i int) (lo, hi int) {
+	per := partWidth(n, k)
+	return min(i*per, n), min((i+1)*per, n)
 }
 
 func nextPow2(x int) int {
@@ -422,23 +449,27 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 		return nil, fmt.Errorf("sim: unknown rumor mode %d", cfg.Mode)
 	}
 
+	// One contiguous partition serves both execution modes: a worker-
+	// sharded engine runs every part, a distributed shard worker runs part
+	// shardIdx of shardCount as a single shard (the goroutine fan-out is
+	// pointless on a worker that owns one contiguous slice of the network).
+	parts := max(1, min(cfg.Workers, n))
+	e.shards = make([]shard, parts)
+	if shardCount > 1 {
+		parts, e.shards = shardCount, e.shards[:1]
+	}
+	e.per = partWidth(n, parts)
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.lo, s.hi = partition(n, parts, shardIdx+i)
+	}
+
 	// Sleeper/Waiter/MetaProducer/DoneReporter facets are fixed per
 	// protocol: resolve the type assertions once instead of per round.
 	// A distributed shard worker instantiates protocols only for its
 	// owned range; remote entries stay nil and are never invoked (remote
 	// protocol effects arrive through barrier frames instead).
-	ownLo, ownHi := 0, n
-	if shardCount > 1 {
-		per := (n + shardCount - 1) / shardCount
-		ownLo = shardIdx * per
-		if ownLo > n {
-			ownLo = n
-		}
-		ownHi = ownLo + per
-		if ownHi > n {
-			ownHi = n
-		}
-	}
+	ownLo, ownHi := e.owned()
 	e.sleeper = make([]Sleeper, n)
 	e.waiter = make([]Waiter, n)
 	e.meta = make([]MetaProducer, n)
@@ -494,7 +525,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	}
 
 	e.world = &World{
-		Graph: cfg.Graph, CSR: csr, Views: views, Protos: protos,
+		CSR: csr, Views: views, Protos: protos,
 		adv: sched, watched: watched, informed: informed,
 		alive: alive, dones: dones, leaders: leaders,
 	}
@@ -529,32 +560,6 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	e.ring = make([][]exch, ringSize)
 	e.ringMask = ringSize - 1
 
-	if shardCount > 1 {
-		// One execution shard spanning exactly the owned range; the
-		// goroutine fan-out is pointless on a worker that owns a single
-		// contiguous slice of the network.
-		e.workers = 1
-		e.shards = []shard{{lo: ownLo, hi: ownHi}}
-		return e, nil
-	}
-	e.workers = cfg.Workers
-	if e.workers < 1 {
-		e.workers = 1
-	}
-	if e.workers > n {
-		e.workers = n
-	}
-	e.shards = make([]shard, e.workers)
-	per := (n + e.workers - 1) / e.workers
-	for i := range e.shards {
-		lo := i * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		e.shards[i] = shard{lo: lo, hi: hi}
-	}
-
 	return e, nil
 }
 
@@ -562,7 +567,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 // goroutines otherwise. fn must only touch shard-local buffers and
 // per-node state owned by the shard's range.
 func (e *engine) parallel(fn func(s *shard)) {
-	if e.workers == 1 {
+	if len(e.shards) == 1 {
 		fn(&e.shards[0])
 		return
 	}
@@ -577,13 +582,26 @@ func (e *engine) parallel(fn func(s *shard)) {
 	wg.Wait()
 }
 
+// ownerOf is the index of the partition part holding node u.
+func (e *engine) ownerOf(u int32) int { return int(u) / e.per }
+
+// shardOf returns the execution shard that owns node u, or nil when u
+// belongs to another worker of a distributed run. Only a worker-sharded
+// engine, which owns every node, pays the division; a single shard is a
+// range test.
 func (e *engine) shardOf(u int32) *shard {
-	per := e.shards[0].hi - e.shards[0].lo
-	i := int(u) / per
-	if i >= len(e.shards) {
-		i = len(e.shards) - 1
+	if len(e.shards) > 1 {
+		return &e.shards[e.ownerOf(u)]
 	}
-	return &e.shards[i]
+	if s := &e.shards[0]; int(u) >= s.lo && int(u) < s.hi {
+		return s
+	}
+	return nil
+}
+
+// owned is the node range this engine's shards cover.
+func (e *engine) owned() (lo, hi int) {
+	return e.shards[0].lo, e.shards[len(e.shards)-1].hi
 }
 
 // push schedules ex: near deliveries into the calendar ring, far ones
@@ -656,37 +674,52 @@ func (e *engine) collectDue(round int) {
 
 // drainDue collects the exchanges completing at round into e.due in
 // (deliver, seq) order, applies schedule drops and payload accounting,
-// and routes per-endpoint delivery records to the owning shards.
+// and routes per-endpoint delivery records to the owning shards. On a
+// distributed shard worker only owned endpoints get records, and the
+// counters go to the initiating node's owner, so the workers' partial
+// sums reproduce the serial totals.
 func (e *engine) drainDue(round int) {
 	e.collectDue(round)
 	for i := range e.due {
 		ex := &e.due[i]
+		su := e.shardOf(ex.u)
 		// Adversity losses (ex.lost) were decided at initiation and are
 		// executed here: no payload, no delivery records.
 		if ex.lost {
-			e.res.Dropped++
+			if su != nil {
+				e.res.Dropped++
+			}
 			ex.uNews, ex.vNews = nil, nil
 			continue
 		}
-		e.res.Delivered++
-		// The journal prefix length at initiation is the full snapshot
-		// size: payload accounting is identical to the cloning engine.
-		e.res.RumorPayload += int64(ex.uEnd) + int64(ex.vEnd)
 		ex.uNews = e.views[ex.v].journal[ex.vStart:ex.vEnd]
 		ex.vNews = e.views[ex.u].journal[ex.uStart:ex.uEnd]
-		su := e.shardOf(ex.u)
-		su.recs = append(su.recs, uint32(i)<<1)
-		sv := e.shardOf(ex.v)
-		sv.recs = append(sv.recs, uint32(i)<<1|1)
+		if su != nil {
+			e.res.Delivered++
+			// The journal prefix length at initiation is the full snapshot
+			// size: payload accounting is identical to the cloning engine.
+			e.res.RumorPayload += int64(ex.uEnd) + int64(ex.vEnd)
+			su.recs = append(su.recs, uint32(i)<<1)
+		}
+		if sv := e.shardOf(ex.v); sv != nil {
+			sv.recs = append(sv.recs, uint32(i)<<1|1)
+		}
 	}
 }
 
 // deliverShard applies this shard's due deliveries: rumor gains, latency
 // discovery, informed bookkeeping and OnDeliver callbacks — all against
 // node state this shard owns. The news windows were captured at the
-// serial drain, so cross-shard journal reads see immutable data.
+// serial drain, so cross-shard journal reads see immutable data. A
+// distributed shard worker also appends every gain to its outgoing frame,
+// in application order: that is the owner's journal order, which every
+// replica must reproduce.
 func (e *engine) deliverShard(s *shard, round int) {
 	watched := int32(e.watched)
+	var gains []DistGain
+	if e.dist != nil {
+		gains = e.dist.frame.Gains
+	}
 	for _, enc := range s.recs {
 		ex := &e.due[enc>>1]
 		var self, peer, selfIdx int32
@@ -705,6 +738,9 @@ func (e *engine) deliverShard(s *shard, round int) {
 		for _, r := range news {
 			if nv.gain(int(r)) {
 				gained++
+				if e.dist != nil {
+					gains = append(gains, DistGain{Node: self, Rumor: r})
+				}
 			}
 		}
 		nv.known[selfIdx] = ex.latency
@@ -728,6 +764,9 @@ func (e *engine) deliverShard(s *shard, round int) {
 		})
 	}
 	s.recs = s.recs[:0]
+	if e.dist != nil {
+		e.dist.frame.Gains = gains
+	}
 }
 
 // finishDeliveries folds shard-local informed events into the global
@@ -800,55 +839,107 @@ func (e *engine) activateShard(s *shard, round int) {
 	}
 }
 
-// mergeIntents turns buffered activations into scheduled exchanges, in
-// node order across shards — the same order the serial engine uses, so
-// in-degree caps, jitter draws, sequence numbers and meta sampling are
-// identical for every worker count.
-func (e *engine) mergeIntents(round int) {
-	for si := range e.shards {
-		s := &e.shards[si]
-		for _, it := range s.intents {
-			u, idx := int(it.u), int(it.idx)
-			nv := e.views[u]
-			v := int(nv.nbrs[idx])
-			if e.inCount != nil {
-				if e.inCount[v] >= e.cfg.MaxInPerRound {
-					// Bounded in-degree: the connection is refused; the
-					// attempt still costs a message.
-					e.res.Messages++
-					e.res.Dropped++
+// fate decides, at initiation, whether the exchange u initiates with v
+// at round is lost in transit. It is fixed serially in node order:
+// schedule drops (a churned-out endpoint or flapped link anywhere in the
+// transit window) are static, and loss draws come from the initiator's
+// dedicated PCG stream — only for exchanges the schedule did not already
+// kill. A node initiates at most one exchange per round, so a shard
+// worker pre-drawing its own nodes' fates advances every stream exactly
+// as the serial merge does.
+func (e *engine) fate(u, v, round, deliver int) bool {
+	if e.adv.DownDuring(u, round, deliver) || e.adv.DownDuring(v, round, deliver) ||
+		e.adv.LinkDownDuring(u, v, round, deliver) {
+		return true
+	}
+	if e.advRNG != nil {
+		if p := e.adv.LossProb(u, v); p > 0 && e.advRNG[u].Float64() < p {
+			return true
+		}
+	}
+	return false
+}
+
+// mergeIntents turns this round's activations into scheduled exchanges,
+// in node order across shards — the same order for every worker and
+// shard count, so in-degree caps, jitter draws, sequence numbers and meta
+// sampling are identical in every execution mode. An ordinary engine
+// (frames == nil) resolves its local shards' intents here; a distributed
+// shard worker merges the barrier bundle, whose intents their owners
+// already resolved (peer, latency, loss fate): every intent advances the
+// global sequence number, but only exchanges touching the owned range are
+// scheduled, and the counters go to the initiator's owner. It returns the
+// earliest delivery round among the bundle's new exchanges, touching or
+// not (never for an ordinary engine, whose calendar holds them all).
+//
+// The body is deliberately one loop: split into resolve and schedule
+// calls it copies the 144-byte exch once more per exchange, which the
+// serial hot path measurably pays for.
+func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
+	d := e.dist
+	minNew := never
+	lists := len(e.shards)
+	if frames != nil {
+		lists = len(frames)
+	}
+	for li := 0; li < lists; li++ {
+		var local []actIntent
+		var wire []DistIntent
+		if frames == nil {
+			local = e.shards[li].intents
+			e.shards[li].intents = local[:0]
+		} else {
+			wire = frames[li].Intents
+		}
+		for i, cnt := 0, len(local)+len(wire); i < cnt; i++ {
+			var u, idx, v, vIdx, lat int
+			lost, mine := false, true
+			if frames == nil {
+				u, idx = int(local[i].u), int(local[i].idx)
+				nv := e.views[u]
+				v = int(nv.nbrs[idx])
+				if e.inCount != nil {
+					if e.inCount[v] >= e.cfg.MaxInPerRound {
+						// Bounded in-degree: the connection is refused; the
+						// attempt still costs a message.
+						e.res.Messages++
+						e.res.Dropped++
+						continue
+					}
+					e.inCount[v]++
+				}
+				lat = e.actualLatency(int(nv.lats[idx]))
+				vIdx = e.csr.PeerIndex(u, idx)
+				if e.adv != nil {
+					lost = e.fate(u, v, round, round+lat)
+				}
+			} else {
+				in := &wire[i]
+				u, idx, v, vIdx, lat, lost = int(in.U), int(in.Idx), int(in.V), int(in.VIdx), int(in.Lat), in.Lost
+				minNew = min(minNew, round+lat)
+				mine = e.shardOf(in.U) != nil
+				vOwned := e.shardOf(in.V) != nil
+				if !mine && !vOwned {
+					e.seq++
 					continue
 				}
-				e.inCount[v]++
+				if mine != vOwned && d.stats != nil {
+					d.stats.CrossIntents++
+				}
 			}
-			lat := e.actualLatency(int(nv.lats[idx]))
-			vIdx := e.csr.PeerIndex(u, idx)
 			ex := exch{
 				deliver:   round + lat,
 				initRound: round,
 				seq:       e.seq,
-				u:         it.u, v: int32(v),
-				uIdx: it.idx, vIdx: int32(vIdx),
+				u:         int32(u), v: int32(v),
+				uIdx: int32(idx), vIdx: int32(vIdx),
 				latency: int32(lat),
-				uEnd:    int32(len(nv.journal)),
+				uEnd:    int32(len(e.views[u].journal)),
 				vEnd:    int32(len(e.views[v].journal)),
+				lost:    lost,
 			}
-			if e.adv != nil {
-				// Fate is fixed here, serially in node order: schedule
-				// drops (a churned-out endpoint or flapped link anywhere
-				// in the transit window) are static, and loss draws come
-				// from the initiator's dedicated PCG stream — only for
-				// exchanges the schedule did not already kill.
-				ex.lost = e.adv.DownDuring(u, round, ex.deliver) ||
-					e.adv.DownDuring(v, round, ex.deliver) ||
-					e.adv.LinkDownDuring(u, v, round, ex.deliver)
-				if !ex.lost && e.advRNG != nil {
-					if p := e.adv.LossProb(u, v); p > 0 && e.advRNG[u].Float64() < p {
-						ex.lost = true
-					}
-				}
-			}
-			if e.sent != nil && !ex.lost {
+			e.seq++
+			if e.sent != nil && !lost {
 				// High-water marks advance only on exchanges that will
 				// deliver, so delta windows chain exactly over the
 				// delivered sequence of each edge: an adversity drop in
@@ -860,19 +951,30 @@ func (e *engine) mergeIntents(round int) {
 				e.sent[hu] = ex.uEnd
 				e.sent[hv] = ex.vEnd
 			}
-			e.seq++
+			// A remote endpoint's metadata is what its owner shipped over
+			// the meta sub-barrier (none when it has no MetaProducer).
 			if mp := e.meta[u]; mp != nil {
 				ex.uMeta = mp.Meta()
+			} else if d != nil {
+				if m, ok := d.remoteMeta[int32(u)]; ok {
+					ex.uMeta = m
+				}
 			}
 			if mp := e.meta[v]; mp != nil {
 				ex.vMeta = mp.Meta()
+			} else if d != nil {
+				if m, ok := d.remoteMeta[int32(v)]; ok {
+					ex.vMeta = m
+				}
 			}
 			e.push(ex, round)
-			e.res.Exchanges++
-			e.res.Messages += 2
+			if mine {
+				e.res.Exchanges++
+				e.res.Messages += 2
+			}
 		}
-		s.intents = s.intents[:0]
 	}
+	return minNew
 }
 
 // amnesia resets node u to its initial rumor assignment: the journal and
@@ -980,7 +1082,30 @@ func (e *engine) nextRound(round, soonest int, called bool) int {
 	return next
 }
 
+// ownedWaiting reports a live Waiter on the owned node range.
+func (e *engine) ownedWaiting(round int) bool {
+	lo, hi := e.owned()
+	for u := lo; u < hi; u++ {
+		if w := e.waiter[u]; w != nil && !e.down(u, round) && w.Waiting() {
+			return true
+		}
+	}
+	return false
+}
+
+// finish stamps the final round and completion flag on the result.
+func (e *engine) finish(round int, completed bool) (Result, error) {
+	e.res.Rounds = round
+	e.res.Completed = completed
+	return e.res, nil
+}
+
+// run is the round loop of every execution mode: serial and
+// worker-sharded engines run it as is, a distributed shard worker
+// (e.dist != nil) runs the same stages on its owned range and meets the
+// other workers at one barrier per round (distRun, dist.go).
 func (e *engine) run(stop StopFunc) (Result, error) {
+	d := e.dist
 	for round := e.startRound; round <= e.cfg.MaxRounds; {
 		// Capture barrier: the top of an iteration is the one point where
 		// no intermediate state exists — due is nil, shard buffers are
@@ -996,13 +1121,22 @@ func (e *engine) run(stop StopFunc) (Result, error) {
 		}
 		e.world.Round = round
 		e.applyFaultEvents(round)
+		if d != nil {
+			d.begin(round)
+		}
 		e.drainDue(round)
 		e.parallel(func(s *shard) { e.deliverShard(s, round) })
 		e.finishDeliveries(round)
-		if stop(e.world) {
-			e.res.Rounds = round
-			e.res.Completed = true
-			return e.res, nil
+		// The one ordering difference between the modes: an ordinary
+		// engine evaluates stop here, before activating. A shard worker
+		// needs the barrier to evaluate it, so it only captures what stop
+		// reads of protocol state, activates first — paying one barrier
+		// per round, not two — and evaluates stop inside the barrier
+		// against this pre-activation capture.
+		if d != nil {
+			d.frame.DonePre, d.frame.LeadPre = d.capture()
+		} else if stop(e.world) {
+			return e.finish(round, true)
 		}
 		if e.inCount != nil {
 			for i := range e.inCount {
@@ -1010,52 +1144,57 @@ func (e *engine) run(stop StopFunc) (Result, error) {
 			}
 		}
 		e.parallel(func(s *shard) { e.activateShard(s, round) })
-		for i := range e.shards {
-			if err := e.shards[i].err; err != nil {
-				return e.res, err
-			}
-		}
-		e.mergeIntents(round)
-		idle, called := true, false
-		minWake, sleeperWake := never, never
+
+		t := tally{quiet: true, soonest: never}
+		sleeperWake := never
 		for i := range e.shards {
 			s := &e.shards[i]
-			idle = idle && s.idle
-			called = called || s.called
-			if s.minWake < minWake {
-				minWake = s.minWake
-			}
+			t.quiet = t.quiet && s.idle
+			t.called = t.called || s.called
+			t.soonest = min(t.soonest, s.minWake)
 			// sleeperWake tracks the earliest round an alive Sleeper has
 			// explicitly scheduled (timers and the like): unlike the
 			// default wake-next-round of plain protocols, a declared
 			// future wake is pending activity and must suppress the
 			// idle-termination check.
-			if s.sleeperWake < sleeperWake {
-				sleeperWake = s.sleeperWake
-			}
+			sleeperWake = min(sleeperWake, s.sleeperWake)
 		}
-		if idle && e.pendingLen() == 0 && sleeperWake == never && e.nextAdvEvent >= len(e.advEvents) {
-			// Nothing in flight, nobody acted this round, and no
-			// leave/rejoin transition is still to come (a rejoin re-wakes
-			// its node; a leave can flip an alive-quantified stop).
-			// Unless a protocol is waiting on an internal timer (Waiter),
-			// nobody will ever act again and the run is over.
-			waiting := false
-			for u := 0; u < e.n; u++ {
-				if w := e.waiter[u]; w != nil && !e.down(u, round) && w.Waiting() {
-					waiting = true
-					break
+		// Quiet: nothing in flight, nobody initiated this round, and no
+		// leave/rejoin transition is still to come (a rejoin re-wakes its
+		// node; a leave can flip an alive-quantified stop). Unless a
+		// protocol is waiting on an internal timer (Waiter), nobody will
+		// ever act again. No intents means the merge below schedules
+		// nothing, so the calendar can be judged before it.
+		t.quiet = t.quiet && e.pendingLen() == 0 && sleeperWake == never && e.nextAdvEvent >= len(e.advEvents)
+		t.waiting = t.quiet && e.ownedWaiting(round)
+
+		var frames []*DistFrame
+		if d == nil {
+			for i := range e.shards {
+				if err := e.shards[i].err; err != nil {
+					return e.res, err
 				}
 			}
-			if !waiting {
-				e.res.Rounds = round
-				e.res.Completed = stop(e.world)
-				return e.res, nil
+		} else {
+			var stopped bool
+			var err error
+			if frames, stopped, err = d.barrier(round, stop, &t); err != nil {
+				return e.res, err
+			} else if stopped {
+				return e.finish(round, true)
 			}
 		}
-		round = e.nextRound(round, minWake, called)
+		t.soonest = min(t.soonest, e.mergeIntents(round, frames))
+		if t.quiet && !t.waiting {
+			// The run is over; stop is asked once more whether it ended
+			// complete (on a shard worker against the post-activation
+			// capture, the state an ordinary engine reads directly).
+			if d != nil {
+				d.loadCapture(frames, true)
+			}
+			return e.finish(round, stop(e.world))
+		}
+		round = e.nextRound(round, t.soonest, t.called)
 	}
-	e.res.Rounds = e.cfg.MaxRounds
-	e.res.Completed = false
-	return e.res, nil
+	return e.finish(e.cfg.MaxRounds, false)
 }

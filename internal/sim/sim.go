@@ -19,13 +19,20 @@
 //
 // The engine is event-driven. Rounds are not enumerated one by one;
 // instead an activation calendar tracks, per node, the next round at
-// which the node's protocol may act, and a delivery heap tracks in-flight
-// exchanges. The engine processes only rounds where something can happen
-// — a delivery, an eligible activation, or a scheduled fault event — and
-// jumps over idle spans, so a run costs O(events), not O(maxRounds·n). By
-// default a protocol is woken every round (exactly the classical loop:
-// push-pull behaves identically); protocols opt into sleeping by
-// implementing Sleeper. A delivery always re-wakes its endpoints.
+// which the node's protocol may act, and a delivery calendar — a ring of
+// per-round buckets, with an overflow heap for the rare deliveries beyond
+// its horizon — tracks in-flight exchanges. The engine processes only
+// rounds where something can happen — a delivery, an eligible activation,
+// or a scheduled fault event — and jumps over idle spans, so a run costs
+// O(events), not O(maxRounds·n). By default a protocol is woken every
+// round (exactly the classical loop: push-pull behaves identically);
+// protocols opt into sleeping by implementing Sleeper. A delivery always
+// re-wakes its endpoints.
+//
+// There is one round loop (engine.run). Serial, worker-sharded
+// (Config.Workers) and distributed (RunDist) runs execute the same
+// stages; they differ only in which nodes an engine owns and in whether
+// a barrier with other workers sits between activation and merge.
 //
 // # Rumor transport
 //
@@ -34,9 +41,10 @@
 // a prefix of u's journal, so an exchange records two (start,end) journal
 // windows instead of cloning two O(n)-bit sets. Per-edge high-water marks
 // shrink the windows to deltas (only rumors gained since the previous
-// exchange on that edge); dropped exchanges cannot violate this because,
-// with deterministic latencies, drops on an edge always form a suffix of
-// its exchange sequence. Under LatencyJitter (where completions can
+// exchange on that edge). A mark advances only on an exchange that will
+// deliver — its fate is fixed at initiation — so the windows chain over
+// the delivered sequence of each edge and a drop anywhere in an edge's
+// history cannot eat rumors. Under LatencyJitter (where completions can
 // reorder) the engine conservatively falls back to full-prefix windows.
 // Delivered payload accounting is unchanged: the journal prefix length at
 // initiation time is the size of the full-state snapshot the model sends.
@@ -130,8 +138,8 @@ const (
 )
 
 // Delivery describes one completed exchange from the perspective of one
-// endpoint. The simulator has already merged PeerRumors into the node's
-// rumor set when OnDeliver is invoked.
+// endpoint. The simulator has already merged News into the node's rumor
+// set when OnDeliver is invoked.
 type Delivery struct {
 	// Round is the completion round (initiation round + edge latency).
 	Round int

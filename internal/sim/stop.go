@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"gossip/internal/adversity"
 	"gossip/internal/bitset"
 	"gossip/internal/graph"
@@ -98,11 +100,9 @@ func StopAllAliveInformed(r graph.NodeID) StopFunc {
 // watched rumor the check is a word-level subset test of the survivor
 // mask against the engine-maintained informed tally.
 func StopAllSurvivorsInformed(r graph.NodeID, spec *adversity.Spec) StopFunc {
-	var survivors *bitset.Set
+	lazy := lazySurvivors(spec)
 	return func(w *World) bool {
-		if survivors == nil {
-			survivors = survivorSet(len(w.Views), spec)
-		}
+		survivors := lazy(len(w.Views))
 		if w.informed != nil && r == w.watched {
 			return survivors.SubsetOf(w.informed)
 		}
@@ -115,15 +115,23 @@ func StopAllSurvivorsInformed(r graph.NodeID, spec *adversity.Spec) StopFunc {
 	}
 }
 
-// survivorSet is the mask of nodes spec never permanently removes.
-func survivorSet(n int, spec *adversity.Spec) *bitset.Set {
-	survivors := bitset.New(n)
-	for u := 0; u < n; u++ {
-		if !spec.NeverReturns(u) {
-			survivors.Add(u)
-		}
+// lazySurvivors returns the mask of nodes spec never permanently removes,
+// built at the first call (a StopFunc learns n only from its World) and
+// exactly once: the shard workers of RunDistLocal share one StopFunc.
+func lazySurvivors(spec *adversity.Spec) func(n int) *bitset.Set {
+	var once sync.Once
+	var survivors *bitset.Set
+	return func(n int) *bitset.Set {
+		once.Do(func() {
+			survivors = bitset.New(n)
+			for u := 0; u < n; u++ {
+				if !spec.NeverReturns(u) {
+					survivors.Add(u)
+				}
+			}
+		})
+		return survivors
 	}
-	return survivors
 }
 
 // Per-shard leader summaries of a distributed run (World.distLeader):
@@ -148,11 +156,9 @@ const (
 // combines the per-shard leader summaries every owner captured at the
 // same point of the round the serial engine would read its facets.
 func StopLeaderStable(spec *adversity.Spec) StopFunc {
-	var survivors *bitset.Set
+	lazy := lazySurvivors(spec)
 	return func(w *World) bool {
-		if survivors == nil {
-			survivors = survivorSet(len(w.Views), spec)
-		}
+		survivors := lazy(len(w.Views))
 		leader := LeaderAgnostic
 		if w.distLeader != nil {
 			for _, l := range w.distLeader {
@@ -200,11 +206,9 @@ func StopLeaderStable(spec *adversity.Spec) StopFunc {
 // state, which distributed workers replicate for all nodes, so it is
 // shard-safe with no extra barrier traffic.
 func StopRootAcked(root graph.NodeID, spec *adversity.Spec) StopFunc {
-	var survivors *bitset.Set
+	lazy := lazySurvivors(spec)
 	return func(w *World) bool {
-		if survivors == nil {
-			survivors = survivorSet(len(w.Views), spec)
-		}
+		survivors := lazy(len(w.Views))
 		rv := w.Views[root]
 		if len(rv.journal) < survivors.Count() {
 			return false
@@ -237,19 +241,8 @@ func StopAllDone() StopFunc {
 			}
 			return true
 		}
-		if w.dones != nil {
-			for u, dr := range w.dones {
-				if dr != nil && w.Alive(u) && !dr.Done() {
-					return false
-				}
-			}
-			return true
-		}
-		for u, p := range w.Protos {
-			if !w.Alive(u) {
-				continue
-			}
-			if dr, ok := p.(DoneReporter); ok && !dr.Done() {
+		for u, dr := range w.dones {
+			if dr != nil && w.Alive(u) && !dr.Done() {
 				return false
 			}
 		}

@@ -257,26 +257,27 @@ func (m *TCPMesh) readLoop(conn net.Conn, helloed chan<- int) {
 		buf = payload
 		switch kind {
 		case FrameData:
-			from, rest, err := readVarint(payload)
+			from, rest, err := api.ReadUvarint(payload)
 			if err != nil {
 				return
 			}
-			to, rest, err := readVarint(rest)
+			v, rest, err := api.ReadUvarint(rest)
 			if err != nil {
 				return
 			}
+			to := int(v)
 			if to < m.lo || to >= m.hi {
 				continue // misrouted; drop
 			}
 			// The payload aliases the read scratch; copy before queueing.
-			m.ib.deliver(Packet{From: from, To: to, Payload: append([]byte(nil), rest...)})
+			m.ib.deliver(Packet{From: int(from), To: to, Payload: append([]byte(nil), rest...)})
 		case FrameControl:
-			from, rest, err := readVarint(payload)
+			from, rest, err := api.ReadUvarint(payload)
 			if err != nil {
 				return
 			}
 			select {
-			case m.ctrl <- ControlMsg{FromProc: from, Payload: append([]byte(nil), rest...)}:
+			case m.ctrl <- ControlMsg{FromProc: int(from), Payload: append([]byte(nil), rest...)}:
 			default:
 				m.ib.drops.Add(1)
 			}
@@ -284,14 +285,6 @@ func (m *TCPMesh) readLoop(conn net.Conn, helloed chan<- int) {
 			return
 		}
 	}
-}
-
-func readVarint(p []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("transport: truncated varint")
-	}
-	return int(v), p[n:], nil
 }
 
 // owner returns the process hosting node id.
