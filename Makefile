@@ -16,7 +16,7 @@ COVER_MIN := 84.5
 
 .PHONY: all build test race bench bench-json bench-baseline bench-compare \
 	determinism cover fuzz-smoke staticcheck fmt vet experiments serve \
-	load-smoke distributed-smoke netcheck docs docs-check lint-docs clean
+	load-smoke distributed-smoke netcheck docs docs-check lint-docs ab clean
 
 all: build test
 
@@ -210,6 +210,16 @@ lint-docs:
 		echo "lint-docs: packages missing a package doc comment:"; echo "$$out"; exit 1; \
 	fi; \
 	echo "lint-docs: every package documented"
+
+# The A/B behind every performance claim: PAIRS interleaved runs of
+# benchmark/run.sh on the committed tree at PARENT and on the working
+# tree, medians, quartiles and pairs won per end-to-end metric. Its
+# output is what a docs/TRAJECTORY.md row records.
+PARENT ?= HEAD
+WORKLOAD ?= sim-latency
+PAIRS ?= 10
+ab:
+	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # The git-ignored products of the targets above and of benchmark/run.sh.
 clean:

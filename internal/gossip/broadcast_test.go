@@ -252,7 +252,7 @@ func TestPatternReachesDistanceK(t *testing.T) {
 	g.MustAddEdge(3, 4, 4)
 	// T(4): nodes within distance 4 must know each other afterwards.
 	var out BroadcastResult
-	rumors, err := runPattern(g, 4, DriverOptions{Seed: 7}, &out, nil, "t")
+	rumors, err := runPattern(4, DriverOptions{Seed: 7, ExecOptions: ExecOptions{CSR: g.CSR()}}, &out, nil, "t")
 	if err != nil {
 		t.Fatal(err)
 	}

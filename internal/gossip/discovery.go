@@ -61,6 +61,7 @@ func (d *Discover) NextWake(round int) int {
 func runDiscovery(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
 	res, err := fromSimResult(sim.Run(sim.Config{
 		Graph:         g,
+		CSR:           opts.CSR,
 		Workers:       opts.Workers,
 		Seed:          opts.Seed,
 		MaxRounds:     opts.MaxRounds,

@@ -24,6 +24,11 @@ var distributable = map[string]bool{
 	"echo":      true,
 }
 
+// DistributableNames returns the sorted canonical names of the
+// distributable drivers — the list every "does not support distributed
+// execution" message quotes.
+func DistributableNames() []string { return slices.Sorted(maps.Keys(distributable)) }
+
 // Distributable reports whether the named driver supports distributed
 // (multi-process sharded) execution.
 func Distributable(name string) bool {
@@ -42,8 +47,7 @@ func PrepareDist(name string, g *graph.Graph, opts DriverOptions) (sim.Config, s
 		return sim.Config{}, nil, nil, fmt.Errorf("gossip: unknown driver %q", name)
 	}
 	if !distributable[d.Name] {
-		names := slices.Sorted(maps.Keys(distributable))
-		return sim.Config{}, nil, nil, fmt.Errorf("gossip: driver %q does not support distributed execution (distributable: %s)", d.Name, strings.Join(names, ", "))
+		return sim.Config{}, nil, nil, fmt.Errorf("gossip: driver %q does not support distributed execution (distributable: %s)", d.Name, strings.Join(DistributableNames(), ", "))
 	}
 	if opts.Stop != nil {
 		// A caller-supplied closure cannot be shipped to workers, and a

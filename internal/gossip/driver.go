@@ -55,13 +55,12 @@ type ExecOptions struct {
 	// never permanently removes, including temporarily-churned nodes,
 	// which must be informed after rejoining.
 	Adversity *adversity.Spec
-	// CSR supplies the topology in compressed sparse row form. The
-	// single-phase drivers (push-pull, flood, dtg, superstep, echo,
-	// election) accept it with a nil *graph.Graph — the million-node
-	// path, where the adjacency-map representation is never
-	// materialized. The pipeline drivers (rr, spanner, pattern, auto)
-	// still need the legacy graph and run their phases on it, ignoring
-	// CSR.
+	// CSR supplies the topology in compressed sparse row form. Every
+	// registered driver accepts it with a nil *graph.Graph — the
+	// million-node path, where the adjacency-map representation is never
+	// materialized. The engine executes on the CSR either way: a run
+	// given only a *graph.Graph converts it once at entry, and a pipeline
+	// hands that one CSR to all of its phases.
 	CSR *graph.CSR
 }
 
@@ -259,8 +258,8 @@ type Driver struct {
 	Description string
 	// Options is the schema: the DriverOptions fields this driver reads.
 	Options []OptionDoc
-	// Run executes the protocol on g. Drivers that supply Prepare may
-	// leave Run nil; Register derives it.
+	// Run executes the protocol on opts.CSR, or on g when that is nil.
+	// Drivers that supply Prepare may leave Run nil; Register derives it.
 	Run func(g *graph.Graph, opts DriverOptions) (DriverResult, error)
 	// Prepare expands the options into the single sim.Run invocation the
 	// driver amounts to, without executing it. Only single-phase drivers
@@ -326,8 +325,8 @@ func Names() []string {
 	return out
 }
 
-// Dispatch runs the named driver on g (or on opts.CSR when g is nil and
-// the driver supports CSR-only topologies).
+// Dispatch runs the named driver on opts.CSR, or on g when no CSR is
+// supplied; with a CSR, g may be nil for every driver.
 func Dispatch(name string, g *graph.Graph, opts DriverOptions) (DriverResult, error) {
 	d, ok := Lookup(name)
 	if !ok {
@@ -348,13 +347,14 @@ func topologyN(g *graph.Graph, opts DriverOptions) int {
 	return opts.CSR.N()
 }
 
-// needGraph guards the pipeline drivers that require the adjacency-map
-// representation (spanner construction, latency filters over g).
-func needGraph(name string, g *graph.Graph) error {
-	if g == nil {
-		return fmt.Errorf("gossip: driver %q requires an adjacency-map graph (CSR-only topologies are supported by push-pull, flood, dtg, superstep, echo and election)", name)
+// topology resolves the one CSR a run executes on: the caller's, or g
+// converted once. Pipelines call it at entry and hand the result to every
+// phase through phaseExec.
+func topology(g *graph.Graph, opts DriverOptions) *graph.CSR {
+	if opts.CSR != nil {
+		return opts.CSR
 	}
-	return nil
+	return g.CSR()
 }
 
 // fromSimResult normalizes a single-phase simulation outcome.
@@ -584,9 +584,6 @@ func init() {
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
 		Run: func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			if err := needGraph("spanner", g); err != nil {
-				return DriverResult{}, err
-			}
 			return fromBroadcastResult(SpannerBroadcast(g, opts))
 		},
 	})
@@ -600,9 +597,6 @@ func init() {
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
 		Run: func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			if err := needGraph("pattern", g); err != nil {
-				return DriverResult{}, err
-			}
 			return fromBroadcastResult(PatternBroadcast(g, opts))
 		},
 	})
@@ -617,9 +611,6 @@ func init() {
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
 		Run: func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			if err := needGraph("auto", g); err != nil {
-				return DriverResult{}, err
-			}
 			res, err := Unified(g, opts)
 			if err != nil {
 				return DriverResult{}, err

@@ -102,6 +102,41 @@ func TestCrashBatchIsForeverChurn(t *testing.T) {
 	}
 }
 
+// TestPipelinesRunOnCSROnly pins that the pipeline drivers execute on the
+// CSR alone: handed only g.CSR() they report, field for field, what they
+// report for g — phases, spanner shape and winner included — with and
+// without a fault schedule.
+func TestPipelinesRunOnCSROnly(t *testing.T) {
+	ring, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 6, Layers: 4, Latency: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fname, g := range map[string]*graph.Graph{
+		"grid":     graphgen.Grid(4, 4, 2),
+		"dumbbell": graphgen.Dumbbell(5, 6),
+		"ring":     ring,
+	} {
+		for _, name := range []string{"rr", "spanner", "pattern", "auto"} {
+			for _, spec := range []*adversity.Spec{nil, adversity.MustParseSpec("loss=0.05;churn=1:4-30:amnesia;crash=6:2")} {
+				run := func(g *graph.Graph, csr *graph.CSR) DriverResult {
+					res, err := Dispatch(name, g, DriverOptions{
+						Seed: 7, KnownLatencies: true, MaxRounds: 1 << 15,
+						ExecOptions: ExecOptions{Adversity: spec, CSR: csr},
+					})
+					if err != nil {
+						t.Fatalf("%s/%s: %v", fname, name, err)
+					}
+					res.Sim = nil // per-run engine state; the reported fields are what must agree
+					return res
+				}
+				if a, b := run(g, nil), run(nil, g.CSR()); !reflect.DeepEqual(a, b) {
+					t.Errorf("%s/%s (faults %v): graph and CSR-only runs disagree:\n graph %+v\n csr   %+v", fname, name, spec != nil, a, b)
+				}
+			}
+		}
+	}
+}
+
 func TestSpannerDriverDefaultsLBTimeout(t *testing.T) {
 	// FaultTolerant with LBTimeout 0 must pick a timeout above any round
 	// trip (2·ℓmax + slack) rather than disabling abandonment.

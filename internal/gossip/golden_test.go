@@ -211,3 +211,25 @@ func TestEngineGolden(t *testing.T) {
 		fmt.Println("engine no longer reproduces the pre-refactor goldens")
 	}
 }
+
+// TestSpannerShapeGolden pins what the pipeline reports about the last
+// spanner it built on the golden topologies. The values were recorded
+// when every rr and check phase built (and measured) its own spanner;
+// one shared spanner per guess must report the same shape.
+func TestSpannerShapeGolden(t *testing.T) {
+	want := map[string][2]int{ // edges, max out-degree
+		"clique16":  {53, 4},
+		"dumbbell8": {31, 3},
+		"er24":      {69, 5},
+		"path12":    {11, 2},
+	}
+	for name, g := range goldenGraphs() {
+		sb, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 11, MaxRounds: goldenMaxRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]int{sb.SpannerEdges, sb.SpannerMaxOut}; got != want[name] {
+			t.Errorf("%s: spanner edges/max-out = %v, golden %v", name, got, want[name])
+		}
+	}
+}

@@ -45,25 +45,27 @@ func PatternSequence(k int) ([]int, error) {
 // permanently gone, as in SpannerBroadcast.
 func PatternBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
 	var out BroadcastResult
-	if err := g.Validate(); err != nil {
+	csr := topology(g, opts)
+	if err := csr.Validate(); err != nil {
 		return out, fmt.Errorf("gossip: pattern broadcast: %w", err)
 	}
+	opts.CSR = csr
 	known := opts.D > 0
 	guess := 1
 	if known {
 		guess = nextPow2(opts.D)
 	}
-	cap64 := int64(g.N()) * int64(g.MaxLatency()) * 4
+	cap64 := int64(csr.N()) * int64(csr.MaxLatency()) * 4
 	var rumors []*bitset.Set
 	for {
 		var err error
-		rumors, err = runPattern(g, guess, opts, &out, rumors, "t")
+		rumors, err = runPattern(guess, opts, &out, rumors, "t")
 		if err != nil {
 			return out, err
 		}
 		done := rumorsFullAlive(rumors, opts.Adversity)
 		if !opts.SkipCheck || !known {
-			rumors, err = runPattern(g, guess, opts, &out, rumors, "check")
+			rumors, err = runPattern(guess, opts, &out, rumors, "check")
 			if err != nil {
 				return out, err
 			}
@@ -84,16 +86,16 @@ func PatternBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, erro
 	}
 }
 
-// runPattern executes one full T(guess) schedule, recorded in out as the
-// single phase tag(k=guess).
-func runPattern(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
+// runPattern executes one full T(guess) schedule on opts.CSR, recorded in
+// out as the single phase tag(k=guess).
+func runPattern(guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
 	seqEll, err := PatternSequence(guess)
 	if err != nil {
 		return nil, err
 	}
 	var total DriverResult
 	for i, ell := range seqEll {
-		res, err := Dispatch("dtg", g, DriverOptions{
+		res, err := Dispatch("dtg", nil, DriverOptions{
 			Ell:           ell,
 			Seed:          opts.Seed + uint64(i)*31 + 7,
 			MaxRounds:     opts.MaxRounds,

@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"fmt"
+
 	"gossip/internal/graph"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
@@ -77,42 +79,46 @@ func (r *RR) NextWake(round int) int {
 // re-preparing a variant against a frozen snapshot reproduces the
 // schedule bit-identically.
 func prepareRR(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-	if err := needGraph("rr", g); err != nil {
-		return sim.Config{}, nil, nil, err
-	}
+	csr := topology(g, opts)
+	n := csr.N()
 	sp := opts.Spanner
 	if sp == nil {
-		kCluster := log2CeilInt(g.N())
-		if kCluster < 1 {
-			kCluster = 1
-		}
 		var err error
-		sp, err = spanner.Build(g, spanner.Options{K: kCluster, Seed: opts.Seed ^ 0x5bd1e995})
+		sp, err = spanner.BuildCSR(csr, spanner.Options{Seed: opts.Seed ^ 0x5bd1e995})
 		if err != nil {
 			return sim.Config{}, nil, nil, err
 		}
 	}
+	if len(sp.Out) != n {
+		return sim.Config{}, nil, nil, fmt.Errorf("gossip: rr spanner has %d nodes, topology has %d", len(sp.Out), n)
+	}
 	k := opts.K
 	if k <= 0 {
-		k = g.MaxLatency()
+		k = csr.MaxLatency()
 	}
-	outIdx := make([][]int, g.N())
+	// slot[v] is v's adjacency index at the node being scanned; only the
+	// current node's neighbors are read back, so it is never reset.
+	slot := make([]int, n)
+	outIdx := make([][]int, n)
 	maxOut := 0
-	for u := 0; u < g.N(); u++ {
-		nbrs := g.Neighbors(u)
-		pos := make(map[graph.NodeID]int, len(nbrs))
-		for i, nb := range nbrs {
-			pos[nb.ID] = i
+	for u := 0; u < n; u++ {
+		nbrs := csr.NeighborIDs(u)
+		for i, v := range nbrs {
+			slot[v] = i
 		}
+		idx := make([]int, 0, len(sp.Out[u]))
 		for _, e := range sp.Out[u] {
 			if e.Latency > k {
 				continue
 			}
-			outIdx[u] = append(outIdx[u], pos[e.ID])
+			i := slot[e.ID]
+			if i >= len(nbrs) || int(nbrs[i]) != e.ID {
+				return sim.Config{}, nil, nil, fmt.Errorf("gossip: rr spanner edge (%d,%d) is not in the topology", u, e.ID)
+			}
+			idx = append(idx, i)
 		}
-		if len(outIdx[u]) > maxOut {
-			maxOut = len(outIdx[u])
-		}
+		outIdx[u] = idx
+		maxOut = max(maxOut, len(idx))
 	}
 	budget := opts.Budget
 	if budget <= 0 {
@@ -123,7 +129,7 @@ func prepareRR(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim
 		stop = sim.StopOr(opts.Stop, stop)
 	}
 	return sim.Config{
-		Graph:          g,
+		CSR:            csr,
 		Workers:        opts.Workers,
 		Seed:           opts.Seed,
 		KnownLatencies: true,

@@ -77,12 +77,14 @@ func (r *BroadcastResult) addPhase(name string, res DriverResult) {
 // permanently gone.
 func SpannerBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
 	var out BroadcastResult
-	if err := g.Validate(); err != nil {
+	csr := topology(g, opts)
+	if err := csr.Validate(); err != nil {
 		return out, fmt.Errorf("gossip: spanner broadcast: %w", err)
 	}
+	opts.CSR = csr
 	if opts.FaultTolerant && opts.LBTimeout <= 0 {
 		// Safely above any single round trip.
-		opts.LBTimeout = 2*g.MaxLatency() + 4
+		opts.LBTimeout = 2*csr.MaxLatency() + 4
 	}
 	known := opts.D > 0
 	guess := opts.D
@@ -90,25 +92,35 @@ func SpannerBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, erro
 		guess = 1
 	}
 	// Diameter never exceeds (n-1)·ℓmax; one more doubling detects it.
-	cap64 := int64(g.N()) * int64(g.MaxLatency()) * 2
+	cap64 := int64(csr.N()) * int64(csr.MaxLatency()) * 2
+	reps := spanner.DefaultK(csr.N()) // ⌈log₂ n⌉ gather repetitions; also the spanner's depth
 	var rumors []*bitset.Set
 	for {
 		var err error
-		rumors, err = spannerPipeline(g, guess, opts, &out, rumors)
+		rumors, err = gatherNeighborhood(guess, reps, opts, &out, rumors)
 		if err != nil {
 			return out, err
 		}
-		done := rumorsFullAlive(rumors, opts.Adversity)
+		// One spanner of G_guess per guess: the rr pass and the
+		// Termination_Check pass broadcast over the same orientation.
+		sp, err := spanner.BuildCSR(csr, spanner.Options{Seed: opts.Seed ^ 0x5bd1e995, MaxLatency: guess})
+		if err != nil {
+			return out, err
+		}
+		out.SpannerEdges, out.SpannerMaxOut = sp.NumEdges(), sp.MaxOutDegree()
+		rumors, err = runRRPhase(sp, guess, opts, &out, rumors, "rr")
+		if err != nil {
+			return out, err
+		}
 		if !opts.SkipCheck || !known {
 			// Termination_Check: one more RR-style broadcast pass.
-			rumors, err = runRRPhase(g, guess, opts, &out, rumors, "check")
+			rumors, err = runRRPhase(sp, guess, opts, &out, rumors, "check")
 			if err != nil {
 				return out, err
 			}
-			done = rumorsFullAlive(rumors, opts.Adversity)
 		}
 		out.FinalGuess = guess
-		if done {
+		if rumorsFullAlive(rumors, opts.Adversity) {
 			out.Completed = true
 			return out, nil
 		}
@@ -122,13 +134,15 @@ func SpannerBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, erro
 	}
 }
 
-// spannerPipeline runs the DTG repetitions and the RR broadcast for one
-// diameter guess, returning the carried rumor sets.
-func spannerPipeline(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set) ([]*bitset.Set, error) {
+// gatherNeighborhood runs one diameter guess's neighborhood collection on
+// opts.CSR — latency discovery when latencies are unknown, then reps
+// repetitions of guess-DTG (or Superstep) — returning the carried rumor
+// sets.
+func gatherNeighborhood(guess, reps int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set) ([]*bitset.Set, error) {
 	if !opts.KnownLatencies {
-		res, err := runDiscovery(g, DriverOptions{
+		res, err := runDiscovery(nil, DriverOptions{
 			Seed:          opts.Seed,
-			MaxRounds:     g.MaxDegree() + guess,
+			MaxRounds:     opts.CSR.MaxDegree() + guess,
 			InitialRumors: rumors,
 			ExecOptions:   phaseExec(opts, out.Rounds),
 		})
@@ -138,16 +152,12 @@ func spannerPipeline(g *graph.Graph, guess int, opts DriverOptions, out *Broadca
 		out.addPhase(fmt.Sprintf("discover(k=%d)", guess), res)
 		rumors = res.Sim.FinalRumors()
 	}
-	reps := log2CeilInt(g.N())
-	if reps < 1 {
-		reps = 1
-	}
 	gather := "dtg"
 	if opts.FaultTolerant {
 		gather = "superstep"
 	}
 	for rep := 0; rep < reps; rep++ {
-		res, err := Dispatch(gather, g, DriverOptions{
+		res, err := Dispatch(gather, nil, DriverOptions{
 			Ell:           guess,
 			LBTimeout:     opts.LBTimeout,
 			Seed:          opts.Seed + uint64(rep) + 1,
@@ -161,40 +171,28 @@ func spannerPipeline(g *graph.Graph, guess int, opts DriverOptions, out *Broadca
 		out.addPhase(fmt.Sprintf("%s(ℓ=%d,#%d)", gather, guess, rep+1), res)
 		rumors = res.Sim.FinalRumors()
 	}
-	return runRRPhase(g, guess, opts, out, rumors, "rr")
+	return rumors, nil
 }
 
 // phaseExec is the execution surface of a pipeline phase that starts
 // after offset rounds: the fault schedule rebased to the phase's round
-// zero, the same worker count, and the pipeline's graph (never opts.CSR).
+// zero, the same worker count, and the pipeline's one topology.
 func phaseExec(opts DriverOptions, offset int) ExecOptions {
-	return ExecOptions{Adversity: opts.Adversity.Shift(offset), Workers: opts.Workers}
+	return ExecOptions{Adversity: opts.Adversity.Shift(offset), Workers: opts.Workers, CSR: opts.CSR}
 }
 
-// runRRPhase builds the spanner for G_guess, runs one RR Broadcast with
-// parameter k = guess·(2·ceil(log2 n) - 1) — the spanner stretch bound
-// applied to the diameter guess — records it in out as phase tag(k=guess)
-// and returns the carried rumor sets.
-func runRRPhase(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
-	kCluster := log2CeilInt(g.N())
-	if kCluster < 1 {
-		kCluster = 1
-	}
-	sp, err := spanner.Build(g, spanner.Options{
-		K:          kCluster,
-		Seed:       opts.Seed ^ 0x5bd1e995,
-		MaxLatency: guess,
-	})
-	if err != nil {
-		return nil, err
-	}
+// runRRPhase runs one RR Broadcast over sp, the spanner of G_guess, with
+// parameter k = guess·(2·sp.K - 1) — the spanner stretch bound applied to
+// the diameter guess — records it in out as phase tag(k=guess) and
+// returns the carried rumor sets.
+func runRRPhase(sp *spanner.Spanner, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
 	stop := sim.StopAllHaveAll()
 	if opts.Adversity.HasFailures() {
 		stop = stopAliveHaveAlive(opts.Adversity)
 	}
-	res, err := Dispatch("rr", g, DriverOptions{
+	res, err := Dispatch("rr", nil, DriverOptions{
 		Spanner:       sp,
-		K:             guess * (2*kCluster - 1),
+		K:             guess * (2*sp.K - 1),
 		Seed:          opts.Seed ^ 0x27d4eb2f,
 		MaxRounds:     opts.MaxRounds,
 		InitialRumors: rumors,
@@ -205,7 +203,6 @@ func runRRPhase(g *graph.Graph, guess int, opts DriverOptions, out *BroadcastRes
 		return nil, err
 	}
 	out.addPhase(fmt.Sprintf("%s(k=%d)", tag, guess), res)
-	out.SpannerEdges, out.SpannerMaxOut = sp.NumEdges(), sp.MaxOutDegree()
 	return res.Sim.FinalRumors(), nil
 }
 
@@ -262,13 +259,4 @@ func stopAliveHaveAlive(spec *adversity.Spec) sim.StopFunc {
 		}
 		return true
 	}
-}
-
-func log2CeilInt(x int) int {
-	k, v := 0, 1
-	for v < x {
-		v <<= 1
-		k++
-	}
-	return k
 }

@@ -32,7 +32,8 @@ type UnifiedResult struct {
 // faces one network, so both arms see the same Adversity schedule.
 func Unified(g *graph.Graph, opts DriverOptions) (UnifiedResult, error) {
 	var out UnifiedResult
-	pp, err := Dispatch("push-pull", g, DriverOptions{
+	opts.CSR = topology(g, opts) // both arms face one network
+	pp, err := Dispatch("push-pull", nil, DriverOptions{
 		Source: opts.Source, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
 		ExecOptions: opts.ExecOptions,
 	})
@@ -40,7 +41,7 @@ func Unified(g *graph.Graph, opts DriverOptions) (UnifiedResult, error) {
 		return out, fmt.Errorf("gossip: unified push-pull arm: %w", err)
 	}
 	out.PushPull = *pp.Sim
-	sb, err := SpannerBroadcast(g, DriverOptions{
+	sb, err := SpannerBroadcast(nil, DriverOptions{
 		D:              opts.D,
 		KnownLatencies: opts.KnownLatencies,
 		Seed:           opts.Seed + 1,

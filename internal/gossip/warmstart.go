@@ -21,6 +21,7 @@ var ErrNoWarmStart = errors.New("gossip: driver does not support warm-start fork
 type WarmPrefix struct {
 	d    *Driver
 	g    *graph.Graph
+	csr  *graph.CSR // the one topology the prefix and every resume run on
 	snap *sim.Snapshot
 }
 
@@ -38,6 +39,7 @@ func Fork(name string, g *graph.Graph, base DriverOptions, atRound int) (*WarmPr
 	if g == nil && base.CSR == nil {
 		return nil, fmt.Errorf("gossip: driver %q needs a graph or a CSR topology", name)
 	}
+	base.CSR = topology(g, base)
 	cfg, factory, stop, err := d.Prepare(g, base)
 	if err != nil {
 		return nil, err
@@ -46,7 +48,7 @@ func Fork(name string, g *graph.Graph, base DriverOptions, atRound int) (*WarmPr
 	if err != nil {
 		return nil, err
 	}
-	return &WarmPrefix{d: d, g: g, snap: snap}, nil
+	return &WarmPrefix{d: d, g: g, csr: base.CSR, snap: snap}, nil
 }
 
 // Round is the barrier round actually captured (>= the requested round
@@ -63,6 +65,9 @@ func (w *WarmPrefix) Done() bool { return w.snap.Done() }
 // (see sim.Snapshot.Resume for the divergence semantics). An identical
 // variant reproduces the cold run bit-for-bit.
 func (w *WarmPrefix) Resume(variant DriverOptions) (DriverResult, error) {
+	if variant.CSR == nil {
+		variant.CSR = w.csr
+	}
 	cfg, factory, stop, err := w.d.Prepare(w.g, variant)
 	if err != nil {
 		return DriverResult{}, err

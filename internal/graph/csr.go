@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 )
 
 // CSR is an immutable compressed-sparse-row view of a latency graph: the
@@ -26,6 +27,11 @@ type CSR struct {
 	lat    []int32 // len 2m
 	mate   []int32 // len 2m
 	maxLat int
+
+	// Validate's verdict, computed once: the arrays never change after
+	// construction, and every engine phase of a pipeline asks.
+	validOnce sync.Once
+	validErr  error
 }
 
 // N returns the number of nodes.
@@ -50,6 +56,11 @@ func (c *CSR) NeighborIDs(u int) []int32 { return c.nbr[c.offs[u]:c.offs[u+1]] }
 // Latencies returns the latencies of u's incident edges as a read-only
 // view parallel to NeighborIDs.
 func (c *CSR) Latencies(u int) []int32 { return c.lat[c.offs[u]:c.offs[u+1]] }
+
+// Mates returns, parallel to NeighborIDs, the flat half-edge index of each
+// incident edge's reverse half — the key under which a per-half-edge side
+// table holds the neighbor's view of the same edge.
+func (c *CSR) Mates(u int) []int32 { return c.mate[c.offs[u]:c.offs[u+1]] }
 
 // PeerIndex returns the adjacency index of u in the list of its i-th
 // neighbor — the reverse-index lookup, O(1) via the mate table.
@@ -115,8 +126,14 @@ func (c *CSR) Connected() bool {
 // Validate checks the structural invariants of a paper-model network in
 // CSR form: at least one node, connected, positive latencies, and a
 // consistent mate involution (mate[mate[h]] == h with matching
-// endpoints and latencies).
+// endpoints and latencies). The CSR is immutable, so the check runs once
+// and every later call (from any goroutine) returns the same verdict.
 func (c *CSR) Validate() error {
+	c.validOnce.Do(func() { c.validErr = c.validate() })
+	return c.validErr
+}
+
+func (c *CSR) validate() error {
 	if c.n == 0 {
 		return fmt.Errorf("graph: empty CSR")
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -263,5 +264,51 @@ func TestQuickPathDiameter(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCSRValidateMemoized pins the once-only verdict: a valid CSR validated
+// from many goroutines at once is valid every time (the -race run checks
+// the sync), and an invalid one — a disconnected builder output, and a CSR
+// whose mate table was corrupted before its first validation — reports
+// the identical error on every call.
+func TestCSRValidateMemoized(t *testing.T) {
+	valid := New(4)
+	valid.MustAddEdge(0, 1, 1)
+	valid.MustAddEdge(1, 2, 2)
+	valid.MustAddEdge(2, 3, 1)
+	c := valid.CSR()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				if err := c.Validate(); err != nil {
+					t.Errorf("valid CSR: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	b := NewCSRBuilder(3)
+	b.MustAddEdge(0, 1, 1)
+	split, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := valid.CSR()
+	broken.mate[0] = broken.mate[1]
+	for name, bad := range map[string]*CSR{"disconnected": split, "broken mate": broken} {
+		first := bad.Validate()
+		if first == nil {
+			t.Fatalf("%s: Validate accepted an invalid CSR", name)
+		}
+		for i := 0; i < 3; i++ {
+			if again := bad.Validate(); again != first {
+				t.Fatalf("%s: Validate call %d returned %v, first call %v", name, i+2, again, first)
+			}
+		}
 	}
 }

@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gossip/internal/gossip"
+	"gossip/internal/graphgen"
 )
 
 // testFleet boots n real servers on loopback listeners sharing one
@@ -114,7 +117,7 @@ func TestFleetShardedRunMatchesSingle(t *testing.T) {
 // TestFleetShardValidation exercises the request-level gates of
 // distributed execution.
 func TestFleetShardValidation(t *testing.T) {
-	f := startTestFleet(t, 2, Config{Pool: 1})
+	f := startTestFleet(t, 3, Config{Pool: 1})
 	base := Request{
 		Driver: "push-pull",
 		Graph:  GraphSpec{Family: "clique", N: 16},
@@ -137,10 +140,19 @@ func TestFleetShardValidation(t *testing.T) {
 			t.Errorf("%s: %d %s (want 400 with %q)", tc.name, resp.StatusCode, body, tc.want)
 		}
 	}
+	// The server's refusal of a non-distributable driver is the gossip
+	// layer's own sentence (PrepareDist), list of drivers included.
+	req := base
+	req.Shards, req.Driver = 2, "auto"
+	_, ferr := f.servers[0].validate(req)
+	_, _, _, err := gossip.PrepareDist("auto", graphgen.Clique(16, 1), gossip.DriverOptions{})
+	if ferr == nil || err == nil || "gossip: "+ferr.Message != err.Error() {
+		t.Fatalf("non-distributable texts differ:\nserver: %v\ngossip: %v", ferr, err)
+	}
 	// No fleet at all: shards must be rejected outright.
 	single := httptest.NewServer(New(Config{}).Handler())
 	defer single.Close()
-	req := base
+	req = base
 	req.Shards = 2
 	resp, body := postSim(t, single.URL, req)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "needs a fleet") {

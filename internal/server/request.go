@@ -218,7 +218,7 @@ func (s *Server) validate(req Request) (*job, *FieldError) {
 			return nil, fieldErrf("shards", "shards %d exceeds the fleet's %d workers", req.Shards, len(workers))
 		}
 		if !gossip.Distributable(d.Name) {
-			return nil, fieldErrf("shards", "driver %q does not support distributed execution (distributable: push-pull, flood, dtg, superstep, election, echo)", d.Name)
+			return nil, fieldErrf("shards", "driver %q does not support distributed execution (distributable: %s)", d.Name, strings.Join(gossip.DistributableNames(), ", "))
 		}
 		if can.MaxInPerRound > 0 {
 			return nil, fieldErrf("shards", "distributed execution does not support max_in_per_round")

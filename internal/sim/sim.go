@@ -53,6 +53,7 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"gossip/internal/adversity"
 	"gossip/internal/bitset"
@@ -275,10 +276,10 @@ func (nv *NodeView) gain(r int) bool {
 // seedFrom bulk-seeds an empty node from a previous phase's rumor set:
 // the dense path is a word-level UnionCount instead of n per-bit probes,
 // which is what makes the multi-phase pipelines' between-phase carry-over
-// O(n/64) per node.
+// O(n/64) per node, and its popcount sizes the journal in one allocation.
 func (nv *NodeView) seedFrom(src *bitset.Set) {
 	if nv.rum.dense != nil && len(nv.journal) == 0 {
-		nv.rum.dense.UnionCount(src)
+		nv.journal = slices.Grow(nv.journal, nv.rum.dense.UnionCount(src))
 		src.ForEach(func(r int) { nv.journal = append(nv.journal, int32(r)) })
 		return
 	}
@@ -367,11 +368,16 @@ type Result struct {
 }
 
 // FinalRumors returns every node's rumor set at the end of the run as
-// dense bitsets (materialized from the gain journals), suitable for
+// dense bitsets (a word-level copy where the node already holds one,
+// materialized from the gain journal otherwise), suitable for
 // Config.InitialRumors of a follow-up phase.
 func (r Result) FinalRumors() []*bitset.Set {
 	out := make([]*bitset.Set, len(r.World.Views))
 	for i, nv := range r.World.Views {
+		if nv.rum.dense != nil {
+			out[i] = nv.rum.dense.Clone()
+			continue
+		}
 		s := bitset.New(nv.n)
 		for _, x := range nv.journal {
 			s.Add(int(x))

@@ -15,8 +15,9 @@ package spanner
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"gossip/internal/graph"
 )
@@ -26,15 +27,15 @@ import (
 type Spanner struct {
 	// K is the clustering depth; the undirected stretch is 2K-1.
 	K int
-	// Out[v] holds v's out-edges with their latencies.
-	Out [][]graph.Neighbor
-	n   int
+	// Out[v] holds v's out-edges with their latencies, sorted by ID.
+	Out   [][]graph.Neighbor
+	edges int
 }
 
 // Options configures Build.
 type Options struct {
 	// K is the number of clustering iterations (stretch 2K-1).
-	// Default ceil(log2 n).
+	// Default DefaultK(n).
 	K int
 	// NHat is the network-size estimate nˆ used for the sampling
 	// probability nˆ^(-1/k); the paper only needs n <= nˆ <= poly(n).
@@ -47,42 +48,51 @@ type Options struct {
 	MaxLatency int
 }
 
-// edgeKey orders edges by (latency, endpoints) — the distinct-weight
-// tie-break the paper prescribes ("use the unique node IDs to break ties").
-type edgeKey struct {
-	lat  int
-	u, v graph.NodeID
-}
-
-func keyOf(u, v graph.NodeID, lat int) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{lat: lat, u: u, v: v}
-}
-
-func (a edgeKey) less(b edgeKey) bool {
-	if a.lat != b.lat {
-		return a.lat < b.lat
-	}
-	if a.u != b.u {
-		return a.u < b.u
-	}
-	return a.v < b.v
-}
+// DefaultK is the clustering depth the paper uses on n >= 1 nodes:
+// ceil(log2 n), at least 1.
+func DefaultK(n int) int { return max(bits.Len(uint(n-1)), 1) }
 
 // Build runs the oriented Baswana-Sen construction on g.
 func Build(g *graph.Graph, opts Options) (*Spanner, error) {
-	n := g.N()
+	return BuildCSR(g.CSR(), opts)
+}
+
+// clusterEdge is the cheapest alive edge from the node being processed
+// into one adjacent cluster: half-edge h, reaching node to at latency lat.
+type clusterEdge struct {
+	center  graph.NodeID
+	h       int
+	to, lat int
+	// drop marks the cluster's edges for discarding once a rule has fired.
+	drop bool
+}
+
+// less orders two edges out of node v by (latency, smaller endpoint,
+// larger endpoint) — the distinct-weight tie-break the paper prescribes
+// ("use the unique node IDs to break ties").
+func (a *clusterEdge) less(b *clusterEdge, v graph.NodeID) bool {
+	if a.lat != b.lat {
+		return a.lat < b.lat
+	}
+	if alo, blo := min(v, a.to), min(v, b.to); alo != blo {
+		return alo < blo
+	}
+	return max(v, a.to) < max(v, b.to)
+}
+
+// BuildCSR runs the oriented Baswana-Sen construction on c, entirely over
+// the CSR half-edge arrays: an alive mask and a spanner mask per half-edge
+// (cleared in pairs through the mate table) and one per-center scratch
+// slot array, so the allocations are a fixed handful of flat slices
+// however many clustering iterations run.
+func BuildCSR(c *graph.CSR, opts Options) (*Spanner, error) {
+	n := c.N()
 	if n < 1 {
 		return nil, fmt.Errorf("spanner: empty graph")
 	}
 	k := opts.K
 	if k <= 0 {
-		k = log2Ceil(n)
-		if k < 1 {
-			k = 1
-		}
+		k = DefaultK(n)
 	}
 	nHat := opts.NHat
 	if nHat <= 0 {
@@ -94,52 +104,75 @@ func Build(g *graph.Graph, opts Options) (*Spanner, error) {
 	rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed^0xabcdef1234567891))
 	sampleP := math.Pow(float64(nHat), -1.0/float64(k))
 
-	sp := &Spanner{K: k, Out: make([][]graph.Neighbor, n), n: n}
-	addOut := func(from, to graph.NodeID, lat int) {
-		for _, e := range sp.Out[from] {
-			if e.ID == to {
-				return
-			}
-		}
-		sp.Out[from] = append(sp.Out[from], graph.Neighbor{ID: to, Latency: lat})
-	}
-
-	// alive[u] maps neighbor -> latency for edges still under
-	// consideration; both endpoint entries are removed together.
-	alive := make([]map[graph.NodeID]int, n)
+	// alive[h]: half-edge h is still under consideration; both halves of
+	// an edge leave together. out[h]: the edge is in the spanner, oriented
+	// away from h's owner.
+	alive := make([]bool, c.HalfEdges())
+	out := make([]bool, c.HalfEdges())
 	for u := 0; u < n; u++ {
-		alive[u] = make(map[graph.NodeID]int)
-	}
-	g.ForEachEdge(func(e graph.Edge) {
-		if opts.MaxLatency > 0 && e.Latency > opts.MaxLatency {
-			return
+		off := int(c.Offset(u))
+		for i, l := range c.Latencies(u) {
+			alive[off+i] = opts.MaxLatency <= 0 || int(l) <= opts.MaxLatency
 		}
-		alive[e.U][e.V] = e.Latency
-		alive[e.V][e.U] = e.Latency
-	})
+	}
 	// cluster[v] is the center of v's current cluster, or -1 once v has
-	// fallen out of the clustering (Rule 1 fired for v).
+	// fallen out of the clustering (Rule 1 fired for v). Surviving clusters
+	// are the sampled ones, which keep every member including the center,
+	// so ctr is an active center exactly when cluster[ctr] == ctr.
 	cluster := make([]graph.NodeID, n)
+	next := make([]graph.NodeID, n)
 	for v := range cluster {
 		cluster[v] = v // iteration 0: every node is its own center
 	}
+	sampled := make([]bool, n)
+	// slot[ctr] is 1 + the index in best of center ctr's entry while one
+	// node is being processed; best is also the touched list that resets it.
+	slot := make([]int32, n)
+	var best []clusterEdge
 
-	for it := 1; it < k; it++ {
-		// Sample the surviving centers. A deterministic pass in center
-		// order keeps runs reproducible.
-		sampled := make(map[graph.NodeID]bool)
-		centers := activeCenters(cluster)
-		for _, c := range centers {
-			if rng.Float64() < sampleP {
-				sampled[c] = true
+	// bestEdges fills best with the minimum alive edge from v into every
+	// adjacent cluster.
+	bestEdges := func(v graph.NodeID) {
+		best = best[:0]
+		off := int(c.Offset(v))
+		lats := c.Latencies(v)
+		for i, u := range c.NeighborIDs(v) {
+			ctr := cluster[u]
+			if !alive[off+i] || ctr < 0 {
+				continue // discarded, or the neighbor has left the clustering
+			}
+			e := clusterEdge{center: ctr, h: off + i, to: int(u), lat: int(lats[i])}
+			if s := slot[ctr]; s == 0 {
+				best = append(best, e)
+				slot[ctr] = int32(len(best))
+			} else if e.less(&best[s-1], v) {
+				best[s-1] = e
 			}
 		}
-		next := make([]graph.NodeID, n)
-		for v := range next {
-			next[v] = -1
+	}
+	// release discards every alive edge from v into a cluster marked drop
+	// and returns the slots bestEdges claimed.
+	release := func(v graph.NodeID) {
+		off := int(c.Offset(v))
+		mates := c.Mates(v)
+		for i, u := range c.NeighborIDs(v) {
+			if ctr := cluster[u]; alive[off+i] && ctr >= 0 && best[slot[ctr]-1].drop {
+				alive[off+i], alive[mates[i]] = false, false
+			}
 		}
-		// Members of sampled clusters stay put.
+		for i := range best {
+			slot[best[i].center] = 0
+		}
+	}
+
+	for it := 1; it < k; it++ {
+		// Sample the surviving centers; drawing in ascending center order
+		// keeps runs reproducible. Members of sampled clusters stay put.
+		for ctr := 0; ctr < n; ctr++ {
+			sampled[ctr] = cluster[ctr] == ctr && rng.Float64() < sampleP
+		}
 		for v := 0; v < n; v++ {
+			next[v] = -1
 			if cluster[v] >= 0 && sampled[cluster[v]] {
 				next[v] = cluster[v]
 			}
@@ -148,148 +181,90 @@ func Build(g *graph.Graph, opts Options) (*Spanner, error) {
 			if cluster[v] < 0 || next[v] >= 0 {
 				continue // out of the clustering, or in a sampled cluster
 			}
-			// Group v's alive edges by the neighbor's current cluster.
-			best := bestEdgePerCluster(v, alive[v], cluster)
-			// Q: adjacent *sampled* clusters.
-			var bestSampled *clusterEdge
+			bestEdges(v)
+			// e_v: the least edge into an adjacent *sampled* cluster.
+			var join *clusterEdge
+			for i := range best {
+				if ce := &best[i]; sampled[ce.center] && (join == nil || ce.less(join, v)) {
+					join = ce
+				}
+			}
+			// Rule 1 (no adjacent sampled cluster): keep the least weight
+			// edge to every adjacent cluster, discard the rest, and leave
+			// the clustering. Rule 2: join the closest sampled cluster via
+			// e_v and keep one edge to every adjacent cluster strictly
+			// cheaper than e_v. Either way all edges into the clusters so
+			// processed leave consideration — the joined one included,
+			// since e_v is already in the spanner and later iterations only
+			// look at inter-cluster edges.
 			for i := range best {
 				ce := &best[i]
-				if sampled[ce.center] {
-					if bestSampled == nil || ce.key.less(bestSampled.key) {
-						bestSampled = ce
-					}
+				if ce.drop = join == nil || ce == join || ce.less(join, v); ce.drop {
+					out[ce.h] = true
 				}
 			}
-			if bestSampled == nil {
-				// Rule 1: no adjacent sampled cluster. Keep the least
-				// weight edge to every adjacent cluster, discard the
-				// rest, and leave the clustering.
-				for _, ce := range best {
-					addOut(v, ce.to, ce.lat)
-					discardClusterEdges(v, alive, cluster, ce.center)
-				}
-				next[v] = -1
-			} else {
-				// Rule 2: join the closest sampled cluster via e_v, and
-				// keep one edge to every adjacent cluster strictly
-				// cheaper than e_v; discard all edges into the
-				// processed clusters.
-				addOut(v, bestSampled.to, bestSampled.lat)
-				next[v] = bestSampled.center
-				for _, ce := range best {
-					if ce.center == bestSampled.center {
-						continue
-					}
-					if ce.key.less(bestSampled.key) {
-						addOut(v, ce.to, ce.lat)
-						discardClusterEdges(v, alive, cluster, ce.center)
-					}
-				}
-				// All edges into the joined cluster leave consideration:
-				// e_v is already in the spanner and future iterations
-				// only look at inter-cluster edges.
-				discardClusterEdges(v, alive, cluster, bestSampled.center)
+			if join != nil {
+				next[v] = join.center
 			}
+			release(v)
 		}
-		cluster = next
+		cluster, next = next, cluster
 	}
 
 	// Final iteration: every node keeps its least weight edge to each
 	// adjacent surviving cluster.
 	for v := 0; v < n; v++ {
-		for _, ce := range bestEdgePerCluster(v, alive[v], cluster) {
-			addOut(v, ce.to, ce.lat)
+		bestEdges(v)
+		for i := range best {
+			out[best[i].h] = true
+			slot[best[i].center] = 0
 		}
 	}
-	for v := range sp.Out {
-		sort.Slice(sp.Out[v], func(i, j int) bool { return sp.Out[v][i].ID < sp.Out[v][j].ID })
+
+	// Materialize the out mask: Out lists carved from one backing array,
+	// and the undirected edge count (an edge oriented both ways is one).
+	sp := &Spanner{K: k, Out: make([][]graph.Neighbor, n)}
+	total := 0
+	for _, o := range out {
+		if o {
+			total++
+		}
+	}
+	backing := make([]graph.Neighbor, 0, total)
+	for v := 0; v < n; v++ {
+		off := int(c.Offset(v))
+		lats, mates := c.Latencies(v), c.Mates(v)
+		start := len(backing)
+		for i, u := range c.NeighborIDs(v) {
+			if !out[off+i] {
+				continue
+			}
+			backing = append(backing, graph.Neighbor{ID: int(u), Latency: int(lats[i])})
+			if m := int(mates[i]); !out[m] || off+i < m {
+				sp.edges++
+			}
+		}
+		sp.Out[v] = backing[start:len(backing):len(backing)]
+		slices.SortFunc(sp.Out[v], func(a, b graph.Neighbor) int { return a.ID - b.ID })
 	}
 	return sp, nil
 }
 
-// clusterEdge is the cheapest alive edge from a node into one cluster.
-type clusterEdge struct {
-	center graph.NodeID
-	to     graph.NodeID
-	lat    int
-	key    edgeKey
-}
-
-// bestEdgePerCluster returns, for every cluster adjacent to v over alive
-// edges, the minimum-key edge into it, in deterministic center order.
-func bestEdgePerCluster(v graph.NodeID, adj map[graph.NodeID]int, cluster []graph.NodeID) []clusterEdge {
-	best := make(map[graph.NodeID]clusterEdge)
-	for u, lat := range adj {
-		c := cluster[u]
-		if c < 0 {
-			continue // neighbor has left the clustering
-		}
-		k := keyOf(v, u, lat)
-		if cur, ok := best[c]; !ok || k.less(cur.key) {
-			best[c] = clusterEdge{center: c, to: u, lat: lat, key: k}
-		}
-	}
-	out := make([]clusterEdge, 0, len(best))
-	for _, ce := range best {
-		out = append(out, ce)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].center < out[j].center })
-	return out
-}
-
-// discardClusterEdges removes every alive edge from v into cluster c.
-func discardClusterEdges(v graph.NodeID, alive []map[graph.NodeID]int, cluster []graph.NodeID, c graph.NodeID) {
-	for u := range alive[v] {
-		if cluster[u] == c {
-			delete(alive[v], u)
-			delete(alive[u], v)
-		}
-	}
-}
-
-// activeCenters returns the distinct non-negative cluster centers.
-func activeCenters(cluster []graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
-	var out []graph.NodeID
-	for _, c := range cluster {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // NumEdges returns the number of distinct undirected spanner edges.
-func (s *Spanner) NumEdges() int {
-	seen := make(map[[2]graph.NodeID]bool)
-	for u, outs := range s.Out {
-		for _, e := range outs {
-			a, b := u, e.ID
-			if a > b {
-				a, b = b, a
-			}
-			seen[[2]graph.NodeID{a, b}] = true
-		}
-	}
-	return len(seen)
-}
+func (s *Spanner) NumEdges() int { return s.edges }
 
 // MaxOutDegree returns the maximum out-degree over all nodes.
 func (s *Spanner) MaxOutDegree() int {
-	max := 0
+	deg := 0
 	for _, outs := range s.Out {
-		if len(outs) > max {
-			max = len(outs)
-		}
+		deg = max(deg, len(outs))
 	}
-	return max
+	return deg
 }
 
 // AsGraph returns the undirected spanner as a graph on the same node set.
 func (s *Spanner) AsGraph() *graph.Graph {
-	g := graph.New(s.n)
+	g := graph.New(len(s.Out))
 	for u, outs := range s.Out {
 		for _, e := range outs {
 			if !g.HasEdge(u, e.ID) {
@@ -323,13 +298,4 @@ func (s *Spanner) Stretch(g *graph.Graph, pairs int, rng *rand.Rand) float64 {
 		}
 	}
 	return worst
-}
-
-func log2Ceil(x int) int {
-	k, v := 0, 1
-	for v < x {
-		v <<= 1
-		k++
-	}
-	return k
 }

@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Interleaved A/B of the repo's benchmark: the committed tree at
+# <parent-ref> against the working tree, one workload, seeds 1..pairs,
+# alternating which side runs first. Prints, per end-to-end metric of
+# BENCHMARK.json, each side's median and quartiles and the pairs the
+# change won (ties count for neither) — the protocol a perf PR's claim
+# and its docs/TRAJECTORY.md row rest on.
+#
+#   scripts/ab.sh <parent-ref> <workload> [pairs=10]
+#
+# The parent is exported with `git archive` into .bench_build/ab-parent
+# (git-ignored, rebuilt on every call), so each side builds and runs from
+# its own directory exactly as the PR driver does. A run that is not
+# "correct" with 0 failed ops aborts the comparison.
+set -euo pipefail
+if [ $# -lt 2 ]; then
+	echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+	exit 2
+fi
+ref=$1 workload=$2 pairs=${3:-10}
+root=$(cd "$(dirname "$0")/.." && pwd)
+parent="$root/.bench_build/ab-parent"
+rm -rf "$parent"
+mkdir -p "$parent"
+git -C "$root" archive "$ref" | tar -x -C "$parent"
+
+# run <side> <dir> <seed>: one untraced run; appends "<metric> <side>
+# <seed> <value>" rows to $rows.
+rows=$(mktemp)
+trap 'rm -f "$rows"' EXIT
+run() {
+	local side=$1 dir=$2 seed=$3 line
+	line=$(bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" --trace 0 | tail -n 1)
+	case $line in
+	'{"correct":true,'*'"failed":0,'*) ;;
+	*)
+		echo "ab: $side run (seed $seed) failed: $line" >&2
+		exit 1
+		;;
+	esac
+	echo "$line" | grep -o '"[a-z0-9_]*":{"value":[^,]*' |
+		sed -E "s/\"([a-z0-9_]*)\":\{\"value\":(.*)/\1 $side $seed \2/" >>"$rows"
+	echo "ab: seed $seed $side done" >&2
+}
+for seed in $(seq 1 "$pairs"); do
+	if [ $((seed % 2)) -eq 1 ]; then
+		run parent "$parent" "$seed"
+		run change "$root" "$seed"
+	else
+		run change "$root" "$seed"
+		run parent "$parent" "$seed"
+	fi
+done
+
+echo "workload $workload, parent $(git -C "$root" rev-parse --short "$ref"), $pairs interleaved pairs (seeds 1..$pairs)"
+printf '%-16s %-6s %12s %12s %12s   %12s %12s %12s   %s\n' metric better \
+	parent.q1 parent.med parent.q3 change.q1 change.med change.q3 'pairs won'
+# Metric names and directions come from the benchmark's own declaration.
+grep '"bound"' "$root/BENCHMARK.json" |
+	sed -E 's/.*"name": "([^"]*)".*"better": "([^"]*)".*/\1 \2/' |
+	while read -r metric better; do
+		quart() { # quartiles of one side by linear interpolation
+			awk -v m="$metric" -v s="$1" '$1 == m && $2 == s { print $4 }' "$rows" | sort -g |
+				awk '{ v[NR] = $1 } END {
+					for (i = 1; i <= 3; i++) {
+						p = (NR - 1) * i / 4 + 1; lo = int(p); hi = lo < NR ? lo + 1 : lo
+						printf "%12.4f ", v[lo] + (v[hi] - v[lo]) * (p - lo)
+					}
+				}'
+		}
+		won=$(awk -v m="$metric" -v b="$better" '
+			$1 == m && $2 == "parent" { p[$3] = $4 }
+			$1 == m && $2 == "change" { c[$3] = $4 }
+			END {
+				for (s in p) if (b == "lower" ? c[s] < p[s] : c[s] > p[s]) n++
+				printf "%d", n
+			}' "$rows")
+		printf '%-16s %-6s %s  %s  %s/%s\n' "$metric" "$better" "$(quart parent)" "$(quart change)" "$won" "$pairs"
+	done
