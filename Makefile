@@ -16,7 +16,7 @@ COVER_MIN := 84.5
 
 .PHONY: all build test race bench bench-json bench-baseline bench-compare \
 	determinism cover fuzz-smoke staticcheck fmt vet experiments serve \
-	load-smoke distributed-smoke netcheck docs docs-check lint-docs ab clean
+	load-smoke distributed-smoke netcheck docs docs-check lint-docs ab lines clean
 
 all: build test
 
@@ -220,6 +220,12 @@ WORKLOAD ?= sim-latency
 PAIRS ?= 10
 ab:
 	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# Non-test and test Go line counts per top-level directory and in total
+# (benchmark/ excluded): the two numbers a simplicity PR's CHANGES.md
+# entry quotes for parent and change.
+lines:
+	@bash scripts/lines.sh
 
 # The git-ignored products of the targets above and of benchmark/run.sh.
 clean:

@@ -93,9 +93,13 @@ func (s *Server) join(key string) (*flight, bool) {
 }
 
 // resolve publishes the leader's outcome (nil body = failed) and wakes
-// the followers. The entry leaves the table first so a post-resolve
-// arrival starts fresh rather than observing a settled flight.
+// the followers; a nil flight (an uncoalesced run) has none. The entry
+// leaves the table first so a post-resolve arrival starts fresh rather
+// than observing a settled flight.
 func (s *Server) resolve(key string, f *flight, body []byte) {
+	if f == nil {
+		return
+	}
 	s.mu.Lock()
 	delete(s.inflight, key)
 	f.body = body

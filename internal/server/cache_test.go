@@ -175,12 +175,12 @@ func TestFlightCoalesce(t *testing.T) {
 // the README as stable across releases within a schema version.
 func TestRequestKeyStability(t *testing.T) {
 	can := canonical{Driver: "push-pull", Graph: GraphSpec{Family: "dumbbell", N: 8, Latency: 12}, Seed: 3}
-	k1, k2 := requestKey(can), requestKey(can)
+	k1, k2 := hashKey(can), hashKey(can)
 	if k1 != k2 || len(k1) != 32 {
 		t.Fatalf("keys %q / %q", k1, k2)
 	}
 	can.Seed = 4
-	if requestKey(can) == k1 {
+	if hashKey(can) == k1 {
 		t.Fatal("seed change did not change the key")
 	}
 }
@@ -194,7 +194,7 @@ func TestRequestKeyStability(t *testing.T) {
 func TestLRUEvictionOrderUnderCoalescingAtCapacity(t *testing.T) {
 	s := New(Config{CacheSize: 2})
 	// Fill to capacity through the leader path — publish then resolve,
-	// the exact runLeader order. Recency after this: [b, a].
+	// the exact leader order. Recency after this: [b, a].
 	for _, k := range []string{"a", "b"} {
 		f, leader := s.join(k)
 		if !leader {

@@ -57,7 +57,7 @@ func (s *Server) coordinate(jb *job) (gossip.DriverResult, error) {
 		return gossip.DriverResult{}, err
 	}
 	s.met.shardJobs.Add(1)
-	// The relay needs its own timeout: runLeader's timer only abandons
+	// The relay needs its own timeout: the leader's timer only abandons
 	// the stream, while cancelling this context tears the worker
 	// sessions down so their compute actually stops.
 	ctx, cancel := context.WithTimeout(context.Background(), jb.timeout+5*time.Second)
@@ -149,7 +149,7 @@ func (s *Server) runShardJob(sj api.ShardJob, ex sim.Exchanger) (*api.ShardResul
 	if err := json.Unmarshal(sj.Request, &can); err != nil {
 		return nil, fmt.Errorf("decoding canonical request: %w", err)
 	}
-	if key := requestKey(can); key != sj.RequestKey {
+	if key := hashKey(can); key != sj.RequestKey {
 		// Same bytes, different key: the fleet is running mixed wire
 		// schemas. Refusing here is what keeps "bit-identical" honest.
 		return nil, fmt.Errorf("request key mismatch (%s here vs %s at coordinator) — mixed gossipd versions in fleet?", key, sj.RequestKey)
@@ -162,14 +162,7 @@ func (s *Server) runShardJob(sj api.ShardJob, ex sim.Exchanger) (*api.ShardResul
 		}
 		jb.spec = spec
 	}
-	g, err := graphgen.Build(graphgen.Spec{
-		Family:  can.Graph.Family,
-		N:       can.Graph.N,
-		Latency: can.Graph.Latency,
-		P:       can.Graph.P,
-		Layers:  can.Graph.Layers,
-		Seed:    can.Seed,
-	})
+	g, err := graphgen.Build(can.graphSpec())
 	if err != nil {
 		return nil, fmt.Errorf("building graph: %w", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"sync"
-	"time"
 
 	"gossip/internal/curve"
 	"gossip/internal/estimate"
@@ -35,9 +34,9 @@ const (
 	defaultEstimateLossCap = 1.0 // loss_max must stay below certain spread
 )
 
-// errEstimateAborted marks transient (drain) aborts inside an estimate:
-// streamed but never cached, like timeouts.
-var errEstimateAborted = errors.New("server is draining; estimate aborted")
+// errEstimateAborted is the drain abort inside an estimate: a candidate
+// that never got its slot.
+var errEstimateAborted = transient{errors.New("server is draining; estimate aborted")}
 
 // estimateJob is a validated, normalized estimate request.
 type estimateJob struct {
@@ -45,6 +44,7 @@ type estimateJob struct {
 	ref      *job // nil when the request carried an observed curve
 	observed curve.Curve
 	grid     estimate.Grid
+	coarse   int // len(grid.Candidates())
 	refine   int
 	key      string
 }
@@ -78,8 +78,8 @@ func (s *Server) validateEstimate(req EstimateRequest) (*estimateJob, *FieldErro
 	if base.can.FaultSpec != "" {
 		return nil, fieldErrf("base.fault_spec", "an estimate's base must be benign; the candidates supply the faults")
 	}
-	if base.shards != 0 {
-		return nil, fieldErrf("base.shards", "estimates run their candidate simulations in-process; shards is not supported")
+	if ferr := inProcessOnly(base, "base"); ferr != nil {
+		return nil, ferr
 	}
 	nodes := graphSpecNodes(base.can.Graph)
 
@@ -99,8 +99,8 @@ func (s *Server) validateEstimate(req EstimateRequest) (*estimateJob, *FieldErro
 			return nil, fieldErrf("reference.driver",
 				"driver %q reports no informed curve (single-phase drivers only)", rd.Name)
 		}
-		if ref.shards != 0 {
-			return nil, fieldErrf("reference.shards", "estimates run the reference simulation in-process; shards is not supported")
+		if ferr := inProcessOnly(ref, "reference"); ferr != nil {
+			return nil, ferr
 		}
 		ej.ref = ref
 	default:
@@ -176,8 +176,9 @@ func (s *Server) validateEstimate(req EstimateRequest) (*estimateJob, *FieldErro
 		}
 	}
 	// The defaults always pass these bounds; re-check after overrides.
-	if n := len(grid.Candidates()); n > maxEstimateCandidates {
-		return nil, fieldErrf("grid", "%d coarse candidates over the cap %d", n, maxEstimateCandidates)
+	ej.coarse = len(grid.Candidates())
+	if ej.coarse > maxEstimateCandidates {
+		return nil, fieldErrf("grid", "%d coarse candidates over the cap %d", ej.coarse, maxEstimateCandidates)
 	}
 	for _, sc := range grid.Scales {
 		if base.can.Graph.Latency*sc > 1<<20 {
@@ -210,142 +211,45 @@ func (s *Server) validateEstimate(req EstimateRequest) (*estimateJob, *FieldErro
 	return ej, nil
 }
 
-// handleEstimate serves POST /v1/estimates on the shared
+// serveEstimate serves POST /v1/estimates on the shared
 // cache/coalesce/leader loop. Estimate bodies are served verbatim
 // (their progress events are scored candidates, not curve points, so
-// progress_points sampling does not apply).
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req EstimateRequest
-	if err := dec.Decode(&req); err != nil {
-		writeFieldError(w, fieldErrf("body", "decoding estimate request: %v", err))
-		return
-	}
-	ej, ferr := s.validateEstimate(req)
-	if ferr != nil {
-		writeFieldError(w, ferr)
-		return
-	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.drainCtx, cancel)
-	defer stop()
-
-	s.serveJob(w, ctx, ej.key, nil,
-		func(w http.ResponseWriter, ctx context.Context, f *flight) { s.runEstimateLeader(w, ctx, ej, f) })
+// progress_points sampling does not apply). The base request's timeout
+// governs the whole estimate.
+func (s *Server) serveEstimate(w http.ResponseWriter, _ *http.Request, ctx context.Context, _ EstimateRequest, ej *estimateJob) {
+	s.serveJob(w, ctx, stream{
+		accepted: accepted(ej.base.can.Driver, ej.key),
+		timeout:  ej.base.timeout,
+		noun:     "estimate",
+		executed: &s.met.estimates,
+		// Generous: every eval emits one chunk, plus the terminal one.
+		chunks: ej.coarse + 9*(ej.refine+1) + 8,
+		job:    ej,
+	})
 }
 
-// estChunk is one ordered piece of the estimate stream after the
-// accepted line; nondet marks wall-clock content (drain aborts) that
-// must keep the body out of the cache.
-type estChunk struct {
-	line   []byte
-	nondet bool
-}
-
-// runEstimateLeader mirrors runSweepLeader: queue for a slot, stream
-// the fit's progress, publish the outcome unless it was transient. The
-// base request's timeout governs the whole estimate.
-func (s *Server) runEstimateLeader(w http.ResponseWriter, ctx context.Context, ej *estimateJob, f *flight) {
-	s.met.queued.Add(1)
-	err := s.pool.Acquire(ctx)
-	s.met.queued.Add(-1)
-	if err != nil {
-		if f != nil {
-			s.resolve(ej.key, f, nil)
-		}
-		if s.Draining() {
-			writeUnavailable(w)
-		}
-		return
-	}
-
-	accepted := estimateAcceptedLine(ej)
-	s.met.misses.Add(1)
-	s.met.estimates.Add(1)
-	w.Header().Set(CacheHeader, "miss")
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	flushWrite(w, accepted)
-
-	// Generous buffer: every eval emits one chunk, plus the terminal one.
-	out := make(chan estChunk, len(ej.grid.Candidates())+9*(ej.refine+1)+8)
-	s.met.running.Add(1)
-	go func() {
-		defer s.met.running.Add(-1)
-		s.produceEstimate(ej, out)
-	}()
-
-	timer := time.NewTimer(ej.base.timeout)
-	defer timer.Stop()
-	body := append([]byte(nil), accepted...)
-	cacheable := true
-	for {
-		select {
-		case c, ok := <-out:
-			if !ok {
-				if cacheable {
-					s.publish(ej.key, body)
-					if f != nil {
-						s.resolve(ej.key, f, body)
-					}
-					s.met.completed.Add(1)
-				} else {
-					if f != nil {
-						s.resolve(ej.key, f, nil)
-					}
-					s.met.failed.Add(1)
-				}
-				return
-			}
-			cacheable = cacheable && !c.nondet
-			body = append(body, c.line...)
-			flushWrite(w, c.line)
-		case <-timer.C:
-			// Wall-clock, not canonical: never cached. The producer keeps
-			// going so candidate bodies still land in the shared cache.
-			if f != nil {
-				s.resolve(ej.key, f, nil)
-			}
-			s.met.failed.Add(1)
-			flushWrite(w, errorLine(fmt.Sprintf("estimate exceeded its %v execution timeout", ej.base.timeout)))
-			return
-		}
-	}
-}
-
-// produceEstimate computes the stream after the accepted line: resolve
-// the observation (simulating the reference on the slot the caller
-// acquired if needed), release the slot, then run the coarse-to-fine
-// fit with candidate simulations fanning out on their own pool slots —
-// the leader-releases-before-fan-out pattern produceSweep uses, so an
-// estimate makes progress even on a 1-slot pool.
-func (s *Server) produceEstimate(ej *estimateJob, out chan<- estChunk) {
-	defer close(out)
-	if s.cfg.gate != nil {
-		s.cfg.gate(ej.key)
+// produce computes the /v1/estimates stream: resolve the observation
+// (simulating the reference on the leader's slot if needed), release the
+// slot, then run the coarse-to-fine fit with candidate simulations
+// fanning out on their own pool slots.
+func (ej *estimateJob) produce(s *Server, release func(), emit func(chunk)) {
+	fail := func(prefix string, err error) {
+		emit(chunk{line: errorLine(prefix + err.Error()), nondet: isTransient(err), failed: true})
 	}
 	observed := ej.observed
 	if ej.ref != nil {
 		cv, err := s.estimateEvalJob(ej.ref, true)
-		s.pool.Release()
 		if err != nil {
-			out <- estChunk{line: errorLine("reference: " + err.Error()), nondet: errors.Is(err, errEstimateAborted)}
+			fail("reference: ", err)
 			return
 		}
 		if len(cv) == 0 {
-			out <- estChunk{line: errorLine("reference simulation produced no informed curve")}
+			fail("", errors.New("reference simulation produced no informed curve"))
 			return
 		}
 		observed = cv
-	} else {
-		s.pool.Release()
 	}
+	release()
 
 	nodes := graphSpecNodes(ej.base.can.Graph)
 	protected := ej.base.can.Source
@@ -365,7 +269,9 @@ func (s *Server) produceEstimate(ej *estimateJob, out chan<- estChunk) {
 		if p, ok := prefixes[scale]; ok {
 			return p, nil
 		}
-		g, err := graphgen.Build(candidateGraphSpec(ej.base, scale))
+		can := ej.base.can
+		can.Graph.Latency *= scale
+		g, err := graphgen.Build(can.graphSpec())
 		if err == nil {
 			var p *gossip.WarmPrefix
 			p, err = gossip.Fork(ej.base.can.Driver, g, ej.base.driverOptions(), estimate.ChurnLeave)
@@ -409,19 +315,20 @@ func (s *Server) produceEstimate(ej *estimateJob, out chan<- estChunk) {
 		Batch:    s.estimateBatch,
 		OnEval: func(e estimate.Eval) {
 			evaluated++
-			out <- estChunk{line: estimateProgressLine(e, evaluated)}
+			emit(chunk{line: estimateProgressLine(e, evaluated)})
 		},
 	})
 	if err != nil {
-		out <- estChunk{line: errorLine(err.Error()), nondet: errors.Is(err, errEstimateAborted)}
+		fail("", err)
 		return
 	}
-	out <- estChunk{line: estimateLine(observed, res, nodes, protected)}
+	emit(chunk{line: estimateLine(observed, res, nodes, protected)})
 }
 
 // estimateBatch fans one fit stage across the pool, one goroutine (and
 // one slot, acquired inside eval) per candidate, outcomes in index
-// order. A drain abort anywhere fails the whole batch as transient.
+// order. A drain abort or a panic anywhere fails the whole batch as
+// transient.
 func (s *Server) estimateBatch(_ string, cands []estimate.Candidate, eval func(estimate.Candidate) (curve.Curve, error)) ([]estimate.BatchOut, error) {
 	outs := make([]estimate.BatchOut, len(cands))
 	var wg sync.WaitGroup
@@ -429,30 +336,17 @@ func (s *Server) estimateBatch(_ string, cands []estimate.Candidate, eval func(e
 		wg.Add(1)
 		go func(i int, c estimate.Candidate) {
 			defer wg.Done()
-			cv, err := eval(c)
+			cv, err := guard(func() (curve.Curve, error) { return eval(c) })
 			outs[i] = estimate.BatchOut{Curve: cv, Err: err}
 		}(i, c)
 	}
 	wg.Wait()
 	for _, o := range outs {
-		if errors.Is(o.Err, errEstimateAborted) {
-			return nil, errEstimateAborted
+		if isTransient(o.Err) {
+			return nil, o.Err
 		}
 	}
 	return outs, nil
-}
-
-// candidateGraphSpec is the base topology with the candidate's latency
-// scale applied.
-func candidateGraphSpec(base *job, scale int) graphgen.Spec {
-	return graphgen.Spec{
-		Family:  base.can.Graph.Family,
-		N:       base.can.Graph.N,
-		Latency: base.can.Graph.Latency * scale,
-		P:       base.can.Graph.P,
-		Layers:  base.can.Graph.Layers,
-		Seed:    base.can.Seed,
-	}
 }
 
 // candidateJob maps a candidate onto the exact /v1/simulations job it
@@ -466,21 +360,20 @@ func (s *Server) candidateJob(base *job, c estimate.Candidate, nodes, protected 
 		can.FaultSpec = spec.String()
 	}
 	jb := &job{can: can, workers: base.workers, timeout: base.timeout, points: maxProgressPoints, spec: spec}
-	jb.key = requestKey(can)
+	jb.key = hashKey(can)
 	return jb
 }
 
 // estimateEvalJob runs one simulation job for the estimator: replay its
 // curve from the shared cache when possible, otherwise execute and
 // publish the exact body /v1/simulations would have (byte-identical, so
-// the entry serves both surfaces). haveSlot marks the caller as already
-// holding a pool slot (the leader resolving its reference); otherwise
-// one is acquired on the drain context.
+// the entry serves both surfaces, deterministic errors included).
+// haveSlot marks the caller as already holding a pool slot (the leader
+// resolving its reference); otherwise one is acquired on the drain
+// context.
 func (s *Server) estimateEvalJob(jb *job, haveSlot bool) (curve.Curve, error) {
-	if !s.cache.disabled() {
-		if body, ok := s.lookup(jb.key); ok {
-			return curveFromBody(body)
-		}
+	if body, ok := s.lookup(jb.key); ok {
+		return curveFromBody(body)
 	}
 	if !haveSlot {
 		if err := s.pool.Acquire(s.drainCtx); err != nil {
@@ -488,28 +381,13 @@ func (s *Server) estimateEvalJob(jb *job, haveSlot bool) (curve.Curve, error) {
 		}
 		defer s.pool.Release()
 	}
-	g, err := graphgen.Build(graphgen.Spec{
-		Family:  jb.can.Graph.Family,
-		N:       jb.can.Graph.N,
-		Latency: jb.can.Graph.Latency,
-		P:       jb.can.Graph.P,
-		Layers:  jb.can.Graph.Layers,
-		Seed:    jb.can.Seed,
-	})
+	res, nondet, err := s.execute(jb)
+	if !nondet {
+		s.publish(jb.key, append(mustLine(accepted(jb.can.Driver, jb.key)), jobTail(res, err)...))
+	}
 	if err != nil {
-		err = fmt.Errorf("building graph: %w", err)
-		s.publish(jb.key, append(append([]byte(nil), acceptedLine(jb)...), errorLine(err.Error())...))
 		return nil, err
 	}
-	res, err := gossip.Dispatch(jb.can.Driver, g, jb.driverOptions())
-	if err != nil {
-		// Deterministic like runLeader's driver errors: publish the error
-		// stream so replays and direct requests see the identical body.
-		s.publish(jb.key, append(append([]byte(nil), acceptedLine(jb)...), errorLine(err.Error())...))
-		return nil, err
-	}
-	body := append(append([]byte(nil), acceptedLine(jb)...), resultLines(res)...)
-	s.publish(jb.key, body)
 	return curve.FromInformedAt(res.InformedAt), nil
 }
 
@@ -539,15 +417,6 @@ func curveFromBody(body []byte) (curve.Curve, error) {
 		return nil, errors.New(last.Error.Message)
 	}
 	return c, nil
-}
-
-func estimateAcceptedLine(ej *estimateJob) []byte {
-	return mustLine(api.Accepted{
-		SchemaVersion: SchemaVersion,
-		Event:         "accepted",
-		Driver:        ej.base.can.Driver,
-		RequestKey:    ej.key,
-	})
 }
 
 // estimateProgressLine renders one scored candidate. Scores can be +Inf

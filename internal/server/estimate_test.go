@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -16,20 +15,7 @@ import (
 
 func postEstimate(t *testing.T, url string, req EstimateRequest) (int, string, []byte) {
 	t.Helper()
-	raw, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/estimates", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header.Get(CacheHeader), body
+	return postJSON(t, url+"/v1/estimates", req)
 }
 
 // lossyEstimateReq plants loss=0.2 via a reference job and asks for it
@@ -190,7 +176,7 @@ func TestEstimateSharesSimulationCache(t *testing.T) {
 }
 
 func TestEstimateValidation(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}).Handler())
+	ts := httptest.NewServer(fleetMember().Handler())
 	defer ts.Close()
 	obs := []api.CurvePoint{{Round: 0, Informed: 1}, {Round: 3, Informed: 9}}
 	cases := []struct {
@@ -228,6 +214,12 @@ func TestEstimateValidation(t *testing.T) {
 		{"unknown base driver", func(r *EstimateRequest) { r.Base.Driver = "nope" }, "base.driver"},
 		{"multi-phase base", func(r *EstimateRequest) { r.Base.Driver = "spanner" }, "base.driver"},
 		{"sharded base", func(r *EstimateRequest) { r.Base.Shards = 2 }, "base.shards"},
+		{"real-transport base", func(r *EstimateRequest) { r.Base.Transport = "chan" }, "base.transport"},
+		{"sharded reference", func(r *EstimateRequest) { r.Reference.Shards = 2 }, "reference.shards"},
+		{"real-transport reference", func(r *EstimateRequest) {
+			r.Reference.FaultSpec = "" // chan itself rejects fault_spec
+			r.Reference.Transport = "chan"
+		}, "reference.transport"},
 		{"bad loss_max", func(r *EstimateRequest) { r.Grid.LossMax = 1.5 }, "grid.loss_max"},
 		{"bad loss_steps", func(r *EstimateRequest) { r.Grid.LossSteps = 99 }, "grid.loss_steps"},
 		{"churn_max at n", func(r *EstimateRequest) { r.Grid.ChurnMax = 16; r.Grid.ChurnSteps = 2 }, "grid.churn_max"},
@@ -376,6 +368,7 @@ func FuzzEstimateValidate(f *testing.F) {
 	f.Add(`{"base":{},"observed":[{"round":-1,"informed":-5},{"round":-1,"informed":"x"}]}`)
 	f.Add(`{"grid":{"scales":[0,0,0]},"refine":-1}`)
 	f.Add(`{"base":{"driver":"spanner","graph":{"family":"grid","n":9}},"reference":{"driver":"push-pull","graph":{"family":"grid","n":9}}}`)
+	f.Add(`{"base":{"driver":"push-pull","graph":{"family":"clique","n":8},"transport":"chan"},"reference":{"driver":"push-pull","graph":{"family":"clique","n":8},"shards":2,"transport":"chan"}}`)
 	srv := New(Config{})
 	f.Fuzz(func(t *testing.T, raw string) {
 		var req EstimateRequest

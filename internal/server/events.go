@@ -20,10 +20,6 @@ const (
 	CacheHeader   = api.CacheHeader
 )
 
-// JobResult is re-exported so existing server callers and tests keep
-// compiling against the one wire definition.
-type JobResult = api.JobResult
-
 // defaultProgressPoints is the informed-curve cap a request gets when
 // it does not set progress_points — the historical 32-line shape.
 // maxProgressPoints bounds what a request may ask for. Bodies are
@@ -45,13 +41,10 @@ func mustLine(v any) []byte {
 	return append(b, '\n')
 }
 
-func acceptedLine(jb *job) []byte {
-	return mustLine(api.Accepted{
-		SchemaVersion: SchemaVersion,
-		Event:         "accepted",
-		Driver:        jb.can.Driver,
-		RequestKey:    jb.key,
-	})
+// accepted is the event that opens every stream (sweeps add their
+// variant count and fork round).
+func accepted(driver, key string) api.Accepted {
+	return api.Accepted{SchemaVersion: SchemaVersion, Event: "accepted", Driver: driver, RequestKey: key}
 }
 
 func errorLine(msg string) []byte {
@@ -60,6 +53,15 @@ func errorLine(msg string) []byte {
 		Event:         "error",
 		Error:         api.ErrorDetail{Message: msg},
 	})
+}
+
+// jobTail renders everything after the accepted line of one simulation
+// job's stream: the error event, or the curve and the result.
+func jobTail(res gossip.DriverResult, err error) []byte {
+	if err != nil {
+		return errorLine(err.Error())
+	}
+	return resultLines(res)
 }
 
 // resultLines renders the deterministic tail of a successful stream:
@@ -106,10 +108,12 @@ var progressPrefix = []byte(`{"schema_version":` + strconv.Itoa(SchemaVersion) +
 // one per variant in a sweep body) is evenly sampled down to at most
 // max lines, the first and last always kept — the same selection
 // curve.Sample makes on points. A body whose runs already fit is
-// returned unchanged, so default-shaped bodies serve with zero copies.
+// returned unchanged, so default-shaped bodies serve with zero copies;
+// max 0 (estimate bodies, whose progress events are scored candidates)
+// serves verbatim.
 func sampleStream(body []byte, max int) []byte {
 	if max < 2 {
-		max = defaultProgressPoints
+		return body
 	}
 	var out []byte
 	changed := false

@@ -61,6 +61,19 @@ type canonical struct {
 	StableRounds   int       `json:"stable_rounds"`
 }
 
+// graphSpec maps the canonical graph onto the generator's spec — the one
+// place the request form meets graphgen.
+func (c canonical) graphSpec() graphgen.Spec {
+	return graphgen.Spec{
+		Family:  c.Graph.Family,
+		N:       c.Graph.N,
+		Latency: c.Graph.Latency,
+		P:       c.Graph.P,
+		Layers:  c.Graph.Layers,
+		Seed:    c.Seed,
+	}
+}
+
 // job is a validated, normalized simulation request ready to execute.
 type job struct {
 	can canonical
@@ -254,8 +267,22 @@ func (s *Server) validate(req Request) (*job, *FieldError) {
 	}
 
 	jb := &job{can: can, transport: transport, workers: req.Workers, shards: req.Shards, timeout: timeout, points: points, spec: spec}
-	jb.key = requestKey(can)
+	jb.key = hashKey(can)
 	return jb, nil
+}
+
+// inProcessOnly rejects the execution knobs that pick a fabric other
+// than this process's calendar engine. Sweeps and estimates fork and
+// resume in-process; accepting shards or transport there would silently
+// ignore them.
+func inProcessOnly(jb *job, prefix string) *FieldError {
+	if jb.shards != 0 {
+		return fieldErrf(prefix+".shards", "sweeps and estimates run in-process on the calendar engine; shards is not supported")
+	}
+	if jb.transport != "" {
+		return fieldErrf(prefix+".transport", "sweeps and estimates run in-process on the calendar engine; transport %q is not supported", jb.transport)
+	}
+	return nil
 }
 
 // applyDriverFields moves the driver-specific request fields into the
@@ -377,7 +404,7 @@ func applyDriverFields(d *gossip.Driver, req Request, can *canonical) *FieldErro
 // graphSpecNodes is the built node count of a normalized GraphSpec (a
 // lower bound only for gadget; see graphgen.Spec.MinNodes).
 func graphSpecNodes(g GraphSpec) int {
-	return graphgen.Spec{Family: g.Family, N: g.N, Layers: g.Layers}.MinNodes()
+	return canonical{Graph: g}.graphSpec().MinNodes()
 }
 
 func knownFamily(name string) bool {
@@ -397,14 +424,15 @@ func knownFamily(name string) bool {
 // them in the old shape. Bump the suffix alongside api.SchemaVersion.
 const bodyVersionSalt = "gossipd-body-v2\n"
 
-// requestKey hashes the canonical form into the memoization key surfaced
-// to clients as request_key. Struct field order makes the JSON — and so
-// the key — deterministic.
-func requestKey(can canonical) string {
-	b, err := json.Marshal(can)
+// hashKey hashes key material — the canonical form of a simulation, a
+// sweep, a sweep variant or an estimate — into the memoization key
+// surfaced to clients as request_key. Struct field order makes the JSON
+// — and so the key — deterministic.
+func hashKey(v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// canonical contains only marshalable scalar fields
-		panic(fmt.Sprintf("server: canonical request marshal: %v", err))
+		// key material contains only marshalable scalar fields
+		panic(fmt.Sprintf("server: canonical key marshal: %v", err))
 	}
 	sum := sha256.Sum256(append([]byte(bodyVersionSalt), b...))
 	return hex.EncodeToString(sum[:16])

@@ -16,6 +16,12 @@ func testServer() *Server      { return New(Config{MaxN: 1 << 12}) }
 func okGraph() GraphSpec       { return GraphSpec{Family: "dumbbell", N: 8, Latency: 12} }
 func msp(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
 
+// fleetMember is a server that believes it has two shard workers (never
+// dialed): the only way a request with shards set gets past validate.
+func fleetMember() *Server {
+	return New(Config{Peers: []string{"a:1", "b:1", "c:1"}, Advertise: "a:1"})
+}
+
 // TestValidateRejects is the request-validation table: every malformed
 // request must map to a structured field-level error (the 400 path) —
 // never a panic, never an opaque 500.

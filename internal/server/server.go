@@ -21,10 +21,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossip/internal/cluster"
@@ -194,9 +198,9 @@ func (s *Server) Draining() bool { return s.drainCtx.Err() != nil }
 // GET /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulations", s.handleSimulate)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	mux.HandleFunc("POST /v1/estimates", s.handleEstimate)
+	mux.HandleFunc("POST /v1/simulations", jobHandler(s, "request", s.validate, s.serveSimulation))
+	mux.HandleFunc("POST /v1/sweeps", jobHandler(s, "sweep request", s.validateSweep, s.serveSweep))
+	mux.HandleFunc("POST /v1/estimates", jobHandler(s, "estimate request", s.validateEstimate, s.serveEstimate))
 	mux.HandleFunc("POST "+api.ShardPath, s.handleShard)
 	mux.HandleFunc("GET /v1/drivers", s.handleDrivers)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -208,43 +212,52 @@ func (s *Server) Handler() http.Handler {
 // nondeterministically (timeouts) re-joins before executing uncoalesced.
 const maxJoinAttempts = 4
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
+// jobHandler is the prologue every /v1 job endpoint shares: count the
+// request in flight, decode it (1 MiB body cap, strict field matching)
+// and validate it — a failure of either is the structured 400 — then
+// serve the job under the context that governs this request's waiting
+// (queue slot, coalesced flight), which dies with the client connection
+// or with drain. Job execution deliberately runs on its own context (see
+// lead).
+func jobHandler[Req, Job any](s *Server, noun string, validate func(Req) (Job, *FieldError),
+	serve func(http.ResponseWriter, *http.Request, context.Context, Req, Job)) http.HandlerFunc {
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		writeFieldError(w, fieldErrf("body", "decoding request: %v", err))
-		return
-	}
-	jb, ferr := s.validate(req)
-	if ferr != nil {
-		writeFieldError(w, ferr)
-		return
-	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.met.inflight.Add(1)
+		defer s.met.inflight.Add(-1)
 
-	// ctx governs this request's waiting (queue slot, coalesced flight):
-	// it dies with the client connection or with drain. Job execution
-	// deliberately runs on its own context (see runLeader).
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.drainCtx, cancel)
-	defer stop()
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		var req Req
+		if err := dec.Decode(&req); err != nil {
+			writeFieldError(w, fieldErrf("body", "decoding %s: %v", noun, err))
+			return
+		}
+		jb, ferr := validate(req)
+		if ferr != nil {
+			writeFieldError(w, ferr)
+			return
+		}
+
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		stop := context.AfterFunc(s.drainCtx, cancel)
+		defer stop()
+		serve(w, r, ctx, req, jb)
+	}
+}
+
+func (s *Server) serveSimulation(w http.ResponseWriter, r *http.Request, ctx context.Context, req Request, jb *job) {
+	st := stream{accepted: accepted(jb.can.Driver, jb.key), timeout: jb.timeout, noun: "job", points: jb.points, chunks: 1, job: jb}
 
 	// A real-transport job is nondeterministic: it must not replay a
 	// memoized calendar body for the same canonical request, must not
 	// coalesce with (or lead a flight for) deterministic requests, and
-	// its own outcome is never memoized (runLeader sees it as a
-	// transient success). It bypasses the cache machinery — lookup,
-	// fleet routing, flights — and executes uncoalesced.
+	// its own outcome is never memoized (its one chunk is nondet). It
+	// bypasses the cache machinery — lookup, fleet routing, flights —
+	// and executes uncoalesced.
 	if jb.transport != "" {
-		if s.Draining() {
-			writeUnavailable(w)
-			return
-		}
-		s.runLeader(w, ctx, jb, nil)
+		s.lead(w, ctx, st, nil)
 		return
 	}
 
@@ -258,8 +271,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			s.met.forwardServed.Add(1)
 		} else if owner := s.ring.Owner(jb.key); owner != s.cfg.Advertise {
 			if body, ok := s.lookup(jb.key); ok {
-				s.met.hits.Add(1)
-				writeStream(w, sampleStream(body, jb.points), "hit")
+				s.replay(w, st, body)
 				return
 			}
 			if s.forwardToOwner(ctx, w, owner, req) {
@@ -270,50 +282,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.serveJob(w, ctx, jb.key,
-		func(body []byte) []byte { return sampleStream(body, jb.points) },
-		func(w http.ResponseWriter, ctx context.Context, f *flight) { s.runLeader(w, ctx, jb, f) })
+	s.serveJob(w, ctx, st)
 }
 
 // serveJob is the cache/coalesce/leader loop every /v1 job endpoint
-// shares: replay a memoized body, join a concurrent identical request's
-// flight, or become the leader and execute via lead. render rewrites a
-// replayed body for this request (serve-time progress sampling); nil
-// serves bodies verbatim. Leaders write their own stream and publish
-// the full-resolution body themselves.
-func (s *Server) serveJob(w http.ResponseWriter, ctx context.Context, key string,
-	render func([]byte) []byte, lead func(w http.ResponseWriter, ctx context.Context, f *flight)) {
-
-	serve := func(body []byte) {
-		if render != nil {
-			body = render(body)
-		}
-		s.met.hits.Add(1)
-		writeStream(w, body, "hit")
-	}
+// shares: replay a memoized body (sampled for this request), join a
+// concurrent identical request's flight, or become the leader and
+// execute via lead, which writes its own stream and publishes the
+// full-resolution body itself.
+func (s *Server) serveJob(w http.ResponseWriter, ctx context.Context, st stream) {
+	key := st.accepted.RequestKey
 
 	// Caching off means genuinely off: no memoization and no coalescing,
 	// every request is its own execution.
 	if s.cache.disabled() {
-		if s.Draining() {
-			writeUnavailable(w)
-			return
-		}
-		lead(w, ctx, nil)
+		s.lead(w, ctx, st, nil)
 		return
 	}
 
 	for attempt := 0; ; attempt++ {
 		if body, ok := s.lookup(key); ok {
-			serve(body)
-			return
-		}
-		if s.Draining() {
-			writeUnavailable(w)
+			s.replay(w, st, body)
 			return
 		}
 		if attempt >= maxJoinAttempts {
-			lead(w, ctx, nil)
+			s.lead(w, ctx, st, nil)
 			return
 		}
 		f, leader := s.join(key)
@@ -326,16 +319,16 @@ func (s *Server) serveJob(w http.ResponseWriter, ctx context.Context, key string
 			// asserts.
 			if body, ok := s.lookup(key); ok {
 				s.resolve(key, f, body)
-				serve(body)
+				s.replay(w, st, body)
 				return
 			}
-			lead(w, ctx, f)
+			s.lead(w, ctx, st, f)
 			return
 		}
 		select {
 		case <-f.done:
 			if f.body != nil {
-				serve(f.body)
+				s.replay(w, st, f.body)
 				return
 			}
 			// The leader failed nondeterministically; try again.
@@ -348,144 +341,215 @@ func (s *Server) serveJob(w http.ResponseWriter, ctx context.Context, key string
 	}
 }
 
-// runLeader queues jb for an execution slot, runs it, streams the NDJSON
-// response and publishes the outcome to the cache and to f's followers
-// (f may be nil for an uncoalesced fallback run).
-func (s *Server) runLeader(w http.ResponseWriter, ctx context.Context, jb *job, f *flight) {
-	s.met.queued.Add(1)
-	err := s.pool.Acquire(ctx)
-	s.met.queued.Add(-1)
+// chunk is one ordered piece of a job's stream after the accepted line.
+type chunk struct {
+	line []byte
+	// nondet marks content that is not a function of the canonical
+	// request: a peer died mid-job, a drain aborted fan-out work, the run
+	// used a real transport, the producer panicked. It is streamed, but
+	// it keeps the whole body out of the cache and lets coalesced
+	// followers retry rather than inherit it.
+	nondet bool
+	// failed marks a stream-terminating error event: the job counts
+	// failed, not completed. Driver, graph and fork errors are failed but
+	// not nondet — pure functions of the canonical request, cached like
+	// results so identical requests replay the identical error stream.
+	failed bool
+	rounds int64 // credited to rounds-simulated if the job completes
+}
+
+// producer is the kind-specific half of a stream: the validated job.
+type producer interface {
+	// produce computes the stream after the accepted line, in order, on
+	// the leader's pool slot. A producer that fans work out across the
+	// pool calls release first, so it makes progress even on a 1-slot
+	// pool; otherwise the slot is handed back when produce returns.
+	produce(s *Server, release func(), emit func(chunk))
+}
+
+// stream is what validation hands the leader: how to address, bound,
+// open, produce and serve one job's NDJSON stream, whatever its kind. It
+// is passed by value and holds nothing computed, so a hit pays nothing
+// for it.
+type stream struct {
+	// accepted opens the stream (lead renders it); its RequestKey is the
+	// cache and flight key.
+	accepted api.Accepted
+	// timeout bounds execution (queue wait not counted); noun names the
+	// job kind in the timeout's error event.
+	timeout time.Duration
+	noun    string
+	// points is the progress_points cap sampleStream applies to served
+	// bytes (cached bodies keep full resolution); 0 serves verbatim.
+	points int
+	// executed, when set, counts this kind's executions (sweep- and
+	// estimate-level misses).
+	executed *atomic.Int64
+	// chunks bounds what job may emit; the channel is buffered for the
+	// whole stream so an abandoned (timed-out) producer never blocks.
+	chunks int
+	job    producer
+}
+
+// replay serves a memoized body as a hit, sampled for this request.
+func (s *Server) replay(w http.ResponseWriter, st stream, body []byte) {
+	s.met.hits.Add(1)
+	openStream(w, "hit")
+	flushWrite(w, sampleStream(body, st.points))
+}
+
+// lead is the one leader of every /v1 job kind: it queues st for an
+// execution slot, streams the NDJSON response as the producer emits it,
+// and publishes the outcome to the cache and to f's followers (f is nil
+// for an uncoalesced run).
+//
+// The producer runs on its own goroutine and its own schedule, tied
+// neither to the client connection nor to the timer: a vanished client
+// does not kill a result that coalesced followers are waiting on, and a
+// timeout only ends this response — either way a sweep's variant bodies
+// and an estimate's candidate bodies still reach the cache. The producer
+// owns the slot: release is once-only and deferred, so the slot goes
+// back when the computation actually finishes — an abandoned (timed-out)
+// job keeps its slot until then, which keeps the pool bound honest — or
+// earlier, when a fan-out producer calls it. A panic in the producer is
+// recovered into a transient chunk: one bad job costs its own stream,
+// not the process.
+func (s *Server) lead(w http.ResponseWriter, ctx context.Context, st stream, f *flight) {
+	key := st.accepted.RequestKey
+	err := s.drainCtx.Err() // a draining server admits nothing
+	if err == nil {
+		s.met.queued.Add(1)
+		err = s.pool.Acquire(ctx)
+		s.met.queued.Add(-1)
+	}
 	if err != nil {
-		// Queued, never ran: drain rejects it, a vanished client just
-		// goes away. Followers must not wait on a leader that gave up.
-		if f != nil {
-			s.resolve(jb.key, f, nil)
-		}
+		// Never ran: drain rejects it, a vanished client just goes away.
+		// Followers must not wait on a leader that gave up.
+		s.resolve(key, f, nil)
 		if s.Draining() {
 			writeUnavailable(w)
 		}
 		return
 	}
 
-	accepted := acceptedLine(jb)
+	head := mustLine(st.accepted)
 	s.met.misses.Add(1)
-	w.Header().Set(CacheHeader, "miss")
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	flushWrite(w, accepted)
-
-	// The job runs on its own context: bounded by the per-job timeout
-	// but not by the client connection, so a vanished client neither
-	// kills a result that coalesced followers are waiting on nor stops
-	// it reaching the cache. The slot is released when the computation
-	// actually finishes — an abandoned (timed-out) job keeps its slot
-	// until then, so the pool bound stays honest.
-	type outcome struct {
-		res gossip.DriverResult
-		err error
-		// transient marks errors that are not a function of the
-		// canonical request (a worker died, a dial failed): streamed but
-		// never cached, like timeouts.
-		transient bool
+	if st.executed != nil {
+		st.executed.Add(1)
 	}
-	out := make(chan outcome, 1)
+	openStream(w, "miss")
+	flushWrite(w, head)
+
+	out := make(chan chunk, st.chunks+1) // +1: the panic chunk
 	s.met.running.Add(1)
 	go func() {
-		defer s.pool.Release()
+		defer close(out)
 		defer s.met.running.Add(-1)
-		if s.cfg.gate != nil {
-			s.cfg.gate(jb.key)
+		var once sync.Once
+		release := func() { once.Do(s.pool.Release) }
+		defer release()
+		emit := func(c chunk) { out <- c }
+		if _, err := guard(func() (any, error) {
+			if s.cfg.gate != nil {
+				s.cfg.gate(key)
+			}
+			st.job.produce(s, release, emit)
+			return nil, nil
+		}); err != nil {
+			emit(chunk{line: errorLine(err.Error()), nondet: true, failed: true})
 		}
-		if jb.shards > 0 {
-			// Coordinator path: the workers rebuild the graph; this
-			// process only relays barrier frames.
-			res, err := s.coordinate(jb)
-			out <- outcome{res: res, err: err, transient: err != nil}
-			return
-		}
-		g, err := graphgen.Build(graphgen.Spec{
-			Family:  jb.can.Graph.Family,
-			N:       jb.can.Graph.N,
-			Latency: jb.can.Graph.Latency,
-			P:       jb.can.Graph.P,
-			Layers:  jb.can.Graph.Layers,
-			Seed:    jb.can.Seed,
-		})
-		if err != nil {
-			out <- outcome{err: fmt.Errorf("building graph: %w", err)}
-			return
-		}
-		if jb.transport != "" {
-			// Real-transport execution: nondeterministic by nature, so
-			// success and failure alike are transient — streamed, never
-			// memoized.
-			res, err := runChanTransport(jb, g)
-			out <- outcome{res: res, err: err, transient: true}
-			return
-		}
-		res, err := gossip.Dispatch(jb.can.Driver, g, jb.driverOptions())
-		out <- outcome{res: res, err: err}
 	}()
 
-	timer := time.NewTimer(jb.timeout)
+	timer := time.NewTimer(st.timeout)
 	defer timer.Stop()
-	select {
-	case o := <-out:
-		if o.err != nil && o.transient {
-			// Not a function of the canonical request (a peer died
-			// mid-job): stream the error but never memoize it, and let
-			// any coalesced followers retry rather than inherit it.
-			if f != nil {
-				s.resolve(jb.key, f, nil)
+	// The accumulated (published) body keeps full resolution; the live
+	// stream is sampled to this request's progress_points.
+	body := append([]byte(nil), head...)
+	var nondet, failed bool
+	var rounds int64
+	for {
+		select {
+		case c, ok := <-out:
+			if ok {
+				nondet = nondet || c.nondet
+				failed = failed || c.failed
+				rounds += c.rounds
+				body = append(body, c.line...)
+				flushWrite(w, sampleStream(c.line, st.points))
+				continue
 			}
+			if nondet {
+				body = nil
+			} else {
+				s.publish(key, body)
+			}
+			s.resolve(key, f, body)
+			if failed {
+				s.met.failed.Add(1)
+			} else {
+				s.met.completed.Add(1)
+				s.met.rounds.Add(rounds)
+			}
+			return
+		case <-timer.C:
+			// Timeouts are wall-clock, not canonical: never cached. The
+			// producer keeps going (see above).
+			s.resolve(key, f, nil)
 			s.met.failed.Add(1)
-			flushWrite(w, errorLine(o.err.Error()))
+			flushWrite(w, errorLine(fmt.Sprintf("%s exceeded its %v execution timeout", st.noun, st.timeout)))
 			return
 		}
-		if o.err != nil {
-			// Driver and graph errors are pure functions of the
-			// canonical request: cache them like results so identical
-			// requests replay the identical error stream.
-			body := append(append([]byte(nil), accepted...), errorLine(o.err.Error())...)
-			s.publish(jb.key, body)
-			if f != nil {
-				s.resolve(jb.key, f, body)
-			}
-			s.met.failed.Add(1)
-			flushWrite(w, body[len(accepted):])
-			return
-		}
-		if o.transient {
-			// A nondeterministic success (real-transport run): stream and
-			// count it, but never memoize — an identical request must
-			// execute again, and no follower may inherit this body.
-			if f != nil {
-				s.resolve(jb.key, f, nil)
-			}
-			s.met.completed.Add(1)
-			s.met.rounds.Add(int64(o.res.Rounds))
-			flushWrite(w, sampleStream(resultLines(o.res), jb.points))
-			return
-		}
-		// Publish (and resolve followers with) the full-resolution body;
-		// this request's own stream is sampled to its progress_points.
-		tail := resultLines(o.res)
-		body := append(append([]byte(nil), accepted...), tail...)
-		s.publish(jb.key, body)
-		if f != nil {
-			s.resolve(jb.key, f, body)
-		}
-		s.met.completed.Add(1)
-		s.met.rounds.Add(int64(o.res.Rounds))
-		flushWrite(w, sampleStream(tail, jb.points))
-	case <-timer.C:
-		// Timeouts are wall-clock, not canonical: never cached.
-		if f != nil {
-			s.resolve(jb.key, f, nil)
-		}
-		s.met.failed.Add(1)
-		flushWrite(w, errorLine(fmt.Sprintf("job exceeded its %v execution timeout", jb.timeout)))
 	}
+}
+
+// transient marks an error that is not a function of the canonical
+// request (a drain abort, a recovered panic): streamed, never cached.
+type transient struct{ error }
+
+func isTransient(err error) bool { return errors.As(err, new(transient)) }
+
+// guard runs fn and returns a panic inside it as a transient error, so a
+// goroutine that executes job code never takes the process down. The
+// stack is written once to stderr.
+func guard[T any](fn func() (T, error)) (out T, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			fmt.Fprintf(os.Stderr, "gossipd: job panicked: %v\n%s", v, debug.Stack())
+			err = transient{fmt.Errorf("job panicked: %v", v)}
+		}
+	}()
+	return fn()
+}
+
+// produce computes the /v1/simulations stream: one chunk, the job's
+// rendered outcome.
+func (jb *job) produce(s *Server, _ func(), emit func(chunk)) {
+	res, nondet, err := s.execute(jb)
+	emit(chunk{line: jobTail(res, err), nondet: nondet, failed: err != nil, rounds: int64(res.Rounds)})
+}
+
+// execute runs one simulation job to its outcome on the calling
+// goroutine, which holds the slot. nondet marks outcomes that are not a
+// function of the canonical request: every error out of a coordinated
+// run (a worker died, a dial failed), and success and failure alike on
+// a real transport.
+func (s *Server) execute(jb *job) (res gossip.DriverResult, nondet bool, err error) {
+	if jb.shards > 0 {
+		// Coordinator path: the workers rebuild the graph; this process
+		// only relays barrier frames.
+		res, err = s.coordinate(jb)
+		return res, err != nil, err
+	}
+	g, err := graphgen.Build(jb.can.graphSpec())
+	if err != nil {
+		return res, false, fmt.Errorf("building graph: %w", err)
+	}
+	if jb.transport != "" {
+		res, err = runChanTransport(jb, g)
+		return res, true, err
+	}
+	res, err = gossip.Dispatch(jb.can.Driver, g, jb.driverOptions())
+	return res, false, err
 }
 
 // runChanTransport executes jb for real on an in-process goroutine mesh
@@ -577,12 +641,11 @@ func writeUnavailable(w http.ResponseWriter) {
 	fmt.Fprintln(w, `{"error":{"message":"server is draining; job rejected"}}`)
 }
 
-// writeStream serves a complete memoized NDJSON body.
-func writeStream(w http.ResponseWriter, body []byte, cacheStatus string) {
+// openStream commits the response head of an NDJSON stream.
+func openStream(w http.ResponseWriter, cacheStatus string) {
 	w.Header().Set(CacheHeader, cacheStatus)
 	w.Header().Set("Content-Type", ContentType)
 	w.WriteHeader(http.StatusOK)
-	flushWrite(w, body)
 }
 
 // flushWrite writes and flushes one chunk of the stream; write errors

@@ -15,14 +15,15 @@ import (
 	"gossip/internal/gossip"
 )
 
-// postJob submits a request and returns status, cache header and body.
-func postJob(t *testing.T, url string, req Request) (int, string, []byte) {
+// postJSON submits payload to one /v1 endpoint and returns status, cache
+// header and body.
+func postJSON(t *testing.T, url string, payload any) (int, string, []byte) {
 	t.Helper()
-	raw, err := json.Marshal(req)
+	raw, err := json.Marshal(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/simulations", "application/json", bytes.NewReader(raw))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +33,11 @@ func postJob(t *testing.T, url string, req Request) (int, string, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, resp.Header.Get(CacheHeader), body
+}
+
+func postJob(t *testing.T, url string, req Request) (int, string, []byte) {
+	t.Helper()
+	return postJSON(t, url+"/v1/simulations", req)
 }
 
 // decodeStream parses an NDJSON body into loosely-typed events.
@@ -187,70 +193,6 @@ func TestSimulateFaultSpecJob(t *testing.T) {
 	}
 }
 
-// TestSimulateCoalescesConcurrentIdenticalRequests holds a job mid-
-// flight while identical requests pile up: exactly one execution (miss),
-// everyone else replays it (hit), all bodies identical.
-func TestSimulateCoalescesConcurrentIdenticalRequests(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan string, 16)
-	srv := New(Config{gate: func(key string) {
-		started <- key
-		<-release
-	}})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const followers = 8
-	var wg sync.WaitGroup
-	type reply struct {
-		cache string
-		body  []byte
-	}
-	replies := make(chan reply, followers+1)
-	post := func() {
-		defer wg.Done()
-		_, cache, body := postJob(t, ts.URL, pushPullReq())
-		replies <- reply{cache, body}
-	}
-	wg.Add(1)
-	go post()
-	<-started // leader is executing, holding the gate
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go post()
-	}
-	// Followers coalesce: no second execution may begin.
-	select {
-	case k := <-started:
-		t.Fatalf("second execution started for %s despite coalescing", k)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	wg.Wait()
-	close(replies)
-
-	misses, hits := 0, 0
-	var first []byte
-	for r := range replies {
-		switch r.cache {
-		case "miss":
-			misses++
-		case "hit":
-			hits++
-		default:
-			t.Fatalf("cache header %q", r.cache)
-		}
-		if first == nil {
-			first = r.body
-		} else if !bytes.Equal(first, r.body) {
-			t.Fatalf("coalesced bodies differ:\n%s\nvs\n%s", first, r.body)
-		}
-	}
-	if misses != 1 || hits != followers {
-		t.Fatalf("misses=%d hits=%d, want 1/%d", misses, hits, followers)
-	}
-}
-
 // TestDrain is the graceful-shutdown satellite: the in-flight job
 // finishes and streams its result, the queued job gets 503, new
 // submissions get 503, and /healthz flips to draining.
@@ -320,52 +262,6 @@ func TestDrain(t *testing.T) {
 	}
 	if srv.Metrics().Completed != 1 {
 		t.Fatalf("metrics after drain: %+v", srv.Metrics())
-	}
-}
-
-// TestJobTimeout pins the per-job budget: the stream ends with an error
-// event, the outcome is not cached, and a later identical request
-// executes fresh.
-func TestJobTimeout(t *testing.T) {
-	release := make(chan struct{})
-	gated := true
-	var mu sync.Mutex
-	srv := New(Config{DefaultTimeout: 30 * time.Millisecond, gate: func(string) {
-		mu.Lock()
-		g := gated
-		mu.Unlock()
-		if g {
-			<-release
-		}
-	}})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status, cache, body := postJob(t, ts.URL, pushPullReq())
-	if status != http.StatusOK || cache != "miss" {
-		t.Fatalf("status %d cache %q", status, cache)
-	}
-	events := decodeStream(t, body)
-	last := events[len(events)-1]
-	if last["event"] != "error" || !strings.Contains(last["error"].(map[string]any)["message"].(string), "timeout") {
-		t.Fatalf("timed-out job ended with %+v", last)
-	}
-	if srv.Metrics().Failed != 1 {
-		t.Fatalf("metrics: %+v", srv.Metrics())
-	}
-
-	mu.Lock()
-	gated = false
-	mu.Unlock()
-	close(release) // let the abandoned goroutine finish and free its slot
-
-	waitFor(t, func() bool { return srv.Metrics().Running == 0 })
-	status, cache, body = postJob(t, ts.URL, pushPullReq())
-	if status != http.StatusOK || cache != "miss" {
-		t.Fatalf("retry status %d cache %q (timeouts must not be cached)", status, cache)
-	}
-	if ev := decodeStream(t, body); ev[len(ev)-1]["event"] != "result" {
-		t.Fatalf("retry did not complete: %+v", ev[len(ev)-1])
 	}
 }
 

@@ -3,13 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"gossip/internal/adversity"
 	"gossip/internal/gossip"
@@ -29,33 +26,20 @@ type SweepVariant = api.SweepVariant
 // content-addressed store anyway).
 const maxSweepVariants = 32
 
-// variantJob is one validated sweep variant: the diverged canonical
-// form plus its content address.
-type variantJob struct {
-	can  canonical
-	spec *adversity.Spec
-	// key addresses the variant body: a hash of (base canonical,
-	// fork_round, variant canonical). It deliberately does NOT collide
-	// with the /v1/simulations key of the same parameters — a warm
-	// continuation and a cold run are different computations with
-	// different bodies (the warm one has no accepted line), and a later
-	// sweep sharing this base, fork and overlay reuses it byte-for-byte.
-	key string
-}
-
-// options maps the variant onto the driver option surface; workers is
-// inherited from the base request (execution knob, not canonical).
-func (v *variantJob) options(workers int) gossip.DriverOptions {
-	j := job{can: v.can, workers: workers, spec: v.spec}
-	return j.driverOptions()
-}
-
 // sweepJob is a validated, normalized sweep ready to execute.
 type sweepJob struct {
 	base      *job
 	forkRound int
-	vars      []*variantJob
-	key       string // whole-stream cache key
+	// vars are the diverged jobs, one per variant; workers is inherited
+	// from the base request (execution knob, not canonical). A variant's
+	// key addresses its body: a hash of (base canonical, fork_round,
+	// variant canonical). It deliberately does NOT collide with the
+	// /v1/simulations key of the same parameters — a warm continuation
+	// and a cold run are different computations with different bodies
+	// (the warm one has no accepted line), and a later sweep sharing this
+	// base, fork and overlay reuses it byte-for-byte.
+	vars []*job
+	key  string // whole-stream cache key
 }
 
 // sweepCanonical and sweepVariantCanonical are the key material; struct
@@ -72,15 +56,6 @@ type sweepVariantCanonical struct {
 	Variant   canonical `json:"variant"`
 }
 
-func hashKey(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("server: canonical key marshal: %v", err))
-	}
-	sum := sha256.Sum256(append([]byte(bodyVersionSalt), b...))
-	return hex.EncodeToString(sum[:16])
-}
-
 // validateSweep checks a sweep against the server limits, the base
 // request rules and the warm-start divergence contract.
 func (s *Server) validateSweep(req SweepRequest) (*sweepJob, *FieldError) {
@@ -92,6 +67,9 @@ func (s *Server) validateSweep(req SweepRequest) (*sweepJob, *FieldError) {
 	if !d.WarmStart() {
 		return nil, fieldErrf("base.driver",
 			"driver %q is a multi-phase pipeline and cannot be warm-start forked (single-phase drivers only)", d.Name)
+	}
+	if ferr := inProcessOnly(base, "base"); ferr != nil {
+		return nil, ferr
 	}
 	if req.ForkRound < 0 || req.ForkRound > s.cfg.MaxRoundsCap {
 		return nil, fieldErrf("fork_round", "fork_round %d outside [0, %d]", req.ForkRound, s.cfg.MaxRoundsCap)
@@ -142,10 +120,11 @@ func (s *Server) validateSweep(req SweepRequest) (*sweepJob, *FieldError) {
 			}
 			vcan.MaxInPerRound = *v.MaxInPerRound
 		}
-		sj.vars = append(sj.vars, &variantJob{
-			can:  vcan,
-			spec: vspec,
-			key:  hashKey(sweepVariantCanonical{Base: base.can, ForkRound: req.ForkRound, Variant: vcan}),
+		sj.vars = append(sj.vars, &job{
+			can:     vcan,
+			spec:    vspec,
+			workers: base.workers,
+			key:     hashKey(sweepVariantCanonical{Base: base.can, ForkRound: req.ForkRound, Variant: vcan}),
 		})
 		cans = append(cans, vcan)
 	}
@@ -153,216 +132,85 @@ func (s *Server) validateSweep(req SweepRequest) (*sweepJob, *FieldError) {
 	return sj, nil
 }
 
-// handleSweep mirrors handleSimulate's cache/coalesce/leader loop on the
-// sweep-level key: identical concurrent sweeps coalesce onto one
-// execution, completed sweeps replay byte-identically from the cache
-// tiers, and cache status travels in the X-Gossipd-Cache header only.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		writeFieldError(w, fieldErrf("body", "decoding sweep request: %v", err))
-		return
-	}
-	sj, ferr := s.validateSweep(req)
-	if ferr != nil {
-		writeFieldError(w, ferr)
-		return
-	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.drainCtx, cancel)
-	defer stop()
-
-	s.serveJob(w, ctx, sj.key,
-		func(body []byte) []byte { return sampleStream(body, sj.base.points) },
-		func(w http.ResponseWriter, ctx context.Context, f *flight) { s.runSweepLeader(w, ctx, sj, f) })
-}
-
-// sweepChunk is one ordered piece of the sweep stream after the
-// accepted line. nondet marks wall-clock content (drain aborts) that
-// must keep the whole body out of the cache.
-type sweepChunk struct {
-	line   []byte
-	nondet bool
-	rounds int64 // terminal chunk only: rounds summed over completed variants
-}
-
-// runSweepLeader queues the shared prefix for an execution slot, streams
-// the sweep and publishes the outcome like runLeader does for single
-// jobs. The base request's timeout governs the whole sweep; a timeout
-// terminates the stream with an error event and is never cached.
-func (s *Server) runSweepLeader(w http.ResponseWriter, ctx context.Context, sj *sweepJob, f *flight) {
-	s.met.queued.Add(1)
-	err := s.pool.Acquire(ctx)
-	s.met.queued.Add(-1)
-	if err != nil {
-		if f != nil {
-			s.resolve(sj.key, f, nil)
-		}
-		if s.Draining() {
-			writeUnavailable(w)
-		}
-		return
-	}
-
-	accepted := sweepAcceptedLine(sj)
-	s.met.misses.Add(1)
-	s.met.sweeps.Add(1)
-	w.Header().Set(CacheHeader, "miss")
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	flushWrite(w, accepted)
-
-	// The producer owns the acquired slot and runs to completion on its
-	// own schedule (like runLeader's execution goroutine): a vanished
-	// client or a timed-out stream does not stop variant bodies from
-	// reaching the content store. The channel is buffered for the whole
-	// stream so an abandoned producer never blocks.
-	out := make(chan sweepChunk, 2*len(sj.vars)+2)
-	s.met.running.Add(1)
-	go func() {
-		defer s.met.running.Add(-1)
-		s.produceSweep(sj, out)
-	}()
-
-	timer := time.NewTimer(sj.base.timeout)
-	defer timer.Stop()
-	body := append([]byte(nil), accepted...)
-	cacheable := true
-	var rounds int64
-	for {
-		select {
-		case c, ok := <-out:
-			if !ok {
-				if cacheable {
-					s.publish(sj.key, body)
-					if f != nil {
-						s.resolve(sj.key, f, body)
-					}
-					s.met.completed.Add(1)
-					s.met.rounds.Add(rounds)
-				} else {
-					if f != nil {
-						s.resolve(sj.key, f, nil)
-					}
-					s.met.failed.Add(1)
-				}
-				return
-			}
-			cacheable = cacheable && !c.nondet
-			rounds += c.rounds
-			// The accumulated (published) body keeps full resolution; the
-			// live stream is sampled to the base's progress_points.
-			body = append(body, c.line...)
-			flushWrite(w, sampleStream(c.line, sj.base.points))
-		case <-timer.C:
-			// Wall-clock, not canonical: never cached. The producer keeps
-			// going so the per-variant bodies still land in the store.
-			if f != nil {
-				s.resolve(sj.key, f, nil)
-			}
-			s.met.failed.Add(1)
-			flushWrite(w, errorLine(fmt.Sprintf("sweep exceeded its %v execution timeout", sj.base.timeout)))
-			return
-		}
-	}
-}
-
-// produceSweep computes the stream after the accepted line: fork the
-// shared prefix (on the slot the caller acquired), resume every variant
-// in parallel on its own pool slot, and emit the per-variant sections in
-// index order followed by the sweep_result tally. Completed variant
-// bodies are content-addressed into the cache tiers, so overlapping
-// sweeps — and replays after an eviction or a restart — skip the resume.
-func (s *Server) produceSweep(sj *sweepJob, out chan<- sweepChunk) {
-	defer close(out)
-	if s.cfg.gate != nil {
-		s.cfg.gate(sj.key)
-	}
-	g, err := graphgen.Build(graphgen.Spec{
-		Family:  sj.base.can.Graph.Family,
-		N:       sj.base.can.Graph.N,
-		Latency: sj.base.can.Graph.Latency,
-		P:       sj.base.can.Graph.P,
-		Layers:  sj.base.can.Graph.Layers,
-		Seed:    sj.base.can.Seed,
+// serveSweep serves POST /v1/sweeps on the shared cache/coalesce/leader
+// loop, keyed on the sweep-level key: identical concurrent sweeps
+// coalesce onto one execution and completed sweeps replay
+// byte-identically from the cache tiers. The base request's timeout and
+// progress_points govern the whole sweep.
+func (s *Server) serveSweep(w http.ResponseWriter, _ *http.Request, ctx context.Context, _ SweepRequest, sj *sweepJob) {
+	acc := accepted(sj.base.can.Driver, sj.key)
+	acc.Variants, acc.ForkRound = len(sj.vars), &sj.forkRound
+	s.serveJob(w, ctx, stream{
+		accepted: acc,
+		timeout:  sj.base.timeout,
+		noun:     "sweep",
+		points:   sj.base.points,
+		executed: &s.met.sweeps,
+		chunks:   2*len(sj.vars) + 1,
+		job:      sj,
 	})
+}
+
+// produce computes the /v1/sweeps stream: fork the shared prefix on the
+// leader's slot, release it, resume every variant in parallel on its own
+// pool slot, and emit the per-variant sections in index order followed
+// by the sweep_result tally. Completed variant bodies are
+// content-addressed into the cache tiers, so overlapping sweeps — and
+// replays after an eviction or a restart — skip the resume.
+func (sj *sweepJob) produce(s *Server, release func(), emit func(chunk)) {
+	g, err := graphgen.Build(sj.base.can.graphSpec())
 	if err != nil {
-		s.pool.Release()
-		out <- sweepChunk{line: errorLine(fmt.Sprintf("building graph: %v", err))}
+		emit(chunk{line: errorLine(fmt.Sprintf("building graph: %v", err)), failed: true})
 		return
 	}
 	prefix, err := gossip.Fork(sj.base.can.Driver, g, sj.base.driverOptions(), sj.forkRound)
-	s.pool.Release()
+	release()
 	if err != nil {
-		// Deterministic (a pure function of the canonical sweep): the
-		// stream, error included, is cached like any other body.
-		out <- sweepChunk{line: errorLine(fmt.Sprintf("forking warm prefix: %v", err))}
+		emit(chunk{line: errorLine(fmt.Sprintf("forking warm prefix: %v", err)), failed: true})
 		return
 	}
 
-	type vOut struct {
-		tail   []byte
-		nondet bool
-	}
-	results := make([]chan vOut, len(sj.vars))
+	// A nondet tail (a drain abort, a panic) is an error event that is
+	// streamed but never content-addressed, and it fails the sweep; a
+	// deterministic variant error is one section of a sweep that still
+	// completes.
+	results := make([]chan chunk, len(sj.vars))
 	for i := range sj.vars {
-		results[i] = make(chan vOut, 1)
-		go func(i int, v *variantJob) {
+		results[i] = make(chan chunk, 1)
+		go func(i int, v *job) {
 			if tail, ok := s.lookup(v.key); ok {
-				results[i] <- vOut{tail: tail}
+				results[i] <- chunk{line: tail}
 				return
 			}
 			if err := s.pool.Acquire(s.drainCtx); err != nil {
-				results[i] <- vOut{tail: errorLine("server is draining; variant aborted"), nondet: true}
+				results[i] <- chunk{line: errorLine("server is draining; variant aborted"), nondet: true, failed: true}
 				return
 			}
-			res, err := prefix.Resume(v.options(sj.base.workers))
+			res, err := guard(func() (gossip.DriverResult, error) { return prefix.Resume(v.driverOptions()) })
 			s.pool.Release()
-			var tail []byte
-			if err != nil {
-				tail = errorLine(err.Error())
-			} else {
-				tail = resultLines(res)
+			tail, nondet := jobTail(res, err), isTransient(err)
+			if !nondet {
+				s.publish(v.key, tail)
 			}
-			s.publish(v.key, tail)
-			results[i] <- vOut{tail: tail}
+			results[i] <- chunk{line: tail, nondet: nondet, failed: nondet}
 		}(i, sj.vars[i])
 	}
 
 	var totalRounds int64
 	completed, errs := 0, 0
 	for i, v := range sj.vars {
-		out <- sweepChunk{line: variantLine(i, v.key)}
-		r := <-results[i]
-		rounds, isErr := tailSummary(r.tail)
+		emit(chunk{line: variantLine(i, v.key)})
+		c := <-results[i]
+		rounds, isErr := tailSummary(c.line)
 		if isErr {
 			errs++
 		} else {
 			completed++
 			totalRounds += rounds
 		}
-		out <- sweepChunk{line: r.tail, nondet: r.nondet}
+		emit(c)
 	}
-	out <- sweepChunk{line: sweepResultLine(len(sj.vars), completed, errs, totalRounds), rounds: totalRounds}
-}
-
-func sweepAcceptedLine(sj *sweepJob) []byte {
-	fr := sj.forkRound
-	return mustLine(api.Accepted{
-		SchemaVersion: SchemaVersion,
-		Event:         "accepted",
-		Driver:        sj.base.can.Driver,
-		RequestKey:    sj.key,
-		Variants:      len(sj.vars),
-		ForkRound:     &fr,
-	})
+	emit(chunk{line: sweepResultLine(len(sj.vars), completed, errs, totalRounds), rounds: totalRounds})
 }
 
 func variantLine(index int, key string) []byte {

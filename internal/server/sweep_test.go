@@ -3,33 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
-// postSweep submits a sweep and returns status, cache header and body.
 func postSweep(t *testing.T, url string, req SweepRequest) (int, string, []byte) {
 	t.Helper()
-	raw, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/sweeps", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header.Get(CacheHeader), body
+	return postJSON(t, url+"/v1/sweeps", req)
 }
 
 func pushPullSweep() SweepRequest {
@@ -155,7 +137,7 @@ func TestSweepCacheAndVariantReuse(t *testing.T) {
 
 // TestSweepValidation walks the 400 surface.
 func TestSweepValidation(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}).Handler())
+	ts := httptest.NewServer(fleetMember().Handler())
 	defer ts.Close()
 
 	cases := []struct {
@@ -165,6 +147,8 @@ func TestSweepValidation(t *testing.T) {
 	}{
 		{"pipeline driver", func(r *SweepRequest) { r.Base.Driver = "spanner" }, "base.driver"},
 		{"bad base", func(r *SweepRequest) { r.Base.Graph.N = 1 }, "base.graph.n"},
+		{"sharded base", func(r *SweepRequest) { r.Base.Shards = 2 }, "base.shards"},
+		{"real-transport base", func(r *SweepRequest) { r.Base.Transport = "chan" }, "base.transport"},
 		{"negative fork", func(r *SweepRequest) { r.ForkRound = -1 }, "fork_round"},
 		{"no variants", func(r *SweepRequest) { r.Variants = nil }, "variants"},
 		{"too many variants", func(r *SweepRequest) {
@@ -198,102 +182,5 @@ func TestSweepValidation(t *testing.T) {
 				t.Fatalf("error field %q, want %q (%s)", out["error"].Field, tc.field, out["error"].Message)
 			}
 		})
-	}
-}
-
-// TestSweepTimeoutNotCached: a sweep past its deadline terminates with
-// an error event and the next identical sweep executes again.
-func TestSweepTimeoutNotCached(t *testing.T) {
-	release := make(chan struct{})
-	gated := true
-	var mu sync.Mutex
-	srv := New(Config{DefaultTimeout: 30 * time.Millisecond, gate: func(string) {
-		mu.Lock()
-		g := gated
-		mu.Unlock()
-		if g {
-			<-release
-		}
-	}})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status, cache, body := postSweep(t, ts.URL, pushPullSweep())
-	if status != http.StatusOK || cache != "miss" {
-		t.Fatalf("status %d cache %q", status, cache)
-	}
-	events := decodeStream(t, body)
-	last := events[len(events)-1]
-	if last["event"] != "error" || !strings.Contains(last["error"].(map[string]any)["message"].(string), "timeout") {
-		t.Fatalf("timed-out sweep ended with %+v", last)
-	}
-
-	mu.Lock()
-	gated = false
-	mu.Unlock()
-	close(release)
-	waitFor(t, func() bool { return srv.Metrics().Running == 0 })
-
-	status, cache, body = postSweep(t, ts.URL, pushPullSweep())
-	if status != http.StatusOK || cache != "miss" {
-		t.Fatalf("retry status %d cache %q (timeouts must not be cached)", status, cache)
-	}
-	if ev := decodeStream(t, body); ev[len(ev)-1]["event"] != "sweep_result" {
-		t.Fatalf("retry did not complete: %+v", ev[len(ev)-1])
-	}
-}
-
-// TestSweepCoalescesConcurrentIdentical: concurrent identical sweeps
-// execute once; followers replay the leader's bytes.
-func TestSweepCoalescesConcurrentIdentical(t *testing.T) {
-	entered := make(chan string, 8)
-	release := make(chan struct{})
-	srv := New(Config{gate: func(key string) {
-		entered <- key
-		<-release
-	}})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const clients = 4
-	type res struct {
-		cache string
-		body  []byte
-	}
-	out := make(chan res, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			_, cache, body := postSweep(t, ts.URL, pushPullSweep())
-			out <- res{cache, body}
-		}()
-	}
-	<-entered // exactly one leader reached execution
-	close(release)
-
-	first := <-out
-	misses, hits := 0, 0
-	if first.cache == "miss" {
-		misses++
-	} else {
-		hits++
-	}
-	for i := 1; i < clients; i++ {
-		r := <-out
-		if !bytes.Equal(r.body, first.body) {
-			t.Fatalf("coalesced bodies differ")
-		}
-		if r.cache == "miss" {
-			misses++
-		} else {
-			hits++
-		}
-	}
-	if misses != 1 || hits != clients-1 {
-		t.Fatalf("misses %d hits %d, want 1/%d", misses, hits, clients-1)
-	}
-	select {
-	case k := <-entered:
-		t.Fatalf("second execution started for %s", k)
-	default:
 	}
 }

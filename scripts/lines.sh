@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Go line counts, non-test and test, per top-level directory and in
+# total, for the tree this script sits in — the two numbers every
+# simplicity PR and every ROADMAP re-anchor quotes. benchmark/ is a
+# module of its own, frozen between benchmark PRs, and is left out.
+# Lines are raw `wc -l` lines: comments and blanks count.
+#
+#   scripts/lines.sh    (or: make lines)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 |
+	xargs -0 wc -l |
+	awk '$2 != "total" {
+		n = split($2, part, "/")
+		dir = n > 2 ? part[2] : "(root)"
+		if ($2 ~ /_test\.go$/) { test[dir] += $1; tests += $1 } else { code[dir] += $1; codes += $1 }
+		seen[dir] = 1
+	}
+	END {
+		printf "%-12s %9s %9s\n", "directory", "non-test", "test"
+		for (dir in seen) printf "%-12s %9d %9d\n", dir, code[dir], test[dir] | "sort"
+		close("sort")
+		printf "%-12s %9d %9d\n", "total", codes, tests
+	}'
