@@ -25,8 +25,15 @@ build:
 
 # benchmark/ is a module of its own (replace gossip => ../), so ./... does
 # not reach it: vet and test it here too, or a change to the surface it
-# compiles against (gossip.Dispatch, PrepareDist, DriverOptions, sim.Run,
-# sim.Config, spanner.Build) breaks it unseen.
+# compiles against breaks it unseen: gossip.Dispatch and PrepareDist
+# (both with their g parameter), DriverOptions, ExecOptions, DriverResult;
+# sim.Run, RunDistLocal, Config, Result, Factory, StopFunc, WakeOnDelivery,
+# DistFrame/DistGain/DistIntent/DistStats; spanner.Build, Options;
+# graphgen.Build, Spec, NewRand, RingMatchingExpanderCSR; graph.Graph, CSR;
+# adversity.ParseSpec; curve.FromInformedAt, Sample; server.New, Server,
+# Config, Request, Snapshot; loadgen.DefaultMix, StartLocal;
+# api.AppendRoundFrame, DecodeRoundFrame, RoundFrame, Event, CacheHeader,
+# SchemaVersion — and the methods and fields it uses of those.
 test:
 	$(GO) test ./...
 	$(GO) -C benchmark vet .
@@ -105,12 +112,14 @@ cover:
 		{ echo "coverage $$total% fell below the ratcheted minimum $(COVER_MIN)%" >&2; exit 1; }
 
 # Short fuzz smoke of the structured-input parsers/builders (the fault
-# schedule DSL, the CSR builder and the /v1/estimates request
-# validator); CI-friendly seconds, not hours.
+# schedule DSL, the CSR builder, the /v1/estimates request validator)
+# and of the first network decoder, the TCP mesh's SYN/ACK payload;
+# CI-friendly seconds, not hours.
 fuzz-smoke:
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/graph -fuzz FuzzCSRBuilder -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
 
 # Static analysis beyond go vet. Requires staticcheck on PATH
 # (go install honnef.co/go/tools/cmd/staticcheck@latest); CI installs it.

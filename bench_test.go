@@ -177,7 +177,7 @@ func BenchmarkAblationPushPullVsUnified(b *testing.B) {
 	})
 	b.Run("unified", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := proto.Unified(g, proto.DriverOptions{
+			if _, err := proto.Dispatch("auto", g, proto.DriverOptions{
 				Source: 0, KnownLatencies: true, Seed: uint64(i + 1), MaxRounds: 1 << 18,
 			}); err != nil {
 				b.Fatal(err)

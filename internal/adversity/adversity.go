@@ -107,28 +107,6 @@ func (s *Spec) HasAmnesia() bool {
 	return false
 }
 
-// Fails reports whether the spec ever takes node u down — by churn or
-// by a crash batch (nil-safe). Callers layering further crash batches
-// on top of a spec use it to reject double-specified nodes.
-func (s *Spec) Fails(u graph.NodeID) bool {
-	if s == nil {
-		return false
-	}
-	for _, c := range s.Churn {
-		if c.Node == u {
-			return true
-		}
-	}
-	for _, b := range s.Crashes {
-		for _, v := range b.Nodes {
-			if v == u {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // NeverReturns reports whether node u is permanently gone by the end of
 // the schedule: crashed, or churned out without a rejoin (nil-safe).
 func (s *Spec) NeverReturns(u graph.NodeID) bool {
@@ -395,9 +373,6 @@ func (c *Schedule) HasLoss() bool { return c.hasLoss }
 // HasDown reports whether any node is ever down (the engine only tracks
 // an alive set when true).
 func (c *Schedule) HasDown() bool { return c.hasDown }
-
-// HasFlaps reports whether any link ever flaps.
-func (c *Schedule) HasFlaps() bool { return len(c.flaps) > 0 }
 
 // LossProb returns the loss probability of edge {u,v}.
 func (c *Schedule) LossProb(u, v graph.NodeID) float64 {

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"gossip/internal/adversity"
@@ -150,13 +149,11 @@ type Options struct {
 	D         int
 	Seed      uint64
 	MaxRounds int
-	// Crashes is the fail-stop schedule: batches of nodes crashing at
-	// given rounds. Completion is judged over survivors.
-	Crashes []adversity.Crash
-	// Adversity attaches a full declarative fault schedule — message
-	// loss, churn, link flaps and crash batches (see package adversity).
-	// Every algorithm accepts it; multi-phase pipelines rebase it
-	// between phases.
+	// Adversity attaches a declarative fault schedule — message loss,
+	// churn, link flaps and crash batches (see package adversity) — and is
+	// the one failure field: completion is judged over the nodes it never
+	// permanently removes. Every algorithm accepts it; multi-phase
+	// pipelines rebase it between phases.
 	Adversity *adversity.Spec
 	// FaultTolerant switches the spanner pipeline to the Superstep
 	// primitive with timeouts (the Section 7 extension). Only meaningful
@@ -191,25 +188,6 @@ func Disseminate(g *graph.Graph, opts Options) (Outcome, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = sim.DefaultMaxRounds
 	}
-	// Crashes ride on the fault schedule: appended to a copy, never to the
-	// caller's spec. A node failed by both mechanisms is refused rather
-	// than letting the earlier failure silently shadow the other.
-	adv := opts.Adversity
-	if len(opts.Crashes) > 0 {
-		for _, b := range opts.Crashes {
-			for _, u := range b.Nodes {
-				if adv.Fails(u) {
-					return Outcome{}, fmt.Errorf("core: node %d is failed by both the crash schedule and the Adversity spec", u)
-				}
-			}
-		}
-		merged := adversity.Spec{}
-		if adv != nil {
-			merged = *adv
-		}
-		merged.Crashes = slices.Concat(merged.Crashes, opts.Crashes)
-		adv = &merged
-	}
 	res, err := gossip.Dispatch(string(name), g, gossip.DriverOptions{
 		Source:         opts.Source,
 		KnownLatencies: opts.KnownLatencies,
@@ -218,7 +196,7 @@ func Disseminate(g *graph.Graph, opts Options) (Outcome, error) {
 		MaxRounds:      opts.MaxRounds,
 		FaultTolerant:  opts.FaultTolerant,
 		ExecOptions: gossip.ExecOptions{
-			Adversity: adv,
+			Adversity: opts.Adversity,
 			Workers:   opts.Workers,
 		},
 	})

@@ -255,7 +255,7 @@ func runE20(ctx context.Context, cfg Config) (*Table, error) {
 			if !pp.Completed {
 				return runner.Sample{}, fmt.Errorf("push-pull incomplete")
 			}
-			sp, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
+			sp, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed + 1, SkipCheck: true,
 				D: int(g.WeightedDiameter()),
 			})
@@ -301,14 +301,14 @@ var expE21Jitter = Experiment{
 
 func runE21(ctx context.Context, cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	g := graphgen.Grid(5, 5, 4)
+	csr := graphgen.Grid(5, 5, 4).CSR()
 	jitters := []float64{0, 0.2, 0.5}
 	names := cellNames(len(jitters), func(i int) string { return fmt.Sprintf("jitter=%g", jitters[i]) })
 	cells, err := runGrid(ctx, cfg, "E21", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			jitter := jitters[c.CellIndex]
 			pp, err := sim.Run(sim.Config{
-				Graph: g, Seed: seed, MaxRounds: 1 << 19,
+				CSR: csr, Seed: seed, MaxRounds: 1 << 19,
 				Mode: sim.OneToAll, Source: 0, LatencyJitter: jitter,
 			}, func(nv *sim.NodeView) sim.Protocol { return gossip.NewPushPull(nv) },
 				sim.StopAllInformed(0))
@@ -316,7 +316,7 @@ func runE21(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			dtg, err := sim.Run(sim.Config{
-				Graph: g, Seed: seed, MaxRounds: 1 << 19, KnownLatencies: true,
+				CSR: csr, Seed: seed, MaxRounds: 1 << 19, KnownLatencies: true,
 				Mode: sim.AllToAll, LatencyJitter: jitter,
 			}, func(nv *sim.NodeView) sim.Protocol { return gossip.NewDTG(nv, 8) },
 				sim.StopAllDone())
@@ -368,13 +368,13 @@ func runE22(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashCounts[c.CellIndex], 5)}
 			g := graphgen.Clique(n, 2)
-			plain, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
+			plain, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed, MaxRounds: 4096, ExecOptions: exec,
 			})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			robust, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
+			robust, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed, MaxRounds: 4096,
 				FaultTolerant: true, LBTimeout: 8, ExecOptions: exec,
 			})

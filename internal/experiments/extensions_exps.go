@@ -82,7 +82,7 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 			// The spanner pipeline run is deterministic per cell; trial 0
 			// carries it so the cell has exactly one sample of it.
 			if c.Trial == 0 {
-				sp, err := gossip.SpannerBroadcast(tp.mk(), gossip.DriverOptions{
+				sp, err := gossip.Dispatch("spanner", tp.mk(), gossip.DriverOptions{
 					KnownLatencies: true,
 					Seed:           seed,
 					MaxRounds:      8192,

@@ -182,11 +182,12 @@ func runE6(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			g := ring.Graph
-			res, err := gossip.Unified(g, gossip.DriverOptions{
+			res, err := gossip.Unified(gossip.DriverOptions{
 				Source:         0,
 				KnownLatencies: false,
 				Seed:           seed + 1,
 				MaxRounds:      1 << 21,
+				ExecOptions:    gossip.ExecOptions{CSR: g.CSR()},
 			})
 			if err != nil {
 				return runner.Sample{}, err

@@ -154,7 +154,7 @@ func runE8(ctx context.Context, cfg Config) (*Table, error) {
 			l := lens[c.CellIndex-len(ns)]
 			g := graphgen.Path(l, 2)
 			d := int(g.WeightedDiameter())
-			res, err := gossip.SpannerBroadcast(g, gossip.DriverOptions{
+			res, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
 				D: d, KnownLatencies: true, Seed: seed, SkipCheck: true,
 			})
 			if err != nil {
@@ -220,7 +220,7 @@ func runE9(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := graphgen.Cycle(lens[c.CellIndex], 2)
 			d := int(g.WeightedDiameter())
-			res, err := gossip.PatternBroadcast(g, gossip.DriverOptions{
+			res, err := gossip.Dispatch("pattern", g, gossip.DriverOptions{
 				D: d, Seed: seed, SkipCheck: true,
 			})
 			if err != nil {
@@ -305,8 +305,9 @@ func runE10(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E10", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			res, err := gossip.Unified(cases[c.CellIndex].g, gossip.DriverOptions{
+			res, err := gossip.Unified(gossip.DriverOptions{
 				Source: 0, KnownLatencies: true, Seed: seed, MaxRounds: 1 << 21,
+				ExecOptions: gossip.ExecOptions{CSR: cases[c.CellIndex].g.CSR()},
 			})
 			if err != nil {
 				return runner.Sample{}, err

@@ -118,10 +118,21 @@ func TestRRLatencyFilter(t *testing.T) {
 	}
 }
 
+// broadcastVia runs the "spanner" or "pattern" pipeline on g the way every
+// caller outside the package does, through the registry, and returns the
+// per-phase detail.
+func broadcastVia(name string, g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
+	res, err := Dispatch(name, g, opts)
+	if err != nil {
+		return BroadcastResult{}, err
+	}
+	return *res.Broadcast, nil
+}
+
 func TestSpannerBroadcastKnownD(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
 	d := int(g.WeightedDiameter())
-	res, err := SpannerBroadcast(g, DriverOptions{D: d, KnownLatencies: true, Seed: 1, SkipCheck: true})
+	res, err := broadcastVia("spanner", g, DriverOptions{D: d, KnownLatencies: true, Seed: 1, SkipCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +149,7 @@ func TestSpannerBroadcastKnownD(t *testing.T) {
 
 func TestSpannerBroadcastUnknownD(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
-	res, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 2})
+	res, err := broadcastVia("spanner", g, DriverOptions{KnownLatencies: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +175,7 @@ func TestSpannerBroadcastUnknownLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 6, rng)
-	res, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: false, Seed: 3})
+	res, err := broadcastVia("spanner", g, DriverOptions{KnownLatencies: false, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +198,7 @@ func TestSpannerBroadcastAvoidsSlowEdges(t *testing.T) {
 	// Dumbbell where the direct bridge is slow but D is small... here D
 	// includes the bridge; spanner broadcast must still complete.
 	g := graphgen.Dumbbell(6, 9)
-	res, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 4})
+	res, err := broadcastVia("spanner", g, DriverOptions{KnownLatencies: true, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +233,7 @@ func TestPatternSequence(t *testing.T) {
 func TestPatternBroadcastKnownD(t *testing.T) {
 	g := graphgen.Grid(3, 4, 2)
 	d := int(g.WeightedDiameter())
-	res, err := PatternBroadcast(g, DriverOptions{D: d, Seed: 5, SkipCheck: true})
+	res, err := broadcastVia("pattern", g, DriverOptions{D: d, Seed: 5, SkipCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +244,7 @@ func TestPatternBroadcastKnownD(t *testing.T) {
 
 func TestPatternBroadcastUnknownD(t *testing.T) {
 	g := graphgen.Cycle(10, 3)
-	res, err := PatternBroadcast(g, DriverOptions{Seed: 6})
+	res, err := broadcastVia("pattern", g, DriverOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +279,7 @@ func TestPatternReachesDistanceK(t *testing.T) {
 
 func TestDiscovery(t *testing.T) {
 	g := graphgen.Dumbbell(4, 20)
-	res, err := runDiscovery(g, DriverOptions{Seed: 1, MaxRounds: g.MaxDegree() + 25})
+	res, err := runDiscovery(DriverOptions{Seed: 1, MaxRounds: g.MaxDegree() + 25, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +292,7 @@ func TestUnifiedPicksWinner(t *testing.T) {
 	// Well-connected clique: push-pull should win (log n rounds vs the
 	// spanner pipeline's polylog overhead).
 	g := graphgen.Clique(24, 1)
-	res, err := Unified(g, DriverOptions{Source: 0, KnownLatencies: true, Seed: 1, MaxRounds: 1 << 20})
+	res, err := Unified(DriverOptions{Source: 0, KnownLatencies: true, Seed: 1, MaxRounds: 1 << 20, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +313,7 @@ func TestUnifiedSpannerWinsOnBadConductance(t *testing.T) {
 	// rarely picks the bridge (probability 1/deg per round), while the
 	// spanner algorithm uses it deterministically.
 	g := graphgen.Dumbbell(16, 4)
-	res, err := Unified(g, DriverOptions{Source: 0, KnownLatencies: true, Seed: 2, MaxRounds: 1 << 20})
+	res, err := Unified(DriverOptions{Source: 0, KnownLatencies: true, Seed: 2, MaxRounds: 1 << 20, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)
 	}

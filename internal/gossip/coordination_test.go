@@ -204,7 +204,7 @@ func TestStopLeaderStableNoFacet(t *testing.T) {
 	if !ok {
 		t.Fatal("push-pull not registered")
 	}
-	cfg, factory, _, err := d.Prepare(g, DriverOptions{Seed: 1, MaxRounds: 64})
+	cfg, factory, _, err := d.Prepare(DriverOptions{Seed: 1, MaxRounds: 64, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)
 	}

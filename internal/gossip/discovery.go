@@ -1,9 +1,6 @@
 package gossip
 
-import (
-	"gossip/internal/graph"
-	"gossip/internal/sim"
-)
+import "gossip/internal/sim"
 
 // Discover is the latency-discovery protocol of Section 5.2: each node
 // contacts its neighbors one per round (Δ activations) and then waits for
@@ -58,9 +55,8 @@ func (d *Discover) NextWake(round int) int {
 // opts.MaxRounds (typically Δ + current diameter guess), reading Seed,
 // InitialRumors, Adversity and Workers besides. The returned result's
 // Rounds is always the budget: discovery cost is paid in full.
-func runDiscovery(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
+func runDiscovery(opts DriverOptions) (DriverResult, error) {
 	res, err := fromSimResult(sim.Run(sim.Config{
-		Graph:         g,
 		CSR:           opts.CSR,
 		Workers:       opts.Workers,
 		Seed:          opts.Seed,

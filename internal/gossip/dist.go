@@ -57,7 +57,10 @@ func PrepareDist(name string, g *graph.Graph, opts DriverOptions) (sim.Config, s
 	if opts.MaxInPerRound > 0 {
 		return sim.Config{}, nil, nil, fmt.Errorf("gossip: distributed execution does not support the bounded in-degree model (max_in_per_round)")
 	}
-	return d.Prepare(g, opts)
+	if err := topology(g, &opts); err != nil {
+		return sim.Config{}, nil, nil, err
+	}
+	return d.Prepare(opts)
 }
 
 // DispatchLocalSharded runs the named driver sharded across goroutines

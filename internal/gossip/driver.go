@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -55,12 +56,12 @@ type ExecOptions struct {
 	// never permanently removes, including temporarily-churned nodes,
 	// which must be informed after rejoining.
 	Adversity *adversity.Spec
-	// CSR supplies the topology in compressed sparse row form. Every
-	// registered driver accepts it with a nil *graph.Graph — the
-	// million-node path, where the adjacency-map representation is never
-	// materialized. The engine executes on the CSR either way: a run
-	// given only a *graph.Graph converts it once at entry, and a pipeline
-	// hands that one CSR to all of its phases.
+	// CSR is the topology, the only one anything below the registry sees.
+	// A caller holding a CSR (the million-node path, where the
+	// adjacency-map form is never materialized) sets it here; the entry
+	// points that also accept a graph (Dispatch, PrepareDist,
+	// DispatchLocalSharded, Fork) fill it in from that graph when it is
+	// nil, and a pipeline hands the one CSR to all of its phases.
 	CSR *graph.CSR
 }
 
@@ -258,16 +259,16 @@ type Driver struct {
 	Description string
 	// Options is the schema: the DriverOptions fields this driver reads.
 	Options []OptionDoc
-	// Run executes the protocol on opts.CSR, or on g when that is nil.
-	// Drivers that supply Prepare may leave Run nil; Register derives it.
-	Run func(g *graph.Graph, opts DriverOptions) (DriverResult, error)
+	// Run executes the protocol on opts.CSR. Drivers that supply Prepare
+	// may leave Run nil; Register derives it.
+	Run func(opts DriverOptions) (DriverResult, error)
 	// Prepare expands the options into the single sim.Run invocation the
 	// driver amounts to, without executing it. Only single-phase drivers
 	// have one; multi-phase pipelines (spanner, pattern, auto) leave it
 	// nil. A non-nil Prepare is what makes a driver warm-startable: Fork
 	// captures an engine snapshot from the prepared run and Resume
 	// re-prepares a variant's factory/stop against the frozen state.
-	Prepare func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error)
+	Prepare func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error)
 }
 
 // WarmStart reports whether the driver supports snapshot forking
@@ -288,8 +289,8 @@ func Register(d *Driver) {
 		}
 	}
 	if d.Run == nil && d.Prepare != nil {
-		d.Run = func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			cfg, factory, stop, err := d.Prepare(g, opts)
+		d.Run = func(opts DriverOptions) (DriverResult, error) {
+			cfg, factory, stop, err := d.Prepare(opts)
 			if err != nil {
 				return DriverResult{}, err
 			}
@@ -325,36 +326,38 @@ func Names() []string {
 	return out
 }
 
-// Dispatch runs the named driver on opts.CSR, or on g when no CSR is
-// supplied; with a CSR, g may be nil for every driver.
+// Dispatch runs the named driver on opts.CSR when it is set, otherwise on
+// g converted once; with a CSR, g may be nil for every driver.
 func Dispatch(name string, g *graph.Graph, opts DriverOptions) (DriverResult, error) {
+	if err := topology(g, &opts); err != nil {
+		return DriverResult{}, err
+	}
+	return run(name, opts)
+}
+
+// run is Dispatch below the registry, where opts.CSR is the topology:
+// what a pipeline calls for each of its phases.
+func run(name string, opts DriverOptions) (DriverResult, error) {
 	d, ok := Lookup(name)
 	if !ok {
 		return DriverResult{}, fmt.Errorf("gossip: unknown driver %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	if g == nil && opts.CSR == nil {
-		return DriverResult{}, fmt.Errorf("gossip: driver %q needs a graph or a CSR topology", name)
-	}
-	return d.Run(g, opts)
+	return d.Run(opts)
 }
 
-// topologyN returns the node count of whichever topology representation
-// the caller supplied.
-func topologyN(g *graph.Graph, opts DriverOptions) int {
-	if g != nil {
-		return g.N()
-	}
-	return opts.CSR.N()
-}
+var errNoTopology = errors.New("gossip: no topology (pass a graph or set ExecOptions.CSR)")
 
-// topology resolves the one CSR a run executes on: the caller's, or g
-// converted once. Pipelines call it at entry and hand the result to every
-// phase through phaseExec.
-func topology(g *graph.Graph, opts DriverOptions) *graph.CSR {
-	if opts.CSR != nil {
-		return opts.CSR
+// topology is the one precedence rule of the entry points that accept a
+// graph beside the options (Dispatch, PrepareDist, DispatchLocalSharded,
+// Fork): opts.CSR wins when set, otherwise it becomes g converted, once.
+func topology(g *graph.Graph, opts *DriverOptions) error {
+	if opts.CSR == nil {
+		if g == nil {
+			return errNoTopology
+		}
+		opts.CSR = g.CSR()
 	}
-	return g.CSR()
+	return nil
 }
 
 // fromSimResult normalizes a single-phase simulation outcome.
@@ -453,11 +456,10 @@ func init() {
 			{"MaxInPerRound", "bounded in-degree model of Daum et al.", []string{"max_in_per_round"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			// Slab-allocate the per-node protocol structs: one allocation
 			// for the whole run instead of n — measurable at n=10⁶.
-			n := topologyN(g, opts)
-			slab := make([]PushPull, n)
+			slab := make([]PushPull, opts.CSR.N())
 			factory := func(nv *sim.NodeView) sim.Protocol {
 				p := &slab[nv.ID()]
 				*p = PushPull{nv: nv}
@@ -471,7 +473,6 @@ func init() {
 				}
 			}
 			return sim.Config{
-				Graph:         g,
 				CSR:           opts.CSR,
 				Workers:       opts.Workers,
 				Seed:          opts.Seed,
@@ -493,10 +494,9 @@ func init() {
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			blocking := opts.Variant != VariantNonBlocking
 			return sim.Config{
-					Graph:     g,
 					CSR:       opts.CSR,
 					Workers:   opts.Workers,
 					Seed:      opts.Seed,
@@ -518,9 +518,8 @@ func init() {
 			{"Adversity", "fault schedule (DTG stalls on lost exchanges)", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			return sim.Config{
-					Graph:          g,
 					CSR:            opts.CSR,
 					Workers:        opts.Workers,
 					Seed:           opts.Seed,
@@ -544,9 +543,8 @@ func init() {
 			{"Adversity", "fault schedule; timeouts recover from losses", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			return sim.Config{
-					Graph:          g,
 					CSR:            opts.CSR,
 					Workers:        opts.Workers,
 					Seed:           opts.Seed,
@@ -583,8 +581,8 @@ func init() {
 			{"Adversity", "fault schedule, rebased per phase", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
-		Run: func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			return fromBroadcastResult(SpannerBroadcast(g, opts))
+		Run: func(opts DriverOptions) (DriverResult, error) {
+			return fromBroadcastResult(spannerBroadcast(opts))
 		},
 	})
 	Register(&Driver{
@@ -596,8 +594,8 @@ func init() {
 			{"Adversity", "fault schedule, rebased per phase", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
-		Run: func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			return fromBroadcastResult(PatternBroadcast(g, opts))
+		Run: func(opts DriverOptions) (DriverResult, error) {
+			return fromBroadcastResult(patternBroadcast(opts))
 		},
 	})
 	Register(&Driver{
@@ -610,8 +608,8 @@ func init() {
 			{"Adversity", "fault schedule applied to both arms", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Run: func(g *graph.Graph, opts DriverOptions) (DriverResult, error) {
-			res, err := Unified(g, opts)
+		Run: func(opts DriverOptions) (DriverResult, error) {
+			res, err := Unified(opts)
 			if err != nil {
 				return DriverResult{}, err
 			}

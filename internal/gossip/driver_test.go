@@ -7,6 +7,7 @@ import (
 	"gossip/internal/adversity"
 	"gossip/internal/graph"
 	"gossip/internal/graphgen"
+	"gossip/internal/sim"
 )
 
 func TestDriverRegistryNames(t *testing.T) {
@@ -102,6 +103,21 @@ func TestCrashBatchIsForeverChurn(t *testing.T) {
 	}
 }
 
+// dispatchReport runs one driver on (g, csr) and returns what it reports,
+// less the per-run engine state the reported fields are drawn from.
+func dispatchReport(t *testing.T, name string, g *graph.Graph, csr *graph.CSR, spec *adversity.Spec) DriverResult {
+	t.Helper()
+	res, err := Dispatch(name, g, DriverOptions{
+		Seed: 7, KnownLatencies: true, MaxRounds: 1 << 15,
+		ExecOptions: ExecOptions{Adversity: spec, CSR: csr},
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	res.Sim = nil
+	return res
+}
+
 // TestPipelinesRunOnCSROnly pins that the pipeline drivers execute on the
 // CSR alone: handed only g.CSR() they report, field for field, what they
 // report for g — phases, spanner shape and winner included — with and
@@ -118,21 +134,62 @@ func TestPipelinesRunOnCSROnly(t *testing.T) {
 	} {
 		for _, name := range []string{"rr", "spanner", "pattern", "auto"} {
 			for _, spec := range []*adversity.Spec{nil, adversity.MustParseSpec("loss=0.05;churn=1:4-30:amnesia;crash=6:2")} {
-				run := func(g *graph.Graph, csr *graph.CSR) DriverResult {
-					res, err := Dispatch(name, g, DriverOptions{
-						Seed: 7, KnownLatencies: true, MaxRounds: 1 << 15,
-						ExecOptions: ExecOptions{Adversity: spec, CSR: csr},
-					})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", fname, name, err)
-					}
-					res.Sim = nil // per-run engine state; the reported fields are what must agree
-					return res
-				}
-				if a, b := run(g, nil), run(nil, g.CSR()); !reflect.DeepEqual(a, b) {
+				if a, b := dispatchReport(t, name, g, nil, spec), dispatchReport(t, name, nil, g.CSR(), spec); !reflect.DeepEqual(a, b) {
 					t.Errorf("%s/%s (faults %v): graph and CSR-only runs disagree:\n graph %+v\n csr   %+v", fname, name, spec != nil, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestDispatchGraphEqualsCSR: for every driver, handing Dispatch a graph
+// is handing it that graph's CSR — the conversion at the entry point is
+// the only thing the graph is used for.
+func TestDispatchGraphEqualsCSR(t *testing.T) {
+	g := graphgen.Dumbbell(8, 40)
+	for _, name := range Names() {
+		if a, b := dispatchReport(t, name, g, nil, nil), dispatchReport(t, name, nil, g.CSR(), nil); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: graph and CSR runs disagree:\n graph %+v\n csr   %+v", name, a, b)
+		}
+	}
+}
+
+// TestDispatchRunsOnOptsCSR is the one precedence rule, for every driver:
+// when the options carry a CSR, the run is on it and a graph passed
+// beside it changes nothing — here a dumbbell whose bridge is forty times
+// faster, which would move every latency-derived timer and result.
+func TestDispatchRunsOnOptsCSR(t *testing.T) {
+	other, csr := graphgen.Dumbbell(8, 1), graphgen.Dumbbell(8, 40).CSR()
+	for _, name := range Names() {
+		if a, b := dispatchReport(t, name, other, csr, nil), dispatchReport(t, name, nil, csr, nil); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: a graph beside opts.CSR changed the run:\n with    %+v\n without %+v", name, a, b)
+		}
+	}
+}
+
+// TestMissingTopologyIsAnError: every way into a run answers a missing
+// topology with an error, never a nil dereference.
+func TestMissingTopologyIsAnError(t *testing.T) {
+	entries := map[string]func() error{
+		"sim.Run": func() error { _, err := sim.Run(sim.Config{}, nil, sim.StopNever()); return err },
+		"PrepareDist": func() error {
+			_, _, _, err := PrepareDist("push-pull", nil, DriverOptions{})
+			return err
+		},
+		"DispatchLocalSharded": func() error {
+			_, _, err := DispatchLocalSharded("push-pull", nil, DriverOptions{}, 2)
+			return err
+		},
+		"Fork":    func() error { _, err := Fork("push-pull", nil, DriverOptions{}, 1); return err },
+		"Unified": func() error { _, err := Unified(DriverOptions{}); return err },
+		"RunNet":  func() error { _, err := RunNet(NetConfig{}); return err },
+	}
+	for _, name := range Names() {
+		entries["Dispatch/"+name] = func() error { _, err := Dispatch(name, nil, DriverOptions{}); return err }
+	}
+	for entry, call := range entries {
+		if err := call(); err == nil {
+			t.Errorf("%s accepted a run without a topology", entry)
 		}
 	}
 }

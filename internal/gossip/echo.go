@@ -38,12 +38,6 @@ var (
 	_ sim.StateCloner    = (*Echo)(nil)
 )
 
-// NewEcho returns the echo protocol for one node of the wave rooted at
-// root.
-func NewEcho(nv *sim.NodeView, root graph.NodeID) *Echo {
-	return &Echo{nv: nv, root: root}
-}
-
 // CloneStateFrom copies the sweep state from a frozen snapshot instance.
 func (e *Echo) CloneStateFrom(src sim.Protocol) {
 	s := src.(*Echo)
@@ -110,8 +104,8 @@ func init() {
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-			n := topologyN(g, opts)
+		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+			n := opts.CSR.N()
 			slab := make([]Echo, n)
 			factory := func(nv *sim.NodeView) sim.Protocol {
 				p := &slab[nv.ID()]
@@ -119,7 +113,6 @@ func init() {
 				return p
 			}
 			return sim.Config{
-				Graph:     g,
 				CSR:       opts.CSR,
 				Workers:   opts.Workers,
 				Seed:      opts.Seed,

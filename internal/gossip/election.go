@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"gossip/internal/graph"
 	"gossip/internal/sim"
 )
 
@@ -189,16 +188,9 @@ func init() {
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
-		Prepare: func(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-			n := topologyN(g, opts)
-			maxLat := 0
-			switch {
-			case g != nil:
-				maxLat = g.MaxLatency()
-			case opts.CSR != nil:
-				maxLat = opts.CSR.MaxLatency()
-			}
-			suspectAfter, stableRounds := electionDefaults(n, maxLat)
+		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+			n := opts.CSR.N()
+			suspectAfter, stableRounds := electionDefaults(n, opts.CSR.MaxLatency())
 			if opts.SuspectAfter > 0 {
 				suspectAfter = opts.SuspectAfter
 			}
@@ -212,7 +204,6 @@ func init() {
 				return p
 			}
 			return sim.Config{
-				Graph:     g,
 				CSR:       opts.CSR,
 				Workers:   opts.Workers,
 				Seed:      opts.Seed,

@@ -97,7 +97,7 @@ func TestPushPullBoundedInDegreeStar(t *testing.T) {
 
 func TestSpannerBroadcastWithMidRunCrashes(t *testing.T) {
 	g := graphgen.Clique(16, 2)
-	res, err := SpannerBroadcast(g, DriverOptions{
+	res, err := broadcastVia("spanner", g, DriverOptions{
 		KnownLatencies: true, Seed: 3, MaxRounds: 4096, ExecOptions: crashes(5, 1),
 	})
 	if err != nil {

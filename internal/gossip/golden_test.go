@@ -90,7 +90,7 @@ func goldenRuns(t *testing.T, g *graph.Graph, workers int) map[string]goldenReco
 	}
 	out["dtg"] = goldenRecord{dtg.Rounds, dtg.Completed, dtg.Exchanges, dtg.InformedAt}
 
-	sb, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 11, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
+	sb, err := broadcastVia("spanner", g, DriverOptions{KnownLatencies: true, Seed: 11, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSpannerShapeGolden(t *testing.T) {
 		"path12":    {11, 2},
 	}
 	for name, g := range goldenGraphs() {
-		sb, err := SpannerBroadcast(g, DriverOptions{KnownLatencies: true, Seed: 11, MaxRounds: goldenMaxRounds})
+		sb, err := broadcastVia("spanner", g, DriverOptions{KnownLatencies: true, Seed: 11, MaxRounds: goldenMaxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}

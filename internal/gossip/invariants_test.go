@@ -80,7 +80,7 @@ func TestInformationSpeedLimit(t *testing.T) {
 // snapshot semantics; spot-check the spanner pipeline on a weighted path.
 func TestPipelineSpeedLimit(t *testing.T) {
 	g := graphgen.Path(10, 7)
-	res, err := SpannerBroadcast(g, DriverOptions{
+	res, err := broadcastVia("spanner", g, DriverOptions{
 		D: int(g.WeightedDiameter()), KnownLatencies: true, Seed: 3, SkipCheck: true,
 	})
 	if err != nil {
@@ -100,8 +100,9 @@ func TestPipelineSpeedLimit(t *testing.T) {
 func TestQuickUnifiedIsMin(t *testing.T) {
 	g := graphgen.Clique(12, 2)
 	f := func(seed uint16) bool {
-		res, err := Unified(g, DriverOptions{
+		res, err := Unified(DriverOptions{
 			Source: 0, KnownLatencies: true, Seed: uint64(seed), MaxRounds: 1 << 18,
+			ExecOptions: ExecOptions{CSR: g.CSR()},
 		})
 		if err != nil {
 			return false
@@ -134,7 +135,7 @@ func TestRRNoOutEdges(t *testing.T) {
 func TestDiscoveryBudgetSemantics(t *testing.T) {
 	g := graphgen.Dumbbell(4, 50)
 	budget := g.MaxDegree() + 10 // bridge (50) cannot respond in time
-	res, err := runDiscovery(g, DriverOptions{Seed: 1, MaxRounds: budget})
+	res, err := runDiscovery(DriverOptions{Seed: 1, MaxRounds: budget, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 	// definition of "this protocol's per-node instance". The returned
 	// sim.Config and stop condition belong to the calendar engine and are
 	// discarded.
-	_, factory, _, err := d.Prepare(nil, opts)
+	_, factory, _, err := d.Prepare(opts)
 	if err != nil {
 		return NetResult{}, err
 	}
@@ -205,9 +205,9 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 						if !open {
 							return
 						}
-						kind, rumors, derr := decodeNetMsg(p.Payload)
+						kind, rumors, derr := decodeNetMsg(p.Payload, n)
 						if derr != nil {
-							continue
+							continue // undecodable: dropped like any lost packet
 						}
 						switch kind {
 						case netSyn:
@@ -292,7 +292,13 @@ func encodeNetMsg(kind byte, journal []int32) []byte {
 	return buf
 }
 
-func decodeNetMsg(p []byte) (kind byte, rumors []int32, err error) {
+// decodeNetMsg parses one SYN/ACK addressed to a node of an n-node
+// topology. The bytes come off a socket, so nothing in them is trusted:
+// the rumor count is bounded by the bytes that remain (a rumor id takes at
+// least one), which keeps the allocation sized by the input, and an id
+// outside [0, n) is refused because the caller indexes its rumor set by
+// it.
+func decodeNetMsg(p []byte, n int) (kind byte, rumors []int32, err error) {
 	if len(p) < 1 {
 		return 0, nil, fmt.Errorf("gossip: empty net message")
 	}
@@ -303,11 +309,17 @@ func decodeNetMsg(p []byte) (kind byte, rumors []int32, err error) {
 		return 0, nil, fmt.Errorf("gossip: truncated net message")
 	}
 	rest = rest[m:]
+	if count > uint64(len(rest)) {
+		return 0, nil, fmt.Errorf("gossip: net message claims %d rumors in %d bytes", count, len(rest))
+	}
 	rumors = make([]int32, 0, count)
 	for i := uint64(0); i < count; i++ {
 		v, m := binary.Uvarint(rest)
 		if m <= 0 {
 			return 0, nil, fmt.Errorf("gossip: truncated net message")
+		}
+		if v >= uint64(n) {
+			return 0, nil, fmt.Errorf("gossip: net message carries rumor %d outside [0, %d)", v, n)
 		}
 		rest = rest[m:]
 		rumors = append(rumors, int32(v))

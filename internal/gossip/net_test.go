@@ -3,6 +3,7 @@ package gossip
 import (
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -163,4 +164,72 @@ func TestRunNetValidation(t *testing.T) {
 	if _, err := RunNet(NetConfig{Mesh: mesh, CSR: csr, Driver: "push-pull", Opts: DriverOptions{Source: 99}}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
+}
+
+// hostileNetMsgs are two payloads that kill a node's goroutine when
+// decoded on trust: a rumor count far beyond the message (makeslice
+// panic) and a rumor id beyond the topology (bitset range panic in Gain).
+var hostileNetMsgs = [][]byte{
+	{netSyn, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	{netAck, 1, 200, 1}, // one rumor, id 200, on a topology of 16
+}
+
+func TestDecodeNetMsgRejectsHostileBytes(t *testing.T) {
+	for _, p := range hostileNetMsgs {
+		if _, rumors, err := decodeNetMsg(p, 16); err == nil {
+			t.Errorf("% x decoded to %v, want an error", p, rumors)
+		}
+	}
+	journal := []int32{3, 0, 15}
+	kind, rumors, err := decodeNetMsg(encodeNetMsg(netAck, journal), 16)
+	if err != nil || kind != netAck || !slices.Equal(rumors, journal) {
+		t.Fatalf("round trip = %d %v %v, want %d %v", kind, rumors, err, netAck, journal)
+	}
+}
+
+// TestRunNetSurvivesHostileBytes: a rejected message is dropped like any
+// lost packet and the run goes on.
+func TestRunNetSurvivesHostileBytes(t *testing.T) {
+	csr := graphgen.Clique(16, 1).CSR()
+	mesh := transport.NewChanMesh(csr.N(), 0)
+	defer mesh.Close()
+	for u := 0; u < csr.N(); u++ {
+		for _, p := range hostileNetMsgs {
+			if err := mesh.Send((u+1)%csr.N(), u, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := RunNet(NetConfig{Mesh: mesh, CSR: csr, Driver: "push-pull", Opts: DriverOptions{Seed: 1}, Round: netTestRound})
+	if err != nil {
+		t.Fatalf("RunNet: %v", err)
+	}
+	if !res.Completed {
+		t.Fatalf("push-pull did not complete: %+v", res)
+	}
+}
+
+// FuzzDecodeNetMsg holds the TCP mesh's payload decoder to the contract
+// of every parser of network bytes: an error or a slice of in-range ids,
+// never a panic, never an allocation sized by anything but the input.
+func FuzzDecodeNetMsg(f *testing.F) {
+	f.Add(encodeNetMsg(netSyn, []int32{0, 3, 7}), uint16(8))
+	for _, p := range hostileNetMsgs {
+		f.Add(p, uint16(16))
+	}
+	f.Fuzz(func(t *testing.T, p []byte, size uint16) {
+		n := int(size) + 1
+		_, rumors, err := decodeNetMsg(p, n)
+		if err != nil {
+			return
+		}
+		if cap(rumors) > len(p) {
+			t.Fatalf("%d-byte message allocated %d rumor slots", len(p), cap(rumors))
+		}
+		for _, r := range rumors {
+			if r < 0 || int(r) >= n {
+				t.Fatalf("decoded rumor %d outside [0, %d)", r, n)
+			}
+		}
+	})
 }

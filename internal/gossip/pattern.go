@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gossip/internal/bitset"
-	"gossip/internal/graph"
 )
 
 // PatternSequence returns the ℓ-parameters of the recursive schedule T(k)
@@ -32,7 +31,7 @@ func PatternSequence(k int) ([]int, error) {
 	return out, nil
 }
 
-// PatternBroadcast runs Algorithm 5: execute the schedule T(k) of ℓ-DTG
+// patternBroadcast runs Algorithm 5: execute the schedule T(k) of ℓ-DTG
 // invocations (Lemma 26 guarantees all pairs within distance k have
 // exchanged rumors afterwards), doubling k with a Termination_Check pass
 // (one more T(k) execution, the broadcast the check prescribes) until
@@ -42,14 +41,13 @@ func PatternSequence(k int) ([]int, error) {
 // It reads D (0 = guess-and-double), Seed, MaxRounds (the cap on each
 // ℓ-DTG phase), SkipCheck, Adversity and Workers; Adversity is rebased
 // per ℓ-DTG invocation and completion judged over nodes that are not
-// permanently gone, as in SpannerBroadcast.
-func PatternBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
+// permanently gone, as in spannerBroadcast. The topology is opts.CSR.
+func patternBroadcast(opts DriverOptions) (BroadcastResult, error) {
 	var out BroadcastResult
-	csr := topology(g, opts)
+	csr := opts.CSR
 	if err := csr.Validate(); err != nil {
 		return out, fmt.Errorf("gossip: pattern broadcast: %w", err)
 	}
-	opts.CSR = csr
 	known := opts.D > 0
 	guess := 1
 	if known {
@@ -95,7 +93,7 @@ func runPattern(guess int, opts DriverOptions, out *BroadcastResult, rumors []*b
 	}
 	var total DriverResult
 	for i, ell := range seqEll {
-		res, err := Dispatch("dtg", nil, DriverOptions{
+		res, err := run("dtg", DriverOptions{
 			Ell:           ell,
 			Seed:          opts.Seed + uint64(i)*31 + 7,
 			MaxRounds:     opts.MaxRounds,

@@ -38,12 +38,6 @@ func (p *PushPull) CloneStateFrom(src sim.Protocol) {
 // NewPushPull returns the non-blocking push-pull protocol for one node.
 func NewPushPull(nv *sim.NodeView) *PushPull { return &PushPull{nv: nv} }
 
-// NewPushPullBlocking returns the blocking variant: at most one exchange
-// in flight per node.
-func NewPushPullBlocking(nv *sim.NodeView) *PushPull {
-	return &PushPull{nv: nv, blocking: true}
-}
-
 // Activate picks a uniformly random neighbor.
 func (p *PushPull) Activate(int) (int, bool) {
 	d := p.nv.Degree()

@@ -3,7 +3,6 @@ package gossip
 import (
 	"fmt"
 
-	"gossip/internal/graph"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
 )
@@ -78,8 +77,8 @@ func (r *RR) NextWake(round int) int {
 // orientation is rebuilt deterministically from the spanner, so
 // re-preparing a variant against a frozen snapshot reproduces the
 // schedule bit-identically.
-func prepareRR(g *graph.Graph, opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-	csr := topology(g, opts)
+func prepareRR(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+	csr := opts.CSR
 	n := csr.N()
 	sp := opts.Spanner
 	if sp == nil {

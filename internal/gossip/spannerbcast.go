@@ -5,7 +5,6 @@ import (
 
 	"gossip/internal/adversity"
 	"gossip/internal/bitset"
-	"gossip/internal/graph"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
 )
@@ -51,7 +50,7 @@ func (r *BroadcastResult) addPhase(name string, res DriverResult) {
 	r.RumorPayload += res.RumorPayload
 }
 
-// SpannerBroadcast runs Algorithm 2 (known D) or Algorithm 4 (unknown D):
+// spannerBroadcast runs Algorithm 2 (known D) or Algorithm 4 (unknown D):
 // ceil(log2 n) repetitions of D-DTG to collect the log n-hop
 // neighborhood, a local oriented Baswana-Sen spanner construction on G_D,
 // and RR Broadcast with parameter O(D log n) — plus Termination_Check
@@ -74,14 +73,13 @@ func (r *BroadcastResult) addPhase(name string, res DriverResult) {
 // peer. Adversity rounds are absolute against the pipeline's cumulative
 // round count: each phase receives the spec rebased by the rounds
 // already consumed, and completion is judged over nodes that are not
-// permanently gone.
-func SpannerBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, error) {
+// permanently gone. The topology is opts.CSR, as for every driver.
+func spannerBroadcast(opts DriverOptions) (BroadcastResult, error) {
 	var out BroadcastResult
-	csr := topology(g, opts)
+	csr := opts.CSR
 	if err := csr.Validate(); err != nil {
 		return out, fmt.Errorf("gossip: spanner broadcast: %w", err)
 	}
-	opts.CSR = csr
 	if opts.FaultTolerant && opts.LBTimeout <= 0 {
 		// Safely above any single round trip.
 		opts.LBTimeout = 2*csr.MaxLatency() + 4
@@ -140,7 +138,7 @@ func SpannerBroadcast(g *graph.Graph, opts DriverOptions) (BroadcastResult, erro
 // sets.
 func gatherNeighborhood(guess, reps int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set) ([]*bitset.Set, error) {
 	if !opts.KnownLatencies {
-		res, err := runDiscovery(nil, DriverOptions{
+		res, err := runDiscovery(DriverOptions{
 			Seed:          opts.Seed,
 			MaxRounds:     opts.CSR.MaxDegree() + guess,
 			InitialRumors: rumors,
@@ -157,7 +155,7 @@ func gatherNeighborhood(guess, reps int, opts DriverOptions, out *BroadcastResul
 		gather = "superstep"
 	}
 	for rep := 0; rep < reps; rep++ {
-		res, err := Dispatch(gather, nil, DriverOptions{
+		res, err := run(gather, DriverOptions{
 			Ell:           guess,
 			LBTimeout:     opts.LBTimeout,
 			Seed:          opts.Seed + uint64(rep) + 1,
@@ -190,7 +188,7 @@ func runRRPhase(sp *spanner.Spanner, guess int, opts DriverOptions, out *Broadca
 	if opts.Adversity.HasFailures() {
 		stop = stopAliveHaveAlive(opts.Adversity)
 	}
-	res, err := Dispatch("rr", nil, DriverOptions{
+	res, err := run("rr", DriverOptions{
 		Spanner:       sp,
 		K:             guess * (2*sp.K - 1),
 		Seed:          opts.Seed ^ 0x27d4eb2f,

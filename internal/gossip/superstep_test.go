@@ -113,7 +113,7 @@ func TestSuperstepComparableToDTG(t *testing.T) {
 
 func TestSpannerBroadcastWithSuperstep(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
-	res, err := SpannerBroadcast(g, DriverOptions{
+	res, err := broadcastVia("spanner", g, DriverOptions{
 		KnownLatencies: true, Seed: 7, FaultTolerant: true,
 	})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestSpannerBroadcastWithSuperstep(t *testing.T) {
 
 func TestSpannerBroadcastTimeoutSurvivesCrashes(t *testing.T) {
 	g := graphgen.Clique(16, 2)
-	res, err := SpannerBroadcast(g, DriverOptions{
+	res, err := broadcastVia("spanner", g, DriverOptions{
 		KnownLatencies: true, Seed: 9, FaultTolerant: true, LBTimeout: 8,
 		MaxRounds: 4096, ExecOptions: crashes(5, 1, 2),
 	})

@@ -3,7 +3,6 @@ package gossip
 import (
 	"fmt"
 
-	"gossip/internal/graph"
 	"gossip/internal/sim"
 )
 
@@ -29,11 +28,14 @@ type UnifiedResult struct {
 // It reads Source (the push-pull arm's rumor origin), KnownLatencies and
 // D (the spanner arm's model; a positive D skips guess-and-double), Seed,
 // MaxRounds and the execution surface; the paper's side-by-side execution
-// faces one network, so both arms see the same Adversity schedule.
-func Unified(g *graph.Graph, opts DriverOptions) (UnifiedResult, error) {
+// faces one network, so both arms see the same Adversity schedule and
+// the same opts.CSR.
+func Unified(opts DriverOptions) (UnifiedResult, error) {
 	var out UnifiedResult
-	opts.CSR = topology(g, opts) // both arms face one network
-	pp, err := Dispatch("push-pull", nil, DriverOptions{
+	if opts.CSR == nil {
+		return out, errNoTopology
+	}
+	pp, err := run("push-pull", DriverOptions{
 		Source: opts.Source, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
 		ExecOptions: opts.ExecOptions,
 	})
@@ -41,7 +43,7 @@ func Unified(g *graph.Graph, opts DriverOptions) (UnifiedResult, error) {
 		return out, fmt.Errorf("gossip: unified push-pull arm: %w", err)
 	}
 	out.PushPull = *pp.Sim
-	sb, err := SpannerBroadcast(nil, DriverOptions{
+	sb, err := spannerBroadcast(DriverOptions{
 		D:              opts.D,
 		KnownLatencies: opts.KnownLatencies,
 		Seed:           opts.Seed + 1,

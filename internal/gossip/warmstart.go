@@ -20,7 +20,6 @@ var ErrNoWarmStart = errors.New("gossip: driver does not support warm-start fork
 // primitive behind POST /v1/sweeps.
 type WarmPrefix struct {
 	d    *Driver
-	g    *graph.Graph
 	csr  *graph.CSR // the one topology the prefix and every resume run on
 	snap *sim.Snapshot
 }
@@ -36,11 +35,10 @@ func Fork(name string, g *graph.Graph, base DriverOptions, atRound int) (*WarmPr
 	if !d.WarmStart() {
 		return nil, fmt.Errorf("%w (%q is a multi-phase pipeline)", ErrNoWarmStart, d.Name)
 	}
-	if g == nil && base.CSR == nil {
-		return nil, fmt.Errorf("gossip: driver %q needs a graph or a CSR topology", name)
+	if err := topology(g, &base); err != nil {
+		return nil, err
 	}
-	base.CSR = topology(g, base)
-	cfg, factory, stop, err := d.Prepare(g, base)
+	cfg, factory, stop, err := d.Prepare(base)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +46,7 @@ func Fork(name string, g *graph.Graph, base DriverOptions, atRound int) (*WarmPr
 	if err != nil {
 		return nil, err
 	}
-	return &WarmPrefix{d: d, g: g, csr: base.CSR, snap: snap}, nil
+	return &WarmPrefix{d: d, csr: base.CSR, snap: snap}, nil
 }
 
 // Round is the barrier round actually captured (>= the requested round
@@ -68,7 +66,7 @@ func (w *WarmPrefix) Resume(variant DriverOptions) (DriverResult, error) {
 	if variant.CSR == nil {
 		variant.CSR = w.csr
 	}
-	cfg, factory, stop, err := w.d.Prepare(w.g, variant)
+	cfg, factory, stop, err := w.d.Prepare(variant)
 	if err != nil {
 		return DriverResult{}, err
 	}

@@ -66,7 +66,7 @@ func TestStopAliveInformedUnderChurn(t *testing.T) {
 					return got
 				}
 				res, err := Run(Config{
-					Graph: g, Seed: 9, Mode: OneToAll, Source: 0,
+					CSR: g.CSR(), Seed: 9, Mode: OneToAll, Source: 0,
 					MaxRounds: 1 << 12, Adversity: tc.spec, Workers: workers,
 				}, func(nv *NodeView) Protocol { return &randProtocol{nv} }, stop)
 				if err != nil {
@@ -99,7 +99,7 @@ func TestAmnesiaResetsState(t *testing.T) {
 	g := pathGraph(1, 1)
 	spec := adversity.MustParseSpec("churn=1:2-20:amnesia")
 	res, err := Run(Config{
-		Graph: g, Seed: 5, Mode: OneToAll, Source: 0,
+		CSR: g.CSR(), Seed: 5, Mode: OneToAll, Source: 0,
 		MaxRounds: 1 << 10, Adversity: spec,
 	}, func(nv *NodeView) Protocol { return &randProtocol{nv} }, StopAllInformed(0))
 	if err != nil {
@@ -128,7 +128,7 @@ func TestAmnesiaKeepsOwnRumor(t *testing.T) {
 	g := graphgen.Clique(4, 1)
 	spec := adversity.MustParseSpec("churn=1:2-30:amnesia")
 	res, err := Run(Config{
-		Graph: g, Seed: 5, Mode: AllToAll,
+		CSR: g.CSR(), Seed: 5, Mode: AllToAll,
 		MaxRounds: 1 << 10, Adversity: spec,
 	}, func(nv *NodeView) Protocol { return &randProtocol{nv} }, StopAllHaveAll())
 	if err != nil {
@@ -147,7 +147,7 @@ func TestLossDropsAreAccounted(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	spec := &adversity.Spec{EdgeLoss: []adversity.EdgeLoss{{U: 0, V: 1, P: 1}}}
 	res, err := Run(Config{
-		Graph: g, Seed: 1, Mode: OneToAll, Source: 0,
+		CSR: g.CSR(), Seed: 1, Mode: OneToAll, Source: 0,
 		MaxRounds: 64, Adversity: spec,
 	}, func(nv *NodeView) Protocol { return &randProtocol{nv} }, StopAllInformed(0))
 	if err != nil {
@@ -176,7 +176,7 @@ func TestFlapWindowsDropExchanges(t *testing.T) {
 	// Initiate at rounds 0 (transit [0,4] overlaps the flap: lost) and
 	// 3 (transit [3,7] misses [0,3): delivered).
 	res, err := Run(Config{
-		Graph: g, Seed: 1, Mode: OneToAll, Source: 0, MaxRounds: 64,
+		CSR: g.CSR(), Seed: 1, Mode: OneToAll, Source: 0, MaxRounds: 64,
 		Adversity: spec,
 	}, func(nv *NodeView) Protocol {
 		if nv.ID() != 0 {
@@ -205,7 +205,7 @@ func TestAdversityValidation(t *testing.T) {
 		"node-range":       {Churn: []adversity.Churn{{Node: 9, Leave: 0, Rejoin: 5}}},
 		"bad-prob":         {Loss: 1.5},
 	} {
-		_, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 8, Adversity: spec},
+		_, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 8, Adversity: spec},
 			func(nv *NodeView) Protocol { return &randProtocol{nv} }, StopNever())
 		if err == nil {
 			t.Errorf("%s: accepted", name)
@@ -218,7 +218,7 @@ func TestAdversityValidation(t *testing.T) {
 func TestBenignSpecMatchesNil(t *testing.T) {
 	g := graphgen.Clique(8, 2)
 	run := func(spec *adversity.Spec) Result {
-		res, err := Run(Config{Graph: g, Seed: 3, Mode: OneToAll, Source: 0, MaxRounds: 1 << 10, Adversity: spec},
+		res, err := Run(Config{CSR: g.CSR(), Seed: 3, Mode: OneToAll, Source: 0, MaxRounds: 1 << 10, Adversity: spec},
 			func(nv *NodeView) Protocol { return &randProtocol{nv} }, StopAllInformed(0))
 		if err != nil {
 			t.Fatal(err)

@@ -47,7 +47,7 @@ func (s *sleepyProtocol) NextWake(round int) int {
 func TestCalendarSkipsIdleSpans(t *testing.T) {
 	g := pathGraph(1000)
 	protos := map[int]*sleepyProtocol{}
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1 << 20},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1 << 20},
 		func(nv *NodeView) Protocol {
 			sched := map[int]int{}
 			if nv.ID() == 0 {
@@ -82,7 +82,7 @@ func TestDeliveryNewsDelta(t *testing.T) {
 	// 3: the delta is exactly those gains, [2 0] — rumor 1 is not resent.
 	g := pathGraph(3, 1)
 	var deliveries *sleepyProtocol
-	_, err := Run(Config{Graph: g, Mode: AllToAll, MaxRounds: 20},
+	_, err := Run(Config{CSR: g.CSR(), Mode: AllToAll, MaxRounds: 20},
 		func(nv *NodeView) Protocol {
 			sched := map[int]int{}
 			switch nv.ID() {
@@ -124,7 +124,7 @@ func TestCrashRoundIsCalendarEvent(t *testing.T) {
 	// all survivors are informed exactly when node 2 dies.
 	g := pathGraph(1, 500)
 	res, err := Run(Config{
-		Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1 << 20,
+		CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1 << 20,
 		Adversity: crashes(7, 2),
 	}, func(nv *NodeView) Protocol {
 		sched := map[int]int{}
@@ -151,7 +151,7 @@ func TestCrashRoundIsCalendarEvent(t *testing.T) {
 func TestScheduledWakeSuppressesQuiescence(t *testing.T) {
 	g := pathGraph(1)
 	protos := map[int]*sleepyProtocol{}
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1 << 20},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1 << 20},
 		func(nv *NodeView) Protocol {
 			sched := map[int]int{}
 			if nv.ID() == 0 {
@@ -181,7 +181,7 @@ func TestScheduledWakeSuppressesQuiescence(t *testing.T) {
 // rumor set, so FinalRumors (bitset view) and journals must agree.
 func TestJournalMatchesRumorSet(t *testing.T) {
 	g := pathGraph(1, 1, 1)
-	res, err := Run(Config{Graph: g, Mode: AllToAll, Seed: 3, MaxRounds: 1 << 16},
+	res, err := Run(Config{CSR: g.CSR(), Mode: AllToAll, Seed: 3, MaxRounds: 1 << 16},
 		func(nv *NodeView) Protocol { return &randomProto{nv: nv} }, StopAllHaveAll())
 	if err != nil {
 		t.Fatal(err)

@@ -222,19 +222,19 @@ func TestDistMatchesSerial(t *testing.T) {
 	full := adversity.MustParseSpec("loss=0.15;churn=2:6-14:amnesia;flap=0-1:3-8;crash=9:5")
 	random := func(nv *NodeView) Protocol { return &randomProto{nv: nv} }
 	rows := []distRow{
-		{name: "plain", cfg: Config{Graph: g, Seed: 42, Mode: OneToAll, Source: 0, MaxRounds: 1 << 12},
+		{name: "plain", cfg: Config{CSR: g.CSR(), Seed: 42, Mode: OneToAll, Source: 0, MaxRounds: 1 << 12},
 			factory: random, stop: StopAllInformed(0)},
-		{name: "alltoall", cfg: Config{Graph: g, Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
+		{name: "alltoall", cfg: Config{CSR: g.CSR(), Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
 			factory: random, stop: StopAllHaveAll()},
-		{name: "crashes", cfg: Config{Graph: g, Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
+		{name: "crashes", cfg: Config{CSR: g.CSR(), Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
 			factory: random, stop: StopAllAliveInformed(1)},
-		{name: "adversity", cfg: Config{Graph: g, Seed: 3, Mode: OneToAll, Source: 2, MaxRounds: 1 << 12, Adversity: full},
+		{name: "adversity", cfg: Config{CSR: g.CSR(), Seed: 3, Mode: OneToAll, Source: 2, MaxRounds: 1 << 12, Adversity: full},
 			factory: random, stop: StopAllSurvivorsInformed(2, full), shards: []int{2, 3, 5, n + 4}},
-		{name: "sleeper-timer", cfg: Config{Graph: g, Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},
+		{name: "sleeper-timer", cfg: Config{CSR: g.CSR(), Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},
 			factory: timerFactory(true), stop: StopAllDone(), rounds: 40},
-		{name: "waiter-timer", cfg: Config{Graph: g, Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},
+		{name: "waiter-timer", cfg: Config{CSR: g.CSR(), Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},
 			factory: timerFactory(false), stop: StopAllDone(), rounds: 40},
-		{name: "leader", cfg: Config{Graph: g, Seed: 13, Mode: AllToAll, MaxRounds: 1 << 12, Adversity: twoCrashes},
+		{name: "leader", cfg: Config{CSR: g.CSR(), Seed: 13, Mode: AllToAll, MaxRounds: 1 << 12, Adversity: twoCrashes},
 			factory: func(nv *NodeView) Protocol { return &leaderProto{nv: nv, leader: -1} }, stop: StopLeaderStable(twoCrashes)},
 	}
 	for _, row := range rows {
@@ -269,8 +269,8 @@ func TestDistMetaProtocols(t *testing.T) {
 	g := denseTestGraph(29)
 	factory := func(nv *NodeView) Protocol { return newDistMetaProto(nv) }
 	rows := []distRow{
-		{name: "benign", cfg: Config{Graph: g, Seed: 17, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true}},
-		{name: "churny", cfg: Config{Graph: g, Seed: 23, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true,
+		{name: "benign", cfg: Config{CSR: g.CSR(), Seed: 17, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true}},
+		{name: "churny", cfg: Config{CSR: g.CSR(), Seed: 23, Mode: AllToAll, MaxRounds: 1 << 12, KnownLatencies: true,
 			Adversity: adversity.MustParseSpec("churn=3:2-9:amnesia;flap=1-2:3-7")}},
 	}
 	for _, row := range rows {
@@ -304,11 +304,11 @@ func TestDistRejectsUnsupported(t *testing.T) {
 		dc   DistConfig
 		want string
 	}{
-		{"one-shard", Config{Graph: g}, DistConfig{Shard: 0, Shards: 1, Exchanger: NewLocalExchange(1)}, "at least 2 shards"},
-		{"bad-shard", Config{Graph: g}, DistConfig{Shard: 2, Shards: 2, Exchanger: NewLocalExchange(2)}, "out of range"},
-		{"no-exchanger", Config{Graph: g}, DistConfig{Shard: 0, Shards: 2}, "exchanger"},
-		{"bounded-in", Config{Graph: g, MaxInPerRound: 2}, DistConfig{Shard: 0, Shards: 2, Exchanger: NewLocalExchange(2)}, "bounded in-degree"},
-		{"jitter", Config{Graph: g, LatencyJitter: 0.2}, DistConfig{Shard: 0, Shards: 2, Exchanger: NewLocalExchange(2)}, "latency jitter"},
+		{"one-shard", Config{CSR: g.CSR()}, DistConfig{Shard: 0, Shards: 1, Exchanger: NewLocalExchange(1)}, "at least 2 shards"},
+		{"bad-shard", Config{CSR: g.CSR()}, DistConfig{Shard: 2, Shards: 2, Exchanger: NewLocalExchange(2)}, "out of range"},
+		{"no-exchanger", Config{CSR: g.CSR()}, DistConfig{Shard: 0, Shards: 2}, "exchanger"},
+		{"bounded-in", Config{CSR: g.CSR(), MaxInPerRound: 2}, DistConfig{Shard: 0, Shards: 2, Exchanger: NewLocalExchange(2)}, "bounded in-degree"},
+		{"jitter", Config{CSR: g.CSR(), LatencyJitter: 0.2}, DistConfig{Shard: 0, Shards: 2, Exchanger: NewLocalExchange(2)}, "latency jitter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -342,7 +342,7 @@ func TestDistErrorPropagates(t *testing.T) {
 	factory := func(nv *NodeView) Protocol {
 		return &badIdxProto{nv: nv, bad: nv.ID() == 12} // owned by the last shard
 	}
-	cfg := Config{Graph: g, Seed: 1, Mode: OneToAll, Source: 0, MaxRounds: 64}
+	cfg := Config{CSR: g.CSR(), Seed: 1, Mode: OneToAll, Source: 0, MaxRounds: 64}
 	_, serialErr := Run(cfg, factory, StopAllInformed(0))
 	if serialErr == nil {
 		t.Fatal("serial run did not error")
@@ -360,7 +360,7 @@ func TestDistManyShards(t *testing.T) {
 	for u := 0; u < 4; u++ {
 		g.MustAddEdge(u, u+1, 1+u%2)
 	}
-	cfg := Config{Graph: g, Seed: 4, Mode: OneToAll, Source: 0, MaxRounds: 1 << 10}
+	cfg := Config{CSR: g.CSR(), Seed: 4, Mode: OneToAll, Source: 0, MaxRounds: 1 << 10}
 	factory := func(nv *NodeView) Protocol { return &randomProto{nv: nv} }
 	serial, err := Run(cfg, factory, StopAllInformed(0))
 	if err != nil {

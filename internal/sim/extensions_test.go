@@ -15,7 +15,7 @@ func crashes(round int, nodes ...int) *adversity.Spec {
 func TestCrashStopsActivation(t *testing.T) {
 	g := pathGraph(1, 1)
 	activations := map[int][]int{}
-	_, err := Run(Config{Graph: g, Mode: AllToAll, MaxRounds: 6, Adversity: crashes(2, 1)},
+	_, err := Run(Config{CSR: g.CSR(), Mode: AllToAll, MaxRounds: 6, Adversity: crashes(2, 1)},
 		func(nv *NodeView) Protocol {
 			return &recordingProto{nv: nv, log: activations}
 		}, StopNever())
@@ -49,7 +49,7 @@ func TestCrashDropsInFlightExchanges(t *testing.T) {
 	// exchange would deliver at round 5 — nothing must arrive.
 	g := pathGraph(5)
 	res, err := Run(Config{
-		Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 20,
+		CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 20,
 		Adversity: crashes(3, 1),
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
@@ -74,7 +74,7 @@ func TestCrashBeforeDeliveryCutsBothWays(t *testing.T) {
 	g := pathGraph(5)
 	got := 0
 	_, err := Run(Config{
-		Graph: g, Mode: AllToAll, MaxRounds: 20,
+		CSR: g.CSR(), Mode: AllToAll, MaxRounds: 20,
 		Adversity: crashes(3, 1),
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
@@ -107,7 +107,7 @@ func TestStopAllAliveInformed(t *testing.T) {
 	// Node 2 is behind a latency-100 edge and crashes at round 1: the
 	// run should stop once nodes 0 and 1 are informed.
 	res, err := Run(Config{
-		Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1000,
+		CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1000,
 		Adversity: crashes(1, 2),
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
@@ -136,7 +136,7 @@ func TestCrashConfigValidation(t *testing.T) {
 			{Round: 1, Nodes: []int{1}}, {Round: 3, Nodes: []int{1}},
 		}},
 	} {
-		_, err := Run(Config{Graph: g, MaxRounds: 5, Adversity: spec},
+		_, err := Run(Config{CSR: g.CSR(), MaxRounds: 5, Adversity: spec},
 			func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
 		if err == nil {
 			t.Fatalf("%s: expected a config error", name)
@@ -152,7 +152,7 @@ func TestMaxInPerRoundCap(t *testing.T) {
 		g.MustAddEdge(0, v, 1)
 	}
 	res, err := Run(Config{
-		Graph: g, Mode: AllToAll, MaxRounds: 3, MaxInPerRound: 1,
+		CSR: g.CSR(), Mode: AllToAll, MaxRounds: 3, MaxInPerRound: 1,
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 		if nv.ID() != 0 {
@@ -174,7 +174,7 @@ func TestMaxInPerRoundCap(t *testing.T) {
 func TestMultiSourceSeeding(t *testing.T) {
 	g := pathGraph(1, 1, 1)
 	res, err := Run(Config{
-		Graph: g, Mode: OneToAll, Sources: []graph.NodeID{0, 3}, MaxRounds: 10,
+		CSR: g.CSR(), Mode: OneToAll, Sources: []graph.NodeID{0, 3}, MaxRounds: 10,
 	}, func(nv *NodeView) Protocol {
 		return &fixedProtocol{nv: nv, schedule: map[int]int{}}
 	}, StopNever())

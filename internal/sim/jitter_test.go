@@ -7,7 +7,7 @@ import (
 
 func TestJitterZeroIsExact(t *testing.T) {
 	g := pathGraph(5)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 100, LatencyJitter: 0},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 100, LatencyJitter: 0},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -26,7 +26,7 @@ func TestJitterZeroIsExact(t *testing.T) {
 func TestJitterPerturbsWithinBounds(t *testing.T) {
 	// Latency 100 with 30% jitter: delivery must land in [70, 130].
 	g := pathGraph(100)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 500, LatencyJitter: 0.3, Seed: 7},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 500, LatencyJitter: 0.3, Seed: 7},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -44,7 +44,7 @@ func TestJitterPerturbsWithinBounds(t *testing.T) {
 
 func TestJitterNeverBelowOne(t *testing.T) {
 	g := pathGraph(1)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 20, LatencyJitter: 0.9, Seed: 3},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 20, LatencyJitter: 0.9, Seed: 3},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -82,7 +82,7 @@ func TestJitterValidation(t *testing.T) {
 		{math.Inf(-1), false},
 	}
 	for _, c := range cases {
-		_, err := Run(Config{Graph: g, MaxRounds: 5, LatencyJitter: c.jitter},
+		_, err := Run(Config{CSR: g.CSR(), MaxRounds: 5, LatencyJitter: c.jitter},
 			func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
 		if c.ok && err != nil {
 			t.Fatalf("jitter %v rejected: %v", c.jitter, err)
@@ -96,7 +96,7 @@ func TestJitterValidation(t *testing.T) {
 func TestJitterDeterministicBySeed(t *testing.T) {
 	g := pathGraph(50, 50, 50)
 	run := func() int {
-		res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1000, LatencyJitter: 0.4, Seed: 11},
+		res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1000, LatencyJitter: 0.4, Seed: 11},
 			func(nv *NodeView) Protocol {
 				p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 				if nv.ID() == 0 {
@@ -123,7 +123,7 @@ func TestJitterDeterministicBySeed(t *testing.T) {
 func TestRumorPayloadAccounting(t *testing.T) {
 	// AllToAll path of 2 nodes, one exchange: each side carries 1 rumor.
 	g := pathGraph(1)
-	res, err := Run(Config{Graph: g, Mode: AllToAll, MaxRounds: 10},
+	res, err := Run(Config{CSR: g.CSR(), Mode: AllToAll, MaxRounds: 10},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {

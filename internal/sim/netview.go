@@ -55,8 +55,3 @@ func (nv *NodeView) Gain(r int) bool { return nv.gain(r) }
 // outgoing messages; callers must not mutate or retain it across Gain
 // calls.
 func (nv *NodeView) Journal() []int32 { return nv.journal }
-
-// DiscoverLatency records the latency of the edge to the i-th neighbor,
-// the real-transport analogue of the engine's on-delivery latency
-// discovery.
-func (nv *NodeView) DiscoverLatency(i int, latency int) { nv.known[i] = int32(latency) }

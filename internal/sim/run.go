@@ -320,14 +320,9 @@ func newEngine(cfg Config, factory Factory) (*engine, error) {
 func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*engine, error) {
 	csr := cfg.CSR
 	if csr == nil {
-		if cfg.Graph == nil {
-			return nil, fmt.Errorf("sim: nil graph")
-		}
-		if err := cfg.Graph.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: invalid graph: %w", err)
-		}
-		csr = cfg.Graph.CSR()
-	} else if err := csr.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: nil topology (Config.CSR is required)")
+	}
+	if err := csr.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid graph: %w", err)
 	}
 	if cfg.Mode == 0 {

@@ -62,13 +62,10 @@ import (
 
 // Config describes one simulation run.
 type Config struct {
-	// Graph is the network. Required unless CSR is set.
-	Graph *graph.Graph
-	// CSR supplies the topology directly in compressed sparse row form —
-	// the million-node path, where an adjacency-map Graph is never
-	// materialized. When both are set CSR is used (callers must keep them
-	// consistent); when only Graph is set the engine converts it once,
-	// preserving adjacency order so results are identical either way.
+	// CSR is the network, in compressed sparse row form: the one topology
+	// representation the engine executes on. Required. A caller holding
+	// the adjacency-map builder form converts it once with its CSR()
+	// method, which preserves adjacency order.
 	CSR *graph.CSR
 	// Workers shards intra-round execution across this many goroutines:
 	// nodes are partitioned into contiguous worker-owned shards,

@@ -33,7 +33,7 @@ func TestExchangeLatencySemantics(t *testing.T) {
 	// arrive at node 1 exactly at round 3.
 	g := pathGraph(3)
 	protos := make(map[int]*fixedProtocol)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 100},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 100},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -74,7 +74,7 @@ func TestSnapshotAtInitiation(t *testing.T) {
 	// exchange must NOT carry the rumor; the round-2 one must, arriving
 	// at round 7.
 	g := pathGraph(1, 5)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 100},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 100},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			switch nv.ID() {
@@ -98,7 +98,7 @@ func TestSnapshotAtInitiation(t *testing.T) {
 func TestBidirectionalExchange(t *testing.T) {
 	// AllToAll: one exchange informs both endpoints of each other.
 	g := pathGraph(2)
-	res, err := Run(Config{Graph: g, Mode: AllToAll, MaxRounds: 10},
+	res, err := Run(Config{CSR: g.CSR(), Mode: AllToAll, MaxRounds: 10},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -117,7 +117,7 @@ func TestBidirectionalExchange(t *testing.T) {
 func TestLatencyDiscovery(t *testing.T) {
 	g := pathGraph(4)
 	var v0 *NodeView
-	_, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 10},
+	_, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 10},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -136,7 +136,7 @@ func TestLatencyDiscovery(t *testing.T) {
 
 func TestKnownLatenciesMode(t *testing.T) {
 	g := pathGraph(7)
-	_, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1, KnownLatencies: true},
+	_, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1, KnownLatencies: true},
 		func(nv *NodeView) Protocol {
 			if l, ok := nv.Latency(0); !ok || l != 7 {
 				t.Errorf("node %d: latency = %d,%v want 7,true", nv.ID(), l, ok)
@@ -150,7 +150,7 @@ func TestKnownLatenciesMode(t *testing.T) {
 
 func TestHorizonIncomplete(t *testing.T) {
 	g := pathGraph(100)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 5},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 5},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -171,7 +171,7 @@ func TestHorizonIncomplete(t *testing.T) {
 
 func TestQuiescenceStops(t *testing.T) {
 	g := pathGraph(1, 1)
-	res, err := Run(Config{Graph: g, Mode: OneToAll, Source: 0, MaxRounds: 1000},
+	res, err := Run(Config{CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1000},
 		func(nv *NodeView) Protocol {
 			return &fixedProtocol{nv: nv, schedule: map[int]int{}} // nobody acts
 		}, StopAllInformed(0))
@@ -192,7 +192,7 @@ func TestInitialRumorsCarryOver(t *testing.T) {
 	initial[0].Add(0)
 	initial[0].Add(1) // node 0 already knows both
 	initial[1].Add(1)
-	res, err := Run(Config{Graph: g, MaxRounds: 10, Mode: AllToAll, InitialRumors: initial},
+	res, err := Run(Config{CSR: g.CSR(), MaxRounds: 10, Mode: AllToAll, InitialRumors: initial},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -214,7 +214,7 @@ func TestInitialRumorsCarryOver(t *testing.T) {
 
 func TestInitialRumorsLengthMismatch(t *testing.T) {
 	g := pathGraph(1)
-	_, err := Run(Config{Graph: g, MaxRounds: 10, InitialRumors: []*bitset.Set{bitset.New(2)}},
+	_, err := Run(Config{CSR: g.CSR(), MaxRounds: 10, InitialRumors: []*bitset.Set{bitset.New(2)}},
 		func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
 	if err == nil {
 		t.Fatal("expected error for mismatched InitialRumors")
@@ -224,19 +224,19 @@ func TestInitialRumorsLengthMismatch(t *testing.T) {
 func TestInvalidGraphRejected(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1) // node 2 disconnected
-	_, err := Run(Config{Graph: g, MaxRounds: 10},
+	_, err := Run(Config{CSR: g.CSR(), MaxRounds: 10},
 		func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
 	if err == nil {
 		t.Fatal("expected error for disconnected graph")
 	}
 	if _, err := Run(Config{MaxRounds: 1}, nil, StopNever()); err == nil {
-		t.Fatal("expected error for nil graph")
+		t.Fatal("expected error for a missing topology")
 	}
 }
 
 func TestInvalidActivationRejected(t *testing.T) {
 	g := pathGraph(1)
-	_, err := Run(Config{Graph: g, MaxRounds: 10, Mode: OneToAll},
+	_, err := Run(Config{CSR: g.CSR(), MaxRounds: 10, Mode: OneToAll},
 		func(nv *NodeView) Protocol {
 			return &fixedProtocol{nv: nv, schedule: map[int]int{0: 99}}
 		}, StopNever())
@@ -264,7 +264,7 @@ func (p *metaProto) Meta() any            { return p.val }
 func TestMetaDelivery(t *testing.T) {
 	g := pathGraph(2)
 	protos := map[int]*metaProto{}
-	_, err := Run(Config{Graph: g, MaxRounds: 10, Mode: OneToAll},
+	_, err := Run(Config{CSR: g.CSR(), MaxRounds: 10, Mode: OneToAll},
 		func(nv *NodeView) Protocol {
 			p := &metaProto{nv: nv, val: 100 + nv.ID()}
 			protos[nv.ID()] = p
@@ -289,7 +289,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 	run := func() Result {
-		res, err := Run(Config{Graph: g, Seed: 99, Mode: OneToAll, Source: 0, MaxRounds: 1000},
+		res, err := Run(Config{CSR: g.CSR(), Seed: 99, Mode: OneToAll, Source: 0, MaxRounds: 1000},
 			func(nv *NodeView) Protocol { return &randomProto{nv: nv} }, StopAllInformed(0))
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +312,7 @@ func TestNonBlockingConcurrentExchanges(t *testing.T) {
 	// edge every round; deliveries arrive in consecutive rounds.
 	g := pathGraph(10)
 	protos := map[int]*fixedProtocol{}
-	res, err := Run(Config{Graph: g, MaxRounds: 30, Mode: OneToAll},
+	res, err := Run(Config{CSR: g.CSR(), MaxRounds: 30, Mode: OneToAll},
 		func(nv *NodeView) Protocol {
 			p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 			if nv.ID() == 0 {
@@ -360,7 +360,7 @@ func TestStopCombinators(t *testing.T) {
 
 func TestNodeViewAccessors(t *testing.T) {
 	g := pathGraph(2, 3)
-	_, err := Run(Config{Graph: g, MaxRounds: 1, Mode: AllToAll, KnownLatencies: true},
+	_, err := Run(Config{CSR: g.CSR(), MaxRounds: 1, Mode: AllToAll, KnownLatencies: true},
 		func(nv *NodeView) Protocol {
 			if nv.N() != 3 {
 				t.Errorf("N() = %d", nv.N())

@@ -79,7 +79,7 @@ func (s *Snapshot) Done() bool { return s.done }
 
 // Resume continues the frozen run under cfg with a fresh engine. cfg
 // must agree with the capture configuration on everything that shaped
-// the prefix — topology (same Graph/CSR values), Seed, KnownLatencies,
+// the prefix — topology (the same CSR value), Seed, KnownLatencies,
 // Mode, Source/Sources, InitialRumors, LatencyJitter — and may diverge
 // on Workers, MaxRounds, MaxInPerRound and Adversity. With an identical
 // configuration the continued run is bit-identical to a cold run at any
@@ -191,8 +191,8 @@ func sameSpec(a, b any) bool { return a == b }
 // post-normalization (newEngine defaults applied).
 func compatible(capture, resume *Config) error {
 	switch {
-	case resume.Graph != capture.Graph || resume.CSR != capture.CSR:
-		return fmt.Errorf("sim: resume topology differs from the snapshot's (same Graph/CSR values required)")
+	case resume.CSR != capture.CSR:
+		return fmt.Errorf("sim: resume topology differs from the snapshot's (the same CSR value is required)")
 	case resume.Seed != capture.Seed:
 		return fmt.Errorf("sim: resume seed %d differs from the snapshot's %d", resume.Seed, capture.Seed)
 	case resume.KnownLatencies != capture.KnownLatencies:

@@ -23,7 +23,7 @@ func cloningFactory(nv *NodeView) Protocol {
 // before running anything.
 func TestCaptureRejectsNonCloner(t *testing.T) {
 	g := graphgen.Clique(6, 1)
-	cfg := Config{Graph: g, Seed: 1, MaxRounds: 64}
+	cfg := Config{CSR: g.CSR(), Seed: 1, MaxRounds: 64}
 	_, err := CaptureAt(cfg, func(nv *NodeView) Protocol { return &randProtocol{nv: nv} }, StopAllInformed(0), 4)
 	if err == nil || !strings.Contains(err.Error(), "StateCloner") {
 		t.Fatalf("want StateCloner error, got %v", err)
@@ -33,7 +33,7 @@ func TestCaptureRejectsNonCloner(t *testing.T) {
 // TestCaptureRejectsNegativeRound pins the argument guard.
 func TestCaptureRejectsNegativeRound(t *testing.T) {
 	g := graphgen.Clique(6, 1)
-	cfg := Config{Graph: g, Seed: 1, MaxRounds: 64}
+	cfg := Config{CSR: g.CSR(), Seed: 1, MaxRounds: 64}
 	if _, err := CaptureAt(cfg, cloningFactory, StopAllInformed(0), -1); err == nil {
 		t.Fatal("negative capture round accepted")
 	}
@@ -43,7 +43,7 @@ func TestCaptureRejectsNegativeRound(t *testing.T) {
 // Done snapshot whose every Resume returns the finished result.
 func TestCaptureAfterEndIsDone(t *testing.T) {
 	g := graphgen.Clique(8, 1)
-	cfg := Config{Graph: g, Seed: 3, MaxRounds: 1 << 12}
+	cfg := Config{CSR: g.CSR(), Seed: 3, MaxRounds: 1 << 12}
 	cold, err := Run(cfg, cloningFactory, StopAllInformed(0))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestCaptureAfterEndIsDone(t *testing.T) {
 // resume that diverges on any prefix-shaping field must be refused.
 func TestResumeRejectsIncompatibleConfig(t *testing.T) {
 	g := graphgen.Clique(8, 1)
-	base := Config{Graph: g, Seed: 3, MaxRounds: 1 << 12}
+	base := Config{CSR: g.CSR(), Seed: 3, MaxRounds: 1 << 12}
 	snap, err := CaptureAt(base, cloningFactory, StopAllInformed(0), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestResumeRejectsIncompatibleConfig(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"seed", func(c *Config) { c.Seed = 4 }},
-		{"graph", func(c *Config) { c.Graph = graphgen.Clique(8, 1) }},
+		{"graph", func(c *Config) { c.CSR = g.CSR() }}, // equal values, another pointer
 		{"source", func(c *Config) { c.Source = 1 }},
 		{"jitter", func(c *Config) { c.LatencyJitter = 0.25 }},
 		{"horizon-before-fork", func(c *Config) { c.MaxRounds = 1 }},
@@ -103,9 +103,9 @@ func TestResumeRejectsIncompatibleConfig(t *testing.T) {
 // round, and the per-node informed schedule — at 1 and 8 workers and
 // in every cross combination of capture/resume worker counts.
 func TestResumeBitIdentical(t *testing.T) {
-	g := graphgen.Grid(8, 8, 3)
+	csr := graphgen.Grid(8, 8, 3).CSR() // Resume compares topologies by pointer
 	mk := func(workers int) Config {
-		return Config{Graph: g, Seed: 9, MaxRounds: 1 << 12, Workers: workers}
+		return Config{CSR: csr, Seed: 9, MaxRounds: 1 << 12, Workers: workers}
 	}
 	cold, err := Run(mk(1), cloningFactory, StopAllInformed(0))
 	if err != nil {

@@ -56,22 +56,6 @@ func StopLocalBroadcast() StopFunc {
 	}
 }
 
-// StopEllLocalBroadcast stops when every node holds the rumor of each
-// neighbor reachable by an edge of latency <= ell (the ℓ-local broadcast
-// problem of Section 4.1.1).
-func StopEllLocalBroadcast(ell int) StopFunc {
-	return func(w *World) bool {
-		for _, nv := range w.Views {
-			for i, nb := range nv.nbrs {
-				if int(nv.lats[i]) <= ell && !nv.rum.contains(nb) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-}
-
 // StopAllAliveInformed stops when every node still alive holds rumor r
 // (the meaningful completion criterion under fail-stop crashes: crashed
 // nodes can never be informed). When r is the watched rumor this is a

@@ -145,44 +145,3 @@ func PowerLawFit(xs, ys []float64) (exponent, constant, r2 float64, err error) {
 	}
 	return fit.Slope, math.Exp(fit.Intercept), fit.R2, nil
 }
-
-// Harmonic returns the n-th harmonic number H_n = 1 + 1/2 + ... + 1/n.
-func Harmonic(n int) float64 {
-	h := 0.0
-	for i := 1; i <= n; i++ {
-		h += 1 / float64(i)
-	}
-	return h
-}
-
-// Log2Ceil returns ceil(log2(x)) for x >= 1, and 0 for x <= 1.
-func Log2Ceil(x int) int {
-	if x <= 1 {
-		return 0
-	}
-	k := 0
-	v := 1
-	for v < x {
-		v <<= 1
-		k++
-	}
-	return k
-}
-
-// MeanInts converts and averages an integer sample.
-func MeanInts(xs []int) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Mean(fs)
-}
-
-// Floats converts an integer sample to float64s.
-func Floats(xs []int) []float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return fs
-}

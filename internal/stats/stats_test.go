@@ -117,40 +117,6 @@ func TestPowerLawFit(t *testing.T) {
 	}
 }
 
-func TestHarmonic(t *testing.T) {
-	if !almostEqual(Harmonic(1), 1, 1e-12) {
-		t.Fatal("H_1 != 1")
-	}
-	if !almostEqual(Harmonic(4), 1+0.5+1.0/3+0.25, 1e-12) {
-		t.Fatal("H_4 wrong")
-	}
-	if Harmonic(0) != 0 {
-		t.Fatal("H_0 != 0")
-	}
-}
-
-func TestLog2Ceil(t *testing.T) {
-	tests := []struct{ x, want int }{
-		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1024, 10}, {1025, 11},
-	}
-	for _, tt := range tests {
-		if got := Log2Ceil(tt.x); got != tt.want {
-			t.Fatalf("Log2Ceil(%d) = %d, want %d", tt.x, got, tt.want)
-		}
-	}
-}
-
-func TestFloatsAndMeanInts(t *testing.T) {
-	if got := MeanInts([]int{1, 2, 3}); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("MeanInts = %v", got)
-	}
-	fs := Floats([]int{7, 8})
-	if len(fs) != 2 || fs[0] != 7 || fs[1] != 8 {
-		t.Fatalf("Floats = %v", fs)
-	}
-}
-
-// Property: mean is within [min, max] and percentile is monotone in p.
 func TestQuickSummaryInvariants(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {

@@ -1,7 +1,6 @@
-// Package viz renders tiny text visualizations — sparklines and
-// horizontal bar charts — used by the CLI tools and examples to show
-// spreading curves and experiment series without any plotting
-// dependency.
+// Package viz renders tiny text visualizations — sparklines — used by
+// the CLI tools and examples to show spreading curves without any
+// plotting dependency.
 package viz
 
 import (
@@ -75,47 +74,6 @@ func Downsample(xs []float64, width int) []float64 {
 		out[i] = max
 	}
 	return out
-}
-
-// BarRow is one labeled bar.
-type BarRow struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders labeled horizontal bars scaled to width characters,
-// with the numeric value appended. Negative values are clamped to zero.
-func BarChart(rows []BarRow, width int) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	if width <= 0 {
-		width = 40
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for _, r := range rows {
-		if r.Value > maxVal {
-			maxVal = r.Value
-		}
-		if len(r.Label) > maxLabel {
-			maxLabel = len(r.Label)
-		}
-	}
-	var b strings.Builder
-	for _, r := range rows {
-		v := r.Value
-		if v < 0 {
-			v = 0
-		}
-		bar := 0
-		if maxVal > 0 {
-			bar = int(v / maxVal * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s %s%s %.4g\n", maxLabel, r.Label,
-			strings.Repeat("█", bar), strings.Repeat("·", width-bar), r.Value)
-	}
-	return b.String()
 }
 
 // Curve renders an integer time series (e.g. a spreading curve) as a

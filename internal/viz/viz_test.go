@@ -60,30 +60,6 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart([]BarRow{
-		{Label: "aa", Value: 10},
-		{Label: "b", Value: 5},
-		{Label: "neg", Value: -2},
-	}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], strings.Repeat("█", 10)) {
-		t.Fatalf("max row not full width: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "█████") {
-		t.Fatalf("half row wrong: %q", lines[1])
-	}
-	if strings.Contains(lines[2], "█") {
-		t.Fatalf("negative row should be empty bar: %q", lines[2])
-	}
-	if BarChart(nil, 10) != "" {
-		t.Fatal("empty chart should be empty")
-	}
-}
-
 func TestCurve(t *testing.T) {
 	out := Curve("spread", []int{1, 2, 4, 8}, 20)
 	if !strings.Contains(out, "spread") || !strings.Contains(out, "final 8") || !strings.Contains(out, "3 rounds") {
