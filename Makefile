@@ -113,13 +113,15 @@ cover:
 
 # Short fuzz smoke of the structured-input parsers/builders (the fault
 # schedule DSL, the CSR builder, the /v1/estimates request validator)
-# and of the first network decoder, the TCP mesh's SYN/ACK payload;
-# CI-friendly seconds, not hours.
+# and of the network decoders: the TCP mesh's SYN/ACK payload and the
+# frame reader under both it and the shard RPC; CI-friendly seconds, not
+# hours.
 fuzz-smoke:
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/graph -fuzz FuzzCSRBuilder -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'
 
 # Static analysis beyond go vet. Requires staticcheck on PATH
 # (go install honnef.co/go/tools/cmd/staticcheck@latest); CI installs it.

@@ -32,7 +32,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(ctx, experiments.Config{Quick: true, Trials: 1, Seed: uint64(i + 1)}); err != nil {
+		if _, err := experiments.RunOne(ctx, experiments.Config{Quick: true, Trials: 1, Seed: uint64(i + 1)}, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkAblationGridWorkers(b *testing.B) {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := experiments.Config{Quick: true, Trials: 2, Seed: 1, Workers: workers}
-				if _, err := e.Run(ctx, cfg); err != nil {
+				if _, err := experiments.RunOne(ctx, cfg, e); err != nil {
 					b.Fatal(err)
 				}
 			}

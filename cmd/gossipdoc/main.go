@@ -4,7 +4,7 @@
 //   - docs/DRIVERS.md is rendered from the internal/gossip driver
 //     registry — every registered driver's description, aliases,
 //     options schema and machine-readable request keys, plus the
-//     distributable / warm-start capability matrix.
+//     distributable / warm-start / real-transport capability matrix.
 //   - docs/API.md is rendered from the internal/server/api source: the
 //     package doc (endpoints, stream orders, schema versioning policy)
 //     and a field table for every exported wire struct, json tags
@@ -119,17 +119,18 @@ func renderDrivers() string {
 
 	names := gossip.Names()
 	b.WriteString("## Summary\n\n")
-	b.WriteString("| driver | aliases | distributable | warm-start | description |\n")
-	b.WriteString("|---|---|---|---|---|\n")
+	b.WriteString("| driver | aliases | distributable | warm-start | real-transport | description |\n")
+	b.WriteString("|---|---|---|---|---|---|\n")
 	for _, name := range names {
 		d, _ := gossip.Lookup(name)
-		fmt.Fprintf(&b, "| [`%s`](#%s) | %s | %s | %s | %s |\n",
-			name, name, codeList(d.Aliases), yn(gossip.Distributable(name)), yn(d.WarmStart()), escapeCell(d.Description))
+		fmt.Fprintf(&b, "| [`%s`](#%s) | %s | %s | %s | %s | %s |\n",
+			name, name, codeList(d.Aliases), yn(d.Distributable), yn(d.WarmStart()), yn(d.RealTransport), escapeCell(d.Description))
 	}
 	b.WriteString("\nA **distributable** driver can run sharded across a gossipd fleet\n")
 	b.WriteString("(`shards` in the job spec); a **warm-start** driver is a single engine\n")
 	b.WriteString("run that supports snapshot forking, the mechanism behind `/v1/sweeps`\n")
-	b.WriteString("and `/v1/estimates`.\n")
+	b.WriteString("and `/v1/estimates`; a **real-transport** driver also runs on a live\n")
+	b.WriteString("mesh (`transport: \"chan\"`, `gossipsim -mode net`, `gossipnode`).\n")
 
 	for _, name := range names {
 		d, _ := gossip.Lookup(name)
@@ -138,7 +139,7 @@ func renderDrivers() string {
 		if len(d.Aliases) > 0 {
 			fmt.Fprintf(&b, "Aliases: %s.\n\n", codeList(d.Aliases))
 		}
-		fmt.Fprintf(&b, "Distributable: %s. Warm-start: %s.\n\n", yn(gossip.Distributable(name)), yn(d.WarmStart()))
+		fmt.Fprintf(&b, "Distributable: %s. Warm-start: %s.\n\n", yn(d.Distributable), yn(d.WarmStart()))
 		b.WriteString("| option | request keys | semantics |\n")
 		b.WriteString("|---|---|---|\n")
 		for _, o := range d.Options {

@@ -63,7 +63,7 @@ func parseArgs(args []string) (options, error) {
 	fs.IntVar(&o.latency, "latency", 1, "uniform/slow edge latency")
 	fs.Float64Var(&o.p, "p", 0.3, "edge probability for er/gadget")
 	fs.IntVar(&o.layers, "layers", 6, "ring layers")
-	fs.StringVar(&o.algo, "algo", "push-pull", "driver: push-pull | flood")
+	fs.StringVar(&o.algo, "algo", "push-pull", "driver: "+strings.Join(gossip.RealTransportNames(), " | "))
 	fs.StringVar(&o.variant, "variant", "", "protocol variant (driver-specific)")
 	fs.IntVar(&o.source, "source", 0, "rumor source")
 	fs.Uint64Var(&o.seed, "seed", 1, "seed (base of the envelope's seed family; must match across the fleet)")
@@ -87,8 +87,8 @@ func parseArgs(args []string) (options, error) {
 	if o.index < 0 || o.index >= len(o.peers) {
 		return options{}, fmt.Errorf("-index %d outside the %d-process fleet", o.index, len(o.peers))
 	}
-	if d, ok := gossip.Lookup(o.algo); !ok || d.Prepare == nil {
-		return options{}, fmt.Errorf("-algo must be a single-phase driver (push-pull, flood), got %q", o.algo)
+	if _, err := gossip.RealTransport(o.algo); err != nil {
+		return options{}, fmt.Errorf("-algo: %w", err)
 	}
 	return o, nil
 }

@@ -10,8 +10,9 @@
 // driver registry, so every registered protocol — dissemination (auto,
 // push-pull, spanner, pattern, flood, dtg, superstep, rr) and
 // coordination (election, echo) alike — is runnable from here;
-// `gossipsim -h` lists the live set. -mode net replays a single-phase
-// driver on a real goroutine mesh instead of the calendar engine.
+// `gossipsim -h` lists the live set. -mode net replays a real-transport
+// driver (push-pull, flood) on a real goroutine mesh instead of the
+// calendar engine.
 package main
 
 import (
@@ -96,8 +97,11 @@ func parseArgs(args []string) (options, error) {
 		return options{}, fmt.Errorf("unknown -mode %q (sim|net)", o.mode)
 	}
 	if o.mode == "net" {
-		if d, ok := gossip.Lookup(o.algoName); !ok || d.Prepare == nil {
-			return options{}, fmt.Errorf("-mode net needs a single-phase driver (push-pull, flood), got %q", o.algoName)
+		if _, err := gossip.RealTransport(o.algoName); err != nil {
+			return options{}, fmt.Errorf("-mode net: %w", err)
+		}
+		if o.loss != 0 || o.churn != "" || o.faultSpec != "" {
+			return options{}, fmt.Errorf("-mode net does not support -loss, -churn or -fault-spec (the real fabric supplies its own adversity)")
 		}
 	} else {
 		algo, err := core.ParseAlgorithm(o.algoName)

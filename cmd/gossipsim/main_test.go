@@ -43,10 +43,21 @@ func TestParseArgsErrors(t *testing.T) {
 		{"-algo", "nosuchalgo"},
 		{"positional"},
 		{"-n", "abc"},
+		// -mode net runs only the registry's real-transport drivers, on a
+		// benign schedule: the real fabric cannot apply a fault flag.
+		{"-mode", "net", "-algo", "spanner"},
+		{"-mode", "net", "-algo", "dtg"},
+		{"-mode", "net", "-algo", "election"},
+		{"-mode", "net", "-algo", "push-pull", "-loss", "0.4"},
+		{"-mode", "net", "-algo", "flood", "-fault-spec", "crash=4:1"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Fatalf("parseArgs(%v) accepted", args)
 		}
+	}
+	_, err := parseArgs([]string{"-mode", "net", "-algo", "echo"})
+	if err == nil || !strings.Contains(err.Error(), strings.Join(gossip.RealTransportNames(), ", ")) {
+		t.Fatalf("-mode net -algo echo: %v, want the registry's real-transport drivers listed", err)
 	}
 }
 

@@ -13,28 +13,19 @@ import (
 type EstimateOptions struct {
 	// Seed drives the spectral power iteration start vectors.
 	Seed uint64
-	// PowerIterations for the Fiedler-vector approximation (default 150).
-	PowerIterations int
-	// MaxSpectralLatencies caps how many distinct latency thresholds get
-	// their own spectral sweep (default 8; thresholds are spread evenly
-	// over the distinct latencies).
-	MaxSpectralLatencies int
-	// BallSeeds is the number of Dijkstra-ball sweep sources (default 4).
-	BallSeeds int
 }
 
-func (o EstimateOptions) withDefaults() EstimateOptions {
-	if o.PowerIterations == 0 {
-		o.PowerIterations = 150
-	}
-	if o.MaxSpectralLatencies == 0 {
-		o.MaxSpectralLatencies = 8
-	}
-	if o.BallSeeds == 0 {
-		o.BallSeeds = 4
-	}
-	return o
-}
+// The candidate family's size. No caller ever set these, so they are
+// constants rather than options.
+const (
+	// powerIterations of the Fiedler-vector approximation.
+	powerIterations = 150
+	// maxSpectralLatencies caps how many distinct latency thresholds get
+	// their own spectral sweep (spread evenly over the distinct latencies).
+	maxSpectralLatencies = 8
+	// ballSeeds is the number of Dijkstra-ball sweep sources.
+	ballSeeds = 4
+)
 
 // Compute returns exact values for small graphs and candidate-cut upper
 // bounds for larger ones.
@@ -59,7 +50,6 @@ func Estimate(g *graph.Graph, opts EstimateOptions) (Result, error) {
 	if len(lats) == 0 {
 		return Result{}, fmt.Errorf("conductance: graph has no edges")
 	}
-	opts = opts.withDefaults()
 	rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed*2654435761+1))
 
 	est := newEvaluator(g, lats)
@@ -82,17 +72,17 @@ func Estimate(g *graph.Graph, opts EstimateOptions) (Result, error) {
 	}
 
 	// Spectral sweeps on a spread of thresholds.
-	thresholds := spreadThresholds(lats, opts.MaxSpectralLatencies)
+	thresholds := spreadThresholds(lats, maxSpectralLatencies)
 	for _, l := range thresholds {
 		sub := g.SubgraphMaxLatency(l)
-		order := spectralOrder(sub, opts.PowerIterations, rng)
+		order := spectralOrder(sub, powerIterations, rng)
 		est.evalSweep(order)
 	}
 	// Full-graph spectral sweep (weights ignored) for good measure.
-	est.evalSweep(spectralOrder(g, opts.PowerIterations, rng))
+	est.evalSweep(spectralOrder(g, powerIterations, rng))
 
 	// Dijkstra ball sweeps from random seeds.
-	for i := 0; i < opts.BallSeeds; i++ {
+	for i := 0; i < ballSeeds; i++ {
 		src := rng.IntN(n)
 		dist := g.Distances(src)
 		order := make([]int, n)

@@ -19,11 +19,11 @@ var expE17LocalBroadcast = Experiment{
 	ID:     "E17",
 	Title:  "local broadcast primitives: DTG vs Superstep",
 	Source: "Section 4.1.1 ([5] and [20])",
+	Claim:  "both primitives solve ℓ-local broadcast in O(ℓ·polylog n) (Section 4.1.1)",
 	Run:    runE17,
 }
 
 func runE17(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	rng := graphgen.NewRand(cfg.Seed)
 	er, err := graphgen.ErdosRenyi(24, 0.3, 1, rng)
 	if err != nil {
@@ -44,20 +44,14 @@ func runE17(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E17", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			cse := cases[c.CellIndex]
-			d, err := gossip.Dispatch("dtg", cse.g, gossip.DriverOptions{
-				Ell: cse.ell, Seed: seed, MaxRounds: 1 << 19,
-			})
+			opts := gossip.DriverOptions{Ell: cse.ell, Seed: seed, MaxRounds: 1 << 19}
+			d, err := dispatch("dtg", cse.g, opts)
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			s, err := gossip.Dispatch("superstep", cse.g, gossip.DriverOptions{
-				Ell: cse.ell, Seed: seed, MaxRounds: 1 << 19,
-			})
+			s, err := dispatch("superstep", cse.g, opts)
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !d.Completed || !s.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			return runner.V(map[string]float64{
 				"dtg_rounds": float64(d.Rounds),
@@ -67,16 +61,9 @@ func runE17(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E17: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E17",
-		Title: "local broadcast primitives: DTG vs Superstep",
-		Claim: "both primitives solve ℓ-local broadcast in O(ℓ·polylog n) (Section 4.1.1)",
-		Headers: []string{
-			"graph", "ℓ", "DTG rounds", "DTG exch", "Superstep rounds", "SS exch",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "ℓ", "DTG rounds", "DTG exch", "Superstep rounds", "SS exch"}}
 	for i, cse := range cases {
 		c := &cells[i]
 		tbl.AddRow(cse.name, cse.ell, c.Mean("dtg_rounds"), c.Mean("dtg_exch"),
@@ -93,11 +80,11 @@ var expE18Blocking = Experiment{
 	ID:     "E18",
 	Title:  "non-blocking vs blocking push-pull",
 	Source: "Section 1 (model; non-blocking footnote)",
+	Claim:  "non-blocking initiation pipelines slow edges; blocking pays them serially",
 	Run:    runE18,
 }
 
 func runE18(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	cases := []struct {
 		name string
 		g    *graph.Graph
@@ -110,16 +97,13 @@ func runE18(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E18", names, cfg.Trials*2,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := cases[c.CellIndex].g
-			a, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
+			a, err := dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			b, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Variant: gossip.VariantBlocking, Seed: seed, MaxRounds: 1 << 20})
+			b, err := dispatch("push-pull", g, gossip.DriverOptions{Variant: gossip.VariantBlocking, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !a.Completed || !b.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			return runner.V(map[string]float64{
 				"nb": float64(a.Rounds),
@@ -127,16 +111,9 @@ func runE18(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E18: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E18",
-		Title: "non-blocking vs blocking push-pull",
-		Claim: "non-blocking initiation pipelines slow edges; blocking pays them serially",
-		Headers: []string{
-			"graph", "non-blocking", "blocking", "blocking/non-blocking",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "non-blocking", "blocking", "blocking/non-blocking"}}
 	for i, cse := range cases {
 		c := &cells[i]
 		mn, mb := c.Mean("nb"), c.Mean("bl")
@@ -153,11 +130,11 @@ var expE19Curves = Experiment{
 	ID:     "E19",
 	Title:  "spreading curves across topologies",
 	Source: "Section 1 (motivation) / Theorem 29 dynamics",
+	Claim:  "the bottleneck (φ*, ℓ*) shapes the epidemic: exponential on expanders, plateau at slow cuts",
 	Run:    runE19,
 }
 
 func runE19(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	rng := graphgen.NewRand(cfg.Seed)
 	ring, err := graphgen.NewRingNetwork(8, 4, 32, rng)
 	if err != nil {
@@ -174,12 +151,9 @@ func runE19(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E19", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			res, err := gossip.Dispatch("push-pull", cases[c.CellIndex].g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
+			res, err := dispatch("push-pull", cases[c.CellIndex].g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			ht := res.Sim.HalfTime()
 			return runner.Sample{
@@ -193,16 +167,9 @@ func runE19(ctx context.Context, cfg Config) (*Table, error) {
 			}, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E19: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E19",
-		Title: "spreading curves across topologies",
-		Claim: "the bottleneck (φ*, ℓ*) shapes the epidemic: exponential on expanders, plateau at slow cuts",
-		Headers: []string{
-			"graph", "rounds", "half-time", "half/total", "curve",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "rounds", "half-time", "half/total", "curve"}}
 	for i := range cells {
 		c := &cells[i]
 		rounds, ht := c.Mean("rounds"), c.Mean("halftime")
@@ -232,11 +199,11 @@ var expE20Bandwidth = Experiment{
 	ID:     "E20",
 	Title:  "bandwidth: rumor payload of push-pull vs spanner pipeline",
 	Source: "Section 6 (message size discussion)",
+	Claim:  "push-pull works with small messages; the spanner pipeline ships far more rumor payload (Section 6)",
 	Run:    runE20,
 }
 
 func runE20(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	cases := []struct {
 		name string
 		g    *graph.Graph
@@ -248,12 +215,9 @@ func runE20(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E20", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := cases[c.CellIndex].g
-			pp, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Objective: gossip.AllToAll, Seed: seed, MaxRounds: 1 << 20})
+			pp, err := dispatch("push-pull", g, gossip.DriverOptions{Objective: gossip.AllToAll, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !pp.Completed {
-				return runner.Sample{}, fmt.Errorf("push-pull incomplete")
 			}
 			sp, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed + 1, SkipCheck: true,
@@ -270,16 +234,11 @@ func runE20(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E20: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E20",
-		Title: "bandwidth: rumor payload of push-pull vs spanner pipeline",
-		Claim: "push-pull works with small messages; the spanner pipeline ships far more rumor payload (Section 6)",
-		Headers: []string{
-			"graph", "pp rounds", "pp payload", "sp rounds", "sp payload", "payload ratio",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"graph", "pp rounds", "pp payload", "sp rounds", "sp payload", "payload ratio",
+	}}
 	for i := range cells {
 		c := &cells[i]
 		tbl.AddRow(c.Name, int(c.Mean("pp_rounds")), int(c.Mean("pp_payload")),
@@ -296,11 +255,11 @@ var expE21Jitter = Experiment{
 	ID:     "E21",
 	Title:  "latency jitter: planning with stale information",
 	Source: "Section 1, footnote 2",
+	Claim:  "push-pull is oblivious to jitter; latency-planned schedules degrade gracefully (footnote 2)",
 	Run:    runE21,
 }
 
 func runE21(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	csr := graphgen.Grid(5, 5, 4).CSR()
 	jitters := []float64{0, 0.2, 0.5}
 	names := cellNames(len(jitters), func(i int) string { return fmt.Sprintf("jitter=%g", jitters[i]) })
@@ -330,16 +289,9 @@ func runE21(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E21: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E21",
-		Title: "latency jitter: planning with stale information",
-		Claim: "push-pull is oblivious to jitter; latency-planned schedules degrade gracefully (footnote 2)",
-		Headers: []string{
-			"jitter", "push-pull rounds", "dtg rounds", "dtg complete",
-		},
-	}
+	tbl := &Table{Headers: []string{"jitter", "push-pull rounds", "dtg rounds", "dtg complete"}}
 	for i, jitter := range jitters {
 		c := &cells[i]
 		tbl.AddRow(jitter, c.Mean("pp"), c.Mean("dtg"), c.Min("dtg_ok") == 1)
@@ -356,11 +308,11 @@ var expE22FaultTolerant = Experiment{
 	ID:     "E22",
 	Title:  "fault-tolerant pipeline: Superstep+timeout vs plain DTG",
 	Source: "Section 7 (future work), extension",
+	Claim:  "timeout-based abandonment restores progress under crashes (Section 7 future work)",
 	Run:    runE22,
 }
 
 func runE22(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 24
 	crashCounts := []int{0, 2, 4}
 	names := cellNames(len(crashCounts), func(i int) string { return fmt.Sprintf("crashed=%d", crashCounts[i]) })
@@ -389,16 +341,11 @@ func runE22(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E22: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E22",
-		Title: "fault-tolerant pipeline: Superstep+timeout vs plain DTG",
-		Claim: "timeout-based abandonment restores progress under crashes (Section 7 future work)",
-		Headers: []string{
-			"crashed@5", "dtg rounds", "dtg complete", "ss+timeout rounds", "ss complete",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"crashed@5", "dtg rounds", "dtg complete", "ss+timeout rounds", "ss complete",
+	}}
 	for i, crashes := range crashCounts {
 		c := &cells[i]
 		tbl.AddRow(crashes, int(c.Mean("plain")), c.Min("plain_ok") == 1,

@@ -22,13 +22,13 @@ import (
 // the engine's worker-count determinism.
 var expE24LossSweep = Experiment{
 	ID:     "E24",
-	Title:  "push-pull under message loss (epidemic slowdown sweep)",
+	Title:  "push-pull under message loss (4-regular random graph)",
 	Source: "engineering extension of Theorem 29; epidemic attrition per PAPERS.md",
+	Claim:  "per-exchange loss p thins the epidemic contact rate: spread time grows smoothly, staying near the 1/(1-p) slowdown",
 	Run:    runE24,
 }
 
 func runE24(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 256
 	if cfg.Quick {
 		n = 64
@@ -47,22 +47,11 @@ func runE24(ctx context.Context, cfg Config) (*Table, error) {
 			if p := losses[c.CellIndex]; p > 0 {
 				spec = &adversity.Spec{Loss: p}
 			}
-			opts := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{Adversity: spec}}
-			serial, err := gossip.Dispatch("push-pull", g, opts)
+			serial, err := dispatchSharded("push-pull", g, gossip.DriverOptions{
+				Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{Adversity: spec},
+			})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			opts.Workers = 8
-			sharded, err := gossip.Dispatch("push-pull", g, opts)
-			if err != nil {
-				return runner.Sample{}, err
-			}
-			if serial.Rounds != sharded.Rounds || serial.Completed != sharded.Completed ||
-				serial.Exchanges != sharded.Exchanges || serial.Dropped != sharded.Dropped ||
-				serial.Delivered != sharded.Delivered || serial.RumorPayload != sharded.RumorPayload {
-				return runner.Sample{}, fmt.Errorf(
-					"shard determinism violated under loss=%v seed=%d: w1 %+v vs w8 %+v",
-					losses[c.CellIndex], seed, serial, sharded)
 			}
 			if !serial.Completed {
 				return runner.Sample{}, fmt.Errorf("incomplete at loss=%v", losses[c.CellIndex])
@@ -78,16 +67,11 @@ func runE24(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E24: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E24",
-		Title: "push-pull under message loss (4-regular random graph)",
-		Claim: "per-exchange loss p thins the epidemic contact rate: spread time grows smoothly, staying near the 1/(1-p) slowdown",
-		Headers: []string{
-			"loss", "mean rounds", "p90", "slowdown", "1/(1-p)", "measured drop frac",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"loss", "mean rounds", "p90", "slowdown", "1/(1-p)", "measured drop frac",
+	}}
 	base := stats.Summarize(cells[0].Values("rounds")).Mean
 	for i, name := range names {
 		sum := stats.Summarize(cells[i].Values("rounds"))
@@ -110,13 +94,13 @@ func runE24(ctx context.Context, cfg Config) (*Table, error) {
 // survivors), and every trial asserts serial/sharded equality.
 var expE25Churn = Experiment{
 	ID:     "E25",
-	Title:  "churn resilience: retention vs amnesia rejoins",
+	Title:  "churn resilience (push-pull, 4-regular random graph)",
 	Source: "engineering extension of Section 6 (robustness discussion)",
+	Claim:  "push-pull completes through leave/rejoin churn; amnesia rejoins cost extra rounds over retention",
 	Run:    runE25,
 }
 
 func runE25(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 64
 	if cfg.Quick {
 		n = 32
@@ -154,21 +138,11 @@ func runE25(ctx context.Context, cfg Config) (*Table, error) {
 					})
 				}
 			}
-			opts := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{Adversity: spec}}
-			serial, err := gossip.Dispatch("push-pull", g, opts)
+			serial, err := dispatchSharded("push-pull", g, gossip.DriverOptions{
+				Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{Adversity: spec},
+			})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			opts.Workers = 8
-			sharded, err := gossip.Dispatch("push-pull", g, opts)
-			if err != nil {
-				return runner.Sample{}, err
-			}
-			if serial.Rounds != sharded.Rounds || serial.Completed != sharded.Completed ||
-				serial.Exchanges != sharded.Exchanges || serial.Dropped != sharded.Dropped ||
-				serial.Delivered != sharded.Delivered || serial.RumorPayload != sharded.RumorPayload {
-				return runner.Sample{}, fmt.Errorf(
-					"shard determinism violated (%s, churned=%d, seed=%d)", v.name, k, seed)
 			}
 			return runner.V(map[string]float64{
 				"rounds":  float64(serial.Rounds),
@@ -177,16 +151,11 @@ func runE25(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E25: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E25",
-		Title: "churn resilience (push-pull, 4-regular random graph)",
-		Claim: "push-pull completes through leave/rejoin churn; amnesia rejoins cost extra rounds over retention",
-		Headers: []string{
-			"variant", "churned", "mean rounds", "p90", "mean dropped", "all complete",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"variant", "churned", "mean rounds", "p90", "mean dropped", "all complete",
+	}}
 	for i := range cells {
 		v, k := cellCase(i)
 		sum := stats.Summarize(cells[i].Values("rounds"))

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-
 	"gossip/internal/conductance"
 	"gossip/internal/graph"
 	"gossip/internal/graphgen"
@@ -16,11 +14,11 @@ var expE1Theorem5 = Experiment{
 	ID:     "E1",
 	Title:  "critical vs average weighted conductance",
 	Source: "Theorem 5",
+	Claim:  "φ*/2ℓ* ≤ φavg ≤ L·φ*/ℓ*  (Theorem 5)",
 	Run:    runE1,
 }
 
 func runE1(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	rng := graphgen.NewRand(cfg.Seed)
 	er, err := graphgen.ErdosRenyi(14, 0.4, 1, rng)
 	if err != nil {
@@ -62,16 +60,9 @@ func runE1(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E1: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E1",
-		Title: "critical vs average weighted conductance",
-		Claim: "φ*/2ℓ* ≤ φavg ≤ L·φ*/ℓ*  (Theorem 5)",
-		Headers: []string{
-			"graph", "φ*", "ℓ*", "L", "φavg", "φ*/2ℓ*", "Lφ*/ℓ*", "holds",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "φ*", "ℓ*", "L", "φavg", "φ*/2ℓ*", "Lφ*/ℓ*", "holds"}}
 	violations := 0
 	for i := range cells {
 		c := &cells[i]

@@ -22,13 +22,13 @@ import (
 // layer rides the same determinism contract as dissemination.
 var expE30Election = Experiment{
 	ID:     "E30",
-	Title:  "leader election under churn: stabilization time and correctness",
+	Title:  "leader election under churn (4-regular random graph)",
 	Source: "engineering extension: coordination protocols on the calendar engine",
+	Claim:  "election stabilizes on the highest surviving ID in every regime; re-election after a leader crash costs roughly the suspicion window on top of benign stabilization",
 	Run:    runE30,
 }
 
 func runE30(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 48
 	if cfg.Quick {
 		n = 24
@@ -63,26 +63,13 @@ func runE30(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			spec := rg.build()
-			opts := gossip.DriverOptions{
+			serial, err := dispatchSharded("election", g, gossip.DriverOptions{
 				Seed: seed, MaxRounds: 1 << 14,
 				SuspectAfter: suspectAfter, StableRounds: stableRounds,
 				ExecOptions: gossip.ExecOptions{Adversity: spec},
-			}
-			serial, err := gossip.Dispatch("election", g, opts)
+			})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			opts.Workers = 8
-			sharded, err := gossip.Dispatch("election", g, opts)
-			if err != nil {
-				return runner.Sample{}, err
-			}
-			if serial.Rounds != sharded.Rounds || serial.Completed != sharded.Completed ||
-				serial.Exchanges != sharded.Exchanges || serial.Dropped != sharded.Dropped ||
-				serial.Delivered != sharded.Delivered || serial.RumorPayload != sharded.RumorPayload {
-				return runner.Sample{}, fmt.Errorf(
-					"shard determinism violated (%s, seed=%d): w1 %+v vs w8 %+v",
-					rg.name, seed, serial, sharded)
 			}
 			if !serial.Completed {
 				return runner.Sample{}, fmt.Errorf("%s: election never stabilized (seed=%d)", rg.name, seed)
@@ -103,16 +90,9 @@ func runE30(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E30: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E30",
-		Title: "leader election under churn (4-regular random graph)",
-		Claim: "election stabilizes on the highest surviving ID in every regime; re-election after a leader crash costs roughly the suspicion window on top of benign stabilization",
-		Headers: []string{
-			"regime", "mean rounds", "p90", "always correct leader",
-		},
-	}
+	tbl := &Table{Headers: []string{"regime", "mean rounds", "p90", "always correct leader"}}
 	for i, name := range names {
 		sum := stats.Summarize(cells[i].Values("rounds"))
 		tbl.AddRow(name, sum.Mean, sum.P90, cells[i].Min("correct") == 1)
@@ -130,13 +110,13 @@ func runE30(ctx context.Context, cfg Config) (*Table, error) {
 // and must match the serial run exactly.
 var expE31Echo = Experiment{
 	ID:     "E31",
-	Title:  "echo wave completion vs message loss",
+	Title:  "echo wave vs message loss (4-regular random graph)",
 	Source: "engineering extension: coordination protocols on the calendar engine",
+	Claim:  "without retransmission state the wave's completion probability decays with loss, but completed waves are always full: the root heard every node",
 	Run:    runE31,
 }
 
 func runE31(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 64
 	if cfg.Quick {
 		n = 32
@@ -155,25 +135,11 @@ func runE31(ctx context.Context, cfg Config) (*Table, error) {
 			if p := losses[c.CellIndex]; p > 0 {
 				spec = &adversity.Spec{Loss: p}
 			}
-			opts := gossip.DriverOptions{
-				Source: 0, Seed: seed, MaxRounds: 1 << 12,
-				ExecOptions: gossip.ExecOptions{Adversity: spec},
-			}
-			serial, err := gossip.Dispatch("echo", g, opts)
+			serial, err := dispatchSharded("echo", g, gossip.DriverOptions{
+				Source: 0, Seed: seed, MaxRounds: 1 << 12, ExecOptions: gossip.ExecOptions{Adversity: spec},
+			})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			opts.Workers = 8
-			sharded, err := gossip.Dispatch("echo", g, opts)
-			if err != nil {
-				return runner.Sample{}, err
-			}
-			if serial.Rounds != sharded.Rounds || serial.Completed != sharded.Completed ||
-				serial.Exchanges != sharded.Exchanges || serial.Dropped != sharded.Dropped ||
-				serial.Delivered != sharded.Delivered || serial.RumorPayload != sharded.RumorPayload {
-				return runner.Sample{}, fmt.Errorf(
-					"shard determinism violated under loss=%v seed=%d: w1 %+v vs w8 %+v",
-					losses[c.CellIndex], seed, serial, sharded)
 			}
 			root := serial.Sim.World.Views[0]
 			acked := 0
@@ -193,16 +159,9 @@ func runE31(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E31: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E31",
-		Title: "echo wave vs message loss (4-regular random graph)",
-		Claim: "without retransmission state the wave's completion probability decays with loss, but completed waves are always full: the root heard every node",
-		Headers: []string{
-			"loss", "completion frac", "mean ack frac", "mean rounds",
-		},
-	}
+	tbl := &Table{Headers: []string{"loss", "completion frac", "mean ack frac", "mean rounds"}}
 	for i, name := range names {
 		tbl.AddRow(name, cells[i].Mean("ok"), cells[i].Mean("ackfrac"), stats.Summarize(cells[i].Values("rounds")).Mean)
 	}

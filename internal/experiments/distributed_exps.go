@@ -31,13 +31,13 @@ import (
 // reproduce the serial run bit-identically.
 var expE28Distributed = Experiment{
 	ID:     "E28",
-	Title:  "distributed execution: serial vs 2-shard partitioned push-pull",
+	Title:  "distributed push-pull scaling (serial vs 2-shard partition)",
 	Source: "engineering extension (deterministic shard partitioning over the Theorem 29 engine)",
+	Claim:  "partitioning the round loop across 2 workers roughly halves the critical-path compute time while reproducing the serial run bit-identically",
 	Run:    runE28,
 }
 
 func runE28(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	sizes := []int{1 << 16, 1 << 18, 1 << 20}
 	if cfg.Quick {
 		sizes = []int{1 << 12, 1 << 14}
@@ -69,12 +69,6 @@ func runE28(ctx context.Context, cfg Config) (*Table, error) {
 			}
 			distNS := float64(time.Since(distStart))
 
-			agree := 1.0
-			if !reflect.DeepEqual(serial.InformedAt, dist.InformedAt) ||
-				serial.Rounds != dist.Rounds || serial.Exchanges != dist.Exchanges ||
-				serial.Delivered != dist.Delivered || serial.RumorPayload != dist.RumorPayload {
-				agree = 0
-			}
 			// Critical path: the slowest worker's non-waiting time. The
 			// barrier protocol means every worker finishes the run; the one
 			// that computed longest bounds any real-time schedule.
@@ -92,20 +86,15 @@ func runE28(ctx context.Context, cfg Config) (*Table, error) {
 				"wallX":     serialNS / distNS,
 				"computeX":  serialNS / maxComputeNS,
 				"cross":     crossIntents,
-				"agree":     agree,
+				"agree":     b2f(sameRun(serial, dist) && reflect.DeepEqual(serial.InformedAt, dist.InformedAt)),
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E28: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E28",
-		Title: "distributed push-pull scaling (serial vs 2-shard partition)",
-		Claim: "partitioning the round loop across 2 workers roughly halves the critical-path compute time while reproducing the serial run bit-identically",
-		Headers: []string{
-			"cell", "serial ms", "dist ms", "critical-path ms", "wall ×", "compute ×", "cross intents", "dist ≡ serial",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"cell", "serial ms", "dist ms", "critical-path ms", "wall ×", "compute ×", "cross intents", "dist ≡ serial",
+	}}
 	for i, name := range names {
 		cell := &cells[i]
 		tbl.AddRow(name, cell.Mean("serialMS"), cell.Mean("distMS"),

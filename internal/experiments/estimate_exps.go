@@ -25,8 +25,9 @@ import (
 // extended through the estimator.
 var expE29Estimate = Experiment{
 	ID:     "E29",
-	Title:  "inverse estimation: ICC-space fit recovers planted loss and churn",
+	Title:  "inverse parameter estimation (coarse-to-fine ICC fit vs planted ground truth)",
 	Source: "engineering extension (inverse problem per Lega's ICC parameter estimation)",
+	Claim:  "for truths on the coarse lattice the fit recovers the planted loss and churn exactly (ICC residual 0) on every family and regime, bit-identically at any batch concurrency",
 	Run:    runE29,
 }
 
@@ -37,7 +38,6 @@ type e29Regime struct {
 }
 
 func runE29(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	families := []graphgen.Spec{
 		{Family: "dumbbell", N: 12, Latency: 2},
 		{Family: "grid", N: 25, Latency: 1},
@@ -138,16 +138,11 @@ func runE29(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E29: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E29",
-		Title: "inverse parameter estimation (coarse-to-fine ICC fit vs planted ground truth)",
-		Claim: "for truths on the coarse lattice the fit recovers the planted loss and churn exactly (ICC residual 0) on every family and regime, bit-identically at any batch concurrency",
-		Headers: []string{
-			"cell", "fitted loss", "fitted churn", "residual", "evals", "exact recovery", "serial ≡ 8-way",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"cell", "fitted loss", "fitted churn", "residual", "evals", "exact recovery", "serial ≡ 8-way",
+	}}
 	for i, name := range names {
 		cell := &cells[i]
 		tbl.AddRow(name, cell.Mean("loss"), cell.Mean("churn"), cell.Mean("score"),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"gossip/internal/gossip"
+	"gossip/internal/graph"
 	"gossip/internal/runner"
 )
 
@@ -72,26 +74,67 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// Experiment binds a paper claim to a runnable measurement.
+// Experiment is the single declaration of one paper claim and its
+// measurement: Run returns only the data (Headers, Rows, Notes); the
+// identity and the claim live here and nowhere else.
 type Experiment struct {
 	ID    string
 	Title string
 	// Source cites the theorem/lemma/figure reproduced.
 	Source string
-	Run    func(ctx context.Context, cfg Config) (*Table, error)
+	// Claim quotes the paper prediction being tested.
+	Claim string
+	Run   func(ctx context.Context, cfg Config) (*Table, error)
 }
 
-// RunOne executes e and stamps provenance (the paper source) onto the
-// resulting table so renderers and JSON artifacts carry the citation.
+// RunOne is the single runner: it applies the Config defaults, runs e,
+// prefixes an error with e.ID and stamps e's ID, Title, Source and Claim
+// onto the table, so renderers and JSON artifacts carry them.
 func RunOne(ctx context.Context, cfg Config, e Experiment) (*Table, error) {
-	tbl, err := e.Run(ctx, cfg)
+	tbl, err := e.Run(ctx, cfg.withDefaults())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
-	if tbl.Source == "" {
-		tbl.Source = e.Source
-	}
+	tbl.ID, tbl.Title, tbl.Source, tbl.Claim = e.ID, e.Title, e.Source, e.Claim
 	return tbl, nil
+}
+
+// dispatch runs the named driver and fails the trial on an error or an
+// incomplete run.
+func dispatch(name string, g *graph.Graph, opts gossip.DriverOptions) (gossip.DriverResult, error) {
+	res, err := gossip.Dispatch(name, g, opts)
+	if err == nil && !res.Completed {
+		err = fmt.Errorf("%s incomplete after %d rounds", name, res.Rounds)
+	}
+	return res, err
+}
+
+// sameRun reports whether two runs agree on the outcome and on every
+// transport counter.
+func sameRun(a, b gossip.DriverResult) bool {
+	return a.Rounds == b.Rounds && a.Completed == b.Completed && a.Exchanges == b.Exchanges &&
+		a.Dropped == b.Dropped && a.Delivered == b.Delivered && a.RumorPayload == b.RumorPayload
+}
+
+// dispatchSharded runs the named driver serially and again 8-way
+// sharded, fails the trial unless the two agree (sameRun) — the
+// continuously-executed proof of worker-count determinism — and returns
+// the serial result.
+func dispatchSharded(name string, g *graph.Graph, opts gossip.DriverOptions) (gossip.DriverResult, error) {
+	serial, err := gossip.Dispatch(name, g, opts)
+	if err != nil {
+		return serial, err
+	}
+	opts.Workers = 8
+	sharded, err := gossip.Dispatch(name, g, opts)
+	if err == nil && !sameRun(serial, sharded) {
+		counters := func(r gossip.DriverResult) gossip.DriverResult {
+			r.InformedAt, r.Sim, r.Broadcast = nil, nil, nil // per-node detail would drown the message
+			return r
+		}
+		err = fmt.Errorf("shard determinism violated (seed=%d): w1 %+v vs w8 %+v", opts.Seed, counters(serial), counters(sharded))
+	}
+	return serial, err
 }
 
 // All returns every experiment in ID order.

@@ -3,11 +3,58 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick_tables.sha256 from the tables TestRunAllQuick builds")
+
+const quickGoldenPath = "testdata/quick_tables.sha256"
+
+// wallClockCols names the columns whose cells are wall-clock readings;
+// tableDigest blanks them so the digest is a pure function of the
+// experiment configuration. Only E28 has any.
+var wallClockCols = map[string][]int{"E28": {1, 2, 3, 4, 5}}
+
+// tableDigest is the sha256 of a table's Headers, Rows and Notes.
+func tableDigest(tbl *Table) string {
+	rows := make([][]string, len(tbl.Rows))
+	for i, row := range tbl.Rows {
+		rows[i] = append([]string(nil), row...)
+		for _, c := range wallClockCols[tbl.ID] {
+			rows[i][c] = ""
+		}
+	}
+	b, err := json.Marshal([]any{tbl.Headers, rows, tbl.Notes})
+	if err != nil {
+		panic(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))
+}
+
+// readQuickGolden parses the "<ID> <sha256>" lines of quickGoldenPath.
+func readQuickGolden(t *testing.T) map[string]string {
+	data, err := os.ReadFile(quickGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (record it with: go test ./internal/experiments -run TestRunAllQuick -update)", err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", quickGoldenPath, line)
+		}
+		golden[id] = sum
+	}
+	return golden
+}
 
 func TestAllRegistered(t *testing.T) {
 	all := All()
@@ -16,7 +63,7 @@ func TestAllRegistered(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.Source == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Source == "" || e.Claim == "" || e.Run == nil {
 			t.Fatalf("experiment %+v incomplete", e)
 		}
 		if seen[e.ID] {
@@ -42,12 +89,33 @@ func TestGet(t *testing.T) {
 // Every experiment must run to completion in Quick mode and produce a
 // well-formed table. This is the repository's end-to-end integration
 // test: it exercises generators, conductance, the simulator, every
-// protocol and the guessing game.
+// protocol and the guessing game. The tables are the ones
+// `cmd/experiments -quick` prints, and each one's digest is pinned in
+// testdata/quick_tables.sha256: a change that bends a paper table fails
+// here (or regenerates the file with -update and says why).
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep skipped in -short")
 	}
-	cfg := Config{Seed: 7, Quick: true, Trials: 2}
+	cfg := Config{Quick: true}
+	var (
+		mu     sync.Mutex
+		got    = map[string]string{}
+		golden map[string]string
+	)
+	if *update {
+		t.Cleanup(func() { // runs once every parallel subtest is done
+			var buf strings.Builder
+			for _, e := range All() {
+				fmt.Fprintf(&buf, "%s %s\n", e.ID, got[e.ID])
+			}
+			if err := os.WriteFile(quickGoldenPath, []byte(buf.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	} else {
+		golden = readQuickGolden(t)
+	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -56,8 +124,8 @@ func TestRunAllQuick(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			if tbl.Source != e.Source {
-				t.Fatalf("%s: source not stamped (%q)", e.ID, tbl.Source)
+			if tbl.ID != e.ID || tbl.Title != e.Title || tbl.Source != e.Source || tbl.Claim != e.Claim {
+				t.Fatalf("%s: registry entry not stamped: %q %q %q %q", e.ID, tbl.ID, tbl.Title, tbl.Source, tbl.Claim)
 			}
 			if len(tbl.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
@@ -73,6 +141,14 @@ func TestRunAllQuick(t *testing.T) {
 			}
 			if !strings.Contains(buf.String(), e.ID) {
 				t.Fatalf("%s render missing ID", e.ID)
+			}
+			sum := tableDigest(tbl)
+			if *update {
+				mu.Lock()
+				got[e.ID] = sum
+				mu.Unlock()
+			} else if sum != golden[e.ID] {
+				t.Fatalf("%s: table digest %s, %s pins %s:\n%s", e.ID, sum, quickGoldenPath, golden[e.ID], buf.String())
 			}
 		})
 	}

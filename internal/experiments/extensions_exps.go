@@ -22,6 +22,7 @@ var expE14Robustness = Experiment{
 	ID:     "E14",
 	Title:  "robustness under fail-stop crashes",
 	Source: "Section 6 (robustness discussion)",
+	Claim:  "push-pull is inherently robust; the spanner pipeline is not (Section 6)",
 	Run:    runE14,
 }
 
@@ -39,7 +40,6 @@ func crashLowIDs(k, round int) *adversity.Spec {
 }
 
 func runE14(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 32
 	if cfg.Quick {
 		n = 16
@@ -97,16 +97,11 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 			return s, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E14: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E14",
-		Title: "robustness under fail-stop crashes",
-		Claim: "push-pull is inherently robust; the spanner pipeline is not (Section 6)",
-		Headers: []string{
-			"graph", "crashed@5", "push-pull", "pp Δ%", "spanner", "sp Δ%", "complete",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"graph", "crashed@5", "push-pull", "pp Δ%", "spanner", "sp Δ%", "complete",
+	}}
 	for i := range cells {
 		c := &cells[i]
 		tp, crashes := cellCase(i)
@@ -135,11 +130,11 @@ var expE15Messages = Experiment{
 	ID:     "E15",
 	Title:  "push-pull message complexity on the clique",
 	Source: "prior work: Karp et al. [24] (Section 1)",
+	Claim:  "plain push-pull uses Θ(n log n) messages on K_n (Karp et al. discussion)",
 	Run:    runE15,
 }
 
 func runE15(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	ns := []int{32, 64, 128, 256}
 	if cfg.Quick {
 		ns = []int{32, 64}
@@ -148,12 +143,9 @@ func runE15(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E15", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := graphgen.Clique(ns[c.CellIndex], 1)
-			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18})
+			res, err := dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			return runner.V(map[string]float64{
 				"rounds":   float64(res.Rounds),
@@ -161,16 +153,9 @@ func runE15(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E15: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E15",
-		Title: "push-pull message complexity on the clique",
-		Claim: "plain push-pull uses Θ(n log n) messages on K_n (Karp et al. discussion)",
-		Headers: []string{
-			"n", "mean rounds", "mean messages", "n·ln n", "messages/(n·ln n)",
-		},
-	}
+	tbl := &Table{Headers: []string{"n", "mean rounds", "mean messages", "n·ln n", "messages/(n·ln n)"}}
 	var xs, ys []float64
 	for i, n := range ns {
 		c := &cells[i]
@@ -194,11 +179,11 @@ var expE16BoundedIn = Experiment{
 	ID:     "E16",
 	Title:  "push-pull under bounded in-degree",
 	Source: "Section 7 / Daum et al. [9]",
+	Claim:  "capping incoming connections degrades hub topologies first (Daum et al. model)",
 	Run:    runE16,
 }
 
 func runE16(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -221,12 +206,9 @@ func runE16(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := graphs[c.CellIndex/len(caps)].g
 			cap := caps[c.CellIndex%len(caps)]
-			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{MaxInPerRound: cap, Seed: seed, MaxRounds: 1 << 18})
+			res, err := dispatch("push-pull", g, gossip.DriverOptions{MaxInPerRound: cap, Seed: seed, MaxRounds: 1 << 18})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			return runner.V(map[string]float64{
 				"rounds":  float64(res.Rounds),
@@ -234,16 +216,9 @@ func runE16(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E16: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E16",
-		Title: "push-pull under bounded in-degree",
-		Claim: "capping incoming connections degrades hub topologies first (Daum et al. model)",
-		Headers: []string{
-			"graph", "cap", "mean rounds", "mean dropped",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "cap", "mean rounds", "mean dropped"}}
 	for i := range cells {
 		c := &cells[i]
 		gc := graphs[i/len(caps)]

@@ -18,11 +18,11 @@ var expE2GuessSingleton = Experiment{
 	ID:     "E2",
 	Title:  "guessing game, singleton target",
 	Source: "Lemma 7",
+	Claim:  "any ε-error protocol needs Ω(m) rounds (Lemma 7)",
 	Run:    runE2,
 }
 
 func runE2(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	ms := []int{8, 16, 32, 64, 128}
 	if cfg.Quick {
 		ms = []int{8, 16, 32}
@@ -46,14 +46,9 @@ func runE2(ctx context.Context, cfg Config) (*Table, error) {
 			return runner.V(map[string]float64{"rounds": float64(r)}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E2: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:      "E2",
-		Title:   "guessing game, singleton target",
-		Claim:   "any ε-error protocol needs Ω(m) rounds (Lemma 7)",
-		Headers: []string{"m", "mean rounds", "rounds/m", "worst-case m/2"},
-	}
+	tbl := &Table{Headers: []string{"m", "mean rounds", "rounds/m", "worst-case m/2"}}
 	var xs, ys []float64
 	for i, m := range ms {
 		mean := cells[i].Mean("rounds")
@@ -74,11 +69,11 @@ var expE3GuessRandom = Experiment{
 	ID:     "E3",
 	Title:  "guessing game, Random_p target",
 	Source: "Lemma 8 (a) and (b)",
+	Claim:  "general protocols need Ω(1/p); random guessing needs Ω(log m/p) (Lemma 8)",
 	Run:    runE3,
 }
 
 func runE3(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	m := 128
 	if cfg.Quick {
 		m = 48
@@ -116,16 +111,11 @@ func runE3(ctx context.Context, cfg Config) (*Table, error) {
 			return s, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E3: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E3",
-		Title: "guessing game, Random_p target",
-		Claim: "general protocols need Ω(1/p); random guessing needs Ω(log m/p) (Lemma 8)",
-		Headers: []string{
-			"m", "p", "fresh rounds", "1/p", "fresh·p", "random rounds", "ln(m)/p", "random/fresh",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"m", "p", "fresh rounds", "1/p", "fresh·p", "random rounds", "ln(m)/p", "random/fresh",
+	}}
 	var invP, freshMeans, randMeans []float64
 	for i, c := range cs {
 		p := c / float64(m)

@@ -19,11 +19,11 @@ var expE4DeltaLower = Experiment{
 	ID:     "E4",
 	Title:  "Ω(Δ) local broadcast on the Theorem 9 network",
 	Source: "Theorem 9, Figure 1(b)",
+	Claim:  "any algorithm needs Ω(Δ) rounds for local broadcast (Theorem 9)",
 	Run:    runE4,
 }
 
 func runE4(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	deltas := []int{4, 8, 16, 32}
 	if cfg.Quick {
 		deltas = []int{4, 8, 16}
@@ -38,24 +38,16 @@ func runE4(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			res, err := gossip.Dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 20})
+			res, err := dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("local broadcast incomplete")
 			}
 			return runner.V(map[string]float64{"rounds": float64(res.Rounds)}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E4: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:      "E4",
-		Title:   "Ω(Δ) local broadcast on the Theorem 9 network",
-		Claim:   "any algorithm needs Ω(Δ) rounds for local broadcast (Theorem 9)",
-		Headers: []string{"Δ", "n", "mean rounds (push-pull)", "rounds/Δ"},
-	}
+	tbl := &Table{Headers: []string{"Δ", "n", "mean rounds (push-pull)", "rounds/Δ"}}
 	var xs, ys []float64
 	for i, delta := range deltas {
 		mean := cells[i].Mean("rounds")
@@ -76,11 +68,11 @@ var expE5ConductanceLower = Experiment{
 	ID:     "E5",
 	Title:  "Ω(log n/φ + ℓ) on the Theorem 10 bipartite gadget",
 	Source: "Theorem 10, Figure 1(a)",
+	Claim:  "push-pull local broadcast needs Ω(log n/φℓ + ℓ) (Theorem 10)",
 	Run:    runE5,
 }
 
 func runE5(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	n := 64
 	ell := 4
 	if cfg.Quick {
@@ -97,26 +89,16 @@ func runE5(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			ensureCover(net, rng)
-			res, err := gossip.Dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 19})
+			res, err := dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 19})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("local broadcast incomplete after %d rounds", res.Rounds)
 			}
 			return runner.V(map[string]float64{"rounds": float64(res.Rounds)}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E5: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E5",
-		Title: "Ω(log n/φ + ℓ) on the Theorem 10 bipartite gadget",
-		Claim: "push-pull local broadcast needs Ω(log n/φℓ + ℓ) (Theorem 10)",
-		Headers: []string{
-			"n(side)", "φ", "ℓ", "mean rounds", "ln(2n)/φ + ℓ", "measured/bound",
-		},
-	}
+	tbl := &Table{Headers: []string{"n(side)", "φ", "ℓ", "mean rounds", "ln(2n)/φ + ℓ", "measured/bound"}}
 	var invPhi, means []float64
 	for i, phi := range phis {
 		mean := cells[i].Mean("rounds")
@@ -162,11 +144,11 @@ var expE6Tradeoff = Experiment{
 	ID:     "E6",
 	Title:  "Ω(min(Δ+D, ℓ/φ)) trade-off on the ring of gadgets",
 	Source: "Theorem 13, Figure 2, Corollary 18",
+	Claim:  "broadcast needs Ω(min(Δ+D, ℓ/φℓ)) (Theorem 13)",
 	Run:    runE6,
 }
 
 func runE6(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	k, s := 8, 4
 	if cfg.Quick {
 		k, s = 6, 3
@@ -207,16 +189,11 @@ func runE6(ctx context.Context, cfg Config) (*Table, error) {
 			}, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E6: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E6",
-		Title: "Ω(min(Δ+D, ℓ/φ)) trade-off on the ring of gadgets",
-		Claim: "broadcast needs Ω(min(Δ+D, ℓ/φℓ)) (Theorem 13)",
-		Headers: []string{
-			"ℓ", "Δ+D", "ℓ/φ", "min (predicted)", "push-pull", "spanner", "unified", "winner",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"ℓ", "Δ+D", "ℓ/φ", "min (predicted)", "push-pull", "spanner", "unified", "winner",
+	}}
 	for i, ell := range ells {
 		c := &cells[i]
 		deltaD := c.Mean("deltaD")

@@ -19,13 +19,13 @@ import (
 // continuously-executed determinism proof of the sharded engine.
 var expE23Scaling = Experiment{
 	ID:     "E23",
-	Title:  "CSR substrate scaling: push-pull rounds vs n on streamed expanders",
+	Title:  "CSR substrate scaling (push-pull on ring+matching expanders)",
 	Source: "engineering extension of Theorem 29 (O(log n) on expanders)",
+	Claim:  "constant-degree expanders spread in O(log n) rounds; sharded rounds are bit-identical to serial",
 	Run:    runE23,
 }
 
 func runE23(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	ns := []int{1 << 14, 1 << 15, 1 << 17}
 	if cfg.Quick {
 		ns = []int{1 << 11, 1 << 12, 1 << 13}
@@ -40,20 +40,11 @@ func runE23(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			opts := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{CSR: csr}}
-			serial, err := gossip.Dispatch("push-pull", nil, opts)
+			serial, err := dispatchSharded("push-pull", nil, gossip.DriverOptions{
+				Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{CSR: csr},
+			})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			opts.Workers = 8
-			sharded, err := gossip.Dispatch("push-pull", nil, opts)
-			if err != nil {
-				return runner.Sample{}, err
-			}
-			if serial.Rounds != sharded.Rounds || serial.Exchanges != sharded.Exchanges {
-				return runner.Sample{}, fmt.Errorf(
-					"shard determinism violated at n=%d seed=%d: w1 %d/%d vs w8 %d/%d",
-					n, seed, serial.Rounds, serial.Exchanges, sharded.Rounds, sharded.Exchanges)
 			}
 			if !serial.Completed {
 				return runner.Sample{}, fmt.Errorf("incomplete at n=%d", n)
@@ -64,16 +55,9 @@ func runE23(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E23: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E23",
-		Title: "CSR substrate scaling (push-pull on ring+matching expanders)",
-		Claim: "constant-degree expanders spread in O(log n) rounds; sharded rounds are bit-identical to serial",
-		Headers: []string{
-			"graph", "mean rounds", "p90", "rounds/log2 n", "mean exchanges",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "mean rounds", "p90", "rounds/log2 n", "mean exchanges"}}
 	worst := 0.0
 	for i, name := range names {
 		cell := &cells[i]

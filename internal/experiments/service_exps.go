@@ -19,13 +19,13 @@ import (
 // regression gate can see it.
 var expE26Service = Experiment{
 	ID:     "E26",
-	Title:  "service-layer scaling: gossipd under closed-loop load across pool sizes",
+	Title:  "gossipd service throughput scaling (closed-loop load, fixed mix)",
 	Source: "engineering extension (serving the Theorem 29 workloads)",
+	Claim:  "the service layer preserves engine determinism: identical jobs are byte-identical across pool sizes, memoized with exactly one execution per distinct request",
 	Run:    runE26,
 }
 
 func runE26(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	pools := []int{1, 2, 4}
 	clients := 6
 	if cfg.Quick {
@@ -70,16 +70,11 @@ func runE26(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E26: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E26",
-		Title: "gossipd service throughput scaling (closed-loop load, fixed mix)",
-		Claim: "the service layer preserves engine determinism: identical jobs are byte-identical across pool sizes, memoized with exactly one execution per distinct request",
-		Headers: []string{
-			"server", "requests", "distinct jobs", "cache hits", "rounds simulated", "pools agree",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"server", "requests", "distinct jobs", "cache hits", "rounds simulated", "pools agree",
+	}}
 	for i, name := range names {
 		cell := &cells[i]
 		tbl.AddRow(name, cell.Mean("requests"), cell.Mean("distinct"),

@@ -13,17 +13,13 @@ import (
 	"strings"
 )
 
-// Table is a rendered experiment result.
+// Table is a rendered experiment result. An experiment's Run fills
+// Headers, Rows and Notes; RunOne stamps the other four from the
+// registry entry.
 type Table struct {
-	// ID is the experiment identifier (E1..E22).
-	ID string
-	// Title is a short human description.
-	Title string
-	// Source cites the theorem/lemma/figure reproduced (stamped by
-	// RunOne from the experiment registry).
-	Source string
-	// Claim quotes the paper prediction being tested.
-	Claim string
+	// ID, Title, Source (the theorem/lemma/figure reproduced) and Claim
+	// (the paper prediction being tested) are the Experiment's.
+	ID, Title, Source, Claim string
 	// Headers and Rows hold the tabular data.
 	Headers []string
 	Rows    [][]string

@@ -21,11 +21,11 @@ var expE7PushPullUpper = Experiment{
 	ID:     "E7",
 	Title:  "push-pull vs the (ℓ*/φ*)·log n bound",
 	Source: "Theorem 29, Corollary 30",
+	Claim:  "push-pull completes in O((ℓ*/φ*)·log n) w.h.p. (Theorem 29)",
 	Run:    runE7,
 }
 
 func runE7(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	rng := graphgen.NewRand(cfg.Seed)
 	er, err := graphgen.ErdosRenyi(18, 0.35, 1, rng)
 	if err != nil {
@@ -51,14 +51,9 @@ func runE7(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E7", names, cfg.Trials*2,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			g := cases[c.CellIndex].g
-			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{
-				Source: 0, Seed: seed, MaxRounds: 1 << 21,
-			})
+			res, err := dispatch("push-pull", g, gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 21})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			s := runner.V(map[string]float64{"rounds": float64(res.Rounds)})
 			// The exact cut enumeration is deterministic and expensive;
@@ -80,16 +75,9 @@ func runE7(ctx context.Context, cfg Config) (*Table, error) {
 			return s, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E7: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E7",
-		Title: "push-pull vs the (ℓ*/φ*)·log n bound",
-		Claim: "push-pull completes in O((ℓ*/φ*)·log n) w.h.p. (Theorem 29)",
-		Headers: []string{
-			"graph", "φ*", "ℓ*", "bound", "mean rounds", "p90", "measured/bound",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "φ*", "ℓ*", "bound", "mean rounds", "p90", "measured/bound"}}
 	worst := 0.0
 	for i, c := range cases {
 		cell := &cells[i]
@@ -112,11 +100,11 @@ var expE8Spanner = Experiment{
 	ID:     "E8",
 	Title:  "directed spanner properties and Spanner Broadcast scaling",
 	Source: "Lemma 19, Theorem 20, Theorem 25",
+	Claim:  "O(log n)-stretch spanner with O(n log n) edges and O(log n) out-degree (Theorem 20)",
 	Run:    runE8,
 }
 
 func runE8(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	ns := []int{32, 64, 128, 256}
 	if cfg.Quick {
 		ns = []int{32, 64}
@@ -154,14 +142,11 @@ func runE8(ctx context.Context, cfg Config) (*Table, error) {
 			l := lens[c.CellIndex-len(ns)]
 			g := graphgen.Path(l, 2)
 			d := int(g.WeightedDiameter())
-			res, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
+			res, err := dispatch("spanner", g, gossip.DriverOptions{
 				D: d, KnownLatencies: true, Seed: seed, SkipCheck: true,
 			})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			return runner.V(map[string]float64{
 				"d":      float64(d),
@@ -169,16 +154,11 @@ func runE8(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E8: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E8",
-		Title: "directed spanner properties and Spanner Broadcast scaling",
-		Claim: "O(log n)-stretch spanner with O(n log n) edges and O(log n) out-degree (Theorem 20)",
-		Headers: []string{
-			"n", "edges", "n·log2 n", "max out-deg", "2k-1 (stretch bound)", "stretch",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"n", "edges", "n·log2 n", "max out-deg", "2k-1 (stretch bound)", "stretch",
+	}}
 	for i, n := range ns {
 		c := &cells[i]
 		tbl.AddRow(n, int(c.Mean("edges")), float64(n)*math.Log2(float64(n)),
@@ -206,11 +186,11 @@ var expE9Pattern = Experiment{
 	ID:     "E9",
 	Title:  "Pattern Broadcast T(k) correctness and scaling",
 	Source: "Lemmas 26-28, Algorithm 5",
+	Claim:  "T(D) solves all-to-all dissemination in O(D·log²n·logD) (Lemma 27)",
 	Run:    runE9,
 }
 
 func runE9(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	lens := []int{4, 8, 16, 32}
 	if cfg.Quick {
 		lens = []int{4, 8, 16}
@@ -233,14 +213,9 @@ func runE9(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E9: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:      "E9",
-		Title:   "Pattern Broadcast T(k) correctness and scaling",
-		Claim:   "T(D) solves all-to-all dissemination in O(D·log²n·logD) (Lemma 27)",
-		Headers: []string{"graph", "D", "rounds", "D·log²n·logD", "ratio", "complete"},
-	}
+	tbl := &Table{Headers: []string{"graph", "D", "rounds", "D·log²n·logD", "ratio", "complete"}}
 	var ds, rs []float64
 	for i, l := range lens {
 		c := &cells[i]
@@ -264,11 +239,11 @@ var expE10Unified = Experiment{
 	ID:     "E10",
 	Title:  "unified algorithm: winner flips with topology",
 	Source: "Theorem 31, Section 6",
+	Claim:  "unified time = O(min((D+Δ)log³n, (ℓ*/φ*)log n)) (Theorem 31)",
 	Run:    runE10,
 }
 
 func runE10(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	rng := graphgen.NewRand(cfg.Seed)
 	ringSmall, err := graphgen.NewRingNetwork(6, 4, 2, rng)
 	if err != nil {
@@ -322,16 +297,9 @@ func runE10(ctx context.Context, cfg Config) (*Table, error) {
 			}, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E10: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E10",
-		Title: "unified algorithm: winner flips with topology",
-		Claim: "unified time = O(min((D+Δ)log³n, (ℓ*/φ*)log n)) (Theorem 31)",
-		Headers: []string{
-			"graph", "push-pull", "spanner", "unified", "winner",
-		},
-	}
+	tbl := &Table{Headers: []string{"graph", "push-pull", "spanner", "unified", "winner"}}
 	for i := range cells {
 		c := &cells[i]
 		tbl.AddRow(c.Name, int(c.Mean("pp")), int(c.Mean("sp")), int(c.Mean("uni")), c.Label("winner"))
@@ -346,11 +314,11 @@ var expE11DTG = Experiment{
 	ID:     "E11",
 	Title:  "ℓ-DTG local broadcast cost",
 	Source: "Appendix A.1, Section 4.1.1",
+	Claim:  "ℓ-DTG solves ℓ-local broadcast in O(ℓ·log²n) (Section 4.1.1)",
 	Run:    runE11,
 }
 
 func runE11(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	ells := []int{1, 2, 4, 8, 16}
 	ns := []int{8, 16, 32, 64}
 	// One grid: ℓ-sweep cells at n=16, then n-sweep cells at ℓ=1.
@@ -370,24 +338,16 @@ func runE11(ctx context.Context, cfg Config) (*Table, error) {
 				n = ns[c.CellIndex-len(ells)]
 			}
 			g := graphgen.Clique(n, ell)
-			res, err := gossip.Dispatch("dtg", g, gossip.DriverOptions{Ell: ell, Seed: seed, MaxRounds: 1 << 20})
+			res, err := dispatch("dtg", g, gossip.DriverOptions{Ell: ell, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
-			}
-			if !res.Completed {
-				return runner.Sample{}, fmt.Errorf("incomplete")
 			}
 			return runner.V(map[string]float64{"rounds": float64(res.Rounds)}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E11: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:      "E11",
-		Title:   "ℓ-DTG local broadcast cost",
-		Claim:   "ℓ-DTG solves ℓ-local broadcast in O(ℓ·log²n) (Section 4.1.1)",
-		Headers: []string{"graph", "ℓ", "rounds", "ℓ·log²n", "ratio"},
-	}
+	tbl := &Table{Headers: []string{"graph", "ℓ", "rounds", "ℓ·log²n", "ratio"}}
 	var xs, rounds []float64
 	for i, ell := range ells {
 		r := cells[i].Mean("rounds")
@@ -415,11 +375,11 @@ var expE12RR = Experiment{
 	ID:     "E12",
 	Title:  "RR Broadcast within the Lemma 21 budget",
 	Source: "Lemma 21, Algorithm 1, Figure 3",
+	Claim:  "rumors cross distance k within k·Δout + k rounds (Lemma 21)",
 	Run:    runE12,
 }
 
 func runE12(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	cases := []struct {
 		name string
 		g    *graph.Graph
@@ -458,14 +418,9 @@ func runE12(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E12: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:      "E12",
-		Title:   "RR Broadcast within the Lemma 21 budget",
-		Claim:   "rumors cross distance k within k·Δout + k rounds (Lemma 21)",
-		Headers: []string{"graph", "k", "Δout", "budget k·Δout+k", "rounds used", "complete"},
-	}
+	tbl := &Table{Headers: []string{"graph", "k", "Δout", "budget k·Δout+k", "rounds used", "complete"}}
 	for i := range cells {
 		c := &cells[i]
 		k, outdeg := int(c.Mean("k")), int(c.Mean("outdeg"))
@@ -485,11 +440,11 @@ var expE13NoPull = Experiment{
 	ID:     "E13",
 	Title:  "the cost of dropping pull (blocking flood on a star)",
 	Source: "footnote 3",
+	Claim:  "push-only flooding needs Ω(nD) on a star (footnote 3)",
 	Run:    runE13,
 }
 
 func runE13(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	lat := 16
 	ns := []int{8, 16, 32}
 	names := cellNames(len(ns), func(i int) string { return fmt.Sprintf("star(%d,ℓ=%d)", ns[i], lat) })
@@ -502,28 +457,18 @@ func runE13(ctx context.Context, cfg Config) (*Table, error) {
 			for _, arm := range []struct{ key, driver string }{
 				{"flood", "flood"}, {"pp", "push-pull"},
 			} {
-				res, err := gossip.Dispatch(arm.driver, g, gossip.DriverOptions{
-					Source: 0, Seed: seed, MaxRounds: 1 << 21,
-				})
+				res, err := dispatch(arm.driver, g, gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 21})
 				if err != nil {
 					return runner.Sample{}, err
-				}
-				if !res.Completed {
-					return runner.Sample{}, fmt.Errorf("%s incomplete", arm.driver)
 				}
 				vals[arm.key] = float64(res.Rounds)
 			}
 			return runner.V(vals), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E13: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:      "E13",
-		Title:   "the cost of dropping pull (blocking flood on a star)",
-		Claim:   "push-only flooding needs Ω(nD) on a star (footnote 3)",
-		Headers: []string{"n", "D", "flood rounds", "(n-1)·D", "push-pull rounds"},
-	}
+	tbl := &Table{Headers: []string{"n", "D", "flood rounds", "(n-1)·D", "push-pull rounds"}}
 	for i, n := range ns {
 		c := &cells[i]
 		tbl.AddRow(n, 2*lat, int(c.Mean("flood")), (n-1)*lat, int(c.Mean("pp")))

@@ -22,13 +22,13 @@ import (
 // variant resumed twice must agree with itself.
 var expE27WarmSweep = Experiment{
 	ID:     "E27",
-	Title:  "warm-start sweeps: shared-prefix forking vs cold replay per variant",
+	Title:  "warm-start sweep scaling (shared prefix vs per-variant cold replay)",
 	Source: "engineering extension (snapshot/restore under the Theorem 29 engine)",
+	Claim:  "forking one engine snapshot across a sweep removes the shared prefix from every variant but the first, while the control variant stays bit-identical to the cold run",
 	Run:    runE27,
 }
 
 func runE27(ctx context.Context, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	fanouts := []int{4, 8, 16}
 	side := 16
 	if cfg.Quick {
@@ -95,16 +95,11 @@ func runE27(ctx context.Context, cfg Config) (*Table, error) {
 			}), nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("E27: %w", err)
+		return nil, err
 	}
-	tbl := &Table{
-		ID:    "E27",
-		Title: "warm-start sweep scaling (shared prefix vs per-variant cold replay)",
-		Claim: "forking one engine snapshot across a sweep removes the shared prefix from every variant but the first, while the control variant stays bit-identical to the cold run",
-		Headers: []string{
-			"sweep", "fork round", "cold rounds", "warm rounds", "rounds saved", "warm ≡ cold",
-		},
-	}
+	tbl := &Table{Headers: []string{
+		"sweep", "fork round", "cold rounds", "warm rounds", "rounds saved", "warm ≡ cold",
+	}}
 	for i, name := range names {
 		cell := &cells[i]
 		tbl.AddRow(name, cell.Mean("fork"), cell.Mean("cold"),

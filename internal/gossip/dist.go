@@ -2,38 +2,24 @@ package gossip
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 
 	"gossip/internal/graph"
 	"gossip/internal/sim"
 )
 
-// distributable names the drivers whose runs may be sharded across
-// processes: single-phase (one Prepare, no pipeline state hand-off),
-// with stop conditions evaluable from replicated data and exchange
-// metadata limited to []int32 — the shape the shard wire format ships.
-// The canonical driver name is the key; aliases resolve through Lookup.
-var distributable = map[string]bool{
-	"push-pull": true,
-	"flood":     true,
-	"dtg":       true,
-	"superstep": true,
-	"election":  true,
-	"echo":      true,
-}
-
 // DistributableNames returns the sorted canonical names of the
 // distributable drivers — the list every "does not support distributed
 // execution" message quotes.
-func DistributableNames() []string { return slices.Sorted(maps.Keys(distributable)) }
+func DistributableNames() []string {
+	return namesWhere(func(d *Driver) bool { return d.Distributable })
+}
 
 // Distributable reports whether the named driver supports distributed
 // (multi-process sharded) execution.
 func Distributable(name string) bool {
 	d, ok := Lookup(name)
-	return ok && distributable[d.Name]
+	return ok && d.Distributable
 }
 
 // PrepareDist expands a distributed-eligible driver invocation into the
@@ -46,7 +32,7 @@ func PrepareDist(name string, g *graph.Graph, opts DriverOptions) (sim.Config, s
 	if !ok {
 		return sim.Config{}, nil, nil, fmt.Errorf("gossip: unknown driver %q", name)
 	}
-	if !distributable[d.Name] {
+	if !d.Distributable {
 		return sim.Config{}, nil, nil, fmt.Errorf("gossip: driver %q does not support distributed execution (distributable: %s)", d.Name, strings.Join(DistributableNames(), ", "))
 	}
 	if opts.Stop != nil {

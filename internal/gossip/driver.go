@@ -259,6 +259,18 @@ type Driver struct {
 	Description string
 	// Options is the schema: the DriverOptions fields this driver reads.
 	Options []OptionDoc
+	// Variants lists the admissible DriverOptions.Variant values besides
+	// "", the canonical form.
+	Variants []string
+	// Distributable marks a driver whose runs may be sharded across
+	// processes: single-phase (one Prepare, no pipeline state hand-off),
+	// with a stop condition evaluable from replicated data and exchange
+	// metadata limited to []int32 — the shape the shard wire format ships.
+	Distributable bool
+	// RealTransport marks a driver RunNet can execute on a real mesh: its
+	// protocol spreads the source rumor with journal exchanges alone and
+	// is complete when every node holds that rumor.
+	RealTransport bool
 	// Run executes the protocol on opts.CSR. Drivers that supply Prepare
 	// may leave Run nil; Register derives it.
 	Run func(opts DriverOptions) (DriverResult, error)
@@ -313,12 +325,14 @@ func Lookup(name string) (*Driver, bool) {
 }
 
 // Names returns the sorted canonical driver names.
-func Names() []string {
-	seen := map[string]bool{}
-	out := make([]string, 0, len(drivers))
-	for _, d := range drivers {
-		if !seen[d.Name] {
-			seen[d.Name] = true
+func Names() []string { return namesWhere(func(*Driver) bool { return true }) }
+
+// namesWhere returns the sorted canonical names of the drivers keep
+// accepts — the list a capability's refusal message quotes.
+func namesWhere(keep func(*Driver) bool) []string {
+	var out []string
+	for key, d := range drivers {
+		if key == strings.ToLower(d.Name) && keep(d) {
 			out = append(out, d.Name)
 		}
 	}
@@ -456,6 +470,7 @@ func init() {
 			{"MaxInPerRound", "bounded in-degree model of Daum et al.", []string{"max_in_per_round"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
+		Variants: []string{VariantBlocking}, Distributable: true, RealTransport: true,
 		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			// Slab-allocate the per-node protocol structs: one allocation
 			// for the whole run instead of n — measurable at n=10⁶.
@@ -494,6 +509,7 @@ func init() {
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
+		Variants: []string{VariantNonBlocking}, Distributable: true, RealTransport: true,
 		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			blocking := opts.Variant != VariantNonBlocking
 			return sim.Config{
@@ -518,6 +534,7 @@ func init() {
 			{"Adversity", "fault schedule (DTG stalls on lost exchanges)", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
+		Distributable: true,
 		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			return sim.Config{
 					CSR:            opts.CSR,
@@ -543,6 +560,7 @@ func init() {
 			{"Adversity", "fault schedule; timeouts recover from losses", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
+		Distributable: true,
 		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			return sim.Config{
 					CSR:            opts.CSR,

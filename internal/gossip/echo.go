@@ -104,6 +104,7 @@ func init() {
 			{"Adversity", "fault schedule: loss, churn, flaps, crash batches", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
+		Distributable: true,
 		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			n := opts.CSR.N()
 			slab := make([]Echo, n)

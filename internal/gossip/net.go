@@ -3,6 +3,7 @@ package gossip
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,12 +14,12 @@ import (
 )
 
 // This file is the real-transport execution mode: the same protocol
-// structs the calendar engine drives (PushPull, Flood — anything whose
-// driver has a Prepare) run here on one goroutine per node, exchanging
-// real messages through a transport.Mesh on real clocks. Nothing about
-// the protocol changes — Activate still picks a neighbor index,
-// OnDeliver still observes exchanges — only the fabric underneath does,
-// which is exactly the claim a real-network mode exists to test.
+// structs the calendar engine drives (PushPull, Flood — the drivers
+// registered with RealTransport) run here on one goroutine per node,
+// exchanging real messages through a transport.Mesh on real clocks.
+// Nothing about the protocol changes — Activate still picks a neighbor
+// index, OnDeliver still observes exchanges — only the fabric underneath
+// does, which is exactly the claim a real-network mode exists to test.
 //
 // The wire exchange mirrors the paper's combined push-pull primitive:
 // an initiation is a SYN carrying the sender's rumor journal, the
@@ -36,6 +37,10 @@ const (
 	netAck byte = 2 // responder's pre-merge journal snapshot
 )
 
+// ackTimeout is how many rounds an initiator waits for an ACK before the
+// exchange is written off.
+const ackTimeout = 4
+
 // NetConfig configures one real-transport run.
 type NetConfig struct {
 	// Mesh moves the bytes: a ChanMesh (single process, all nodes local)
@@ -44,7 +49,7 @@ type NetConfig struct {
 	// CSR is the topology; every process of a multi-process run must
 	// build the identical CSR.
 	CSR *graph.CSR
-	// Driver names a registered driver with a Prepare (push-pull, flood).
+	// Driver names a registered RealTransport driver (push-pull, flood).
 	Driver string
 	// Opts selects source, seed, variant, known-latencies — the same
 	// option surface a simulated run takes. Execution knobs (Workers) are
@@ -57,9 +62,6 @@ type NetConfig struct {
 	// observe global completion locally, so the horizon is the only
 	// guaranteed stop.
 	MaxRounds int
-	// AckTimeout is how many rounds an initiator waits for an ACK before
-	// the exchange is written off (default 4).
-	AckTimeout int
 }
 
 // NetResult is the outcome of one real-transport run, shaped like the
@@ -87,6 +89,24 @@ type netNode struct {
 	pending []int // initiation rounds of SYNs still awaiting an ACK
 }
 
+// RealTransport resolves name to a driver RunNet can execute. It is the
+// one gate of every real-network entry point (RunNet, gossipd's
+// transport:"chan", gossipsim -mode net, gossipnode -algo), and its error
+// lists the registry's real-transport drivers.
+func RealTransport(name string) (*Driver, error) {
+	d, ok := Lookup(name)
+	if !ok || !d.RealTransport {
+		return nil, fmt.Errorf("driver %q has no real-transport mode (have %s)", name, strings.Join(RealTransportNames(), ", "))
+	}
+	return d, nil
+}
+
+// RealTransportNames returns the sorted canonical names of the
+// real-transport drivers.
+func RealTransportNames() []string {
+	return namesWhere(func(d *Driver) bool { return d.RealTransport })
+}
+
 // RunNet executes the named driver's protocol over cfg.Mesh. It blocks
 // until every locally hosted node is informed (when the mesh hosts the
 // whole topology) or the horizon passes. The run is nondeterministic by
@@ -96,12 +116,9 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 	if cfg.Mesh == nil || cfg.CSR == nil {
 		return NetResult{}, fmt.Errorf("gossip: RunNet needs a mesh and a CSR topology")
 	}
-	d, ok := Lookup(cfg.Driver)
-	if !ok {
-		return NetResult{}, fmt.Errorf("gossip: unknown driver %q", cfg.Driver)
-	}
-	if d.Prepare == nil {
-		return NetResult{}, fmt.Errorf("gossip: driver %q is multi-phase and has no real-transport mode", cfg.Driver)
+	d, err := RealTransport(cfg.Driver)
+	if err != nil {
+		return NetResult{}, fmt.Errorf("gossip: %w", err)
 	}
 	n := cfg.CSR.N()
 	opts := cfg.Opts
@@ -124,10 +141,6 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 10 * n
-	}
-	ackTimeout := cfg.AckTimeout
-	if ackTimeout <= 0 {
-		ackTimeout = 4
 	}
 
 	local := cfg.Mesh.Local()

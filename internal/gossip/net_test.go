@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -158,8 +159,14 @@ func TestRunNetValidation(t *testing.T) {
 	if _, err := RunNet(NetConfig{Mesh: mesh, CSR: csr, Driver: "no-such"}); err == nil {
 		t.Fatal("unknown driver accepted")
 	}
-	if _, err := RunNet(NetConfig{Mesh: mesh, CSR: csr, Driver: "spanner"}); err == nil {
-		t.Fatal("multi-phase driver accepted")
+	// Only the drivers registered RealTransport run here: dtg would send
+	// nothing and idle to the horizon, election would "complete" on a
+	// criterion that is not its own.
+	for _, name := range []string{"spanner", "dtg", "superstep", "rr", "election", "echo"} {
+		_, err := RunNet(NetConfig{Mesh: mesh, CSR: csr, Driver: name})
+		if err == nil || !strings.Contains(err.Error(), strings.Join(RealTransportNames(), ", ")) {
+			t.Fatalf("driver %s: %v, want a refusal listing the real-transport drivers", name, err)
+		}
 	}
 	if _, err := RunNet(NetConfig{Mesh: mesh, CSR: csr, Driver: "push-pull", Opts: DriverOptions{Source: 99}}); err == nil {
 		t.Fatal("out-of-range source accepted")

@@ -187,62 +187,11 @@ func TestDistancesPreferMultiHop(t *testing.T) {
 	}
 }
 
-func TestHopDistancesAndDiameter(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 5)
-	g.MustAddEdge(1, 2, 5)
-	g.MustAddEdge(2, 3, 5)
-	hd := g.HopDistances(0)
-	if hd[3] != 3 {
-		t.Fatalf("hop dist = %v", hd)
-	}
-	if g.HopDiameter() != 3 {
-		t.Fatalf("HopDiameter = %d, want 3", g.HopDiameter())
-	}
-	if g.WeightedDiameter() != 15 {
-		t.Fatalf("WeightedDiameter = %d, want 15", g.WeightedDiameter())
-	}
-}
-
-func TestHopDiameterDisconnected(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1, 1)
-	if g.HopDiameter() != -1 {
-		t.Fatal("disconnected HopDiameter should be -1")
-	}
-}
-
 func TestEccentricityUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)
 	if g.Eccentricity(0) < Infinity {
 		t.Fatal("eccentricity with unreachable node should be Infinity")
-	}
-}
-
-func TestKHopNeighborhood(t *testing.T) {
-	g := New(5)
-	for v := 1; v < 5; v++ {
-		g.MustAddEdge(v-1, v, 1)
-	}
-	nh := g.KHopNeighborhood(0, 2)
-	if len(nh) != 3 {
-		t.Fatalf("2-hop neighborhood of path head = %v", nh)
-	}
-}
-
-func TestWeightedDiameterLowerIsLowerBound(t *testing.T) {
-	g := New(6)
-	g.MustAddEdge(0, 1, 3)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 4)
-	g.MustAddEdge(3, 4, 1)
-	g.MustAddEdge(4, 5, 2)
-	g.MustAddEdge(0, 5, 1)
-	lower := g.WeightedDiameterLower()
-	exact := g.WeightedDiameter()
-	if lower > exact {
-		t.Fatalf("double-sweep %d exceeds exact diameter %d", lower, exact)
 	}
 }
 

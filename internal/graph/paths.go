@@ -53,27 +53,6 @@ func (g *Graph) Distances(src NodeID) []int64 {
 	return dist
 }
 
-// HopDistances returns unweighted (hop-count) BFS distances from src.
-func (g *Graph) HopDistances(src NodeID) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[u] {
-			if dist[e.to] < 0 {
-				dist[e.to] = dist[u] + 1
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return dist
-}
-
 // Eccentricity returns the maximum weighted distance from src to any node,
 // or Infinity when some node is unreachable.
 func (g *Graph) Eccentricity(src NodeID) int64 {
@@ -98,61 +77,4 @@ func (g *Graph) WeightedDiameter() int64 {
 		}
 	}
 	return max
-}
-
-// WeightedDiameterLower returns a diameter lower bound using a double
-// sweep (eccentricity of the farthest node from node 0); exact on trees
-// and usually tight in practice, at the cost of two Dijkstra runs.
-func (g *Graph) WeightedDiameterLower() int64 {
-	d0 := g.Distances(0)
-	far := NodeID(0)
-	for u, d := range d0 {
-		if d > d0[far] && d < Infinity {
-			far = u
-		}
-	}
-	return g.Eccentricity(far)
-}
-
-// HopDiameter returns the exact unweighted diameter (max BFS ecc), or -1
-// for disconnected graphs.
-func (g *Graph) HopDiameter() int {
-	max := 0
-	for u := 0; u < g.n; u++ {
-		for _, d := range g.HopDistances(u) {
-			if d < 0 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// KHopNeighborhood returns all nodes within k hops of src (including src).
-func (g *Graph) KHopNeighborhood(src NodeID, k int) []NodeID {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	out := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] == k {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if dist[e.to] < 0 {
-				dist[e.to] = dist[u] + 1
-				queue = append(queue, e.to)
-				out = append(out, e.to)
-			}
-		}
-	}
-	return out
 }

@@ -21,8 +21,8 @@ func TestHypercube(t *testing.T) {
 	if g.M() != 32 {
 		t.Fatalf("m = %d", g.M())
 	}
-	if g.HopDiameter() != 4 {
-		t.Fatalf("hop diameter = %d, want 4", g.HopDiameter())
+	if d := g.WeightedDiameter(); d != 4*2 { // dim hops at latency 2
+		t.Fatalf("diameter = %d, want 8", d)
 	}
 	if _, err := Hypercube(0, 1); err == nil {
 		t.Fatal("dim 0 should error")

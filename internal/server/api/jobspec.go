@@ -43,8 +43,9 @@ type JobSpec struct {
 	// knob excluded from the cache key — but a real-transport run is
 	// nondeterministic, so "chan" jobs additionally bypass the cache in
 	// both directions: they never replay a memoized body and their own
-	// results are never memoized. Requires a single-phase driver
-	// (push-pull, flood) and a benign, unsharded request.
+	// results are never memoized. Requires a real-transport driver (the
+	// capability column of docs/DRIVERS.md: push-pull, flood) and a
+	// benign, unsharded request.
 	Transport string `json:"transport,omitempty"`
 	// MaxRounds overrides the driver's horizon (0 = driver default).
 	MaxRounds int `json:"max_rounds,omitempty"`

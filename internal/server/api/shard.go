@@ -109,24 +109,39 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, appending the payload to buf (pass a
-// truncated scratch buffer to amortize allocation; the returned slice
-// aliases it).
+// frameReadStep is the least ReadFrame grows its buffer by; beyond it a
+// buffer grows by no more than the payload bytes already received.
+const frameReadStep = 64 << 10
+
+// ReadFrame reads one frame into buf's backing array (pass a truncated
+// scratch buffer to amortize allocation; the returned slice aliases it
+// while it is large enough, so steady-state reads allocate nothing). The
+// header's length is the peer's claim, not yet bytes: the buffer grows
+// as the payload arrives, so a hostile header followed by silence costs
+// one frameReadStep, never MaxFramePayload.
 func ReadFrame(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFramePayload {
-		return 0, nil, fmt.Errorf("api: %d-byte shard frame exceeds the %d cap", n, MaxFramePayload)
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if size > MaxFramePayload {
+		return 0, nil, fmt.Errorf("api: %d-byte shard frame exceeds the %d cap", size, MaxFramePayload)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	n := int(size)
+	buf = buf[:0]
+	for len(buf) < n {
+		have := len(buf)
+		if have == cap(buf) {
+			buf = append(make([]byte, 0, min(n, have+max(have, frameReadStep))), buf...)
+		}
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return 0, nil, err
+		}
 	}
 	return hdr[4], buf, nil
 }

@@ -3,7 +3,9 @@ package api
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gossip/internal/sim"
@@ -174,6 +176,74 @@ func TestWriteReadFrame(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(short), nil); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+}
+
+// frameSeeds are TestWriteReadFrame's cases as raw wire bytes: three
+// well-formed frames, an over-cap header, a truncated header, a
+// truncated payload, and the hostile one — a header claiming the full
+// MaxFramePayload followed by nothing.
+func frameSeeds() [][]byte {
+	var seeds [][]byte
+	for i, p := range [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{7}, 1<<16)} {
+		var buf bytes.Buffer
+		WriteFrame(&buf, []byte{FrameJob, FrameRound, FrameResult}[i], p)
+		seeds = append(seeds, buf.Bytes())
+	}
+	hdr := func(n uint32) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, n), FrameRound)
+	}
+	return append(seeds, hdr(MaxFramePayload+1), hdr(10)[:3], append(hdr(10), 1, 2, 3), hdr(MaxFramePayload))
+}
+
+// TestReadFrameHostileLength: five hostile bytes must not cost the
+// 256 MiB they claim — the buffer grows only as payload bytes arrive.
+func TestReadFrameHostileLength(t *testing.T) {
+	seeds := frameSeeds()
+	hostile := seeds[len(seeds)-1]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hostile), nil)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*frameReadStep {
+		t.Fatalf("a %d-byte input allocated %d bytes, want at most one %d-byte step", len(hostile), got, frameReadStep)
+	}
+	// A steady-state read into a large-enough scratch allocates no
+	// buffer: its one allocation is the 5-byte header escaping through
+	// the io.Reader, as before.
+	frame, scratch := bytes.NewReader(seeds[2]), make([]byte, 0, 1<<16)
+	if allocs := testing.AllocsPerRun(10, func() {
+		frame.Seek(0, io.SeekStart)
+		if _, p, err := ReadFrame(frame, scratch); err != nil || len(p) != 1<<16 {
+			t.Fatal(len(p), err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("scratch-backed read allocated %v times", allocs)
+	}
+}
+
+// FuzzReadFrame: bytes off a socket either fail to parse or yield
+// exactly the payload they carry, in a buffer no larger than twice the
+// input plus one growth step — never a panic, never a wire-chosen
+// allocation.
+func FuzzReadFrame(f *testing.F) {
+	for _, seed := range frameSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		kind, p, err := ReadFrame(bytes.NewReader(in), nil)
+		if err != nil {
+			return
+		}
+		if kind != in[4] || !bytes.Equal(p, in[5:5+len(p)]) {
+			t.Fatalf("frame kind %d payload % x does not match input % x", kind, p, in)
+		}
+		if cap(p) > 2*len(in)+frameReadStep {
+			t.Fatalf("%d-byte input yielded a %d-byte buffer", len(in), cap(p))
+		}
+	})
 }
 
 func TestInformedHash(t *testing.T) {

@@ -113,8 +113,8 @@ func (s *Server) validateEstimate(req EstimateRequest) (*estimateJob, *FieldErro
 		prev := curve.Point{Round: -1}
 		for i, p := range req.Observed {
 			field := fmt.Sprintf("observed[%d]", i)
-			if p.Round < 0 || p.Round > s.cfg.MaxRoundsCap {
-				return nil, fieldErrf(field, "round %d outside [0, %d]", p.Round, s.cfg.MaxRoundsCap)
+			if p.Round < 0 || p.Round > maxRoundsCap {
+				return nil, fieldErrf(field, "round %d outside [0, %d]", p.Round, maxRoundsCap)
 			}
 			if p.Round <= prev.Round {
 				return nil, fieldErrf(field, "rounds must be strictly increasing (%d after %d)", p.Round, prev.Round)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -89,14 +90,6 @@ type job struct {
 	spec      *adversity.Spec
 }
 
-// variants lists the admissible Variant values per driver; drivers whose
-// schema includes the "variant" key but appear nowhere here accept any
-// value (none today).
-var variants = map[string][]string{
-	"push-pull": {gossip.VariantBlocking},
-	"flood":     {gossip.VariantNonBlocking},
-}
-
 // objectives maps the request-level objective names onto the registry's
 // completion criteria.
 var objectives = map[string]gossip.Objective{
@@ -169,11 +162,11 @@ func (s *Server) validate(req Request) (*job, *FieldError) {
 			g.Family, g.N, built, s.cfg.MaxN)
 	}
 
-	if req.Workers < 0 || req.Workers > s.cfg.MaxWorkers {
-		return nil, fieldErrf("workers", "workers %d outside [0, %d]", req.Workers, s.cfg.MaxWorkers)
+	if req.Workers < 0 || req.Workers > maxWorkers {
+		return nil, fieldErrf("workers", "workers %d outside [0, %d]", req.Workers, maxWorkers)
 	}
-	if req.MaxRounds < 0 || req.MaxRounds > s.cfg.MaxRoundsCap {
-		return nil, fieldErrf("max_rounds", "max_rounds %d outside [0, %d]", req.MaxRounds, s.cfg.MaxRoundsCap)
+	if req.MaxRounds < 0 || req.MaxRounds > maxRoundsCap {
+		return nil, fieldErrf("max_rounds", "max_rounds %d outside [0, %d]", req.MaxRounds, maxRoundsCap)
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -230,7 +223,7 @@ func (s *Server) validate(req Request) (*job, *FieldError) {
 		if req.Shards > len(workers) {
 			return nil, fieldErrf("shards", "shards %d exceeds the fleet's %d workers", req.Shards, len(workers))
 		}
-		if !gossip.Distributable(d.Name) {
+		if !d.Distributable {
 			return nil, fieldErrf("shards", "driver %q does not support distributed execution (distributable: %s)", d.Name, strings.Join(gossip.DistributableNames(), ", "))
 		}
 		if can.MaxInPerRound > 0 {
@@ -241,14 +234,14 @@ func (s *Server) validate(req Request) (*job, *FieldError) {
 	// The transport knob is execution-only, like workers and shards: it
 	// never reaches the canonical form. "chan" runs the job for real
 	// (gossip.RunNet), which supports exactly what the net mode supports
-	// — a single-phase driver, a benign schedule, one process.
+	// — a real-transport driver, a benign schedule, one process.
 	transport := strings.ToLower(strings.TrimSpace(req.Transport))
 	switch transport {
 	case "", "sim":
 		transport = ""
 	case "chan":
-		if d.Prepare == nil {
-			return nil, fieldErrf("transport", "driver %q is multi-phase and has no real-transport mode (single-phase: push-pull, flood)", d.Name)
+		if _, err := gossip.RealTransport(d.Name); err != nil {
+			return nil, fieldErrf("transport", "%v", err)
 		}
 		if req.Shards != 0 {
 			return nil, fieldErrf("transport", "transport \"chan\" runs in one process; it cannot be combined with shards")
@@ -344,15 +337,9 @@ func applyDriverFields(d *gossip.Driver, req Request, can *canonical) *FieldErro
 		if !d.AcceptsKey("variant") {
 			return reject("variant")
 		}
-		ok := false
-		for _, v := range variants[d.Name] {
-			if *req.Variant == v {
-				ok = true
-			}
-		}
-		if !ok {
+		if !slices.Contains(d.Variants, *req.Variant) {
 			return fieldErrf("variant", "driver %q has no variant %q (have %s)",
-				d.Name, *req.Variant, strings.Join(variants[d.Name], ", "))
+				d.Name, *req.Variant, strings.Join(d.Variants, ", "))
 		}
 		can.Variant = *req.Variant
 	}

@@ -40,6 +40,12 @@ import (
 	"gossip/internal/transport"
 )
 
+// Request bounds no deployment ever tuned: constants, not Config fields.
+const (
+	maxWorkers   = 64      // per-job intra-round shard count
+	maxRoundsCap = 1 << 22 // requested horizon, fork round, progress round
+)
+
 // Config tunes one Server. The zero value is production-serviceable.
 type Config struct {
 	// Pool is the number of jobs executed concurrently (<=0: GOMAXPROCS).
@@ -60,10 +66,6 @@ type Config struct {
 	// count the family builds (dumbbell 2n, ring layers·n, grid side²),
 	// not just the raw n parameter.
 	MaxN int
-	// MaxWorkers caps the per-job intra-round shard count (<=0: 64).
-	MaxWorkers int
-	// MaxRoundsCap caps the requested horizon (<=0: 1<<22).
-	MaxRoundsCap int
 	// DefaultTimeout bounds job execution when the request does not
 	// (<=0: 60s); MaxTimeout clamps what a request may ask for
 	// (<=0: 5m). Queue wait is not counted.
@@ -96,12 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = 1 << 17
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 64
-	}
-	if c.MaxRoundsCap <= 0 {
-		c.MaxRoundsCap = 1 << 22
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second

@@ -71,8 +71,8 @@ func (s *Server) validateSweep(req SweepRequest) (*sweepJob, *FieldError) {
 	if ferr := inProcessOnly(base, "base"); ferr != nil {
 		return nil, ferr
 	}
-	if req.ForkRound < 0 || req.ForkRound > s.cfg.MaxRoundsCap {
-		return nil, fieldErrf("fork_round", "fork_round %d outside [0, %d]", req.ForkRound, s.cfg.MaxRoundsCap)
+	if req.ForkRound < 0 || req.ForkRound > maxRoundsCap {
+		return nil, fieldErrf("fork_round", "fork_round %d outside [0, %d]", req.ForkRound, maxRoundsCap)
 	}
 	if len(req.Variants) == 0 {
 		return nil, fieldErrf("variants", "a sweep needs at least one variant")
@@ -102,8 +102,8 @@ func (s *Server) validateSweep(req SweepRequest) (*sweepJob, *FieldError) {
 			}
 		}
 		if v.MaxRounds != nil {
-			if *v.MaxRounds < 0 || *v.MaxRounds > s.cfg.MaxRoundsCap {
-				return nil, fieldErrf(field("max_rounds"), "max_rounds %d outside [0, %d]", *v.MaxRounds, s.cfg.MaxRoundsCap)
+			if *v.MaxRounds < 0 || *v.MaxRounds > maxRoundsCap {
+				return nil, fieldErrf(field("max_rounds"), "max_rounds %d outside [0, %d]", *v.MaxRounds, maxRoundsCap)
 			}
 			if *v.MaxRounds != 0 && *v.MaxRounds < req.ForkRound {
 				return nil, fieldErrf(field("max_rounds"), "max_rounds %d lands before fork_round %d", *v.MaxRounds, req.ForkRound)

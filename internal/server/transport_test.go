@@ -1,6 +1,7 @@
 package server
 
 import (
+	"gossip/internal/gossip"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,5 +104,15 @@ func TestValidateTransport(t *testing.T) {
 	if _, ferr := s.validate(rejected[0]); ferr == nil || ferr.Field != "transport" ||
 		!strings.Contains(ferr.Message, "sim, chan") {
 		t.Fatalf("unknown transport error: %v", ferr)
+	}
+	// Real-transport is a registered capability, not "has a Prepare": the
+	// single-phase drivers without it are refused, and the message lists
+	// the registry's real-transport drivers.
+	for _, name := range []string{"dtg", "superstep", "rr", "election", "echo", "spanner"} {
+		_, ferr := s.validate(Request{Driver: name, Graph: okGraph(), Transport: "chan"})
+		if ferr == nil || ferr.Field != "transport" ||
+			!strings.Contains(ferr.Message, strings.Join(gossip.RealTransportNames(), ", ")) {
+			t.Errorf("driver %s over transport chan: %v, want a transport error listing the real-transport drivers", name, ferr)
+		}
 	}
 }
