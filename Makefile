@@ -16,7 +16,7 @@ COVER_MIN := 84.5
 
 .PHONY: all build test race bench bench-json bench-baseline bench-compare \
 	determinism cover fuzz-smoke staticcheck fmt vet experiments serve \
-	load-smoke distributed-smoke netcheck docs docs-check lint-docs ab lines clean
+	load-smoke distributed-smoke netcheck docs docs-check lint-docs ab ab-null lines clean
 
 all: build test
 
@@ -223,14 +223,18 @@ lint-docs:
 	echo "lint-docs: every package documented"
 
 # The A/B behind every performance claim: PAIRS interleaved runs of
-# benchmark/run.sh on the committed tree at PARENT and on the working
-# tree, medians, quartiles and pairs won per end-to-end metric. Its
-# output is what a docs/TRAJECTORY.md row records.
+# benchmark/run.sh on the committed tree at PARENT and on a snapshot of
+# the working tree, each exported to its own directory, medians,
+# quartiles and pairs won per end-to-end metric. Its output is what a
+# docs/TRAJECTORY.md row records. ab-null runs the working-tree snapshot
+# on both sides: the harness's own noise floor.
 PARENT ?= HEAD
 WORKLOAD ?= sim-latency
 PAIRS ?= 10
 ab:
 	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+ab-null:
+	bash scripts/ab.sh - $(WORKLOAD) $(PAIRS)
 
 # Non-test and test Go line counts per top-level directory and in total
 # (benchmark/ excluded): the two numbers a simplicity PR's CHANGES.md

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gossip/internal/adversity"
+	"gossip/internal/graph"
 	"gossip/internal/graphgen"
 )
 
@@ -173,5 +174,66 @@ func TestWarmStartDoneFork(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fingerprint(res), fingerprint(cold)) {
 		t.Fatalf("done resume differs from the finished run")
+	}
+}
+
+// TestNewsWindowsAcrossModes pins the engine's per-round news scratch
+// (the journal windows a due exchange delivers, captured serially at the
+// drain and read by every shard): on latency-mixed graphs, where one
+// round drains exchanges initiated in many earlier rounds, with
+// MetaProducer protocols whose metadata rides every exchange, a serial
+// run, a 4-worker run and a capture/resume across the two must agree.
+func TestNewsWindowsAcrossModes(t *testing.T) {
+	rng := graphgen.NewRand(21)
+	er, err := graphgen.ErdosRenyi(40, 0.2, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphgen.AssignRandomLatencies(er, 1, 8, rng)
+	grid := graphgen.Grid(6, 6, 1)
+	graphgen.AssignRandomLatencies(grid, 1, 5, rng)
+	churny := adversity.MustParseSpec("churn=3:4-20:amnesia;loss=0.1")
+	rows := []struct {
+		name, driver string
+		g            *graph.Graph
+		opts         DriverOptions
+	}{
+		{"dtg/er", "dtg", er, DriverOptions{Ell: 8}},
+		{"dtg/grid", "dtg", grid, DriverOptions{}},
+		{"dtg/er-churny", "dtg", er, DriverOptions{Ell: 8, ExecOptions: ExecOptions{Adversity: churny}}},
+		{"superstep/er", "superstep", er, DriverOptions{LBTimeout: 8}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			opts := row.opts
+			opts.Seed, opts.MaxRounds = 9, 1<<16
+			serial, err := Dispatch(row.driver, row.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.Delivered == 0 {
+				t.Fatal("nothing delivered")
+			}
+			par := opts
+			par.Workers = 4
+			parallel, err := Dispatch(row.driver, row.g, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := Fork(row.driver, row.g, opts, serial.Rounds/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := w.Resume(par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(serial)
+			for mode, got := range map[string]DriverResult{"workers 4": parallel, "capture/resume": resumed} {
+				if !reflect.DeepEqual(fingerprint(got), want) {
+					t.Fatalf("%s diverges from serial:\n got  %+v\n want %+v", mode, fingerprint(got), want)
+				}
+			}
+		})
 	}
 }

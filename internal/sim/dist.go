@@ -188,8 +188,6 @@ type distRun struct {
 	shard, shards int
 	ex            Exchanger
 	stats         *DistStats
-	hasDones      bool
-	metaAny       bool
 	// frames are the double-buffered outgoing round frames (see the
 	// Exchanger aliasing contract); frame is the one the round in progress
 	// fills. The outgoing meta frame needs no twin: it is rebuilt only
@@ -235,15 +233,6 @@ func RunDist(cfg Config, dc DistConfig, factory Factory, stop StopFunc) (Result,
 		return Result{}, err
 	}
 	d := &distRun{e: e, shard: dc.Shard, shards: dc.Shards, ex: dc.Exchanger, stats: dc.Stats}
-	lo, hi := e.owned()
-	for u := lo; u < hi; u++ {
-		if e.world.dones[u] != nil {
-			d.hasDones = true
-		}
-		if e.meta[u] != nil {
-			d.metaAny = true
-		}
-	}
 	e.dist = d
 	e.world.distDone = make([]bool, dc.Shards)
 	e.world.distLeader = make([]int32, dc.Shards)
@@ -313,18 +302,16 @@ func (d *distRun) capture() (done bool, leader int32) {
 	e, w := d.e, d.e.world
 	lo, hi := e.owned()
 	done = true
-	if d.hasDones {
-		for u := lo; u < hi && done; u++ {
-			dr := w.dones[u]
-			done = dr == nil || !w.Alive(u) || dr.Done()
-		}
+	for u := lo; u < hi && done && w.dones != nil; u++ {
+		dr := w.dones[u]
+		done = dr == nil || !w.Alive(u) || dr.Done()
 	}
 	leader = LeaderAgnostic
 	for u := lo; u < hi; u++ {
 		if e.cfg.Adversity.NeverReturns(u) {
 			continue
 		}
-		lr := w.leaders[u]
+		lr := facet(w.leaders, u)
 		if lr == nil || !w.Alive(u) {
 			return done, LeaderUnsettled
 		}
@@ -379,7 +366,9 @@ func (d *distRun) barrier(round int, stop StopFunc, t *tally) (frames []*DistFra
 	f.MinWake, f.SleeperWake = s.minWake, s.sleeperWake
 	f.Pending = e.pendingLen() > 0
 	f.NextDeliver = e.nextDeliver(round)
-	f.MetaCapable = d.metaAny
+	// Facet tables cover the owned range only: a table means some owned
+	// protocol has the facet.
+	f.MetaCapable = e.meta != nil
 	f.Waiting = t.waiting
 	if s.err != nil {
 		f.Err = s.err.Error()
@@ -495,11 +484,12 @@ func (d *distRun) exchangeRemoteMeta(frames []*DistFrame, round int) error {
 				continue
 			}
 			for _, node := range [2]int32{in.U, in.V} {
-				if e.shardOf(node) == nil || e.meta[node] == nil || d.metaStamp[node] == stamp {
+				mp := facet(e.meta, int(node))
+				if e.shardOf(node) == nil || mp == nil || d.metaStamp[node] == stamp {
 					continue
 				}
 				d.metaStamp[node] = stamp
-				m := e.meta[node].Meta()
+				m := mp.Meta()
 				var ms []int32
 				if m != nil {
 					var ok bool

@@ -1,0 +1,58 @@
+package sim
+
+import (
+	"math/rand/v2"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"gossip/internal/graphgen"
+)
+
+// pushPullProto is randProtocol with the two facets gossip.PushPull
+// implements (Sleeper, AmnesiaReseter), so the engine builds the same
+// facet tables it builds for the real driver.
+type pushPullProto struct{ randProtocol }
+
+func (p *pushPullProto) NextWake(round int) int { return round + 1 }
+func (p *pushPullProto) OnAmnesia()             {}
+
+// memoryBudgetBytes bounds TotalAlloc of one serial push-pull run to
+// completion on a 2¹²-node ring+matching expander with latency 1. Before
+// the engine's memory diet this run allocated 6 494 088 bytes (144-byte
+// exchanges in append-grown buckets, all six facet tables always); with
+// 88-byte exchanges, one bucket allocation for the whole run, the news
+// scratch and only push-pull's two facet tables it allocates 4 117 064.
+// Half of that is the per-node dense rumor bitsets (n <= 2¹³), which the
+// diet does not touch. The bound is 0.65 of the old figure.
+const memoryBudgetBytes = 6494088 * 65 / 100
+
+// TestEngineMemoryBudget pins the per-exchange and per-node memory of the
+// serial round loop, the layer sim-sparse's rss_p90_mb measures.
+func TestEngineMemoryBudget(t *testing.T) {
+	if sz := unsafe.Sizeof(exch{}); sz > 88 {
+		t.Fatalf("exch is %d bytes, budget 88", sz)
+	}
+	csr, err := graphgen.RingMatchingExpanderCSR(1<<12, 1, rand.New(rand.NewPCG(5, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{CSR: csr, Source: 0, Seed: 7}
+	factory := func(nv *NodeView) Protocol { return &pushPullProto{randProtocol{nv: nv}} }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg, factory, StopAllInformed(0))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("push-pull did not complete: %+v", res.Rounds)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d rounds, %d exchanges, %d bytes allocated (budget %d)", res.Rounds, res.Exchanges, got, memoryBudgetBytes)
+	if got > memoryBudgetBytes {
+		t.Fatalf("serial push-pull allocated %d bytes, budget %d", got, memoryBudgetBytes)
+	}
+}

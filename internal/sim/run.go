@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"sync"
@@ -42,16 +43,15 @@ type World struct {
 	// takes a node down).
 	alive *bitset.Set
 	// dones caches the DoneReporter facet per node (nil entries for
-	// protocols without one) so quiescence stops skip per-check type
-	// assertions.
+	// protocols without one, a nil table when no protocol has it) so
+	// quiescence stops skip per-check type assertions.
 	dones []DoneReporter
 	// distDone, on a distributed shard worker, holds every shard's
 	// captured all-done flag for the stop evaluation in progress (remote
 	// protocol facets are not materialized on a worker, so StopAllDone
 	// consults these instead of scanning dones). Nil in serial runs.
 	distDone []bool
-	// leaders caches the LeaderReporter facet per node (nil entries for
-	// protocols without one), mirroring dones.
+	// leaders caches the LeaderReporter facet per node, mirroring dones.
 	leaders []LeaderReporter
 	// distLeader, on a distributed shard worker, holds every shard's
 	// captured leader summary for the stop evaluation in progress — a
@@ -67,15 +67,17 @@ func (w *World) Alive(u graph.NodeID) bool {
 }
 
 // exch is an in-flight bidirectional rumor swap, stored by value in the
-// delivery calendar. Instead of cloning the endpoints' rumor sets it
-// records a window into each endpoint's gain journal: [start,end) is the
-// delta this exchange carries, end is also the size of the endpoint's
-// full set at initiation time. uNews/vNews are the captured journal
-// window views, filled in when the exchange comes due.
+// delivery calendar (88 bytes). Instead of cloning the endpoints' rumor
+// sets it records a window into each endpoint's gain journal:
+// [start,end) is the delta this exchange carries, end is also the size of
+// the endpoint's full set at initiation time. The window views themselves
+// are captured only when the exchange comes due, into the round's news
+// scratch (engine.news), not stored per entry. Rounds fit in int32:
+// newEngineShard rejects a horizon whose deliveries could overflow it.
 type exch struct {
 	seq          int64
-	deliver      int
-	initRound    int
+	deliver      int32
+	initRound    int32
 	u, v         int32 // u initiated
 	uIdx, vIdx   int32 // adjacency index of the peer at u / at v
 	latency      int32
@@ -88,7 +90,6 @@ type exch struct {
 	// calendar (and holds off idle detection) for its whole transit.
 	lost         bool
 	uMeta, vMeta any
-	uNews, vNews []int32 // news *for* u (v's window) / *for* v (u's window)
 }
 
 // exchHeap is the overflow queue for deliveries beyond the calendar
@@ -142,11 +143,14 @@ type shard struct {
 }
 
 type engine struct {
-	cfg      Config
-	csr      *graph.CSR
-	n        int
-	views    []*NodeView
-	protos   []Protocol
+	cfg    Config
+	csr    *graph.CSR
+	n      int
+	views  []*NodeView
+	protos []Protocol
+	// Facet tables, indexed by node; a table is nil when no protocol on
+	// the owned range implements its facet (facets), so every index site
+	// checks the table first.
 	sleeper  []Sleeper
 	waiter   []Waiter
 	meta     []MetaProducer
@@ -178,13 +182,25 @@ type engine struct {
 
 	due    []exch // scratch: this round's deliveries in (deliver,seq) order
 	dueBuf []exch // merge buffer when overflow items join a bucket
+	// news is the round's captured journal windows, indexed like a shard
+	// delivery record: news[i<<1] is what due[i]'s initiator receives (the
+	// peer's window), news[i<<1|1] what the peer receives. Taken serially
+	// at the drain, so cross-shard reads see immutable views; reused
+	// across rounds and cleared when the round's deliveries are done.
+	news [][]int32
 	// spare is the drained bucket's backing array, handed forward to the
 	// next first-touch slot: a drained slot is not due again for
 	// len(ring) rounds, while the slot the current round schedules into
 	// usually starts empty — recycling makes steady-state scheduling
 	// allocation-free at fixed latency instead of regrowing a multi-MB
-	// bucket through doublings every round.
+	// bucket every round.
 	spare []exch
+	// oneSlot: every edge has one latency and there is no jitter, so all
+	// of a round's exchanges land in a single bucket; fill is then the
+	// round's intent count while mergeIntents runs (0 otherwise), and a
+	// bucket that must grow is sized to it at once instead of doubling.
+	oneSlot bool
+	fill    int
 
 	// shards are the execution shards this engine runs: every part of the
 	// contiguous node partition on an ordinary engine, the one owned part
@@ -331,6 +347,11 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
+	// The calendar stores rounds as int32: the latest possible delivery,
+	// the horizon plus a (jittered, < 2·MaxLatency+1) latency, must fit.
+	if cfg.MaxRounds > math.MaxInt32-2*csr.MaxLatency()-1 {
+		return nil, fmt.Errorf("sim: horizon %d with max latency %d overflows the int32 round calendar", cfg.MaxRounds, csr.MaxLatency())
+	}
 	// LatencyJitter is part of config validation, not of the round loop:
 	// anything that is not a finite value in [0,1) is rejected up front
 	// (the negated-range form also catches NaN).
@@ -372,6 +393,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	e.pcgArena = make([]rand.PCG, n)
 	e.rngArena = make([]rand.Rand, n)
 	pcgArena, rngArena := e.pcgArena, e.rngArena
+	oneLat := true
 	for u := 0; u < n; u++ {
 		off := csr.Offset(u)
 		deg := csr.Degree(u)
@@ -383,6 +405,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 			} else {
 				known[i] = -1
 			}
+			oneLat = oneLat && int(lats[i]) == csr.MaxLatency()
 		}
 		pcgArena[u] = *rand.NewPCG(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)
 		rngArena[u] = *rand.New(&pcgArena[u])
@@ -457,44 +480,23 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.lo, s.hi = partition(n, parts, shardIdx+i)
+		s.intents = make([]actIntent, 0, s.hi-s.lo)
 	}
 
-	// Sleeper/Waiter/MetaProducer/DoneReporter facets are fixed per
-	// protocol: resolve the type assertions once instead of per round.
 	// A distributed shard worker instantiates protocols only for its
 	// owned range; remote entries stay nil and are never invoked (remote
 	// protocol effects arrive through barrier frames instead).
 	ownLo, ownHi := e.owned()
-	e.sleeper = make([]Sleeper, n)
-	e.waiter = make([]Waiter, n)
-	e.meta = make([]MetaProducer, n)
-	e.amnesiac = make([]AmnesiaReseter, n)
-	dones := make([]DoneReporter, n)
-	leaders := make([]LeaderReporter, n)
 	for u := ownLo; u < ownHi; u++ {
 		protos[u] = factory(views[u])
 		if protos[u] == nil {
 			return nil, fmt.Errorf("sim: factory returned nil protocol for node %d", u)
 		}
-		if s, ok := protos[u].(Sleeper); ok {
-			e.sleeper[u] = s
-		}
-		if w, ok := protos[u].(Waiter); ok {
-			e.waiter[u] = w
-		}
-		if m, ok := protos[u].(MetaProducer); ok {
-			e.meta[u] = m
-		}
-		if a, ok := protos[u].(AmnesiaReseter); ok {
-			e.amnesiac[u] = a
-		}
-		if d, ok := protos[u].(DoneReporter); ok {
-			dones[u] = d
-		}
-		if l, ok := protos[u].(LeaderReporter); ok {
-			leaders[u] = l
-		}
 	}
+	e.sleeper = facets[Sleeper](protos, ownLo, ownHi)
+	e.waiter = facets[Waiter](protos, ownLo, ownHi)
+	e.meta = facets[MetaProducer](protos, ownLo, ownHi)
+	e.amnesiac = facets[AmnesiaReseter](protos, ownLo, ownHi)
 
 	var alive *bitset.Set
 	if sched != nil && sched.HasDown() {
@@ -522,7 +524,9 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	e.world = &World{
 		CSR: csr, Views: views, Protos: protos,
 		adv: sched, watched: watched, informed: informed,
-		alive: alive, dones: dones, leaders: leaders,
+		alive:   alive,
+		dones:   facets[DoneReporter](protos, ownLo, ownHi),
+		leaders: facets[LeaderReporter](protos, ownLo, ownHi),
 	}
 	e.res.InformedAt = informedAt
 	e.res.World = e.world
@@ -532,6 +536,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	// Delta windows require exchanges on an edge to deliver in initiation
 	// order; jitter can reorder them, so it falls back to full prefixes.
 	e.useDelta = cfg.LatencyJitter == 0
+	e.oneSlot = oneLat && e.useDelta
 	if e.useDelta {
 		e.sent = make([]int32, csr.HalfEdges())
 	}
@@ -556,6 +561,33 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	e.ringMask = ringSize - 1
 
 	return e, nil
+}
+
+// facets resolves facet F of the protocols on [lo,hi) once instead of
+// per round: a table indexed by node, or nil when none of them has F.
+// Facets are fixed per protocol, and a protocol usually has few of them
+// (push-pull two of six), so most tables are never allocated.
+func facets[F any](protos []Protocol, lo, hi int) []F {
+	var fs []F
+	for u := lo; u < hi; u++ {
+		if f, ok := protos[u].(F); ok {
+			if fs == nil {
+				fs = make([]F, len(protos))
+			}
+			fs[u] = f
+		}
+	}
+	return fs
+}
+
+// facet is node u's entry in a facet table: nil when the node, or every
+// protocol, lacks the facet.
+func facet[F any](fs []F, u int) F {
+	if fs == nil {
+		var none F
+		return none
+	}
+	return fs[u]
 }
 
 // parallel runs fn over every shard: inline when serial, fanned across
@@ -602,17 +634,31 @@ func (e *engine) owned() (lo, hi int) {
 // push schedules ex: near deliveries into the calendar ring, far ones
 // into the overflow heap.
 func (e *engine) push(ex exch, round int) {
-	if ex.deliver-round < len(e.ring) {
-		slot := ex.deliver & e.ringMask
-		b := e.ring[slot]
-		if cap(b) == 0 && cap(e.spare) != 0 {
-			b, e.spare = e.spare, nil
-		}
-		e.ring[slot] = append(b, ex)
-		e.ringCount++
-	} else {
+	if int(ex.deliver)-round >= len(e.ring) {
 		heap.Push(&e.overflow, ex)
+		return
 	}
+	slot := int(ex.deliver) & e.ringMask
+	b := e.ring[slot]
+	if len(b) == cap(b) {
+		b = e.grow(b)
+	}
+	e.ring[slot] = append(b, ex)
+	e.ringCount++
+}
+
+// grow returns full bucket b with room to spare: the handed-forward spare
+// array when b is a first touch and the spare holds the round's fill,
+// otherwise a fresh array of max(2·cap(b), fill) — on a one-slot calendar
+// one allocation holds the whole round.
+func (e *engine) grow(b []exch) []exch {
+	if cap(b) == 0 && cap(e.spare) > 0 && cap(e.spare) >= e.fill {
+		b, e.spare = e.spare, nil
+		return b
+	}
+	nb := make([]exch, len(b), max(2*cap(b), e.fill, 16))
+	copy(nb, b)
+	return nb
 }
 
 func (e *engine) pendingLen() int { return e.ringCount + len(e.overflow) }
@@ -629,8 +675,8 @@ func (e *engine) nextDeliver(round int) int {
 			}
 		}
 	}
-	if len(e.overflow) > 0 && (nd < 0 || e.overflow[0].deliver < nd) {
-		nd = e.overflow[0].deliver
+	if len(e.overflow) > 0 && (nd < 0 || int(e.overflow[0].deliver) < nd) {
+		nd = int(e.overflow[0].deliver)
 	}
 	return nd
 }
@@ -641,12 +687,12 @@ func (e *engine) nextDeliver(round int) int {
 func (e *engine) collectDue(round int) {
 	bucket := e.ring[round&e.ringMask]
 	e.ringCount -= len(bucket)
-	if len(e.overflow) > 0 && e.overflow[0].deliver <= round {
+	if len(e.overflow) > 0 && int(e.overflow[0].deliver) <= round {
 		// Merge overflow items (popped in seq order) with the bucket
 		// (already in seq order) into the scratch buffer.
 		e.dueBuf = e.dueBuf[:0]
 		var hot []exch
-		for len(e.overflow) > 0 && e.overflow[0].deliver <= round {
+		for len(e.overflow) > 0 && int(e.overflow[0].deliver) <= round {
 			hot = append(hot, heap.Pop(&e.overflow).(exch))
 		}
 		i, j := 0, 0
@@ -675,6 +721,14 @@ func (e *engine) collectDue(round int) {
 // sums reproduce the serial totals.
 func (e *engine) drainDue(round int) {
 	e.collectDue(round)
+	w := 2 * len(e.due)
+	if cap(e.news) < w {
+		e.news = make([][]int32, w)
+	}
+	e.news = e.news[:w]
+	if s := &e.shards[0]; len(e.shards) == 1 && cap(s.recs) < w {
+		s.recs = make([]uint32, 0, w)
+	}
 	for i := range e.due {
 		ex := &e.due[i]
 		su := e.shardOf(ex.u)
@@ -684,11 +738,10 @@ func (e *engine) drainDue(round int) {
 			if su != nil {
 				e.res.Dropped++
 			}
-			ex.uNews, ex.vNews = nil, nil
 			continue
 		}
-		ex.uNews = e.views[ex.v].journal[ex.vStart:ex.vEnd]
-		ex.vNews = e.views[ex.u].journal[ex.uStart:ex.uEnd]
+		e.news[i<<1] = e.views[ex.v].journal[ex.vStart:ex.vEnd]
+		e.news[i<<1|1] = e.views[ex.u].journal[ex.uStart:ex.uEnd]
 		if su != nil {
 			e.res.Delivered++
 			// The journal prefix length at initiation is the full snapshot
@@ -704,11 +757,11 @@ func (e *engine) drainDue(round int) {
 
 // deliverShard applies this shard's due deliveries: rumor gains, latency
 // discovery, informed bookkeeping and OnDeliver callbacks — all against
-// node state this shard owns. The news windows were captured at the
-// serial drain, so cross-shard journal reads see immutable data. A
-// distributed shard worker also appends every gain to its outgoing frame,
-// in application order: that is the owner's journal order, which every
-// replica must reproduce.
+// node state this shard owns. The news windows were captured into
+// e.news at the serial drain, so cross-shard journal reads see immutable
+// data. A distributed shard worker also appends every gain to its
+// outgoing frame, in application order: that is the owner's journal
+// order, which every replica must reproduce.
 func (e *engine) deliverShard(s *shard, round int) {
 	watched := int32(e.watched)
 	var gains []DistGain
@@ -717,16 +770,14 @@ func (e *engine) deliverShard(s *shard, round int) {
 	}
 	for _, enc := range s.recs {
 		ex := &e.due[enc>>1]
+		news := e.news[enc]
 		var self, peer, selfIdx int32
-		var news []int32
 		var meta any
 		initiator := enc&1 == 0
 		if initiator {
-			self, peer, selfIdx = ex.u, ex.v, ex.uIdx
-			news, meta = ex.uNews, ex.vMeta
+			self, peer, selfIdx, meta = ex.u, ex.v, ex.uIdx, ex.vMeta
 		} else {
-			self, peer, selfIdx = ex.v, ex.u, ex.vIdx
-			news, meta = ex.vNews, ex.uMeta
+			self, peer, selfIdx, meta = ex.v, ex.u, ex.vIdx, ex.uMeta
 		}
 		nv := e.views[self]
 		gained := 0
@@ -740,15 +791,15 @@ func (e *engine) deliverShard(s *shard, round int) {
 		}
 		nv.known[selfIdx] = ex.latency
 		if e.informedAt[self] < 0 && nv.rum.contains(watched) {
-			e.informedAt[self] = ex.deliver
+			e.informedAt[self] = int(ex.deliver)
 			s.newlyInformed = append(s.newlyInformed, self)
 		}
 		if e.wake[self] > round {
 			e.wake[self] = round
 		}
 		e.protos[self].OnDeliver(Delivery{
-			Round:         ex.deliver,
-			InitRound:     ex.initRound,
+			Round:         int(ex.deliver),
+			InitRound:     int(ex.initRound),
 			Peer:          int(peer),
 			NeighborIndex: int(selfIdx),
 			Latency:       int(ex.latency),
@@ -776,8 +827,9 @@ func (e *engine) finishDeliveries(round int) {
 	}
 	for i := range e.due {
 		e.due[i].uMeta, e.due[i].vMeta = nil, nil
-		e.due[i].uNews, e.due[i].vNews = nil, nil
 	}
+	clear(e.news)
+	e.news = e.news[:0]
 	slot := round & e.ringMask
 	if b := e.ring[slot][:0]; cap(b) > cap(e.spare) {
 		e.ring[slot], e.spare = nil, b
@@ -801,7 +853,7 @@ func (e *engine) activateShard(s *shard, round int) {
 			if e.wake[u] < s.minWake {
 				s.minWake = e.wake[u]
 			}
-			if e.sleeper[u] != nil && e.wake[u] < s.sleeperWake {
+			if facet(e.sleeper, u) != nil && e.wake[u] < s.sleeperWake {
 				s.sleeperWake = e.wake[u]
 			}
 			continue
@@ -819,7 +871,8 @@ func (e *engine) activateShard(s *shard, round int) {
 			}
 		}
 		next := round + 1
-		if sl := e.sleeper[u]; sl != nil {
+		sl := facet(e.sleeper, u)
+		if sl != nil {
 			if w := sl.NextWake(round); w > next {
 				next = w
 			}
@@ -828,7 +881,7 @@ func (e *engine) activateShard(s *shard, round int) {
 		if next < s.minWake {
 			s.minWake = next
 		}
-		if e.sleeper[u] != nil && next < s.sleeperWake {
+		if sl != nil && next < s.sleeperWake {
 			s.sleeperWake = next
 		}
 	}
@@ -868,7 +921,7 @@ func (e *engine) fate(u, v, round, deliver int) bool {
 // not (never for an ordinary engine, whose calendar holds them all).
 //
 // The body is deliberately one loop: split into resolve and schedule
-// calls it copies the 144-byte exch once more per exchange, which the
+// calls it copies the 88-byte exch once more per exchange, which the
 // serial hot path measurably pays for.
 func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 	d := e.dist
@@ -876,6 +929,13 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 	lists := len(e.shards)
 	if frames != nil {
 		lists = len(frames)
+	} else if e.oneSlot {
+		// Every exchange of the round lands in one bucket: let push size
+		// it for all of them at once. (A shard worker schedules only the
+		// exchanges touching its range, so it grows by doubling.)
+		for i := range e.shards {
+			e.fill += len(e.shards[i].intents)
+		}
 	}
 	for li := 0; li < lists; li++ {
 		var local []actIntent
@@ -923,8 +983,8 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 				}
 			}
 			ex := exch{
-				deliver:   round + lat,
-				initRound: round,
+				deliver:   int32(round + lat),
+				initRound: int32(round),
 				seq:       e.seq,
 				u:         int32(u), v: int32(v),
 				uIdx: int32(idx), vIdx: int32(vIdx),
@@ -948,14 +1008,14 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 			}
 			// A remote endpoint's metadata is what its owner shipped over
 			// the meta sub-barrier (none when it has no MetaProducer).
-			if mp := e.meta[u]; mp != nil {
+			if mp := facet(e.meta, u); mp != nil {
 				ex.uMeta = mp.Meta()
 			} else if d != nil {
 				if m, ok := d.remoteMeta[int32(u)]; ok {
 					ex.uMeta = m
 				}
 			}
-			if mp := e.meta[v]; mp != nil {
+			if mp := facet(e.meta, v); mp != nil {
 				ex.vMeta = mp.Meta()
 			} else if d != nil {
 				if m, ok := d.remoteMeta[int32(v)]; ok {
@@ -969,6 +1029,7 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 			}
 		}
 	}
+	e.fill = 0
 	return minNew
 }
 
@@ -1023,7 +1084,7 @@ func (e *engine) amnesia(u int, round int) {
 		e.informedAt[u] = -1
 		e.world.informed.Remove(u)
 	}
-	if a := e.amnesiac[u]; a != nil {
+	if a := facet(e.amnesiac, u); a != nil {
 		a.OnAmnesia()
 	}
 }
@@ -1079,6 +1140,9 @@ func (e *engine) nextRound(round, soonest int, called bool) int {
 
 // ownedWaiting reports a live Waiter on the owned node range.
 func (e *engine) ownedWaiting(round int) bool {
+	if e.waiter == nil {
+		return false
+	}
 	lo, hi := e.owned()
 	for u := lo; u < hi; u++ {
 		if w := e.waiter[u]; w != nil && !e.down(u, round) && w.Waiting() {

@@ -39,7 +39,10 @@
 // Snapshots are never materialized. Each node keeps a journal of the
 // rumors it gained, in gain order; "u's rumor set at round t" is exactly
 // a prefix of u's journal, so an exchange records two (start,end) journal
-// windows instead of cloning two O(n)-bit sets. Per-edge high-water marks
+// windows instead of cloning two O(n)-bit sets. The calendar entry holds
+// only the integers; the slice views over the journals are taken once per
+// round, serially, for the exchanges that come due, into one scratch
+// table the delivery shards read. Per-edge high-water marks
 // shrink the windows to deltas (only rumors gained since the previous
 // exchange on that edge). A mark advances only on an exchange that will
 // deliver — its fate is fixed at initiation — so the windows chain over

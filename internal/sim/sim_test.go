@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"gossip/internal/bitset"
@@ -166,6 +167,29 @@ func TestHorizonIncomplete(t *testing.T) {
 	}
 	if res.Rounds != 5 {
 		t.Fatalf("rounds = %d, want horizon 5", res.Rounds)
+	}
+}
+
+// TestHorizonFitsCalendar: the calendar stores rounds as int32, so a
+// horizon whose latest delivery (MaxRounds + 2·MaxLatency + 1) overflows
+// it is rejected before the run, not wrapped.
+func TestHorizonFitsCalendar(t *testing.T) {
+	g := pathGraph(7)
+	cases := []struct {
+		maxRounds int
+		ok        bool
+	}{
+		{DefaultMaxRounds, true},
+		{math.MaxInt32 - 2*7 - 1, true},
+		{math.MaxInt32 - 2*7, false},
+		{math.MaxInt, false},
+	}
+	for _, c := range cases {
+		_, err := Run(Config{CSR: g.CSR(), MaxRounds: c.maxRounds},
+			func(nv *NodeView) Protocol { return &fixedProtocol{nv: nv} }, StopNever())
+		if c.ok != (err == nil) {
+			t.Errorf("MaxRounds %d: err = %v, want ok=%v", c.maxRounds, err, c.ok)
+		}
 	}
 }
 

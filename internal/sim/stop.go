@@ -161,7 +161,7 @@ func StopLeaderStable(spec *adversity.Spec) StopFunc {
 				if !survivors.Contains(u) {
 					continue
 				}
-				lr := w.leaders[u]
+				lr := facet(w.leaders, u)
 				if lr == nil || !w.Alive(u) {
 					return false
 				}

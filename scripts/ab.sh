@@ -6,28 +6,42 @@
 # change won (ties count for neither) — the protocol a perf PR's claim
 # and its docs/TRAJECTORY.md row rest on.
 #
-#   scripts/ab.sh <parent-ref> <workload> [pairs=10]
+#   scripts/ab.sh <parent-ref|-> <workload> [pairs=10]
 #
-# The parent is exported with `git archive` into .bench_build/ab-parent
-# (git-ignored, rebuilt on every call), so each side builds and runs from
-# its own directory exactly as the PR driver does. A run that is not
-# "correct" with 0 failed ops aborts the comparison.
+# Both sides are exported into sibling directories under .bench_build/
+# (git-ignored, rebuilt on every call) and build and run from there, the
+# same way: the parent with `git archive <parent-ref>` into ab-parent, the
+# change as a snapshot of the working tree (every file `git add -A` would
+# stage, through a throwaway index, so the real index is untouched) with
+# `git checkout-index` into ab-change. Editing the checkout while the A/B
+# runs therefore changes neither side. A parent-ref of `-` is the null
+# A/B (`make ab-null`): the working-tree snapshot is copied to both
+# directories, so any difference the table shows is the harness's own.
+# A run that is not "correct" with 0 failed ops aborts the comparison.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+	echo "usage: $0 <parent-ref|-> <workload> [pairs=10]" >&2
 	exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10}
 root=$(cd "$(dirname "$0")/.." && pwd)
 parent="$root/.bench_build/ab-parent"
-rm -rf "$parent"
-mkdir -p "$parent"
-git -C "$root" archive "$ref" | tar -x -C "$parent"
+change="$root/.bench_build/ab-change"
+rm -rf "$parent" "$change"
+mkdir -p "$parent" "$change"
+rows=$(mktemp)
+index=$(mktemp -u)
+trap 'rm -f "$rows" "$index"' EXIT
+GIT_INDEX_FILE=$index git -C "$root" add -A
+GIT_INDEX_FILE=$index git -C "$root" checkout-index -a --prefix="$change/"
+if [ "$ref" = - ]; then
+	cp -R "$change/." "$parent"
+else
+	git -C "$root" archive "$ref" | tar -x -C "$parent"
+fi
 
 # run <side> <dir> <seed>: one untraced run; appends "<metric> <side>
 # <seed> <value>" rows to $rows.
-rows=$(mktemp)
-trap 'rm -f "$rows"' EXIT
 run() {
 	local side=$1 dir=$2 seed=$3 line
 	line=$(bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" --trace 0 | tail -n 1)
@@ -45,14 +59,19 @@ run() {
 for seed in $(seq 1 "$pairs"); do
 	if [ $((seed % 2)) -eq 1 ]; then
 		run parent "$parent" "$seed"
-		run change "$root" "$seed"
+		run change "$change" "$seed"
 	else
-		run change "$root" "$seed"
+		run change "$change" "$seed"
 		run parent "$parent" "$seed"
 	fi
 done
 
-echo "workload $workload, parent $(git -C "$root" rev-parse --short "$ref"), $pairs interleaved pairs (seeds 1..$pairs)"
+if [ "$ref" = - ]; then
+	label="null A/B (working tree on both sides)"
+else
+	label="parent $(git -C "$root" rev-parse --short "$ref")"
+fi
+echo "workload $workload, $label, $pairs interleaved pairs (seeds 1..$pairs)"
 printf '%-16s %-6s %12s %12s %12s   %12s %12s %12s   %s\n' metric better \
 	parent.q1 parent.med parent.q3 change.q1 change.med change.q3 'pairs won'
 # Metric names and directions come from the benchmark's own declaration.
