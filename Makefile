@@ -112,11 +112,13 @@ cover:
 		{ echo "coverage $$total% fell below the ratcheted minimum $(COVER_MIN)%" >&2; exit 1; }
 
 # Short fuzz smoke of the structured-input parsers/builders (the fault
-# schedule DSL, the CSR builder, the /v1/estimates request validator)
-# and of the network decoders: the TCP mesh's SYN/ACK payload and the
-# frame reader under both it and the shard RPC; CI-friendly seconds, not
+# schedule DSL, the CSR builder, the /v1/estimates request validator),
+# of the network decoders (the TCP mesh's SYN/ACK payload and the frame
+# reader under both it and the shard RPC) and of the engine's word-path
+# delivery against the per-rumor reference; CI-friendly seconds, not
 # hours.
 fuzz-smoke:
+	$(GO) test ./internal/sim -fuzz FuzzDeliverWindow -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/graph -fuzz FuzzCSRBuilder -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'

@@ -114,6 +114,28 @@ func (s *Set) UnionCount(t *Set) int {
 	return added
 }
 
+// AbsorbNew adds the bits of marks — words laid out like s's own, one per
+// word of s — to s, leaves in marks exactly the bits that were new, and
+// reports whether there were any. It is the simulator's bulk delivery: a
+// long rumor window is marked into marks, absorbed here in one pass of
+// word operations, and only the new ids are read back.
+func (s *Set) AbsorbNew(marks []uint64) bool {
+	if len(marks) != len(s.words) {
+		panic(fmt.Sprintf("bitset: %d mark words for a set of %d", len(marks), len(s.words)))
+	}
+	var fresh uint64
+	for i, m := range marks {
+		if m == 0 {
+			continue
+		}
+		m &^= s.words[i]
+		s.words[i] |= m
+		marks[i] = m
+		fresh |= m
+	}
+	return fresh != 0
+}
+
 // NextClear returns the smallest index >= from whose bit is clear, or
 // Len() when every bit of [from, Len) is set. It scans whole words, so
 // an all-set prefix costs 1/64th of a per-bit probe loop — the informed

@@ -263,10 +263,12 @@ func TestPatternReachesDistanceK(t *testing.T) {
 	g.MustAddEdge(3, 4, 4)
 	// T(4): nodes within distance 4 must know each other afterwards.
 	var out BroadcastResult
-	rumors, err := runPattern(4, DriverOptions{Seed: 7, ExecOptions: ExecOptions{CSR: g.CSR()}}, &out, nil, "t")
-	if err != nil {
+	opts := DriverOptions{Seed: 7, ExecOptions: ExecOptions{CSR: g.CSR()}}
+	p := newPipeline(opts, new(sim.Pipeline))
+	if err := p.pattern(4, opts, &out, "t"); err != nil {
 		t.Fatal(err)
 	}
+	rumors := sim.Result{World: p.world}.FinalRumors()
 	for u := 0; u < g.N(); u++ {
 		du := g.Distances(u)
 		for v := 0; v < g.N(); v++ {

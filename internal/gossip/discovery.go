@@ -51,20 +51,19 @@ func (d *Discover) NextWake(round int) int {
 	return round + 1
 }
 
-// runDiscovery runs a discovery phase whose round budget is
-// opts.MaxRounds (typically Δ + current diameter guess), reading Seed,
-// InitialRumors, Adversity and Workers besides. The returned result's
+// discover runs a discovery phase whose round budget is opts.MaxRounds
+// (typically Δ + current diameter guess) as the pipeline's next phase,
+// reading Seed, Adversity and Workers besides. The returned result's
 // Rounds is always the budget: discovery cost is paid in full.
-func runDiscovery(opts DriverOptions) (DriverResult, error) {
-	res, err := fromSimResult(sim.Run(sim.Config{
-		CSR:           opts.CSR,
-		Workers:       opts.Workers,
-		Seed:          opts.Seed,
-		MaxRounds:     opts.MaxRounds,
-		Mode:          sim.AllToAll,
-		InitialRumors: opts.InitialRumors,
-		Adversity:     opts.Adversity,
-	}, func(nv *sim.NodeView) sim.Protocol { return NewDiscover(nv) }, sim.StopNever()))
+func (p *pipeline) discover(opts DriverOptions) (DriverResult, error) {
+	res, err := p.phase(sim.Config{
+		CSR:       opts.CSR,
+		Workers:   opts.Workers,
+		Seed:      opts.Seed,
+		MaxRounds: opts.MaxRounds,
+		Mode:      sim.AllToAll,
+		Adversity: opts.Adversity,
+	}, func(nv *sim.NodeView) sim.Protocol { return NewDiscover(nv) }, sim.StopNever(), nil)
 	if err != nil {
 		return res, err
 	}

@@ -535,20 +535,7 @@ func init() {
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
 		Distributable: true,
-		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-			return sim.Config{
-					CSR:            opts.CSR,
-					Workers:        opts.Workers,
-					Seed:           opts.Seed,
-					KnownLatencies: true,
-					MaxRounds:      opts.MaxRounds,
-					Mode:           sim.AllToAll,
-					InitialRumors:  opts.InitialRumors,
-					Adversity:      opts.Adversity,
-				}, func(nv *sim.NodeView) sim.Protocol {
-					return NewDTG(nv, opts.Ell)
-				}, sim.StopAllDone(), nil
-		},
+		Prepare:       prepareDTG,
 	})
 	Register(&Driver{
 		Name:        "superstep",
@@ -561,20 +548,7 @@ func init() {
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
 		Distributable: true,
-		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-			return sim.Config{
-					CSR:            opts.CSR,
-					Workers:        opts.Workers,
-					Seed:           opts.Seed,
-					KnownLatencies: true,
-					MaxRounds:      opts.MaxRounds,
-					Mode:           sim.AllToAll,
-					InitialRumors:  opts.InitialRumors,
-					Adversity:      opts.Adversity,
-				}, func(nv *sim.NodeView) sim.Protocol {
-					return NewSuperstep(nv, opts.Ell, opts.LBTimeout)
-				}, sim.StopAllDone(), nil
-		},
+		Prepare:       prepareSuperstep,
 	})
 	Register(&Driver{
 		Name:        "rr",
@@ -600,7 +574,7 @@ func init() {
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
 		Run: func(opts DriverOptions) (DriverResult, error) {
-			return fromBroadcastResult(spannerBroadcast(opts))
+			return fromBroadcastResult(spannerBroadcast(opts, new(sim.Pipeline)))
 		},
 	})
 	Register(&Driver{
@@ -613,7 +587,7 @@ func init() {
 			{"Seed/MaxRounds", "determinism and per-phase horizon", nil},
 		},
 		Run: func(opts DriverOptions) (DriverResult, error) {
-			return fromBroadcastResult(patternBroadcast(opts))
+			return fromBroadcastResult(patternBroadcast(opts, new(sim.Pipeline)))
 		},
 	})
 	Register(&Driver{

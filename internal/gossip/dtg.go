@@ -24,6 +24,10 @@ type DTG struct {
 	ell int
 	// eligible holds the adjacency indices of G_ℓ neighbors.
 	eligible []int
+	// scan is where the search for an unheard eligible neighbor resumes:
+	// the heard set only grows (until amnesia restarts it), so every
+	// eligible entry before scan stays heard.
+	scan int
 	// heard is the phase-local knowledge set L.
 	heard heardSet
 	// contacted are the linked neighbors u_1..u_i (adjacency indices).
@@ -52,6 +56,7 @@ func (d *DTG) CloneStateFrom(src sim.Protocol) {
 	d.heard.cloneFrom(&s.heard)
 	d.contacted = append(d.contacted[:0], s.contacted...)
 	d.seq = append([]int(nil), s.seq...)
+	d.scan = s.scan
 	d.pending = s.pending
 	d.done = s.done
 }
@@ -60,18 +65,55 @@ func (d *DTG) CloneStateFrom(src sim.Protocol) {
 // latency filter. Latencies must be known (Section 4 model) or already
 // discovered; edges of unknown latency are treated as outside G_ℓ.
 func NewDTG(nv *sim.NodeView, ell int) *DTG {
-	d := &DTG{nv: nv, ell: ell, pending: -1}
+	d := new(DTG)
+	d.init(nv, ell)
+	return d
+}
+
+// init makes d node nv's ℓ-DTG instance. The eligible neighbors are
+// counted first, so their list is allocated once, at its size.
+func (d *DTG) init(nv *sim.NodeView, ell int) {
+	*d = DTG{nv: nv, ell: ell, pending: -1}
 	d.heard.Add(nv.ID())
-	for i := 0; i < nv.Degree(); i++ {
+	eligible := func(i int) bool {
 		lat, known := nv.Latency(i)
-		if !known {
-			continue
+		return known && (ell <= 0 || lat <= ell)
+	}
+	k := 0
+	for i := 0; i < nv.Degree(); i++ {
+		if eligible(i) {
+			k++
 		}
-		if ell <= 0 || lat <= ell {
+	}
+	d.eligible = make([]int, 0, k)
+	for i := 0; i < nv.Degree(); i++ {
+		if eligible(i) {
 			d.eligible = append(d.eligible, i)
 		}
 	}
-	return d
+}
+
+// prepareDTG expands one ℓ-DTG phase run to quiescence into its sim.Run
+// invocation: the "dtg" driver's Prepare hook, and a pipeline's
+// neighborhood-gathering phase. The per-node instances share one slab:
+// one allocation per phase instead of n (each factory call writes only
+// its own node's slot, so shard workers may build concurrently).
+func prepareDTG(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+	slab := make([]DTG, opts.CSR.N())
+	return sim.Config{
+			CSR:            opts.CSR,
+			Workers:        opts.Workers,
+			Seed:           opts.Seed,
+			KnownLatencies: true,
+			MaxRounds:      opts.MaxRounds,
+			Mode:           sim.AllToAll,
+			InitialRumors:  opts.InitialRumors,
+			Adversity:      opts.Adversity,
+		}, func(nv *sim.NodeView) sim.Protocol {
+			d := &slab[nv.ID()]
+			d.init(nv, opts.Ell)
+			return d
+		}, sim.StopAllDone(), nil
 }
 
 // Meta snapshots the node's phase-local heard set for the peer: a cached
@@ -98,17 +140,14 @@ func (d *DTG) Activate(int) (int, bool) {
 // startIteration links one new neighbor and lays out the iteration's
 // PUSH/PULL/PULL/PUSH schedule; it reports false when the node is done.
 func (d *DTG) startIteration() bool {
-	newIdx := -1
-	for _, i := range d.eligible {
-		if !d.heard.Contains(d.nv.NeighborID(i)) {
-			newIdx = i
-			break
-		}
+	for d.scan < len(d.eligible) && d.heard.Contains(d.nv.NeighborID(d.eligible[d.scan])) {
+		d.scan++
 	}
-	if newIdx < 0 {
+	if d.scan == len(d.eligible) {
 		d.done = true
 		return false
 	}
+	newIdx := d.eligible[d.scan]
 	d.contacted = append(d.contacted, newIdx)
 	i := len(d.contacted)
 	seq := make([]int, 0, 4*i)
@@ -145,6 +184,7 @@ func (d *DTG) NextWake(round int) int {
 func (d *DTG) OnAmnesia() {
 	d.heard = heardSet{}
 	d.heard.Add(d.nv.ID())
+	d.scan = 0
 	d.contacted = nil
 	d.seq = nil
 	d.pending = -1

@@ -8,11 +8,13 @@ import "slices"
 // plus what peers relayed — instead of the n-bit dense set the pre-CSR
 // implementation kept per node, which alone was an O(n²)-bit wall at
 // n=10⁶. Snapshots are cached immutable slices so exchange metadata
-// between two state changes shares one allocation.
+// between two state changes shares one allocation, and a merge that would
+// add nothing is detected read-only and skipped (Union), so a converged
+// set neither writes nor invalidates its snapshot.
 type heardSet struct {
 	ids  []int32 // sorted ascending
 	snap []int32 // cached immutable snapshot; nil when stale
-	buf  []int32 // merge scratch, swapped with ids on union
+	buf  []int32 // merge scratch, swapped with ids on a merge that adds
 }
 
 // Contains reports membership.
@@ -31,14 +33,19 @@ func (h *heardSet) Add(v int) {
 	h.snap = nil
 }
 
-// Union merges a sorted peer snapshot into the set.
+// Union merges a sorted peer snapshot into the set. Late in a phase most
+// peers relay nothing new, so a read-only subset scan comes first and
+// such a merge writes nothing; otherwise the merge buffer is sized for
+// the worst case once and the two sorted runs are merged into it.
 func (h *heardSet) Union(peer []int32) {
-	if len(peer) == 0 {
+	if subsetSorted(peer, h.ids) {
 		return
 	}
 	out := h.buf[:0]
+	if cap(out) < len(h.ids)+len(peer) {
+		out = make([]int32, 0, len(h.ids)+len(peer))
+	}
 	i, j := 0, 0
-	changed := false
 	for i < len(h.ids) && j < len(peer) {
 		switch {
 		case h.ids[i] < peer[j]:
@@ -47,7 +54,6 @@ func (h *heardSet) Union(peer []int32) {
 		case h.ids[i] > peer[j]:
 			out = append(out, peer[j])
 			j++
-			changed = true
 		default:
 			out = append(out, h.ids[i])
 			i++
@@ -55,16 +61,34 @@ func (h *heardSet) Union(peer []int32) {
 		}
 	}
 	out = append(out, h.ids[i:]...)
-	if j < len(peer) {
-		out = append(out, peer[j:]...)
-		changed = true
-	}
-	if !changed {
-		return
-	}
+	out = append(out, peer[j:]...)
 	h.buf = h.ids[:0]
 	h.ids = out
 	h.snap = nil
+}
+
+// subsetSorted reports whether every element of a is in b; both are
+// sorted ascending without duplicates, so when they are the same size a
+// is a subset exactly when it is equal (the converged case, one memory
+// compare).
+func subsetSorted(a, b []int32) bool {
+	switch {
+	case len(a) > len(b):
+		return false
+	case len(a) == len(b):
+		return slices.Equal(a, b)
+	}
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // cloneFrom replaces h with a deep copy of src's membership. The

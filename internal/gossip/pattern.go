@@ -1,10 +1,6 @@
 package gossip
 
-import (
-	"fmt"
-
-	"gossip/internal/bitset"
-)
+import "fmt"
 
 // PatternSequence returns the ℓ-parameters of the recursive schedule T(k)
 // of Section 4.2 (k must be a power of two):
@@ -41,8 +37,9 @@ func PatternSequence(k int) ([]int, error) {
 // It reads D (0 = guess-and-double), Seed, MaxRounds (the cap on each
 // ℓ-DTG phase), SkipCheck, Adversity and Workers; Adversity is rebased
 // per ℓ-DTG invocation and completion judged over nodes that are not
-// permanently gone, as in spannerBroadcast. The topology is opts.CSR.
-func patternBroadcast(opts DriverOptions) (BroadcastResult, error) {
+// permanently gone, as in spannerBroadcast. The topology is opts.CSR, and
+// every ℓ-DTG phase runs on ph (one engine for the registered driver).
+func patternBroadcast(opts DriverOptions, ph phaseRunner) (BroadcastResult, error) {
 	var out BroadcastResult
 	csr := opts.CSR
 	if err := csr.Validate(); err != nil {
@@ -54,20 +51,17 @@ func patternBroadcast(opts DriverOptions) (BroadcastResult, error) {
 		guess = nextPow2(opts.D)
 	}
 	cap64 := int64(csr.N()) * int64(csr.MaxLatency()) * 4
-	var rumors []*bitset.Set
+	p := newPipeline(opts, ph)
 	for {
-		var err error
-		rumors, err = runPattern(guess, opts, &out, rumors, "t")
-		if err != nil {
+		if err := p.pattern(guess, opts, &out, "t"); err != nil {
 			return out, err
 		}
-		done := rumorsFullAlive(rumors, opts.Adversity)
+		done := p.complete()
 		if !opts.SkipCheck || !known {
-			rumors, err = runPattern(guess, opts, &out, rumors, "check")
-			if err != nil {
+			if err := p.pattern(guess, opts, &out, "check"); err != nil {
 				return out, err
 			}
-			done = rumorsFullAlive(rumors, opts.Adversity)
+			done = p.complete()
 		}
 		out.FinalGuess = guess
 		if done {
@@ -84,34 +78,32 @@ func patternBroadcast(opts DriverOptions) (BroadcastResult, error) {
 	}
 }
 
-// runPattern executes one full T(guess) schedule on opts.CSR, recorded in
+// pattern executes one full T(guess) schedule on opts.CSR, recorded in
 // out as the single phase tag(k=guess).
-func runPattern(guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
+func (p *pipeline) pattern(guess int, opts DriverOptions, out *BroadcastResult, tag string) error {
 	seqEll, err := PatternSequence(guess)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var total DriverResult
 	for i, ell := range seqEll {
-		res, err := run("dtg", DriverOptions{
-			Ell:           ell,
-			Seed:          opts.Seed + uint64(i)*31 + 7,
-			MaxRounds:     opts.MaxRounds,
-			InitialRumors: rumors,
-			ExecOptions:   phaseExec(opts, out.Rounds+total.Rounds),
-		})
+		res, err := p.phase(prepareDTG(DriverOptions{
+			Ell:         ell,
+			Seed:        opts.Seed + uint64(i)*31 + 7,
+			MaxRounds:   opts.MaxRounds,
+			ExecOptions: phaseExec(opts, out.Rounds+total.Rounds),
+		}))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		total.Rounds += res.Rounds
 		total.Exchanges += res.Exchanges
 		total.Dropped += res.Dropped
 		total.Delivered += res.Delivered
 		total.RumorPayload += res.RumorPayload
-		rumors = res.Sim.FinalRumors()
 	}
 	out.addPhase(fmt.Sprintf("%s(k=%d)", tag, guess), total)
-	return rumors, nil
+	return nil
 }
 
 func nextPow2(x int) int {

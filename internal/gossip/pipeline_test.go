@@ -1,0 +1,279 @@
+package gossip
+
+import (
+	"reflect"
+	"testing"
+
+	"gossip/internal/adversity"
+	"gossip/internal/bitset"
+	"gossip/internal/graph"
+	"gossip/internal/graphgen"
+	"gossip/internal/sim"
+)
+
+// freshPhases is the reference phase runner: every phase on a fresh
+// engine, seeded with the previous phase's FinalRumors through
+// Config.InitialRumors — the path the pipelines took before they kept
+// one engine. It remembers the last phase's result.
+type freshPhases struct{ last *sim.Result }
+
+func (f *freshPhases) Run(cfg sim.Config, factory sim.Factory, stop sim.StopFunc) (sim.Result, error) {
+	if f.last != nil {
+		cfg.InitialRumors = f.last.FinalRumors()
+	}
+	res, err := sim.Run(cfg, factory, stop)
+	f.last = &res
+	return res, err
+}
+
+// lastPhase wraps a runner and remembers the last phase's result, so a
+// test can read the final rumor sets a pipeline left.
+type lastPhase struct {
+	phaseRunner
+	last sim.Result
+}
+
+func (l *lastPhase) Run(cfg sim.Config, factory sim.Factory, stop sim.StopFunc) (sim.Result, error) {
+	res, err := l.phaseRunner.Run(cfg, factory, stop)
+	l.last = res
+	return res, err
+}
+
+// runDiscovery runs one discovery phase on its own engine.
+func runDiscovery(opts DriverOptions) (DriverResult, error) {
+	return newPipeline(opts, new(sim.Pipeline)).discover(opts)
+}
+
+// pipelineReport is everything a pipeline run reports, plus the final
+// rumor sets its last phase left.
+type pipelineReport struct {
+	Broadcast BroadcastResult
+	Rounds    int
+	Winner    string
+	PushPull  [5]int64 // rounds, exchanges, delivered, dropped, payload
+	Final     []string
+}
+
+// runPipeline runs the named pipeline driver's body on ph.
+func runPipeline(t *testing.T, name string, opts DriverOptions, ph phaseRunner) pipelineReport {
+	t.Helper()
+	lp := &lastPhase{phaseRunner: ph}
+	var rep pipelineReport
+	var err error
+	switch name {
+	case "spanner":
+		rep.Broadcast, err = spannerBroadcast(opts, lp)
+	case "pattern":
+		rep.Broadcast, err = patternBroadcast(opts, lp)
+	case "auto":
+		var u UnifiedResult
+		u, err = unified(opts, lp)
+		rep.Broadcast, rep.Rounds, rep.Winner = u.Spanner, u.Rounds, u.Winner
+		pp := u.PushPull
+		rep.PushPull = [5]int64{int64(pp.Rounds), pp.Exchanges, pp.Delivered, pp.Dropped, pp.RumorPayload}
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, s := range lp.last.FinalRumors() {
+		rep.Final = append(rep.Final, s.String())
+	}
+	return rep
+}
+
+// TestPipelineMatchesFreshEngines is the bit-identity gate of one engine
+// per pipeline where the goldens do not reach: spanner (known and unknown
+// latencies, DTG and Superstep gathering), pattern and auto, benign, under
+// amnesic churn with a crash, and under loss, at one and four workers,
+// must report every phase row, every total and the final rumor sets
+// exactly as the fresh-engine-per-phase reference does.
+func TestPipelineMatchesFreshEngines(t *testing.T) {
+	ring, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 6, Layers: 4, Latency: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"ring": ring, "dumbbell": graphgen.Dumbbell(5, 6)}
+	specs := map[string]*adversity.Spec{
+		"benign": nil,
+		"churn":  adversity.MustParseSpec("churn=1:4-30:amnesia;churn=7:2-12;crash=6:2"),
+		"loss":   adversity.MustParseSpec("loss=0.1"),
+	}
+	variants := []struct {
+		name, driver string
+		opts         DriverOptions
+	}{
+		{"spanner", "spanner", DriverOptions{KnownLatencies: true}},
+		{"spanner/discover", "spanner", DriverOptions{}},
+		{"spanner/superstep", "spanner", DriverOptions{KnownLatencies: true, FaultTolerant: true}},
+		{"pattern", "pattern", DriverOptions{}},
+		{"auto", "auto", DriverOptions{KnownLatencies: true}},
+	}
+	for gname, g := range graphs {
+		for sname, spec := range specs {
+			for _, v := range variants {
+				for _, workers := range []int{1, 4} {
+					opts := v.opts
+					opts.Seed, opts.MaxRounds = 5, 4096
+					opts.ExecOptions = ExecOptions{CSR: g.CSR(), Adversity: spec, Workers: workers}
+					got := runPipeline(t, v.driver, opts, new(sim.Pipeline))
+					want := runPipeline(t, v.driver, opts, new(freshPhases))
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s/%s/workers=%d: one engine diverges from fresh engines:\n got  %+v\n want %+v",
+							gname, sname, v.name, workers, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPipelineRejectsCarriedSeeds: a later phase of a sim.Pipeline
+// carries the previous phase's sets, so handing it InitialRumors is an
+// error, as is a second topology.
+func TestPipelineRejectsCarriedSeeds(t *testing.T) {
+	csr := graphgen.Clique(4, 1).CSR()
+	cfg, factory, stop, err := prepareDTG(DriverOptions{Seed: 1, MaxRounds: 100, ExecOptions: ExecOptions{CSR: csr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p sim.Pipeline
+	first, err := p.Run(cfg, factory, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := cfg
+	seeded.InitialRumors = first.FinalRumors()
+	if _, err := p.Run(seeded, factory, stop); err == nil {
+		t.Error("a carried phase accepted InitialRumors")
+	}
+	other := cfg
+	other.CSR = graphgen.Clique(4, 1).CSR()
+	var q sim.Pipeline
+	if _, err := q.Run(cfg, factory, stop); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Run(other, factory, stop); err == nil {
+		t.Error("a pipeline accepted a second topology")
+	}
+}
+
+// The survivor checks as they were before the pipeline computed its
+// survivors once: a NeverReturns probe inside the n² loop, over
+// materialized rumor sets or the live world.
+
+func rumorsFull(rumors []*bitset.Set, n int) bool {
+	if rumors == nil {
+		return false
+	}
+	for _, r := range rumors {
+		if r.Count() != n {
+			return false
+		}
+	}
+	return true
+}
+
+func rumorsFullAlive(rumors []*bitset.Set, spec *adversity.Spec) bool {
+	if rumors == nil {
+		return false
+	}
+	if !spec.HasFailures() {
+		return rumorsFull(rumors, len(rumors))
+	}
+	for u, r := range rumors {
+		if spec.NeverReturns(u) {
+			continue
+		}
+		for v := range rumors {
+			if !spec.NeverReturns(v) && !r.Contains(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func stopAliveHaveAlive(spec *adversity.Spec) sim.StopFunc {
+	return func(w *sim.World) bool {
+		for u, nv := range w.Views {
+			if spec.NeverReturns(u) {
+				continue
+			}
+			for v := range w.Views {
+				if !spec.NeverReturns(v) && !nv.Knows(v) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+}
+
+// TestSurvivorChecksAgree: on an all-to-all run under churn (amnesic and
+// retaining, with a permanent leave and a crash), the pipeline's survivor
+// checks agree with the per-probe originals at every stop evaluation —
+// the rr stop on the live world, the completion check on the
+// materialized sets — through partial states to the complete one.
+func TestSurvivorChecksAgree(t *testing.T) {
+	g := graphgen.Dumbbell(6, 5)
+	for _, fs := range []string{
+		"churn=1:3-20:amnesia;churn=4:2-inf;crash=9:2",
+		"churn=2:1-9;churn=8:5-40:amnesia",
+		"loss=0.2",
+	} {
+		spec := adversity.MustParseSpec(fs)
+		opts := DriverOptions{ExecOptions: ExecOptions{CSR: g.CSR(), Adversity: spec}}
+		p := newPipeline(opts, nil)
+		checks, agreed := 0, 0
+		stop := func(w *sim.World) bool {
+			old := stopAliveHaveAlive(spec)(w)
+			p.world = w
+			sets := make([]*bitset.Set, len(w.Views))
+			for u, nv := range w.Views {
+				sets[u] = bitset.New(len(w.Views))
+				for v := range w.Views {
+					if nv.Knows(v) {
+						sets[u].Add(v)
+					}
+				}
+			}
+			checks++
+			if p.survivorsInformed(w) == old && p.complete() == rumorsFullAlive(sets, spec) {
+				agreed++
+			}
+			return old
+		}
+		res, err := sim.Run(sim.Config{CSR: g.CSR(), Seed: 3, Mode: sim.AllToAll, MaxRounds: 4096, Adversity: spec},
+			func(nv *sim.NodeView) sim.Protocol { return &PushPull{nv: nv} }, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || checks < 3 || agreed != checks {
+			t.Errorf("%s: %d of %d checks agree (completed %v)", fs, agreed, checks, res.Completed)
+		}
+	}
+}
+
+// TestPipelineAllocBudget pins what one engine per pipeline, the word
+// path and the no-op heard-set merge save: one auto run on a ring of 16
+// nodes × 8 layers with latency-16 slow links. Before them this run made
+// 39 748 allocations (a fresh engine and a copy of every rumor set per
+// phase, a rewritten heard set per merge, one DTG object per node per
+// phase); with them it makes 21 889. The bound is 0.75 of the old figure.
+func TestPipelineAllocBudget(t *testing.T) {
+	g, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 16, Layers: 8, Latency: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DriverOptions{KnownLatencies: true, Seed: 3, ExecOptions: ExecOptions{CSR: g.CSR()}}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Dispatch("auto", nil, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const parent = 39748
+	t.Logf("%.0f allocations per auto run (parent %d, bound %d)", allocs, parent, parent*3/4)
+	if allocs > parent*3/4 {
+		t.Fatalf("one auto run made %.0f allocations, bound %d", allocs, parent*3/4)
+	}
+}

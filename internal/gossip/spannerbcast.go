@@ -3,8 +3,6 @@ package gossip
 import (
 	"fmt"
 
-	"gossip/internal/adversity"
-	"gossip/internal/bitset"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
 )
@@ -50,6 +48,79 @@ func (r *BroadcastResult) addPhase(name string, res DriverResult) {
 	r.RumorPayload += res.RumorPayload
 }
 
+// phaseRunner runs one phase of a multi-phase pipeline. The registered
+// drivers hand every phase to one *sim.Pipeline, which keeps a single
+// engine across them; the tests substitute a fresh engine per phase
+// seeded with the previous phase's final rumor sets, the reference the
+// one-engine path must reproduce bit for bit.
+type phaseRunner interface {
+	Run(cfg sim.Config, factory sim.Factory, stop sim.StopFunc) (sim.Result, error)
+}
+
+// pipeline is what a spanner or pattern broadcast carries from phase to
+// phase: the runner, the last phase's final state, and the survivors its
+// completion checks quantify over.
+type pipeline struct {
+	ph phaseRunner
+	// world is the last phase's final state (nil before the first).
+	world *sim.World
+	// survivors are the nodes the fault schedule never permanently
+	// removes — every node without one — computed once per pipeline.
+	// Temporarily-churned nodes rejoin and must still be informed.
+	survivors []int
+}
+
+func newPipeline(opts DriverOptions, ph phaseRunner) *pipeline {
+	p := &pipeline{ph: ph}
+	for u := 0; u < opts.CSR.N(); u++ {
+		if !opts.Adversity.NeverReturns(u) {
+			p.survivors = append(p.survivors, u)
+		}
+	}
+	return p
+}
+
+// phase runs one prepared phase (a driver's Prepare output) as the
+// pipeline's next. Every phase leaves InitialRumors nil: the runner
+// carries the rumor sets over.
+func (p *pipeline) phase(cfg sim.Config, factory sim.Factory, stop sim.StopFunc, err error) (DriverResult, error) {
+	if err != nil {
+		return DriverResult{}, err
+	}
+	res, err := p.ph.Run(cfg, factory, stop)
+	if err != nil {
+		return DriverResult{}, err
+	}
+	p.world = res.World
+	return fromSimResult(res, nil)
+}
+
+// survivorsInformed reports whether every survivor holds every survivor's
+// rumor in w; a node holding all n rumors needs no scan. It is the rr
+// phases' stop condition under a failure schedule.
+func (p *pipeline) survivorsInformed(w *sim.World) bool {
+	n := len(w.Views)
+	for _, u := range p.survivors {
+		nv := w.Views[u]
+		if nv.RumorCount() == n {
+			continue
+		}
+		for _, v := range p.survivors {
+			if !nv.Knows(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// complete reports whether the last phase left every survivor holding
+// every survivor's rumor (with no failure model: every node holding all
+// n rumors).
+func (p *pipeline) complete() bool {
+	return p.world != nil && p.survivorsInformed(p.world)
+}
+
 // spannerBroadcast runs Algorithm 2 (known D) or Algorithm 4 (unknown D):
 // ceil(log2 n) repetitions of D-DTG to collect the log n-hop
 // neighborhood, a local oriented Baswana-Sen spanner construction on G_D,
@@ -74,7 +145,11 @@ func (r *BroadcastResult) addPhase(name string, res DriverResult) {
 // round count: each phase receives the spec rebased by the rounds
 // already consumed, and completion is judged over nodes that are not
 // permanently gone. The topology is opts.CSR, as for every driver.
-func spannerBroadcast(opts DriverOptions) (BroadcastResult, error) {
+//
+// Every phase runs on ph; the registered driver passes one engine for the
+// whole pipeline (sim.Pipeline), which each phase reloads in place,
+// entering with the rumor sets the previous phase left.
+func spannerBroadcast(opts DriverOptions, ph phaseRunner) (BroadcastResult, error) {
 	var out BroadcastResult
 	csr := opts.CSR
 	if err := csr.Validate(); err != nil {
@@ -92,11 +167,9 @@ func spannerBroadcast(opts DriverOptions) (BroadcastResult, error) {
 	// Diameter never exceeds (n-1)·ℓmax; one more doubling detects it.
 	cap64 := int64(csr.N()) * int64(csr.MaxLatency()) * 2
 	reps := spanner.DefaultK(csr.N()) // ⌈log₂ n⌉ gather repetitions; also the spanner's depth
-	var rumors []*bitset.Set
+	p := newPipeline(opts, ph)
 	for {
-		var err error
-		rumors, err = gatherNeighborhood(guess, reps, opts, &out, rumors)
-		if err != nil {
+		if err := p.gatherNeighborhood(guess, reps, opts, &out); err != nil {
 			return out, err
 		}
 		// One spanner of G_guess per guess: the rr pass and the
@@ -106,19 +179,17 @@ func spannerBroadcast(opts DriverOptions) (BroadcastResult, error) {
 			return out, err
 		}
 		out.SpannerEdges, out.SpannerMaxOut = sp.NumEdges(), sp.MaxOutDegree()
-		rumors, err = runRRPhase(sp, guess, opts, &out, rumors, "rr")
-		if err != nil {
+		if err := p.rrPhase(sp, guess, opts, &out, "rr"); err != nil {
 			return out, err
 		}
 		if !opts.SkipCheck || !known {
 			// Termination_Check: one more RR-style broadcast pass.
-			rumors, err = runRRPhase(sp, guess, opts, &out, rumors, "check")
-			if err != nil {
+			if err := p.rrPhase(sp, guess, opts, &out, "check"); err != nil {
 				return out, err
 			}
 		}
 		out.FinalGuess = guess
-		if rumorsFullAlive(rumors, opts.Adversity) {
+		if p.complete() {
 			out.Completed = true
 			return out, nil
 		}
@@ -133,43 +204,38 @@ func spannerBroadcast(opts DriverOptions) (BroadcastResult, error) {
 }
 
 // gatherNeighborhood runs one diameter guess's neighborhood collection on
-// opts.CSR — latency discovery when latencies are unknown, then reps
-// repetitions of guess-DTG (or Superstep) — returning the carried rumor
-// sets.
-func gatherNeighborhood(guess, reps int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set) ([]*bitset.Set, error) {
+// opts.CSR: latency discovery when latencies are unknown, then reps
+// repetitions of guess-DTG (or Superstep).
+func (p *pipeline) gatherNeighborhood(guess, reps int, opts DriverOptions, out *BroadcastResult) error {
 	if !opts.KnownLatencies {
-		res, err := runDiscovery(DriverOptions{
-			Seed:          opts.Seed,
-			MaxRounds:     opts.CSR.MaxDegree() + guess,
-			InitialRumors: rumors,
-			ExecOptions:   phaseExec(opts, out.Rounds),
+		res, err := p.discover(DriverOptions{
+			Seed:        opts.Seed,
+			MaxRounds:   opts.CSR.MaxDegree() + guess,
+			ExecOptions: phaseExec(opts, out.Rounds),
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.addPhase(fmt.Sprintf("discover(k=%d)", guess), res)
-		rumors = res.Sim.FinalRumors()
 	}
-	gather := "dtg"
+	gather, prepare := "dtg", prepareDTG
 	if opts.FaultTolerant {
-		gather = "superstep"
+		gather, prepare = "superstep", prepareSuperstep
 	}
 	for rep := 0; rep < reps; rep++ {
-		res, err := run(gather, DriverOptions{
-			Ell:           guess,
-			LBTimeout:     opts.LBTimeout,
-			Seed:          opts.Seed + uint64(rep) + 1,
-			MaxRounds:     opts.MaxRounds,
-			InitialRumors: rumors,
-			ExecOptions:   phaseExec(opts, out.Rounds),
-		})
+		res, err := p.phase(prepare(DriverOptions{
+			Ell:         guess,
+			LBTimeout:   opts.LBTimeout,
+			Seed:        opts.Seed + uint64(rep) + 1,
+			MaxRounds:   opts.MaxRounds,
+			ExecOptions: phaseExec(opts, out.Rounds),
+		}))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.addPhase(fmt.Sprintf("%s(ℓ=%d,#%d)", gather, guess, rep+1), res)
-		rumors = res.Sim.FinalRumors()
 	}
-	return rumors, nil
+	return nil
 }
 
 // phaseExec is the execution surface of a pipeline phase that starts
@@ -179,82 +245,27 @@ func phaseExec(opts DriverOptions, offset int) ExecOptions {
 	return ExecOptions{Adversity: opts.Adversity.Shift(offset), Workers: opts.Workers, CSR: opts.CSR}
 }
 
-// runRRPhase runs one RR Broadcast over sp, the spanner of G_guess, with
+// rrPhase runs one RR Broadcast over sp, the spanner of G_guess, with
 // parameter k = guess·(2·sp.K - 1) — the spanner stretch bound applied to
-// the diameter guess — records it in out as phase tag(k=guess) and
-// returns the carried rumor sets.
-func runRRPhase(sp *spanner.Spanner, guess int, opts DriverOptions, out *BroadcastResult, rumors []*bitset.Set, tag string) ([]*bitset.Set, error) {
+// the diameter guess — and records it in out as phase tag(k=guess).
+// Under a failure schedule it stops as soon as every survivor holds every
+// survivor's rumor.
+func (p *pipeline) rrPhase(sp *spanner.Spanner, guess int, opts DriverOptions, out *BroadcastResult, tag string) error {
 	stop := sim.StopAllHaveAll()
 	if opts.Adversity.HasFailures() {
-		stop = stopAliveHaveAlive(opts.Adversity)
+		stop = p.survivorsInformed
 	}
-	res, err := run("rr", DriverOptions{
-		Spanner:       sp,
-		K:             guess * (2*sp.K - 1),
-		Seed:          opts.Seed ^ 0x27d4eb2f,
-		MaxRounds:     opts.MaxRounds,
-		InitialRumors: rumors,
-		Stop:          stop,
-		ExecOptions:   phaseExec(opts, out.Rounds),
-	})
+	res, err := p.phase(prepareRR(DriverOptions{
+		Spanner:     sp,
+		K:           guess * (2*sp.K - 1),
+		Seed:        opts.Seed ^ 0x27d4eb2f,
+		MaxRounds:   opts.MaxRounds,
+		Stop:        stop,
+		ExecOptions: phaseExec(opts, out.Rounds),
+	}))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out.addPhase(fmt.Sprintf("%s(k=%d)", tag, guess), res)
-	return res.Sim.FinalRumors(), nil
-}
-
-// rumorsFull reports whether every node holds all n rumors.
-func rumorsFull(rumors []*bitset.Set, n int) bool {
-	if rumors == nil {
-		return false
-	}
-	for _, r := range rumors {
-		if r.Count() != n {
-			return false
-		}
-	}
-	return true
-}
-
-// rumorsFullAlive reports whether every surviving node — every node the
-// fault schedule never permanently removes; temporarily-churned nodes
-// rejoin and must still be informed — holds every surviving node's
-// rumor; with no failure model it is rumorsFull.
-func rumorsFullAlive(rumors []*bitset.Set, spec *adversity.Spec) bool {
-	if rumors == nil {
-		return false
-	}
-	if !spec.HasFailures() {
-		return rumorsFull(rumors, len(rumors))
-	}
-	for u, r := range rumors {
-		if spec.NeverReturns(u) {
-			continue
-		}
-		for v := range rumors {
-			if !spec.NeverReturns(v) && !r.Contains(v) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// stopAliveHaveAlive stops when every surviving node holds every
-// surviving node's rumor.
-func stopAliveHaveAlive(spec *adversity.Spec) sim.StopFunc {
-	return func(w *sim.World) bool {
-		for u, nv := range w.Views {
-			if spec.NeverReturns(u) {
-				continue
-			}
-			for v := range w.Views {
-				if !spec.NeverReturns(v) && !nv.Knows(v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	return nil
 }

@@ -100,6 +100,24 @@ func NewSuperstep(nv *sim.NodeView, ell, timeout int) *Superstep {
 	return s
 }
 
+// prepareSuperstep expands one Superstep phase run to quiescence into its
+// sim.Run invocation: the "superstep" driver's Prepare hook, and the
+// fault-tolerant pipeline's neighborhood-gathering phase.
+func prepareSuperstep(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+	return sim.Config{
+			CSR:            opts.CSR,
+			Workers:        opts.Workers,
+			Seed:           opts.Seed,
+			KnownLatencies: true,
+			MaxRounds:      opts.MaxRounds,
+			Mode:           sim.AllToAll,
+			InitialRumors:  opts.InitialRumors,
+			Adversity:      opts.Adversity,
+		}, func(nv *sim.NodeView) sim.Protocol {
+			return NewSuperstep(nv, opts.Ell, opts.LBTimeout)
+		}, sim.StopAllDone(), nil
+}
+
 // Meta snapshots the phase-local heard set (cached immutable sorted id
 // slice, shared until the set next changes).
 func (s *Superstep) Meta() any { return s.heard.Snapshot() }

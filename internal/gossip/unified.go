@@ -31,6 +31,11 @@ type UnifiedResult struct {
 // faces one network, so both arms see the same Adversity schedule and
 // the same opts.CSR.
 func Unified(opts DriverOptions) (UnifiedResult, error) {
+	return unified(opts, new(sim.Pipeline))
+}
+
+// unified is Unified with the spanner arm's phases run by ph.
+func unified(opts DriverOptions, ph phaseRunner) (UnifiedResult, error) {
 	var out UnifiedResult
 	if opts.CSR == nil {
 		return out, errNoTopology
@@ -49,7 +54,7 @@ func Unified(opts DriverOptions) (UnifiedResult, error) {
 		Seed:           opts.Seed + 1,
 		MaxRounds:      opts.MaxRounds,
 		ExecOptions:    opts.ExecOptions,
-	})
+	}, ph)
 	if err != nil {
 		return out, fmt.Errorf("gossip: unified spanner arm: %w", err)
 	}

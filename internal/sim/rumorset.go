@@ -22,6 +22,9 @@ const (
 // rumorSet is a node's rumor membership structure: a hybrid sparse/dense
 // set keyed by rumor id. The gain journal (held by NodeView) stays the
 // authoritative ordered record; this structure only answers membership.
+// The representation also picks the delivery path: a dense set takes a
+// long window by the word (NodeView.gainWindow, bitset.AbsorbNew), a
+// sparse one rumor by rumor through add.
 type rumorSet struct {
 	n      int
 	sorted []int32     // sorted members while sparse; nil once dense

@@ -16,6 +16,10 @@ import (
 // DefaultMaxRounds is the safety horizon when Config.MaxRounds is zero.
 const DefaultMaxRounds = 1 << 20
 
+// wordWindowMin is the shortest window a dense receiver takes by the word
+// (engine.wordMin): below it the per-rumor loop is as fast.
+const wordWindowMin = 32
+
 // Factory builds the protocol instance for one node. It runs once per
 // node, in node order, before round 0.
 type Factory func(nv *NodeView) Protocol
@@ -136,7 +140,11 @@ type shard struct {
 	recs []uint32
 	// newlyInformed collects nodes that first saw the watched rumor this
 	// round; folded into the informed tally at the barrier.
-	newlyInformed        []int32
+	newlyInformed []int32
+	// mark is the word-path delivery scratch (NodeView.gainWindow): one
+	// bit per rumor id, all zero between deliveries; allocated at the
+	// shard's first word-path delivery.
+	mark                 []uint64
 	minWake, sleeperWake int
 	idle, called         bool
 	err                  error
@@ -166,6 +174,14 @@ type engine struct {
 	watched    graph.NodeID
 	informedAt []int
 	wake       []int
+	// entry is what an amnesic rejoin restarts a node from besides its
+	// Mode seeding: Config.InitialRumors, or the sets a Pipeline phase
+	// entered with (kept only when the schedule has amnesia).
+	entry []*bitset.Set
+	// wordMin is the shortest window a dense receiver takes by the word:
+	// wordWindowMin ids, and never fewer than the set has words, so the
+	// word pass costs at most what the window does.
+	wordMin int
 	// sent is the per-half-edge journal high-water mark (delta windows);
 	// nil under latency jitter, which falls back to full prefixes.
 	sent []int32
@@ -201,6 +217,9 @@ type engine struct {
 	// bucket that must grow is sized to it at once instead of doubling.
 	oneSlot bool
 	fill    int
+	// oneLat: every edge has the topology's maximum latency (oneSlot
+	// without jitter); a property of the CSR, derived once.
+	oneLat bool
 
 	// shards are the execution shards this engine runs: every part of the
 	// contiguous node partition on an ordinary engine, the one owned part
@@ -317,6 +336,33 @@ func Run(cfg Config, factory Factory, stop StopFunc) (Result, error) {
 	return e.run(stop)
 }
 
+// Pipeline runs the phases of a multi-phase algorithm on one engine. The
+// first phase builds the engine exactly as Run does. Every later phase
+// reloads it in place (engine.load) and enters with the rumor sets the
+// previous phase left, as if they were handed over as
+// Config.InitialRumors, which a later phase must therefore leave nil. Each
+// phase is thus bit-identical to a fresh Run seeded with the previous
+// phase's FinalRumors, without rebuilding the arenas or materializing the
+// sets. All phases share one topology (the same Config.CSR). A phase's
+// Result, World included, is valid until the next phase starts; after a
+// failed phase the Pipeline must not be used again. The zero value is
+// ready to use.
+type Pipeline struct{ e *engine }
+
+// Run runs the pipeline's next phase.
+func (p *Pipeline) Run(cfg Config, factory Factory, stop StopFunc) (Result, error) {
+	if p.e == nil {
+		e, err := newEngine(cfg, factory)
+		if err != nil {
+			return Result{}, err
+		}
+		p.e = e
+	} else if err := p.e.load(cfg, factory, 0, 1, true); err != nil {
+		return Result{}, err
+	}
+	return p.e.run(stop)
+}
+
 // newEngine validates cfg and builds a ready-to-run engine positioned at
 // round 0: arenas, rumor seeding, protocol facets, the delivery calendar
 // and the worker shards. Run is newEngine + run; snapshot restore
@@ -341,6 +387,64 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	if err := csr.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid graph: %w", err)
 	}
+	n := csr.N()
+	e := &engine{csr: csr, n: n, wordMin: max(wordWindowMin, (n+63)/64)}
+
+	// NodeViews, known-latency tables and RNG states are arena-allocated:
+	// a handful of slabs instead of ~4n small objects keeps setup off the
+	// allocator's hot path at n=10⁶.
+	viewArena := make([]NodeView, n)
+	e.views = make([]*NodeView, n)
+	e.protos = make([]Protocol, n)
+	knownArena := make([]int32, csr.HalfEdges())
+	e.pcgArena = make([]rand.PCG, n)
+	e.rngArena = make([]rand.Rand, n)
+	e.oneLat = true
+	for u := 0; u < n; u++ {
+		for _, l := range csr.Latencies(u) {
+			e.oneLat = e.oneLat && int(l) == csr.MaxLatency()
+		}
+		off := int(csr.Offset(u))
+		end := off + csr.Degree(u)
+		e.rngArena[u] = *rand.New(&e.pcgArena[u])
+		viewArena[u] = NodeView{
+			id:    u,
+			n:     n,
+			nbrs:  csr.NeighborIDs(u),
+			lats:  csr.Latencies(u),
+			known: knownArena[off:end:end],
+			rng:   &e.rngArena[u],
+		}
+		viewArena[u].rum.init(n)
+		e.views[u] = &viewArena[u]
+	}
+	e.informedAt = make([]int, n)
+	e.wake = make([]int, n)
+	e.world = &World{informed: bitset.New(n)}
+	e.jitterRNG = rand.New(&e.jitterPCG)
+	if err := e.load(cfg, factory, shardIdx, shardCount, false); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// load validates cfg and positions the engine at round 0 of it: it
+// re-derives every table cfg shapes — RNG seeds, known latencies, the
+// compiled fault schedule, rumor seeding and the informed tally, shards,
+// protocols and their facets, transport state, an empty calendar — over
+// the storage newEngineShard allocated. A fresh engine loads its one
+// configuration. A Pipeline loads each later phase onto the same engine
+// with carry set: the rumor sets stay as the previous phase left them and
+// each journal is re-seeded from its set in ascending id order, the state
+// a fresh engine given those sets as InitialRumors starts from.
+func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, carry bool) error {
+	csr, n := e.csr, e.n
+	if cfg.CSR != csr {
+		return fmt.Errorf("sim: the phases of a pipeline must share one topology")
+	}
+	if carry && cfg.InitialRumors != nil {
+		return fmt.Errorf("sim: a pipeline phase carries the previous phase's rumor sets; Config.InitialRumors must be nil")
+	}
 	if cfg.Mode == 0 {
 		cfg.Mode = OneToAll
 	}
@@ -350,21 +454,20 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	// The calendar stores rounds as int32: the latest possible delivery,
 	// the horizon plus a (jittered, < 2·MaxLatency+1) latency, must fit.
 	if cfg.MaxRounds > math.MaxInt32-2*csr.MaxLatency()-1 {
-		return nil, fmt.Errorf("sim: horizon %d with max latency %d overflows the int32 round calendar", cfg.MaxRounds, csr.MaxLatency())
+		return fmt.Errorf("sim: horizon %d with max latency %d overflows the int32 round calendar", cfg.MaxRounds, csr.MaxLatency())
 	}
 	// LatencyJitter is part of config validation, not of the round loop:
 	// anything that is not a finite value in [0,1) is rejected up front
 	// (the negated-range form also catches NaN).
 	if cfg.LatencyJitter != 0 && !(cfg.LatencyJitter >= 0 && cfg.LatencyJitter < 1) {
-		return nil, fmt.Errorf("sim: latency jitter %v outside [0,1)", cfg.LatencyJitter)
+		return fmt.Errorf("sim: latency jitter %v outside [0,1)", cfg.LatencyJitter)
 	}
-	n := csr.N()
 	if cfg.Source < 0 || cfg.Source >= n {
-		return nil, fmt.Errorf("sim: source %d out of range", cfg.Source)
+		return fmt.Errorf("sim: source %d out of range", cfg.Source)
 	}
 	for _, s := range cfg.Sources {
 		if s < 0 || s >= n {
-			return nil, fmt.Errorf("sim: source %d out of range", s)
+			return fmt.Errorf("sim: source %d out of range", s)
 		}
 	}
 	var sched *adversity.Schedule
@@ -372,72 +475,59 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 		var err error
 		sched, err = cfg.Adversity.Compile(n)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return fmt.Errorf("sim: %w", err)
 		}
 		for _, ref := range sched.EdgeRefs() {
 			if !csrHasEdge(csr, ref[0], ref[1]) {
-				return nil, fmt.Errorf("sim: adversity schedule references edge (%d,%d) not in the graph", ref[0], ref[1])
+				return fmt.Errorf("sim: adversity schedule references edge (%d,%d) not in the graph", ref[0], ref[1])
 			}
 		}
 	}
 
-	e := &engine{cfg: cfg, csr: csr, n: n, adv: sched, snapAt: -1}
-
-	// NodeViews, known-latency tables and RNG states are arena-allocated:
-	// a handful of slabs instead of ~4n small objects keeps setup off the
-	// allocator's hot path at n=10⁶.
-	viewArena := make([]NodeView, n)
-	views := make([]*NodeView, n)
-	protos := make([]Protocol, n)
-	knownArena := make([]int32, csr.HalfEdges())
-	e.pcgArena = make([]rand.PCG, n)
-	e.rngArena = make([]rand.Rand, n)
-	pcgArena, rngArena := e.pcgArena, e.rngArena
-	oneLat := true
-	for u := 0; u < n; u++ {
-		off := csr.Offset(u)
-		deg := csr.Degree(u)
-		known := knownArena[off : int(off)+deg : int(off)+deg]
-		lats := csr.Latencies(u)
-		for i := range known {
-			if cfg.KnownLatencies {
-				known[i] = lats[i]
-			} else {
-				known[i] = -1
+	e.cfg, e.adv = cfg, sched
+	e.seq = 0
+	e.startRound, e.snapAt, e.snapRound, e.snapped = 0, -1, 0, false
+	views, protos := e.views, e.protos
+	for u, nv := range views {
+		if cfg.KnownLatencies {
+			copy(nv.known, nv.lats)
+		} else {
+			for i := range nv.known {
+				nv.known[i] = -1
 			}
-			oneLat = oneLat && int(lats[i]) == csr.MaxLatency()
 		}
-		pcgArena[u] = *rand.NewPCG(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)
-		rngArena[u] = *rand.New(&pcgArena[u])
-		viewArena[u] = NodeView{
-			id:    u,
-			n:     n,
-			nbrs:  csr.NeighborIDs(u),
-			lats:  lats,
-			known: known,
-			rng:   &rngArena[u],
-		}
-		viewArena[u].rum.init(n)
-		views[u] = &viewArena[u]
+		e.pcgArena[u].Seed(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)
 	}
-	e.views = views
-	e.protos = protos
 
 	watched := cfg.Source
 	if len(cfg.Sources) > 0 {
 		watched = cfg.Sources[0]
 	}
 	e.watched = watched
-	informedAt := make([]int, n)
+	informedAt := e.informedAt
 	for i := range informedAt {
 		informedAt[i] = -1
 	}
-	e.informedAt = informedAt
-	informed := bitset.New(n)
+	informed := e.world.informed
+	informed.Clear()
+	e.entry = cfg.InitialRumors
 	switch {
+	case carry:
+		if cfg.Adversity.HasAmnesia() {
+			// An amnesic rejoin restarts a node from the set it entered
+			// the phase with.
+			e.entry = rumorSets(views)
+		}
+		for u, nv := range views {
+			nv.reseed()
+			if nv.rum.contains(int32(watched)) {
+				informedAt[u] = 0
+				informed.Add(u)
+			}
+		}
 	case cfg.InitialRumors != nil:
 		if len(cfg.InitialRumors) != n {
-			return nil, fmt.Errorf("sim: %d initial rumor sets for %d nodes", len(cfg.InitialRumors), n)
+			return fmt.Errorf("sim: %d initial rumor sets for %d nodes", len(cfg.InitialRumors), n)
 		}
 		for u := 0; u < n; u++ {
 			nv := views[u]
@@ -464,7 +554,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 		informedAt[watched] = 0
 		informed.Add(watched)
 	default:
-		return nil, fmt.Errorf("sim: unknown rumor mode %d", cfg.Mode)
+		return fmt.Errorf("sim: unknown rumor mode %d", cfg.Mode)
 	}
 
 	// One contiguous partition serves both execution modes: a worker-
@@ -472,15 +562,21 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	// shardIdx of shardCount as a single shard (the goroutine fan-out is
 	// pointless on a worker that owns one contiguous slice of the network).
 	parts := max(1, min(cfg.Workers, n))
-	e.shards = make([]shard, parts)
+	count := parts
 	if shardCount > 1 {
-		parts, e.shards = shardCount, e.shards[:1]
+		parts, count = shardCount, 1
+	}
+	if len(e.shards) != count {
+		e.shards = make([]shard, count)
 	}
 	e.per = partWidth(n, parts)
 	for i := range e.shards {
 		s := &e.shards[i]
-		s.lo, s.hi = partition(n, parts, shardIdx+i)
-		s.intents = make([]actIntent, 0, s.hi-s.lo)
+		lo, hi := partition(n, parts, shardIdx+i)
+		*s = shard{lo: lo, hi: hi, intents: s.intents[:0], recs: s.recs[:0], newlyInformed: s.newlyInformed[:0], mark: s.mark}
+		if cap(s.intents) < hi-lo {
+			s.intents = make([]actIntent, 0, hi-lo)
+		}
 	}
 
 	// A distributed shard worker instantiates protocols only for its
@@ -490,60 +586,65 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	for u := ownLo; u < ownHi; u++ {
 		protos[u] = factory(views[u])
 		if protos[u] == nil {
-			return nil, fmt.Errorf("sim: factory returned nil protocol for node %d", u)
+			return fmt.Errorf("sim: factory returned nil protocol for node %d", u)
 		}
 	}
-	e.sleeper = facets[Sleeper](protos, ownLo, ownHi)
-	e.waiter = facets[Waiter](protos, ownLo, ownHi)
-	e.meta = facets[MetaProducer](protos, ownLo, ownHi)
-	e.amnesiac = facets[AmnesiaReseter](protos, ownLo, ownHi)
+	e.sleeper = facets(e.sleeper, protos, ownLo, ownHi)
+	e.waiter = facets(e.waiter, protos, ownLo, ownHi)
+	e.meta = facets(e.meta, protos, ownLo, ownHi)
+	e.amnesiac = facets(e.amnesiac, protos, ownLo, ownHi)
 
 	var alive *bitset.Set
 	if sched != nil && sched.HasDown() {
-		alive = bitset.New(n)
+		if alive = e.world.alive; alive == nil {
+			alive = bitset.New(n)
+		}
 		for u := 0; u < n; u++ {
 			alive.Add(u)
 		}
 	}
+	e.advEvents, e.nextAdvEvent = nil, 0
 	if sched != nil {
 		// Crash/leave/rejoin transitions are calendar events, applied
 		// serially at the top of their round: a stop condition
 		// quantifying over alive nodes can flip there with no other
 		// activity.
 		e.advEvents = sched.Events()
-		if sched.HasLoss() {
+	}
+	if sched != nil && sched.HasLoss() {
+		if e.advPCG == nil {
 			e.advPCG = make([]rand.PCG, n)
 			e.advRNG = make([]rand.Rand, n)
-			for u := 0; u < n; u++ {
-				e.advPCG[u] = *rand.NewPCG(cfg.Seed^0xa5a5f00dd00dfeed, uint64(u)*0x9e3779b97f4a7c15+0x632be59bd9b4e019)
+			for u := range e.advRNG {
 				e.advRNG[u] = *rand.New(&e.advPCG[u])
 			}
 		}
+		for u := range e.advPCG {
+			e.advPCG[u].Seed(cfg.Seed^0xa5a5f00dd00dfeed, uint64(u)*0x9e3779b97f4a7c15+0x632be59bd9b4e019)
+		}
+	} else {
+		e.advPCG, e.advRNG = nil, nil
 	}
 
-	e.world = &World{
+	dones := facets(e.world.dones, protos, ownLo, ownHi)
+	leaders := facets(e.world.leaders, protos, ownLo, ownHi)
+	*e.world = World{
 		CSR: csr, Views: views, Protos: protos,
 		adv: sched, watched: watched, informed: informed,
 		alive:   alive,
-		dones:   facets[DoneReporter](protos, ownLo, ownHi),
-		leaders: facets[LeaderReporter](protos, ownLo, ownHi),
+		dones:   dones,
+		leaders: leaders,
 	}
-	e.res.InformedAt = informedAt
-	e.res.World = e.world
+	e.res = Result{InformedAt: informedAt, World: e.world}
 
-	e.jitterPCG = *rand.NewPCG(cfg.Seed^0xdeadbeefcafe, 0x5851f42d4c957f2d)
-	e.jitterRNG = rand.New(&e.jitterPCG)
+	e.jitterPCG.Seed(cfg.Seed^0xdeadbeefcafe, 0x5851f42d4c957f2d)
 	// Delta windows require exchanges on an edge to deliver in initiation
 	// order; jitter can reorder them, so it falls back to full prefixes.
 	e.useDelta = cfg.LatencyJitter == 0
-	e.oneSlot = oneLat && e.useDelta
-	if e.useDelta {
-		e.sent = make([]int32, csr.HalfEdges())
-	}
-	if cfg.MaxInPerRound > 0 {
-		e.inCount = make([]int, n)
-	}
-	e.wake = make([]int, n)
+	e.oneSlot = e.oneLat && e.useDelta
+	e.sent = zeroed(e.sent, csr.HalfEdges(), e.useDelta)
+	e.inCount = zeroed(e.inCount, n, cfg.MaxInPerRound > 0)
+	clear(e.wake)
 
 	// Calendar ring: sized to cover every achievable delivery delta when
 	// that is small, capped otherwise (slow-edge deliveries overflow to
@@ -553,26 +654,66 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	if cfg.LatencyJitter > 0 {
 		maxDelta = 2*maxDelta + 1
 	}
-	ringSize := nextPow2(maxDelta + 2)
-	if ringSize > 1<<13 {
-		ringSize = 1 << 13
+	ringSize := min(nextPow2(maxDelta+2), 1<<13)
+	if len(e.ring) != ringSize {
+		e.ring = make([][]exch, ringSize)
 	}
-	e.ring = make([][]exch, ringSize)
-	e.ringMask = ringSize - 1
+	// A pipeline's previous phase may have stopped with exchanges still
+	// in flight: they die with it.
+	for i, b := range e.ring {
+		clear(b)
+		e.ring[i] = b[:0]
+	}
+	e.ringMask, e.ringCount = ringSize-1, 0
+	clear(e.overflow)
+	e.overflow = e.overflow[:0]
+	e.due, e.fill = nil, 0
+	return nil
+}
 
-	return e, nil
+// zeroed returns a zeroed table of n entries when want is set, reusing
+// old's storage when it has the size, and nil otherwise.
+func zeroed[T any](old []T, n int, want bool) []T {
+	if !want {
+		return nil
+	}
+	if len(old) != n {
+		return make([]T, n)
+	}
+	clear(old)
+	return old
+}
+
+// rumorSets materializes every node's rumor set as a dense bitset (a
+// word-level copy where the node already holds one, built from the gain
+// journal otherwise).
+func rumorSets(views []*NodeView) []*bitset.Set {
+	out := make([]*bitset.Set, len(views))
+	for i, nv := range views {
+		if nv.rum.dense != nil {
+			out[i] = nv.rum.dense.Clone()
+			continue
+		}
+		s := bitset.New(nv.n)
+		for _, x := range nv.journal {
+			s.Add(int(x))
+		}
+		out[i] = s
+	}
+	return out
 }
 
 // facets resolves facet F of the protocols on [lo,hi) once instead of
 // per round: a table indexed by node, or nil when none of them has F.
 // Facets are fixed per protocol, and a protocol usually has few of them
-// (push-pull two of six), so most tables are never allocated.
-func facets[F any](protos []Protocol, lo, hi int) []F {
+// (push-pull two of six), so most tables are never allocated. A reload
+// refills the previous table, prev, when it has the size.
+func facets[F any](prev []F, protos []Protocol, lo, hi int) []F {
 	var fs []F
 	for u := lo; u < hi; u++ {
 		if f, ok := protos[u].(F); ok {
 			if fs == nil {
-				fs = make([]F, len(protos))
+				fs = zeroed(prev, len(protos), true)
 			}
 			fs[u] = f
 		}
@@ -781,11 +922,28 @@ func (e *engine) deliverShard(s *shard, round int) {
 		}
 		nv := e.views[self]
 		gained := 0
-		for _, r := range news {
-			if nv.gain(int(r)) {
-				gained++
-				if e.dist != nil {
+		switch {
+		case len(nv.journal) == e.n:
+			// Holds every rumor already: the window goes unread.
+		case nv.rum.dense != nil && len(news) >= e.wordMin:
+			if s.mark == nil {
+				s.mark = make([]uint64, (e.n+63)/64)
+			}
+			before := len(nv.journal)
+			nv.gainWindow(news, s.mark)
+			gained = len(nv.journal) - before
+			if e.dist != nil {
+				for _, r := range nv.journal[before:] {
 					gains = append(gains, DistGain{Node: self, Rumor: r})
+				}
+			}
+		default:
+			for _, r := range news {
+				if nv.gain(int(r)) {
+					gained++
+					if e.dist != nil {
+						gains = append(gains, DistGain{Node: self, Rumor: r})
+					}
 				}
 			}
 		}
@@ -1040,8 +1198,9 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 // rebuilt state from scratch, the informed tally is corrected, and the
 // protocol is told to restart (AmnesiaReseter). In a multi-phase
 // pipeline "initial assignment" means the state the node entered the
-// current phase with (Config.InitialRumors) — the restart cannot reach
-// behind the phase boundary. Runs serially inside the event loop.
+// current phase with (Config.InitialRumors, or what a Pipeline phase was
+// loaded with: engine.entry) — the restart cannot reach behind the phase
+// boundary. Runs serially inside the event loop.
 func (e *engine) amnesia(u int, round int) {
 	nv := e.views[u]
 	nv.rum = rumorSet{}
@@ -1059,8 +1218,8 @@ func (e *engine) amnesia(u int, round int) {
 		}
 	}
 	switch {
-	case e.cfg.InitialRumors != nil:
-		nv.seedFrom(e.cfg.InitialRumors[u])
+	case e.entry != nil:
+		nv.seedFrom(e.entry[u])
 	case e.cfg.Mode == OneToAll && len(e.cfg.Sources) > 0:
 		for _, s := range e.cfg.Sources {
 			if s == u {

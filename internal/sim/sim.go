@@ -51,6 +51,27 @@
 // reorder) the engine conservatively falls back to full-prefix windows.
 // Delivered payload accounting is unchanged: the journal prefix length at
 // initiation time is the size of the full-state snapshot the model sends.
+//
+// A receiver applies a window in one of three ways, all of which grow its
+// journal by the same ids in the same order. A receiver that already
+// holds all n rumors gains nothing and skips the window unread; in the
+// all-to-all pipelines that is every node from the middle of the
+// neighborhood-gathering repetitions on. A dense receiver handed a long
+// window (at least max(32, n/64) ids) takes it by the word
+// (NodeView.gainWindow): mark the window into its shard's scratch words,
+// absorb them into the set in one word pass, and read back only the new
+// ids. Sparse receivers and short windows, which is every delivery of a
+// one-to-all run on a large network, keep the per-rumor loop.
+//
+// # Pipelines
+//
+// A multi-phase algorithm runs its phases on one engine (Pipeline). Each
+// phase after the first reloads the engine in place for its
+// configuration, re-deriving every table the configuration shapes, and
+// enters with the rumor sets the previous phase left, each journal
+// re-seeded in ascending id order. That is the very state a fresh engine
+// given those sets as Config.InitialRumors starts from, so a pipeline
+// phase is bit-identical to a fresh Run of it.
 package sim
 
 import (
@@ -286,6 +307,42 @@ func (nv *NodeView) seedFrom(src *bitset.Set) {
 	src.ForEach(func(r int) { nv.gain(r) })
 }
 
+// gainWindow is gain applied to a whole delivery window, by the word, for
+// a node whose set is dense: the window is marked into mark (one word per
+// 64 rumor ids, zero on entry and again on return), the set absorbs the
+// marks in one word pass, and only when some bit was new does a second
+// pass over the window append the new ids to the journal, in window
+// order, clearing each mark bit as it goes. The journal gains exactly the
+// ids, in exactly the order, the per-rumor loop would append.
+func (nv *NodeView) gainWindow(window []int32, mark []uint64) {
+	for _, r := range window {
+		mark[r>>6] |= 1 << (uint32(r) & 63)
+	}
+	if !nv.rum.dense.AbsorbNew(mark) {
+		return
+	}
+	for _, r := range window {
+		w, b := r>>6, uint64(1)<<(uint32(r)&63)
+		if mark[w]&b != 0 {
+			mark[w] &^= b
+			nv.journal = append(nv.journal, r)
+		}
+	}
+}
+
+// reseed rewrites the journal, in place, as the node's set in ascending id
+// order — the journal seedFrom gives a fresh node seeded with that set.
+// A pipeline phase run on the previous phase's engine enters through it.
+func (nv *NodeView) reseed() {
+	j := nv.journal[:0]
+	if nv.rum.dense != nil {
+		nv.rum.dense.ForEach(func(r int) { j = append(j, int32(r)) })
+	} else {
+		j = append(j, nv.rum.sorted...)
+	}
+	nv.journal = j
+}
+
 // ID returns the node's identity.
 func (nv *NodeView) ID() graph.NodeID { return nv.id }
 
@@ -371,21 +428,7 @@ type Result struct {
 // dense bitsets (a word-level copy where the node already holds one,
 // materialized from the gain journal otherwise), suitable for
 // Config.InitialRumors of a follow-up phase.
-func (r Result) FinalRumors() []*bitset.Set {
-	out := make([]*bitset.Set, len(r.World.Views))
-	for i, nv := range r.World.Views {
-		if nv.rum.dense != nil {
-			out[i] = nv.rum.dense.Clone()
-			continue
-		}
-		s := bitset.New(nv.n)
-		for _, x := range nv.journal {
-			s.Add(int(x))
-		}
-		out[i] = s
-	}
-	return out
-}
+func (r Result) FinalRumors() []*bitset.Set { return rumorSets(r.World.Views) }
 
 func (r Result) String() string {
 	return fmt.Sprintf("result{rounds=%d completed=%v exchanges=%d}", r.Rounds, r.Completed, r.Exchanges)
