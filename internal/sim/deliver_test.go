@@ -85,6 +85,7 @@ func FuzzDeliverWindow(f *testing.F) {
 			nv.gain(r)
 			ref.gain(r)
 		}
+		e.jlen[0] = int32(len(nv.journal))
 
 		perm := rng.Perm(n)
 		window := make([]int32, int(kRaw)%(n+1))
@@ -105,6 +106,9 @@ func FuzzDeliverWindow(f *testing.F) {
 		wantGained, wantGains := deliverWindowRef(ref, 0, window, dist, nil)
 		if !slices.Equal(nv.journal, ref.journal) {
 			t.Fatalf("journal %v, reference %v", nv.journal, ref.journal)
+		}
+		if int(e.jlen[0]) != len(nv.journal) {
+			t.Fatalf("flat journal length %d, journal holds %d", e.jlen[0], len(nv.journal))
 		}
 		for r := 0; r < n; r++ {
 			if nv.rum.contains(int32(r)) != ref.rum.contains(int32(r)) {

@@ -212,30 +212,11 @@ type distRun struct {
 // draws from a single global stream — both are rejected here (callers
 // gate them with clearer errors at the API layer).
 func RunDist(cfg Config, dc DistConfig, factory Factory, stop StopFunc) (Result, error) {
-	if dc.Shards < 2 {
-		return Result{}, fmt.Errorf("sim: distributed run needs at least 2 shards (got %d)", dc.Shards)
-	}
-	if dc.Shard < 0 || dc.Shard >= dc.Shards {
-		return Result{}, fmt.Errorf("sim: shard %d out of range [0,%d)", dc.Shard, dc.Shards)
-	}
-	if dc.Exchanger == nil {
-		return Result{}, fmt.Errorf("sim: distributed run needs an exchanger")
-	}
-	if cfg.MaxInPerRound > 0 {
-		return Result{}, fmt.Errorf("sim: bounded in-degree is not supported in distributed runs")
-	}
-	if cfg.LatencyJitter != 0 {
-		return Result{}, fmt.Errorf("sim: latency jitter is not supported in distributed runs")
-	}
-	cfg.Workers = 1
-	e, err := newEngineShard(cfg, factory, dc.Shard, dc.Shards)
+	e, err := newDistEngine(cfg, dc, factory)
 	if err != nil {
 		return Result{}, err
 	}
-	d := &distRun{e: e, shard: dc.Shard, shards: dc.Shards, ex: dc.Exchanger, stats: dc.Stats}
-	e.dist = d
-	e.world.distDone = make([]bool, dc.Shards)
-	e.world.distLeader = make([]int32, dc.Shards)
+	d := e.dist
 	if d.stats != nil {
 		// Pin the goroutine so ComputeNS can read this OS thread's CPU
 		// clock (see DistStats); barrier blocking releases the CPU, so
@@ -254,6 +235,35 @@ func RunDist(cfg Config, dc DistConfig, factory Factory, stop StopFunc) (Result,
 		}
 	}
 	return res, err
+}
+
+// newDistEngine validates dc and builds shard dc.Shard's engine with its
+// barrier seam attached, ready to run.
+func newDistEngine(cfg Config, dc DistConfig, factory Factory) (*engine, error) {
+	if dc.Shards < 2 {
+		return nil, fmt.Errorf("sim: distributed run needs at least 2 shards (got %d)", dc.Shards)
+	}
+	if dc.Shard < 0 || dc.Shard >= dc.Shards {
+		return nil, fmt.Errorf("sim: shard %d out of range [0,%d)", dc.Shard, dc.Shards)
+	}
+	if dc.Exchanger == nil {
+		return nil, fmt.Errorf("sim: distributed run needs an exchanger")
+	}
+	if cfg.MaxInPerRound > 0 {
+		return nil, fmt.Errorf("sim: bounded in-degree is not supported in distributed runs")
+	}
+	if cfg.LatencyJitter != 0 {
+		return nil, fmt.Errorf("sim: latency jitter is not supported in distributed runs")
+	}
+	cfg.Workers = 1
+	e, err := newEngineShard(cfg, factory, dc.Shard, dc.Shards)
+	if err != nil {
+		return nil, err
+	}
+	e.dist = &distRun{e: e, shard: dc.Shard, shards: dc.Shards, ex: dc.Exchanger, stats: dc.Stats}
+	e.world.distDone = make([]bool, dc.Shards)
+	e.world.distLeader = make([]int32, dc.Shards)
+	return e, nil
 }
 
 func (d *distRun) exchangeFrames(f *DistFrame) ([]*DistFrame, error) {
@@ -406,6 +416,7 @@ func (d *distRun) barrier(round int, stop StopFunc, t *tally) (frames []*DistFra
 		for _, g := range rf.Gains {
 			nv := e.views[g.Node]
 			nv.gain(int(g.Rumor))
+			e.jlen[g.Node] = int32(len(nv.journal))
 			if e.informedAt[g.Node] < 0 && nv.rum.contains(watched) {
 				e.informedAt[g.Node] = round
 				e.world.informed.Add(int(g.Node))

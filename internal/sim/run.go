@@ -171,9 +171,20 @@ type engine struct {
 	pcgArena []rand.PCG
 	rngArena []rand.Rand
 
-	watched    graph.NodeID
+	watched graph.NodeID
+	// informedAt[u] is negative exactly when u's set lacks the watched
+	// rumor: load, amnesia, restore and every gain keep that true, so a
+	// delivery that gains nothing need not look.
 	informedAt []int
 	wake       []int
+	// jlen[u] is len(views[u].journal), and known is the arena every
+	// NodeView's known slice views, indexed by half-edge. They are the
+	// per-node words the round loop reads for a random peer, kept flat so
+	// a delivery that moves no rumor never touches the peer's NodeView.
+	// Every journal change (load, a delivery's gains, amnesia, a
+	// distributed replica's gains, Snapshot.Resume) updates jlen with it.
+	jlen  []int32
+	known []int32
 	// entry is what an amnesic rejoin restarts a node from besides its
 	// Mode seeding: Config.InitialRumors, or the sets a Pipeline phase
 	// entered with (kept only when the schedule has amnesia).
@@ -396,7 +407,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	viewArena := make([]NodeView, n)
 	e.views = make([]*NodeView, n)
 	e.protos = make([]Protocol, n)
-	knownArena := make([]int32, csr.HalfEdges())
+	e.known = make([]int32, csr.HalfEdges())
 	e.pcgArena = make([]rand.PCG, n)
 	e.rngArena = make([]rand.Rand, n)
 	e.oneLat = true
@@ -412,7 +423,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 			n:     n,
 			nbrs:  csr.NeighborIDs(u),
 			lats:  csr.Latencies(u),
-			known: knownArena[off:end:end],
+			known: e.known[off:end:end],
 			rng:   &e.rngArena[u],
 		}
 		viewArena[u].rum.init(n)
@@ -420,6 +431,7 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	}
 	e.informedAt = make([]int, n)
 	e.wake = make([]int, n)
+	e.jlen = make([]int32, n)
 	e.world = &World{informed: bitset.New(n)}
 	e.jitterRNG = rand.New(&e.jitterPCG)
 	if err := e.load(cfg, factory, shardIdx, shardCount, false); err != nil {
@@ -555,6 +567,9 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 		informed.Add(watched)
 	default:
 		return fmt.Errorf("sim: unknown rumor mode %d", cfg.Mode)
+	}
+	for u, nv := range views {
+		e.jlen[u] = int32(len(nv.journal))
 	}
 
 	// One contiguous partition serves both execution modes: a worker-
@@ -881,8 +896,13 @@ func (e *engine) drainDue(round int) {
 			}
 			continue
 		}
-		e.news[i<<1] = e.views[ex.v].journal[ex.vStart:ex.vEnd]
-		e.news[i<<1|1] = e.views[ex.u].journal[ex.uStart:ex.uEnd]
+		// An empty window stays a nil News, and its sender's view unread.
+		if ex.vStart < ex.vEnd {
+			e.news[i<<1] = e.views[ex.v].journal[ex.vStart:ex.vEnd]
+		}
+		if ex.uStart < ex.uEnd {
+			e.news[i<<1|1] = e.views[ex.u].journal[ex.uStart:ex.uEnd]
+		}
 		if su != nil {
 			e.res.Delivered++
 			// The journal prefix length at initiation is the full snapshot
@@ -920,38 +940,40 @@ func (e *engine) deliverShard(s *shard, round int) {
 		} else {
 			self, peer, selfIdx, meta = ex.v, ex.u, ex.vIdx, ex.uMeta
 		}
-		nv := e.views[self]
 		gained := 0
-		switch {
-		case len(nv.journal) == e.n:
-			// Holds every rumor already: the window goes unread.
-		case nv.rum.dense != nil && len(news) >= e.wordMin:
-			if s.mark == nil {
-				s.mark = make([]uint64, (e.n+63)/64)
-			}
-			before := len(nv.journal)
-			nv.gainWindow(news, s.mark)
-			gained = len(nv.journal) - before
-			if e.dist != nil {
-				for _, r := range nv.journal[before:] {
-					gains = append(gains, DistGain{Node: self, Rumor: r})
+		// An empty window, or a receiver holding every rumor already,
+		// moves nothing: the receiver's view goes unread.
+		if len(news) > 0 && int(e.jlen[self]) < e.n {
+			nv := e.views[self]
+			if nv.rum.dense != nil && len(news) >= e.wordMin {
+				if s.mark == nil {
+					s.mark = make([]uint64, (e.n+63)/64)
 				}
-			}
-		default:
-			for _, r := range news {
-				if nv.gain(int(r)) {
-					gained++
-					if e.dist != nil {
+				before := len(nv.journal)
+				nv.gainWindow(news, s.mark)
+				gained = len(nv.journal) - before
+				if e.dist != nil {
+					for _, r := range nv.journal[before:] {
 						gains = append(gains, DistGain{Node: self, Rumor: r})
 					}
 				}
+			} else {
+				for _, r := range news {
+					if nv.gain(int(r)) {
+						gained++
+						if e.dist != nil {
+							gains = append(gains, DistGain{Node: self, Rumor: r})
+						}
+					}
+				}
+			}
+			e.jlen[self] = int32(len(nv.journal))
+			if gained > 0 && e.informedAt[self] < 0 && nv.rum.contains(watched) {
+				e.informedAt[self] = int(ex.deliver)
+				s.newlyInformed = append(s.newlyInformed, self)
 			}
 		}
-		nv.known[selfIdx] = ex.latency
-		if e.informedAt[self] < 0 && nv.rum.contains(watched) {
-			e.informedAt[self] = int(ex.deliver)
-			s.newlyInformed = append(s.newlyInformed, self)
-		}
+		e.known[e.csr.Offset(int(self))+selfIdx] = ex.latency
 		if e.wake[self] > round {
 			e.wake[self] = round
 		}
@@ -1109,8 +1131,7 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 			lost, mine := false, true
 			if frames == nil {
 				u, idx = int(local[i].u), int(local[i].idx)
-				nv := e.views[u]
-				v = int(nv.nbrs[idx])
+				v = int(e.csr.NeighborIDs(u)[idx])
 				if e.inCount != nil {
 					if e.inCount[v] >= e.cfg.MaxInPerRound {
 						// Bounded in-degree: the connection is refused; the
@@ -1121,7 +1142,7 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 					}
 					e.inCount[v]++
 				}
-				lat = e.actualLatency(int(nv.lats[idx]))
+				lat = e.actualLatency(int(e.csr.Latencies(u)[idx]))
 				vIdx = e.csr.PeerIndex(u, idx)
 				if e.adv != nil {
 					lost = e.fate(u, v, round, round+lat)
@@ -1147,8 +1168,8 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 				u:         int32(u), v: int32(v),
 				uIdx: int32(idx), vIdx: int32(vIdx),
 				latency: int32(lat),
-				uEnd:    int32(len(e.views[u].journal)),
-				vEnd:    int32(len(e.views[v].journal)),
+				uEnd:    e.jlen[u],
+				vEnd:    e.jlen[v],
 				lost:    lost,
 			}
 			e.seq++
@@ -1234,6 +1255,7 @@ func (e *engine) amnesia(u int, round int) {
 	default: // AllToAll re-generates the node's own rumor
 		nv.gain(u)
 	}
+	e.jlen[u] = int32(len(nv.journal))
 	if nv.rum.contains(int32(e.watched)) {
 		if e.informedAt[u] < 0 {
 			e.informedAt[u] = round

@@ -52,6 +52,13 @@
 // Delivered payload accounting is unchanged: the journal prefix length at
 // initiation time is the size of the full-state snapshot the model sends.
 //
+// An empty window is not captured at all: its News stays nil and the
+// sender's journal is not read. The loop keeps each node's journal length
+// in a flat table beside informedAt and wake, and the discovered
+// latencies in a flat per-half-edge table, so initiating an exchange and
+// delivering one that moves nothing read no NodeView. On a one-to-all
+// run over a large network that is almost every delivery.
+//
 // A receiver applies a window in one of three ways, all of which grow its
 // journal by the same ids in the same order. A receiver that already
 // holds all n rumors gains nothing and skips the window unread; in the
@@ -60,8 +67,9 @@
 // window (at least max(32, n/64) ids) takes it by the word
 // (NodeView.gainWindow): mark the window into its shard's scratch words,
 // absorb them into the set in one word pass, and read back only the new
-// ids. Sparse receivers and short windows, which is every delivery of a
-// one-to-all run on a large network, keep the per-rumor loop.
+// ids. Sparse receivers and short windows keep the per-rumor loop. Only
+// a delivery that gains a rumor can inform its receiver, so only one
+// that gains checks the watched rumor.
 //
 // # Pipelines
 //
@@ -179,7 +187,8 @@ type Delivery struct {
 	// the order the peer gained them (a delta against what earlier
 	// exchanges on this edge already carried; the union of all deltas on
 	// an edge reconstructs the peer's full snapshot). It is a view into
-	// engine-owned storage: valid only during OnDeliver, read-only.
+	// engine-owned storage: valid only during OnDeliver, read-only. It is
+	// nil when the window is empty.
 	News []int32
 	// NewRumors counts rumors this delivery added to the node.
 	NewRumors int

@@ -96,32 +96,44 @@ func (s *Snapshot) Resume(cfg Config, factory Factory, stop StopFunc) (Result, e
 	if s.done {
 		return s.res, nil
 	}
-	src := s.src
-	e, err := newEngine(cfg, factory)
+	e, err := s.restore(cfg, factory)
 	if err != nil {
 		return Result{}, err
 	}
+	return e.run(stop)
+}
+
+// restore builds a fresh engine for cfg and splices the frozen state over
+// it, positioned to re-enter the loop at the snapshot round.
+func (s *Snapshot) restore(cfg Config, factory Factory) (*engine, error) {
+	src := s.src
+	e, err := newEngine(cfg, factory)
+	if err != nil {
+		return nil, err
+	}
 	if err := compatible(&src.cfg, &e.cfg); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if e.cfg.MaxRounds < s.round {
-		return Result{}, fmt.Errorf("sim: resume horizon %d is before the snapshot round %d", e.cfg.MaxRounds, s.round)
+		return nil, fmt.Errorf("sim: resume horizon %d is before the snapshot round %d", e.cfg.MaxRounds, s.round)
 	}
 
-	// Per-node state: rumor set + journal, discovered latencies, protocol
-	// RNG cursors, protocol-private state.
+	// Per-node state: rumor set + journal, protocol RNG cursors,
+	// protocol-private state; then the flat tables (discovered latencies,
+	// wake and informed rounds, delta marks).
 	for u := 0; u < e.n; u++ {
 		dst, so := e.views[u], src.views[u]
 		dst.rum.cloneFrom(&so.rum)
 		dst.journal = append(dst.journal[:0], so.journal...)
-		copy(dst.known, so.known)
+		e.jlen[u] = int32(len(dst.journal))
 		e.pcgArena[u] = src.pcgArena[u]
 		cl, ok := e.protos[u].(StateCloner)
 		if !ok {
-			return Result{}, fmt.Errorf("sim: protocol %T does not implement StateCloner and cannot be restored", e.protos[u])
+			return nil, fmt.Errorf("sim: protocol %T does not implement StateCloner and cannot be restored", e.protos[u])
 		}
 		cl.CloneStateFrom(src.protos[u])
 	}
+	copy(e.known, src.known)
 	copy(e.wake, src.wake)
 	copy(e.informedAt, src.informedAt)
 	if e.sent != nil {
@@ -178,7 +190,7 @@ func (s *Snapshot) Resume(cfg Config, factory Factory, stop StopFunc) (Result, e
 	}
 
 	e.startRound = s.round
-	return e.run(stop)
+	return e, nil
 }
 
 // sameSpec reports whether a resume reuses the capture run's adversity
