@@ -474,16 +474,19 @@ func init() {
 		Prepare: func(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
 			// Slab-allocate the per-node protocol structs: one allocation
 			// for the whole run instead of n — measurable at n=10⁶.
-			slab := make([]PushPull, opts.CSR.N())
-			factory := func(nv *sim.NodeView) sim.Protocol {
-				p := &slab[nv.ID()]
-				*p = PushPull{nv: nv}
-				return p
-			}
+			var factory sim.Factory
 			if opts.Variant == VariantBlocking {
+				slab := make([]blockingPushPull, opts.CSR.N())
 				factory = func(nv *sim.NodeView) sim.Protocol {
 					p := &slab[nv.ID()]
-					*p = PushPull{nv: nv, blocking: true}
+					*p = blockingPushPull{PushPull: PushPull{nv: nv}}
+					return p
+				}
+			} else {
+				slab := make([]PushPull, opts.CSR.N())
+				factory = func(nv *sim.NodeView) sim.Protocol {
+					p := &slab[nv.ID()]
+					*p = PushPull{nv: nv}
 					return p
 				}
 			}

@@ -36,10 +36,11 @@ type Election struct {
 	settled    bool
 	// next is the round-robin neighbor cursor.
 	next int
-	// metaCache is the immutable advertised pair; receivers of a Meta()
+	// metaCache is the immutable advertised pair, a []int32 boxed once as
+	// exchange metadata (nil until first use); receivers of a Meta()
 	// slice may hold it across barriers, so it is reallocated — never
 	// mutated — when the values change.
-	metaCache []int32
+	metaCache any
 }
 
 var (
@@ -88,7 +89,7 @@ func (el *Election) Waiting() bool { return !el.settled }
 // Meta advertises the node's best candidacy to exchange peers as an
 // immutable {leader, evidence-round} pair.
 func (el *Election) Meta() any {
-	if el.metaCache == nil || el.metaCache[0] != el.leader || el.metaCache[1] != el.evid {
+	if m, ok := el.metaCache.([]int32); !ok || m[0] != el.leader || m[1] != el.evid {
 		el.metaCache = []int32{el.leader, el.evid}
 	}
 	return el.metaCache

@@ -7,13 +7,14 @@ import "slices"
 // sparse graphs it holds O(degree²) entries — the node's neighborhood
 // plus what peers relayed — instead of the n-bit dense set the pre-CSR
 // implementation kept per node, which alone was an O(n²)-bit wall at
-// n=10⁶. Snapshots are cached immutable slices so exchange metadata
-// between two state changes shares one allocation, and a merge that would
+// n=10⁶. Snapshots are cached immutable slices, boxed as exchange
+// metadata once, so the metadata of every exchange between two state
+// changes shares one allocation and one box, and a merge that would
 // add nothing is detected read-only and skipped (Union), so a converged
 // set neither writes nor invalidates its snapshot.
 type heardSet struct {
 	ids  []int32 // sorted ascending
-	snap []int32 // cached immutable snapshot; nil when stale
+	snap any     // cached immutable snapshot, a boxed []int32; nil when stale
 	buf  []int32 // merge scratch, swapped with ids on a merge that adds
 }
 
@@ -101,10 +102,11 @@ func (h *heardSet) cloneFrom(src *heardSet) {
 	h.buf = nil
 }
 
-// Snapshot returns the current membership as an immutable sorted slice.
-// The same slice is handed out until the set next changes; receivers
-// must treat it as read-only (the exchange-metadata contract).
-func (h *heardSet) Snapshot() []int32 {
+// Snapshot returns the current membership as an immutable sorted
+// []int32, boxed as exchange metadata. The same value is handed out until
+// the set next changes; receivers must treat it as read-only (the
+// exchange-metadata contract).
+func (h *heardSet) Snapshot() any {
 	if h.snap == nil {
 		h.snap = slices.Clone(h.ids)
 	}

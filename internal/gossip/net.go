@@ -18,8 +18,9 @@ import (
 // registered with RealTransport) run here on one goroutine per node,
 // exchanging real messages through a transport.Mesh on real clocks.
 // Nothing about the protocol changes — Activate still picks a neighbor
-// index, OnDeliver still observes exchanges — only the fabric underneath
-// does, which is exactly the claim a real-network mode exists to test.
+// index, a Receiver's OnDeliver still observes exchanges — only the
+// fabric underneath does, which is exactly the claim a real-network mode
+// exists to test.
 //
 // The wire exchange mirrors the paper's combined push-pull primitive:
 // an initiation is a SYN carrying the sender's rumor journal, the
@@ -87,6 +88,14 @@ type netNode struct {
 	nv      *sim.NodeView
 	proto   sim.Protocol
 	pending []int // initiation rounds of SYNs still awaiting an ACK
+}
+
+// deliver hands d to the node's protocol when it is a sim.Receiver, as
+// the engine does.
+func (nd *netNode) deliver(d sim.Delivery) {
+	if r, ok := nd.proto.(sim.Receiver); ok {
+		r.OnDeliver(d)
+	}
 }
 
 // RealTransport resolves name to a driver RunNet can execute. It is the
@@ -230,7 +239,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 							snap := append([]int32(nil), nd.nv.Journal()...)
 							fresh := gain(rumors, round)
 							send(netAck, p.From, snap)
-							nd.proto.OnDeliver(sim.Delivery{
+							nd.deliver(sim.Delivery{
 								Round:         round,
 								Peer:          p.From,
 								NeighborIndex: nd.nv.NeighborIndex(p.From),
@@ -242,7 +251,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 							if len(nd.pending) > 0 {
 								nd.pending = nd.pending[1:]
 							}
-							nd.proto.OnDeliver(sim.Delivery{
+							nd.deliver(sim.Delivery{
 								Round:         round,
 								Peer:          p.From,
 								NeighborIndex: nd.nv.NeighborIndex(p.From),
@@ -262,7 +271,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 				// waiting; no rumors move.
 				for len(nd.pending) > 0 && round-nd.pending[0] > ackTimeout {
 					nd.pending = nd.pending[1:]
-					nd.proto.OnDeliver(sim.Delivery{Round: round, Initiator: true})
+					nd.deliver(sim.Delivery{Round: round, Initiator: true})
 				}
 				if idx, ok := nd.proto.Activate(round); ok {
 					nd.pending = append(nd.pending, round)

@@ -13,43 +13,77 @@ import (
 //
 // The model is non-blocking (footnote: "each node can initiate a new
 // exchange in every round, even if previous messages have not yet been
-// delivered"); the Blocking variant waits for each exchange to complete
-// before the next initiation, an ablation of exactly that footnote.
+// delivered"), so nothing a delivery brings changes the node's next
+// choice: PushPull is no sim.Receiver, and a delivery never touches it.
+// The blocking variant (blockingPushPull) waits for each exchange to
+// complete before the next initiation, an ablation of exactly that
+// footnote.
 type PushPull struct {
-	nv       *sim.NodeView
-	blocking bool
-	inflight bool
+	nv *sim.NodeView
 }
 
 var (
-	_ sim.Protocol       = (*PushPull)(nil)
-	_ sim.Sleeper        = (*PushPull)(nil)
-	_ sim.AmnesiaReseter = (*PushPull)(nil)
-	_ sim.StateCloner    = (*PushPull)(nil)
-)
+	_ sim.Protocol    = (*PushPull)(nil)
+	_ sim.Sleeper     = (*PushPull)(nil)
+	_ sim.StateCloner = (*PushPull)(nil)
 
-// CloneStateFrom copies the mutable protocol state (the blocking window)
-// from a frozen snapshot instance; nv and the variant flag come from
-// construction.
-func (p *PushPull) CloneStateFrom(src sim.Protocol) {
-	p.inflight = src.(*PushPull).inflight
-}
+	_ sim.Receiver       = (*blockingPushPull)(nil)
+	_ sim.Sleeper        = (*blockingPushPull)(nil)
+	_ sim.AmnesiaReseter = (*blockingPushPull)(nil)
+	_ sim.StateCloner    = (*blockingPushPull)(nil)
+)
 
 // NewPushPull returns the non-blocking push-pull protocol for one node.
 func NewPushPull(nv *sim.NodeView) *PushPull { return &PushPull{nv: nv} }
 
+// CloneStateFrom copies nothing: the protocol's only state is its node's
+// RNG stream, which the engine restores, and nv comes from construction.
+func (p *PushPull) CloneStateFrom(sim.Protocol) {}
+
 // Activate picks a uniformly random neighbor.
 func (p *PushPull) Activate(int) (int, bool) {
 	d := p.nv.Degree()
-	if d == 0 || (p.blocking && p.inflight) {
+	if d == 0 {
 		return 0, false
 	}
-	p.inflight = true
 	return p.nv.RNG().IntN(d), true
 }
 
+// NextWake keeps the classical every-round schedule; a node without
+// neighbors never acts, so it parks.
+func (p *PushPull) NextWake(round int) int {
+	if p.nv.Degree() == 0 {
+		return sim.WakeOnDelivery
+	}
+	return round + 1
+}
+
+// blockingPushPull is the blocking variant: a node with an exchange in
+// flight does not initiate another until that exchange returns.
+type blockingPushPull struct {
+	PushPull
+	inflight bool
+}
+
+// CloneStateFrom copies the mutable protocol state (the blocking window)
+// from a frozen snapshot instance; nv comes from construction.
+func (p *blockingPushPull) CloneStateFrom(src sim.Protocol) {
+	p.inflight = src.(*blockingPushPull).inflight
+}
+
+// Activate picks a uniformly random neighbor unless an exchange is in
+// flight.
+func (p *blockingPushPull) Activate(round int) (int, bool) {
+	if p.inflight {
+		return 0, false
+	}
+	idx, ok := p.PushPull.Activate(round)
+	p.inflight = ok
+	return idx, ok
+}
+
 // OnDeliver clears the blocking window when our own exchange returns.
-func (p *PushPull) OnDeliver(d sim.Delivery) {
+func (p *blockingPushPull) OnDeliver(d sim.Delivery) {
 	if d.Initiator {
 		p.inflight = false
 	}
@@ -57,16 +91,16 @@ func (p *PushPull) OnDeliver(d sim.Delivery) {
 
 // OnAmnesia restarts the node: an exchange that was in flight across
 // the down interval is lost, so the blocking window reopens.
-func (p *PushPull) OnAmnesia() { p.inflight = false }
+func (p *blockingPushPull) OnAmnesia() { p.inflight = false }
 
-// NextWake keeps the classical every-round schedule except while the
-// blocking variant has an exchange in flight (no RNG is drawn then, so
-// skipping those rounds leaves the random choice sequence unchanged).
-func (p *PushPull) NextWake(round int) int {
-	if p.nv.Degree() == 0 || (p.blocking && p.inflight) {
+// NextWake parks the node while its exchange is in flight (no RNG is
+// drawn then, so skipping those rounds leaves the random choice sequence
+// unchanged) and otherwise keeps the classical schedule.
+func (p *blockingPushPull) NextWake(round int) int {
+	if p.inflight {
 		return sim.WakeOnDelivery
 	}
-	return round + 1
+	return p.PushPull.NextWake(round)
 }
 
 // PushPullBound returns the Theorem 29 upper bound (ℓ*/φ*)·ln n given the

@@ -9,21 +9,21 @@ import (
 	"gossip/internal/graphgen"
 )
 
-// pushPullProto is randProtocol with the two facets gossip.PushPull
-// implements (Sleeper, AmnesiaReseter), so the engine builds the same
-// facet tables it builds for the real driver.
-type pushPullProto struct{ randProtocol }
+// pushPullProto is silentProto with the one facet gossip.PushPull
+// implements (Sleeper), so the engine builds the same facet tables it
+// builds for the real driver.
+type pushPullProto struct{ silentProto }
 
 func (p *pushPullProto) NextWake(round int) int { return round + 1 }
-func (p *pushPullProto) OnAmnesia()             {}
 
 // memoryBudgetBytes bounds TotalAlloc of one serial push-pull run to
 // completion on a 2¹²-node ring+matching expander with latency 1. Before
 // the engine's memory diet this run allocated 6 494 088 bytes (144-byte
 // exchanges in append-grown buckets, all six facet tables always); with
 // 88-byte exchanges, one bucket allocation for the whole run, the news
-// scratch and only push-pull's two facet tables it allocates 4 117 064.
-// Half of that is the per-node dense rumor bitsets (n <= 2¹³), which the
+// scratch and only push-pull's two facet tables it allocated 4 117 064,
+// and 4 068 072 once push-pull had one (Sleeper; deliveries no longer
+// call it). Half of that is the per-node dense rumor bitsets (n <= 2¹³), which the
 // diet does not touch. The bound is 0.65 of the old figure.
 const memoryBudgetBytes = 6494088 * 65 / 100
 
@@ -38,7 +38,7 @@ func TestEngineMemoryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{CSR: csr, Source: 0, Seed: 7}
-	factory := func(nv *NodeView) Protocol { return &pushPullProto{randProtocol{nv: nv}} }
+	factory := func(nv *NodeView) Protocol { return &pushPullProto{silentProto{nv: nv}} }
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

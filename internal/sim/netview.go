@@ -11,9 +11,10 @@ import (
 // and drives protocols through the event loop; a real-network runner
 // (internal/gossip RunNet over an internal/transport mesh) instead hosts
 // one protocol instance per node on real goroutines and real clocks, but
-// wants the *same protocol code* — the same Activate/OnDeliver structs,
-// the same per-node RNG derivation, the same rumor bookkeeping — so that
-// simulated and real executions differ only in transport.
+// wants the *same protocol code* — the same structs, Activate and the
+// optional Receiver alike, the same per-node RNG derivation, the same
+// rumor bookkeeping — so that simulated and real executions differ only
+// in transport.
 
 // NewNetView builds a standalone NodeView for node id of an n-node CSR
 // topology, mirroring the engine's construction exactly: the same

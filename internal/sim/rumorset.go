@@ -75,15 +75,19 @@ func (s *rumorSet) promote() {
 }
 
 // cloneFrom replaces s with a deep copy of src (same representation:
-// sparse stays sparse, dense stays dense), reusing s's sparse backing
+// sparse stays sparse, dense stays dense), reusing s's backing storage
 // where possible. Used by snapshot restore; src is never mutated.
 func (s *rumorSet) cloneFrom(src *rumorSet) {
 	s.n = src.n
 	s.sorted = append(s.sorted[:0], src.sorted...)
-	if src.dense != nil {
-		s.dense = src.dense.Clone()
-	} else {
+	switch {
+	case src.dense == nil:
 		s.dense = nil
+	case s.dense != nil && s.dense.Len() == src.dense.Len():
+		s.dense.Clear()
+		s.dense.UnionWith(src.dense)
+	default:
+		s.dense = src.dense.Clone()
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
@@ -96,17 +97,18 @@ type exch struct {
 	uMeta, vMeta any
 }
 
+// dueOrder orders exchanges by (deliver, seq): the order cold execution
+// delivers them in.
+func dueOrder(a, b *exch) int {
+	return cmp.Or(cmp.Compare(a.deliver, b.deliver), cmp.Compare(a.seq, b.seq))
+}
+
 // exchHeap is the overflow queue for deliveries beyond the calendar
-// ring's horizon (slow edges), ordered by (deliver, seq).
+// ring's horizon (slow edges), ordered by dueOrder.
 type exchHeap []exch
 
-func (h exchHeap) Len() int { return len(h) }
-func (h exchHeap) Less(i, j int) bool {
-	if h[i].deliver != h[j].deliver {
-		return h[i].deliver < h[j].deliver
-	}
-	return h[i].seq < h[j].seq
-}
+func (h exchHeap) Len() int            { return len(h) }
+func (h exchHeap) Less(i, j int) bool  { return dueOrder(&h[i], &h[j]) < 0 }
 func (h exchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *exchHeap) Push(x interface{}) { *h = append(*h, x.(exch)) }
 func (h *exchHeap) Pop() interface{} {
@@ -163,6 +165,7 @@ type engine struct {
 	waiter   []Waiter
 	meta     []MetaProducer
 	amnesiac []AmnesiaReseter
+	recv     []Receiver
 	world    *World
 
 	// pcgArena/rngArena back every NodeView's private stream; kept on the
@@ -206,6 +209,9 @@ type engine struct {
 	ringMask  int
 	ringCount int
 	overflow  exchHeap
+	// far is where slot builds an exchange bound for the overflow heap;
+	// commit pushes it.
+	far exch
 
 	due    []exch // scratch: this round's deliveries in (deliver,seq) order
 	dueBuf []exch // merge buffer when overflow items join a bucket
@@ -226,6 +232,8 @@ type engine struct {
 	// of a round's exchanges land in a single bucket; fill is then the
 	// round's intent count while mergeIntents runs (0 otherwise), and a
 	// bucket that must grow is sized to it at once instead of doubling.
+	// Snapshot.restore sets fill to each captured bucket's length the
+	// same way while it re-schedules that bucket.
 	oneSlot bool
 	fill    int
 	// oneLat: every edge has the topology's maximum latency (oneSlot
@@ -608,6 +616,7 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 	e.waiter = facets(e.waiter, protos, ownLo, ownHi)
 	e.meta = facets(e.meta, protos, ownLo, ownHi)
 	e.amnesiac = facets(e.amnesiac, protos, ownLo, ownHi)
+	e.recv = facets(e.recv, protos, ownLo, ownHi)
 
 	var alive *bitset.Set
 	if sched != nil && sched.HasDown() {
@@ -721,8 +730,9 @@ func rumorSets(views []*NodeView) []*bitset.Set {
 // facets resolves facet F of the protocols on [lo,hi) once instead of
 // per round: a table indexed by node, or nil when none of them has F.
 // Facets are fixed per protocol, and a protocol usually has few of them
-// (push-pull two of six), so most tables are never allocated. A reload
-// refills the previous table, prev, when it has the size.
+// (non-blocking push-pull one of seven), so most tables are never
+// allocated. A reload refills the previous table, prev, when it has the
+// size.
 func facets[F any](prev []F, protos []Protocol, lo, hi int) []F {
 	var fs []F
 	for u := lo; u < hi; u++ {
@@ -787,20 +797,35 @@ func (e *engine) owned() (lo, hi int) {
 	return e.shards[0].lo, e.shards[len(e.shards)-1].hi
 }
 
-// push schedules ex: near deliveries into the calendar ring, far ones
-// into the overflow heap.
-func (e *engine) push(ex exch, round int) {
-	if int(ex.deliver)-round >= len(e.ring) {
-		heap.Push(&e.overflow, ex)
-		return
+// slot returns the zeroed entry an exchange completing at deliver,
+// scheduled at round, will occupy: the next one of its calendar bucket
+// when the delivery is near, the engine's far scratch otherwise. The
+// caller builds the exchange in place and then commits it; nothing may be
+// scheduled in between.
+func (e *engine) slot(deliver, round int) *exch {
+	if deliver-round >= len(e.ring) {
+		e.far = exch{}
+		return &e.far
 	}
-	slot := int(ex.deliver) & e.ringMask
-	b := e.ring[slot]
+	i := deliver & e.ringMask
+	b := e.ring[i]
 	if len(b) == cap(b) {
 		b = e.grow(b)
 	}
-	e.ring[slot] = append(b, ex)
+	b = b[:len(b)+1]
+	e.ring[i] = b
 	e.ringCount++
+	ex := &b[len(b)-1]
+	*ex = exch{}
+	return ex
+}
+
+// commit finishes scheduling ex, the entry slot returned: a far exchange
+// joins the overflow heap; a near one is in its bucket already.
+func (e *engine) commit(ex *exch) {
+	if ex == &e.far {
+		heap.Push(&e.overflow, e.far)
+	}
 }
 
 // grow returns full bucket b with room to spare: the handed-forward spare
@@ -917,10 +942,10 @@ func (e *engine) drainDue(round int) {
 }
 
 // deliverShard applies this shard's due deliveries: rumor gains, latency
-// discovery, informed bookkeeping and OnDeliver callbacks — all against
-// node state this shard owns. The news windows were captured into
-// e.news at the serial drain, so cross-shard journal reads see immutable
-// data. A distributed shard worker also appends every gain to its
+// discovery, informed bookkeeping and, for a node with a Receiver, the
+// OnDeliver callback — all against node state this shard owns. The news
+// windows were captured into e.news at the serial drain, so cross-shard
+// journal reads see immutable data. A distributed shard worker also appends every gain to its
 // outgoing frame, in application order: that is the owner's journal
 // order, which every replica must reproduce.
 func (e *engine) deliverShard(s *shard, round int) {
@@ -977,17 +1002,19 @@ func (e *engine) deliverShard(s *shard, round int) {
 		if e.wake[self] > round {
 			e.wake[self] = round
 		}
-		e.protos[self].OnDeliver(Delivery{
-			Round:         int(ex.deliver),
-			InitRound:     int(ex.initRound),
-			Peer:          int(peer),
-			NeighborIndex: int(selfIdx),
-			Latency:       int(ex.latency),
-			Initiator:     initiator,
-			News:          news,
-			NewRumors:     gained,
-			PeerMeta:      meta,
-		})
+		if r := facet(e.recv, int(self)); r != nil {
+			r.OnDeliver(Delivery{
+				Round:         int(ex.deliver),
+				InitRound:     int(ex.initRound),
+				Peer:          int(peer),
+				NeighborIndex: int(selfIdx),
+				Latency:       int(ex.latency),
+				Initiator:     initiator,
+				News:          news,
+				NewRumors:     gained,
+				PeerMeta:      meta,
+			})
+		}
 	}
 	s.recs = s.recs[:0]
 	if e.dist != nil {
@@ -1005,8 +1032,12 @@ func (e *engine) finishDeliveries(round int) {
 		}
 		s.newlyInformed = s.newlyInformed[:0]
 	}
-	for i := range e.due {
-		e.due[i].uMeta, e.due[i].vMeta = nil, nil
+	// Metadata is set only by a local MetaProducer or, on a shard
+	// worker, from shipped remote metadata; otherwise it is nil already.
+	if e.meta != nil || (e.dist != nil && e.dist.remoteMeta != nil) {
+		for i := range e.due {
+			e.due[i].uMeta, e.due[i].vMeta = nil, nil
+		}
 	}
 	clear(e.news)
 	e.news = e.news[:0]
@@ -1100,9 +1131,9 @@ func (e *engine) fate(u, v, round, deliver int) bool {
 // earliest delivery round among the bundle's new exchanges, touching or
 // not (never for an ordinary engine, whose calendar holds them all).
 //
-// The body is deliberately one loop: split into resolve and schedule
-// calls it copies the 88-byte exch once more per exchange, which the
-// serial hot path measurably pays for.
+// The body is deliberately one loop, and each exchange is built where it
+// will live: the calendar entry slot hands out, filled in place and then
+// committed, so the 88-byte exch is never copied on the serial hot path.
 func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 	d := e.dist
 	minNew := never
@@ -1110,7 +1141,7 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 	if frames != nil {
 		lists = len(frames)
 	} else if e.oneSlot {
-		// Every exchange of the round lands in one bucket: let push size
+		// Every exchange of the round lands in one bucket: let slot size
 		// it for all of them at once. (A shard worker schedules only the
 		// exchanges touching its range, so it grows by doubling.)
 		for i := range e.shards {
@@ -1161,17 +1192,10 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 					d.stats.CrossIntents++
 				}
 			}
-			ex := exch{
-				deliver:   int32(round + lat),
-				initRound: int32(round),
-				seq:       e.seq,
-				u:         int32(u), v: int32(v),
-				uIdx: int32(idx), vIdx: int32(vIdx),
-				latency: int32(lat),
-				uEnd:    e.jlen[u],
-				vEnd:    e.jlen[v],
-				lost:    lost,
-			}
+			ex := e.slot(round+lat, round)
+			ex.deliver, ex.initRound, ex.seq = int32(round+lat), int32(round), e.seq
+			ex.u, ex.v, ex.uIdx, ex.vIdx = int32(u), int32(v), int32(idx), int32(vIdx)
+			ex.latency, ex.uEnd, ex.vEnd, ex.lost = int32(lat), e.jlen[u], e.jlen[v], lost
 			e.seq++
 			if e.sent != nil && !lost {
 				// High-water marks advance only on exchanges that will
@@ -1201,7 +1225,7 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 					ex.vMeta = m
 				}
 			}
-			e.push(ex, round)
+			e.commit(ex)
 			if mine {
 				e.res.Exchanges++
 				e.res.Messages += 2

@@ -168,8 +168,8 @@ const (
 )
 
 // Delivery describes one completed exchange from the perspective of one
-// endpoint. The simulator has already merged News into the node's rumor
-// set when OnDeliver is invoked.
+// endpoint, as a Receiver is handed it. The simulator has already merged
+// News into the node's rumor set when OnDeliver is invoked.
 type Delivery struct {
 	// Round is the completion round (initiation round + edge latency).
 	Round int
@@ -198,12 +198,21 @@ type Delivery struct {
 }
 
 // Protocol is a per-node gossip protocol. The simulator calls Activate
-// once per node per round (the model's "choose one neighbor" step) and
-// OnDeliver when an exchange involving the node completes.
+// once per node per round: the model's "choose one neighbor" step, and
+// all a protocol must do. Everything else is an optional facet: a
+// protocol that reacts to completed exchanges implements Receiver.
 type Protocol interface {
 	// Activate returns the adjacency index of the neighbor to contact
 	// this round, or ok=false to stay silent.
 	Activate(round int) (neighborIndex int, ok bool)
+}
+
+// Receiver is an optional Protocol extension: OnDeliver is called when an
+// exchange involving the node completes, after the simulator has merged
+// the exchange's rumors and recorded the edge's latency. A protocol whose
+// state does not depend on deliveries (non-blocking push-pull) leaves it
+// out, and then a delivery never touches the protocol.
+type Receiver interface {
 	// OnDeliver reports a completed exchange.
 	OnDeliver(d Delivery)
 }

@@ -13,7 +13,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // StateCloner is the Protocol extension snapshotting requires: a freshly
@@ -145,22 +145,32 @@ func (s *Snapshot) restore(cfg Config, factory Factory) (*engine, error) {
 	}
 
 	// Calendar: every pending exchange, in (deliver, seq) order — the
-	// order cold execution appended them — re-pushed relative to the
+	// order cold execution appended them — re-scheduled relative to the
 	// barrier round. Ring geometry is identical (same topology, same
-	// jitter setting), so near/far routing matches the capture run.
-	pend := make([]exch, 0, src.pendingLen())
-	for _, bucket := range src.ring {
-		pend = append(pend, bucket...)
+	// jitter setting), so a ring bucket holds exactly one delivery round,
+	// already in seq order, and only the overflow heap needs sorting.
+	// Walking the ring from the barrier round, each round's overflow
+	// exchanges (scheduled earlier, so lower seq) go first.
+	far := slices.Clone(src.overflow)
+	slices.SortFunc(far, func(a, b exch) int { return dueOrder(&a, &b) })
+	resched := func(pending *exch) {
+		ex := e.slot(int(pending.deliver), s.round)
+		*ex = *pending
+		e.commit(ex)
 	}
-	pend = append(pend, src.overflow...)
-	sort.Slice(pend, func(i, j int) bool {
-		if pend[i].deliver != pend[j].deliver {
-			return pend[i].deliver < pend[j].deliver
+	for d := s.round; d < s.round+len(src.ring); d++ {
+		bucket := src.ring[d&src.ringMask]
+		e.fill = len(bucket)
+		for ; len(far) > 0 && int(far[0].deliver) == d; far = far[1:] {
+			resched(&far[0])
 		}
-		return pend[i].seq < pend[j].seq
-	})
-	for _, ex := range pend {
-		e.push(ex, s.round)
+		for i := range bucket {
+			resched(&bucket[i])
+		}
+	}
+	e.fill = 0
+	for i := range far {
+		resched(&far[i])
 	}
 
 	// Counters and cursors. Rounds/Completed are set when the run ends;

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"gossip/internal/graph"
 	"gossip/internal/graphgen"
 )
 
@@ -131,6 +133,55 @@ func TestResumeBitIdentical(t *testing.T) {
 				if warm.InformedAt[u] != cold.InformedAt[u] {
 					t.Fatalf("capture@w%d/resume@w%d: node %d informed at %d, cold %d",
 						cw, rw, u, warm.InformedAt[u], cold.InformedAt[u])
+				}
+			}
+		}
+	}
+}
+
+// TestResumeOverflowCalendar resumes runs whose calendars hold
+// exchanges in the overflow heap (latencies beyond the ring's 2¹³
+// rounds) beside ring-resident ones. Some overflow exchanges come due
+// within the ring's horizon of the resume round, in the same round as
+// ring exchanges initiated later, so the restored bucket must put them
+// first, as cold execution delivers them. The resumed runs must equal
+// the cold run: counters, informed rounds, every journal and the order in
+// which every node was handed its deliveries.
+func TestResumeOverflowCalendar(t *testing.T) {
+	const n = 6
+	g := graph.New(n)
+	for _, e := range [][3]int{{0, 1, 9000}, {0, 2, 8000}, {0, 3, 8500}, {0, 4, 1}, {0, 5, 2}, {1, 2, 9500}, {3, 4, 3}} {
+		g.MustAddEdge(e[0], e[1], e[2])
+	}
+	cfg := Config{CSR: g.CSR(), Seed: 5, Mode: AllToAll, MaxRounds: 12000}
+	f, coldTapes := receiverFactory(tapeEveryNode, n)
+	cold, err := Run(cfg, f, StopNever())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{500, 8600, 9200} {
+		f, _ := receiverFactory(tapeEveryNode, n)
+		snap, err := CaptureAt(cfg, f, StopNever(), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.src.overflow) == 0 {
+			t.Fatalf("capture at %d holds no overflow exchange", at)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg.Workers = workers
+			f, tapes := receiverFactory(tapeEveryNode, n)
+			warm, err := snap.Resume(cfg, f, StopNever())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Rounds != cold.Rounds || warm.Exchanges != cold.Exchanges || warm.Delivered != cold.Delivered ||
+				warm.RumorPayload != cold.RumorPayload || !slices.Equal(warm.InformedAt, cold.InformedAt) {
+				t.Fatalf("resume at %d, workers %d diverges:\n warm %+v\n cold %+v", at, workers, warm, cold)
+			}
+			for u, nv := range warm.World.Views {
+				if !slices.Equal(nv.journal, cold.World.Views[u].journal) || tapes[u] != coldTapes[u] {
+					t.Fatalf("resume at %d, workers %d: node %d was handed other deliveries than in the cold run", at, workers, u)
 				}
 			}
 		}

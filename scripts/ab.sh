@@ -2,9 +2,12 @@
 # Interleaved A/B of the repo's benchmark: the committed tree at
 # <parent-ref> against the working tree, one workload, seeds 1..pairs,
 # alternating which side runs first. Prints, per end-to-end metric of
-# BENCHMARK.json, each side's median and quartiles and the pairs the
-# change won (ties count for neither) — the protocol a perf PR's claim
-# and its docs/TRAJECTORY.md row rest on.
+# BENCHMARK.json, each side's median and quartiles, the pairs the change
+# won (ties count for neither), the change in the median (med.delta) and
+# the house-rule verdict (claim): "yes" when the change won at least nine
+# in ten of the pairs and its median beats the parent's by more than the
+# parent's q3 - q1, both in the metric's better direction — the protocol
+# a perf PR's claim and its docs/TRAJECTORY.md row rest on.
 #
 #   scripts/ab.sh <parent-ref|-> <workload> [pairs=10]
 #
@@ -72,8 +75,8 @@ else
 	label="parent $(git -C "$root" rev-parse --short "$ref")"
 fi
 echo "workload $workload, $label, $pairs interleaved pairs (seeds 1..$pairs)"
-printf '%-16s %-6s %12s %12s %12s   %12s %12s %12s   %s\n' metric better \
-	parent.q1 parent.med parent.q3 change.q1 change.med change.q3 'pairs won'
+printf '%-16s %-6s %12s %12s %12s   %12s %12s %12s   %-9s %9s  %s\n' metric better \
+	parent.q1 parent.med parent.q3 change.q1 change.med change.q3 'pairs won' med.delta claim
 # Metric names and directions come from the benchmark's own declaration.
 grep '"bound"' "$root/BENCHMARK.json" |
 	sed -E 's/.*"name": "([^"]*)".*"better": "([^"]*)".*/\1 \2/' |
@@ -94,5 +97,11 @@ grep '"bound"' "$root/BENCHMARK.json" |
 				for (s in p) if (b == "lower" ? c[s] < p[s] : c[s] > p[s]) n++
 				printf "%d", n
 			}' "$rows")
-		printf '%-16s %-6s %s  %s  %s/%s\n' "$metric" "$better" "$(quart parent)" "$(quart change)" "$won" "$pairs"
+		pq=$(quart parent) cq=$(quart change)
+		verdict=$(echo "$pq $cq" | awk -v b="$better" -v won="$won" -v n="$pairs" '{
+			gain = b == "lower" ? $2 - $5 : $5 - $2
+			delta = $2 == 0 ? "n/a" : sprintf("%+.1f%%", ($5 - $2) / $2 * 100)
+			printf "%9s  %s", delta, (10 * won >= 9 * n && gain > $3 - $1) ? "yes" : "no"
+		}')
+		printf '%-16s %-6s %s  %s  %-9s %s\n' "$metric" "$better" "$pq" "$cq" "$won/$pairs" "$verdict"
 	done
