@@ -114,15 +114,16 @@ cover:
 # Short fuzz smoke of the structured-input parsers/builders (the fault
 # schedule DSL, the CSR builder, the /v1/estimates request validator),
 # of the network decoders (the TCP mesh's SYN/ACK payload and the frame
-# reader under both it and the shard RPC) and of the engine's word-path
-# delivery against the per-rumor reference; CI-friendly seconds, not
-# hours.
+# reader under both it and the shard RPC), of the engine's word-path
+# delivery against the per-rumor reference and of the local-broadcast
+# heard-set log against a map model; CI-friendly seconds, not hours.
 fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz FuzzDeliverWindow -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/graph -fuzz FuzzCSRBuilder -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/gossip -fuzz FuzzHeardSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'
 
 # Static analysis beyond go vet. Requires staticcheck on PATH

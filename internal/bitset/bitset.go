@@ -68,16 +68,6 @@ func (s *Set) Count() int {
 // Full reports whether every bit in [0, Len) is set.
 func (s *Set) Full() bool { return s.Count() == s.n }
 
-// Empty reports whether no bit is set.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // UnionWith adds every bit of t to s. The capacities must match.
 func (s *Set) UnionWith(t *Set) {
 	if t == nil {
@@ -165,26 +155,6 @@ func (s *Set) NextClear(from int) int {
 	}
 }
 
-// IntersectWith keeps only bits present in both s and t.
-func (s *Set) IntersectWith(t *Set) {
-	if s.n != t.n {
-		panic(fmt.Sprintf("bitset: intersect of mismatched capacities %d and %d", s.n, t.n))
-	}
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// DifferenceWith removes every bit of t from s.
-func (s *Set) DifferenceWith(t *Set) {
-	if s.n != t.n {
-		panic(fmt.Sprintf("bitset: difference of mismatched capacities %d and %d", s.n, t.n))
-	}
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
 // Equal reports whether s and t contain exactly the same bits.
 func (s *Set) Equal(t *Set) bool {
 	if s.n != t.n {
@@ -225,13 +195,6 @@ func (s *Set) Clear() {
 	}
 }
 
-// Fill sets all bits in [0, Len).
-func (s *Set) Fill() {
-	for i := 0; i < s.n; i++ {
-		s.Add(i)
-	}
-}
-
 // ForEach calls fn for every set bit in increasing order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
@@ -241,6 +204,26 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
+}
+
+// AppendTo appends the set's members to dst in increasing order and
+// returns the extended slice: ForEach into a []int32 without a closure
+// call per id, and a full word appends its 64 ids without a bit scan.
+func (s *Set) AppendTo(dst []int32) []int32 {
+	for wi, w := range s.words {
+		base := int32(wi * wordBits)
+		if w == ^uint64(0) {
+			for b := base; b < base+wordBits; b++ {
+				dst = append(dst, b)
+			}
+			continue
+		}
+		for w != 0 {
+			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // Slice returns the set bits in increasing order.

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,9 +11,6 @@ func TestNewEmpty(t *testing.T) {
 	s := New(100)
 	if s.Len() != 100 {
 		t.Fatalf("Len() = %d, want 100", s.Len())
-	}
-	if !s.Empty() {
-		t.Fatal("new set not empty")
 	}
 	if s.Count() != 0 {
 		t.Fatalf("Count() = %d, want 0", s.Count())
@@ -112,31 +110,6 @@ func TestMismatchedCapacityPanics(t *testing.T) {
 	a.UnionWith(b)
 }
 
-func TestIntersectAndDifference(t *testing.T) {
-	a, b := New(64), New(64)
-	for i := 0; i < 10; i++ {
-		a.Add(i)
-	}
-	for i := 5; i < 15; i++ {
-		b.Add(i)
-	}
-	c := a.Clone()
-	c.IntersectWith(b)
-	if c.Count() != 5 {
-		t.Fatalf("intersection Count() = %d, want 5", c.Count())
-	}
-	d := a.Clone()
-	d.DifferenceWith(b)
-	if d.Count() != 5 {
-		t.Fatalf("difference Count() = %d, want 5", d.Count())
-	}
-	for i := 0; i < 5; i++ {
-		if !d.Contains(i) {
-			t.Fatalf("difference missing %d", i)
-		}
-	}
-}
-
 func TestEqualSubset(t *testing.T) {
 	a, b := New(70), New(70)
 	a.Add(69)
@@ -171,7 +144,13 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestFillClearFull(t *testing.T) {
 	s := New(67)
-	s.Fill()
+	for i := 0; i < 66; i++ {
+		s.Add(i)
+	}
+	if s.Full() {
+		t.Fatal("set missing bit 66 reported Full")
+	}
+	s.Add(66)
 	if !s.Full() {
 		t.Fatal("filled set not Full")
 	}
@@ -179,8 +158,40 @@ func TestFillClearFull(t *testing.T) {
 		t.Fatalf("Count() = %d, want 67", s.Count())
 	}
 	s.Clear()
-	if !s.Empty() {
-		t.Fatal("cleared set not empty")
+	if s.Count() != 0 {
+		t.Fatalf("cleared set has Count() = %d", s.Count())
+	}
+}
+
+// TestAppendTo: AppendTo appends exactly what ForEach visits, in order,
+// after what dst held — on an empty set, full words, a partial last word
+// and capacities that are not a multiple of 64.
+func TestAppendTo(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 130, 200} {
+		for _, fill := range []string{"empty", "full", "random", "full-words"} {
+			s := New(n)
+			for i := 0; i < n; i++ {
+				switch fill {
+				case "full":
+					s.Add(i)
+				case "random":
+					if r.IntN(3) == 0 {
+						s.Add(i)
+					}
+				case "full-words":
+					if i/64 != 1 || i == 100 {
+						s.Add(i)
+					}
+				}
+			}
+			want := []int32{-1}
+			s.ForEach(func(i int) { want = append(want, int32(i)) })
+			got := s.AppendTo([]int32{-1})
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: AppendTo = %v, want %v", n, fill, got, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package gossip
 
-import "gossip/internal/sim"
+import (
+	"slices"
+
+	"gossip/internal/sim"
+)
 
 // DTG is the ℓ-DTG local broadcast protocol (Appendix A.1, Algorithm 6):
 // Haeupler's Deterministic Tree Gossip run on the subgraph G_ℓ of edges
@@ -19,6 +23,12 @@ import "gossip/internal/sim"
 // neighborhood data every repetition. L rides on exchange metadata as a
 // sorted sparse id slice (see heardSet) — O(neighborhood) per node, not
 // n bits, which is what lets DTG run at n=10⁶.
+//
+// A pipeline draws every DTG phase's instances from one slab (see
+// pipeline.prepareDTG), and init restarts an instance over the storage
+// its previous phase left: the state machine starts over, the heard log
+// and the linked-neighbor list are truncated, and the eligible list is
+// kept while node and ℓ are unchanged.
 type DTG struct {
 	nv  *sim.NodeView
 	ell int
@@ -32,8 +42,9 @@ type DTG struct {
 	heard heardSet
 	// contacted are the linked neighbors u_1..u_i (adjacency indices).
 	contacted []int
-	// seq is the remaining send sequence of the current iteration.
-	seq []int
+	// sent counts the current iteration's sends, out of 4·len(contacted)
+	// (see send).
+	sent int
 	// pending is the adjacency index of the in-flight exchange, or -1.
 	pending int
 	done    bool
@@ -49,13 +60,14 @@ var (
 )
 
 // CloneStateFrom deep-copies the state machine (heard set, linked
-// neighbors, remaining send schedule, in-flight marker) from a frozen
-// snapshot instance; eligible was rebuilt identically by the factory.
+// neighbors, progress through the send schedule, in-flight marker) from a
+// frozen snapshot instance; eligible was rebuilt identically by the
+// factory.
 func (d *DTG) CloneStateFrom(src sim.Protocol) {
 	s := src.(*DTG)
 	d.heard.cloneFrom(&s.heard)
 	d.contacted = append(d.contacted[:0], s.contacted...)
-	d.seq = append([]int(nil), s.seq...)
+	d.sent = s.sent
 	d.scan = s.scan
 	d.pending = s.pending
 	d.done = s.done
@@ -70,36 +82,48 @@ func NewDTG(nv *sim.NodeView, ell int) *DTG {
 	return d
 }
 
-// init makes d node nv's ℓ-DTG instance. The eligible neighbors are
-// counted first, so their list is allocated once, at its size.
+// init makes d node nv's ℓ-DTG instance for a new phase, over the
+// storage a previous phase left in d, if any. The state machine restarts
+// and the heard log and linked-neighbor list are truncated. The eligible
+// list is rebuilt only when the node or ℓ changed: every DTG phase knows
+// its latencies, so G_ℓ depends on nothing else. Its neighbors are
+// counted first, so the list is allocated at most once, at its size.
 func (d *DTG) init(nv *sim.NodeView, ell int) {
-	*d = DTG{nv: nv, ell: ell, pending: -1}
-	d.heard.Add(nv.ID())
-	eligible := func(i int) bool {
-		lat, known := nv.Latency(i)
-		return known && (ell <= 0 || lat <= ell)
-	}
-	k := 0
-	for i := 0; i < nv.Degree(); i++ {
-		if eligible(i) {
-			k++
+	if d.nv != nv || d.ell != ell {
+		d.nv, d.ell = nv, ell
+		eligible := func(i int) bool {
+			lat, known := nv.Latency(i)
+			return known && (ell <= 0 || lat <= ell)
+		}
+		k := 0
+		for i := 0; i < nv.Degree(); i++ {
+			if eligible(i) {
+				k++
+			}
+		}
+		d.eligible = slices.Grow(d.eligible[:0], k)
+		for i := 0; i < nv.Degree(); i++ {
+			if eligible(i) {
+				d.eligible = append(d.eligible, i)
+			}
 		}
 	}
-	d.eligible = make([]int, 0, k)
-	for i := 0; i < nv.Degree(); i++ {
-		if eligible(i) {
-			d.eligible = append(d.eligible, i)
-		}
-	}
+	d.scan, d.sent, d.pending, d.done = 0, 0, -1, false
+	d.contacted = d.contacted[:0]
+	d.heard.reset(nv.ID())
 }
 
 // prepareDTG expands one ℓ-DTG phase run to quiescence into its sim.Run
-// invocation: the "dtg" driver's Prepare hook, and a pipeline's
-// neighborhood-gathering phase. The per-node instances share one slab:
-// one allocation per phase instead of n (each factory call writes only
-// its own node's slot, so shard workers may build concurrently).
+// invocation: the "dtg" driver's Prepare hook. Its instances share one
+// fresh slab: one allocation per phase instead of n.
 func prepareDTG(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-	slab := make([]DTG, opts.CSR.N())
+	return dtgPhase(opts, make([]DTG, opts.CSR.N()))
+}
+
+// dtgPhase is prepareDTG on a given slab of n instances; a pipeline
+// passes the one it keeps across its phases. Each factory call writes
+// only its own node's entry, so shard workers may build concurrently.
+func dtgPhase(opts DriverOptions, slab []DTG) (sim.Config, sim.Factory, sim.StopFunc, error) {
 	return sim.Config{
 			CSR:            opts.CSR,
 			Workers:        opts.Workers,
@@ -128,17 +152,17 @@ func (d *DTG) Activate(int) (int, bool) {
 	if d.done || d.pending >= 0 {
 		return 0, false
 	}
-	if len(d.seq) == 0 && !d.startIteration() {
+	if d.sent == 4*len(d.contacted) && !d.startIteration() {
 		return 0, false
 	}
-	idx := d.seq[0]
-	d.seq = d.seq[1:]
+	idx := d.send(d.sent)
+	d.sent++
 	d.pending = idx
 	return idx, true
 }
 
-// startIteration links one new neighbor and lays out the iteration's
-// PUSH/PULL/PULL/PUSH schedule; it reports false when the node is done.
+// startIteration links one new neighbor and restarts the send schedule;
+// it reports false when the node is done.
 func (d *DTG) startIteration() bool {
 	for d.scan < len(d.eligible) && d.heard.Contains(d.nv.NeighborID(d.eligible[d.scan])) {
 		d.scan++
@@ -147,24 +171,21 @@ func (d *DTG) startIteration() bool {
 		d.done = true
 		return false
 	}
-	newIdx := d.eligible[d.scan]
-	d.contacted = append(d.contacted, newIdx)
-	i := len(d.contacted)
-	seq := make([]int, 0, 4*i)
-	for j := i - 1; j >= 0; j-- { // PUSH: u_i .. u_1
-		seq = append(seq, d.contacted[j])
-	}
-	for j := 0; j < i; j++ { // PULL: u_1 .. u_i
-		seq = append(seq, d.contacted[j])
-	}
-	for j := 0; j < i; j++ { // second PULL
-		seq = append(seq, d.contacted[j])
-	}
-	for j := i - 1; j >= 0; j-- { // second PUSH
-		seq = append(seq, d.contacted[j])
-	}
-	d.seq = seq
+	d.contacted = append(d.contacted, d.eligible[d.scan])
+	d.sent = 0
 	return true
+}
+
+// send returns the adjacency index of send k of an iteration with i
+// linked neighbors, whose schedule is
+// PUSH(u_i..u_1) · PULL(u_1..u_i) · PULL(u_1..u_i) · PUSH(u_i..u_1).
+func (d *DTG) send(k int) int {
+	i := len(d.contacted)
+	part, j := k/i, k%i
+	if part == 0 || part == 3 { // PUSH: u_i .. u_1
+		j = i - 1 - j
+	}
+	return d.contacted[j]
 }
 
 // NextWake parks a finished node forever and a blocked node until its
@@ -181,12 +202,14 @@ func (d *DTG) NextWake(round int) int {
 // set, linked-neighbor list and send schedule reflect knowledge the
 // engine's rumor reset just discarded, so they restart with it (the
 // eligible list is kept — link latencies are measured, not gossiped).
+// The heard set starts a new log rather than reset the old one: its
+// snapshots may still be in flight mid-phase.
 func (d *DTG) OnAmnesia() {
 	d.heard = heardSet{}
 	d.heard.Add(d.nv.ID())
 	d.scan = 0
-	d.contacted = nil
-	d.seq = nil
+	d.contacted = d.contacted[:0]
+	d.sent = 0
 	d.pending = -1
 	d.done = false
 }

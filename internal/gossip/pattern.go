@@ -87,7 +87,7 @@ func (p *pipeline) pattern(guess int, opts DriverOptions, out *BroadcastResult, 
 	}
 	var total DriverResult
 	for i, ell := range seqEll {
-		res, err := p.phase(prepareDTG(DriverOptions{
+		res, err := p.phase(p.prepareDTG(DriverOptions{
 			Ell:         ell,
 			Seed:        opts.Seed + uint64(i)*31 + 7,
 			MaxRounds:   opts.MaxRounds,

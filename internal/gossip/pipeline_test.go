@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gossip/internal/adversity"
@@ -81,12 +83,34 @@ func runPipeline(t *testing.T, name string, opts DriverOptions, ph phaseRunner) 
 	return rep
 }
 
+// freshDTGs is the reference for the DTG state a pipeline reuses: one
+// engine, as the pipelines run, but every phase's DTG instances built
+// from the zero value, the state a fresh slab gives the dtg driver's one
+// phase. The factory runs twice per DTG node: once to find the instance,
+// then, after it is zeroed, to build it. Other protocols pass through.
+type freshDTGs struct{ sim.Pipeline }
+
+func (f *freshDTGs) Run(cfg sim.Config, factory sim.Factory, stop sim.StopFunc) (sim.Result, error) {
+	return f.Pipeline.Run(cfg, func(nv *sim.NodeView) sim.Protocol {
+		p := factory(nv)
+		if d, ok := p.(*DTG); ok {
+			*d = DTG{}
+			return factory(nv)
+		}
+		return p
+	}, stop)
+}
+
 // TestPipelineMatchesFreshEngines is the bit-identity gate of one engine
-// per pipeline where the goldens do not reach: spanner (known and unknown
-// latencies, DTG and Superstep gathering), pattern and auto, benign, under
-// amnesic churn with a crash, and under loss, at one and four workers,
-// must report every phase row, every total and the final rumor sets
-// exactly as the fresh-engine-per-phase reference does.
+// and one DTG slab per pipeline where the goldens do not reach: spanner
+// (known and unknown latencies, DTG and Superstep gathering), pattern and
+// auto, benign, under amnesic churn with a crash, and under loss, at one
+// and four workers, must report every phase row, every total and the
+// final rumor sets exactly as two references do: a fresh engine per
+// phase, and the one engine with fresh DTG instances every phase. D is
+// unknown, so on the dumbbell, whose slow bridge takes several guesses,
+// the spanner's guesses change ℓ and the first repetition of each must
+// rebuild the eligible lists.
 func TestPipelineMatchesFreshEngines(t *testing.T) {
 	ring, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 6, Layers: 4, Latency: 8, Seed: 3})
 	if err != nil {
@@ -112,14 +136,27 @@ func TestPipelineMatchesFreshEngines(t *testing.T) {
 		for sname, spec := range specs {
 			for _, v := range variants {
 				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/%s/%s/workers=%d", gname, sname, v.name, workers)
 					opts := v.opts
 					opts.Seed, opts.MaxRounds = 5, 4096
 					opts.ExecOptions = ExecOptions{CSR: g.CSR(), Adversity: spec, Workers: workers}
 					got := runPipeline(t, v.driver, opts, new(sim.Pipeline))
-					want := runPipeline(t, v.driver, opts, new(freshPhases))
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%s/%s/workers=%d: one engine diverges from fresh engines:\n got  %+v\n want %+v",
-							gname, sname, v.name, workers, got, want)
+					if want := runPipeline(t, v.driver, opts, new(freshPhases)); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: one engine diverges from fresh engines:\n got  %+v\n want %+v", label, got, want)
+					}
+					if want := runPipeline(t, v.driver, opts, new(freshDTGs)); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: reused DTG state diverges from fresh instances:\n got  %+v\n want %+v", label, got, want)
+					}
+					if gname == "dumbbell" && sname == "benign" && v.name == "spanner" {
+						ells := map[string]bool{}
+						for _, ph := range got.Broadcast.Phases {
+							if strings.HasPrefix(ph.Name, "dtg(") {
+								ells[strings.Split(ph.Name, ",")[0]] = true
+							}
+						}
+						if len(ells) < 2 {
+							t.Errorf("%s: the guesses gathered at %d value(s) of ℓ, want several", label, len(ells))
+						}
 					}
 				}
 			}
@@ -255,14 +292,17 @@ func TestSurvivorChecksAgree(t *testing.T) {
 }
 
 // TestPipelineAllocBudget pins what one engine per pipeline, the word
-// path, the no-op heard-set merge and once-boxed exchange metadata save:
-// one auto run on a ring of 16 nodes × 8 layers with latency-16 slow
-// links. Before the first three this run made 39 748 allocations (a
-// fresh engine and a copy of every rumor set per phase, a rewritten heard
-// set per merge, one DTG object per node per phase); with them it made
-// 21 889, and boxing each heard-set snapshot and election pair once per
-// change instead of once per exchange brings it to 16 083. The bound is
-// 17 500.
+// path, the no-op heard-set merge, once-boxed exchange metadata and
+// reused ℓ-DTG state save: one auto run on a ring of 16 nodes × 8 layers
+// with latency-16 slow links. Before the first three this run made
+// 39 748 allocations (a fresh engine and a copy of every rumor set per
+// phase, a rewritten heard set per merge, one DTG object per node per
+// phase); with them it made 21 889, and boxing each heard-set snapshot
+// and election pair once per change instead of once per exchange brought
+// it to 16 083. One DTG slab per pipeline, whose instances keep their
+// eligible lists and heard logs across repetitions, and snapshots that
+// box a log version instead of copying it bring it to about 6 440. The
+// bound is 8 000.
 func TestPipelineAllocBudget(t *testing.T) {
 	g, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 16, Layers: 8, Latency: 16, Seed: 1})
 	if err != nil {
@@ -274,7 +314,7 @@ func TestPipelineAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 17500
+	const bound = 8000
 	t.Logf("%.0f allocations per auto run (bound %d)", allocs, bound)
 	if allocs > bound {
 		t.Fatalf("one auto run made %.0f allocations, bound %d", allocs, bound)

@@ -68,6 +68,10 @@ type pipeline struct {
 	// removes — every node without one — computed once per pipeline.
 	// Temporarily-churned nodes rejoin and must still be informed.
 	survivors []int
+	// dtgs is the one slab every ℓ-DTG phase of the pipeline draws its
+	// instances from, so a repetition restarts the storage the last one
+	// built (see DTG.init); nil until the first such phase.
+	dtgs []DTG
 }
 
 func newPipeline(opts DriverOptions, ph phaseRunner) *pipeline {
@@ -78,6 +82,14 @@ func newPipeline(opts DriverOptions, ph phaseRunner) *pipeline {
 		}
 	}
 	return p
+}
+
+// prepareDTG is the package-level prepareDTG on the pipeline's slab.
+func (p *pipeline) prepareDTG(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+	if p.dtgs == nil {
+		p.dtgs = make([]DTG, opts.CSR.N())
+	}
+	return dtgPhase(opts, p.dtgs)
 }
 
 // phase runs one prepared phase (a driver's Prepare output) as the
@@ -218,7 +230,7 @@ func (p *pipeline) gatherNeighborhood(guess, reps int, opts DriverOptions, out *
 		}
 		out.addPhase(fmt.Sprintf("discover(k=%d)", guess), res)
 	}
-	gather, prepare := "dtg", prepareDTG
+	gather, prepare := "dtg", p.prepareDTG
 	if opts.FaultTolerant {
 		gather, prepare = "superstep", prepareSuperstep
 	}

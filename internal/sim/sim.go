@@ -318,8 +318,7 @@ func (nv *NodeView) gain(r int) bool {
 // O(n/64) per node, and its popcount sizes the journal in one allocation.
 func (nv *NodeView) seedFrom(src *bitset.Set) {
 	if nv.rum.dense != nil && len(nv.journal) == 0 {
-		nv.journal = slices.Grow(nv.journal, nv.rum.dense.UnionCount(src))
-		src.ForEach(func(r int) { nv.journal = append(nv.journal, int32(r)) })
+		nv.journal = src.AppendTo(slices.Grow(nv.journal, nv.rum.dense.UnionCount(src)))
 		return
 	}
 	src.ForEach(func(r int) { nv.gain(r) })
@@ -352,13 +351,11 @@ func (nv *NodeView) gainWindow(window []int32, mark []uint64) {
 // order — the journal seedFrom gives a fresh node seeded with that set.
 // A pipeline phase run on the previous phase's engine enters through it.
 func (nv *NodeView) reseed() {
-	j := nv.journal[:0]
 	if nv.rum.dense != nil {
-		nv.rum.dense.ForEach(func(r int) { j = append(j, int32(r)) })
+		nv.journal = nv.rum.dense.AppendTo(nv.journal[:0])
 	} else {
-		j = append(j, nv.rum.sorted...)
+		nv.journal = append(nv.journal[:0], nv.rum.sorted...)
 	}
-	nv.journal = j
 }
 
 // ID returns the node's identity.
