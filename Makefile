@@ -113,8 +113,9 @@ cover:
 
 # Short fuzz smoke of the structured-input parsers/builders (the fault
 # schedule DSL, the CSR builder, the /v1/estimates request validator),
-# of the network decoders (the TCP mesh's SYN/ACK payload and the frame
-# reader under both it and the shard RPC), of the engine's word-path
+# of the network decoders (the TCP mesh's SYN/ACK payload, the frame
+# reader under both it and the shard RPC, and the shard RPC's round, meta
+# and result frame decoders), of the engine's word-path
 # delivery against the per-rumor reference and of the local-broadcast
 # heard-set log against a map model; CI-friendly seconds, not hours.
 fuzz-smoke:
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzHeardSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server/api -fuzz FuzzDecodeShardFrames -fuzztime 10s -run '^$$'
 
 # Static analysis beyond go vet. Requires staticcheck on PATH
 # (go install honnef.co/go/tools/cmd/staticcheck@latest); CI installs it.

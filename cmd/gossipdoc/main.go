@@ -101,7 +101,7 @@ func renderDrivers() string {
 	b.WriteString("# Driver registry\n\n")
 	b.WriteString("Every protocol in this repository is a named driver registered with\n")
 	b.WriteString("`internal/gossip.Register`. The registry is the single dispatch surface:\n")
-	b.WriteString("`gossipsim -algo`, `core.Disseminate`, the experiment harness and the\n")
+	b.WriteString("`gossipsim -algo`, `gossip.Disseminate`, the experiment harness and the\n")
 	b.WriteString("gossipd `/v1` endpoints all resolve protocols through it, and\n")
 	b.WriteString("`GET /v1/drivers` serves the same schema this file renders.\n\n")
 	b.WriteString("Universal request keys accepted by every driver: `seed`, `max_rounds`,\n")

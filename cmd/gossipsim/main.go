@@ -22,9 +22,9 @@ import (
 	"strings"
 	"time"
 
+	"gossip"
 	"gossip/internal/adversity"
-	"gossip/internal/core"
-	"gossip/internal/gossip"
+	driver "gossip/internal/gossip"
 	"gossip/internal/graph"
 	"gossip/internal/graphgen"
 	"gossip/internal/netcheck"
@@ -39,7 +39,7 @@ type options struct {
 	p         float64
 	layers    int
 	algoName  string
-	algo      core.Algorithm
+	algo      gossip.Algorithm
 	source    int
 	seed      uint64
 	workers   int
@@ -71,7 +71,7 @@ func parseArgs(args []string) (options, error) {
 	fs.IntVar(&o.latency, "latency", 1, "uniform/slow edge latency, depending on topology")
 	fs.Float64Var(&o.p, "p", 0.3, "edge or target probability for er/gadget")
 	fs.IntVar(&o.layers, "layers", 6, "ring layers")
-	fs.StringVar(&o.algoName, "algo", "auto", "algorithm: "+strings.Join(core.Algorithms(), "|"))
+	fs.StringVar(&o.algoName, "algo", "auto", "algorithm: "+strings.Join(gossip.Algorithms(), "|"))
 	fs.IntVar(&o.source, "source", 0, "rumor source")
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
 	fs.IntVar(&o.workers, "workers", 0, "intra-round simulation shards (results identical for any value; 0/1 = serial)")
@@ -97,14 +97,14 @@ func parseArgs(args []string) (options, error) {
 		return options{}, fmt.Errorf("unknown -mode %q (sim|net)", o.mode)
 	}
 	if o.mode == "net" {
-		if _, err := gossip.RealTransport(o.algoName); err != nil {
+		if _, err := driver.RealTransport(o.algoName); err != nil {
 			return options{}, fmt.Errorf("-mode net: %w", err)
 		}
 		if o.loss != 0 || o.churn != "" || o.faultSpec != "" {
 			return options{}, fmt.Errorf("-mode net does not support -loss, -churn or -fault-spec (the real fabric supplies its own adversity)")
 		}
 	} else {
-		algo, err := core.ParseAlgorithm(o.algoName)
+		algo, err := gossip.ParseAlgorithm(o.algoName)
 		if err != nil {
 			return options{}, err
 		}
@@ -199,7 +199,7 @@ func run() int {
 		graphName, g.N(), g.M(), g.MaxDegree(), g.WeightedDiameter(), g.MaxLatency())
 
 	if opts.analyze {
-		prof, err := core.Analyze(g)
+		prof, err := gossip.Analyze(g)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -222,7 +222,7 @@ func run() int {
 	if opts.mode == "net" {
 		return runNet(g, opts)
 	}
-	out, err := core.Disseminate(g, core.Options{
+	out, err := gossip.Disseminate(g, gossip.Options{
 		Algorithm:      opts.algo,
 		Source:         opts.source,
 		KnownLatencies: opts.known,
@@ -237,7 +237,7 @@ func run() int {
 	fmt.Printf("run: algorithm=%s rounds=%d exchanges=%d completed=%v\n",
 		out.Algorithm, out.Rounds, out.Exchanges, out.Completed)
 	if opts.curve {
-		res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Source: opts.source, Seed: opts.seed, MaxRounds: 1 << 20})
+		res, err := driver.Dispatch("push-pull", g, driver.DriverOptions{Source: opts.source, Seed: opts.seed, MaxRounds: 1 << 20})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -259,7 +259,7 @@ func runNet(g *graph.Graph, opts options) int {
 		Name:   fmt.Sprintf("%s/%s", opts.algoName, opts.graphName),
 		CSR:    g.CSR(),
 		Driver: opts.algoName,
-		Opts: gossip.DriverOptions{
+		Opts: driver.DriverOptions{
 			Source:         opts.source,
 			Seed:           opts.seed,
 			KnownLatencies: opts.known,

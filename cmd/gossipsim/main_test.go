@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"gossip/internal/core"
-	"gossip/internal/gossip"
+	"gossip"
+	driver "gossip/internal/gossip"
 )
 
 func TestParseArgs(t *testing.T) {
@@ -19,7 +19,7 @@ func TestParseArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.graphName != "dumbbell" || o.n != 16 || o.latency != 64 ||
-		o.algoName != "push-pull" || o.algo != core.PushPull ||
+		o.algoName != "push-pull" || o.algo != gossip.PushPull ||
 		o.seed != 3 || !o.known || !o.curve || o.analyze || o.workers != 8 {
 		t.Fatalf("parsed %+v", o)
 	}
@@ -56,7 +56,7 @@ func TestParseArgsErrors(t *testing.T) {
 		}
 	}
 	_, err := parseArgs([]string{"-mode", "net", "-algo", "echo"})
-	if err == nil || !strings.Contains(err.Error(), strings.Join(gossip.RealTransportNames(), ", ")) {
+	if err == nil || !strings.Contains(err.Error(), strings.Join(driver.RealTransportNames(), ", ")) {
 		t.Fatalf("-mode net -algo echo: %v, want the registry's real-transport drivers listed", err)
 	}
 }
@@ -64,15 +64,15 @@ func TestParseArgsErrors(t *testing.T) {
 func TestParseAlgoNames(t *testing.T) {
 	// -algo values resolve through the driver registry, aliases and
 	// registry-only protocols included.
-	cases := map[string]core.Algorithm{
-		"auto":      core.Auto,
-		"unified":   core.Auto,
-		"push-pull": core.PushPull,
-		"pushpull":  core.PushPull,
-		"SPANNER":   core.Spanner,
-		"pattern":   core.Pattern,
-		"flood":     core.Flood,
-		"dtg":       core.Algorithm("dtg"),
+	cases := map[string]gossip.Algorithm{
+		"auto":      gossip.Auto,
+		"unified":   gossip.Auto,
+		"push-pull": gossip.PushPull,
+		"pushpull":  gossip.PushPull,
+		"SPANNER":   gossip.Spanner,
+		"pattern":   gossip.Pattern,
+		"flood":     gossip.Flood,
+		"dtg":       gossip.Algorithm("dtg"),
 	}
 	for name, want := range cases {
 		o, err := parseArgs([]string{"-algo", name})
@@ -86,20 +86,20 @@ func TestParseAlgoNames(t *testing.T) {
 }
 
 // TestUsageListsEveryDriver is the usage golden test: the -algo surface
-// is generated from the driver registry (core.Algorithms() ==
-// gossip.Names()), every registered name parses, and the package doc
+// is generated from the driver registry (gossip.Algorithms() ==
+// driver.Names()), every registered name parses, and the package doc
 // comment — the one place a list is hand-written — names every
 // registered driver, so registering a new protocol without updating the
 // doc fails here instead of shipping stale help text.
 func TestUsageListsEveryDriver(t *testing.T) {
-	names := gossip.Names()
-	algos := core.Algorithms()
+	names := driver.Names()
+	algos := gossip.Algorithms()
 	if len(algos) != len(names) {
-		t.Fatalf("core.Algorithms() = %v, registry has %v", algos, names)
+		t.Fatalf("gossip.Algorithms() = %v, registry has %v", algos, names)
 	}
 	for i, n := range names {
 		if algos[i] != n {
-			t.Fatalf("core.Algorithms()[%d] = %q, registry says %q", i, algos[i], n)
+			t.Fatalf("gossip.Algorithms()[%d] = %q, registry says %q", i, algos[i], n)
 		}
 		if _, err := parseArgs([]string{"-algo", n}); err != nil {
 			t.Fatalf("registered driver %q rejected by -algo: %v", n, err)
@@ -158,7 +158,7 @@ func TestReadmeCoordinationExamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := core.Disseminate(g, core.Options{
+		out, err := gossip.Disseminate(g, gossip.Options{
 			Algorithm:      o.algo,
 			Source:         o.source,
 			KnownLatencies: o.known,

@@ -13,7 +13,7 @@ import (
 	"os"
 	"sort"
 
-	"gossip/internal/core"
+	"gossip"
 	"gossip/internal/graph"
 	"gossip/internal/graphgen"
 )
@@ -63,7 +63,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	prof, err := core.Analyze(g)
+	prof, err := gossip.Analyze(g)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

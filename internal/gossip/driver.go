@@ -248,8 +248,8 @@ func (d *Driver) AcceptsKey(key string) bool {
 
 // Driver is one named dissemination protocol: a factory for its per-node
 // protocol instances, its stop condition, and its options schema, behind
-// a uniform Run. core.Disseminate, internal/experiments and the CLIs all
-// select protocols through this registry.
+// a uniform Run. The root package's Disseminate, internal/experiments and
+// the CLIs all select protocols through this registry.
 type Driver struct {
 	// Name is the canonical registry key.
 	Name string

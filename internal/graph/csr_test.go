@@ -33,36 +33,6 @@ func familyGraphs(t *testing.T) map[string]*graph.Graph {
 		t.Fatal(err)
 	}
 	out["regular"] = reg
-	hyper, err := graphgen.Hypercube(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["hypercube"] = hyper
-	torus, err := graphgen.Torus(4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["torus"] = torus
-	ws, err := graphgen.WattsStrogatz(30, 2, 0.2, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["watts-strogatz"] = ws
-	cl, err := graphgen.ChungLu(26, 2.5, 60, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["chung-lu"] = cl
-	bc, err := graphgen.BarbellChain(3, 5, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["barbell-chain"] = bc
-	mb, err := graphgen.MultiBridgeDumbbell(6, 3, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["multibridge"] = mb
 	ring, err := graphgen.NewRingNetwork(4, 6, 16, rng)
 	if err != nil {
 		t.Fatal(err)

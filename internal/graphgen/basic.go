@@ -197,25 +197,6 @@ func Dumbbell(half int, bridgeLatency int) *graph.Graph {
 	return g
 }
 
-// MultiBridgeDumbbell is Dumbbell with `bridges` parallel-ish slow links
-// (distinct endpoint pairs) between the two cliques.
-func MultiBridgeDumbbell(half, bridges, bridgeLatency int) (*graph.Graph, error) {
-	if bridges > half {
-		return nil, fmt.Errorf("graphgen: %d bridges > clique size %d", bridges, half)
-	}
-	g := graph.New(2 * half)
-	for u := 0; u < half; u++ {
-		for v := u + 1; v < half; v++ {
-			g.MustAddEdge(u, v, 1)
-			g.MustAddEdge(half+u, half+v, 1)
-		}
-	}
-	for i := 0; i < bridges; i++ {
-		g.MustAddEdge(i, half+i, bridgeLatency)
-	}
-	return g, nil
-}
-
 // AssignRandomLatencies overwrites every edge latency with a value drawn
 // uniformly from [lo, hi].
 func AssignRandomLatencies(g *graph.Graph, lo, hi int, rng *rand.Rand) {

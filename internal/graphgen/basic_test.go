@@ -125,25 +125,6 @@ func TestDumbbell(t *testing.T) {
 	}
 }
 
-func TestMultiBridgeDumbbell(t *testing.T) {
-	g, err := MultiBridgeDumbbell(4, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for i := 0; i < 4; i++ {
-		if g.HasEdge(i, 4+i) {
-			count++
-		}
-	}
-	if count != 3 {
-		t.Fatalf("bridges = %d, want 3", count)
-	}
-	if _, err := MultiBridgeDumbbell(3, 4, 10); err == nil {
-		t.Fatal("too many bridges should error")
-	}
-}
-
 func TestAssignRandomLatencies(t *testing.T) {
 	g := Clique(6, 1)
 	AssignRandomLatencies(g, 3, 9, NewRand(5))

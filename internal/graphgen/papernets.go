@@ -2,7 +2,6 @@ package graphgen
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"gossip/internal/graph"
@@ -237,23 +236,4 @@ func NewRingNetwork(k, s, ell int, rng *rand.Rand) (*RingNetwork, error) {
 		r.FastEdges = append(r.FastEdges, [2]graph.NodeID{r.Node(layer, fi), r.Node(next, fj)})
 	}
 	return r, nil
-}
-
-// RingFromAlpha chooses k and s per Theorem 13 for a 2n-node ring with
-// conductance parameter alpha: c = 3/4 + sqrt(9-8α)/4 (so c ∈ [1, 3/2)),
-// s = c·n·α and k = 2/(c·α), rounded to integers with k >= 3 and s >= 1.
-func RingFromAlpha(n int, alpha float64, ell int, rng *rand.Rand) (*RingNetwork, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("graphgen: alpha=%v outside (0,1]", alpha)
-	}
-	c := 0.75 + math.Sqrt(9-8*alpha)/4
-	s := int(math.Round(c * float64(n) * alpha))
-	if s < 1 {
-		s = 1
-	}
-	k := int(math.Round(2 / (c * alpha)))
-	if k < 3 {
-		k = 3
-	}
-	return NewRingNetwork(k, s, ell, rng)
 }

@@ -178,6 +178,11 @@ func TestRingNetworkShape(t *testing.T) {
 			t.Fatalf("fast edge latency = %d", l)
 		}
 	}
+	// Lemma 15's half-ring cut: 2s² cut edges over a volume of
+	// (k/2)·s·(3s-1).
+	if a, want := r.Alpha(), 2.0*4*4/(3*4*11); a != want {
+		t.Fatalf("alpha = %v, want %v", a, want)
+	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,22 +198,6 @@ func TestRingNetworkErrors(t *testing.T) {
 	}
 	if _, err := NewRingNetwork(4, 2, 0, rng); err == nil {
 		t.Fatal("ell < 1 should error")
-	}
-}
-
-func TestRingFromAlpha(t *testing.T) {
-	rng := NewRand(17)
-	r, err := RingFromAlpha(64, 0.125, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Realized alpha should be within a constant of the request.
-	a := r.Alpha()
-	if a < 0.05 || a > 0.35 {
-		t.Fatalf("realized alpha = %v for request 0.125", a)
-	}
-	if _, err := RingFromAlpha(64, 0, 8, rng); err == nil {
-		t.Fatal("alpha = 0 should error")
 	}
 }
 

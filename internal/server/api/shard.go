@@ -29,7 +29,9 @@ import (
 // encoding ships only what the remote merge cannot cheaply derive: the
 // resolved neighbor, its reverse adjacency index and the latency ride
 // along with each intent precisely so receivers never consult a CSR
-// adjacency row during the merge.
+// adjacency row during the merge. Every element takes at least one byte,
+// so the decoders refuse a count larger than the bytes that remain
+// instead of allocating the length a peer chose.
 const (
 	// ShardPath is the worker-side endpoint of the shard RPC.
 	ShardPath = "/v1/cluster/shard"
@@ -387,6 +389,9 @@ func DecodeMetaFrame(p []byte, f *sim.DistMetaFrame) error {
 		if u, p, err = ReadUvarint(p); err != nil {
 			return err
 		}
+		if u > uint64(len(p)) {
+			return fmt.Errorf("api: meta frame claims %d rumors, %d bytes remain", u, len(p))
+		}
 		m.Meta = make([]int32, 0, u)
 		for j := uint64(0); j < u; j++ {
 			var r uint64
@@ -495,6 +500,9 @@ func DecodeShardResult(p []byte) (*ShardResult, error) {
 	if hasInformed {
 		if v, p, err = ReadUvarint(p); err != nil {
 			return nil, err
+		}
+		if v > uint64(len(p)) {
+			return nil, fmt.Errorf("api: shard result claims %d informed rounds, %d bytes remain", v, len(p))
 		}
 		r.InformedAt = make([]int, v)
 		for i := range r.InformedAt {

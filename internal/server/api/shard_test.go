@@ -123,18 +123,21 @@ func TestShardResultRoundTrip(t *testing.T) {
 	}
 
 	// Non-shard-0 results ship no InformedAt; nil must survive.
-	want.InformedAt = nil
+	want.InformedAt, want.Completed = nil, false
 	enc = AppendShardResult(enc[:0], want)
 	if got, err = DecodeShardResult(enc); err != nil {
 		t.Fatal(err)
 	}
-	if got.InformedAt != nil {
-		t.Fatalf("nil InformedAt decoded as %v", got.InformedAt)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard result round-trip:\n got %+v\nwant %+v", got, want)
 	}
 	for i := 0; i < len(enc); i++ {
 		if _, err := DecodeShardResult(enc[:i]); err == nil {
 			t.Fatalf("decoding %d of %d bytes succeeded", i, len(enc))
 		}
+	}
+	if _, err := DecodeShardResult(append(enc, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }
 
@@ -166,6 +169,12 @@ func TestWriteReadFrame(t *testing.T) {
 	hdr[4] = FrameRound
 	if _, _, err := ReadFrame(bytes.NewReader(hdr[:]), nil); err == nil {
 		t.Fatal("over-cap frame header accepted")
+	}
+	// A failing writer's error surfaces.
+	pr, pw := io.Pipe()
+	pr.Close()
+	if err := WriteFrame(pw, FrameRound, nil); err != io.ErrClosedPipe {
+		t.Fatalf("write to a closed pipe: %v, want io.ErrClosedPipe", err)
 	}
 	// Truncated header and truncated payload both error.
 	if _, _, err := ReadFrame(bytes.NewReader(hdr[:3]), nil); err == nil {
@@ -242,6 +251,85 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if cap(p) > 2*len(in)+frameReadStep {
 			t.Fatalf("%d-byte input yielded a %d-byte buffer", len(in), cap(p))
+		}
+	})
+}
+
+// hostileCounts are a meta frame and a shard result whose element count
+// is 2⁶², with nothing behind it.
+func hostileCounts() (meta, result []byte) {
+	meta = binary.AppendUvarint([]byte{0, 0, 1, 0}, 1<<62)  // round, shard, one node, node id, rumor count
+	result = append([]byte{0, 0}, make([]byte, 6)...)       // rounds, completed, five counters and the hash
+	result = binary.AppendUvarint(append(result, 1), 1<<62) // InformedAt present, its length
+	return meta, result
+}
+
+// TestDecodersRejectHostileCounts: a count is the peer's claim, not yet
+// bytes. One larger than the payload left must be an error, never an
+// allocation of the claimed length (which panics in makeslice at 2⁶²).
+func TestDecodersRejectHostileCounts(t *testing.T) {
+	meta, result := hostileCounts()
+	if err := DecodeMetaFrame(meta, &sim.DistMetaFrame{}); err == nil {
+		t.Fatal("meta frame claiming 2^62 rumors decoded")
+	}
+	if _, err := DecodeShardResult(result); err == nil {
+		t.Fatal("shard result claiming 2^62 informed rounds decoded")
+	}
+}
+
+// FuzzDecodeShardFrames: the first byte picks the round, meta or result
+// decoder for the rest. Bytes off a socket either fail to decode or
+// decode to a value that re-encodes and decodes back to itself — never
+// a panic, and never a slice longer than the payload that claimed it.
+func FuzzDecodeShardFrames(f *testing.F) {
+	round := sampleRoundFrame()
+	meta := sim.DistMetaFrame{Round: 4, Shard: 2, Metas: []sim.DistNodeMeta{{Node: 7, Meta: []int32{1, 2, 3}}}}
+	result := ShardResult{Rounds: 19, Completed: true, Exchanges: 100, Hash: 0xdeadbeefcafe,
+		InformedAt: []int{0, 2, -1, 5}, Stats: sim.DistStats{Rounds: 19, WaitNS: 7890}}
+	hostileMeta, hostileResult := hostileCounts()
+	f.Add(AppendRoundFrame([]byte{0}, &round))
+	f.Add(AppendMetaFrame([]byte{1}, &meta))
+	f.Add(AppendShardResult([]byte{2}, &result))
+	f.Add(append([]byte{1}, hostileMeta...))
+	f.Add(append([]byte{2}, hostileResult...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		p := in[1:]
+		switch in[0] % 3 {
+		case 0:
+			var a, b sim.DistFrame
+			if DecodeRoundFrame(p, &a) != nil {
+				return
+			}
+			if err := DecodeRoundFrame(AppendRoundFrame(nil, &a), &b); err != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("round frame re-decodes to %+v (%v), want %+v", b, err, a)
+			}
+		case 1:
+			var a, b sim.DistMetaFrame
+			if DecodeMetaFrame(p, &a) != nil {
+				return
+			}
+			for _, m := range a.Metas {
+				if cap(m.Meta) > len(p) {
+					t.Fatalf("%d-byte payload allocated %d rumors", len(p), cap(m.Meta))
+				}
+			}
+			if err := DecodeMetaFrame(AppendMetaFrame(nil, &a), &b); err != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("meta frame re-decodes to %+v (%v), want %+v", b, err, a)
+			}
+		case 2:
+			a, err := DecodeShardResult(p)
+			if err != nil {
+				return
+			}
+			if cap(a.InformedAt) > len(p) {
+				t.Fatalf("%d-byte payload allocated %d informed rounds", len(p), cap(a.InformedAt))
+			}
+			if b, err := DecodeShardResult(AppendShardResult(nil, a)); err != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("shard result re-decodes to %+v (%v), want %+v", b, err, a)
+			}
 		}
 	})
 }

@@ -223,7 +223,7 @@ func compatible(capture, resume *Config) error {
 		return fmt.Errorf("sim: resume rumor mode differs from the snapshot's")
 	case resume.Source != capture.Source:
 		return fmt.Errorf("sim: resume source %d differs from the snapshot's %d", resume.Source, capture.Source)
-	case !sameIntSlice(resume.Sources, capture.Sources):
+	case !slices.Equal(resume.Sources, capture.Sources):
 		return fmt.Errorf("sim: resume sources differ from the snapshot's")
 	case !sameRumorSeed(resume, capture):
 		return fmt.Errorf("sim: resume initial rumors differ from the snapshot's (same slice required)")
@@ -231,18 +231,6 @@ func compatible(capture, resume *Config) error {
 		return fmt.Errorf("sim: resume latency jitter %v differs from the snapshot's %v", resume.LatencyJitter, capture.LatencyJitter)
 	}
 	return nil
-}
-
-func sameIntSlice(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sameRumorSeed compares InitialRumors by identity: the sets seeded the
