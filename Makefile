@@ -117,12 +117,14 @@ cover:
 # reader under both it and the shard RPC, and the shard RPC's round, meta
 # and result frame decoders), of the engine's word-path
 # delivery against the per-rumor reference and of the local-broadcast
-# heard-set log against a map model; CI-friendly seconds, not hours.
+# heard-set log against a map model, and of the server's hand-rolled
+# event lines against encoding/json; CI-friendly seconds, not hours.
 fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz FuzzDeliverWindow -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/graph -fuzz FuzzCSRBuilder -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/server -fuzz FuzzEventLines -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzHeardSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'

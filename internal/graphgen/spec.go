@@ -28,8 +28,21 @@ type Spec struct {
 	P float64
 	// Layers is the ring layer count.
 	Layers int
-	// Seed drives the randomized families (er, regular, ring, gadget).
+	// Seed drives the randomized families (ReadsSeed); the others
+	// ignore it.
 	Seed uint64
+}
+
+// ReadsSeed reports whether Build draws on Seed for s's family (er,
+// regular, ring, gadget). Two specs that differ only in Seed build the
+// identical graph when it is false, so a memo of built topologies can
+// key them as one.
+func (s Spec) ReadsSeed() bool {
+	switch strings.ToLower(strings.TrimSpace(s.Family)) {
+	case "er", "regular", "ring", "gadget":
+		return true
+	}
+	return false
 }
 
 // MinNodes returns how many nodes Build will produce for s: exact for
@@ -109,4 +122,15 @@ func Build(s Spec) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphgen: unknown family %q (have %s)",
 			s.Family, strings.Join(Families(), ", "))
 	}
+}
+
+// BuildCSR is Build in the form every engine runs on: the CSR of the
+// built graph, in the same adjacency order, so every seeded run on it is
+// unchanged.
+func BuildCSR(s Spec) (*graph.CSR, error) {
+	g, err := Build(s)
+	if err != nil {
+		return nil, err
+	}
+	return g.CSR(), nil
 }

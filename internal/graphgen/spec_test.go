@@ -1,8 +1,11 @@
 package graphgen
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"gossip/internal/graph"
 )
 
 // TestBuildFamilies builds every advertised family once and sanity-checks
@@ -76,4 +79,43 @@ func TestBuildPassesValuesThrough(t *testing.T) {
 	if _, err := Build(Spec{Family: "er", N: 8, Latency: 1, P: 0, Seed: 3}); err == nil {
 		t.Fatal("Build(er, p=0) succeeded; p must reach the generator verbatim")
 	}
+}
+
+// TestReadsSeed holds Spec.ReadsSeed to what Build does: over every
+// family, specs that differ only in Seed build identical CSRs exactly
+// when ReadsSeed says the family ignores the seed. A family that starts
+// drawing on its rng without joining the list fails here.
+func TestReadsSeed(t *testing.T) {
+	for _, fam := range Families() {
+		base := Spec{Family: fam, N: 12, Latency: 2, P: 0.3, Layers: 6}
+		var built []*graph.CSR
+		for seed := uint64(1); seed <= 3; seed++ {
+			s := base
+			s.Seed = seed
+			csr, err := BuildCSR(s)
+			if err != nil {
+				t.Fatalf("BuildCSR(%s, seed %d): %v", fam, seed, err)
+			}
+			built = append(built, csr)
+		}
+		for i := 1; i < len(built); i++ {
+			if same := sameCSR(built[i-1], built[i]); same == base.ReadsSeed() {
+				t.Errorf("%s: seeds %d and %d build identical=%v, but ReadsSeed()=%v", fam, i, i+1, same, base.ReadsSeed())
+			}
+		}
+	}
+}
+
+// sameCSR reports whether a and b are the same graph in the same
+// adjacency order (what a seeded run on either sees).
+func sameCSR(a, b *graph.CSR) bool {
+	if a.N() != b.N() || a.HalfEdges() != b.HalfEdges() {
+		return false
+	}
+	for u := 0; u < a.N(); u++ {
+		if !slices.Equal(a.NeighborIDs(u), b.NeighborIDs(u)) || !slices.Equal(a.Latencies(u), b.Latencies(u)) {
+			return false
+		}
+	}
+	return true
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestLRUEvictsColdEnd(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[string, []byte](2, nil)
 	c.put("a", []byte("A"))
 	c.put("b", []byte("B"))
 	if _, ok := c.get("a"); !ok { // refresh a: b is now coldest
@@ -33,7 +33,7 @@ func TestLRUEvictsColdEnd(t *testing.T) {
 }
 
 func TestLRUPutRefreshesExisting(t *testing.T) {
-	c := newLRU(8)
+	c := newLRU[string, []byte](8, nil)
 	c.put("k", []byte("v1"))
 	c.put("k", []byte("v2"))
 	if c.len() != 1 {
@@ -45,7 +45,7 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 }
 
 func TestLRUZeroCapacityStoresNothing(t *testing.T) {
-	c := newLRU(0)
+	c := newLRU[string, []byte](0, nil)
 	c.put("k", []byte("v"))
 	if _, ok := c.get("k"); ok || c.len() != 0 {
 		t.Fatal("zero-capacity cache stored an entry")

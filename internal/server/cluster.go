@@ -12,7 +12,6 @@ import (
 	"gossip/internal/adversity"
 	"gossip/internal/cluster"
 	"gossip/internal/gossip"
-	"gossip/internal/graphgen"
 	"gossip/internal/server/api"
 	"gossip/internal/sim"
 )
@@ -142,8 +141,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // runShardJob executes one worker shard: reconstruct the job from the
-// coordinator's canonical request, rebuild the graph locally, run the
-// shard-restricted engine against the connection's barrier exchanger.
+// coordinator's canonical request, take its graph from this process's
+// topology memo, run the shard-restricted engine against the
+// connection's barrier exchanger.
 func (s *Server) runShardJob(sj api.ShardJob, ex sim.Exchanger) (*api.ShardResult, error) {
 	var can canonical
 	if err := json.Unmarshal(sj.Request, &can); err != nil {
@@ -162,11 +162,13 @@ func (s *Server) runShardJob(sj api.ShardJob, ex sim.Exchanger) (*api.ShardResul
 		}
 		jb.spec = spec
 	}
-	g, err := graphgen.Build(can.graphSpec())
+	csr, err := s.topology(can)
 	if err != nil {
 		return nil, fmt.Errorf("building graph: %w", err)
 	}
-	cfg, factory, stop, err := gossip.PrepareDist(can.Driver, g, jb.driverOptions())
+	opts := jb.driverOptions()
+	opts.CSR = csr
+	cfg, factory, stop, err := gossip.PrepareDist(can.Driver, nil, opts)
 	if err != nil {
 		return nil, err
 	}

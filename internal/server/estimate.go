@@ -14,7 +14,6 @@ import (
 	"gossip/internal/curve"
 	"gossip/internal/estimate"
 	"gossip/internal/gossip"
-	"gossip/internal/graphgen"
 	"gossip/internal/server/api"
 )
 
@@ -271,10 +270,12 @@ func (ej *estimateJob) produce(s *Server, release func(), emit func(chunk)) {
 		}
 		can := ej.base.can
 		can.Graph.Latency *= scale
-		g, err := graphgen.Build(can.graphSpec())
+		csr, err := s.topology(can)
 		if err == nil {
+			base := ej.base.driverOptions()
+			base.CSR = csr
 			var p *gossip.WarmPrefix
-			p, err = gossip.Fork(ej.base.can.Driver, g, ej.base.driverOptions(), estimate.ChurnLeave)
+			p, err = gossip.Fork(ej.base.can.Driver, nil, base, estimate.ChurnLeave)
 			if err == nil {
 				prefixes[scale] = p
 				return p, nil
@@ -383,7 +384,7 @@ func (s *Server) estimateEvalJob(jb *job, haveSlot bool) (curve.Curve, error) {
 	}
 	res, nondet, err := s.execute(jb)
 	if !nondet {
-		s.publish(jb.key, append(mustLine(accepted(jb.can.Driver, jb.key)), jobTail(res, err)...))
+		s.publish(jb.key, append(acceptedLine(accepted(jb.can.Driver, jb.key)), jobTail(res, err)...))
 	}
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"gossip/internal/curve"
 	"gossip/internal/gossip"
@@ -69,17 +70,18 @@ func jobTail(res gossip.DriverResult, err error) []byte {
 // event. Cached bodies keep every change point; serving samples them
 // down to the request's progress_points (sampleStream).
 func resultLines(res gossip.DriverResult) []byte {
-	var out []byte
-	for _, p := range curve.FromInformedAt(res.InformedAt) {
-		out = append(out, mustLine(api.Progress{
+	pts := curve.FromInformedAt(res.InformedAt)
+	out := make([]byte, 0, 72*len(pts)+224)
+	for _, p := range pts {
+		out = appendProgress(out, api.Progress{
 			SchemaVersion: SchemaVersion,
 			Event:         "progress",
 			Round:         p.Round,
 			// Engine-derived curves are integral counts.
 			Informed: int(p.Informed),
-		})...)
+		})
 	}
-	out = append(out, mustLine(api.Result{
+	return appendResult(out, api.Result{
 		SchemaVersion: SchemaVersion,
 		Event:         "result",
 		Result: api.JobResult{
@@ -92,13 +94,98 @@ func resultLines(res gossip.DriverResult) []byte {
 			RumorPayload: res.RumorPayload,
 			Winner:       res.Winner,
 		},
-	})...)
-	return out
+	})
+}
+
+// The three lines every simulation stream is made of — accepted,
+// progress and result — are rendered by appending bytes, not by
+// reflection: they are most of what a miss writes. Each renders exactly
+// what mustLine renders for the same value (FuzzEventLines checks it).
+
+// acceptedLine renders the accepted event that opens a stream.
+func acceptedLine(a api.Accepted) []byte {
+	b := make([]byte, 0, 160)
+	b = appendHead(b, a.SchemaVersion, a.Event)
+	b = append(b, `,"driver":`...)
+	b = appendString(b, a.Driver)
+	b = append(b, `,"request_key":`...)
+	b = appendString(b, a.RequestKey)
+	if a.Variants != 0 {
+		b = append(b, `,"variants":`...)
+		b = strconv.AppendInt(b, int64(a.Variants), 10)
+	}
+	if a.ForkRound != nil {
+		b = append(b, `,"fork_round":`...)
+		b = strconv.AppendInt(b, int64(*a.ForkRound), 10)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendProgress appends one curve point's line to b.
+func appendProgress(b []byte, p api.Progress) []byte {
+	b = appendHead(b, p.SchemaVersion, p.Event)
+	b = append(b, `,"round":`...)
+	b = strconv.AppendInt(b, int64(p.Round), 10)
+	b = append(b, `,"informed":`...)
+	b = strconv.AppendInt(b, int64(p.Informed), 10)
+	return append(b, "}\n"...)
+}
+
+// appendResult appends a result event's line to b.
+func appendResult(b []byte, r api.Result) []byte {
+	j := r.Result
+	b = appendHead(b, r.SchemaVersion, r.Event)
+	b = append(b, `,"result":{"rounds":`...)
+	b = strconv.AppendInt(b, int64(j.Rounds), 10)
+	b = append(b, `,"completed":`...)
+	b = strconv.AppendBool(b, j.Completed)
+	b = append(b, `,"exchanges":`...)
+	b = strconv.AppendInt(b, j.Exchanges, 10)
+	if j.Messages != 0 {
+		b = append(b, `,"messages":`...)
+		b = strconv.AppendInt(b, j.Messages, 10)
+	}
+	b = append(b, `,"dropped":`...)
+	b = strconv.AppendInt(b, j.Dropped, 10)
+	b = append(b, `,"delivered":`...)
+	b = strconv.AppendInt(b, j.Delivered, 10)
+	b = append(b, `,"rumor_payload":`...)
+	b = strconv.AppendInt(b, j.RumorPayload, 10)
+	if j.Winner != "" {
+		b = append(b, `,"winner":`...)
+		b = appendString(b, j.Winner)
+	}
+	return append(b, "}}\n"...)
+}
+
+// appendHead opens an event object with the two fields every event
+// starts with.
+func appendHead(b []byte, version int, event string) []byte {
+	b = append(b, `{"schema_version":`...)
+	b = strconv.AppendInt(b, int64(version), 10)
+	b = append(b, `,"event":`...)
+	return appendString(b, event)
+}
+
+// appendString appends s as a JSON string. Driver names, request keys
+// and winners are printable ASCII that encoding/json copies verbatim;
+// anything it would escape (quotes, control bytes, HTML characters,
+// non-ASCII) goes through json.Marshal, so the bytes always match.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // progressPrefix identifies curve progress lines inside a rendered body
-// byte-cheaply. The server renders every such line itself (mustLine of
-// api.Progress), so the layout is exact; estimate progress events carry
+// byte-cheaply. The server renders every such line itself
+// (appendProgress), so the layout is exact; estimate progress events carry
 // "stage" where "round" sits and estimate bodies never flow through
 // sampling anyway.
 var progressPrefix = []byte(`{"schema_version":` + strconv.Itoa(SchemaVersion) + `,"event":"progress","round":`)

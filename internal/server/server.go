@@ -113,8 +113,9 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	pool     *runner.Pool
-	cache    *lruCache
+	cache    *lruCache[string, []byte]
 	store    *diskStore // nil: no persistent tier
+	topos    *lruCache[graphgen.Spec, *topoEntry]
 	met      metrics
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -135,7 +136,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		pool:     runner.NewPool(cfg.Pool),
-		cache:    newLRU(cfg.CacheSize),
+		cache:    newLRU[string, []byte](cfg.CacheSize, nil),
+		topos:    newLRU[graphgen.Spec](topologyBudget, topoCost),
 		inflight: make(map[string]*flight),
 		drainCtx: ctx,
 		drain:    cancel,
@@ -428,7 +430,7 @@ func (s *Server) lead(w http.ResponseWriter, ctx context.Context, st stream, f *
 		return
 	}
 
-	head := mustLine(st.accepted)
+	head := acceptedLine(st.accepted)
 	s.met.misses.Add(1)
 	if st.executed != nil {
 		st.executed.Add(1)
@@ -536,15 +538,17 @@ func (s *Server) execute(jb *job) (res gossip.DriverResult, nondet bool, err err
 		res, err = s.coordinate(jb)
 		return res, err != nil, err
 	}
-	g, err := graphgen.Build(jb.can.graphSpec())
+	csr, err := s.topology(jb.can)
 	if err != nil {
 		return res, false, fmt.Errorf("building graph: %w", err)
 	}
 	if jb.transport != "" {
-		res, err = runChanTransport(jb, g)
+		res, err = runChanTransport(jb, csr)
 		return res, true, err
 	}
-	res, err = gossip.Dispatch(jb.can.Driver, g, jb.driverOptions())
+	opts := jb.driverOptions()
+	opts.CSR = csr
+	res, err = gossip.Dispatch(jb.can.Driver, nil, opts)
 	return res, false, err
 }
 
@@ -553,8 +557,7 @@ func (s *Server) execute(jb *job) (res gossip.DriverResult, nondet bool, err err
 // driver's own protocol structs run one goroutine per node on real
 // clocks (gossip.RunNet); the result is nondeterministic and the caller
 // marks the outcome transient so it is never memoized.
-func runChanTransport(jb *job, g *graph.Graph) (gossip.DriverResult, error) {
-	csr := g.CSR()
+func runChanTransport(jb *job, csr *graph.CSR) (gossip.DriverResult, error) {
 	mesh := transport.NewChanMesh(csr.N(), 0)
 	defer mesh.Close()
 	res, err := gossip.RunNet(gossip.NetConfig{

@@ -10,7 +10,6 @@ import (
 
 	"gossip/internal/adversity"
 	"gossip/internal/gossip"
-	"gossip/internal/graphgen"
 	"gossip/internal/server/api"
 )
 
@@ -158,12 +157,14 @@ func (s *Server) serveSweep(w http.ResponseWriter, _ *http.Request, ctx context.
 // content-addressed into the cache tiers, so overlapping sweeps — and
 // replays after an eviction or a restart — skip the resume.
 func (sj *sweepJob) produce(s *Server, release func(), emit func(chunk)) {
-	g, err := graphgen.Build(sj.base.can.graphSpec())
+	csr, err := s.topology(sj.base.can)
 	if err != nil {
 		emit(chunk{line: errorLine(fmt.Sprintf("building graph: %v", err)), failed: true})
 		return
 	}
-	prefix, err := gossip.Fork(sj.base.can.Driver, g, sj.base.driverOptions(), sj.forkRound)
+	base := sj.base.driverOptions()
+	base.CSR = csr
+	prefix, err := gossip.Fork(sj.base.can.Driver, nil, base, sj.forkRound)
 	release()
 	if err != nil {
 		emit(chunk{line: errorLine(fmt.Sprintf("forking warm prefix: %v", err)), failed: true})

@@ -56,3 +56,25 @@ func TestEngineMemoryBudget(t *testing.T) {
 		t.Fatalf("serial push-pull allocated %d bytes, budget %d", got, memoryBudgetBytes)
 	}
 }
+
+// TestRoundLoopAllocatesNothingPerRound pins the serial round loop's
+// allocations to set-up: a run ten times longer allocates no more. A
+// stage closure that captured the round variable would cost a heap
+// allocation or three every round.
+func TestRoundLoopAllocatesNothingPerRound(t *testing.T) {
+	csr := pathGraph(1, 1, 1, 1, 1, 1, 1).CSR()
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res, err := Run(Config{CSR: csr, Seed: 3, MaxRounds: rounds},
+				func(nv *NodeView) Protocol { return &silentProto{nv: nv} }, StopNever())
+			if err != nil || res.Rounds != rounds {
+				t.Fatalf("run to %d rounds: rounds %d, err %v", rounds, res.Rounds, err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(1000)
+	t.Logf("allocations per run: %.0f at 100 rounds, %.0f at 1000", short, long)
+	if long > short {
+		t.Fatalf("a 1000-round run allocates %.0f times, a 100-round run %.0f: the round loop allocates per round", long, short)
+	}
+}

@@ -756,12 +756,15 @@ func facet[F any](fs []F, u int) F {
 	return fs[u]
 }
 
-// parallel runs fn over every shard: inline when serial, fanned across
-// goroutines otherwise. fn must only touch shard-local buffers and
-// per-node state owned by the shard's range.
-func (e *engine) parallel(fn func(s *shard)) {
+// parallel runs stage (a method expression such as
+// (*engine).deliverShard) for round over every shard: inline when
+// serial, fanned across goroutines otherwise. Taking the round and a
+// method expression rather than a closure keeps the serial round loop
+// free of per-round allocations. stage must only touch shard-local
+// buffers and per-node state owned by the shard's range.
+func (e *engine) parallel(round int, stage func(e *engine, s *shard, round int)) {
 	if len(e.shards) == 1 {
-		fn(&e.shards[0])
+		stage(e, &e.shards[0], round)
 		return
 	}
 	var wg sync.WaitGroup
@@ -769,7 +772,7 @@ func (e *engine) parallel(fn func(s *shard)) {
 		wg.Add(1)
 		go func(s *shard) {
 			defer wg.Done()
-			fn(s)
+			stage(e, s, round)
 		}(&e.shards[i])
 	}
 	wg.Wait()
@@ -1389,7 +1392,7 @@ func (e *engine) run(stop StopFunc) (Result, error) {
 			d.begin(round)
 		}
 		e.drainDue(round)
-		e.parallel(func(s *shard) { e.deliverShard(s, round) })
+		e.parallel(round, (*engine).deliverShard)
 		e.finishDeliveries(round)
 		// The one ordering difference between the modes: an ordinary
 		// engine evaluates stop here, before activating. A shard worker
@@ -1407,7 +1410,7 @@ func (e *engine) run(stop StopFunc) (Result, error) {
 				e.inCount[i] = 0
 			}
 		}
-		e.parallel(func(s *shard) { e.activateShard(s, round) })
+		e.parallel(round, (*engine).activateShard)
 
 		t := tally{quiet: true, soonest: never}
 		sleeperWake := never
