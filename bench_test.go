@@ -374,9 +374,10 @@ func BenchmarkConductanceExact(b *testing.B) {
 		b.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 16, rng)
+	c := g.CSR()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := conductance.Exact(g); err != nil {
+		if _, err := conductance.Exact(c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,9 +390,10 @@ func BenchmarkConductanceEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 32, rng)
+	c := g.CSR()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := conductance.Estimate(g, conductance.EstimateOptions{Seed: uint64(i + 1)}); err != nil {
+		if _, err := conductance.Estimate(c, conductance.EstimateOptions{Seed: uint64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -417,9 +419,9 @@ func BenchmarkSpannerBuild(b *testing.B) {
 // the timer: the control variant must equal the cold run bit-for-bit.
 func BenchmarkSweepWarmStart(b *testing.B) {
 	const variants = 16
-	g := graphgen.Grid(32, 32, 2)
-	base := proto.DriverOptions{Source: 0, Seed: 11, MaxRounds: 1 << 14}
-	cold, err := proto.Dispatch("push-pull", g, base)
+	base := proto.DriverOptions{Source: 0, Seed: 11, MaxRounds: 1 << 14,
+		ExecOptions: proto.ExecOptions{CSR: graphgen.Grid(32, 32, 2).CSR()}}
+	cold, err := proto.Dispatch("push-pull", nil, base)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -434,7 +436,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	}
 
 	// Untimed: determinism contract behind the speedup claim.
-	prefix, err := proto.Fork("push-pull", g, base, forkAt)
+	prefix, err := proto.Fork("push-pull", base, forkAt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,7 +452,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	// Cold baseline: every variant re-runs the prefix before diverging.
 	coldStart := time.Now()
 	for _, o := range opts {
-		w, err := proto.Fork("push-pull", g, base, forkAt)
+		w, err := proto.Fork("push-pull", base, forkAt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -463,7 +465,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := proto.Fork("push-pull", g, base, forkAt)
+		w, err := proto.Fork("push-pull", base, forkAt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func run() int {
 		fmt.Printf("saved graph to %s\n", opts.savePath)
 	}
 	fmt.Printf("graph: %s  n=%d m=%d Δ=%d D=%d ℓmax=%d\n",
-		graphName, g.N(), g.M(), g.MaxDegree(), g.WeightedDiameter(), g.MaxLatency())
+		graphName, g.N(), g.M(), g.MaxDegree(), g.CSR().WeightedDiameter(), g.MaxLatency())
 
 	if opts.analyze {
 		prof, err := gossip.Analyze(g)

@@ -21,19 +21,19 @@ import (
 // per fit (grid + refinement + verify) — the quantity the warm-start
 // refinement keeps cheap.
 func BenchmarkEstimateFit(b *testing.B) {
-	g, err := graphgen.Build(graphgen.Spec{Family: "grid", N: 25, Latency: 1, Seed: 7})
+	g, err := graphgen.BuildCSR(graphgen.Spec{Family: "grid", N: 25, Latency: 1, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
 	n := g.N()
-	base := proto.DriverOptions{Source: 0, Seed: 7, MaxRounds: 1 << 14}
+	base := proto.DriverOptions{Source: 0, Seed: 7, MaxRounds: 1 << 14, ExecOptions: proto.ExecOptions{CSR: g}}
 	truth := estimate.Candidate{Loss: 0.3, Scale: 1}
 	grid := estimate.Grid{LossMax: 0.3, LossSteps: 3, ChurnMax: 4, ChurnSteps: 2, Scales: []int{1}}
 
 	evalCold := func(cand estimate.Candidate) (curve.Curve, error) {
 		opts := base
 		opts.Adversity = cand.Spec(n, base.Source)
-		res, err := proto.Dispatch("push-pull", g, opts)
+		res, err := proto.Dispatch("push-pull", nil, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +47,7 @@ func BenchmarkEstimateFit(b *testing.B) {
 	b.ReportAllocs()
 	var evals int
 	for i := 0; i < b.N; i++ {
-		w, err := proto.Fork("push-pull", g, base, estimate.ChurnLeave)
+		w, err := proto.Fork("push-pull", base, estimate.ChurnLeave)
 		if err != nil {
 			b.Fatal(err)
 		}

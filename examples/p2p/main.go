@@ -56,7 +56,7 @@ func run(w io.Writer) error {
 				}
 			}
 		}
-		cond, err := conductance.Estimate(g, conductance.EstimateOptions{Seed: 5})
+		cond, err := conductance.Estimate(g.CSR(), conductance.EstimateOptions{Seed: 5})
 		if err != nil {
 			return err
 		}

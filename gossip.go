@@ -94,16 +94,17 @@ func Analyze(g *Graph) (*Profile, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
-	cond, err := conductance.Compute(g)
+	c := g.CSR()
+	cond, err := conductance.Compute(c)
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
 	p := &Profile{
-		N:           g.N(),
-		M:           g.M(),
-		MaxDegree:   g.MaxDegree(),
-		MaxLatency:  g.MaxLatency(),
-		Diameter:    g.WeightedDiameter(),
+		N:           c.N(),
+		M:           c.M(),
+		MaxDegree:   c.MaxDegree(),
+		MaxLatency:  c.MaxLatency(),
+		Diameter:    c.WeightedDiameter(),
 		Conductance: cond,
 	}
 	p.Bounds = computeBounds(p)

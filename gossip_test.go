@@ -60,9 +60,7 @@ func TestAnalyzeClique(t *testing.T) {
 }
 
 func TestAnalyzeRejectsInvalid(t *testing.T) {
-	g := graphgen.Path(3, 1)
-	sub := g.SubgraphMaxLatency(0) // edgeless, disconnected
-	if _, err := Analyze(sub); err == nil {
+	if _, err := Analyze(NewGraph(3)); err == nil { // edgeless, disconnected
 		t.Fatal("expected error for disconnected graph")
 	}
 	// A single node is connected but has no cut to measure.

@@ -24,7 +24,18 @@ type Result struct {
 	// critical latency ℓ* (Definition 2): φℓ/ℓ is maximal at ℓ = ℓ*.
 	PhiStar float64
 	EllStar int
-	// PhiAvg is the average weighted conductance (Definition 4).
+	// PhiAvg is the average weighted conductance (Definition 4), summed
+	// per class: φavg = Σᵢ φ_{2^i}(G)/2^i over the L non-empty latency
+	// classes i, where φ_{2^i} is the PhiL entry at the largest distinct
+	// latency ≤ 2^i (φℓ changes only at edge latencies). Theorem 5,
+	// φ*/2ℓ* ≤ φavg ≤ L·φ*/ℓ*, follows in three lines:
+	//   - each term is φℓ/2^i for some ℓ ≤ 2^i, so at most φℓ/ℓ ≤ φ*/ℓ*;
+	//   - there are L terms, which gives the upper half;
+	//   - the term of ℓ*'s own class has 2^i ≤ 2ℓ* and φ_{2^i} ≥ φ_{ℓ*}
+	//     (φℓ grows with ℓ), so it alone is ≥ φ*/2ℓ*.
+	// The one cut minimizing the class-weighted crossing count over its
+	// smaller volume is a different quantity, and it breaks the upper
+	// half (TestPhiAvgIsNotOneCut).
 	PhiAvg float64
 	// PhiL maps each distinct edge latency ℓ to the weight-ℓ
 	// conductance φℓ(G).
@@ -38,8 +49,6 @@ type Result struct {
 	// CriticalCut is one side (by membership) of a cut achieving
 	// φ_{ℓ*}(G) — the bottleneck the critical conductance describes.
 	CriticalCut []bool
-	// AvgCut is one side of a cut achieving φavg(G).
-	AvgCut []bool
 }
 
 // Classes returns ceil(log2(ℓmax)), the number of possible latency classes.
@@ -115,73 +124,71 @@ func (c Cut) valid(n int) bool {
 
 // WeightLCutConductance returns φℓ(C) = |Eℓ(C)| / min(Vol(U), Vol(V\U))
 // (Definition 1) for a specific cut.
-func WeightLCutConductance(g *graph.Graph, c Cut, l int) float64 {
+func WeightLCutConductance(g *graph.CSR, c Cut, l int) float64 {
 	if !c.valid(g.N()) {
 		panic("conductance: cut has an empty side")
 	}
 	cutEdges := 0
-	g.ForEachEdge(func(e graph.Edge) {
-		if c.InU[e.U] != c.InU[e.V] && e.Latency <= l {
+	g.ForEachEdge(func(u, v, latency int) {
+		if c.InU[u] != c.InU[v] && latency <= l {
 			cutEdges++
 		}
 	})
 	volU := g.Volume(c.InU)
-	volRest := 2*g.M() - volU
-	return float64(cutEdges) / float64(min(volU, volRest))
+	return float64(cutEdges) / float64(min(volU, g.HalfEdges()-volU))
 }
 
 // AvgCutConductance returns φavg(C) (Definition 3): the class-weighted
-// count of cut edges divided by the smaller volume.
-func AvgCutConductance(g *graph.Graph, c Cut) float64 {
+// count of cut edges divided by the smaller volume. Its minimum over all
+// cuts is not φavg(G), which Result.PhiAvg sums per class.
+func AvgCutConductance(g *graph.CSR, c Cut) float64 {
 	if !c.valid(g.N()) {
 		panic("conductance: cut has an empty side")
 	}
 	sum := 0.0
-	g.ForEachEdge(func(e graph.Edge) {
-		if c.InU[e.U] != c.InU[e.V] {
-			sum += 1 / math.Pow(2, float64(LatencyClass(e.Latency)))
+	g.ForEachEdge(func(u, v, latency int) {
+		if c.InU[u] != c.InU[v] {
+			sum += 1 / math.Pow(2, float64(LatencyClass(latency)))
 		}
 	})
 	volU := g.Volume(c.InU)
-	volRest := 2*g.M() - volU
-	return sum / float64(min(volU, volRest))
+	return sum / float64(min(volU, g.HalfEdges()-volU))
 }
 
-// criticalFromPhiL picks φ* and ℓ* from the per-latency map by maximizing
-// φℓ/ℓ. Sweeping only the distinct edge latencies is lossless: φℓ is a
-// step function that changes only at edge latency values, and between
-// steps φℓ/ℓ decreases in ℓ, so the maximum is attained at a distinct
-// latency value.
-func criticalFromPhiL(phiL map[int]float64) (float64, int) {
-	bestRatio := math.Inf(-1)
-	bestPhi, bestEll := 0.0, 1
-	lats := make([]int, 0, len(phiL))
-	for l := range phiL {
-		lats = append(lats, l)
-	}
-	sort.Ints(lats)
-	for _, l := range lats {
-		ratio := phiL[l] / float64(l)
-		if ratio > bestRatio {
-			bestRatio = ratio
-			bestPhi = phiL[l]
-			bestEll = l
+// latIndex returns, per half-edge of g, the index of its latency in the
+// sorted distinct latencies lats.
+func latIndex(g *graph.CSR, lats []int) []int {
+	idx := make([]int, g.HalfEdges())
+	for u := 0; u < g.N(); u++ {
+		off := int(g.Offset(u))
+		for i, l := range g.Latencies(u) {
+			idx[off+i] = sort.SearchInts(lats, int(l))
 		}
 	}
-	return bestPhi, bestEll
+	return idx
 }
 
-// countNonEmptyClasses returns L for the graph: the number of latency
-// classes containing at least one edge.
-func countNonEmptyClasses(g *graph.Graph) int {
-	seen := make(map[int]bool)
-	g.ForEachEdge(func(e graph.Edge) { seen[LatencyClass(e.Latency)] = true })
-	return len(seen)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+// newResult assembles the Result of one cut family: phi[i] is the least
+// φ at latency lats[i] over the family, and cut(i) a side attaining it.
+//
+// φ* and ℓ* maximize φℓ/ℓ over the distinct latencies only, which is
+// lossless: φℓ is a step function that changes only at edge latency
+// values, and between steps φℓ/ℓ decreases in ℓ. The last distinct
+// latency of each non-empty class is the largest one ≤ 2^i, so φavg sums
+// phi there (see Result.PhiAvg).
+func newResult(g *graph.CSR, lats []int, phi []float64, cut func(i int) []bool, exact bool) Result {
+	res := Result{PhiL: make(map[int]float64, len(lats)), MaxLatency: g.MaxLatency(), Exact: exact}
+	best, bestRatio := 0, math.Inf(-1)
+	for i, l := range lats {
+		res.PhiL[l] = phi[i]
+		if ratio := phi[i] / float64(l); ratio > bestRatio {
+			best, bestRatio = i, ratio
+		}
+		if class := LatencyClass(l); i+1 == len(lats) || LatencyClass(lats[i+1]) != class {
+			res.PhiAvg += phi[i] / math.Pow(2, float64(class))
+			res.NonEmptyClasses++
+		}
 	}
-	return b
+	res.PhiStar, res.EllStar, res.CriticalCut = phi[best], lats[best], cut(best)
+	return res
 }

@@ -34,7 +34,7 @@ func TestLatencyClassPanics(t *testing.T) {
 // (n/2)² / (n/2·(n-1)).
 func TestCliqueUnitLatency(t *testing.T) {
 	g := graphgen.Clique(8, 1)
-	res, err := Exact(g)
+	res, err := Exact(g.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCliqueUnitLatency(t *testing.T) {
 // bridge cut has none).
 func TestDumbbellConductance(t *testing.T) {
 	g := graphgen.Dumbbell(4, 16)
-	res, err := Exact(g)
+	res, err := Exact(g.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestWeightLCutConductance(t *testing.T) {
 	g := graphgen.Dumbbell(3, 10)
 	cut := NewCut(g.N(), []graph.NodeID{0, 1, 2})
 	// One cut edge (the bridge, latency 10); min volume = 3*2+1 = 7.
-	if got := WeightLCutConductance(g, cut, 10); math.Abs(got-1.0/7) > 1e-9 {
+	if got := WeightLCutConductance(g.CSR(), cut, 10); math.Abs(got-1.0/7) > 1e-9 {
 		t.Fatalf("φ_10(C) = %v, want 1/7", got)
 	}
-	if got := WeightLCutConductance(g, cut, 9); got != 0 {
+	if got := WeightLCutConductance(g.CSR(), cut, 9); got != 0 {
 		t.Fatalf("φ_9(C) = %v, want 0", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestAvgCutConductance(t *testing.T) {
 	cut := NewCut(g.N(), []graph.NodeID{0, 1, 2})
 	// Bridge latency 10 is in class 4 (2^3 < 10 <= 2^4): weight 1/16.
 	want := (1.0 / 16) / 7
-	if got := AvgCutConductance(g, cut); math.Abs(got-want) > 1e-12 {
+	if got := AvgCutConductance(g.CSR(), cut); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("φavg(C) = %v, want %v", got, want)
 	}
 }
@@ -114,12 +114,12 @@ func TestCutPanicsOnEmptySide(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	WeightLCutConductance(g, NewCut(3, nil), 1)
+	WeightLCutConductance(g.CSR(), NewCut(3, nil), 1)
 }
 
 func TestExactErrors(t *testing.T) {
 	big := graphgen.Path(MaxExactN+1, 1)
-	if _, err := Exact(big); err == nil {
+	if _, err := Exact(big.CSR()); err == nil {
 		t.Fatal("oversized graph should error")
 	}
 }
@@ -132,11 +132,11 @@ func TestPhiLMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 12, rng)
-	res, err := Exact(g)
+	res, err := Exact(g.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lats := g.DistinctLatencies()
+	lats := g.CSR().DistinctLatencies()
 	for i := 1; i < len(lats); i++ {
 		if res.PhiL[lats[i]] < res.PhiL[lats[i-1]]-1e-12 {
 			t.Fatalf("φ_%d = %v < φ_%d = %v", lats[i], res.PhiL[lats[i]], lats[i-1], res.PhiL[lats[i-1]])
@@ -154,7 +154,7 @@ func TestQuickTheorem5(t *testing.T) {
 			return true // resampling failed; skip
 		}
 		graphgen.AssignRandomLatencies(g, 1, 40, rng)
-		res, err := Exact(g)
+		res, err := Exact(g.CSR())
 		if err != nil {
 			return false
 		}
@@ -175,7 +175,7 @@ func TestCriticalScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 6, rng)
-	res1, err := Exact(g)
+	res1, err := Exact(g.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCriticalScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res3, err := Exact(scaled)
+	res3, err := Exact(scaled.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}

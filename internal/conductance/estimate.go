@@ -29,7 +29,7 @@ const (
 
 // Compute returns exact values for small graphs and candidate-cut upper
 // bounds for larger ones.
-func Compute(g *graph.Graph) (Result, error) {
+func Compute(g *graph.CSR) (Result, error) {
 	if g.N() <= MaxExactN {
 		return Exact(g)
 	}
@@ -39,9 +39,11 @@ func Compute(g *graph.Graph) (Result, error) {
 // Estimate evaluates a polynomial family of candidate cuts — spectral
 // sweep cuts on each latency-filtered subgraph G_ℓ, Dijkstra-ball sweeps,
 // and singletons — and reports the minimum over that family. The results
-// are upper bounds on the true φℓ and φavg (the family usually contains
-// the bottleneck cut for structured graphs).
-func Estimate(g *graph.Graph, opts EstimateOptions) (Result, error) {
+// are upper bounds on the true φℓ, and φavg is summed from them as in
+// Exact (the family usually contains the bottleneck cut for structured
+// graphs). G_ℓ is never built: its walks skip the half-edges of latency
+// above ℓ.
+func Estimate(g *graph.CSR, opts EstimateOptions) (Result, error) {
 	n := g.N()
 	if n < 2 {
 		return Result{}, fmt.Errorf("conductance: need at least 2 nodes")
@@ -57,11 +59,11 @@ func Estimate(g *graph.Graph, opts EstimateOptions) (Result, error) {
 	// Disconnected G_ℓ means φℓ = 0 exactly (a component boundary has no
 	// latency-<=ℓ edges crossing it).
 	for i, l := range lats {
-		comp := componentOf(g.SubgraphMaxLatency(l))
+		comp := componentOf(g, l)
 		if !isSingleComponent(comp, n) {
 			est.minPhiL[i] = 0
-			// That same component cut is also a candidate for φavg and
-			// for higher thresholds, and is the witness for φℓ = 0.
+			// That same component cut is also a candidate for higher
+			// thresholds, and is the witness for φℓ = 0.
 			cut := make([]bool, n)
 			for u, c := range comp {
 				cut[u] = c == comp[0]
@@ -72,14 +74,11 @@ func Estimate(g *graph.Graph, opts EstimateOptions) (Result, error) {
 	}
 
 	// Spectral sweeps on a spread of thresholds.
-	thresholds := spreadThresholds(lats, maxSpectralLatencies)
-	for _, l := range thresholds {
-		sub := g.SubgraphMaxLatency(l)
-		order := spectralOrder(sub, powerIterations, rng)
-		est.evalSweep(order)
+	for _, l := range spreadThresholds(lats, maxSpectralLatencies) {
+		est.evalSweep(spectralOrder(g, l, powerIterations, rng))
 	}
 	// Full-graph spectral sweep (weights ignored) for good measure.
-	est.evalSweep(spectralOrder(g, powerIterations, rng))
+	est.evalSweep(spectralOrder(g, g.MaxLatency(), powerIterations, rng))
 
 	// Dijkstra ball sweeps from random seeds.
 	for i := 0; i < ballSeeds; i++ {
@@ -101,83 +100,49 @@ func Estimate(g *graph.Graph, opts EstimateOptions) (Result, error) {
 		single[u] = false
 	}
 
-	phiL := make(map[int]float64, len(lats))
-	for i, l := range lats {
-		phiL[l] = est.minPhiL[i]
-	}
-	phiStar, ellStar := criticalFromPhiL(phiL)
-	res := Result{
-		PhiStar:         phiStar,
-		EllStar:         ellStar,
-		PhiAvg:          est.minAvg,
-		PhiL:            phiL,
-		NonEmptyClasses: countNonEmptyClasses(g),
-		MaxLatency:      g.MaxLatency(),
-		Exact:           false,
-		AvgCut:          est.avgCut,
-	}
-	res.CriticalCut = est.argCut[est.latIndex[ellStar]]
-	return res, nil
+	return newResult(g, lats, est.minPhiL, func(i int) []bool { return est.argCut[i] }, false), nil
 }
 
 // evaluator accumulates the running minima over candidate cuts.
 type evaluator struct {
-	g        *graph.Graph
-	lats     []int
-	latIndex map[int]int
-	deg      []int
+	g        *graph.CSR
+	li       []int // per half-edge: index of its latency in the distinct latencies
 	totalVol int
 	minPhiL  []float64
-	minAvg   float64
-	// argCut[i] is a copy of the best cut seen for latency index i;
-	// avgCut the best for φavg.
+	// argCut[i] is a copy of the best cut seen for latency index i.
 	argCut [][]bool
-	avgCut []bool
 }
 
-func newEvaluator(g *graph.Graph, lats []int) *evaluator {
+func newEvaluator(g *graph.CSR, lats []int) *evaluator {
 	e := &evaluator{
 		g:        g,
-		lats:     lats,
-		latIndex: make(map[int]int, len(lats)),
-		deg:      make([]int, g.N()),
-		totalVol: 2 * g.M(),
+		li:       latIndex(g, lats),
+		totalVol: g.HalfEdges(),
 		minPhiL:  make([]float64, len(lats)),
-		minAvg:   math.Inf(1),
-	}
-	for i, l := range lats {
-		e.latIndex[l] = i
-	}
-	for u := 0; u < g.N(); u++ {
-		e.deg[u] = g.Degree(u)
+		argCut:   make([][]bool, len(lats)),
 	}
 	for i := range e.minPhiL {
 		e.minPhiL[i] = math.Inf(1)
 	}
-	e.argCut = make([][]bool, len(lats))
 	return e
 }
 
 // evalCut scores a single cut (O(m)).
 func (e *evaluator) evalCut(inU []bool) {
-	volU := 0
-	for u, in := range inU {
-		if in {
-			volU += e.deg[u]
-		}
-	}
+	volU := e.g.Volume(inU)
 	if volU == 0 || volU == e.totalVol {
 		return
 	}
-	latCount := make([]int, len(e.lats))
-	avgSum := 0.0
-	e.g.ForEachEdge(func(ed graph.Edge) {
-		if inU[ed.U] != inU[ed.V] {
-			latCount[e.latIndex[ed.Latency]]++
-			avgSum += 1 / math.Pow(2, float64(LatencyClass(ed.Latency)))
+	latCount := make([]int, len(e.minPhiL))
+	for u := 0; u < e.g.N(); u++ {
+		off := int(e.g.Offset(u))
+		for i, v := range e.g.NeighborIDs(u) {
+			if int(v) > u && inU[u] != inU[v] {
+				latCount[e.li[off+i]]++
+			}
 		}
-	})
-	e.apply(latCount, avgSum, volU, inU)
+	}
+	e.apply(latCount, volU, inU)
 }
 
 // evalSweep scores all n-1 prefix cuts of an ordering incrementally
@@ -185,60 +150,47 @@ func (e *evaluator) evalCut(inU []bool) {
 func (e *evaluator) evalSweep(order []int) {
 	n := e.g.N()
 	inU := make([]bool, n)
-	latCount := make([]int, len(e.lats))
-	classSum := 0.0
+	latCount := make([]int, len(e.minPhiL))
 	volU := 0
 	for k := 0; k < n-1; k++ {
 		v := order[k]
 		inU[v] = true
-		volU += e.deg[v]
-		for _, nb := range e.g.Neighbors(v) {
-			idx := e.latIndex[nb.Latency]
-			delta := 1
-			if inU[nb.ID] {
-				delta = -1 // edge no longer crosses the cut
+		volU += e.g.Degree(v)
+		off := int(e.g.Offset(v))
+		for i, u := range e.g.NeighborIDs(v) {
+			if inU[u] {
+				latCount[e.li[off+i]]-- // edge no longer crosses the cut
+			} else {
+				latCount[e.li[off+i]]++
 			}
-			latCount[idx] += delta
-			classSum += float64(delta) / math.Pow(2, float64(LatencyClass(nb.Latency)))
 		}
-		e.apply(latCount, classSum, volU, inU)
+		e.apply(latCount, volU, inU)
 	}
 }
 
-func (e *evaluator) apply(latCount []int, avgSum float64, volU int, inU []bool) {
+func (e *evaluator) apply(latCount []int, volU int, inU []bool) {
 	s := float64(min(volU, e.totalVol-volU))
 	if s <= 0 {
 		return
 	}
 	var snapshot []bool
-	snap := func() []bool {
-		if snapshot == nil {
-			snapshot = append([]bool(nil), inU...)
-		}
-		return snapshot
-	}
 	prefix := 0
-	for i := range e.lats {
+	for i := range e.minPhiL {
 		prefix += latCount[i]
 		if phi := float64(prefix) / s; phi < e.minPhiL[i] {
 			e.minPhiL[i] = phi
-			e.argCut[i] = snap()
+			if snapshot == nil {
+				snapshot = append([]bool(nil), inU...)
+			}
+			e.argCut[i] = snapshot
 		}
-	}
-	// Guard tiny negative drift from incremental float updates.
-	if avgSum < 0 {
-		avgSum = 0
-	}
-	if avg := avgSum / s; avg < e.minAvg {
-		e.minAvg = avg
-		e.avgCut = snap()
 	}
 }
 
-// spectralOrder approximates the Fiedler ordering of g: the coordinates of
-// the second eigenvector of the lazy random walk matrix, obtained by power
-// iteration with deflation of the stationary component.
-func spectralOrder(g *graph.Graph, iters int, rng *rand.Rand) []int {
+// spectralOrder approximates the Fiedler ordering of G_ℓ: the coordinates
+// of the second eigenvector of its lazy random walk matrix, obtained by
+// power iteration with deflation of the stationary component.
+func spectralOrder(g *graph.CSR, l, iters int, rng *rand.Rand) []int {
 	n := g.N()
 	x := make([]float64, n)
 	for i := range x {
@@ -247,7 +199,11 @@ func spectralOrder(g *graph.Graph, iters int, rng *rand.Rand) []int {
 	deg := make([]float64, n)
 	totalDeg := 0.0
 	for u := 0; u < n; u++ {
-		deg[u] = float64(g.Degree(u))
+		for _, lat := range g.Latencies(u) {
+			if int(lat) <= l {
+				deg[u]++
+			}
+		}
 		totalDeg += deg[u]
 	}
 	next := make([]float64, n)
@@ -266,8 +222,11 @@ func spectralOrder(g *graph.Graph, iters int, rng *rand.Rand) []int {
 		// One lazy walk step: x' = x/2 + (D^-1 A x)/2.
 		for u := 0; u < n; u++ {
 			sum := 0.0
-			for _, nb := range g.Neighbors(u) {
-				sum += x[nb.ID]
+			lats := g.Latencies(u)
+			for i, v := range g.NeighborIDs(u) {
+				if int(lats[i]) <= l {
+					sum += x[v]
+				}
 			}
 			if deg[u] > 0 {
 				next[u] = x[u]/2 + sum/(2*deg[u])
@@ -319,8 +278,8 @@ func spreadThresholds(lats []int, k int) []int {
 	return uniq
 }
 
-// componentOf labels each node with a component representative.
-func componentOf(g *graph.Graph) []int {
+// componentOf labels each node of G_ℓ with a component representative.
+func componentOf(g *graph.CSR, l int) []int {
 	n := g.N()
 	comp := make([]int, n)
 	for i := range comp {
@@ -335,10 +294,11 @@ func componentOf(g *graph.Graph) []int {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, nb := range g.Neighbors(u) {
-				if comp[nb.ID] < 0 {
-					comp[nb.ID] = start
-					stack = append(stack, nb.ID)
+			lats := g.Latencies(u)
+			for i, v := range g.NeighborIDs(u) {
+				if int(lats[i]) <= l && comp[v] < 0 {
+					comp[v] = start
+					stack = append(stack, int(v))
 				}
 			}
 		}

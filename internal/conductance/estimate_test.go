@@ -26,11 +26,11 @@ func TestEstimateMatchesExactOnSmallGraphs(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			exact, err := Exact(g)
+			exact, err := Exact(g.CSR())
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := Estimate(g, EstimateOptions{Seed: 11})
+			est, err := Estimate(g.CSR(), EstimateOptions{Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestEstimateMatchesExactOnSmallGraphs(t *testing.T) {
 func TestEstimateDetectsDisconnectedGL(t *testing.T) {
 	// Dumbbell: G_1 (bridge removed) is disconnected, so φ_1 = 0 exactly.
 	g := graphgen.Dumbbell(6, 30)
-	est, err := Estimate(g, EstimateOptions{Seed: 5})
+	est, err := Estimate(g.CSR(), EstimateOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEstimateDetectsDisconnectedGL(t *testing.T) {
 
 func TestComputeSwitchesToExact(t *testing.T) {
 	small := graphgen.Clique(6, 1)
-	res, err := Compute(small)
+	res, err := Compute(small.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestComputeSwitchesToExact(t *testing.T) {
 		t.Fatal("small graph should use exact enumeration")
 	}
 	big := graphgen.Clique(MaxExactN+10, 1)
-	res, err = Compute(big)
+	res, err = Compute(big.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEstimateTheorem10Gadget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Estimate(net.Graph, EstimateOptions{Seed: 9})
+	res, err := Estimate(net.Graph.CSR(), EstimateOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEstimateRingAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Estimate(r.Graph, EstimateOptions{Seed: 13})
+	res, err := Estimate(r.Graph.CSR(), EstimateOptions{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEstimateRingAlpha(t *testing.T) {
 }
 
 func TestEstimateErrors(t *testing.T) {
-	if _, err := Estimate(graphgen.Clique(1, 1), EstimateOptions{}); err == nil {
+	if _, err := Estimate(graphgen.Clique(1, 1).CSR(), EstimateOptions{}); err == nil {
 		// Clique(1) has no edges; either the constructor or Estimate
 		// must reject it.
 		t.Skip("single node clique trivially rejected elsewhere")
@@ -161,7 +161,7 @@ func TestEstimateTheorem5Holds(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphgen.AssignRandomLatencies(g, 1, 64, rng)
-	res, err := Estimate(g, EstimateOptions{Seed: 15})
+	res, err := Estimate(g.CSR(), EstimateOptions{Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ const MaxExactN = 22
 
 // Exact computes every conductance quantity by enumerating all 2^(n-1)-1
 // cuts. It errors for graphs larger than MaxExactN nodes.
-func Exact(g *graph.Graph) (Result, error) {
+func Exact(g *graph.CSR) (Result, error) {
 	n := g.N()
 	if n > MaxExactN {
 		return Result{}, fmt.Errorf("conductance: exact enumeration limited to %d nodes, got %d", MaxExactN, n)
@@ -24,24 +24,24 @@ func Exact(g *graph.Graph) (Result, error) {
 	if len(lats) == 0 {
 		return Result{}, fmt.Errorf("conductance: graph has no edges")
 	}
-	latIndex := make(map[int]int, len(lats))
-	for i, l := range lats {
-		latIndex[l] = i
-	}
-	edges := g.Edges()
-	deg := make([]int, n)
+	type edge struct{ u, v, li int }
+	li := latIndex(g, lats)
+	edges := make([]edge, 0, g.M())
 	for u := 0; u < n; u++ {
-		deg[u] = g.Degree(u)
+		off := int(g.Offset(u))
+		for i, v := range g.NeighborIDs(u) {
+			if int(v) > u {
+				edges = append(edges, edge{u, int(v), li[off+i]})
+			}
+		}
 	}
-	totalVol := 2 * g.M()
+	totalVol := g.HalfEdges()
 
 	minPhiL := make([]float64, len(lats))
 	argMask := make([]uint64, len(lats))
 	for i := range minPhiL {
 		minPhiL[i] = math.Inf(1)
 	}
-	minAvg := math.Inf(1)
-	avgMask := uint64(0)
 
 	// Enumerate subsets of {0..n-2}; node n-1 stays outside U so each
 	// unordered cut is visited exactly once.
@@ -54,16 +54,12 @@ func Exact(g *graph.Graph) (Result, error) {
 		volU := 0
 		for u := 0; u < n-1; u++ {
 			if mask&(1<<uint(u)) != 0 {
-				volU += deg[u]
+				volU += g.Degree(u)
 			}
 		}
-		avgSum := 0.0
 		for _, e := range edges {
-			inU := mask&(1<<uint(e.U)) != 0
-			inV := e.V < n-1 && mask&(1<<uint(e.V)) != 0
-			if inU != inV {
-				latCount[latIndex[e.Latency]]++
-				avgSum += 1 / math.Pow(2, float64(LatencyClass(e.Latency)))
+			if (mask>>uint(e.u))&1 != (mask>>uint(e.v))&1 {
+				latCount[e.li]++
 			}
 		}
 		s := float64(min(volU, totalVol-volU))
@@ -83,34 +79,13 @@ func Exact(g *graph.Graph) (Result, error) {
 				argMask[i] = mask
 			}
 		}
-		if avg := avgSum / s; avg < minAvg {
-			minAvg = avg
-			avgMask = mask
-		}
 	}
 
-	phiL := make(map[int]float64, len(lats))
-	for i, l := range lats {
-		phiL[l] = minPhiL[i]
-	}
-	phiStar, ellStar := criticalFromPhiL(phiL)
-	maskToCut := func(mask uint64) []bool {
+	return newResult(g, lats, minPhiL, func(i int) []bool {
 		cut := make([]bool, n)
 		for u := 0; u < n-1; u++ {
-			cut[u] = mask&(1<<uint(u)) != 0
+			cut[u] = argMask[i]&(1<<uint(u)) != 0
 		}
 		return cut
-	}
-	res := Result{
-		PhiStar:         phiStar,
-		EllStar:         ellStar,
-		PhiAvg:          minAvg,
-		PhiL:            phiL,
-		NonEmptyClasses: countNonEmptyClasses(g),
-		MaxLatency:      g.MaxLatency(),
-		Exact:           true,
-		AvgCut:          maskToCut(avgMask),
-	}
-	res.CriticalCut = maskToCut(argMask[latIndex[ellStar]])
-	return res, nil
+	}, true), nil
 }

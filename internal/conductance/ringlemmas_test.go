@@ -36,7 +36,7 @@ func TestLemma15HalfRingCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		cut := halfRingCut(r)
-		got := WeightLCutConductance(r.Graph, cut, tc.ell)
+		got := WeightLCutConductance(r.Graph.CSR(), cut, tc.ell)
 		want := r.Alpha()
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("k=%d s=%d: φℓ(C) = %v, want α = %v", tc.k, tc.s, got, want)
@@ -52,7 +52,7 @@ func TestLemma16ExactRingConductance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(r.Graph)
+	res, err := Exact(r.Graph.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestLemma17CriticalLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(r.Graph)
+	res, err := Exact(r.Graph.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestLemma17BreaksForHugeEll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(r.Graph)
+	res, err := Exact(r.Graph.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCorollary18TwoClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(r.Graph)
+	res, err := Exact(r.Graph.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTheorem10GadgetExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact(net.Graph)
+	res, err := Exact(net.Graph.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}

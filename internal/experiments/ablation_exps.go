@@ -32,24 +32,24 @@ func runE17(ctx context.Context, cfg Config) (*Table, error) {
 	graphgen.AssignRandomLatencies(er, 1, 8, rng)
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 		ell  int
 	}{
-		{"clique(32,ℓ=1)", graphgen.Clique(32, 1), 1},
-		{"star(32,ℓ=2)", graphgen.Star(32, 2), 2},
-		{"grid(6x6,ℓ=2)", graphgen.Grid(6, 6, 2), 2},
-		{"er(24,rand ℓ≤8)", er, 8},
+		{"clique(32,ℓ=1)", graphgen.Clique(32, 1).CSR(), 1},
+		{"star(32,ℓ=2)", graphgen.Star(32, 2).CSR(), 2},
+		{"grid(6x6,ℓ=2)", graphgen.Grid(6, 6, 2).CSR(), 2},
+		{"er(24,rand ℓ≤8)", er.CSR(), 8},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E17", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			cse := cases[c.CellIndex]
 			opts := gossip.DriverOptions{Ell: cse.ell, Seed: seed, MaxRounds: 1 << 19}
-			d, err := dispatch("dtg", cse.g, opts)
+			d, err := dispatch("dtg", cse.c, opts)
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			s, err := dispatch("superstep", cse.g, opts)
+			s, err := dispatch("superstep", cse.c, opts)
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -87,16 +87,16 @@ var expE18Blocking = Experiment{
 func runE18(ctx context.Context, cfg Config) (*Table, error) {
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"clique(24,ℓ=1)", graphgen.Clique(24, 1)},
-		{"clique(24,ℓ=16)", graphgen.Clique(24, 16)},
-		{"dumbbell(10,ℓ=64)", graphgen.Dumbbell(10, 64)},
+		{"clique(24,ℓ=1)", graphgen.Clique(24, 1).CSR()},
+		{"clique(24,ℓ=16)", graphgen.Clique(24, 16).CSR()},
+		{"dumbbell(10,ℓ=64)", graphgen.Dumbbell(10, 64).CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E18", names, cfg.Trials*2,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := cases[c.CellIndex].g
+			g := cases[c.CellIndex].c
 			a, err := dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
@@ -142,16 +142,16 @@ func runE19(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"clique(64,ℓ=1)", graphgen.Clique(64, 1)},
-		{"dumbbell(32,ℓ=64)", graphgen.Dumbbell(32, 64)},
-		{"ring(8,4,ℓ=32)", ring.Graph},
+		{"clique(64,ℓ=1)", graphgen.Clique(64, 1).CSR()},
+		{"dumbbell(32,ℓ=64)", graphgen.Dumbbell(32, 64).CSR()},
+		{"ring(8,4,ℓ=32)", ring.Graph.CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E19", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			res, err := dispatch("push-pull", cases[c.CellIndex].g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
+			res, err := dispatch("push-pull", cases[c.CellIndex].c, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -206,22 +206,22 @@ var expE20Bandwidth = Experiment{
 func runE20(ctx context.Context, cfg Config) (*Table, error) {
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"grid(5x5,ℓ=2)", graphgen.Grid(5, 5, 2)},
-		{"clique(24,ℓ=2)", graphgen.Clique(24, 2)},
+		{"grid(5x5,ℓ=2)", graphgen.Grid(5, 5, 2).CSR()},
+		{"clique(24,ℓ=2)", graphgen.Clique(24, 2).CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E20", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := cases[c.CellIndex].g
+			g := cases[c.CellIndex].c
 			pp, err := dispatch("push-pull", g, gossip.DriverOptions{Objective: gossip.AllToAll, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			sp, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
+			sp, err := gossip.Dispatch("spanner", nil, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed + 1, SkipCheck: true,
-				D: int(g.WeightedDiameter()),
+				D: int(g.WeightedDiameter()), ExecOptions: gossip.ExecOptions{CSR: g},
 			})
 			if err != nil {
 				return runner.Sample{}, err
@@ -318,15 +318,14 @@ func runE22(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(crashCounts), func(i int) string { return fmt.Sprintf("crashed=%d", crashCounts[i]) })
 	cells, err := runGrid(ctx, cfg, "E22", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashCounts[c.CellIndex], 5)}
-			g := graphgen.Clique(n, 2)
-			plain, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
+			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashCounts[c.CellIndex], 5), CSR: graphgen.Clique(n, 2).CSR()}
+			plain, err := gossip.Dispatch("spanner", nil, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed, MaxRounds: 4096, ExecOptions: exec,
 			})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			robust, err := gossip.Dispatch("spanner", g, gossip.DriverOptions{
+			robust, err := gossip.Dispatch("spanner", nil, gossip.DriverOptions{
 				KnownLatencies: true, Seed: seed, MaxRounds: 4096,
 				FaultTolerant: true, LBTimeout: 8, ExecOptions: exec,
 			})

@@ -47,7 +47,7 @@ func runE24(ctx context.Context, cfg Config) (*Table, error) {
 			if p := losses[c.CellIndex]; p > 0 {
 				spec = &adversity.Spec{Loss: p}
 			}
-			serial, err := dispatchSharded("push-pull", g, gossip.DriverOptions{
+			serial, err := dispatchSharded("push-pull", g.CSR(), gossip.DriverOptions{
 				Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{Adversity: spec},
 			})
 			if err != nil {
@@ -138,7 +138,7 @@ func runE25(ctx context.Context, cfg Config) (*Table, error) {
 					})
 				}
 			}
-			serial, err := dispatchSharded("push-pull", g, gossip.DriverOptions{
+			serial, err := dispatchSharded("push-pull", g.CSR(), gossip.DriverOptions{
 				Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{Adversity: spec},
 			})
 			if err != nil {

@@ -31,23 +31,23 @@ func runE1(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"clique(10,ℓ=1)", graphgen.Clique(10, 1)},
-		{"clique(10,ℓ=7)", graphgen.Clique(10, 7)},
-		{"dumbbell(8,ℓ=32)", graphgen.Dumbbell(8, 32)},
-		{"star(14,ℓ=5)", graphgen.Star(14, 5)},
-		{"cycle(14,ℓ=3)", graphgen.Cycle(14, 3)},
-		{"grid(4x4,ℓ=2)", graphgen.Grid(4, 4, 2)},
-		{"er(14,rand ℓ≤32)", er},
-		{"ring(k=4,s=4,ℓ=12)", ring.Graph},
+		{"clique(10,ℓ=1)", graphgen.Clique(10, 1).CSR()},
+		{"clique(10,ℓ=7)", graphgen.Clique(10, 7).CSR()},
+		{"dumbbell(8,ℓ=32)", graphgen.Dumbbell(8, 32).CSR()},
+		{"star(14,ℓ=5)", graphgen.Star(14, 5).CSR()},
+		{"cycle(14,ℓ=3)", graphgen.Cycle(14, 3).CSR()},
+		{"grid(4x4,ℓ=2)", graphgen.Grid(4, 4, 2).CSR()},
+		{"er(14,rand ℓ≤32)", er.CSR()},
+		{"ring(k=4,s=4,ℓ=12)", ring.Graph.CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	// Exact cut enumeration is deterministic, so one trial per cell; the
 	// runner still fans the eight enumerations across cores.
 	cells, err := runGrid(ctx, cfg, "E1", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			res, err := conductance.Exact(cases[c.CellIndex].g)
+			res, err := conductance.Exact(cases[c.CellIndex].c)
 			if err != nil {
 				return runner.Sample{}, err
 			}

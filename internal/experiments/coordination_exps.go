@@ -63,7 +63,7 @@ func runE30(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			spec := rg.build()
-			serial, err := dispatchSharded("election", g, gossip.DriverOptions{
+			serial, err := dispatchSharded("election", g.CSR(), gossip.DriverOptions{
 				Seed: seed, MaxRounds: 1 << 14,
 				SuspectAfter: suspectAfter, StableRounds: stableRounds,
 				ExecOptions: gossip.ExecOptions{Adversity: spec},
@@ -135,7 +135,7 @@ func runE31(ctx context.Context, cfg Config) (*Table, error) {
 			if p := losses[c.CellIndex]; p > 0 {
 				spec = &adversity.Spec{Loss: p}
 			}
-			serial, err := dispatchSharded("echo", g, gossip.DriverOptions{
+			serial, err := dispatchSharded("echo", g.CSR(), gossip.DriverOptions{
 				Source: 0, Seed: seed, MaxRounds: 1 << 12, ExecOptions: gossip.ExecOptions{Adversity: spec},
 			})
 			if err != nil {

@@ -49,21 +49,21 @@ func runE28(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E28", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			n := sizes[c.CellIndex]
-			g, err := graphgen.Build(graphgen.Spec{Family: "regular", N: n, Latency: 1, Seed: seed})
+			g, err := graphgen.BuildCSR(graphgen.Spec{Family: "regular", N: n, Latency: 1, Seed: seed})
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			opts := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14}
+			opts := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{CSR: g}}
 
 			serialStart := time.Now()
-			serial, err := gossip.Dispatch("push-pull", g, opts)
+			serial, err := gossip.Dispatch("push-pull", nil, opts)
 			if err != nil {
 				return runner.Sample{}, err
 			}
 			serialNS := float64(time.Since(serialStart))
 
 			distStart := time.Now()
-			dist, stats, err := gossip.DispatchLocalSharded("push-pull", g, opts, shards)
+			dist, stats, err := gossip.DispatchLocalSharded("push-pull", opts, shards)
 			if err != nil {
 				return runner.Sample{}, err
 			}

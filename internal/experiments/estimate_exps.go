@@ -73,17 +73,17 @@ func runE29(ctx context.Context, cfg Config) (*Table, error) {
 			spec := families[c.CellIndex/len(regimes)]
 			regime := regimes[c.CellIndex%len(regimes)]
 			spec.Seed = seed
-			g, err := graphgen.Build(spec)
+			g, err := graphgen.BuildCSR(spec)
 			if err != nil {
 				return runner.Sample{}, err
 			}
 			n := g.N()
-			base := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14}
+			base := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{CSR: g}}
 
 			evalCold := func(cand estimate.Candidate) (curve.Curve, error) {
 				opts := base
 				opts.Adversity = cand.Spec(n, base.Source)
-				res, err := gossip.Dispatch("push-pull", g, opts)
+				res, err := gossip.Dispatch("push-pull", nil, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -92,7 +92,7 @@ func runE29(ctx context.Context, cfg Config) (*Table, error) {
 			// Warm refinement scoring: one prefix forked at the churn
 			// leave round, resumed per candidate — the same continuation
 			// the service uses.
-			w, err := gossip.Fork("push-pull", g, base, estimate.ChurnLeave)
+			w, err := gossip.Fork("push-pull", base, estimate.ChurnLeave)
 			if err != nil {
 				return runner.Sample{}, err
 			}

@@ -99,10 +99,11 @@ func RunOne(ctx context.Context, cfg Config, e Experiment) (*Table, error) {
 	return tbl, nil
 }
 
-// dispatch runs the named driver and fails the trial on an error or an
-// incomplete run.
-func dispatch(name string, g *graph.Graph, opts gossip.DriverOptions) (gossip.DriverResult, error) {
-	res, err := gossip.Dispatch(name, g, opts)
+// dispatch runs the named driver on c and fails the trial on an error or
+// an incomplete run.
+func dispatch(name string, c *graph.CSR, opts gossip.DriverOptions) (gossip.DriverResult, error) {
+	opts.CSR = c
+	res, err := gossip.Dispatch(name, nil, opts)
 	if err == nil && !res.Completed {
 		err = fmt.Errorf("%s incomplete after %d rounds", name, res.Rounds)
 	}
@@ -116,17 +117,18 @@ func sameRun(a, b gossip.DriverResult) bool {
 		a.Dropped == b.Dropped && a.Delivered == b.Delivered && a.RumorPayload == b.RumorPayload
 }
 
-// dispatchSharded runs the named driver serially and again 8-way
+// dispatchSharded runs the named driver on c serially and again 8-way
 // sharded, fails the trial unless the two agree (sameRun) — the
 // continuously-executed proof of worker-count determinism — and returns
 // the serial result.
-func dispatchSharded(name string, g *graph.Graph, opts gossip.DriverOptions) (gossip.DriverResult, error) {
-	serial, err := gossip.Dispatch(name, g, opts)
+func dispatchSharded(name string, c *graph.CSR, opts gossip.DriverOptions) (gossip.DriverResult, error) {
+	opts.CSR = c
+	serial, err := gossip.Dispatch(name, nil, opts)
 	if err != nil {
 		return serial, err
 	}
 	opts.Workers = 8
-	sharded, err := gossip.Dispatch(name, g, opts)
+	sharded, err := gossip.Dispatch(name, nil, opts)
 	if err == nil && !sameRun(serial, sharded) {
 		counters := func(r gossip.DriverResult) gossip.DriverResult {
 			r.InformedAt, r.Sim, r.Broadcast = nil, nil, nil // per-node detail would drown the message

@@ -46,11 +46,11 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	type topo struct {
 		name string
-		mk   func() *graph.Graph
+		mk   func() *graph.CSR
 	}
 	topos := []topo{
-		{"clique", func() *graph.Graph { return graphgen.Clique(n, 2) }},
-		{"grid6x6", func() *graph.Graph { return graphgen.Grid(6, 6, 2) }},
+		{"clique", func() *graph.CSR { return graphgen.Clique(n, 2).CSR() }},
+		{"grid6x6", func() *graph.CSR { return graphgen.Grid(6, 6, 2).CSR() }},
 	}
 	crashCounts := []int{0, 2, 4}
 	// Cells are the (topology, crash count) product.
@@ -66,12 +66,11 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E14", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			tp, crashes := cellCase(c.CellIndex)
-			g := tp.mk()
 			// Fail low-ID nodes (never the source) at round 5 — mid-run,
 			// while exchanges with them are in flight. On the grid these
 			// IDs sit on the top edge, so survivors stay connected.
-			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashes, 5)}
-			res, err := gossip.Dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18, ExecOptions: exec})
+			exec := gossip.ExecOptions{Adversity: crashLowIDs(crashes, 5), CSR: tp.mk()}
+			res, err := gossip.Dispatch("push-pull", nil, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18, ExecOptions: exec})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -82,7 +81,7 @@ func runE14(ctx context.Context, cfg Config) (*Table, error) {
 			// The spanner pipeline run is deterministic per cell; trial 0
 			// carries it so the cell has exactly one sample of it.
 			if c.Trial == 0 {
-				sp, err := gossip.Dispatch("spanner", tp.mk(), gossip.DriverOptions{
+				sp, err := gossip.Dispatch("spanner", nil, gossip.DriverOptions{
 					KnownLatencies: true,
 					Seed:           seed,
 					MaxRounds:      8192,
@@ -142,8 +141,7 @@ func runE15(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(ns), func(i int) string { return fmt.Sprintf("clique(%d)", ns[i]) })
 	cells, err := runGrid(ctx, cfg, "E15", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := graphgen.Clique(ns[c.CellIndex], 1)
-			res, err := dispatch("push-pull", g, gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18})
+			res, err := dispatch("push-pull", graphgen.Clique(ns[c.CellIndex], 1).CSR(), gossip.DriverOptions{Seed: seed, MaxRounds: 1 << 18})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -186,10 +184,10 @@ var expE16BoundedIn = Experiment{
 func runE16(ctx context.Context, cfg Config) (*Table, error) {
 	graphs := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"clique(32)", graphgen.Clique(32, 1)},
-		{"star(33)", graphgen.Star(33, 1)},
+		{"clique(32)", graphgen.Clique(32, 1).CSR()},
+		{"star(33)", graphgen.Star(33, 1).CSR()},
 	}
 	caps := []int{0, 4, 1}
 	var names []string
@@ -204,7 +202,7 @@ func runE16(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	cells, err := runGrid(ctx, cfg, "E16", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := graphs[c.CellIndex/len(caps)].g
+			g := graphs[c.CellIndex/len(caps)].c
 			cap := caps[c.CellIndex%len(caps)]
 			res, err := dispatch("push-pull", g, gossip.DriverOptions{MaxInPerRound: cap, Seed: seed, MaxRounds: 1 << 18})
 			if err != nil {

@@ -38,7 +38,7 @@ func runE4(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			res, err := dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 20})
+			res, err := dispatch("push-pull", net.Graph.CSR(), gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -89,7 +89,7 @@ func runE5(ctx context.Context, cfg Config) (*Table, error) {
 				return runner.Sample{}, err
 			}
 			ensureCover(net, rng)
-			res, err := dispatch("push-pull", net.Graph, gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 19})
+			res, err := dispatch("push-pull", net.Graph.CSR(), gossip.DriverOptions{Objective: gossip.LocalBroadcast, Seed: seed + 1, MaxRounds: 1 << 19})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -163,13 +163,13 @@ func runE6(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			g := ring.Graph
+			g := ring.Graph.CSR()
 			res, err := gossip.Unified(gossip.DriverOptions{
 				Source:         0,
 				KnownLatencies: false,
 				Seed:           seed + 1,
 				MaxRounds:      1 << 21,
-				ExecOptions:    gossip.ExecOptions{CSR: g.CSR()},
+				ExecOptions:    gossip.ExecOptions{CSR: g},
 			})
 			if err != nil {
 				return runner.Sample{}, err

@@ -40,8 +40,8 @@ func runE23(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			serial, err := dispatchSharded("push-pull", nil, gossip.DriverOptions{
-				Source: 0, Seed: seed, MaxRounds: 1 << 14, ExecOptions: gossip.ExecOptions{CSR: csr},
+			serial, err := dispatchSharded("push-pull", csr, gossip.DriverOptions{
+				Source: 0, Seed: seed, MaxRounds: 1 << 14,
 			})
 			if err != nil {
 				return runner.Sample{}, err

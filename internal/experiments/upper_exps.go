@@ -38,19 +38,19 @@ func runE7(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"clique(16,ℓ=1)", graphgen.Clique(16, 1)},
-		{"clique(16,ℓ=8)", graphgen.Clique(16, 8)},
-		{"dumbbell(9,ℓ=64)", graphgen.Dumbbell(9, 64)},
-		{"star(18,ℓ=4)", graphgen.Star(18, 4)},
-		{"er(18,rand ℓ≤8)", er},
-		{"ring(5,4,ℓ=16)", ring.Graph},
+		{"clique(16,ℓ=1)", graphgen.Clique(16, 1).CSR()},
+		{"clique(16,ℓ=8)", graphgen.Clique(16, 8).CSR()},
+		{"dumbbell(9,ℓ=64)", graphgen.Dumbbell(9, 64).CSR()},
+		{"star(18,ℓ=4)", graphgen.Star(18, 4).CSR()},
+		{"er(18,rand ℓ≤8)", er.CSR()},
+		{"ring(5,4,ℓ=16)", ring.Graph.CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E7", names, cfg.Trials*2,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := cases[c.CellIndex].g
+			g := cases[c.CellIndex].c
 			res, err := dispatch("push-pull", g, gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 21})
 			if err != nil {
 				return runner.Sample{}, err
@@ -126,8 +126,8 @@ func runE8(ctx context.Context, cfg Config) (*Table, error) {
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			if c.CellIndex < len(ns) {
 				n := ns[c.CellIndex]
-				g := graphgen.Clique(n, 1)
-				sp, err := spanner.Build(g, spanner.Options{Seed: seed})
+				g := graphgen.Clique(n, 1).CSR()
+				sp, err := spanner.BuildCSR(g, spanner.Options{Seed: seed})
 				if err != nil {
 					return runner.Sample{}, err
 				}
@@ -140,7 +140,7 @@ func runE8(ctx context.Context, cfg Config) (*Table, error) {
 				}), nil
 			}
 			l := lens[c.CellIndex-len(ns)]
-			g := graphgen.Path(l, 2)
+			g := graphgen.Path(l, 2).CSR()
 			d := int(g.WeightedDiameter())
 			res, err := dispatch("spanner", g, gossip.DriverOptions{
 				D: d, KnownLatencies: true, Seed: seed, SkipCheck: true,
@@ -198,10 +198,10 @@ func runE9(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(lens), func(i int) string { return fmt.Sprintf("cycle(%d,ℓ=2)", lens[i]) })
 	cells, err := runGrid(ctx, cfg, "E9", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := graphgen.Cycle(lens[c.CellIndex], 2)
+			g := graphgen.Cycle(lens[c.CellIndex], 2).CSR()
 			d := int(g.WeightedDiameter())
-			res, err := gossip.Dispatch("pattern", g, gossip.DriverOptions{
-				D: d, Seed: seed, SkipCheck: true,
+			res, err := gossip.Dispatch("pattern", nil, gossip.DriverOptions{
+				D: d, Seed: seed, SkipCheck: true, ExecOptions: gossip.ExecOptions{CSR: g},
 			})
 			if err != nil {
 				return runner.Sample{}, err
@@ -268,21 +268,21 @@ func runE10(ctx context.Context, cfg Config) (*Table, error) {
 	ensureCover(gadget, rng)
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"clique(32,ℓ=1)", graphgen.Clique(32, 1)},
-		{"dumbbell(12,ℓ=512)", graphgen.Dumbbell(12, 512)},
-		{"ring(6,4,ℓ=2)", ringSmall.Graph},
-		{"ring(6,4,ℓ=512)", ringLarge.Graph},
-		{"star(32,ℓ=8)", graphgen.Star(32, 8)},
-		{fmt.Sprintf("gadget(%d,1 fast/node)", side), gadget.Graph},
+		{"clique(32,ℓ=1)", graphgen.Clique(32, 1).CSR()},
+		{"dumbbell(12,ℓ=512)", graphgen.Dumbbell(12, 512).CSR()},
+		{"ring(6,4,ℓ=2)", ringSmall.Graph.CSR()},
+		{"ring(6,4,ℓ=512)", ringLarge.Graph.CSR()},
+		{"star(32,ℓ=8)", graphgen.Star(32, 8).CSR()},
+		{fmt.Sprintf("gadget(%d,1 fast/node)", side), gadget.Graph.CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E10", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			res, err := gossip.Unified(gossip.DriverOptions{
 				Source: 0, KnownLatencies: true, Seed: seed, MaxRounds: 1 << 21,
-				ExecOptions: gossip.ExecOptions{CSR: cases[c.CellIndex].g.CSR()},
+				ExecOptions: gossip.ExecOptions{CSR: cases[c.CellIndex].c},
 			})
 			if err != nil {
 				return runner.Sample{}, err
@@ -337,8 +337,7 @@ func runE11(ctx context.Context, cfg Config) (*Table, error) {
 			} else {
 				n = ns[c.CellIndex-len(ells)]
 			}
-			g := graphgen.Clique(n, ell)
-			res, err := dispatch("dtg", g, gossip.DriverOptions{Ell: ell, Seed: seed, MaxRounds: 1 << 20})
+			res, err := dispatch("dtg", graphgen.Clique(n, ell).CSR(), gossip.DriverOptions{Ell: ell, Seed: seed, MaxRounds: 1 << 20})
 			if err != nil {
 				return runner.Sample{}, err
 			}
@@ -382,24 +381,24 @@ var expE12RR = Experiment{
 func runE12(ctx context.Context, cfg Config) (*Table, error) {
 	cases := []struct {
 		name string
-		g    *graph.Graph
+		c    *graph.CSR
 	}{
-		{"grid(5x5,ℓ=2)", graphgen.Grid(5, 5, 2)},
-		{"cycle(16,ℓ=3)", graphgen.Cycle(16, 3)},
-		{"clique(20,ℓ=4)", graphgen.Clique(20, 4)},
+		{"grid(5x5,ℓ=2)", graphgen.Grid(5, 5, 2).CSR()},
+		{"cycle(16,ℓ=3)", graphgen.Cycle(16, 3).CSR()},
+		{"clique(20,ℓ=4)", graphgen.Clique(20, 4).CSR()},
 	}
 	names := cellNames(len(cases), func(i int) string { return cases[i].name })
 	cells, err := runGrid(ctx, cfg, "E12", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := cases[c.CellIndex].g
-			sp, err := spanner.Build(g, spanner.Options{Seed: seed})
+			g := cases[c.CellIndex].c
+			sp, err := spanner.BuildCSR(g, spanner.Options{Seed: seed})
 			if err != nil {
 				return runner.Sample{}, err
 			}
 			k := int(g.WeightedDiameter()) * (2*sp.K - 1)
-			res, err := gossip.Dispatch("rr", g, gossip.DriverOptions{
+			res, err := gossip.Dispatch("rr", nil, gossip.DriverOptions{
 				Spanner: sp, K: k, Seed: seed + 1, MaxRounds: 1 << 21,
-				Stop: sim.StopAllHaveAll(),
+				Stop: sim.StopAllHaveAll(), ExecOptions: gossip.ExecOptions{CSR: g},
 			})
 			if err != nil {
 				return runner.Sample{}, err
@@ -450,7 +449,7 @@ func runE13(ctx context.Context, cfg Config) (*Table, error) {
 	names := cellNames(len(ns), func(i int) string { return fmt.Sprintf("star(%d,ℓ=%d)", ns[i], lat) })
 	cells, err := runGrid(ctx, cfg, "E13", names, 1,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
-			g := graphgen.Star(ns[c.CellIndex], lat)
+			g := graphgen.Star(ns[c.CellIndex], lat).CSR()
 			// Both arms go through the driver registry by name — the one
 			// protocol-selection code path shared with core and the CLIs.
 			vals := map[string]float64{}

@@ -41,14 +41,14 @@ func runE27(ctx context.Context, cfg Config) (*Table, error) {
 	cells, err := runGrid(ctx, cfg, "E27", names, cfg.Trials,
 		func(ctx context.Context, c runner.Coord, seed uint64) (runner.Sample, error) {
 			variants := fanouts[c.CellIndex]
-			g := graphgen.Grid(side, side, 2)
-			base := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14}
+			base := gossip.DriverOptions{Source: 0, Seed: seed, MaxRounds: 1 << 14,
+				ExecOptions: gossip.ExecOptions{CSR: graphgen.Grid(side, side, 2).CSR()}}
 
-			cold, err := gossip.Dispatch("push-pull", g, base)
+			cold, err := gossip.Dispatch("push-pull", nil, base)
 			if err != nil {
 				return runner.Sample{}, err
 			}
-			w, err := gossip.Fork("push-pull", g, base, cold.Rounds/2)
+			w, err := gossip.Fork("push-pull", base, cold.Rounds/2)
 			if err != nil {
 				return runner.Sample{}, err
 			}

@@ -68,7 +68,7 @@ func TestRRBroadcastDeliversWithinLemma21Budget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := int(g.WeightedDiameter()) * (2*sp.K - 1)
+	k := int(g.CSR().WeightedDiameter()) * (2*sp.K - 1)
 	res, err := Dispatch("rr", g, DriverOptions{Spanner: sp, K: k, Seed: 4, MaxRounds: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func broadcastVia(name string, g *graph.Graph, opts DriverOptions) (BroadcastRes
 
 func TestSpannerBroadcastKnownD(t *testing.T) {
 	g := graphgen.Grid(4, 4, 2)
-	d := int(g.WeightedDiameter())
+	d := int(g.CSR().WeightedDiameter())
 	res, err := broadcastVia("spanner", g, DriverOptions{D: d, KnownLatencies: true, Seed: 1, SkipCheck: true})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSpannerBroadcastUnknownD(t *testing.T) {
 	// The loop may stop below the true diameter when the termination
 	// check already passes (Lemma 24 forbids only *incorrect* early
 	// termination), and overshoots at most one doubling past D.
-	d := int(g.WeightedDiameter())
+	d := int(g.CSR().WeightedDiameter())
 	if res.FinalGuess >= 4*d {
 		t.Fatalf("final guess %d too large for diameter %d", res.FinalGuess, d)
 	}
@@ -232,7 +232,7 @@ func TestPatternSequence(t *testing.T) {
 
 func TestPatternBroadcastKnownD(t *testing.T) {
 	g := graphgen.Grid(3, 4, 2)
-	d := int(g.WeightedDiameter())
+	d := int(g.CSR().WeightedDiameter())
 	res, err := broadcastVia("pattern", g, DriverOptions{D: d, Seed: 5, SkipCheck: true})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestPatternReachesDistanceK(t *testing.T) {
 	}
 	rumors := sim.Result{World: p.world}.FinalRumors()
 	for u := 0; u < g.N(); u++ {
-		du := g.Distances(u)
+		du := g.CSR().Distances(u)
 		for v := 0; v < g.N(); v++ {
 			if du[v] <= 4 && !rumors[u].Contains(v) {
 				t.Fatalf("after T(4), node %d missing rumor of node %d at distance %d", u, v, du[v])

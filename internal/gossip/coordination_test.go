@@ -182,7 +182,7 @@ func TestCoordinationWorkerInvariance(t *testing.T) {
 				serial.Dropped != parallel.Dropped {
 				t.Fatalf("%s adv=%v: workers=8 diverges: %+v vs %+v", name, adv != nil, parallel, serial)
 			}
-			sharded, _, err := DispatchLocalSharded(name, g, opts, 3)
+			sharded, _, err := DispatchLocalSharded(name, onCSR(g, opts), 3)
 			if err != nil {
 				t.Fatalf("%s sharded: %v", name, err)
 			}

@@ -32,9 +32,6 @@ func (d *Discover) Activate(int) (int, bool) {
 	return idx, true
 }
 
-// OnDeliver is a no-op; the simulator records discovered latencies.
-func (d *Discover) OnDeliver(sim.Delivery) {}
-
 // OnAmnesia restarts the probe cursor (discovered latencies themselves
 // are engine state and survive — they are measured, not gossiped).
 func (d *Discover) OnAmnesia() { d.next = 0 }

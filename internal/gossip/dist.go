@@ -56,8 +56,8 @@ func PrepareDist(name string, g *graph.Graph, opts DriverOptions) (sim.Config, s
 // execution stats. This is the distributed path's in-process harness:
 // the invariant suite and experiments assert bit-identity through it
 // without paying for process fan-out.
-func DispatchLocalSharded(name string, g *graph.Graph, opts DriverOptions, shards int) (DriverResult, []sim.DistStats, error) {
-	cfg, factory, stop, err := PrepareDist(name, g, opts)
+func DispatchLocalSharded(name string, opts DriverOptions, shards int) (DriverResult, []sim.DistStats, error) {
+	cfg, factory, stop, err := PrepareDist(name, nil, opts)
 	if err != nil {
 		return DriverResult{}, nil, err
 	}

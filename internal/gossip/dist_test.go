@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gossip/internal/graph"
 	"gossip/internal/graphgen"
 	"gossip/internal/sim"
 )
@@ -46,7 +47,7 @@ func TestPrepareDistRejects(t *testing.T) {
 		if _, _, _, err := PrepareDist(tc.driver, g, tc.opts); err == nil {
 			t.Errorf("%s: PrepareDist succeeded, want error", tc.name)
 		}
-		if _, _, err := DispatchLocalSharded(tc.driver, g, tc.opts, 2); err == nil {
+		if _, _, err := DispatchLocalSharded(tc.driver, onCSR(g, tc.opts), 2); err == nil {
 			t.Errorf("%s: DispatchLocalSharded succeeded, want error", tc.name)
 		}
 	}
@@ -65,7 +66,7 @@ func TestDispatchLocalShardedMatchesDispatch(t *testing.T) {
 			t.Fatalf("%s serial: %v", name, err)
 		}
 		for _, shards := range []int{2, 3} {
-			dist, stats, err := DispatchLocalSharded(name, g, opts, shards)
+			dist, stats, err := DispatchLocalSharded(name, onCSR(g, opts), shards)
 			if err != nil {
 				t.Fatalf("%s sharded(%d): %v", name, shards, err)
 			}
@@ -87,4 +88,11 @@ func TestDispatchLocalShardedMatchesDispatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// onCSR returns o running on g's CSR, the topology the graph-free entry
+// points (Fork, DispatchLocalSharded) read.
+func onCSR(g *graph.Graph, o DriverOptions) DriverOptions {
+	o.CSR = g.CSR()
+	return o
 }

@@ -59,9 +59,9 @@ type ExecOptions struct {
 	// CSR is the topology, the only one anything below the registry sees.
 	// A caller holding a CSR (the million-node path, where the
 	// adjacency-map form is never materialized) sets it here; the entry
-	// points that also accept a graph (Dispatch, PrepareDist,
-	// DispatchLocalSharded, Fork) fill it in from that graph when it is
-	// nil, and a pipeline hands the one CSR to all of its phases.
+	// points that also accept a graph (Dispatch, PrepareDist) fill it in
+	// from that graph when it is nil, and a pipeline hands the one CSR to
+	// all of its phases.
 	CSR *graph.CSR
 }
 
@@ -362,8 +362,8 @@ func run(name string, opts DriverOptions) (DriverResult, error) {
 var errNoTopology = errors.New("gossip: no topology (pass a graph or set ExecOptions.CSR)")
 
 // topology is the one precedence rule of the entry points that accept a
-// graph beside the options (Dispatch, PrepareDist, DispatchLocalSharded,
-// Fork): opts.CSR wins when set, otherwise it becomes g converted, once.
+// graph beside the options (Dispatch, PrepareDist): opts.CSR wins when
+// set, otherwise it becomes g converted, once.
 func topology(g *graph.Graph, opts *DriverOptions) error {
 	if opts.CSR == nil {
 		if g == nil {

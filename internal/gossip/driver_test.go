@@ -177,10 +177,10 @@ func TestMissingTopologyIsAnError(t *testing.T) {
 			return err
 		},
 		"DispatchLocalSharded": func() error {
-			_, _, err := DispatchLocalSharded("push-pull", nil, DriverOptions{}, 2)
+			_, _, err := DispatchLocalSharded("push-pull", DriverOptions{}, 2)
 			return err
 		},
-		"Fork":    func() error { _, err := Fork("push-pull", nil, DriverOptions{}, 1); return err },
+		"Fork":    func() error { _, err := Fork("push-pull", DriverOptions{}, 1); return err },
 		"Unified": func() error { _, err := Unified(DriverOptions{}); return err },
 		"RunNet":  func() error { _, err := RunNet(NetConfig{}); return err },
 	}

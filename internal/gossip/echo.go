@@ -66,11 +66,6 @@ func (e *Echo) Activate(round int) (int, bool) {
 	return idx, true
 }
 
-// OnDeliver is a no-op: deliveries change the rumor set, and Activate
-// detects that through RumorCount — arriving information re-wakes a
-// parked node on its own.
-func (e *Echo) OnDeliver(sim.Delivery) {}
-
 // NextWake parks the node until the next delivery when it has nothing
 // to do — before the token arrives, or between sweeps. The Sleeper
 // contract holds because only a delivery can change the rumor set, and

@@ -65,7 +65,7 @@ func TestInformationSpeedLimit(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("incomplete")
 	}
-	dist := g.Distances(0)
+	dist := g.CSR().Distances(0)
 	for u, at := range res.InformedAt {
 		if at < 0 {
 			t.Fatalf("node %d never informed", u)
@@ -81,7 +81,7 @@ func TestInformationSpeedLimit(t *testing.T) {
 func TestPipelineSpeedLimit(t *testing.T) {
 	g := graphgen.Path(10, 7)
 	res, err := broadcastVia("spanner", g, DriverOptions{
-		D: int(g.WeightedDiameter()), KnownLatencies: true, Seed: 3, SkipCheck: true,
+		D: int(g.CSR().WeightedDiameter()), KnownLatencies: true, Seed: 3, SkipCheck: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +90,8 @@ func TestPipelineSpeedLimit(t *testing.T) {
 		t.Fatal("incomplete")
 	}
 	// All-to-all across a path of weighted diameter 63 cannot beat D.
-	if int64(res.Rounds) < g.WeightedDiameter() {
-		t.Fatalf("completed in %d rounds, below diameter %d", res.Rounds, g.WeightedDiameter())
+	if int64(res.Rounds) < g.CSR().WeightedDiameter() {
+		t.Fatalf("completed in %d rounds, below diameter %d", res.Rounds, g.CSR().WeightedDiameter())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // condExact is a test shorthand for exact conductance computation.
-func condExact(g *graph.Graph) (conductance.Result, error) { return conductance.Exact(g) }
+func condExact(g *graph.Graph) (conductance.Result, error) { return conductance.Exact(g.CSR()) }
 
 func TestPushPullCompletesOnClique(t *testing.T) {
 	g := graphgen.Clique(32, 1)
@@ -137,8 +137,8 @@ func TestPushPullAllToAll(t *testing.T) {
 		t.Fatal("all-to-all incomplete")
 	}
 	// All-to-all on a cycle needs at least diameter time.
-	if int64(res.Rounds) < g.WeightedDiameter() {
-		t.Fatalf("rounds %d below diameter %d", res.Rounds, g.WeightedDiameter())
+	if int64(res.Rounds) < g.CSR().WeightedDiameter() {
+		t.Fatalf("rounds %d below diameter %d", res.Rounds, g.CSR().WeightedDiameter())
 	}
 }
 

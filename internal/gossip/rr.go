@@ -47,9 +47,6 @@ func (r *RR) Activate(int) (int, bool) {
 	return idx, true
 }
 
-// OnDeliver is a no-op; the simulator merges rumors.
-func (r *RR) OnDeliver(sim.Delivery) {}
-
 // Done reports budget exhaustion.
 func (r *RR) Done() bool { return r.steps >= r.budget || len(r.out) == 0 }
 

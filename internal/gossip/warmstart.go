@@ -24,10 +24,10 @@ type WarmPrefix struct {
 	snap *sim.Snapshot
 }
 
-// Fork runs the named driver under base until the first processed round
-// >= atRound and freezes it there. If the run finishes earlier the
-// prefix is Done and every Resume returns the finished result.
-func Fork(name string, g *graph.Graph, base DriverOptions, atRound int) (*WarmPrefix, error) {
+// Fork runs the named driver under base, on base.CSR, until the first
+// processed round >= atRound and freezes it there. If the run finishes
+// earlier the prefix is Done and every Resume returns the finished result.
+func Fork(name string, base DriverOptions, atRound int) (*WarmPrefix, error) {
 	d, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("gossip: unknown driver %q", name)
@@ -35,8 +35,8 @@ func Fork(name string, g *graph.Graph, base DriverOptions, atRound int) (*WarmPr
 	if !d.WarmStart() {
 		return nil, fmt.Errorf("%w (%q is a multi-phase pipeline)", ErrNoWarmStart, d.Name)
 	}
-	if err := topology(g, &base); err != nil {
-		return nil, err
+	if base.CSR == nil {
+		return nil, errNoTopology
 	}
 	cfg, factory, stop, err := d.Prepare(base)
 	if err != nil {

@@ -56,7 +56,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 				for _, cw := range []int{1, 8} {
 					base := opts
 					base.Workers = cw
-					w, err := Fork(driver, g, base, fork)
+					w, err := Fork(driver, onCSR(g, base), fork)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -89,7 +89,7 @@ func TestWarmStartDivergedFaultSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Fork("push-pull", g, opts, cold.Rounds/2)
+	w, err := Fork("push-pull", onCSR(g, opts), cold.Rounds/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,18 @@ func TestWarmStartDivergedFaultSpec(t *testing.T) {
 func TestWarmStartErrors(t *testing.T) {
 	g := graphgen.Clique(8, 1)
 	opts := DriverOptions{Source: 0, Seed: 3, MaxRounds: 1 << 12}
-	if _, err := Fork("no-such-driver", g, opts, 4); err == nil {
+	if _, err := Fork("no-such-driver", onCSR(g, opts), 4); err == nil {
 		t.Fatal("unknown driver forked")
 	}
 	for _, pipeline := range []string{"spanner", "pattern", "auto"} {
-		if _, err := Fork(pipeline, g, opts, 4); !errors.Is(err, ErrNoWarmStart) {
+		if _, err := Fork(pipeline, onCSR(g, opts), 4); !errors.Is(err, ErrNoWarmStart) {
 			t.Fatalf("%s: want ErrNoWarmStart, got %v", pipeline, err)
 		}
 		if d, _ := Lookup(pipeline); d.WarmStart() {
 			t.Fatalf("%s claims warm-start support", pipeline)
 		}
 	}
-	w, err := Fork("push-pull", g, opts, 2)
+	w, err := Fork("push-pull", onCSR(g, opts), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWarmStartDoneFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Fork("push-pull", g, opts, cold.Rounds+50)
+	w, err := Fork("push-pull", onCSR(g, opts), cold.Rounds+50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestNewsWindowsAcrossModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := Fork(row.driver, row.g, opts, serial.Rounds/2)
+			w, err := Fork(row.driver, onCSR(row.g, opts), serial.Rounds/2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -87,6 +88,31 @@ func (c *CSR) MaxDegree() int {
 // MaxLatency returns the largest edge latency (0 for an edgeless graph).
 func (c *CSR) MaxLatency() int { return c.maxLat }
 
+// DistinctLatencies returns the sorted set of distinct edge latencies.
+func (c *CSR) DistinctLatencies() []int {
+	seen := make(map[int32]bool)
+	for _, l := range c.lat {
+		seen[l] = true
+	}
+	out := make([]int, 0, len(seen))
+	for l := range seen {
+		out = append(out, int(l))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Volume returns the sum of degrees of the nodes for which in[u] is true.
+func (c *CSR) Volume(in []bool) int {
+	vol := 0
+	for u := 0; u < c.n; u++ {
+		if in[u] {
+			vol += c.Degree(u)
+		}
+	}
+	return vol
+}
+
 // ForEachEdge calls fn once per undirected edge (u < v by half-edge
 // canonicalization: the half with the smaller flat index reports).
 func (c *CSR) ForEachEdge(fn func(u, v, latency int)) {
@@ -167,15 +193,6 @@ func (c *CSR) validate() error {
 		return fmt.Errorf("graph: not connected")
 	}
 	return nil
-}
-
-// Graph materializes the CSR as a legacy adjacency-map graph (property
-// tests and tooling interop; the result's adjacency order follows edge
-// emission order, not necessarily the CSR order).
-func (c *CSR) Graph() *Graph {
-	g := New(c.n)
-	c.ForEachEdge(func(u, v, latency int) { g.MustAddEdge(u, v, latency) })
-	return g
 }
 
 // String summarizes the CSR for debugging.

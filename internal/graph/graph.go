@@ -1,14 +1,12 @@
 // Package graph implements the weighted undirected graphs of the paper's
 // model: connected graphs whose edges carry positive integer latencies.
-// It provides the structural queries every other package relies on —
-// degrees, volumes, latency-filtered subgraphs G_ℓ, Dijkstra distances,
-// and weighted/hop diameters.
+// Generators build the adjacency-map Graph; everything downstream of them
+// reads its immutable CSR form, which answers the structural queries —
+// degrees, volumes, distinct latencies, Dijkstra distances and the
+// weighted diameter.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node; nodes are always numbered 0..N-1.
 type NodeID = int
@@ -194,17 +192,6 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Volume returns the sum of degrees of the nodes for which in[id] is true.
-func (g *Graph) Volume(in []bool) int {
-	vol := 0
-	for u := 0; u < g.n; u++ {
-		if in[u] {
-			vol += len(g.adj[u])
-		}
-	}
-	return vol
-}
-
 // Neighbor describes one incident edge from the perspective of a node.
 type Neighbor struct {
 	ID      NodeID
@@ -251,32 +238,6 @@ func (g *Graph) MaxLatency() int {
 		}
 	}
 	return max
-}
-
-// DistinctLatencies returns the sorted set of distinct edge latencies.
-func (g *Graph) DistinctLatencies() []int {
-	seen := make(map[int]bool)
-	for _, e := range g.edges {
-		seen[e.Latency] = true
-	}
-	out := make([]int, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// SubgraphMaxLatency returns G_ℓ: the subgraph containing exactly the
-// edges of latency <= ℓ (the node set is unchanged).
-func (g *Graph) SubgraphMaxLatency(l int) *Graph {
-	sub := New(g.n)
-	for _, e := range g.edges {
-		if e.Latency <= l {
-			sub.MustAddEdge(e.U, e.V, e.Latency)
-		}
-	}
-	return sub
 }
 
 // Clone returns a deep copy of g.

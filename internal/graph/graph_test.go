@@ -91,29 +91,15 @@ func TestDegreesAndVolume(t *testing.T) {
 	if g.Degree(0) != 2 || g.MaxDegree() != 2 {
 		t.Fatal("degree bookkeeping wrong")
 	}
-	vol := g.Volume([]bool{true, true, false})
+	vol := g.CSR().Volume([]bool{true, true, false})
 	if vol != 4 {
 		t.Fatalf("Volume = %d, want 4", vol)
 	}
 }
 
-func TestSubgraphMaxLatency(t *testing.T) {
-	g := mustTriangle(t)
-	sub := g.SubgraphMaxLatency(2)
-	if sub.M() != 2 {
-		t.Fatalf("G_2 has %d edges, want 2", sub.M())
-	}
-	if sub.HasEdge(0, 2) {
-		t.Fatal("G_2 contains the latency-5 edge")
-	}
-	if sub.N() != g.N() {
-		t.Fatal("G_ℓ changed the node set")
-	}
-}
-
 func TestDistinctLatenciesAndMax(t *testing.T) {
 	g := mustTriangle(t)
-	lats := g.DistinctLatencies()
+	lats := g.CSR().DistinctLatencies()
 	want := []int{1, 2, 5}
 	if len(lats) != 3 {
 		t.Fatalf("DistinctLatencies = %v", lats)
@@ -164,15 +150,16 @@ func TestDistances(t *testing.T) {
 	g.MustAddEdge(1, 2, 2)
 	g.MustAddEdge(2, 3, 3)
 	g.MustAddEdge(0, 3, 10)
-	d := g.Distances(0)
+	c := g.CSR()
+	d := c.Distances(0)
 	want := []int64{0, 1, 3, 6}
 	for i := range want {
 		if d[i] != want[i] {
 			t.Fatalf("Distances(0) = %v, want %v", d, want)
 		}
 	}
-	if g.WeightedDiameter() != 6 {
-		t.Fatalf("WeightedDiameter = %d, want 6", g.WeightedDiameter())
+	if c.WeightedDiameter() != 6 {
+		t.Fatalf("WeightedDiameter = %d, want 6", c.WeightedDiameter())
 	}
 }
 
@@ -182,7 +169,7 @@ func TestDistancesPreferMultiHop(t *testing.T) {
 	g.MustAddEdge(0, 2, 100)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	if d := g.Distances(0); d[2] != 2 {
+	if d := g.CSR().Distances(0); d[2] != 2 {
 		t.Fatalf("dist(0,2) = %d, want 2 via the fast path", d[2])
 	}
 }
@@ -190,7 +177,7 @@ func TestDistancesPreferMultiHop(t *testing.T) {
 func TestEccentricityUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)
-	if g.Eccentricity(0) < Infinity {
+	if g.CSR().Eccentricity(0) < Infinity {
 		t.Fatal("eccentricity with unreachable node should be Infinity")
 	}
 }
@@ -209,7 +196,7 @@ func TestQuickPathDiameter(t *testing.T) {
 			g.MustAddEdge(i, i+1, lat)
 			sum += int64(lat)
 		}
-		return g.WeightedDiameter() == sum
+		return g.CSR().WeightedDiameter() == sum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

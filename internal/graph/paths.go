@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"math"
+	"slices"
 )
 
 // Infinity is the distance reported for unreachable nodes.
@@ -30,8 +31,8 @@ func (h *distHeap) Pop() interface{} {
 
 // Distances returns the weighted shortest-path distance (sum of latencies)
 // from src to every node. Unreachable nodes get Infinity.
-func (g *Graph) Distances(src NodeID) []int64 {
-	dist := make([]int64, g.n)
+func (c *CSR) Distances(src NodeID) []int64 {
+	dist := make([]int64, c.n)
 	for i := range dist {
 		dist[i] = Infinity
 	}
@@ -42,11 +43,11 @@ func (g *Graph) Distances(src NodeID) []int64 {
 		if it.dist > dist[it.node] {
 			continue
 		}
-		for _, e := range g.adj[it.node] {
-			nd := it.dist + int64(e.latency)
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				heap.Push(h, distItem{node: e.to, dist: nd})
+		for h2 := c.offs[it.node]; h2 < c.offs[it.node+1]; h2++ {
+			v := c.nbr[h2]
+			if nd := it.dist + int64(c.lat[h2]); nd < dist[v] {
+				dist[v] = nd
+				heap.Push(h, distItem{node: int(v), dist: nd})
 			}
 		}
 	}
@@ -55,24 +56,18 @@ func (g *Graph) Distances(src NodeID) []int64 {
 
 // Eccentricity returns the maximum weighted distance from src to any node,
 // or Infinity when some node is unreachable.
-func (g *Graph) Eccentricity(src NodeID) int64 {
-	max := int64(0)
-	for _, d := range g.Distances(src) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+func (c *CSR) Eccentricity(src NodeID) int64 {
+	return slices.Max(c.Distances(src))
 }
 
 // WeightedDiameter returns the exact weighted diameter D: the maximum over
 // all pairs of the shortest-path distance. It runs Dijkstra from every
 // node (O(n·m·log n)), which is fine at experiment scale.
 // Returns Infinity for disconnected graphs.
-func (g *Graph) WeightedDiameter() int64 {
+func (c *CSR) WeightedDiameter() int64 {
 	max := int64(0)
-	for u := 0; u < g.n; u++ {
-		if ecc := g.Eccentricity(u); ecc > max {
+	for u := 0; u < c.n; u++ {
+		if ecc := c.Eccentricity(u); ecc > max {
 			max = ecc
 		}
 	}

@@ -25,19 +25,19 @@ func TestStar(t *testing.T) {
 	if g.M() != 5 || g.Degree(0) != 5 || g.Degree(1) != 1 {
 		t.Fatalf("star shape wrong: m=%d", g.M())
 	}
-	if g.WeightedDiameter() != 6 {
-		t.Fatalf("star diameter = %d, want 6", g.WeightedDiameter())
+	if g.CSR().WeightedDiameter() != 6 {
+		t.Fatalf("star diameter = %d, want 6", g.CSR().WeightedDiameter())
 	}
 }
 
 func TestPathCycle(t *testing.T) {
 	p := Path(4, 1)
-	if p.M() != 3 || p.WeightedDiameter() != 3 {
-		t.Fatalf("path wrong: m=%d D=%d", p.M(), p.WeightedDiameter())
+	if p.M() != 3 || p.CSR().WeightedDiameter() != 3 {
+		t.Fatalf("path wrong: m=%d D=%d", p.M(), p.CSR().WeightedDiameter())
 	}
 	c := Cycle(4, 1)
-	if c.M() != 4 || c.WeightedDiameter() != 2 {
-		t.Fatalf("cycle wrong: m=%d D=%d", c.M(), c.WeightedDiameter())
+	if c.M() != 4 || c.CSR().WeightedDiameter() != 2 {
+		t.Fatalf("cycle wrong: m=%d D=%d", c.M(), c.CSR().WeightedDiameter())
 	}
 }
 
@@ -50,8 +50,8 @@ func TestGrid(t *testing.T) {
 	if g.M() != 17 {
 		t.Fatalf("grid m = %d, want 17", g.M())
 	}
-	if g.WeightedDiameter() != 5 {
-		t.Fatalf("grid diameter = %d, want 5", g.WeightedDiameter())
+	if g.CSR().WeightedDiameter() != 5 {
+		t.Fatalf("grid diameter = %d, want 5", g.CSR().WeightedDiameter())
 	}
 }
 
@@ -120,7 +120,7 @@ func TestDumbbell(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Diameter: into clique (1) + bridge (50) + out of clique (1).
-	if d := g.WeightedDiameter(); d != 52 {
+	if d := g.CSR().WeightedDiameter(); d != 52 {
 		t.Fatalf("dumbbell diameter = %d, want 52", d)
 	}
 }

@@ -207,7 +207,7 @@ func TestRingDiameterScalesWithLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := r.Graph.WeightedDiameter()
+	d := r.Graph.CSR().WeightedDiameter()
 	// Fast ring edges keep the diameter near k/2 plus per-layer hops,
 	// far below the slow latency.
 	if d >= 1000 {

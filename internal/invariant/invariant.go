@@ -40,8 +40,8 @@ import (
 
 // Family is one topology of the suite.
 type Family struct {
-	Name  string
-	Graph *graph.Graph
+	Name string
+	CSR  *graph.CSR
 }
 
 // Families returns the graph suite: clique, path, slow-bridge dumbbell,
@@ -59,11 +59,11 @@ func Families(seed uint64) ([]Family, error) {
 		return nil, err
 	}
 	return []Family{
-		{"clique12", graphgen.Clique(12, 2)},
-		{"path10", graphgen.Path(10, 1)},
-		{"dumbbell6", graphgen.Dumbbell(6, 20)},
-		{"er16", er},
-		{"expander16", csr.Graph()},
+		{"clique12", graphgen.Clique(12, 2).CSR()},
+		{"path10", graphgen.Path(10, 1).CSR()},
+		{"dumbbell6", graphgen.Dumbbell(6, 20).CSR()},
+		{"er16", er.CSR()},
+		{"expander16", csr},
 	}, nil
 }
 
@@ -72,7 +72,7 @@ func Families(seed uint64) ([]Family, error) {
 // benign.
 type Scenario struct {
 	Name  string
-	Build func(g *graph.Graph) *adversity.Spec
+	Build func(c *graph.CSR) *adversity.Spec
 }
 
 // Scenarios returns the benign/lossy/churny triple of the harness.
@@ -81,12 +81,12 @@ type Scenario struct {
 // topology has.
 func Scenarios() []Scenario {
 	return []Scenario{
-		{"benign", func(*graph.Graph) *adversity.Spec { return nil }},
-		{"lossy", func(*graph.Graph) *adversity.Spec {
+		{"benign", func(*graph.CSR) *adversity.Spec { return nil }},
+		{"lossy", func(*graph.CSR) *adversity.Spec {
 			return &adversity.Spec{Loss: 0.15}
 		}},
-		{"churny", func(g *graph.Graph) *adversity.Spec {
-			flapPeer := g.Neighbors(0)[0].ID
+		{"churny", func(c *graph.CSR) *adversity.Spec {
+			flapPeer := int(c.NeighborIDs(0)[0])
 			return &adversity.Spec{
 				Churn: []adversity.Churn{
 					{Node: 1, Leave: 4, Rejoin: 12, Amnesia: true},
@@ -154,6 +154,16 @@ func fingerprintOf(res gossip.DriverResult) fingerprint {
 // graphs, and the horizon stalled lossy runs terminate against.
 const MaxRounds = 1 << 12
 
+// options is every harness run's configuration: source 0 on c under spec.
+func options(c *graph.CSR, spec *adversity.Spec, seed uint64, workers int) gossip.DriverOptions {
+	return gossip.DriverOptions{
+		Source:      0,
+		Seed:        seed,
+		MaxRounds:   MaxRounds,
+		ExecOptions: gossip.ExecOptions{Adversity: spec, Workers: workers, CSR: c},
+	}
+}
+
 // Check runs one (driver, family, scenario) cell at workers 1 and 8 and
 // returns every invariant violation.
 func Check(driver string, fam Family, sc Scenario, seed uint64) []Violation {
@@ -164,17 +174,9 @@ func Check(driver string, fam Family, sc Scenario, seed uint64) []Violation {
 			Rule: rule, Detail: fmt.Sprintf(format, args...),
 		})
 	}
-	spec := sc.Build(fam.Graph)
+	spec := sc.Build(fam.CSR)
 	run := func(workers int) (gossip.DriverResult, error) {
-		return gossip.Dispatch(driver, fam.Graph, gossip.DriverOptions{
-			Source:    0,
-			Seed:      seed,
-			MaxRounds: MaxRounds,
-			ExecOptions: gossip.ExecOptions{
-				Adversity: spec,
-				Workers:   workers,
-			},
-		})
+		return gossip.Dispatch(driver, nil, options(fam.CSR, spec, seed, workers))
 	}
 	r1, err := run(1)
 	if err != nil {
@@ -201,15 +203,7 @@ func Check(driver string, fam Family, sc Scenario, seed uint64) []Violation {
 	// checked here at the engine level for every distributable driver.
 	if gossip.Distributable(driver) {
 		for _, shards := range []int{2, 3} {
-			rd, _, err := gossip.DispatchLocalSharded(driver, fam.Graph, gossip.DriverOptions{
-				Source:    0,
-				Seed:      seed,
-				MaxRounds: MaxRounds,
-				ExecOptions: gossip.ExecOptions{
-					Adversity: spec,
-					Workers:   1,
-				},
-			}, shards)
+			rd, _, err := gossip.DispatchLocalSharded(driver, options(fam.CSR, spec, seed, 1), shards)
 			if err != nil {
 				report("distributed", "shards=%d: %v", shards, err)
 				continue
@@ -230,7 +224,7 @@ func Check(driver string, fam Family, sc Scenario, seed uint64) []Violation {
 		if workers == 8 {
 			cold = fp8
 		}
-		warm, err := warmReplay(driver, fam.Graph, spec, seed, workers, r1.Rounds/2)
+		warm, err := warmReplay(driver, options(fam.CSR, spec, seed, workers), r1.Rounds/2)
 		if err != nil {
 			report("warm-fork", "workers=%d: %v", workers, err)
 			continue
@@ -353,19 +347,10 @@ func Check(driver string, fam Family, sc Scenario, seed uint64) []Violation {
 // the driver at atRound and resume with unchanged options. Drivers
 // without snapshot support (the multi-phase pipelines) re-Dispatch cold
 // instead — replay determinism is the strongest claim available there.
-func warmReplay(driver string, g *graph.Graph, spec *adversity.Spec, seed uint64, workers, atRound int) (fingerprint, error) {
-	opts := gossip.DriverOptions{
-		Source:    0,
-		Seed:      seed,
-		MaxRounds: MaxRounds,
-		ExecOptions: gossip.ExecOptions{
-			Adversity: spec,
-			Workers:   workers,
-		},
-	}
-	w, err := gossip.Fork(driver, g, opts, atRound)
+func warmReplay(driver string, opts gossip.DriverOptions, atRound int) (fingerprint, error) {
+	w, err := gossip.Fork(driver, opts, atRound)
 	if errors.Is(err, gossip.ErrNoWarmStart) {
-		res, err := gossip.Dispatch(driver, g, opts)
+		res, err := gossip.Dispatch(driver, nil, opts)
 		if err != nil {
 			return fingerprint{}, err
 		}

@@ -66,15 +66,18 @@ func (c *lruCache[K, V]) getOrPut(key K, fresh func() V) V {
 }
 
 // put stores (or refreshes) a value, evicting from the cold end past
-// max. A value that alone costs more than max is not stored, and any
-// older value under its key is dropped.
-func (c *lruCache[K, V]) put(key K, v V) {
+// max, and reports whether key already held one. A value that alone
+// costs more than max is not stored, and any older value under its key
+// is dropped.
+func (c *lruCache[K, V]) put(key K, v V) (replaced bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	el, replaced := c.items[key]
+	if replaced {
 		c.remove(el)
 	}
 	c.insert(key, v)
+	return replaced
 }
 
 func (c *lruCache[K, V]) insert(key K, v V) {
@@ -148,12 +151,12 @@ func (s *Server) topology(can canonical) (*graph.CSR, error) {
 }
 
 // flight is one in-flight execution of a request key. Concurrent
-// identical requests coalesce onto it: the first arrival (the leader)
-// executes, everyone else waits on done and replays body. A nil body
-// with a closed done means the leader failed nondeterministically (a
-// timeout); followers retry — each key executes at most once per
-// success, which is what makes cache-miss counts deterministic under
-// concurrency (misses == distinct keys).
+// identical jobs coalesce onto it — requests and an estimate's candidate
+// evaluations alike: the first arrival (the leader) executes, everyone
+// else waits on done and replays body. A nil body with a closed done
+// means the leader failed nondeterministically (a timeout); followers
+// retry — each key executes at most once per success, which
+// Snapshot.Reexecutions counts the breaches of.
 type flight struct {
 	done chan struct{}
 	body []byte

@@ -227,17 +227,19 @@ func (s *Server) serveEstimate(w http.ResponseWriter, _ *http.Request, ctx conte
 	})
 }
 
-// produce computes the /v1/estimates stream: resolve the observation
-// (simulating the reference on the leader's slot if needed), release the
-// slot, then run the coarse-to-fine fit with candidate simulations
-// fanning out on their own pool slots.
+// produce computes the /v1/estimates stream: release the leader's slot,
+// resolve the observation (simulating the reference if needed), then run
+// the coarse-to-fine fit, every simulation on a pool slot of its own.
 func (ej *estimateJob) produce(s *Server, release func(), emit func(chunk)) {
 	fail := func(prefix string, err error) {
 		emit(chunk{line: errorLine(prefix + err.Error()), nondet: isTransient(err), failed: true})
 	}
+	// The reference may wait on another request's flight, whose leader
+	// could be queued for the very slot this leader holds.
+	release()
 	observed := ej.observed
 	if ej.ref != nil {
-		cv, err := s.estimateEvalJob(ej.ref, true)
+		cv, err := s.estimateEvalJob(ej.ref)
 		if err != nil {
 			fail("reference: ", err)
 			return
@@ -248,7 +250,6 @@ func (ej *estimateJob) produce(s *Server, release func(), emit func(chunk)) {
 		}
 		observed = cv
 	}
-	release()
 
 	nodes := graphSpecNodes(ej.base.can.Graph)
 	protected := ej.base.can.Source
@@ -275,7 +276,7 @@ func (ej *estimateJob) produce(s *Server, release func(), emit func(chunk)) {
 			base := ej.base.driverOptions()
 			base.CSR = csr
 			var p *gossip.WarmPrefix
-			p, err = gossip.Fork(ej.base.can.Driver, nil, base, estimate.ChurnLeave)
+			p, err = gossip.Fork(ej.base.can.Driver, base, estimate.ChurnLeave)
 			if err == nil {
 				prefixes[scale] = p
 				return p, nil
@@ -286,7 +287,7 @@ func (ej *estimateJob) produce(s *Server, release func(), emit func(chunk)) {
 	}
 
 	evalCold := func(c estimate.Candidate) (curve.Curve, error) {
-		return s.estimateEvalJob(s.candidateJob(ej.base, c, nodes, protected), false)
+		return s.estimateEvalJob(s.candidateJob(ej.base, c, nodes, protected))
 	}
 	evalWarm := func(c estimate.Candidate) (curve.Curve, error) {
 		if err := s.pool.Acquire(s.drainCtx); err != nil {
@@ -365,26 +366,35 @@ func (s *Server) candidateJob(base *job, c estimate.Candidate, nodes, protected 
 	return jb
 }
 
-// estimateEvalJob runs one simulation job for the estimator: replay its
-// curve from the shared cache when possible, otherwise execute and
-// publish the exact body /v1/simulations would have (byte-identical, so
-// the entry serves both surfaces, deterministic errors included).
-// haveSlot marks the caller as already holding a pool slot (the leader
-// resolving its reference); otherwise one is acquired on the drain
-// context.
-func (s *Server) estimateEvalJob(jb *job, haveSlot bool) (curve.Curve, error) {
-	if body, ok := s.lookup(jb.key); ok {
+// estimateEvalJob runs one simulation job for the estimator as that
+// job's one execution: it replays the body from the shared cache or from
+// a concurrent identical request's flight, and otherwise leads the
+// flight itself, executing and publishing the exact body
+// /v1/simulations would have (byte-identical, so the entry serves both
+// surfaces, deterministic errors included) before it wakes the
+// followers.
+func (s *Server) estimateEvalJob(jb *job) (curve.Curve, error) {
+	body, f, err := s.settle(s.drainCtx, jb.key)
+	if err != nil {
+		return nil, errEstimateAborted
+	}
+	if body != nil {
 		return curveFromBody(body)
 	}
-	if !haveSlot {
-		if err := s.pool.Acquire(s.drainCtx); err != nil {
-			return nil, errEstimateAborted
-		}
-		defer s.pool.Release()
+	// Resolved however the execution ends, a panic included, so no
+	// follower waits on it forever.
+	defer func() { s.resolve(jb.key, f, body) }()
+	if err := s.pool.Acquire(s.drainCtx); err != nil {
+		return nil, errEstimateAborted
+	}
+	defer s.pool.Release()
+	if s.cfg.gate != nil {
+		s.cfg.gate(jb.key)
 	}
 	res, nondet, err := s.execute(jb)
 	if !nondet {
-		s.publish(jb.key, append(acceptedLine(accepted(jb.can.Driver, jb.key)), jobTail(res, err)...))
+		body = append(acceptedLine(accepted(jb.can.Driver, jb.key)), jobTail(res, err)...)
+		s.publish(jb.key, body)
 	}
 	if err != nil {
 		return nil, err

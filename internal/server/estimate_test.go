@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"gossip/internal/curve"
 	"gossip/internal/gossip"
@@ -383,4 +386,169 @@ func FuzzEstimateValidate(f *testing.F) {
 			t.Fatalf("unstructured validation error for %q", raw)
 		}
 	})
+}
+
+// TestEstimateCandidateIsTheKeysExecution reproduces the order behind
+// E26's "misses for distinct jobs" alarm: the estimate's benign coarse
+// candidate is exactly pushPullReq's canonical job, so when the estimate
+// runs first the direct request is a hit that no client ever saw miss.
+// The candidate's evaluation must then have been that key's one
+// execution, on the execution path a leader takes (the gate sees it),
+// and no key may have run twice.
+func TestEstimateCandidateIsTheKeysExecution(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	srv := New(Config{gate: func(key string) {
+		mu.Lock()
+		runs[key]++
+		mu.Unlock()
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if status, _, _ := postEstimate(t, ts.URL, lossyEstimateReq()); status != http.StatusOK {
+		t.Fatalf("estimate status %d", status)
+	}
+	status, cache, body := postJob(t, ts.URL, pushPullReq())
+	if status != http.StatusOK || cache != "hit" {
+		t.Fatalf("status %d cache %q, want a hit off the estimate's evaluations", status, cache)
+	}
+	key := decodeStream(t, body)[0]["request_key"].(string)
+	mu.Lock()
+	defer mu.Unlock()
+	if runs[key] != 1 {
+		t.Fatalf("the job served as a hit executed %d times, want once (as the estimate's candidate)", runs[key])
+	}
+	for k, n := range runs {
+		if n > 1 {
+			t.Fatalf("key %s executed %d times", k, n)
+		}
+	}
+}
+
+// TestEstimateCandidateLeadsItsFlight: a candidate that executes a
+// simulation key leads that key's flight, so a direct request for the
+// key arriving meanwhile follows it and replays its body instead of
+// running the job a second time.
+func TestEstimateCandidateLeadsItsFlight(t *testing.T) {
+	jb, ferr := New(Config{}).validate(pushPullReq())
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	held, open := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	runs := map[string]int{}
+	srv := New(Config{Pool: 4, gate: func(key string) {
+		mu.Lock()
+		runs[key]++
+		first := key == jb.key && runs[key] == 1
+		mu.Unlock()
+		if first {
+			close(held)
+			<-open
+		}
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	type reply struct {
+		cache string
+		body  []byte
+	}
+	post := func(path string, payload any, out chan<- reply) {
+		raw, _ := json.Marshal(payload)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Error(err)
+			out <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- reply{resp.Header.Get(CacheHeader), body}
+	}
+	estimated, direct := make(chan reply, 1), make(chan reply, 1)
+	go post("/v1/estimates", lossyEstimateReq(), estimated)
+	select {
+	case <-held: // the candidate executes the key, held at the gate
+	case <-time.After(time.Minute):
+		t.Fatal("the estimate never executed the direct job's key")
+	}
+	go post("/v1/simulations", pushPullReq(), direct)
+	// The direct request waits on the candidate's flight, or, finding
+	// none, runs the key itself.
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return srv.Metrics().InFlight == 2 || runs[jb.key] > 1
+	})
+	close(open)
+	if r := <-direct; r.cache != "hit" {
+		t.Fatalf("direct request was a %q while the candidate ran its key, want a coalesced hit", r.cache)
+	}
+	est := <-estimated
+
+	fresh := httptest.NewServer(New(Config{}).Handler())
+	defer fresh.Close()
+	if _, _, want := postEstimate(t, fresh.URL, lossyEstimateReq()); !bytes.Equal(est.body, want) {
+		t.Fatalf("estimate whose candidate led a flight differs from a fresh one:\n%s\nvs\n%s", est.body, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if runs[jb.key] != 1 || srv.Metrics().Reexecutions != 0 {
+		t.Fatalf("key executed %d times, %d re-executions; want once and none", runs[jb.key], srv.Metrics().Reexecutions)
+	}
+}
+
+// TestEstimateReferenceWaitsWithoutASlot: the reference evaluation can
+// follow another request's flight, so it must not hold a pool slot while
+// it waits. On one slot, a client's leader for the reference job queues
+// for the slot the estimate's leader holds; the estimate has to hand the
+// slot back before it waits, or neither job ever runs.
+func TestEstimateReferenceWaitsWithoutASlot(t *testing.T) {
+	req := lossyEstimateReq()
+	ej, ferr := New(Config{}).validateEstimate(req)
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	held, open := make(chan struct{}), make(chan struct{})
+	srv := New(Config{Pool: 1, gate: func(key string) {
+		if key == ej.key {
+			close(held)
+			<-open
+		}
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	client := &http.Client{Timeout: 30 * time.Second} // a deadlock fails, not hangs
+	post := func(path string, payload any, out chan<- []byte) {
+		raw, _ := json.Marshal(payload)
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Error(err)
+			out <- nil
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- body
+	}
+	estimated, reference := make(chan []byte, 1), make(chan []byte, 1)
+	go post("/v1/estimates", req, estimated)
+	<-held // the estimate's leader holds the only slot
+	go post("/v1/simulations", *req.Reference, reference)
+	waitFor(t, func() bool { return srv.Metrics().Queued == 1 }) // its leader queues for that slot
+	close(open)
+	if body := <-reference; body == nil || lastEvent(t, body)["event"] != "result" {
+		t.Fatalf("reference job did not complete: %s", body)
+	}
+	if body := <-estimated; body == nil || lastEvent(t, body)["event"] != "estimate" {
+		t.Fatalf("estimate did not complete: %s", body)
+	}
 }

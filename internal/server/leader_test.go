@@ -171,7 +171,7 @@ func TestLeaderContract(t *testing.T) {
 					replies <- reply{cache, body}
 				}
 				go post()
-				<-entered // the leader is executing, held at the gate
+				leader := <-entered // the leader is executing, held at the gate
 				for i := 0; i < followers; i++ {
 					go post()
 				}
@@ -202,10 +202,12 @@ func TestLeaderContract(t *testing.T) {
 				if last := lastEvent(t, first); last["event"] != kind.last {
 					t.Fatalf("coalesced job ended with %+v", last)
 				}
-				select {
-				case k := <-entered:
-					t.Fatalf("second execution started for %s despite coalescing", k)
-				default:
+				// An estimate's candidate simulations pass the gate too,
+				// under keys of their own.
+				for len(entered) > 0 {
+					if k := <-entered; k == leader {
+						t.Fatalf("second execution started for %s despite coalescing", k)
+					}
 				}
 			})
 

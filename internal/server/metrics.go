@@ -16,6 +16,7 @@ type metrics struct {
 	failed    atomic.Int64 // timeouts and deterministic job errors
 	hits      atomic.Int64 // cache + coalesced replays
 	misses    atomic.Int64 // executions
+	reexecs   atomic.Int64 // executions whose key already had a cached body
 	storeHits atomic.Int64 // lookups served by promoting a disk-store body
 	sweeps    atomic.Int64 // sweep requests that executed (sweep-level misses)
 	estimates atomic.Int64 // estimate requests that executed (estimate-level misses)
@@ -35,6 +36,7 @@ type Snapshot struct {
 	InFlight, Queued, Running int64
 	Completed, Failed         int64
 	CacheHits, CacheMisses    int64
+	Reexecutions              int64
 	StoreHits                 int64
 	SweepsExecuted            int64
 	EstimatesExecuted         int64
@@ -60,6 +62,7 @@ func (s *Server) Metrics() Snapshot {
 		Failed:            s.met.failed.Load(),
 		CacheHits:         s.met.hits.Load(),
 		CacheMisses:       s.met.misses.Load(),
+		Reexecutions:      s.met.reexecs.Load(),
 		StoreHits:         s.met.storeHits.Load(),
 		SweepsExecuted:    s.met.sweeps.Load(),
 		EstimatesExecuted: s.met.estimates.Load(),
@@ -89,6 +92,7 @@ func (m *metrics) render(w io.Writer, cacheEntries, poolSize int) {
 	counter("gossipd_jobs_failed_total", "jobs that produced an error event", m.failed.Load())
 	counter("gossipd_cache_hits_total", "responses replayed from the request cache or a coalesced flight", m.hits.Load())
 	counter("gossipd_cache_misses_total", "responses computed by executing the job", m.misses.Load())
+	counter("gossipd_reexecutions_total", "executions whose request key already had a cached body", m.reexecs.Load())
 	counter("gossipd_store_hits_total", "lookups served from the disk result store", m.storeHits.Load())
 	counter("gossipd_sweeps_executed_total", "sweep requests executed rather than replayed", m.sweeps.Load())
 	counter("gossipd_estimates_executed_total", "estimate requests executed rather than replayed", m.estimates.Load())

@@ -174,9 +174,13 @@ func (s *Server) lookup(key string) ([]byte, bool) {
 	return body, ok
 }
 
-// publish records a completed deterministic body in both tiers.
+// publish records a completed deterministic body in both tiers. A key
+// whose body is already cached has just executed a second time, which
+// the re-execution counter records.
 func (s *Server) publish(key string, body []byte) {
-	s.cache.put(key, body)
+	if s.cache.put(key, body) {
+		s.met.reexecs.Add(1)
+	}
 	if s.store != nil {
 		s.store.put(key, body)
 	}
@@ -289,52 +293,57 @@ func (s *Server) serveSimulation(w http.ResponseWriter, r *http.Request, ctx con
 // execute via lead, which writes its own stream and publishes the
 // full-resolution body itself.
 func (s *Server) serveJob(w http.ResponseWriter, ctx context.Context, st stream) {
-	key := st.accepted.RequestKey
-
-	// Caching off means genuinely off: no memoization and no coalescing,
-	// every request is its own execution.
-	if s.cache.disabled() {
-		s.lead(w, ctx, st, nil)
-		return
+	body, f, err := s.settle(ctx, st.accepted.RequestKey)
+	switch {
+	case err != nil:
+		if s.Draining() {
+			writeUnavailable(w)
+		}
+	case body != nil:
+		s.replay(w, st, body)
+	default:
+		s.lead(w, ctx, st, f)
 	}
+}
 
+// settle finds key's body without executing it when it can: memoized,
+// or the outcome of a concurrent identical job's flight. Otherwise the
+// caller is key's one execution, and it must resolve the returned flight
+// however the execution ends. That flight is nil, so the run is
+// uncoalesced, when caching is off ("every request executes") or after
+// maxJoinAttempts leaders have failed nondeterministically. The error is
+// ctx's, when it ends the wait.
+func (s *Server) settle(ctx context.Context, key string) ([]byte, *flight, error) {
+	if s.cache.disabled() {
+		return nil, nil, nil
+	}
 	for attempt := 0; ; attempt++ {
 		if body, ok := s.lookup(key); ok {
-			s.replay(w, st, body)
-			return
+			return body, nil, nil
 		}
 		if attempt >= maxJoinAttempts {
-			s.lead(w, ctx, st, nil)
-			return
+			return nil, nil, nil
 		}
 		f, leader := s.join(key)
 		if leader {
 			// Re-check the cache now that we hold leadership: a previous
 			// leader may have published and resolved between our cache
 			// miss above and the join — without this, the same key would
-			// execute (and count a miss) twice, breaking the
-			// misses-== -distinct-keys invariant the load-smoke gate
-			// asserts.
+			// execute twice.
 			if body, ok := s.lookup(key); ok {
 				s.resolve(key, f, body)
-				s.replay(w, st, body)
-				return
+				return body, nil, nil
 			}
-			s.lead(w, ctx, st, f)
-			return
+			return nil, f, nil
 		}
 		select {
 		case <-f.done:
 			if f.body != nil {
-				s.replay(w, st, f.body)
-				return
+				return f.body, nil, nil
 			}
 			// The leader failed nondeterministically; try again.
 		case <-ctx.Done():
-			if s.Draining() {
-				writeUnavailable(w)
-			}
-			return
+			return nil, nil, ctx.Err()
 		}
 	}
 }

@@ -364,8 +364,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	_, _, first := postJob(t, ts.URL, pushPullReq())
 	postJob(t, ts.URL, pushPullReq())
-	postJob(t, ts.URL, pushPullReq())
+	// Publishing a key whose body is cached is a second execution of it.
+	srv.publish(decodeStream(t, first)[0]["request_key"].(string), first)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -376,6 +378,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gossipd_jobs_completed_total 1",
 		"gossipd_cache_hits_total 1",
 		"gossipd_cache_misses_total 1",
+		"gossipd_reexecutions_total 1",
 		"gossipd_cache_entries 1",
 		"gossipd_rounds_simulated_total",
 		"gossipd_pool_slots",

@@ -164,7 +164,7 @@ func (sj *sweepJob) produce(s *Server, release func(), emit func(chunk)) {
 	}
 	base := sj.base.driverOptions()
 	base.CSR = csr
-	prefix, err := gossip.Fork(sj.base.can.Driver, nil, base, sj.forkRound)
+	prefix, err := gossip.Fork(sj.base.can.Driver, base, sj.forkRound)
 	release()
 	if err != nil {
 		emit(chunk{line: errorLine(fmt.Sprintf("forking warm prefix: %v", err)), failed: true})

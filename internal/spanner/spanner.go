@@ -262,24 +262,29 @@ func (s *Spanner) MaxOutDegree() int {
 	return deg
 }
 
-// AsGraph returns the undirected spanner as a graph on the same node set.
-func (s *Spanner) AsGraph() *graph.Graph {
-	g := graph.New(len(s.Out))
+// csr returns the undirected spanner as a CSR on the same node set.
+func (s *Spanner) csr() *graph.CSR {
+	b := graph.NewCSRBuilder(len(s.Out))
 	for u, outs := range s.Out {
 		for _, e := range outs {
-			if !g.HasEdge(u, e.ID) {
-				g.MustAddEdge(u, e.ID, e.Latency)
+			// An edge both ends added is kept once, from its smaller end.
+			if u < e.ID || !slices.ContainsFunc(s.Out[e.ID], func(x graph.Neighbor) bool { return x.ID == u }) {
+				b.MustAddEdge(u, e.ID, e.Latency)
 			}
 		}
 	}
-	return g
+	c, err := b.Finalize()
+	if err != nil {
+		panic(err) // Build never orients one edge twice from the same end
+	}
+	return c
 }
 
 // Stretch samples up to pairs node pairs and returns the maximum observed
 // ratio spanner-distance / graph-distance (both weighted). A correct
 // (2k-1)-spanner never exceeds 2K-1.
-func (s *Spanner) Stretch(g *graph.Graph, pairs int, rng *rand.Rand) float64 {
-	sg := s.AsGraph()
+func (s *Spanner) Stretch(g *graph.CSR, pairs int, rng *rand.Rand) float64 {
+	sg := s.csr()
 	worst := 1.0
 	for i := 0; i < pairs; i++ {
 		u := rng.IntN(g.N())

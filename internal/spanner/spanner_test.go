@@ -17,12 +17,15 @@ func TestBuildSmallClique(t *testing.T) {
 	if sp.K != 3 {
 		t.Fatalf("K = %d, want ceil(log2 8) = 3", sp.K)
 	}
-	if !sp.AsGraph().Connected() {
+	if !sp.csr().Connected() {
 		t.Fatal("spanner disconnected")
 	}
 }
 
+// The stretch values were recorded from the adjacency-map Dijkstra; the
+// CSR one must reproduce them exactly.
 func TestStretchBoundHolds(t *testing.T) {
+	want := map[string]float64{"clique": 2, "grid": 3, "cycle": 1, "star": 1, "weighted": 14.0 / 13}
 	rng := graphgen.NewRand(5)
 	cases := map[string]*graph.Graph{
 		"clique": graphgen.Clique(32, 2),
@@ -45,12 +48,15 @@ func TestStretchBoundHolds(t *testing.T) {
 				t.Fatal(err)
 			}
 			bound := float64(2*sp.K - 1)
-			got := sp.Stretch(g, 10, graphgen.NewRand(9))
+			got := sp.Stretch(g.CSR(), 10, graphgen.NewRand(9))
 			if math.IsInf(got, 1) {
 				t.Fatal("spanner disconnected")
 			}
 			if got > bound+1e-9 {
 				t.Fatalf("stretch %v exceeds 2k-1 = %v", got, bound)
+			}
+			if got != want[name] {
+				t.Fatalf("stretch %v, recorded %v", got, want[name])
 			}
 		})
 	}
@@ -65,7 +71,7 @@ func TestK1SpannerIsWholeGraph(t *testing.T) {
 	if sp.NumEdges() != g.M() {
 		t.Fatalf("k=1 spanner has %d edges, want all %d", sp.NumEdges(), g.M())
 	}
-	if got := sp.Stretch(g, 5, graphgen.NewRand(1)); got != 1 {
+	if got := sp.Stretch(g.CSR(), 5, graphgen.NewRand(1)); got != 1 {
 		t.Fatalf("k=1 stretch = %v, want 1", got)
 	}
 }
@@ -101,7 +107,7 @@ func TestMaxLatencyFilter(t *testing.T) {
 			t.Fatal("filtered bridge edge present in spanner")
 		}
 	}
-	if sp.AsGraph().Connected() {
+	if sp.csr().Connected() {
 		t.Fatal("spanner connected despite bridge exclusion")
 	}
 }
@@ -120,8 +126,8 @@ func TestNHatEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := float64(2*sp.K - 1)
-	if got := sp.Stretch(g, 8, graphgen.NewRand(3)); got > bound {
-		t.Fatalf("stretch %v exceeds bound %v with nˆ=n²", got, bound)
+	if got := sp.Stretch(g.CSR(), 8, graphgen.NewRand(3)); got > bound || got != 2 {
+		t.Fatalf("stretch %v exceeds bound %v with nˆ=n², or differs from the recorded 2", got, bound)
 	}
 }
 

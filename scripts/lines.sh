@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Go line counts, non-test and test, per top-level directory and in
 # total, for the tree this script sits in — the two numbers every
-# simplicity PR and every ROADMAP re-anchor quotes. benchmark/ is a
-# module of its own, frozen between benchmark PRs, and is left out.
-# Lines are raw `wc -l` lines: comments and blanks count.
+# simplicity PR and every ROADMAP re-anchor quotes — then the number of
+# non-test files that still name the adjacency-map *graph.Graph (the
+# progress of moving everything past the generators onto the CSR).
+# benchmark/ is a module of its own, frozen between benchmark PRs, and
+# is left out. Lines are raw `wc -l` lines: comments and blanks count.
 #
 #   scripts/lines.sh    (or: make lines)
 set -euo pipefail
@@ -22,3 +24,6 @@ find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -pr
 		close("sort")
 		printf "%-12s %9d %9d\n", "total", codes, tests
 	}'
+{ grep -rlE 'graph\.Graph\b|\*Graph\b' --include='*.go' --exclude='*_test.go' \
+	--exclude-dir=benchmark --exclude-dir=.bench_build . || true; } |
+	awk 'END { printf "%-12s %9d  non-test files naming *graph.Graph\n", "map graph", NR }'
