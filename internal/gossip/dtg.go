@@ -21,8 +21,9 @@ import (
 // repeated DTG phases of Spanner/Pattern Broadcast each pay their full
 // schedule, exactly as the real algorithm re-disseminates fresh
 // neighborhood data every repetition. L rides on exchange metadata as a
-// sorted sparse id slice (see heardSet) — O(neighborhood) per node, not
-// n bits, which is what lets DTG run at n=10⁶.
+// sorted id slice while it is small — O(neighborhood) per node, not n
+// bits, which is what lets DTG run at n=10⁶ — and as an n-bit bitmap
+// once the list would outweigh it (see heardSet).
 //
 // A pipeline draws every DTG phase's instances from one slab (see
 // pipeline.prepareDTG), and init restarts an instance over the storage
@@ -110,7 +111,7 @@ func (d *DTG) init(nv *sim.NodeView, ell int) {
 	}
 	d.scan, d.sent, d.pending, d.done = 0, 0, -1, false
 	d.contacted = d.contacted[:0]
-	d.heard.reset(nv.ID())
+	d.heard.reset(nv.ID(), nv.N())
 }
 
 // prepareDTG expands one ℓ-DTG phase run to quiescence into its sim.Run
@@ -141,7 +142,8 @@ func dtgPhase(opts DriverOptions, slab []DTG) (sim.Config, sim.Factory, sim.Stop
 }
 
 // Meta snapshots the node's phase-local heard set for the peer: a cached
-// immutable sorted id slice (shared until the set next changes).
+// immutable []int32, a sorted id list or a tagged bitmap (shared until
+// the set next changes).
 func (d *DTG) Meta() any { return d.heard.Snapshot() }
 
 // Done reports local termination: every G_ℓ neighbor has been heard.
@@ -206,7 +208,7 @@ func (d *DTG) NextWake(round int) int {
 // snapshots may still be in flight mid-phase.
 func (d *DTG) OnAmnesia() {
 	d.heard = heardSet{}
-	d.heard.Add(d.nv.ID())
+	d.heard.reset(d.nv.ID(), d.nv.N())
 	d.scan = 0
 	d.contacted = d.contacted[:0]
 	d.sent = 0
@@ -217,9 +219,9 @@ func (d *DTG) OnAmnesia() {
 // OnDeliver merges the peer's heard set and unblocks the state machine.
 func (d *DTG) OnDeliver(dv sim.Delivery) {
 	if peer, ok := dv.PeerMeta.([]int32); ok {
-		d.heard.Union(peer)
+		d.heard.Union(peer, d.nv.N())
 	}
-	d.heard.Add(dv.Peer)
+	d.heard.Add(dv.Peer, d.nv.N())
 	if dv.Initiator && dv.NeighborIndex == d.pending {
 		d.pending = -1
 	}

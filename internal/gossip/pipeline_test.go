@@ -301,8 +301,9 @@ func TestSurvivorChecksAgree(t *testing.T) {
 // and election pair once per change instead of once per exchange brought
 // it to 16 083. One DTG slab per pipeline, whose instances keep their
 // eligible lists and heard logs across repetitions, and snapshots that
-// box a log version instead of copying it bring it to about 6 440. The
-// bound is 8 000.
+// box a log version instead of copying it brought it to about 6 440, and
+// it measured 5 999 before heard sets of ⌈n/32⌉ ids or more became
+// bitmaps, 5 987 after. The bound is 7 000.
 func TestPipelineAllocBudget(t *testing.T) {
 	g, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 16, Layers: 8, Latency: 16, Seed: 1})
 	if err != nil {
@@ -314,7 +315,7 @@ func TestPipelineAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 8000
+	const bound = 7000
 	t.Logf("%.0f allocations per auto run (bound %d)", allocs, bound)
 	if allocs > bound {
 		t.Fatalf("one auto run made %.0f allocations, bound %d", allocs, bound)

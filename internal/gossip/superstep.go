@@ -21,8 +21,11 @@ type Superstep struct {
 	timeout  int
 	eligible []int
 	heard    heardSet
-	// abandoned marks neighbors given up on after a timeout.
-	abandoned map[int]bool
+	// abandoned marks, by adjacency index, the neighbors given up on after
+	// a timeout; nil without one.
+	abandoned []bool
+	// fresh is Activate's scratch list of unheard eligible neighbors.
+	fresh     []int
 	pending   int
 	pendingAt int
 	done      bool
@@ -40,14 +43,12 @@ var (
 
 // CloneStateFrom deep-copies the state machine (heard set, abandonment
 // marks, in-flight marker and its start round) from a frozen snapshot
-// instance; eligible was rebuilt identically by the factory.
+// instance; eligible and the abandonment table were rebuilt identically
+// by the factory.
 func (s *Superstep) CloneStateFrom(src sim.Protocol) {
 	o := src.(*Superstep)
 	s.heard.cloneFrom(&o.heard)
-	s.abandoned = make(map[int]bool, len(o.abandoned))
-	for k, v := range o.abandoned {
-		s.abandoned[k] = v
-	}
+	copy(s.abandoned, o.abandoned)
 	s.pending = o.pending
 	s.pendingAt = o.pendingAt
 	s.done = o.done
@@ -80,14 +81,11 @@ func (s *Superstep) Waiting() bool {
 // node. ell <= 0 disables the latency filter; timeout <= 0 disables
 // abandonment.
 func NewSuperstep(nv *sim.NodeView, ell, timeout int) *Superstep {
-	s := &Superstep{
-		nv:        nv,
-		ell:       ell,
-		timeout:   timeout,
-		abandoned: make(map[int]bool),
-		pending:   -1,
+	s := &Superstep{nv: nv, ell: ell, timeout: timeout, pending: -1}
+	if timeout > 0 {
+		s.abandoned = make([]bool, nv.Degree())
 	}
-	s.heard.Add(nv.ID())
+	s.heard.reset(nv.ID(), nv.N())
 	for i := 0; i < nv.Degree(); i++ {
 		lat, known := nv.Latency(i)
 		if !known {
@@ -118,8 +116,8 @@ func prepareSuperstep(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc
 		}, sim.StopAllDone(), nil
 }
 
-// Meta snapshots the phase-local heard set (cached immutable sorted id
-// slice, shared until the set next changes).
+// Meta snapshots the phase-local heard set (a cached immutable []int32,
+// sorted ids or a tagged bitmap, shared until the set next changes).
 func (s *Superstep) Meta() any { return s.heard.Snapshot() }
 
 // Done reports local termination (all eligible neighbors heard or
@@ -140,12 +138,13 @@ func (s *Superstep) Activate(round int) (int, bool) {
 			return 0, false
 		}
 	}
-	var fresh []int
+	fresh := s.fresh[:0]
 	for _, i := range s.eligible {
-		if !s.abandoned[i] && !s.heard.Contains(s.nv.NeighborID(i)) {
+		if (s.abandoned == nil || !s.abandoned[i]) && !s.heard.Contains(s.nv.NeighborID(i)) {
 			fresh = append(fresh, i)
 		}
 	}
+	s.fresh = fresh
 	if len(fresh) == 0 {
 		s.done = true
 		return 0, false
@@ -161,8 +160,8 @@ func (s *Superstep) Activate(round int) (int, bool) {
 // marker drops (the exchange was lost with the down interval).
 func (s *Superstep) OnAmnesia() {
 	s.heard = heardSet{}
-	s.heard.Add(s.nv.ID())
-	s.abandoned = make(map[int]bool)
+	s.heard.reset(s.nv.ID(), s.nv.N())
+	clear(s.abandoned)
 	s.pending = -1
 	s.done = false
 }
@@ -170,9 +169,9 @@ func (s *Superstep) OnAmnesia() {
 // OnDeliver merges the peer's heard set and unblocks the node.
 func (s *Superstep) OnDeliver(dv sim.Delivery) {
 	if peer, ok := dv.PeerMeta.([]int32); ok {
-		s.heard.Union(peer)
+		s.heard.Union(peer, s.nv.N())
 	}
-	s.heard.Add(dv.Peer)
+	s.heard.Add(dv.Peer, s.nv.N())
 	if dv.Initiator && dv.NeighborIndex == s.pending {
 		s.pending = -1
 	}

@@ -357,7 +357,9 @@ func AppendMetaFrame(dst []byte, f *sim.DistMetaFrame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(m.Node))
 		dst = binary.AppendUvarint(dst, uint64(len(m.Meta)))
 		for _, r := range m.Meta {
-			dst = binary.AppendUvarint(dst, uint64(r))
+			// As its 32 bits: a negative value (a heard set's dense tag,
+			// a bitmap word with bit 31 set) takes 5 bytes, not 10.
+			dst = binary.AppendUvarint(dst, uint64(uint32(r)))
 		}
 	}
 	return dst

@@ -72,6 +72,10 @@ func TestRoundFrameTruncations(t *testing.T) {
 	}
 }
 
+// denseMeta is a node's heard set in dense form as DTG ships it: the -1
+// tag, then bitmap words, three of them with bit 31 set.
+var denseMeta = sim.DistNodeMeta{Node: 9, Meta: []int32{-1, -1, 0x0000ffff, -0x80000000, 0x7fffffff, -0x6f543211}}
+
 func TestMetaFrameRoundTrip(t *testing.T) {
 	want := sim.DistMetaFrame{
 		Round: 4,
@@ -79,6 +83,7 @@ func TestMetaFrameRoundTrip(t *testing.T) {
 		Metas: []sim.DistNodeMeta{
 			{Node: 7, Meta: []int32{1, 2, 3}},
 			{Node: 12, Meta: []int32{}},
+			denseMeta,
 		},
 	}
 	enc := AppendMetaFrame(nil, &want)
@@ -88,6 +93,11 @@ func TestMetaFrameRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("meta frame round-trip:\n got %+v\nwant %+v", got, want)
+	}
+	// A negative word costs at most the 5 bytes of its 32 bits.
+	dense := AppendMetaFrame(nil, &sim.DistMetaFrame{Metas: []sim.DistNodeMeta{denseMeta}})
+	if limit := 5 + 5*len(denseMeta.Meta); len(dense) > limit {
+		t.Fatalf("dense meta frame takes %d bytes, more than %d", len(dense), limit)
 	}
 	for i := 0; i < len(enc); i++ {
 		if err := DecodeMetaFrame(enc[:i], &got); err == nil {
@@ -289,6 +299,7 @@ func FuzzDecodeShardFrames(f *testing.F) {
 	hostileMeta, hostileResult := hostileCounts()
 	f.Add(AppendRoundFrame([]byte{0}, &round))
 	f.Add(AppendMetaFrame([]byte{1}, &meta))
+	f.Add(AppendMetaFrame([]byte{1}, &sim.DistMetaFrame{Round: 5, Shard: 1, Metas: []sim.DistNodeMeta{denseMeta}}))
 	f.Add(AppendShardResult([]byte{2}, &result))
 	f.Add(append([]byte{1}, hostileMeta...))
 	f.Add(append([]byte{2}, hostileResult...))

@@ -78,39 +78,46 @@ func postSim(t *testing.T, base string, req Request) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestFleetShardedRunMatchesSingle runs one request both sharded across
-// the fleet and single-process on a fleet member (shards=0 skips the
-// coordinator) and requires byte-identical NDJSON.
+// TestFleetShardedRunMatchesSingle runs each request both sharded
+// across the fleet and single-process on a fleet member (shards=0 skips
+// the coordinator) and requires byte-identical NDJSON. The dtg and
+// superstep cases run on a 16 × 8 ring, where a node's heard set holds
+// its 16-node latency-1 clique against a 4-word bitmap of 128 ids: their
+// heard sets turn dense, so the dense form crosses the TCP meta-frame
+// codec.
 func TestFleetShardedRunMatchesSingle(t *testing.T) {
 	f := startTestFleet(t, 3, Config{Pool: 2, CacheSize: -1})
-	req := Request{
-		Driver: "push-pull",
-		Graph:  GraphSpec{Family: "regular", N: 512, Latency: 1},
-		Seed:   41,
-		Shards: 2,
+	ring := GraphSpec{Family: "ring", N: 16, Layers: 8, Latency: 4}
+	reqs := []Request{
+		{Driver: "push-pull", Graph: GraphSpec{Family: "regular", N: 512, Latency: 1}, Seed: 41},
+		{Driver: "dtg", Graph: ring, Seed: 42},
+		{Driver: "superstep", Graph: ring, Ell: intp(1), Seed: 43},
 	}
-	resp, dist := postSim(t, f.urls[0], req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded: %d %s", resp.StatusCode, dist)
-	}
-	req.Shards = 0
-	resp, single := postSim(t, f.urls[0], req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single: %d %s", resp.StatusCode, single)
-	}
-	if !bytes.Equal(dist, single) {
-		t.Fatalf("sharded body differs from single-process body:\n%s\nvs\n%s", dist, single)
-	}
-	m := f.servers[0].Metrics()
-	if m.ShardJobs != 1 {
-		t.Fatalf("coordinator ShardJobs = %d, want 1", m.ShardJobs)
-	}
-	var sessions int64
-	for _, s := range f.servers[1:] {
-		sessions += s.Metrics().ShardSessions
-	}
-	if sessions != 2 {
-		t.Fatalf("worker shard sessions = %d, want 2", sessions)
+	for i, req := range reqs {
+		req.Shards = 2
+		resp, dist := postSim(t, f.urls[0], req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s sharded: %d %s", req.Driver, resp.StatusCode, dist)
+		}
+		req.Shards = 0
+		resp, single := postSim(t, f.urls[0], req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s single: %d %s", req.Driver, resp.StatusCode, single)
+		}
+		if !bytes.Equal(dist, single) {
+			t.Fatalf("%s: sharded body differs from single-process body:\n%s\nvs\n%s", req.Driver, dist, single)
+		}
+		m := f.servers[0].Metrics()
+		if m.ShardJobs != int64(i+1) {
+			t.Fatalf("after %s: coordinator ShardJobs = %d, want %d", req.Driver, m.ShardJobs, i+1)
+		}
+		var sessions int64
+		for _, s := range f.servers[1:] {
+			sessions += s.Metrics().ShardSessions
+		}
+		if want := int64(2 * (i + 1)); sessions != want {
+			t.Fatalf("after %s: worker shard sessions = %d, want %d", req.Driver, sessions, want)
+		}
 	}
 }
 
