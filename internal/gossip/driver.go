@@ -490,16 +490,19 @@ func init() {
 					return p
 				}
 			}
+			// Push-pull reads no latency, so the model is always the known
+			// one: it only spares the engine its discovery table.
 			return sim.Config{
-				CSR:           opts.CSR,
-				Workers:       opts.Workers,
-				Seed:          opts.Seed,
-				MaxRounds:     opts.MaxRounds,
-				Mode:          objectiveMode(opts),
-				Source:        opts.Source,
-				Sources:       opts.Sources,
-				Adversity:     opts.Adversity,
-				MaxInPerRound: opts.MaxInPerRound,
+				CSR:            opts.CSR,
+				Workers:        opts.Workers,
+				Seed:           opts.Seed,
+				MaxRounds:      opts.MaxRounds,
+				KnownLatencies: true,
+				Mode:           objectiveMode(opts),
+				Source:         opts.Source,
+				Sources:        opts.Sources,
+				Adversity:      opts.Adversity,
+				MaxInPerRound:  opts.MaxInPerRound,
 			}, factory, objectiveStop(opts), nil
 		},
 	})

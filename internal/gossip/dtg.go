@@ -34,7 +34,7 @@ type DTG struct {
 	nv  *sim.NodeView
 	ell int
 	// eligible holds the adjacency indices of G_ℓ neighbors.
-	eligible []int
+	eligible []int32
 	// scan is where the search for an unheard eligible neighbor resumes:
 	// the heard set only grows (until amnesia restarts it), so every
 	// eligible entry before scan stays heard.
@@ -42,7 +42,7 @@ type DTG struct {
 	// heard is the phase-local knowledge set L.
 	heard heardSet
 	// contacted are the linked neighbors u_1..u_i (adjacency indices).
-	contacted []int
+	contacted []int32
 	// sent counts the current iteration's sends, out of 4·len(contacted)
 	// (see send).
 	sent int
@@ -105,7 +105,7 @@ func (d *DTG) init(nv *sim.NodeView, ell int) {
 		d.eligible = slices.Grow(d.eligible[:0], k)
 		for i := 0; i < nv.Degree(); i++ {
 			if eligible(i) {
-				d.eligible = append(d.eligible, i)
+				d.eligible = append(d.eligible, int32(i))
 			}
 		}
 	}
@@ -144,7 +144,7 @@ func dtgPhase(opts DriverOptions, slab []DTG) (sim.Config, sim.Factory, sim.Stop
 // Meta snapshots the node's phase-local heard set for the peer: a cached
 // immutable []int32, a sorted id list or a tagged bitmap (shared until
 // the set next changes).
-func (d *DTG) Meta() any { return d.heard.Snapshot() }
+func (d *DTG) Meta() []int32 { return d.heard.Snapshot() }
 
 // Done reports local termination: every G_ℓ neighbor has been heard.
 func (d *DTG) Done() bool { return d.done }
@@ -166,7 +166,7 @@ func (d *DTG) Activate(int) (int, bool) {
 // startIteration links one new neighbor and restarts the send schedule;
 // it reports false when the node is done.
 func (d *DTG) startIteration() bool {
-	for d.scan < len(d.eligible) && d.heard.Contains(d.nv.NeighborID(d.eligible[d.scan])) {
+	for d.scan < len(d.eligible) && d.heard.Contains(d.nv.NeighborID(int(d.eligible[d.scan]))) {
 		d.scan++
 	}
 	if d.scan == len(d.eligible) {
@@ -187,7 +187,7 @@ func (d *DTG) send(k int) int {
 	if part == 0 || part == 3 { // PUSH: u_i .. u_1
 		j = i - 1 - j
 	}
-	return d.contacted[j]
+	return int(d.contacted[j])
 }
 
 // NextWake parks a finished node forever and a blocked node until its
@@ -218,9 +218,7 @@ func (d *DTG) OnAmnesia() {
 
 // OnDeliver merges the peer's heard set and unblocks the state machine.
 func (d *DTG) OnDeliver(dv sim.Delivery) {
-	if peer, ok := dv.PeerMeta.([]int32); ok {
-		d.heard.Union(peer, d.nv.N())
-	}
+	d.heard.Union(dv.PeerMeta, d.nv.N())
 	d.heard.Add(dv.Peer, d.nv.N())
 	if dv.Initiator && dv.NeighborIndex == d.pending {
 		d.pending = -1

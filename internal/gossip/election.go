@@ -36,11 +36,10 @@ type Election struct {
 	settled    bool
 	// next is the round-robin neighbor cursor.
 	next int
-	// metaCache is the immutable advertised pair, a []int32 boxed once as
-	// exchange metadata (nil until first use); receivers of a Meta()
-	// slice may hold it across barriers, so it is reallocated — never
-	// mutated — when the values change.
-	metaCache any
+	// meta is the immutable advertised pair (nil until first use);
+	// receivers of a Meta() slice may hold it across barriers, so it is
+	// reallocated — never mutated — when the values change.
+	meta []int32
 }
 
 var (
@@ -73,7 +72,7 @@ func (el *Election) CloneStateFrom(src sim.Protocol) {
 	el.lastChange = s.lastChange
 	el.settled = s.settled
 	el.next = s.next
-	el.metaCache = nil
+	el.meta = nil
 }
 
 // Leader reports the node's current choice and whether it has been
@@ -88,11 +87,11 @@ func (el *Election) Waiting() bool { return !el.settled }
 
 // Meta advertises the node's best candidacy to exchange peers as an
 // immutable {leader, evidence-round} pair.
-func (el *Election) Meta() any {
-	if m, ok := el.metaCache.([]int32); !ok || m[0] != el.leader || m[1] != el.evid {
-		el.metaCache = []int32{el.leader, el.evid}
+func (el *Election) Meta() []int32 {
+	if m := el.meta; m == nil || m[0] != el.leader || m[1] != el.evid {
+		el.meta = []int32{el.leader, el.evid}
 	}
-	return el.metaCache
+	return el.meta
 }
 
 // consider applies one candidacy observation: a candidate c with
@@ -121,7 +120,7 @@ func (el *Election) consider(c, ev int32, now int) {
 // itself: a delivered exchange proves the peer was alive through the
 // transit window, so it is a candidate with evidence at this round.
 func (el *Election) OnDeliver(dv sim.Delivery) {
-	if pm, ok := dv.PeerMeta.([]int32); ok && len(pm) == 2 {
+	if pm := dv.PeerMeta; len(pm) == 2 {
 		el.consider(pm[0], pm[1], dv.Round)
 	}
 	el.consider(int32(dv.Peer), int32(dv.Round), dv.Round)
@@ -164,7 +163,7 @@ func (el *Election) OnAmnesia() {
 	el.lastChange = -1
 	el.settled = false
 	el.next = 0
-	el.metaCache = nil
+	el.meta = nil
 }
 
 // electionDefaults derives generous graph-aware timers: evidence must

@@ -25,9 +25,10 @@ import "slices"
 // set reads its bitmap's length.
 //
 // The versions of the set live in an append-only log. A change writes
-// the new version at the log's tail, and Snapshot boxes the current
-// version where it lies, without a copy, once per version: the metadata
-// of every exchange between two changes shares that one box. A version
+// the new version at the log's tail, and Snapshot hands out the current
+// version where it lies, without a copy: the metadata of every exchange
+// between two changes is that one slice, which the engine interns once
+// (same first element, same length, same version). A version
 // that has been handed out is never written again, so a snapshot in
 // flight stays valid, also while a peer on another worker reads it and
 // the owner appends behind it; this holds for the switch to the bitmap
@@ -42,7 +43,7 @@ type heardSet struct {
 	log []int32 // the current chunk; ids is its last len(ids) entries
 	// ids is the current version: sorted ids, or denseTag and the bitmap.
 	ids  []int32
-	snap any // ids boxed, once handed out; nil while ids is private
+	snap []int32 // ids capped at its length, once handed out; nil while ids is private
 }
 
 // denseTag leads the dense form of a heard set.
@@ -259,11 +260,11 @@ func (h *heardSet) cloneFrom(src *heardSet) {
 }
 
 // Snapshot returns the current version as an immutable []int32 in
-// either form, boxed as exchange metadata. The same value is handed out
-// until the set next changes; receivers must treat it as read-only (the
+// either form, the exchange metadata. The same slice is handed out until
+// the set next changes; receivers must treat it as read-only (the
 // exchange-metadata contract). Its capacity ends at its length, so even
 // an append by a reader cannot reach the log behind it.
-func (h *heardSet) Snapshot() any {
+func (h *heardSet) Snapshot() []int32 {
 	if h.snap == nil {
 		h.snap = h.ids[:len(h.ids):len(h.ids)]
 	}

@@ -87,7 +87,7 @@ func FuzzHeardSet(f *testing.F) {
 		}
 		restart()
 		type snap struct {
-			box  any
+			ids  []int32
 			want []int32
 		}
 		var snaps []snap
@@ -108,12 +108,11 @@ func FuzzHeardSet(f *testing.F) {
 				}
 				h.Union(peerSnapshot(peer, n), n)
 			case 2:
-				box := h.Snapshot()
-				ids := box.([]int32)
+				ids := h.Snapshot()
 				if cap(ids) != len(ids) {
 					t.Fatalf("step %d: snapshot has capacity %d beyond its %d ids", step, cap(ids), len(ids))
 				}
-				snaps = append(snaps, snap{box, slices.Clone(ids)})
+				snaps = append(snaps, snap{ids, slices.Clone(ids)})
 			case 3:
 				if rng.IntN(2) == 0 {
 					n = 1 + rng.IntN(200)
@@ -128,7 +127,7 @@ func FuzzHeardSet(f *testing.F) {
 				var c heardSet
 				c.cloneFrom(&h)
 				c.Union(rawPeer(rng, n), n)
-				c.Union(c.Snapshot().([]int32), n)
+				c.Union(c.Snapshot(), n)
 				c.Add(rng.IntN(n), n)
 				c.Union(rawPeer(rng, n), n)
 				for v := -3; v < n+40; v++ {
@@ -155,7 +154,7 @@ func FuzzHeardSet(f *testing.F) {
 			}
 			var c heardSet
 			c.cloneFrom(&h)
-			if !slices.Equal(c.Snapshot().([]int32), h.ids) {
+			if !slices.Equal(c.Snapshot(), h.ids) {
 				t.Fatalf("step %d: clone %v, set %v", step, c.ids, h.ids)
 			}
 			for v := -2; v < n+34; v++ {
@@ -167,8 +166,8 @@ func FuzzHeardSet(f *testing.F) {
 				}
 			}
 			for k, s := range snaps {
-				if got := s.box.([]int32); !slices.Equal(got, s.want) {
-					t.Fatalf("step %d: snapshot %d changed after capture: %v, was %v", step, k, got, s.want)
+				if !slices.Equal(s.ids, s.want) {
+					t.Fatalf("step %d: snapshot %d changed after capture: %v, was %v", step, k, s.ids, s.want)
 				}
 			}
 		}

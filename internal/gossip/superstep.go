@@ -118,7 +118,7 @@ func prepareSuperstep(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc
 
 // Meta snapshots the phase-local heard set (a cached immutable []int32,
 // sorted ids or a tagged bitmap, shared until the set next changes).
-func (s *Superstep) Meta() any { return s.heard.Snapshot() }
+func (s *Superstep) Meta() []int32 { return s.heard.Snapshot() }
 
 // Done reports local termination (all eligible neighbors heard or
 // abandoned).
@@ -168,9 +168,7 @@ func (s *Superstep) OnAmnesia() {
 
 // OnDeliver merges the peer's heard set and unblocks the node.
 func (s *Superstep) OnDeliver(dv sim.Delivery) {
-	if peer, ok := dv.PeerMeta.([]int32); ok {
-		s.heard.Union(peer, s.nv.N())
-	}
+	s.heard.Union(dv.PeerMeta, s.nv.N())
 	s.heard.Add(dv.Peer, s.nv.N())
 	if dv.Initiator && dv.NeighborIndex == s.pending {
 		s.pending = -1

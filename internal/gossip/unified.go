@@ -2,6 +2,8 @@ package gossip
 
 import (
 	"fmt"
+	"os"
+	"runtime/debug"
 
 	"gossip/internal/sim"
 )
@@ -34,29 +36,36 @@ func Unified(opts DriverOptions) (UnifiedResult, error) {
 	return unified(opts, new(sim.Pipeline))
 }
 
-// unified is Unified with the spanner arm's phases run by ph.
+// unified is Unified with the spanner arm's phases run by ph. The arms
+// run side by side, the push-pull arm on a goroutine of its own: they
+// share only read-only inputs (the CSR, the adversity spec) and each is a
+// pure function of its options, so the outcome is the one a sequential
+// run gives, errors included (the push-pull arm's is reported first).
 func unified(opts DriverOptions, ph phaseRunner) (UnifiedResult, error) {
 	var out UnifiedResult
 	if opts.CSR == nil {
 		return out, errNoTopology
 	}
-	pp, err := run("push-pull", DriverOptions{
-		Source: opts.Source, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
-		ExecOptions: opts.ExecOptions,
+	joinPP := spawn(func() (DriverResult, error) {
+		return run("push-pull", DriverOptions{
+			Source: opts.Source, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
+			ExecOptions: opts.ExecOptions,
+		})
 	})
-	if err != nil {
-		return out, fmt.Errorf("gossip: unified push-pull arm: %w", err)
-	}
-	out.PushPull = *pp.Sim
-	sb, err := spannerBroadcast(DriverOptions{
+	sb, sbErr := spannerBroadcast(DriverOptions{
 		D:              opts.D,
 		KnownLatencies: opts.KnownLatencies,
 		Seed:           opts.Seed + 1,
 		MaxRounds:      opts.MaxRounds,
 		ExecOptions:    opts.ExecOptions,
 	}, ph)
+	pp, err := joinPP()
 	if err != nil {
-		return out, fmt.Errorf("gossip: unified spanner arm: %w", err)
+		return out, fmt.Errorf("gossip: unified push-pull arm: %w", err)
+	}
+	out.PushPull = *pp.Sim
+	if sbErr != nil {
+		return out, fmt.Errorf("gossip: unified spanner arm: %w", sbErr)
 	}
 	out.Spanner = sb
 	ppRounds := pp.Rounds
@@ -79,4 +88,39 @@ func unified(opts DriverOptions, ph phaseRunner) (UnifiedResult, error) {
 		out.Winner = "none"
 	}
 	return out, nil
+}
+
+// spawn starts f on a goroutine of its own and returns join, which waits
+// for f and returns its outcome. A panic in f does not end the process
+// there: join writes the stack f panicked on to stderr, then re-raises
+// the panic on the joining goroutine with the original value, where a
+// recover (the server's guard) catches it as it would a panic of inline
+// code. When join is never called (the joining goroutine panicked
+// first), f still runs to its end and its outcome is dropped.
+func spawn[T any](f func() (T, error)) (join func() (T, error)) {
+	type outcome struct {
+		v     T
+		err   error
+		p     any
+		stack []byte
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		defer func() {
+			if o.p = recover(); o.p != nil {
+				o.stack = debug.Stack()
+			}
+			done <- o
+		}()
+		o.v, o.err = f()
+	}()
+	return func() (T, error) {
+		o := <-done
+		if o.p != nil {
+			fmt.Fprintf(os.Stderr, "gossip: panic on a spawned goroutine: %v\n%s", o.p, o.stack)
+			panic(o.p)
+		}
+		return o.v, o.err
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"gossip/internal/gossip"
 )
 
 // leaderKinds are the three /v1 job kinds as the one leader sees them:
@@ -281,5 +283,47 @@ func TestLeaderRecoversPanic(t *testing.T) {
 	_, err := guard(func() (int, error) { panic("fan-out blew up") })
 	if !isTransient(err) || !strings.Contains(err.Error(), "fan-out blew up") {
 		t.Fatalf("guard returned %v", err)
+	}
+}
+
+// TestAutoArmPanicReachesGuard: the auto driver runs its push-pull arm on
+// a goroutine of its own, where no guard stands. A panic there must come
+// back to the leader's goroutine, end the job in the same error event an
+// inline panic does, cache nothing, and leave the server serving: the
+// identical request succeeds once the arm is whole again. The arm is
+// broken by swapping the registered push-pull driver's Run for the test.
+func TestAutoArmPanicReachesGuard(t *testing.T) {
+	pp, ok := gossip.Lookup("push-pull")
+	if !ok {
+		t.Fatal("push-pull is not registered")
+	}
+	whole := pp.Run
+	pp.Run = func(gossip.DriverOptions) (gossip.DriverResult, error) { panic("push-pull arm blew up") }
+	defer func() { pp.Run = whole }()
+
+	srv := New(Config{Pool: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	auto := Request{Driver: "auto", Graph: GraphSpec{Family: "dumbbell", N: 8, Latency: 12}, Seed: 3}
+
+	status, cache, body := postJob(t, ts.URL, auto)
+	if status != http.StatusOK || cache != "miss" {
+		t.Fatalf("status %d cache %q", status, cache)
+	}
+	last := lastEvent(t, body)
+	if last["event"] != "error" || !strings.Contains(last["error"].(map[string]any)["message"].(string), "push-pull arm blew up") {
+		t.Fatalf("job with a panicking arm ended with %+v", last)
+	}
+	if m := srv.Metrics(); m.Failed != 1 || m.Running != 0 || m.CacheEntries != 0 {
+		t.Fatalf("metrics: %+v", m)
+	}
+
+	pp.Run = whole
+	status, cache, body = postJob(t, ts.URL, auto)
+	if status != http.StatusOK || cache != "miss" {
+		t.Fatalf("retry status %d cache %q (a panic must not be cached)", status, cache)
+	}
+	if last := lastEvent(t, body); last["event"] != "result" {
+		t.Fatalf("retry did not complete: %+v", last)
 	}
 }

@@ -120,9 +120,8 @@ func (f *DistFrame) reset(round, shard int) {
 	f.Err = ""
 }
 
-// DistNodeMeta is one node's exchange metadata snapshot. Distributed
-// runs require metadata to be []int32 (the only meta type the registered
-// protocols produce) so it can cross the wire unchanged.
+// DistNodeMeta is one node's exchange metadata snapshot, as its
+// MetaProducer returned it: it crosses the wire unchanged.
 type DistNodeMeta struct {
 	Node int32
 	Meta []int32
@@ -500,15 +499,7 @@ func (d *distRun) exchangeRemoteMeta(frames []*DistFrame, round int) error {
 					continue
 				}
 				d.metaStamp[node] = stamp
-				m := mp.Meta()
-				var ms []int32
-				if m != nil {
-					var ok bool
-					if ms, ok = m.([]int32); !ok {
-						return fmt.Errorf("sim: distributed runs require []int32 exchange metadata (node %d produced %T)", node, m)
-					}
-				}
-				mf.Metas = append(mf.Metas, DistNodeMeta{Node: node, Meta: ms})
+				mf.Metas = append(mf.Metas, DistNodeMeta{Node: node, Meta: mp.Meta()})
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func newDistMetaProto(nv *NodeView) *distMetaProto {
 	return p
 }
 
-func (p *distMetaProto) Meta() any {
+func (p *distMetaProto) Meta() []int32 {
 	out := make([]int32, 0, len(p.heard))
 	for r := range p.heard {
 		out = append(out, r)
@@ -66,10 +66,8 @@ func (p *distMetaProto) Activate(int) (int, bool) {
 }
 
 func (p *distMetaProto) OnDeliver(d Delivery) {
-	if peer, ok := d.PeerMeta.([]int32); ok {
-		for _, r := range peer {
-			p.heard[r] = true
-		}
+	for _, r := range d.PeerMeta {
+		p.heard[r] = true
 	}
 	p.heard[int32(d.Peer)] = true
 }

@@ -72,13 +72,16 @@ func (w *World) Alive(u graph.NodeID) bool {
 }
 
 // exch is an in-flight bidirectional rumor swap, stored by value in the
-// delivery calendar (88 bytes). Instead of cloning the endpoints' rumor
-// sets it records a window into each endpoint's gain journal:
+// delivery calendar (64 bytes, and no pointers, so a bucket is never
+// scanned by the garbage collector). Instead of cloning the endpoints'
+// rumor sets it records a window into each endpoint's gain journal:
 // [start,end) is the delta this exchange carries, end is also the size of
 // the endpoint's full set at initiation time. The window views themselves
 // are captured only when the exchange comes due, into the round's news
-// scratch (engine.news), not stored per entry. Rounds fit in int32:
-// newEngineShard rejects a horizon whose deliveries could overflow it.
+// scratch (engine.news), not stored per entry; so is each endpoint's
+// metadata, which the entry holds as a handle into engine.metas. Rounds
+// fit in int32: newEngineShard rejects a horizon whose deliveries could
+// overflow it.
 type exch struct {
 	seq          int64
 	deliver      int32
@@ -93,8 +96,10 @@ type exch struct {
 	// initiation — serially, in node order, so sharded runs agree — but
 	// executed at the delivery round, so the exchange occupies the
 	// calendar (and holds off idle detection) for its whole transit.
-	lost         bool
-	uMeta, vMeta any
+	lost bool
+	// uMeta, vMeta are the endpoints' metadata at initiation, as handles
+	// into engine.metas (0: none).
+	uMeta, vMeta int32
 }
 
 // dueOrder orders exchanges by (deliver, seq): the order cold execution
@@ -168,6 +173,23 @@ type engine struct {
 	recv     []Receiver
 	world    *World
 
+	// metas is the phase's table of metadata versions, indexed by the
+	// handles exchanges carry; metas[0] is nil, the handle of no
+	// metadata. metaRefs[h] counts the pending exchange endpoints that
+	// hold handle h: finishDeliveries releases each due exchange's two
+	// handles, and a slot nothing holds any more is emptied onto metaFree
+	// for the next version to reuse, so the table is as long as the most
+	// versions in flight at once. metaOf[u] is the handle node u's
+	// metadata was last interned at, a hint only: a producer handing out
+	// that slice again while the slot still holds it reuses the handle,
+	// so a version takes one slot however many exchanges it rides. load
+	// empties the table (a phase starts with an empty calendar); metaOf
+	// is allocated at the first intern.
+	metas    [][]int32
+	metaRefs []int32
+	metaFree []int32
+	metaOf   []int32
+
 	// pcgArena/rngArena back every NodeView's private stream; kept on the
 	// engine (not as setup locals) so a snapshot can copy the PCG cursors
 	// and a restored engine can splice them back in.
@@ -186,8 +208,13 @@ type engine struct {
 	// a delivery that moves no rumor never touches the peer's NodeView.
 	// Every journal change (load, a delivery's gains, amnesia, a
 	// distributed replica's gains, Snapshot.Resume) updates jlen with it.
+	// learn: deliveries record latencies in known. A configuration that
+	// knows every latency and draws no jitter learns nothing, so its views
+	// read the CSR's latencies and known stays unallocated until a phase
+	// does learn.
 	jlen  []int32
 	known []int32
+	learn bool
 	// entry is what an amnesic rejoin restarts a node from besides its
 	// Mode seeding: Config.InitialRumors, or the sets a Pipeline phase
 	// entered with (kept only when the schedule has amnesia).
@@ -228,6 +255,13 @@ type engine struct {
 	// allocation-free at fixed latency instead of regrowing a multi-MB
 	// bucket every round.
 	spare []exch
+	// peak is the longest any bucket has been since load. A bucket that
+	// must grow and finds no spare is sized from it instead of doubling
+	// up from 16: a fresh engine's first len(ring) rounds touch every
+	// bucket for the first time, and under mixed latencies a bucket keeps
+	// filling for rounds after its first touch, from every latency that
+	// reaches it.
+	peak int
 	// oneSlot: every edge has one latency and there is no jitter, so all
 	// of a round's exchanges land in a single bucket; fill is then the
 	// round's intent count while mergeIntents runs (0 otherwise), and a
@@ -415,7 +449,6 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 	viewArena := make([]NodeView, n)
 	e.views = make([]*NodeView, n)
 	e.protos = make([]Protocol, n)
-	e.known = make([]int32, csr.HalfEdges())
 	e.pcgArena = make([]rand.PCG, n)
 	e.rngArena = make([]rand.Rand, n)
 	e.oneLat = true
@@ -423,16 +456,13 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 		for _, l := range csr.Latencies(u) {
 			e.oneLat = e.oneLat && int(l) == csr.MaxLatency()
 		}
-		off := int(csr.Offset(u))
-		end := off + csr.Degree(u)
 		e.rngArena[u] = *rand.New(&e.pcgArena[u])
 		viewArena[u] = NodeView{
-			id:    u,
-			n:     n,
-			nbrs:  csr.NeighborIDs(u),
-			lats:  csr.Latencies(u),
-			known: e.known[off:end:end],
-			rng:   &e.rngArena[u],
+			id:   u,
+			n:    n,
+			nbrs: csr.NeighborIDs(u),
+			lats: csr.Latencies(u),
+			rng:  &e.rngArena[u],
 		}
 		viewArena[u].rum.init(n)
 		e.views[u] = &viewArena[u]
@@ -508,12 +538,22 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 	e.seq = 0
 	e.startRound, e.snapAt, e.snapRound, e.snapped = 0, -1, 0, false
 	views, protos := e.views, e.protos
+	e.learn = !cfg.KnownLatencies || cfg.LatencyJitter != 0
+	if e.learn && e.known == nil {
+		e.known = make([]int32, csr.HalfEdges())
+	}
 	for u, nv := range views {
-		if cfg.KnownLatencies {
-			copy(nv.known, nv.lats)
+		if !e.learn {
+			nv.known = nv.lats
 		} else {
-			for i := range nv.known {
-				nv.known[i] = -1
+			off := int(csr.Offset(u))
+			nv.known = e.known[off : off+len(nv.lats) : off+len(nv.lats)]
+			if cfg.KnownLatencies {
+				copy(nv.known, nv.lats)
+			} else {
+				for i := range nv.known {
+					nv.known[i] = -1
+				}
 			}
 		}
 		e.pcgArena[u].Seed(cfg.Seed, uint64(u)*0x9e3779b97f4a7c15+1)
@@ -688,10 +728,15 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 		clear(b)
 		e.ring[i] = b[:0]
 	}
-	e.ringMask, e.ringCount = ringSize-1, 0
+	e.ringMask, e.ringCount, e.peak = ringSize-1, 0, 0
 	clear(e.overflow)
 	e.overflow = e.overflow[:0]
 	e.due, e.fill = nil, 0
+	// Metadata handles die with the exchanges that carried them.
+	clear(e.metas)
+	e.metas, e.metaRefs = append(e.metas[:0], nil), append(e.metaRefs[:0], 0)
+	e.metaFree = e.metaFree[:0]
+	clear(e.metaOf)
 	return nil
 }
 
@@ -818,6 +863,7 @@ func (e *engine) slot(deliver, round int) *exch {
 	b = b[:len(b)+1]
 	e.ring[i] = b
 	e.ringCount++
+	e.peak = max(e.peak, len(b))
 	ex := &b[len(b)-1]
 	*ex = exch{}
 	return ex
@@ -833,14 +879,17 @@ func (e *engine) commit(ex *exch) {
 
 // grow returns full bucket b with room to spare: the handed-forward spare
 // array when b is a first touch and the spare holds the round's fill,
-// otherwise a fresh array of max(2·cap(b), fill) — on a one-slot calendar
-// one allocation holds the whole round.
+// otherwise a fresh array of max(2·max(cap(b), peak), fill). On a
+// one-slot calendar one allocation holds the whole round; elsewhere a
+// bucket takes at once the doubling that the longest bucket of the phase
+// would need, so the first len(ring) rounds do not grow every bucket
+// through the same chain.
 func (e *engine) grow(b []exch) []exch {
 	if cap(b) == 0 && cap(e.spare) > 0 && cap(e.spare) >= e.fill {
 		b, e.spare = e.spare, nil
 		return b
 	}
-	nb := make([]exch, len(b), max(2*cap(b), e.fill, 16))
+	nb := make([]exch, len(b), max(2*max(cap(b), e.peak), e.fill, 16))
 	copy(nb, b)
 	return nb
 }
@@ -906,12 +955,14 @@ func (e *engine) collectDue(round int) {
 func (e *engine) drainDue(round int) {
 	e.collectDue(round)
 	w := 2 * len(e.due)
+	// The scratch grows by doubling: a run's rounds ramp up through many
+	// sizes, and sizing it to each would allocate it once per new size.
 	if cap(e.news) < w {
-		e.news = make([][]int32, w)
+		e.news = make([][]int32, max(w, 2*cap(e.news)))
 	}
 	e.news = e.news[:w]
 	if s := &e.shards[0]; len(e.shards) == 1 && cap(s.recs) < w {
-		s.recs = make([]uint32, 0, w)
+		s.recs = make([]uint32, 0, max(w, 2*cap(s.recs)))
 	}
 	for i := range e.due {
 		ex := &e.due[i]
@@ -960,8 +1011,7 @@ func (e *engine) deliverShard(s *shard, round int) {
 	for _, enc := range s.recs {
 		ex := &e.due[enc>>1]
 		news := e.news[enc]
-		var self, peer, selfIdx int32
-		var meta any
+		var self, peer, selfIdx, meta int32
 		initiator := enc&1 == 0
 		if initiator {
 			self, peer, selfIdx, meta = ex.u, ex.v, ex.uIdx, ex.vMeta
@@ -1001,7 +1051,9 @@ func (e *engine) deliverShard(s *shard, round int) {
 				s.newlyInformed = append(s.newlyInformed, self)
 			}
 		}
-		e.known[e.csr.Offset(int(self))+selfIdx] = ex.latency
+		if e.learn {
+			e.known[e.csr.Offset(int(self))+selfIdx] = ex.latency
+		}
 		if e.wake[self] > round {
 			e.wake[self] = round
 		}
@@ -1015,7 +1067,7 @@ func (e *engine) deliverShard(s *shard, round int) {
 				Initiator:     initiator,
 				News:          news,
 				NewRumors:     gained,
-				PeerMeta:      meta,
+				PeerMeta:      e.metas[meta],
 			})
 		}
 	}
@@ -1035,15 +1087,14 @@ func (e *engine) finishDeliveries(round int) {
 		}
 		s.newlyInformed = s.newlyInformed[:0]
 	}
-	// Metadata is set only by a local MetaProducer or, on a shard
-	// worker, from shipped remote metadata; otherwise it is nil already.
-	if e.meta != nil || (e.dist != nil && e.dist.remoteMeta != nil) {
-		for i := range e.due {
-			e.due[i].uMeta, e.due[i].vMeta = nil, nil
-		}
-	}
 	clear(e.news)
 	e.news = e.news[:0]
+	if len(e.metas) > 1 {
+		for i := range e.due {
+			e.release(e.due[i].uMeta)
+			e.release(e.due[i].vMeta)
+		}
+	}
 	slot := round & e.ringMask
 	if b := e.ring[slot][:0]; cap(b) > cap(e.spare) {
 		e.ring[slot], e.spare = nil, b
@@ -1136,7 +1187,7 @@ func (e *engine) fate(u, v, round, deliver int) bool {
 //
 // The body is deliberately one loop, and each exchange is built where it
 // will live: the calendar entry slot hands out, filled in place and then
-// committed, so the 88-byte exch is never copied on the serial hot path.
+// committed, so the 64-byte exch is never copied on the serial hot path.
 func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 	d := e.dist
 	minNew := never
@@ -1215,17 +1266,17 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 			// A remote endpoint's metadata is what its owner shipped over
 			// the meta sub-barrier (none when it has no MetaProducer).
 			if mp := facet(e.meta, u); mp != nil {
-				ex.uMeta = mp.Meta()
+				ex.uMeta = e.intern(u, mp.Meta())
 			} else if d != nil {
 				if m, ok := d.remoteMeta[int32(u)]; ok {
-					ex.uMeta = m
+					ex.uMeta = e.intern(u, m)
 				}
 			}
 			if mp := facet(e.meta, v); mp != nil {
-				ex.vMeta = mp.Meta()
+				ex.vMeta = e.intern(v, mp.Meta())
 			} else if d != nil {
 				if m, ok := d.remoteMeta[int32(v)]; ok {
-					ex.vMeta = m
+					ex.vMeta = e.intern(v, m)
 				}
 			}
 			e.commit(ex)
@@ -1237,6 +1288,58 @@ func (e *engine) mergeIntents(round int, frames []*DistFrame) int {
 	}
 	e.fill = 0
 	return minNew
+}
+
+// intern returns a handle of m, node u's metadata at an initiation, held
+// once more: the handle u's last sample got when its slot still holds
+// that same slice, otherwise a free or new slot of the phase's table (nil
+// is handle 0 and is not counted).
+func (e *engine) intern(u int, m []int32) int32 {
+	if m == nil {
+		return 0
+	}
+	if e.metaOf == nil {
+		e.metaOf = make([]int32, e.n)
+	}
+	h := e.metaOf[u]
+	if last := e.metas[h]; last == nil || len(last) != len(m) || (len(m) > 0 && &last[0] != &m[0]) {
+		if k := len(e.metaFree); k > 0 {
+			h, e.metaFree = e.metaFree[k-1], e.metaFree[:k-1]
+		} else {
+			h = int32(len(e.metas))
+			e.metas, e.metaRefs = extend(e.metas), extend(e.metaRefs)
+		}
+		e.metas[h] = m
+		e.metaOf[u] = h
+	}
+	e.metaRefs[h]++
+	return h
+}
+
+// extend returns s one zero element longer, doubling its array when it
+// is full: append grows a long slice by a quarter at a time, and that
+// chain of copies outweighs the slice itself.
+func extend[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, 2*cap(s)), s...)
+	}
+	s = s[:len(s)+1]
+	var zero T
+	s[len(s)-1] = zero
+	return s
+}
+
+// release drops one hold on handle h, emptying its slot onto the free
+// list when nothing holds it any more.
+func (e *engine) release(h int32) {
+	if h == 0 {
+		return
+	}
+	e.metaRefs[h]--
+	if e.metaRefs[h] == 0 {
+		e.metas[h] = nil
+		e.metaFree = append(e.metaFree, h)
+	}
 }
 
 // amnesia resets node u to its initial rumor assignment: the journal and

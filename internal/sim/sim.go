@@ -193,8 +193,9 @@ type Delivery struct {
 	// NewRumors counts rumors this delivery added to the node.
 	NewRumors int
 	// PeerMeta is the peer protocol's metadata snapshot (nil unless the
-	// peer protocol implements MetaProducer).
-	PeerMeta any
+	// peer protocol implements MetaProducer), as Meta returned it at
+	// initiation: read-only.
+	PeerMeta []int32
 }
 
 // Protocol is a per-node gossip protocol. The simulator calls Activate
@@ -219,8 +220,12 @@ type Receiver interface {
 
 // MetaProducer is an optional Protocol extension: Meta is sampled at
 // exchange initiation and delivered to the peer alongside the rumors.
+// A returned slice is immutable from then on: the engine keeps it until
+// the phase ends and hands it to every peer of an exchange it rode on.
+// Handing out the same slice again (same first element, same length) is
+// how a producer says "unchanged", and it costs the engine nothing.
 type MetaProducer interface {
-	Meta() any
+	Meta() []int32
 }
 
 // DoneReporter is an optional Protocol extension used by quiescence-based

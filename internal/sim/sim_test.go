@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gossip/internal/bitset"
@@ -272,8 +273,8 @@ func TestInvalidActivationRejected(t *testing.T) {
 // metaProto verifies metadata snapshot/delivery.
 type metaProto struct {
 	nv      *NodeView
-	val     int
-	gotPeer []any
+	val     int32
+	gotPeer [][]int32
 }
 
 func (p *metaProto) Activate(round int) (int, bool) {
@@ -283,24 +284,24 @@ func (p *metaProto) Activate(round int) (int, bool) {
 	return 0, false
 }
 func (p *metaProto) OnDeliver(d Delivery) { p.gotPeer = append(p.gotPeer, d.PeerMeta) }
-func (p *metaProto) Meta() any            { return p.val }
+func (p *metaProto) Meta() []int32        { return []int32{p.val} }
 
 func TestMetaDelivery(t *testing.T) {
 	g := pathGraph(2)
 	protos := map[int]*metaProto{}
 	_, err := Run(Config{CSR: g.CSR(), MaxRounds: 10, Mode: OneToAll},
 		func(nv *NodeView) Protocol {
-			p := &metaProto{nv: nv, val: 100 + nv.ID()}
+			p := &metaProto{nv: nv, val: int32(100 + nv.ID())}
 			protos[nv.ID()] = p
 			return p
 		}, StopNever())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(protos[1].gotPeer) != 1 || protos[1].gotPeer[0].(int) != 100 {
+	if len(protos[1].gotPeer) != 1 || !slices.Equal(protos[1].gotPeer[0], []int32{100}) {
 		t.Fatalf("node 1 peer meta = %v, want [100]", protos[1].gotPeer)
 	}
-	if len(protos[0].gotPeer) != 1 || protos[0].gotPeer[0].(int) != 101 {
+	if len(protos[0].gotPeer) != 1 || !slices.Equal(protos[0].gotPeer[0], []int32{101}) {
 		t.Fatalf("node 0 peer meta = %v, want [101]", protos[0].gotPeer)
 	}
 }

@@ -172,6 +172,13 @@ func (s *Snapshot) restore(cfg Config, factory Factory) (*engine, error) {
 	for i := range far {
 		resched(&far[i])
 	}
+	// The re-scheduled exchanges carry metadata handles into the capture
+	// engine's table: carry the table with them, hold counts and free
+	// slots included. Its versions belong to the frozen source and are
+	// never written again; the restored producers' next samples are new
+	// slices, interned into free or new slots.
+	e.metas, e.metaRefs = append(e.metas[:0], src.metas...), append(e.metaRefs[:0], src.metaRefs...)
+	e.metaFree = append(e.metaFree[:0], src.metaFree...)
 
 	// Counters and cursors. Rounds/Completed are set when the run ends;
 	// InformedAt/World already point at this engine's fresh slices.
