@@ -116,9 +116,10 @@ cover:
 # of the network decoders (the TCP mesh's SYN/ACK payload, the frame
 # reader under both it and the shard RPC, and the shard RPC's round, meta
 # and result frame decoders), of the engine's word-path
-# delivery against the per-rumor reference and of the local-broadcast
-# heard-set log against a map model, and of the server's hand-rolled
-# event lines against encoding/json; CI-friendly seconds, not hours.
+# delivery against the per-rumor reference, of the list-or-bitmap node
+# set and the local-broadcast heard-set log against map models, of the
+# server's hand-rolled event lines against encoding/json, and of Theorem
+# 5 on drawn graphs; CI-friendly seconds, not hours.
 fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz FuzzDeliverWindow -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
@@ -126,7 +127,9 @@ fuzz-smoke:
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEventLines -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/bitset -fuzz FuzzNodeSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzHeardSet -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/conductance -fuzz FuzzTheorem5 -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzDecodeShardFrames -fuzztime 10s -run '^$$'
 

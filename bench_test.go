@@ -270,7 +270,7 @@ func BenchmarkSimLargeScale(b *testing.B) {
 //
 //   - sparse-push-pull: push-pull to full dissemination on a streamed
 //     ring+matching expander (degree <= 3, diameter O(log n)). Exercises
-//     the CSR adjacency slices, the hybrid sparse rumor sets and the
+//     the CSR adjacency slices, the list-or-bitmap rumor sets and the
 //     O(1) bucket calendar at ~10⁶ exchanges per round.
 //   - slow-bridge-dtg: DTG local broadcast on two 5·10⁵-node rings
 //     joined by a latency-250k bridge. The run spans ~10⁶ simulated

@@ -1,8 +1,11 @@
-// Package bitset provides a dense, fixed-capacity bitset used throughout
-// the simulator to represent rumor sets: node i's rumor is bit i.
+// Package bitset provides the simulator's node sets: Set, a dense,
+// fixed-capacity bitset (node i is bit i) for rumor sets at the engine's
+// boundary, informed tallies and survivor sets; and NodeSet, the list
+// that turns into a bitmap once that is no larger, for the per-node rumor
+// and heard sets a run keeps for every node.
 //
-// All mutating methods have pointer receivers; the zero value is an empty
-// set of capacity zero. Sets used together must share a capacity.
+// All mutating methods of Set have pointer receivers; the zero value is an
+// empty set of capacity zero. Sets used together must share a capacity.
 package bitset
 
 import (
@@ -79,51 +82,6 @@ func (s *Set) UnionWith(t *Set) {
 	for i, w := range t.words {
 		s.words[i] |= w
 	}
-}
-
-// UnionCount adds every bit of t to s and reports how many bits were
-// newly set. It is UnionWith plus a word-level popcount tally: one pass,
-// no per-bit probing — the bulk path the simulator uses when seeding a
-// node's rumor set from a previous phase.
-func (s *Set) UnionCount(t *Set) int {
-	if t == nil {
-		return 0
-	}
-	if s.n != t.n {
-		panic(fmt.Sprintf("bitset: union of mismatched capacities %d and %d", s.n, t.n))
-	}
-	added := 0
-	for i, w := range t.words {
-		old := s.words[i]
-		merged := old | w
-		if merged != old {
-			added += bits.OnesCount64(merged &^ old)
-			s.words[i] = merged
-		}
-	}
-	return added
-}
-
-// AbsorbNew adds the bits of marks — words laid out like s's own, one per
-// word of s — to s, leaves in marks exactly the bits that were new, and
-// reports whether there were any. It is the simulator's bulk delivery: a
-// long rumor window is marked into marks, absorbed here in one pass of
-// word operations, and only the new ids are read back.
-func (s *Set) AbsorbNew(marks []uint64) bool {
-	if len(marks) != len(s.words) {
-		panic(fmt.Sprintf("bitset: %d mark words for a set of %d", len(marks), len(s.words)))
-	}
-	var fresh uint64
-	for i, m := range marks {
-		if m == 0 {
-			continue
-		}
-		m &^= s.words[i]
-		s.words[i] |= m
-		marks[i] = m
-		fresh |= m
-	}
-	return fresh != 0
 }
 
 // NextClear returns the smallest index >= from whose bit is clear, or
@@ -204,26 +162,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// AppendTo appends the set's members to dst in increasing order and
-// returns the extended slice: ForEach into a []int32 without a closure
-// call per id, and a full word appends its 64 ids without a bit scan.
-func (s *Set) AppendTo(dst []int32) []int32 {
-	for wi, w := range s.words {
-		base := int32(wi * wordBits)
-		if w == ^uint64(0) {
-			for b := base; b < base+wordBits; b++ {
-				dst = append(dst, b)
-			}
-			continue
-		}
-		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Slice returns the set bits in increasing order.

@@ -163,9 +163,10 @@ func TestFillClearFull(t *testing.T) {
 	}
 }
 
-// TestAppendTo: AppendTo appends exactly what ForEach visits, in order,
-// after what dst held — on an empty set, full words, a partial last word
-// and capacities that are not a multiple of 64.
+// TestAppendTo: a NodeSet loaded from a Set appends exactly what the
+// Set's ForEach visits, in order, after what dst held — on an empty set,
+// full words, a partial last word, capacities that are not a multiple of
+// 64, and in both forms.
 func TestAppendTo(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 11))
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 130, 200} {
@@ -187,7 +188,9 @@ func TestAppendTo(t *testing.T) {
 			}
 			want := []int32{-1}
 			s.ForEach(func(i int) { want = append(want, int32(i)) })
-			got := s.AppendTo([]int32{-1})
+			var ns NodeSet
+			ns.Load(s)
+			got := ns.AppendTo([]int32{-1})
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d %s: AppendTo = %v, want %v", n, fill, got, want)
 			}
@@ -255,47 +258,6 @@ func TestQuickUnionCommutes(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestUnionCount(t *testing.T) {
-	const n = 200
-	a, b := New(n), New(n)
-	for i := 0; i < n; i += 3 {
-		a.Add(i)
-	}
-	for i := 0; i < n; i += 2 {
-		b.Add(i)
-	}
-	// New bits: even numbers not divisible by 3 (i.e. i%6 in {2,4}).
-	wantNew := 0
-	for i := 0; i < n; i += 2 {
-		if i%3 != 0 {
-			wantNew++
-		}
-	}
-	ref := a.Clone()
-	ref.UnionWith(b)
-	if got := a.UnionCount(b); got != wantNew {
-		t.Fatalf("UnionCount = %d, want %d", got, wantNew)
-	}
-	if !a.Equal(ref) {
-		t.Fatal("UnionCount result differs from UnionWith")
-	}
-	if got := a.UnionCount(b); got != 0 {
-		t.Fatalf("second UnionCount = %d, want 0", got)
-	}
-	if got := a.UnionCount(nil); got != 0 {
-		t.Fatalf("UnionCount(nil) = %d, want 0", got)
-	}
-}
-
-func TestUnionCountMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on capacity mismatch")
-		}
-	}()
-	New(10).UnionCount(New(11))
 }
 
 func TestNextClear(t *testing.T) {

@@ -85,7 +85,7 @@ func runE26(ctx context.Context, cfg Config) (*Table, error) {
 			cell.Mean("hits"), cell.Mean("rounds"), cell.Min("agree") == 1)
 	}
 	tbl.AddNote("every trial replays its mix against a pool=1 reference server and byte-compares all bodies")
-	tbl.AddNote("cache misses == distinct jobs in every trial: concurrent identical requests coalesce onto one execution")
+	tbl.AddNote("no server re-executed a key and client misses never exceeded distinct jobs in any trial: concurrent identical requests coalesce onto one execution")
 	return tbl, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"gossip/internal/bitset"
 	"gossip/internal/graphgen"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
@@ -13,7 +14,7 @@ import (
 
 // heardCount counts h's ids in either form.
 func heardCount(h *heardSet) int {
-	if !h.dense() {
+	if !h.ids.Dense() {
 		return len(h.ids)
 	}
 	c := 0
@@ -26,12 +27,12 @@ func heardCount(h *heardSet) int {
 // peerSnapshot encodes ids (sorted, in [0, n)) the way a peer's heard set
 // hands them out: a bitmap once the list holds ⌈n/32⌉ ids.
 func peerSnapshot(ids []int32, n int) []int32 {
-	w := bitmapWords(n)
+	w := bitset.Words(n)
 	if len(ids) < w {
 		return ids
 	}
 	out := make([]int32, 1+w)
-	out[0] = denseTag
+	out[0] = bitset.DenseTag
 	for _, v := range ids {
 		out[1+v/32] |= 1 << (v % 32)
 	}
@@ -42,7 +43,7 @@ func peerSnapshot(ids []int32, n int) []int32 {
 // too many or too few words, ids out of [0, n) and negative, unsorted
 // runs and duplicates, and words with bit 31 set.
 func rawPeer(rng *rand.Rand, n int) []int32 {
-	out := make([]int32, rng.IntN(2*bitmapWords(n)+4))
+	out := make([]int32, rng.IntN(2*bitset.Words(n)+4))
 	for i := range out {
 		switch rng.IntN(4) {
 		case 0:
@@ -54,7 +55,7 @@ func rawPeer(rng *rand.Rand, n int) []int32 {
 		}
 	}
 	if len(out) > 0 && rng.IntN(2) == 0 {
-		out[0] = denseTag
+		out[0] = bitset.DenseTag
 	}
 	return out
 }
@@ -134,15 +135,15 @@ func FuzzHeardSet(f *testing.F) {
 					c.Contains(v)
 				}
 			}
-			w := bitmapWords(n)
-			if h.dense() != (len(model) >= w) {
-				t.Fatalf("step %d: dense = %v with %d ids and %d bitmap words", step, h.dense(), len(model), w)
+			w := bitset.Words(n)
+			if h.ids.Dense() != (len(model) >= w) {
+				t.Fatalf("step %d: dense = %v with %d ids and %d bitmap words", step, h.ids.Dense(), len(model), w)
 			}
 			if got := heardCount(&h); got != len(model) {
 				t.Fatalf("step %d: %d ids, model has %d", step, got, len(model))
 			}
-			if h.dense() {
-				if len(h.ids) != 1+w || h.ids[0] != denseTag {
+			if h.ids.Dense() {
+				if len(h.ids) != 1+w || h.ids[0] != bitset.DenseTag {
 					t.Fatalf("step %d: dense version %v is not the tag and %d words", step, h.ids, w)
 				}
 			} else {
@@ -192,7 +193,7 @@ func TestHeardSetForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := range p.dtgs {
-		if h := &p.dtgs[u].heard; !h.dense() {
+		if h := &p.dtgs[u].heard; !h.ids.Dense() {
 			t.Fatalf("ring node %d: heard set of %d ids is sparse after the gather", u, heardCount(h))
 		}
 	}
@@ -216,12 +217,73 @@ func TestHeardSetForms(t *testing.T) {
 	most := 0
 	for u := range slab {
 		h := &slab[u].heard
-		if h.dense() {
+		if h.ids.Dense() {
 			t.Fatalf("slow-bridge node %d: heard set of %d ids is a bitmap", u, heardCount(h))
 		}
 		most = max(most, len(h.ids))
 	}
-	t.Logf("largest slow-bridge heard set: %d ids (bitmap: %d words)", most, bitmapWords(bridge.N()))
+	t.Logf("largest slow-bridge heard set: %d ids (bitmap: %d words)", most, bitset.Words(bridge.N()))
+}
+
+// formCounter runs pipeline phases on ph and counts, over every phase, the
+// nodes whose rumor set ends it as a bitmap.
+type formCounter struct {
+	ph          *sim.Pipeline
+	dense, runs int
+}
+
+func (c *formCounter) Run(cfg sim.Config, factory sim.Factory, stop sim.StopFunc) (sim.Result, error) {
+	res, err := c.ph.Run(cfg, factory, stop)
+	if err == nil {
+		for _, nv := range res.World.Views {
+			if nv.Rumors().Dense() {
+				c.dense++
+			}
+		}
+		c.runs += len(res.World.Views)
+	}
+	return res, err
+}
+
+// TestRumorSetForms pins the rumor-set traffic of the memory-neutral rule
+// (a bitmap from n/32 ids on) on two benchmark workloads. In one auto op
+// on sim-latency's ring (64 × 8, latency 16; 16 bitmap words) the
+// push-pull arm's sets stay lists of one rumor, while every set of the
+// spanner arm ends each of its 11 phases as a bitmap (5 632 node-phases;
+// a set turns once it holds 16 ids). A push-pull run on sim-sparse's 2¹⁵-node ring+matching expander leaves
+// every set a list.
+func TestRumorSetForms(t *testing.T) {
+	ring, err := graphgen.BuildCSR(graphgen.Spec{Family: "ring", N: 64, Layers: 8, Latency: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &formCounter{ph: new(sim.Pipeline)}
+	res, err := unified(DriverOptions{KnownLatencies: true, Seed: 1, ExecOptions: ExecOptions{CSR: ring}}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, nv := range res.PushPull.World.Views {
+		if nv.Rumors().Dense() || nv.RumorCount() != 1 {
+			t.Fatalf("push-pull arm, node %d: %d rumors, bitmap = %v", u, nv.RumorCount(), nv.Rumors().Dense())
+		}
+	}
+	if c.dense != 5632 || c.runs != 5632 {
+		t.Fatalf("spanner arm: %d of %d node-phases end as bitmaps, want all 5632", c.dense, c.runs)
+	}
+
+	sparse, err := graphgen.RingMatchingExpanderCSR(1<<15, 1, graphgen.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := Dispatch("push-pull", nil, DriverOptions{Source: 0, Seed: 1, MaxRounds: 4096, ExecOptions: ExecOptions{CSR: sparse}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, nv := range pp.Sim.World.Views {
+		if nv.Rumors().Dense() {
+			t.Fatalf("sim-sparse node %d: %d rumors in a bitmap", u, nv.RumorCount())
+		}
+	}
 }
 
 // BenchmarkGatherNeighborhood is the layer under sim-latency's spanner

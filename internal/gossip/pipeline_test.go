@@ -305,7 +305,9 @@ func TestSurvivorChecksAgree(t *testing.T) {
 // it measured 5 999 before heard sets of ⌈n/32⌉ ids or more became
 // bitmaps, 5 987 after. Metadata as []int32 interned once per version
 // into an engine table, instead of boxed into an interface, brought it to
-// 2 768 with the arms side by side. The bound is 3 000.
+// 2 768 with the arms side by side, and rumor sets as bitset.NodeSets,
+// whose first room all nodes share in one engine arena, to 2 399. The
+// bound is 3 000.
 func TestPipelineAllocBudget(t *testing.T) {
 	g, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 16, Layers: 8, Latency: 16, Seed: 1})
 	if err != nil {

@@ -55,7 +55,7 @@ func TestStopAliveInformedUnderChurn(t *testing.T) {
 					// rumor 0, probing each rumor set directly.
 					want := true
 					for u, nv := range w.Views {
-						if w.Alive(u) && !nv.rum.contains(0) {
+						if w.Alive(u) && !nv.rum.Contains(0) {
 							want = false
 							break
 						}

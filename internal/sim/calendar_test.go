@@ -187,8 +187,8 @@ func TestJournalMatchesRumorSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u, nv := range res.World.Views {
-		if len(nv.journal) != nv.rum.count() {
-			t.Fatalf("node %d: journal length %d != rumor count %d", u, len(nv.journal), nv.rum.count())
+		if count := len(nv.rum.AppendTo(nil)); len(nv.journal) != count {
+			t.Fatalf("node %d: journal length %d != rumor count %d", u, len(nv.journal), count)
 		}
 		seen := map[int32]bool{}
 		for _, r := range nv.journal {
@@ -196,7 +196,7 @@ func TestJournalMatchesRumorSet(t *testing.T) {
 				t.Fatalf("node %d: rumor %d journaled twice", u, r)
 			}
 			seen[r] = true
-			if !nv.rum.contains(r) {
+			if !nv.rum.Contains(int(r)) {
 				t.Fatalf("node %d: journaled rumor %d missing from set", u, r)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gossip/internal/bitset"
 	"gossip/internal/graph"
 )
 
@@ -31,11 +32,15 @@ func (p *newsProto) Activate(int) (int, bool) { return 0, false }
 func (p *newsProto) OnDeliver(d Delivery)     { p.gained = append(p.gained, d.NewRumors) }
 
 // FuzzDeliverWindow drives deliverShard with one delivery to a receiver
-// in a drawn state — dense or sparse, empty, partial or full, on an n that
-// is not a multiple of 64 — and a window of distinct ids of drawn length,
-// serially or as a distributed shard worker. Journal (order included),
-// membership, the reported gain and the DistGain tail must match the
-// per-rumor reference, and the word-path scratch must be zero afterwards.
+// in a drawn state, on an n that is not a multiple of 64: a list (empty,
+// partial, or one id short of a bitmap) or a bitmap (just turned, partial
+// or full), reached by gaining the ids as a run would. A window of
+// distinct ids of drawn length arrives, serially or at a distributed
+// shard worker, so a bitmap receiver takes both the word path and the
+// per-rumor loop, and a list receiver the loop, turning into a bitmap
+// partway when the window is long. Journal (order included), membership,
+// the reported gain and the DistGain tail must match the per-rumor
+// reference, and the word-path scratch must be zero afterwards.
 func FuzzDeliverWindow(f *testing.F) {
 	f.Add(uint16(0), uint8(0), false, uint16(40), uint64(1), false)
 	f.Add(uint16(100), uint8(1), false, uint16(150), uint64(2), true)
@@ -66,24 +71,27 @@ func FuzzDeliverWindow(f *testing.F) {
 
 		// The receiver (node 0) and an independent reference copy of it.
 		nv, ref := e.views[0], &NodeView{id: 0, n: n}
-		for _, v := range []*NodeView{nv, ref} {
-			v.rum = rumorSet{}
-			v.rum.init(n)
-			if sparse {
-				v.rum.dense = nil
-			}
-			v.journal = nil
+		nv.rum, nv.journal = nil, nil
+		w, k := bitset.Words(n), 0
+		switch {
+		case sparse && pre%3 == 1:
+			k = rng.IntN(w)
+		case sparse && pre%3 == 2:
+			k = w - 1
+		case sparse:
+		case pre%3 == 0:
+			k = w
+		case pre%3 == 1:
+			k = w + rng.IntN(n-w+1)
+		default:
+			k = n
 		}
-		var held []int
-		switch pre % 3 {
-		case 1:
-			held = rng.Perm(n)[:rng.IntN(n)]
-		case 2:
-			held = rng.Perm(n)
-		}
-		for _, r := range held {
+		for _, r := range rng.Perm(n)[:k] {
 			nv.gain(r)
 			ref.gain(r)
+		}
+		if nv.rum.Dense() == sparse {
+			t.Fatalf("%d of %d ids held: bitmap = %v", k, n, nv.rum.Dense())
 		}
 		e.jlen[0] = int32(len(nv.journal))
 
@@ -111,7 +119,7 @@ func FuzzDeliverWindow(f *testing.F) {
 			t.Fatalf("flat journal length %d, journal holds %d", e.jlen[0], len(nv.journal))
 		}
 		for r := 0; r < n; r++ {
-			if nv.rum.contains(int32(r)) != ref.rum.contains(int32(r)) {
+			if nv.rum.Contains(r) != ref.rum.Contains(r) {
 				t.Fatalf("membership of %d differs from the reference", r)
 			}
 		}

@@ -416,7 +416,7 @@ func (d *distRun) barrier(round int, stop StopFunc, t *tally) (frames []*DistFra
 			nv := e.views[g.Node]
 			nv.gain(int(g.Rumor))
 			e.jlen[g.Node] = int32(len(nv.journal))
-			if e.informedAt[g.Node] < 0 && nv.rum.contains(watched) {
+			if e.informedAt[g.Node] < 0 && nv.rum.Contains(int(watched)) {
 				e.informedAt[g.Node] = round
 				e.world.informed.Add(int(g.Node))
 			}

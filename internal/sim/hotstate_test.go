@@ -15,13 +15,12 @@ import (
 // journal length table matches each journal, and informedAt is
 // non-negative exactly when the node holds the watched rumor.
 func hotStateErr(e *engine) error {
-	watched := int32(e.watched)
 	for u, nv := range e.views {
 		if int(e.jlen[u]) != len(nv.journal) {
 			return fmt.Errorf("round %d, node %d: flat journal length %d, journal holds %d",
 				e.world.Round, u, e.jlen[u], len(nv.journal))
 		}
-		if has := nv.rum.contains(watched); (e.informedAt[u] >= 0) != has {
+		if has := nv.rum.Contains(e.watched); (e.informedAt[u] >= 0) != has {
 			return fmt.Errorf("round %d, node %d: informedAt %d but holds the watched rumor = %v",
 				e.world.Round, u, e.informedAt[u], has)
 		}

@@ -26,7 +26,8 @@ func (p *pushPullProto) NextWake(round int) int { return round + 1 }
 // call it). Half of that is the per-node dense rumor bitsets (n <= 2¹³), which the
 // diet does not touch. The bound is 0.65 of the old figure. With 64-byte
 // exchanges (metadata as handles, not interfaces) the run allocates
-// 3 968 672.
+// 3 968 672, and 1 740 440 once a rumor set is a list of its one rumor
+// instead of an n-bit bitmap.
 const memoryBudgetBytes = 6494088 * 65 / 100
 
 // TestEngineMemoryBudget pins the per-exchange and per-node memory of the

@@ -20,9 +20,9 @@ import (
 // topology, mirroring the engine's construction exactly: the same
 // seed-derived per-node PCG stream (so a protocol's random choices come
 // from the same distribution family as a simulated run with the same
-// seed), the same known-latency initialization, the same hybrid rumor
-// set. The view is not registered with any engine; the caller owns rumor
-// mutation through Gain.
+// seed), the same known-latency initialization, the same list-or-bitmap
+// rumor set. The view is not registered with any engine; the caller owns
+// rumor mutation through Gain.
 func NewNetView(csr *graph.CSR, id graph.NodeID, seed uint64, knownLatencies bool) *NodeView {
 	lats := csr.Latencies(id)
 	known := make([]int32, len(lats))
@@ -41,7 +41,6 @@ func NewNetView(csr *graph.CSR, id graph.NodeID, seed uint64, knownLatencies boo
 		known: known,
 		rng:   rand.New(rand.NewPCG(seed, uint64(id)*0x9e3779b97f4a7c15+1)),
 	}
-	nv.rum.init(csr.N())
 	return nv
 }
 

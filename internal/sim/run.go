@@ -151,7 +151,7 @@ type shard struct {
 	// mark is the word-path delivery scratch (NodeView.gainWindow): one
 	// bit per rumor id, all zero between deliveries; allocated at the
 	// shard's first word-path delivery.
-	mark                 []uint64
+	mark                 []int32
 	minWake, sleeperWake int
 	idle, called         bool
 	err                  error
@@ -219,8 +219,8 @@ type engine struct {
 	// Mode seeding: Config.InitialRumors, or the sets a Pipeline phase
 	// entered with (kept only when the schedule has amnesia).
 	entry []*bitset.Set
-	// wordMin is the shortest window a dense receiver takes by the word:
-	// wordWindowMin ids, and never fewer than the set has words, so the
+	// wordMin is the shortest window a bitmap receiver takes by the word:
+	// wordWindowMin ids, and never fewer than the bitmap has words, so the
 	// word pass costs at most what the window does.
 	wordMin int
 	// sent is the per-half-edge journal high-water mark (delta windows);
@@ -441,17 +441,19 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 		return nil, fmt.Errorf("sim: invalid graph: %w", err)
 	}
 	n := csr.N()
-	e := &engine{csr: csr, n: n, wordMin: max(wordWindowMin, (n+63)/64)}
+	e := &engine{csr: csr, n: n, wordMin: max(wordWindowMin, bitset.Words(n))}
 
-	// NodeViews, known-latency tables and RNG states are arena-allocated:
-	// a handful of slabs instead of ~4n small objects keeps setup off the
-	// allocator's hot path at n=10⁶.
+	// NodeViews, known-latency tables, RNG states and the rumor sets'
+	// first room are arena-allocated: a handful of slabs instead of ~5n
+	// small objects keeps setup off the allocator's hot path at n=10⁶.
 	viewArena := make([]NodeView, n)
 	e.views = make([]*NodeView, n)
 	e.protos = make([]Protocol, n)
 	e.pcgArena = make([]rand.PCG, n)
 	e.rngArena = make([]rand.Rand, n)
 	e.oneLat = true
+	first := bitset.FirstRoom(n)
+	rumArena := make([]int32, n*first)
 	for u := 0; u < n; u++ {
 		for _, l := range csr.Latencies(u) {
 			e.oneLat = e.oneLat && int(l) == csr.MaxLatency()
@@ -463,8 +465,8 @@ func newEngineShard(cfg Config, factory Factory, shardIdx, shardCount int) (*eng
 			nbrs: csr.NeighborIDs(u),
 			lats: csr.Latencies(u),
 			rng:  &e.rngArena[u],
+			rum:  rumArena[u*first : u*first : (u+1)*first],
 		}
-		viewArena[u].rum.init(n)
 		e.views[u] = &viewArena[u]
 	}
 	e.informedAt = make([]int, n)
@@ -580,7 +582,7 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 		}
 		for u, nv := range views {
 			nv.reseed()
-			if nv.rum.contains(int32(watched)) {
+			if nv.rum.Contains(watched) {
 				informedAt[u] = 0
 				informed.Add(u)
 			}
@@ -592,7 +594,7 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 		for u := 0; u < n; u++ {
 			nv := views[u]
 			nv.seedFrom(cfg.InitialRumors[u])
-			if nv.rum.contains(int32(watched)) {
+			if nv.rum.Contains(watched) {
 				informedAt[u] = 0
 				informed.Add(u)
 			}
@@ -753,21 +755,11 @@ func zeroed[T any](old []T, n int, want bool) []T {
 	return old
 }
 
-// rumorSets materializes every node's rumor set as a dense bitset (a
-// word-level copy where the node already holds one, built from the gain
-// journal otherwise).
+// rumorSets materializes every node's rumor set as a bitset.Set.
 func rumorSets(views []*NodeView) []*bitset.Set {
 	out := make([]*bitset.Set, len(views))
 	for i, nv := range views {
-		if nv.rum.dense != nil {
-			out[i] = nv.rum.dense.Clone()
-			continue
-		}
-		s := bitset.New(nv.n)
-		for _, x := range nv.journal {
-			s.Add(int(x))
-		}
-		out[i] = s
+		out[i] = nv.rum.Set(nv.n)
 	}
 	return out
 }
@@ -1023,9 +1015,9 @@ func (e *engine) deliverShard(s *shard, round int) {
 		// moves nothing: the receiver's view goes unread.
 		if len(news) > 0 && int(e.jlen[self]) < e.n {
 			nv := e.views[self]
-			if nv.rum.dense != nil && len(news) >= e.wordMin {
+			if nv.rum.Dense() && len(news) >= e.wordMin {
 				if s.mark == nil {
-					s.mark = make([]uint64, (e.n+63)/64)
+					s.mark = make([]int32, bitset.Words(e.n))
 				}
 				before := len(nv.journal)
 				nv.gainWindow(news, s.mark)
@@ -1046,7 +1038,7 @@ func (e *engine) deliverShard(s *shard, round int) {
 				}
 			}
 			e.jlen[self] = int32(len(nv.journal))
-			if gained > 0 && e.informedAt[self] < 0 && nv.rum.contains(watched) {
+			if gained > 0 && e.informedAt[self] < 0 && nv.rum.Contains(int(watched)) {
 				e.informedAt[self] = int(ex.deliver)
 				s.newlyInformed = append(s.newlyInformed, self)
 			}
@@ -1354,8 +1346,7 @@ func (e *engine) release(h int32) {
 // boundary. Runs serially inside the event loop.
 func (e *engine) amnesia(u int, round int) {
 	nv := e.views[u]
-	nv.rum = rumorSet{}
-	nv.rum.init(e.n)
+	nv.rum = nv.rum[:0]
 	nv.journal = nv.journal[:0]
 	if e.sent != nil {
 		off := int(e.csr.Offset(u))
@@ -1386,7 +1377,7 @@ func (e *engine) amnesia(u int, round int) {
 		nv.gain(u)
 	}
 	e.jlen[u] = int32(len(nv.journal))
-	if nv.rum.contains(int32(e.watched)) {
+	if nv.rum.Contains(e.watched) {
 		if e.informedAt[u] < 0 {
 			e.informedAt[u] = round
 		}

@@ -63,11 +63,11 @@
 // journal by the same ids in the same order. A receiver that already
 // holds all n rumors gains nothing and skips the window unread; in the
 // all-to-all pipelines that is every node from the middle of the
-// neighborhood-gathering repetitions on. A dense receiver handed a long
-// window (at least max(32, n/64) ids) takes it by the word
-// (NodeView.gainWindow): mark the window into its shard's scratch words,
-// absorb them into the set in one word pass, and read back only the new
-// ids. Sparse receivers and short windows keep the per-rumor loop. Only
+// neighborhood-gathering repetitions on. A receiver whose set is a bitmap
+// handed a long window (at least max(32, ⌈n/32⌉) ids) takes it by the
+// word (NodeView.gainWindow): mark the window into its shard's scratch
+// words, absorb them into the set in one word pass, and read back only
+// the new ids. Lists and short windows keep the per-rumor loop. Only
 // a delivery that gains a rumor can inform its receiver, so only one
 // that gains checks the watched rumor.
 //
@@ -85,7 +85,6 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"gossip/internal/adversity"
 	"gossip/internal/bitset"
@@ -297,9 +296,10 @@ type NodeView struct {
 	// known is the latency per adjacency index as this node knows it;
 	// -1 = not yet discovered.
 	known []int32
-	// rum answers rumor membership; hybrid sparse/dense so one-to-all
-	// runs at n=10⁶ do not pay n bits per node.
-	rum rumorSet
+	// rum answers rumor membership: a list of the ids, and a bitmap once
+	// it holds n/32 of them, so one-to-all runs at n=10⁶ do not pay n bits
+	// per node.
+	rum bitset.NodeSet
 	// journal lists the node's rumors in gain order; the set at any past
 	// round is a prefix, which is how exchanges snapshot without cloning.
 	journal []int32
@@ -310,41 +310,36 @@ type NodeView struct {
 // rumor was new. All rumor mutation goes through here so the journal
 // stays an exact gain-ordered index of the set.
 func (nv *NodeView) gain(r int) bool {
-	if !nv.rum.add(int32(r)) {
+	if !nv.rum.Add(r, nv.n, false) {
 		return false
 	}
 	nv.journal = append(nv.journal, int32(r))
 	return true
 }
 
-// seedFrom bulk-seeds an empty node from a previous phase's rumor set:
-// the dense path is a word-level UnionCount instead of n per-bit probes,
-// which is what makes the multi-phase pipelines' between-phase carry-over
-// O(n/64) per node, and its popcount sizes the journal in one allocation.
+// seedFrom seeds an empty node from a previous phase's rumor set; the
+// journal lists it in ascending id order.
 func (nv *NodeView) seedFrom(src *bitset.Set) {
-	if nv.rum.dense != nil && len(nv.journal) == 0 {
-		nv.journal = src.AppendTo(slices.Grow(nv.journal, nv.rum.dense.UnionCount(src)))
-		return
-	}
-	src.ForEach(func(r int) { nv.gain(r) })
+	nv.rum.Load(src)
+	nv.reseed()
 }
 
 // gainWindow is gain applied to a whole delivery window, by the word, for
-// a node whose set is dense: the window is marked into mark (one word per
-// 64 rumor ids, zero on entry and again on return), the set absorbs the
-// marks in one word pass, and only when some bit was new does a second
-// pass over the window append the new ids to the journal, in window
-// order, clearing each mark bit as it goes. The journal gains exactly the
-// ids, in exactly the order, the per-rumor loop would append.
-func (nv *NodeView) gainWindow(window []int32, mark []uint64) {
+// a node whose set is a bitmap: the window is marked into mark (one word
+// per 32 rumor ids, zero on entry and again on return), the set absorbs
+// the marks in one word pass, and only when some bit was new does a
+// second pass over the window append the new ids to the journal, in
+// window order, clearing each mark bit as it goes. The journal gains
+// exactly the ids, in exactly the order, the per-rumor loop would append.
+func (nv *NodeView) gainWindow(window, mark []int32) {
 	for _, r := range window {
-		mark[r>>6] |= 1 << (uint32(r) & 63)
+		mark[r>>5] |= 1 << (r & 31)
 	}
-	if !nv.rum.dense.AbsorbNew(mark) {
+	if !nv.rum.AbsorbNew(mark) {
 		return
 	}
 	for _, r := range window {
-		w, b := r>>6, uint64(1)<<(uint32(r)&63)
+		w, b := r>>5, int32(1)<<(r&31)
 		if mark[w]&b != 0 {
 			mark[w] &^= b
 			nv.journal = append(nv.journal, r)
@@ -355,13 +350,7 @@ func (nv *NodeView) gainWindow(window []int32, mark []uint64) {
 // reseed rewrites the journal, in place, as the node's set in ascending id
 // order — the journal seedFrom gives a fresh node seeded with that set.
 // A pipeline phase run on the previous phase's engine enters through it.
-func (nv *NodeView) reseed() {
-	if nv.rum.dense != nil {
-		nv.journal = nv.rum.dense.AppendTo(nv.journal[:0])
-	} else {
-		nv.journal = append(nv.journal[:0], nv.rum.sorted...)
-	}
-}
+func (nv *NodeView) reseed() { nv.journal = nv.rum.AppendTo(nv.journal[:0]) }
 
 // ID returns the node's identity.
 func (nv *NodeView) ID() graph.NodeID { return nv.id }
@@ -400,7 +389,11 @@ func (nv *NodeView) Latency(i int) (int, bool) {
 }
 
 // Knows reports whether the node holds rumor r.
-func (nv *NodeView) Knows(r int) bool { return nv.rum.contains(int32(r)) }
+func (nv *NodeView) Knows(r int) bool { return nv.rum.Contains(r) }
+
+// Rumors returns the node's rumor set, a read-only view into node-owned
+// storage that the node's next gain may change.
+func (nv *NodeView) Rumors() bitset.NodeSet { return nv.rum }
 
 // RumorCount returns how many rumors the node holds (the journal length;
 // O(1), no popcount).

@@ -18,7 +18,7 @@ func StopAllInformed(r graph.NodeID) StopFunc {
 			return w.informed.NextClear(0) >= len(w.Views)
 		}
 		for _, nv := range w.Views {
-			if !nv.rum.contains(int32(r)) {
+			if !nv.rum.Contains(r) {
 				return false
 			}
 		}
@@ -47,7 +47,7 @@ func StopLocalBroadcast() StopFunc {
 	return func(w *World) bool {
 		for _, nv := range w.Views {
 			for _, nb := range nv.nbrs {
-				if !nv.rum.contains(nb) {
+				if !nv.rum.Contains(int(nb)) {
 					return false
 				}
 			}
@@ -66,7 +66,7 @@ func StopAllAliveInformed(r graph.NodeID) StopFunc {
 			return w.alive.SubsetOf(w.informed)
 		}
 		for u, nv := range w.Views {
-			if w.Alive(u) && !nv.rum.contains(int32(r)) {
+			if w.Alive(u) && !nv.rum.Contains(r) {
 				return false
 			}
 		}
@@ -91,7 +91,7 @@ func StopAllSurvivorsInformed(r graph.NodeID, spec *adversity.Spec) StopFunc {
 			return survivors.SubsetOf(w.informed)
 		}
 		for u, nv := range w.Views {
-			if survivors.Contains(u) && !nv.rum.contains(int32(r)) {
+			if survivors.Contains(u) && !nv.rum.Contains(r) {
 				return false
 			}
 		}
@@ -199,7 +199,7 @@ func StopRootAcked(root graph.NodeID, spec *adversity.Spec) StopFunc {
 		}
 		acked := true
 		survivors.ForEach(func(u int) {
-			if acked && !rv.rum.contains(int32(u)) {
+			if acked && !rv.rum.Contains(u) {
 				acked = false
 			}
 		})
