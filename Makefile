@@ -119,7 +119,8 @@ cover:
 # delivery against the per-rumor reference, of the list-or-bitmap node
 # set and the local-broadcast heard-set log against map models, of the
 # server's hand-rolled event lines against encoding/json, and of Theorem
-# 5 on drawn graphs; CI-friendly seconds, not hours.
+# 5 and Theorem 20's spanner stretch on drawn graphs; CI-friendly
+# seconds, not hours.
 fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz FuzzDeliverWindow -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
@@ -130,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bitset -fuzz FuzzNodeSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzHeardSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/conductance -fuzz FuzzTheorem5 -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/spanner -fuzz FuzzSpannerStretch -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzDecodeShardFrames -fuzztime 10s -run '^$$'
 

@@ -71,19 +71,6 @@ func (s *Set) Count() int {
 // Full reports whether every bit in [0, Len) is set.
 func (s *Set) Full() bool { return s.Count() == s.n }
 
-// UnionWith adds every bit of t to s. The capacities must match.
-func (s *Set) UnionWith(t *Set) {
-	if t == nil {
-		return
-	}
-	if s.n != t.n {
-		panic(fmt.Sprintf("bitset: union of mismatched capacities %d and %d", s.n, t.n))
-	}
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
 // NextClear returns the smallest index >= from whose bit is clear, or
 // Len() when every bit of [from, Len) is set. It scans whole words, so
 // an all-set prefix costs 1/64th of a per-bit probe loop — the informed
@@ -111,19 +98,6 @@ func (s *Set) NextClear(from int) int {
 		}
 		w = ^s.words[wi]
 	}
-}
-
-// Equal reports whether s and t contain exactly the same bits.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range t.words {
-		if s.words[i] != w {
-			return false
-		}
-	}
-	return true
 }
 
 // SubsetOf reports whether every bit of s is also in t.
@@ -162,13 +136,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Slice returns the set bits in increasing order.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the set as {1, 5, 9} for debugging.

@@ -37,6 +37,14 @@ func FirstRoom(n int) int { return min(4, 1+Words(n)) }
 // Dense reports whether the set is in bitmap form.
 func (s NodeSet) Dense() bool { return len(s) > 0 && s[0] == DenseTag }
 
+// Len returns the number of ids in the set.
+func (s NodeSet) Len() int {
+	if s.Dense() {
+		return ones(s[1:])
+	}
+	return len(s)
+}
+
 // Contains reports membership; ids outside [0, n) are never members.
 func (s NodeSet) Contains(v int) bool {
 	if s.Dense() {

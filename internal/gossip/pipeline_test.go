@@ -306,8 +306,9 @@ func TestSurvivorChecksAgree(t *testing.T) {
 // bitmaps, 5 987 after. Metadata as []int32 interned once per version
 // into an engine table, instead of boxed into an interface, brought it to
 // 2 768 with the arms side by side, and rumor sets as bitset.NodeSets,
-// whose first room all nodes share in one engine arena, to 2 399. The
-// bound is 3 000.
+// whose first room all nodes share in one engine arena, to 2 399. Each
+// guess's spanner built on a goroutine beside its gather, and the one
+// listing full nodes' journals share, made it 2 407. The bound is 3 000.
 func TestPipelineAllocBudget(t *testing.T) {
 	g, err := graphgen.Build(graphgen.Spec{Family: "ring", N: 16, Layers: 8, Latency: 16, Seed: 1})
 	if err != nil {

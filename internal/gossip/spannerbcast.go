@@ -133,6 +133,10 @@ func (p *pipeline) complete() bool {
 	return p.world != nil && p.survivorsInformed(p.world)
 }
 
+// buildSpanner is the construction spannerBroadcast runs beside each
+// gather: spanner.BuildCSR, which tests swap for one that fails or panics.
+var buildSpanner = spanner.BuildCSR
+
 // spannerBroadcast runs Algorithm 2 (known D) or Algorithm 4 (unknown D):
 // ceil(log2 n) repetitions of D-DTG to collect the log n-hop
 // neighborhood, a local oriented Baswana-Sen spanner construction on G_D,
@@ -181,12 +185,20 @@ func spannerBroadcast(opts DriverOptions, ph phaseRunner) (BroadcastResult, erro
 	reps := spanner.DefaultK(csr.N()) // ⌈log₂ n⌉ gather repetitions; also the spanner's depth
 	p := newPipeline(opts, ph)
 	for {
-		if err := p.gatherNeighborhood(guess, reps, opts, &out); err != nil {
-			return out, err
-		}
 		// One spanner of G_guess per guess: the rr pass and the
-		// Termination_Check pass broadcast over the same orientation.
-		sp, err := spanner.BuildCSR(csr, spanner.Options{Seed: opts.Seed ^ 0x5bd1e995, MaxLatency: guess})
+		// Termination_Check pass broadcast over the same orientation. The
+		// construction is centralized and reads only the topology, the
+		// seed and the guess (the gather charges the paper's cost of
+		// collecting the neighborhood), so it is built on a goroutine of
+		// its own beside the gather, and joined on every path.
+		joinSpanner := spawn(func() (*spanner.Spanner, error) {
+			return buildSpanner(csr, spanner.Options{Seed: opts.Seed ^ 0x5bd1e995, MaxLatency: guess})
+		})
+		gatherErr := p.gatherNeighborhood(guess, reps, opts, &out)
+		sp, err := joinSpanner()
+		if gatherErr != nil {
+			return out, gatherErr
+		}
 		if err != nil {
 			return out, err
 		}

@@ -2,12 +2,17 @@ package gossip
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gossip/internal/adversity"
+	"gossip/internal/graph"
 	"gossip/internal/graphgen"
+	"gossip/internal/spanner"
 )
 
 // TestSpawnJoin: join hands back the arm's value and error unchanged, and
@@ -98,4 +103,84 @@ func TestUnifiedReportsPushPullErrorFirst(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "push-pull arm") {
 		t.Fatalf("error %v, want the push-pull arm's", err)
 	}
+}
+
+// goroutinesSettle waits until no more goroutines run than before (a
+// joined goroutine may still be on its way out when its joiner returns)
+// and fails the test if some never end.
+func goroutinesSettle(t *testing.T, what string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s left %d goroutines behind:\n%s", what, runtime.NumGoroutine()-before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSpannerArmLeavesNoGoroutine: the spanner driver builds each guess's
+// spanner on a goroutine of its own beside the gather, and auto runs its
+// push-pull arm on another; neither outlives the call, when it succeeds
+// and when its first gather phase fails at load (a fault spec naming an
+// edge the graph does not have).
+func TestSpannerArmLeavesNoGoroutine(t *testing.T) {
+	ring, err := graphgen.BuildCSR(graphgen.Spec{Family: "ring", N: 64, Layers: 8, Latency: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := adversity.MustParseSpec("flap=0-200:1-5") // the ring has no edge (0,200)
+	for _, driver := range []string{"spanner", "auto"} {
+		for _, spec := range []*adversity.Spec{nil, bad} {
+			before := runtime.NumGoroutine()
+			_, err := Dispatch(driver, nil, DriverOptions{KnownLatencies: true, Seed: 5, ExecOptions: ExecOptions{CSR: ring, Adversity: spec}})
+			if (err != nil) != (spec != nil) {
+				t.Fatalf("%s, spec %v: error %v", driver, spec, err)
+			}
+			goroutinesSettle(t, fmt.Sprintf("%s, spec %v", driver, spec), before)
+		}
+	}
+}
+
+// TestSpannerArmJoinsTheBuild: the build that runs beside a gather is
+// joined on every path. When both fail the gather's error is reported,
+// as when the build ran after it; when only the build fails, its error;
+// and a build that panics while the gather fails panics the caller, not
+// a dropped goroutine.
+func TestSpannerArmJoinsTheBuild(t *testing.T) {
+	ring, err := graphgen.BuildCSR(graphgen.Spec{Family: "ring", N: 16, Layers: 4, Latency: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBuild := errors.New("build failed")
+	whole := buildSpanner
+	defer func() { buildSpanner = whole }()
+	buildSpanner = func(*graph.CSR, spanner.Options) (*spanner.Spanner, error) { return nil, errBuild }
+	bad := adversity.MustParseSpec("flap=0-33:1-5") // the ring has no edge (0,33)
+	run := func(spec *adversity.Spec) error {
+		_, err := Dispatch("spanner", nil, DriverOptions{KnownLatencies: true, Seed: 5, ExecOptions: ExecOptions{CSR: ring, Adversity: spec}})
+		return err
+	}
+	if err := run(bad); err == nil || errors.Is(err, errBuild) || !strings.Contains(err.Error(), "not in the graph") {
+		t.Fatalf("gather and build both failed: error %v, want the gather's", err)
+	}
+	if err := run(nil); !errors.Is(err, errBuild) {
+		t.Fatalf("the build failed: error %v, want %v", err, errBuild)
+	}
+	buildSpanner = func(*graph.CSR, spanner.Options) (*spanner.Spanner, error) { panic(armPanic{"build"}) }
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = devNull // spawn writes the build's stack there
+	defer func() {
+		os.Stderr = saved
+		if p := recover(); p != (armPanic{"build"}) {
+			t.Fatalf("recovered %#v, want the build's own panic value", p)
+		}
+	}()
+	err = run(bad)
+	t.Fatalf("a build that panicked beside a failing gather returned %v", err)
 }

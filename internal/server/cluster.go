@@ -135,7 +135,13 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// and refreshes it at every barrier — an absolute session deadline
 	// here used to kill healthy long runs mid-barrier.
 	maxIdle := s.cfg.MaxTimeout + 30*time.Second
-	if err := cluster.ServeShard(conn, brw, maxIdle, s.runShardJob); err != nil {
+	// The job runs under the leader's guard, so a panic in it ends the
+	// session with an error frame the coordinator reports, not a torn
+	// connection.
+	run := func(sj api.ShardJob, ex sim.Exchanger) (*api.ShardResult, error) {
+		return guard(func() (*api.ShardResult, error) { return s.runShardJob(sj, ex) })
+	}
+	if err := cluster.ServeShard(conn, brw, maxIdle, run); err != nil {
 		s.met.shardFailures.Add(1)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"gossip/internal/gossip"
 	"gossip/internal/graphgen"
+	"gossip/internal/sim"
 )
 
 // testFleet boots n real servers on loopback listeners sharing one
@@ -118,6 +119,62 @@ func TestFleetShardedRunMatchesSingle(t *testing.T) {
 		if want := int64(2 * (i + 1)); sessions != want {
 			t.Fatalf("after %s: worker shard sessions = %d, want %d", req.Driver, sessions, want)
 		}
+	}
+}
+
+// TestShardJobPanicReachesCoordinator: a worker shard job runs under the
+// leader's guard. A panic in it reaches the coordinator as the worker's
+// error frame — "job panicked" and the panic value — so the coordinated
+// request fails with a transient error that is not cached; every worker
+// keeps serving, and the identical request succeeds once the driver is
+// whole again. The job is broken by swapping the registered push-pull
+// driver's Prepare, which only shard workers call on this path.
+func TestShardJobPanicReachesCoordinator(t *testing.T) {
+	pp, ok := gossip.Lookup("push-pull")
+	if !ok {
+		t.Fatal("push-pull is not registered")
+	}
+	whole := pp.Prepare
+	pp.Prepare = func(gossip.DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
+		panic("shard job blew up")
+	}
+	defer func() { pp.Prepare = whole }()
+
+	f := startTestFleet(t, 3, Config{Pool: 1})
+	req := Request{Driver: "push-pull", Graph: GraphSpec{Family: "clique", N: 16}, Seed: 7, Shards: 2}
+	status, cache, body := postJob(t, f.urls[0], req)
+	if status != http.StatusOK || cache != "miss" {
+		t.Fatalf("status %d cache %q", status, cache)
+	}
+	last := lastEvent(t, body)
+	msg, _ := last["error"].(map[string]any)["message"].(string)
+	if last["event"] != "error" || !strings.Contains(msg, "job panicked: shard job blew up") {
+		t.Fatalf("coordinated job with a panicking shard ended with %+v", last)
+	}
+	// The request may be forwarded to its key's owner, which coordinates.
+	var failed, cached int64
+	for _, s := range f.servers {
+		m := s.Metrics()
+		failed, cached = failed+m.Failed, cached+int64(m.CacheEntries)
+	}
+	if failed != 1 || cached != 0 {
+		t.Fatalf("fleet: %d failed jobs, %d cache entries; want 1 and 0", failed, cached)
+	}
+
+	pp.Prepare = whole
+	for i, url := range f.urls {
+		resp, err := http.Get(url + "/healthz")
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("member %d stopped serving after the panic: %v", i, err)
+		}
+		resp.Body.Close()
+	}
+	status, cache, body = postJob(t, f.urls[0], req)
+	if status != http.StatusOK || cache != "miss" {
+		t.Fatalf("retry status %d cache %q (a panic must not be cached)", status, cache)
+	}
+	if last := lastEvent(t, body); last["event"] != "result" {
+		t.Fatalf("retry did not complete: %+v", last)
 	}
 }
 

@@ -215,6 +215,12 @@ type engine struct {
 	jlen  []int32
 	known []int32
 	learn bool
+	// all is the listing 0…n−1, made the first time a node's set is full:
+	// a full node's journal is all[:n:n] (reseed), the ids it would list
+	// in the order it would list them. Nothing writes it: no gain appends
+	// to a full journal, and a journal is detached from it before it is
+	// emptied to be written again (emptyJournal).
+	all []int32
 	// entry is what an amnesic rejoin restarts a node from besides its
 	// Mode seeding: Config.InitialRumors, or the sets a Pipeline phase
 	// entered with (kept only when the schedule has amnesia).
@@ -581,7 +587,7 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 			e.entry = rumorSets(views)
 		}
 		for u, nv := range views {
-			nv.reseed()
+			e.reseed(nv)
 			if nv.rum.Contains(watched) {
 				informedAt[u] = 0
 				informed.Add(u)
@@ -593,7 +599,7 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 		}
 		for u := 0; u < n; u++ {
 			nv := views[u]
-			nv.seedFrom(cfg.InitialRumors[u])
+			e.seedFrom(nv, cfg.InitialRumors[u])
 			if nv.rum.Contains(watched) {
 				informedAt[u] = 0
 				informed.Add(u)
@@ -1334,6 +1340,43 @@ func (e *engine) release(h int32) {
 	}
 }
 
+// seedFrom seeds node nv from a previous phase's rumor set; the journal
+// lists it in ascending id order.
+func (e *engine) seedFrom(nv *NodeView, src *bitset.Set) {
+	nv.rum.Load(src)
+	e.reseed(nv)
+}
+
+// reseed rewrites nv's journal as its set in ascending id order — the
+// journal seedFrom gives a fresh node seeded with that set. A pipeline
+// phase run on the previous phase's engine enters through it. A full set
+// lists as 0…n−1, so a full node takes the engine's one listing instead
+// of writing n ids, and its own journal storage is let go.
+func (e *engine) reseed(nv *NodeView) {
+	if nv.rum.Len() == e.n {
+		if e.all == nil {
+			e.all = make([]int32, e.n)
+			for i := range e.all {
+				e.all[i] = int32(i)
+			}
+		}
+		nv.journal = e.all[:e.n:e.n]
+		return
+	}
+	nv.journal = nv.rum.AppendTo(e.emptyJournal(nv))
+}
+
+// emptyJournal returns nv's journal emptied, to be written again: its own
+// storage truncated, or none when it is the engine's listing, which what
+// a truncated journal appends would overwrite. Every path that rewrites a
+// journal from empty takes it from here.
+func (e *engine) emptyJournal(nv *NodeView) []int32 {
+	if j := nv.journal; cap(j) > 0 && len(e.all) > 0 && &j[:1][0] == &e.all[0] {
+		return nil
+	}
+	return nv.journal[:0]
+}
+
 // amnesia resets node u to its initial rumor assignment: the journal and
 // membership set are cleared (safe: any exchange whose windows reference
 // the old journal was in flight across the down interval and is lost),
@@ -1347,7 +1390,7 @@ func (e *engine) release(h int32) {
 func (e *engine) amnesia(u int, round int) {
 	nv := e.views[u]
 	nv.rum = nv.rum[:0]
-	nv.journal = nv.journal[:0]
+	nv.journal = e.emptyJournal(nv)
 	if e.sent != nil {
 		off := int(e.csr.Offset(u))
 		for i := 0; i < e.csr.Degree(u); i++ {
@@ -1361,7 +1404,7 @@ func (e *engine) amnesia(u int, round int) {
 	}
 	switch {
 	case e.entry != nil:
-		nv.seedFrom(e.entry[u])
+		e.seedFrom(nv, e.entry[u])
 	case e.cfg.Mode == OneToAll && len(e.cfg.Sources) > 0:
 		for _, s := range e.cfg.Sources {
 			if s == u {

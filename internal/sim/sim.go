@@ -79,7 +79,10 @@
 // enters with the rumor sets the previous phase left, each journal
 // re-seeded in ascending id order. That is the very state a fresh engine
 // given those sets as Config.InitialRumors starts from, so a pipeline
-// phase is bit-identical to a fresh Run of it.
+// phase is bit-identical to a fresh Run of it. A node holding all n
+// rumors is re-seeded without writing: its journal is the engine's one
+// listing 0…n−1, made the first time some node is full, which no gain
+// appends to and which a journal leaves before it is emptied again.
 package sim
 
 import (
@@ -308,20 +311,14 @@ type NodeView struct {
 
 // gain adds rumor r to the node's set and journal; it reports whether the
 // rumor was new. All rumor mutation goes through here so the journal
-// stays an exact gain-ordered index of the set.
+// stays an exact gain-ordered index of the set. A full set gains nothing
+// and its journal, perhaps the engine's shared listing, is not touched.
 func (nv *NodeView) gain(r int) bool {
-	if !nv.rum.Add(r, nv.n, false) {
+	if len(nv.journal) == nv.n || !nv.rum.Add(r, nv.n, false) {
 		return false
 	}
 	nv.journal = append(nv.journal, int32(r))
 	return true
-}
-
-// seedFrom seeds an empty node from a previous phase's rumor set; the
-// journal lists it in ascending id order.
-func (nv *NodeView) seedFrom(src *bitset.Set) {
-	nv.rum.Load(src)
-	nv.reseed()
 }
 
 // gainWindow is gain applied to a whole delivery window, by the word, for
@@ -346,11 +343,6 @@ func (nv *NodeView) gainWindow(window, mark []int32) {
 		}
 	}
 }
-
-// reseed rewrites the journal, in place, as the node's set in ascending id
-// order — the journal seedFrom gives a fresh node seeded with that set.
-// A pipeline phase run on the previous phase's engine enters through it.
-func (nv *NodeView) reseed() { nv.journal = nv.rum.AppendTo(nv.journal[:0]) }
 
 // ID returns the node's identity.
 func (nv *NodeView) ID() graph.NodeID { return nv.id }

@@ -124,7 +124,7 @@ func (s *Snapshot) restore(cfg Config, factory Factory) (*engine, error) {
 	for u := 0; u < e.n; u++ {
 		dst, so := e.views[u], src.views[u]
 		dst.rum = append(dst.rum[:0], so.rum...)
-		dst.journal = append(dst.journal[:0], so.journal...)
+		dst.journal = append(e.emptyJournal(dst), so.journal...)
 		e.jlen[u] = int32(len(dst.journal))
 		e.pcgArena[u] = src.pcgArena[u]
 		cl, ok := e.protos[u].(StateCloner)
