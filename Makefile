@@ -112,7 +112,8 @@ cover:
 		{ echo "coverage $$total% fell below the ratcheted minimum $(COVER_MIN)%" >&2; exit 1; }
 
 # Short fuzz smoke of the structured-input parsers/builders (the fault
-# schedule DSL, the CSR builder, the /v1/estimates request validator),
+# schedule DSL, the CSR builder and the map graph's memoized CSR under
+# edits, the /v1/estimates request validator),
 # of the network decoders (the TCP mesh's SYN/ACK payload, the frame
 # reader under both it and the shard RPC, and the shard RPC's round, meta
 # and result frame decoders), of the engine's word-path
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz FuzzDeliverWindow -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/adversity -fuzz FuzzFaultSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/graph -fuzz FuzzCSRBuilder -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/graph -fuzz FuzzGraphCSR -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEstimateValidate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzEventLines -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'

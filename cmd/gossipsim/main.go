@@ -48,8 +48,6 @@ type options struct {
 	curve     bool
 	loadPath  string
 	savePath  string
-	loss      float64
-	churn     string
 	faultSpec string
 	adversity *adversity.Spec
 	mode      string
@@ -84,8 +82,6 @@ func parseArgs(args []string) (options, error) {
 	fs.DurationVar(&o.roundDur, "round-duration", 2*time.Millisecond, "net mode: wall-clock tick length")
 	fs.IntVar(&o.trials, "trials", 5, "net mode: real-mesh trials to classify")
 	fs.IntVar(&o.replicas, "replicas", 16, "net mode: simulator replicas the envelope is built from")
-	fs.Float64Var(&o.loss, "loss", 0, "uniform per-exchange message-loss probability in [0,1]")
-	fs.StringVar(&o.churn, "churn", "", "churn items NODE:FROM-TO[:amnesia], comma-separated (TO may be \"inf\")")
 	fs.StringVar(&o.faultSpec, "fault-spec", "", "full fault schedule DSL, e.g. 'loss=0.1;churn=3:10-20:amnesia;flap=0-1:5-9;crash=4:6,7'")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -100,8 +96,8 @@ func parseArgs(args []string) (options, error) {
 		if _, err := driver.RealTransport(o.algoName); err != nil {
 			return options{}, fmt.Errorf("-mode net: %w", err)
 		}
-		if o.loss != 0 || o.churn != "" || o.faultSpec != "" {
-			return options{}, fmt.Errorf("-mode net does not support -loss, -churn or -fault-spec (the real fabric supplies its own adversity)")
+		if o.faultSpec != "" {
+			return options{}, fmt.Errorf("-mode net does not support -fault-spec (the real fabric supplies its own adversity)")
 		}
 	} else {
 		algo, err := gossip.ParseAlgorithm(o.algoName)
@@ -110,42 +106,16 @@ func parseArgs(args []string) (options, error) {
 		}
 		o.algo = algo
 	}
-	adv, err := buildSpec(o)
-	if err != nil {
-		return options{}, err
-	}
-	o.adversity = adv
-	return o, nil
-}
-
-// buildSpec merges the convenience flags (-loss, -churn) into the full
-// -fault-spec schedule; nil means benign.
-func buildSpec(o options) (*adversity.Spec, error) {
-	spec := &adversity.Spec{}
 	if o.faultSpec != "" {
-		var err error
-		if spec, err = adversity.ParseSpec(o.faultSpec); err != nil {
-			return nil, err
-		}
-	}
-	if o.loss != 0 {
-		if spec.Loss != 0 {
-			return nil, fmt.Errorf("loss set by both -loss and -fault-spec")
-		}
-		spec.Loss = o.loss
-	}
-	if o.churn != "" {
-		items := strings.Split(o.churn, ",")
-		churnSpec, err := adversity.ParseSpec("churn=" + strings.Join(items, ";churn="))
+		spec, err := adversity.ParseSpec(o.faultSpec)
 		if err != nil {
-			return nil, err
+			return options{}, err
 		}
-		spec.Churn = append(spec.Churn, churnSpec.Churn...)
+		if !spec.Empty() {
+			o.adversity = spec
+		}
 	}
-	if spec.Empty() {
-		return nil, nil
-	}
-	return spec, nil
+	return o, nil
 }
 
 func main() {
@@ -195,8 +165,9 @@ func run() int {
 		}
 		fmt.Printf("saved graph to %s\n", opts.savePath)
 	}
+	c := g.CSR()
 	fmt.Printf("graph: %s  n=%d m=%d Δ=%d D=%d ℓmax=%d\n",
-		graphName, g.N(), g.M(), g.MaxDegree(), g.CSR().WeightedDiameter(), g.MaxLatency())
+		graphName, c.N(), c.M(), c.MaxDegree(), c.WeightedDiameter(), c.MaxLatency())
 
 	if opts.analyze {
 		prof, err := gossip.Analyze(g)

@@ -48,7 +48,7 @@ func TestParseArgsErrors(t *testing.T) {
 		{"-mode", "net", "-algo", "spanner"},
 		{"-mode", "net", "-algo", "dtg"},
 		{"-mode", "net", "-algo", "election"},
-		{"-mode", "net", "-algo", "push-pull", "-loss", "0.4"},
+		{"-mode", "net", "-algo", "push-pull", "-fault-spec", "loss=0.4"},
 		{"-mode", "net", "-algo", "flood", "-fault-spec", "crash=4:1"},
 	} {
 		if _, err := parseArgs(args); err == nil {
@@ -141,7 +141,11 @@ func TestReadmeCoordinationExamples(t *testing.T) {
 		fields := strings.Fields(line)
 		for i, f := range fields {
 			if f == "./cmd/gossipsim" {
-				examples = append(examples, fields[i+1:])
+				args := fields[i+1:]
+				for j := range args {
+					args[j] = strings.Trim(args[j], "'") // the shell's quotes
+				}
+				examples = append(examples, args)
 				break
 			}
 		}

@@ -59,14 +59,16 @@ func run(w io.Writer) error {
 		// covers and how many were met.
 		covered, met := 0, 0
 		rumors := res.Sim.FinalRumors()
-		for u := 0; u < g.N(); u++ {
-			for _, nb := range g.Neighbors(u) {
-				if nb.Latency <= ell {
-					covered++
-					if rumors[u].Contains(nb.ID) {
-						met++
-					}
-				}
+		for _, e := range g.Edges() {
+			if e.Latency > ell {
+				continue
+			}
+			covered += 2
+			if rumors[e.U].Contains(e.V) {
+				met++
+			}
+			if rumors[e.V].Contains(e.U) {
+				met++
 			}
 		}
 		fmt.Fprintf(w, "%-4d %-18d %-10v %d/%d within ℓ (of %d total)\n",

@@ -91,10 +91,10 @@ type Bounds struct {
 // graphs, candidate-cut estimation for larger ones, plus the paper's
 // predicted bounds.
 func Analyze(g *Graph) (*Profile, error) {
-	if err := g.Validate(); err != nil {
+	c := g.CSR()
+	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
-	c := g.CSR()
 	cond, err := conductance.Compute(c)
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze: %w", err)

@@ -179,11 +179,9 @@ func TestCriticalScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled := g.Clone()
+	scaled := graph.New(g.N())
 	for _, e := range g.Edges() {
-		if err := scaled.SetLatency(e.U, e.V, e.Latency*3); err != nil {
-			t.Fatal(err)
-		}
+		scaled.MustAddEdge(e.U, e.V, e.Latency*3)
 	}
 	res3, err := Exact(scaled.CSR())
 	if err != nil {

@@ -281,12 +281,12 @@ func TestPatternReachesDistanceK(t *testing.T) {
 
 func TestDiscovery(t *testing.T) {
 	g := graphgen.Dumbbell(4, 20)
-	res, err := runDiscovery(DriverOptions{Seed: 1, MaxRounds: g.MaxDegree() + 25, ExecOptions: ExecOptions{CSR: g.CSR()}})
+	res, err := runDiscovery(DriverOptions{Seed: 1, MaxRounds: g.CSR().MaxDegree() + 25, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != g.MaxDegree()+25 {
-		t.Fatalf("discovery rounds = %d, want full budget %d", res.Rounds, g.MaxDegree()+25)
+	if res.Rounds != g.CSR().MaxDegree()+25 {
+		t.Fatalf("discovery rounds = %d, want full budget %d", res.Rounds, g.CSR().MaxDegree()+25)
 	}
 }
 

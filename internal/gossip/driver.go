@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"gossip/internal/adversity"
-	"gossip/internal/bitset"
 	"gossip/internal/graph"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
@@ -60,8 +59,9 @@ type ExecOptions struct {
 	// A caller holding a CSR (the million-node path, where the
 	// adjacency-map form is never materialized) sets it here; the entry
 	// points that also accept a graph (Dispatch, PrepareDist) fill it in
-	// from that graph when it is nil, and a pipeline hands the one CSR to
-	// all of its phases.
+	// with that graph's one CSR when it is nil, so dispatching on one
+	// graph again converts and validates nothing again, and a pipeline
+	// hands the one CSR to all of its phases.
 	CSR *graph.CSR
 }
 
@@ -98,8 +98,6 @@ type DriverOptions struct {
 	// Spanner supplies rr's out-edge orientation; nil builds a default
 	// Baswana-Sen spanner from Seed.
 	Spanner *spanner.Spanner
-	// InitialRumors carries state from a previous phase.
-	InitialRumors []*bitset.Set
 	// MaxInPerRound caps accepted incoming initiations per node per
 	// round (0 = unbounded).
 	MaxInPerRound int
@@ -160,8 +158,8 @@ type OptionDoc struct {
 	// Keys are the machine-readable request-field names (snake_case, as
 	// they appear in gossipd simulation requests) this option answers to.
 	// Register validates them against RequestKeyVocabulary; an option
-	// with no Keys is internal-only (e.g. InitialRumors) and cannot be
-	// set through a request.
+	// with no Keys is internal-only (e.g. Spanner) and cannot be set
+	// through a request.
 	Keys []string
 }
 
@@ -363,7 +361,7 @@ var errNoTopology = errors.New("gossip: no topology (pass a graph or set ExecOpt
 
 // topology is the one precedence rule of the entry points that accept a
 // graph beside the options (Dispatch, PrepareDist): opts.CSR wins when
-// set, otherwise it becomes g converted, once.
+// set, otherwise it becomes g's one CSR.
 func topology(g *graph.Graph, opts *DriverOptions) error {
 	if opts.CSR == nil {
 		if g == nil {
@@ -536,7 +534,6 @@ func init() {
 		Description: "ℓ-DTG deterministic tree gossip local broadcast (Algorithm 6), run to quiescence",
 		Options: []OptionDoc{
 			{"Ell", "latency filter defining G_ℓ (0 = all edges)", []string{"ell"}},
-			{"InitialRumors", "state carried from a previous phase", nil},
 			{"Adversity", "fault schedule (DTG stalls on lost exchanges)", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -549,7 +546,6 @@ func init() {
 		Options: []OptionDoc{
 			{"Ell", "latency filter defining G_ℓ (0 = all edges)", []string{"ell"}},
 			{"LBTimeout", "abandon stalled exchanges after this many rounds", []string{"lb_timeout"}},
-			{"InitialRumors", "state carried from a previous phase", nil},
 			{"Adversity", "fault schedule; timeouts recover from losses", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
@@ -563,7 +559,7 @@ func init() {
 			{"Spanner", "out-edge orientation (nil = build Baswana-Sen from Seed)", nil},
 			{"K", "latency filter on out-edges; drives the Lemma 21 budget", []string{"k"}},
 			{"Budget", "override the K·Δout + K budget", []string{"budget"}},
-			{"InitialRumors/Adversity/Stop", "phase state, failures, early stop", []string{"fault_spec"}},
+			{"Adversity/Stop", "failures, early stop", []string{"fault_spec"}},
 			{"Seed/MaxRounds", "determinism and horizon", nil},
 		},
 		Prepare: prepareRR,

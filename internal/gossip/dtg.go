@@ -132,7 +132,6 @@ func dtgPhase(opts DriverOptions, slab []DTG) (sim.Config, sim.Factory, sim.Stop
 			KnownLatencies: true,
 			MaxRounds:      opts.MaxRounds,
 			Mode:           sim.AllToAll,
-			InitialRumors:  opts.InitialRumors,
 			Adversity:      opts.Adversity,
 		}, func(nv *sim.NodeView) sim.Protocol {
 			d := &slab[nv.ID()]

@@ -78,7 +78,7 @@ func goldenRuns(t *testing.T, g *graph.Graph, workers int) map[string]goldenReco
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Dispatch("rr", g, DriverOptions{Spanner: sp, K: g.MaxLatency(), Seed: 9, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
+	rr, err := Dispatch("rr", g, DriverOptions{Spanner: sp, K: g.CSR().MaxLatency(), Seed: 9, MaxRounds: goldenMaxRounds, ExecOptions: ExecOptions{Workers: workers}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestRRNoOutEdges(t *testing.T) {
 // fits in the budget.
 func TestDiscoveryBudgetSemantics(t *testing.T) {
 	g := graphgen.Dumbbell(4, 50)
-	budget := g.MaxDegree() + 10 // bridge (50) cannot respond in time
+	budget := g.CSR().MaxDegree() + 10 // bridge (50) cannot respond in time
 	res, err := runDiscovery(DriverOptions{Seed: 1, MaxRounds: budget, ExecOptions: ExecOptions{CSR: g.CSR()}})
 	if err != nil {
 		t.Fatal(err)

@@ -131,7 +131,6 @@ func prepareRR(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error
 		KnownLatencies: true,
 		MaxRounds:      opts.MaxRounds,
 		Mode:           sim.AllToAll,
-		InitialRumors:  opts.InitialRumors,
 		Adversity:      opts.Adversity,
 	}, func(nv *sim.NodeView) sim.Protocol { return NewRR(outIdx[nv.ID()], budget) }, stop, nil
 }

@@ -93,8 +93,7 @@ func (p *pipeline) prepareDTG(opts DriverOptions) (sim.Config, sim.Factory, sim.
 }
 
 // phase runs one prepared phase (a driver's Prepare output) as the
-// pipeline's next. Every phase leaves InitialRumors nil: the runner
-// carries the rumor sets over.
+// pipeline's next. The runner carries the rumor sets over.
 func (p *pipeline) phase(cfg sim.Config, factory sim.Factory, stop sim.StopFunc, err error) (DriverResult, error) {
 	if err != nil {
 		return DriverResult{}, err

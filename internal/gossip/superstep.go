@@ -109,7 +109,6 @@ func prepareSuperstep(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc
 			KnownLatencies: true,
 			MaxRounds:      opts.MaxRounds,
 			Mode:           sim.AllToAll,
-			InitialRumors:  opts.InitialRumors,
 			Adversity:      opts.Adversity,
 		}, func(nv *sim.NodeView) sim.Protocol {
 			return NewSuperstep(nv, opts.Ell, opts.LBTimeout)

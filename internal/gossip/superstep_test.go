@@ -24,10 +24,11 @@ func TestSuperstepSolvesLocalBroadcast(t *testing.T) {
 				t.Fatal("incomplete")
 			}
 			rumors := res.Sim.FinalRumors()
-			for u := 0; u < g.N(); u++ {
-				for _, nb := range g.Neighbors(u) {
-					if nb.Latency <= tc.ell && !rumors[u].Contains(nb.ID) {
-						t.Fatalf("node %d missing neighbor %d", u, nb.ID)
+			c := g.CSR()
+			for u := 0; u < c.N(); u++ {
+				for i, v := range c.NeighborIDs(u) {
+					if int(c.Latencies(u)[i]) <= tc.ell && !rumors[u].Contains(int(v)) {
+						t.Fatalf("node %d missing neighbor %d", u, v)
 					}
 				}
 			}
@@ -80,12 +81,12 @@ func TestSuperstepTimeoutRecovers(t *testing.T) {
 		if u == 1 {
 			continue
 		}
-		for _, nb := range g.Neighbors(u) {
-			if nb.ID == 1 {
+		for _, v := range g.NeighborIDs(u) {
+			if v == 1 {
 				continue
 			}
-			if !rumors[u].Contains(nb.ID) {
-				t.Fatalf("survivor %d missing survivor %d", u, nb.ID)
+			if !rumors[u].Contains(v) {
+				t.Fatalf("survivor %d missing survivor %d", u, v)
 			}
 		}
 	}

@@ -200,11 +200,23 @@ func (c *CSR) String() string {
 	return fmt.Sprintf("csr{n=%d m=%d Δ=%d ℓmax=%d}", c.n, c.M(), c.MaxDegree(), c.maxLat)
 }
 
-// CSR converts g to compressed sparse row form, preserving g's adjacency
-// order exactly: protocols that index neighbors by adjacency position
-// (every registered driver) behave bit-identically on either
-// representation under the same seed.
+// CSR returns g's compressed sparse row form, which preserves g's
+// adjacency order exactly: protocols that index neighbors by adjacency
+// position (every registered driver) behave bit-identically on either
+// representation under the same seed. The first call converts and
+// publishes the result; every later call until the next edit returns the
+// same pointer, so one graph is converted, and validated, once.
+// Concurrent first calls all return the one published CSR.
 func (g *Graph) CSR() *CSR {
+	if c := g.csr.Load(); c != nil {
+		return c
+	}
+	g.csr.CompareAndSwap(nil, g.convert())
+	return g.csr.Load()
+}
+
+// convert builds a fresh CSR from g's adjacency lists.
+func (g *Graph) convert() *CSR {
 	n := g.n
 	c := &CSR{n: n, offs: make([]int32, n+1)}
 	for u := 0; u < n; u++ {

@@ -73,12 +73,19 @@ func TestCSRMatchesLegacyAdjacency(t *testing.T) {
 			if c.N() != g.N() || c.M() != g.M() {
 				t.Fatalf("size mismatch: csr %d/%d vs graph %d/%d", c.N(), c.M(), g.N(), g.M())
 			}
-			if c.MaxDegree() != g.MaxDegree() || c.MaxLatency() != g.MaxLatency() {
+			maxDeg, maxLat := 0, 0
+			for u := 0; u < g.N(); u++ {
+				maxDeg = max(maxDeg, len(g.NeighborIDs(u)))
+			}
+			for _, e := range g.Edges() {
+				maxLat = max(maxLat, e.Latency)
+			}
+			if c.MaxDegree() != maxDeg || c.MaxLatency() != maxLat {
 				t.Fatalf("Δ/ℓmax mismatch: csr %d/%d vs graph %d/%d",
-					c.MaxDegree(), c.MaxLatency(), g.MaxDegree(), g.MaxLatency())
+					c.MaxDegree(), c.MaxLatency(), maxDeg, maxLat)
 			}
 			for u := 0; u < g.N(); u++ {
-				legacy := g.Neighbors(u)
+				legacy := g.NeighborIDs(u)
 				ids := c.NeighborIDs(u)
 				lats := c.Latencies(u)
 				if len(ids) != len(legacy) {
@@ -86,9 +93,10 @@ func TestCSRMatchesLegacyAdjacency(t *testing.T) {
 				}
 				for i := range legacy {
 					// Order-preserving: position i must match exactly.
-					if int(ids[i]) != legacy[i].ID || int(lats[i]) != legacy[i].Latency {
+					lat, _ := g.Latency(u, legacy[i])
+					if int(ids[i]) != legacy[i] || int(lats[i]) != lat {
 						t.Fatalf("node %d slot %d: csr (%d,%d) vs legacy (%d,%d)",
-							u, i, ids[i], lats[i], legacy[i].ID, legacy[i].Latency)
+							u, i, ids[i], lats[i], legacy[i], lat)
 					}
 					// Mate involution: the peer's slot points back here.
 					pi := c.PeerIndex(u, i)
@@ -112,7 +120,9 @@ func TestCSRBuilderMatchesGraph(t *testing.T) {
 	}
 	graphgen.AssignRandomLatencies(g, 1, 12, rng)
 	b := graph.NewCSRBuilder(g.N())
-	g.ForEachEdge(func(e graph.Edge) { b.MustAddEdge(e.U, e.V, e.Latency) })
+	for _, e := range g.Edges() {
+		b.MustAddEdge(e.U, e.V, e.Latency)
+	}
 	c, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +215,8 @@ func FuzzCSRBuilder(f *testing.F) {
 			t.Fatalf("edge count %d vs legacy %d", c.M(), g.M())
 		}
 		for u := 0; u < n; u++ {
-			if c.Degree(u) != g.Degree(u) {
-				t.Fatalf("node %d: degree %d vs legacy %d", u, c.Degree(u), g.Degree(u))
+			if c.Degree(u) != len(g.NeighborIDs(u)) {
+				t.Fatalf("node %d: degree %d vs legacy %d", u, c.Degree(u), len(g.NeighborIDs(u)))
 			}
 			for i, id := range c.NeighborIDs(u) {
 				lat, ok := g.Latency(u, int(id))

@@ -1,12 +1,17 @@
 // Package graph implements the weighted undirected graphs of the paper's
 // model: connected graphs whose edges carry positive integer latencies.
-// Generators build the adjacency-map Graph; everything downstream of them
-// reads its immutable CSR form, which answers the structural queries —
-// degrees, volumes, distinct latencies, Dijkstra distances and the
-// weighted diameter.
+// Graph is the builder: generators, loaders and editors add, re-weight and
+// remove edges through its pair index. Everything downstream reads the
+// graph's one immutable CSR, which answers every structural query —
+// degrees, connectivity, validity, volumes, distinct latencies, Dijkstra
+// distances and the weighted diameter. A graph converts once: Graph.CSR
+// memoizes its CSR until the next edit.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // NodeID identifies a node; nodes are always numbered 0..N-1.
 type NodeID = int
@@ -25,8 +30,10 @@ type halfEdge struct {
 	index   int // index into Graph.edges
 }
 
-// Graph is a weighted undirected multigraph-free graph. The zero value is
-// unusable; construct with New.
+// Graph is a weighted undirected multigraph-free graph under
+// construction. The zero value is unusable; construct with New. Edits and
+// CSR calls must not run concurrently with each other, but any number of
+// goroutines may call CSR at once on a graph no one is editing.
 type Graph struct {
 	n     int
 	adj   [][]halfEdge
@@ -35,6 +42,9 @@ type Graph struct {
 	// duplicate insertions are rejected and latency lookups are O(1)
 	// without scanning adjacency lists.
 	edgeIdx map[[2]NodeID]int
+	// csr is the graph's CSR, published by the first CSR call and dropped
+	// by every edit.
+	csr atomic.Pointer[CSR]
 }
 
 // New returns an empty graph on n nodes.
@@ -75,6 +85,7 @@ func (g *Graph) AddEdge(u, v NodeID, latency int) error {
 	if _, ok := g.edgeIdx[key]; ok {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
+	g.csr.Store(nil)
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, Latency: latency})
 	g.edgeIdx[key] = idx
@@ -125,6 +136,7 @@ func (g *Graph) SetLatency(u, v NodeID, latency int) error {
 	if !ok {
 		return fmt.Errorf("graph: edge (%d,%d) does not exist", u, v)
 	}
+	g.csr.Store(nil)
 	g.edges[idx].Latency = latency
 	for _, end := range []NodeID{a, b} {
 		for i := range g.adj[end] {
@@ -148,6 +160,7 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	if !ok {
 		return fmt.Errorf("graph: cannot remove missing edge (%d,%d)", u, v)
 	}
+	g.csr.Store(nil)
 	dropHalf := func(node NodeID) {
 		adj := g.adj[node]
 		for i := range adj {
@@ -178,33 +191,10 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	return nil
 }
 
-// Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
-
-// MaxDegree returns the maximum degree over all nodes.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Neighbor describes one incident edge from the perspective of a node.
 type Neighbor struct {
 	ID      NodeID
 	Latency int
-}
-
-// Neighbors returns u's neighbors with edge latencies, in insertion order.
-func (g *Graph) Neighbors(u NodeID) []Neighbor {
-	out := make([]Neighbor, len(g.adj[u]))
-	for i, h := range g.adj[u] {
-		out[i] = Neighbor{ID: h.to, Latency: h.latency}
-	}
-	return out
 }
 
 // NeighborIDs returns just the neighbor IDs of u, in insertion order.
@@ -219,77 +209,4 @@ func (g *Graph) NeighborIDs(u NodeID) []NodeID {
 // Edges returns a copy of the edge list.
 func (g *Graph) Edges() []Edge {
 	return append([]Edge(nil), g.edges...)
-}
-
-// ForEachEdge calls fn once per undirected edge.
-func (g *Graph) ForEachEdge(fn func(e Edge)) {
-	for _, e := range g.edges {
-		fn(e)
-	}
-}
-
-// MaxLatency returns the largest edge latency (ℓmax), or 0 for an
-// edgeless graph.
-func (g *Graph) MaxLatency() int {
-	max := 0
-	for _, e := range g.edges {
-		if e.Latency > max {
-			max = e.Latency
-		}
-	}
-	return max
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, e := range g.edges {
-		c.MustAddEdge(e.U, e.V, e.Latency)
-	}
-	return c
-}
-
-// Connected reports whether the graph is connected (ignoring latencies).
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, h := range g.adj[u] {
-			if !seen[h.to] {
-				seen[h.to] = true
-				count++
-				stack = append(stack, h.to)
-			}
-		}
-	}
-	return count == g.n
-}
-
-// Validate checks the structural invariants a paper-model network must
-// satisfy: at least one node, connected, all latencies >= 1.
-func (g *Graph) Validate() error {
-	if g.n == 0 {
-		return fmt.Errorf("graph: empty graph")
-	}
-	for _, e := range g.edges {
-		if e.Latency < 1 {
-			return fmt.Errorf("graph: edge (%d,%d) has latency %d < 1", e.U, e.V, e.Latency)
-		}
-	}
-	if !g.Connected() {
-		return fmt.Errorf("graph: not connected")
-	}
-	return nil
-}
-
-// String summarizes the graph for debugging.
-func (g *Graph) String() string {
-	return fmt.Sprintf("graph{n=%d m=%d Δ=%d ℓmax=%d}", g.n, g.M(), g.MaxDegree(), g.MaxLatency())
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,9 +74,10 @@ func TestSetLatency(t *testing.T) {
 		t.Fatalf("latency after SetLatency = %d, want 9", l)
 	}
 	// Adjacency copies must agree.
-	for _, nb := range g.Neighbors(0) {
-		if nb.ID == 2 && nb.Latency != 9 {
-			t.Fatalf("adjacency latency = %d, want 9", nb.Latency)
+	c := g.CSR()
+	for i, v := range c.NeighborIDs(0) {
+		if v == 2 && c.Latencies(0)[i] != 9 {
+			t.Fatalf("adjacency latency = %d, want 9", c.Latencies(0)[i])
 		}
 	}
 	if err := g.SetLatency(0, 1, 0); err == nil {
@@ -87,19 +89,19 @@ func TestSetLatency(t *testing.T) {
 }
 
 func TestDegreesAndVolume(t *testing.T) {
-	g := mustTriangle(t)
-	if g.Degree(0) != 2 || g.MaxDegree() != 2 {
+	c := mustTriangle(t).CSR()
+	if c.Degree(0) != 2 || c.MaxDegree() != 2 {
 		t.Fatal("degree bookkeeping wrong")
 	}
-	vol := g.CSR().Volume([]bool{true, true, false})
+	vol := c.Volume([]bool{true, true, false})
 	if vol != 4 {
 		t.Fatalf("Volume = %d, want 4", vol)
 	}
 }
 
 func TestDistinctLatenciesAndMax(t *testing.T) {
-	g := mustTriangle(t)
-	lats := g.CSR().DistinctLatencies()
+	c := mustTriangle(t).CSR()
+	lats := c.DistinctLatencies()
 	want := []int{1, 2, 5}
 	if len(lats) != 3 {
 		t.Fatalf("DistinctLatencies = %v", lats)
@@ -109,37 +111,26 @@ func TestDistinctLatenciesAndMax(t *testing.T) {
 			t.Fatalf("DistinctLatencies = %v, want %v", lats, want)
 		}
 	}
-	if g.MaxLatency() != 5 {
-		t.Fatalf("MaxLatency = %d", g.MaxLatency())
+	if c.MaxLatency() != 5 {
+		t.Fatalf("MaxLatency = %d", c.MaxLatency())
 	}
 }
 
 func TestConnectedAndValidate(t *testing.T) {
-	g := mustTriangle(t)
-	if !g.Connected() {
+	c := mustTriangle(t).CSR()
+	if !c.Connected() {
 		t.Fatal("triangle not connected")
 	}
-	if err := g.Validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	h := New(4)
 	h.MustAddEdge(0, 1, 1)
-	if h.Connected() {
+	if h.CSR().Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	if err := h.Validate(); err == nil {
+	if err := h.CSR().Validate(); err == nil {
 		t.Fatal("expected validation error for disconnected graph")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := mustTriangle(t)
-	c := g.Clone()
-	if err := c.SetLatency(0, 1, 7); err != nil {
-		t.Fatal(err)
-	}
-	if l, _ := g.Latency(0, 1); l != 1 {
-		t.Fatal("clone mutation leaked into original")
 	}
 }
 
@@ -209,11 +200,14 @@ func TestQuickPathDiameter(t *testing.T) {
 // whose mate table was corrupted before its first validation — reports
 // the identical error on every call.
 func TestCSRValidateMemoized(t *testing.T) {
-	valid := New(4)
-	valid.MustAddEdge(0, 1, 1)
-	valid.MustAddEdge(1, 2, 2)
-	valid.MustAddEdge(2, 3, 1)
-	c := valid.CSR()
+	path := func() *Graph {
+		g := New(4)
+		g.MustAddEdge(0, 1, 1)
+		g.MustAddEdge(1, 2, 2)
+		g.MustAddEdge(2, 3, 1)
+		return g
+	}
+	c := path().CSR()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -234,7 +228,7 @@ func TestCSRValidateMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := valid.CSR()
+	broken := path().CSR() // a graph of its own: c is shared by every caller
 	broken.mate[0] = broken.mate[1]
 	for name, bad := range map[string]*CSR{"disconnected": split, "broken mate": broken} {
 		first := bad.Validate()
@@ -247,4 +241,137 @@ func TestCSRValidateMemoized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshotCSR deep-copies c's arrays, so a test can check later that
+// nothing wrote to a CSR someone may still hold.
+func snapshotCSR(c *CSR) *CSR {
+	return &CSR{n: c.n, offs: slices.Clone(c.offs), nbr: slices.Clone(c.nbr),
+		lat: slices.Clone(c.lat), mate: slices.Clone(c.mate), maxLat: c.maxLat}
+}
+
+// sameCSR reports whether a and b hold the same graph in the same
+// adjacency order.
+func sameCSR(a, b *CSR) bool {
+	return a.n == b.n && a.maxLat == b.maxLat && slices.Equal(a.offs, b.offs) &&
+		slices.Equal(a.nbr, b.nbr) && slices.Equal(a.lat, b.lat) && slices.Equal(a.mate, b.mate)
+}
+
+// TestGraphCSRIsShared pins the memo: an unedited graph hands every caller
+// one CSR, the second call allocating nothing; each edit drops it, so the
+// next CSR shows the edit while the one before stays as it was; and
+// concurrent first calls (run under -race) agree on one pointer.
+func TestGraphCSRIsShared(t *testing.T) {
+	g := mustTriangle(t)
+	c := g.CSR()
+	if g.CSR() != c {
+		t.Fatal("two CSR calls on an unedited graph returned two pointers")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.CSR() }); allocs != 0 {
+		t.Fatalf("a memoized CSR call allocated %.0f times", allocs)
+	}
+
+	edits := []struct {
+		name string
+		edit func(*Graph) error
+		want func(*CSR) bool
+	}{
+		{"AddEdge", func(g *Graph) error { return g.AddEdge(0, 3, 4) },
+			func(c *CSR) bool { return c.M() == 4 && c.Degree(3) == 1 }},
+		{"SetLatency", func(g *Graph) error { return g.SetLatency(0, 2, 9) },
+			func(c *CSR) bool { return c.M() == 3 && c.MaxLatency() == 9 }},
+		{"RemoveEdge", func(g *Graph) error { return g.RemoveEdge(0, 2) },
+			func(c *CSR) bool { return c.M() == 2 && c.MaxLatency() == 2 && c.Degree(0) == 1 }},
+	}
+	for _, tc := range edits {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New(4)
+			g.MustAddEdge(0, 1, 1)
+			g.MustAddEdge(1, 2, 2)
+			g.MustAddEdge(0, 2, 5)
+			before := g.CSR()
+			kept := snapshotCSR(before)
+			if err := tc.edit(g); err != nil {
+				t.Fatal(err)
+			}
+			after := g.CSR()
+			if after == before {
+				t.Fatalf("%s kept the memoized CSR", tc.name)
+			}
+			if !tc.want(after) || !sameCSR(after, g.convert()) {
+				t.Fatalf("CSR after %s does not show it: %v", tc.name, after)
+			}
+			if !sameCSR(before, kept) {
+				t.Fatalf("%s changed the CSR taken before it", tc.name)
+			}
+		})
+	}
+
+	fresh := mustTriangle(t)
+	got := make([]*CSR, 8)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = fresh.CSR()
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("goroutine %d's first CSR call returned another pointer", i)
+		}
+	}
+}
+
+// FuzzGraphCSR interleaves CSR calls with edits: after every edit the
+// memoized CSR must equal a fresh conversion of the graph, and no CSR
+// handed out earlier may change. A mutator that keeps the memo fails it.
+func FuzzGraphCSR(f *testing.F) {
+	// Each seed edits a graph whose CSR was taken: AddEdge, SetLatency,
+	// RemoveEdge, then all three in turn.
+	f.Add([]byte{4, 0, 0, 1, 0, 3, 0, 0, 0, 0, 1, 2, 4, 3, 0, 0, 0})
+	f.Add([]byte{4, 0, 0, 1, 0, 3, 0, 0, 0, 1, 0, 1, 8, 3, 0, 0, 0})
+	f.Add([]byte{4, 0, 0, 1, 0, 0, 1, 2, 0, 3, 0, 0, 0, 2, 0, 1, 0, 3, 0, 0, 0})
+	f.Add([]byte{6, 0, 0, 1, 0, 0, 1, 2, 1, 3, 0, 0, 0, 0, 2, 3, 2, 3, 0, 0, 0,
+		1, 1, 2, 20, 3, 0, 0, 0, 2, 0, 1, 0, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		n := int(data[0])%16 + 2
+		g := New(n)
+		var held, kept []*CSR
+		check := func() {
+			c := g.CSR()
+			if !sameCSR(c, g.convert()) {
+				t.Fatalf("memoized CSR %v differs from a fresh conversion", c)
+			}
+			held = append(held, c)
+			kept = append(kept, snapshotCSR(c))
+		}
+		for i := 1; i+3 < len(data); i += 4 {
+			u, v, lat := int(data[i+1])%n, int(data[i+2])%n, int(data[i+3])%64+1
+			switch data[i] % 4 {
+			case 0:
+				_ = g.AddEdge(u, v, lat)
+			case 1:
+				_ = g.SetLatency(u, v, lat)
+			case 2:
+				_ = g.RemoveEdge(u, v)
+			case 3:
+				check()
+			}
+		}
+		check()
+		for i := range held {
+			if !sameCSR(held[i], kept[i]) {
+				t.Fatalf("CSR %d changed after it was handed out", i)
+			}
+		}
+	})
 }

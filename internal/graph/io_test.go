@@ -143,8 +143,8 @@ func TestRemoveEdge(t *testing.T) {
 			t.Fatalf("edge (%d,%d) broken after removal: %d,%v", e.u, e.v, l, ok)
 		}
 	}
-	if g.Degree(1) != 1 || g.Degree(2) != 1 {
-		t.Fatalf("degrees wrong after removal: %d, %d", g.Degree(1), g.Degree(2))
+	if c := g.CSR(); c.Degree(1) != 1 || c.Degree(2) != 1 {
+		t.Fatalf("degrees wrong after removal: %d, %d", c.Degree(1), c.Degree(2))
 	}
 	if err := g.RemoveEdge(1, 2); err == nil {
 		t.Fatal("removing a missing edge should error")

@@ -93,7 +93,7 @@ func ErdosRenyi(n int, p float64, latency int, rng *rand.Rand) (*graph.Graph, er
 				}
 			}
 		}
-		if g.Connected() {
+		if g.CSR().Connected() {
 			return g, nil
 		}
 	}
@@ -119,7 +119,7 @@ func RandomRegular(n, d int, latency int, rng *rand.Rand) (*graph.Graph, error) 
 	}
 	for try := 0; try < 200; try++ {
 		g, ok := pairWithRepair(n, d, latency, rng)
-		if ok && g.Connected() {
+		if ok && g.CSR().Connected() {
 			return g, nil
 		}
 	}
@@ -203,12 +203,12 @@ func AssignRandomLatencies(g *graph.Graph, lo, hi int, rng *rand.Rand) {
 	if lo < 1 || hi < lo {
 		panic(fmt.Sprintf("graphgen: bad latency range [%d,%d]", lo, hi))
 	}
-	g.ForEachEdge(func(e graph.Edge) {
+	for _, e := range g.Edges() {
 		l := lo + rng.IntN(hi-lo+1)
 		if err := g.SetLatency(e.U, e.V, l); err != nil {
 			panic(err)
 		}
-	})
+	}
 }
 
 // NewRand returns a deterministic PRNG for the given seed, the single

@@ -9,20 +9,20 @@ func TestClique(t *testing.T) {
 	if g.N() != 5 || g.M() != 10 {
 		t.Fatalf("K5: n=%d m=%d", g.N(), g.M())
 	}
-	if g.MaxDegree() != 4 {
-		t.Fatalf("K5 max degree = %d", g.MaxDegree())
+	if g.CSR().MaxDegree() != 4 {
+		t.Fatalf("K5 max degree = %d", g.CSR().MaxDegree())
 	}
 	if l, _ := g.Latency(0, 4); l != 2 {
 		t.Fatalf("K5 latency = %d", l)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStar(t *testing.T) {
 	g := Star(6, 3)
-	if g.M() != 5 || g.Degree(0) != 5 || g.Degree(1) != 1 {
+	if g.M() != 5 || g.CSR().Degree(0) != 5 || g.CSR().Degree(1) != 1 {
 		t.Fatalf("star shape wrong: m=%d", g.M())
 	}
 	if g.CSR().WeightedDiameter() != 6 {
@@ -60,10 +60,10 @@ func TestBinaryTree(t *testing.T) {
 	if g.M() != 6 {
 		t.Fatalf("tree m = %d", g.M())
 	}
-	if g.Degree(0) != 2 || g.Degree(1) != 3 {
+	if g.CSR().Degree(0) != 2 || g.CSR().Degree(1) != 3 {
 		t.Fatal("tree degrees wrong")
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,11 +74,11 @@ func TestErdosRenyi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.MaxLatency() != 2 {
-		t.Fatalf("ER latency = %d", g.MaxLatency())
+	if g.CSR().MaxLatency() != 2 {
+		t.Fatalf("ER latency = %d", g.CSR().MaxLatency())
 	}
 }
 
@@ -89,11 +89,11 @@ func TestRandomRegular(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < g.N(); u++ {
-		if g.Degree(u) != 4 {
-			t.Fatalf("node %d degree %d, want 4", u, g.Degree(u))
+		if g.CSR().Degree(u) != 4 {
+			t.Fatalf("node %d degree %d, want 4", u, g.CSR().Degree(u))
 		}
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,7 +116,7 @@ func TestDumbbell(t *testing.T) {
 	if l, ok := g.Latency(0, 5); !ok || l != 50 {
 		t.Fatalf("bridge latency = %d,%v", l, ok)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Diameter: into clique (1) + bridge (50) + out of clique (1).

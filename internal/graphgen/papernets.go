@@ -111,7 +111,9 @@ func NewTheorem9Network(n, delta, hi int, rng *rand.Rand) (*Theorem9Network, err
 		return &Theorem9Network{Gadget: gd, Graph: gd.Graph, Delta: delta}, nil
 	}
 	g := graph.New(n)
-	gd.Graph.ForEachEdge(func(e graph.Edge) { g.MustAddEdge(e.U, e.V, e.Latency) })
+	for _, e := range gd.Graph.Edges() {
+		g.MustAddEdge(e.U, e.V, e.Latency)
+	}
 	// Attach the expander on nodes [2Δ, n).
 	switch {
 	case rest == 1:
@@ -131,7 +133,9 @@ func NewTheorem9Network(n, delta, hi int, rng *rand.Rand) (*Theorem9Network, err
 		if err != nil {
 			return nil, fmt.Errorf("graphgen: theorem 9 expander: %w", err)
 		}
-		exp.ForEachEdge(func(e graph.Edge) { g.MustAddEdge(2*delta+e.U, 2*delta+e.V, e.Latency) })
+		for _, e := range exp.Edges() {
+			g.MustAddEdge(2*delta+e.U, 2*delta+e.V, e.Latency)
+		}
 	}
 	// One expander node connects to all of L.
 	for i := 0; i < delta; i++ {

@@ -32,7 +32,7 @@ func TestGadgetShape(t *testing.T) {
 	if g.HasEdge(gd.Right(0), gd.Right(1)) {
 		t.Fatal("asymmetric gadget has an R-clique edge")
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,11 +82,11 @@ func TestTheorem9Network(t *testing.T) {
 	if g.N() != 40 {
 		t.Fatalf("n = %d", g.N())
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Left gadget nodes connect to: Δ-1 clique + Δ cross + 1 hub = 2Δ.
-	if d := g.Degree(0); d != 16 {
+	if d := g.CSR().Degree(0); d != 16 {
 		t.Fatalf("left node degree = %d, want 16", d)
 	}
 	// Exactly one fast cross edge.
@@ -126,7 +126,7 @@ func TestTheorem10Network(t *testing.T) {
 	if net.Graph.N() != 40 {
 		t.Fatalf("n = %d", net.Graph.N())
 	}
-	if err := net.Graph.Validate(); err != nil {
+	if err := net.Graph.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	fast, slow := 0, 0
@@ -166,8 +166,8 @@ func TestRingNetworkShape(t *testing.T) {
 	}
 	// Observation 14: (3s-1)-regular.
 	for u := 0; u < g.N(); u++ {
-		if g.Degree(u) != 3*4-1 {
-			t.Fatalf("node %d degree = %d, want %d", u, g.Degree(u), 3*4-1)
+		if g.CSR().Degree(u) != 3*4-1 {
+			t.Fatalf("node %d degree = %d, want %d", u, g.CSR().Degree(u), 3*4-1)
 		}
 	}
 	if len(r.FastEdges) != 6 {
@@ -183,7 +183,7 @@ func TestRingNetworkShape(t *testing.T) {
 	if a, want := r.Alpha(), 2.0*4*4/(3*4*11); a != want {
 		t.Fatalf("alpha = %v, want %v", a, want)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.CSR().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,19 +226,19 @@ func TestGadgetCrossEdgesFormCut(t *testing.T) {
 	}
 	g := gd.Graph
 	var crossless []graph.Edge
-	g.ForEachEdge(func(e graph.Edge) {
-		left := func(v int) bool { return v < gd.M }
+	left := func(v int) bool { return v < gd.M }
+	for _, e := range g.Edges() {
 		if left(e.U) == left(e.V) {
 			crossless = append(crossless, e)
 		}
-	})
+	}
 	// Removing all cross edges must disconnect L from R: rebuild without
 	// them and check.
 	h := graph.New(g.N())
 	for _, e := range crossless {
 		h.MustAddEdge(e.U, e.V, e.Latency)
 	}
-	if h.Connected() {
+	if h.CSR().Connected() {
 		t.Fatal("cross edges do not form a cut")
 	}
 }

@@ -64,7 +64,7 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatalf("same spec built different graphs: %d/%d vs %d/%d", a.N(), a.M(), b.N(), b.M())
 	}
 	for u := 0; u < a.N(); u++ {
-		na, nb := a.Neighbors(u), b.Neighbors(u)
+		na, nb := a.NeighborIDs(u), b.NeighborIDs(u)
 		if len(na) != len(nb) {
 			t.Fatalf("node %d: degree %d vs %d", u, len(na), len(nb))
 		}

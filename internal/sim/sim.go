@@ -98,8 +98,8 @@ import (
 type Config struct {
 	// CSR is the network, in compressed sparse row form: the one topology
 	// representation the engine executes on. Required. A caller holding
-	// the adjacency-map builder form converts it once with its CSR()
-	// method, which preserves adjacency order.
+	// the adjacency-map builder takes the graph's one CSR from its CSR()
+	// method, which preserves adjacency order and converts a graph once.
 	CSR *graph.CSR
 	// Workers shards intra-round execution across this many goroutines:
 	// nodes are partitioned into contiguous worker-owned shards,
@@ -123,9 +123,10 @@ type Config struct {
 	// Source is the rumor source for OneToAll mode.
 	Source graph.NodeID
 	// InitialRumors, when non-nil, seeds each node's rumor set instead
-	// of Mode's default assignment (the sets are cloned). This is how
-	// multi-phase algorithms carry state across sequential sim.Run
-	// phases.
+	// of Mode's default assignment (the sets are cloned). It is the
+	// reference seeding a Pipeline phase is tested against: pipelines
+	// carry their rumor sets from phase to phase themselves, so a
+	// pipeline phase leaves it nil.
 	InitialRumors []*bitset.Set
 	// Sources, when non-empty in OneToAll mode, seeds several sources
 	// (multi-source dissemination); Source is ignored and completion is

@@ -83,7 +83,7 @@ func TestResumeRejectsIncompatibleConfig(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"seed", func(c *Config) { c.Seed = 4 }},
-		{"graph", func(c *Config) { c.CSR = g.CSR() }}, // equal values, another pointer
+		{"graph", func(c *Config) { c.CSR = graphgen.Clique(8, 1).CSR() }}, // equal values, another pointer
 		{"source", func(c *Config) { c.Source = 1 }},
 		{"jitter", func(c *Config) { c.LatencyJitter = 0.25 }},
 		{"horizon-before-fork", func(c *Config) { c.MaxRounds = 1 }},

@@ -80,13 +80,13 @@ func referenceBuild(g *graph.Graph, opts Options) (*Spanner, error) {
 	for u := 0; u < n; u++ {
 		alive[u] = make(map[graph.NodeID]int)
 	}
-	g.ForEachEdge(func(e graph.Edge) {
+	for _, e := range g.Edges() {
 		if opts.MaxLatency > 0 && e.Latency > opts.MaxLatency {
-			return
+			continue
 		}
 		alive[e.U][e.V] = e.Latency
 		alive[e.V][e.U] = e.Latency
-	})
+	}
 	// cluster[v] is the center of v's current cluster, or -1 once v has
 	// fallen out of the clustering (Rule 1 fired for v).
 	cluster := make([]graph.NodeID, n)
