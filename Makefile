@@ -118,8 +118,9 @@ cover:
 # reader under both it and the shard RPC, and the shard RPC's round, meta
 # and result frame decoders), of the engine's word-path
 # delivery against the per-rumor reference, of the list-or-bitmap node
-# set and the local-broadcast heard-set log against map models, of the
-# server's hand-rolled event lines against encoding/json, and of Theorem
+# set and the local-broadcast heard-set log against map models, of a
+# replayed ℓ-DTG repetition against a live one, of the server's
+# hand-rolled event lines against encoding/json, and of Theorem
 # 5 and Theorem 20's spanner stretch on drawn graphs; CI-friendly
 # seconds, not hours.
 fuzz-smoke:
@@ -132,6 +133,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeNetMsg -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/bitset -fuzz FuzzNodeSet -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/gossip -fuzz FuzzHeardSet -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/gossip -fuzz FuzzDTGReplay -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/conductance -fuzz FuzzTheorem5 -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/spanner -fuzz FuzzSpannerStretch -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/server/api -fuzz FuzzReadFrame -fuzztime 10s -run '^$$'

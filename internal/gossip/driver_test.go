@@ -2,6 +2,8 @@ package gossip
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"gossip/internal/adversity"
@@ -276,4 +278,57 @@ func TestRegisterRejectsUnknownKey(t *testing.T) {
 		Name:    "bad-key-driver",
 		Options: []OptionDoc{{Name: "X", Doc: "x", Keys: []string{"not_a_key"}}},
 	})
+}
+
+// TestScaleAllocBudget pins, to the allocation, the two scale runs of
+// BenchmarkSimMillionNode at Workers: 1, on 2¹⁵ nodes: push-pull to full
+// dissemination on the ring+matching expander, and the standalone dtg
+// driver (a fresh slab, so every instance runs live) on the slow-bridge
+// ring, two unit-latency cycles joined by a latency-n/4 bridge. One
+// worker makes a run's allocations independent of the scheduler, and the
+// collector is off while they are counted: each collection during a run
+// adds one or two allocations of its own, so with it on the count moves
+// by a few from run to run; under -race, whose instrumentation allocates
+// too, the test is skipped. Each case runs twice (a warm-up and the
+// counted run). On two vCPUs the test took 0.5–0.9 s and peaked near
+// 100 MB at 2¹⁵ nodes, and 1.6–2.7 s and 190 MB at 2¹⁶, so 2¹⁵ is the
+// largest power of two that stays under 2 s. The bounds are the counts
+// the runs made when the test was added; a change that lowers one
+// tightens it.
+func TestScaleAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	const n = 1 << 15
+	expander, err := graphgen.RingMatchingExpanderCSR(n, 1, graphgen.NewRand(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge, err := graphgen.SlowBridgeRingCSR(n, n/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		driver string
+		opts   DriverOptions
+		bound  float64
+	}{
+		{"push-pull", DriverOptions{Seed: 1, MaxRounds: 1 << 12, ExecOptions: ExecOptions{CSR: expander, Workers: 1}}, 32811},
+		{"dtg", DriverOptions{Seed: 1, ExecOptions: ExecOptions{CSR: bridge, Workers: 1}}, 295050},
+	} {
+		var res DriverResult
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(1, func() {
+			res, err = Dispatch(c.driver, nil, c.opts)
+		})
+		debug.SetGCPercent(gc)
+		runtime.GC()
+		if err != nil || !res.Completed {
+			t.Fatalf("%s: completed %v, err %v", c.driver, res.Completed, err)
+		}
+		t.Logf("%s: %.0f allocations (bound %.0f)", c.driver, allocs, c.bound)
+		if allocs > c.bound {
+			t.Errorf("%s on %d nodes made %.0f allocations, bound %.0f", c.driver, n, allocs, c.bound)
+		}
+	}
 }

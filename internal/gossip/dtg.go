@@ -17,7 +17,7 @@ import (
 // blocking on each exchange. Iteration counts are O(log n) because i-trees
 // grow exponentially, giving O(ℓ log² n) total time.
 //
-// The protocol keeps a phase-local heard set L (reset each invocation) so
+// The protocol keeps a phase-local heard set L (reset by each live phase) so
 // repeated DTG phases of Spanner/Pattern Broadcast each pay their full
 // schedule, exactly as the real algorithm re-disseminates fresh
 // neighborhood data every repetition. L rides on exchange metadata as a
@@ -30,6 +30,18 @@ import (
 // its previous phase left: the state machine starts over, the heard log
 // and the linked-neighbor list are truncated, and the eligible list is
 // kept while node and ℓ are unchanged.
+//
+// A node's whole decision trace is its linked-neighbor list: the send
+// schedule is a function of u_1..u_i, and the node is done when no new
+// neighbor is left to link. DTG draws no randomness, so a phase with no
+// fault schedule at the same ℓ as a completed previous one makes exactly
+// that phase's sends, whatever rumors they carry. Such a phase replays:
+// each iteration links the next entry of the kept list instead of
+// scanning the heard set, and the heard set is neither reset, merged nor
+// sent as metadata. The pipeline decides it for the whole phase (every
+// node replays or none does); any fault schedule, a previous phase cut
+// short by MaxRounds, a change of ℓ, and a fresh or zeroed instance run
+// live, as do the standalone dtg driver and warm-start clones.
 type DTG struct {
 	nv  *sim.NodeView
 	ell int
@@ -41,10 +53,17 @@ type DTG struct {
 	scan int
 	// heard is the phase-local knowledge set L.
 	heard heardSet
-	// contacted are the linked neighbors u_1..u_i (adjacency indices).
+	// contacted are the linked neighbors u_1..u_i (adjacency indices):
+	// the list a live phase builds and the next phase may replay.
 	contacted []int32
-	// sent counts the current iteration's sends, out of 4·len(contacted)
-	// (see send).
+	// linked is i, the neighbors the current iteration links: the first
+	// linked entries of contacted (all of them while live).
+	linked int
+	// replay reports that this phase relinks contacted in order instead
+	// of deriving it from the heard set, which it leaves untouched.
+	replay bool
+	// sent counts the current iteration's sends, out of 4·linked (see
+	// send).
 	sent int
 	// pending is the adjacency index of the in-flight exchange, or -1.
 	pending int
@@ -68,6 +87,7 @@ func (d *DTG) CloneStateFrom(src sim.Protocol) {
 	s := src.(*DTG)
 	d.heard.cloneFrom(&s.heard)
 	d.contacted = append(d.contacted[:0], s.contacted...)
+	d.linked, d.replay = s.linked, s.replay
 	d.sent = s.sent
 	d.scan = s.scan
 	d.pending = s.pending
@@ -79,18 +99,21 @@ func (d *DTG) CloneStateFrom(src sim.Protocol) {
 // discovered; edges of unknown latency are treated as outside G_ℓ.
 func NewDTG(nv *sim.NodeView, ell int) *DTG {
 	d := new(DTG)
-	d.init(nv, ell)
+	d.init(nv, ell, false)
 	return d
 }
 
 // init makes d node nv's ℓ-DTG instance for a new phase, over the
-// storage a previous phase left in d, if any. The state machine restarts
-// and the heard log and linked-neighbor list are truncated. The eligible
-// list is rebuilt only when the node or ℓ changed: every DTG phase knows
-// its latencies, so G_ℓ depends on nothing else. Its neighbors are
-// counted first, so the list is allocated at most once, at its size.
-func (d *DTG) init(nv *sim.NodeView, ell int) {
-	if d.nv != nv || d.ell != ell {
+// storage a previous phase left in d, if any. The state machine restarts;
+// a live phase truncates the heard log and the linked-neighbor list, and
+// a replayed one (replay, and d was node nv's instance at ℓ) keeps both.
+// The eligible list is rebuilt only when the node or ℓ changed: every DTG
+// phase knows its latencies, so G_ℓ depends on nothing else. Its
+// neighbors are counted first, so the list is allocated at most once, at
+// its size.
+func (d *DTG) init(nv *sim.NodeView, ell int, replay bool) {
+	same := d.nv == nv && d.ell == ell
+	if !same {
 		d.nv, d.ell = nv, ell
 		eligible := func(i int) bool {
 			lat, known := nv.Latency(i)
@@ -109,22 +132,27 @@ func (d *DTG) init(nv *sim.NodeView, ell int) {
 			}
 		}
 	}
-	d.scan, d.sent, d.pending, d.done = 0, 0, -1, false
-	d.contacted = d.contacted[:0]
-	d.heard.reset(nv.ID(), nv.N())
+	d.replay = replay && same
+	d.scan, d.linked, d.sent, d.pending, d.done = 0, 0, 0, -1, false
+	if !d.replay {
+		d.contacted = d.contacted[:0]
+		d.heard.reset(nv.ID(), nv.N())
+	}
 }
 
 // prepareDTG expands one ℓ-DTG phase run to quiescence into its sim.Run
 // invocation: the "dtg" driver's Prepare hook. Its instances share one
 // fresh slab: one allocation per phase instead of n.
 func prepareDTG(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error) {
-	return dtgPhase(opts, make([]DTG, opts.CSR.N()))
+	return dtgPhase(opts, make([]DTG, opts.CSR.N()), false)
 }
 
 // dtgPhase is prepareDTG on a given slab of n instances; a pipeline
-// passes the one it keeps across its phases. Each factory call writes
-// only its own node's entry, so shard workers may build concurrently.
-func dtgPhase(opts DriverOptions, slab []DTG) (sim.Config, sim.Factory, sim.StopFunc, error) {
+// passes the one it keeps across its phases, and whether the phase
+// replays the links the last one left there (see DTG). Each factory call
+// writes only its own node's entry, so shard workers may build
+// concurrently.
+func dtgPhase(opts DriverOptions, slab []DTG, replay bool) (sim.Config, sim.Factory, sim.StopFunc, error) {
 	return sim.Config{
 			CSR:            opts.CSR,
 			Workers:        opts.Workers,
@@ -135,15 +163,21 @@ func dtgPhase(opts DriverOptions, slab []DTG) (sim.Config, sim.Factory, sim.Stop
 			Adversity:      opts.Adversity,
 		}, func(nv *sim.NodeView) sim.Protocol {
 			d := &slab[nv.ID()]
-			d.init(nv, opts.Ell)
+			d.init(nv, opts.Ell, replay)
 			return d
 		}, sim.StopAllDone(), nil
 }
 
 // Meta snapshots the node's phase-local heard set for the peer: a cached
 // immutable []int32, a sorted id list or a tagged bitmap (shared until
-// the set next changes).
-func (d *DTG) Meta() []int32 { return d.heard.Snapshot() }
+// the set next changes). A replayed phase keeps no heard set and sends
+// none.
+func (d *DTG) Meta() []int32 {
+	if d.replay {
+		return nil
+	}
+	return d.heard.Snapshot()
+}
 
 // Done reports local termination: every G_ℓ neighbor has been heard.
 func (d *DTG) Done() bool { return d.done }
@@ -153,7 +187,7 @@ func (d *DTG) Activate(int) (int, bool) {
 	if d.done || d.pending >= 0 {
 		return 0, false
 	}
-	if d.sent == 4*len(d.contacted) && !d.startIteration() {
+	if d.sent == 4*d.linked && !d.startIteration() {
 		return 0, false
 	}
 	idx := d.send(d.sent)
@@ -163,8 +197,18 @@ func (d *DTG) Activate(int) (int, bool) {
 }
 
 // startIteration links one new neighbor and restarts the send schedule;
-// it reports false when the node is done.
+// it reports false when the node is done. A replayed phase links the
+// next neighbor of the kept list, and is done where that list ends.
 func (d *DTG) startIteration() bool {
+	if d.replay {
+		if d.linked == len(d.contacted) {
+			d.done = true
+			return false
+		}
+		d.linked++
+		d.sent = 0
+		return true
+	}
 	for d.scan < len(d.eligible) && d.heard.Contains(d.nv.NeighborID(int(d.eligible[d.scan]))) {
 		d.scan++
 	}
@@ -173,6 +217,7 @@ func (d *DTG) startIteration() bool {
 		return false
 	}
 	d.contacted = append(d.contacted, d.eligible[d.scan])
+	d.linked = len(d.contacted)
 	d.sent = 0
 	return true
 }
@@ -181,7 +226,7 @@ func (d *DTG) startIteration() bool {
 // linked neighbors, whose schedule is
 // PUSH(u_i..u_1) · PULL(u_1..u_i) · PULL(u_1..u_i) · PUSH(u_i..u_1).
 func (d *DTG) send(k int) int {
-	i := len(d.contacted)
+	i := d.linked
 	part, j := k/i, k%i
 	if part == 0 || part == 3 { // PUSH: u_i .. u_1
 		j = i - 1 - j
@@ -210,15 +255,19 @@ func (d *DTG) OnAmnesia() {
 	d.heard.reset(d.nv.ID(), d.nv.N())
 	d.scan = 0
 	d.contacted = d.contacted[:0]
+	d.linked = 0
 	d.sent = 0
 	d.pending = -1
 	d.done = false
 }
 
-// OnDeliver merges the peer's heard set and unblocks the state machine.
+// OnDeliver merges the peer's heard set (a live phase only) and
+// unblocks the state machine.
 func (d *DTG) OnDeliver(dv sim.Delivery) {
-	d.heard.Union(dv.PeerMeta, d.nv.N())
-	d.heard.Add(dv.Peer, d.nv.N())
+	if !d.replay {
+		d.heard.Union(dv.PeerMeta, d.nv.N())
+		d.heard.Add(dv.Peer, d.nv.N())
+	}
 	if dv.Initiator && dv.NeighborIndex == d.pending {
 		d.pending = -1
 	}

@@ -203,7 +203,7 @@ func TestHeardSetForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	slab := make([]DTG, bridge.N())
-	cfg, factory, stop, err := dtgPhase(DriverOptions{Seed: 1, ExecOptions: ExecOptions{CSR: bridge}}, slab)
+	cfg, factory, stop, err := dtgPhase(DriverOptions{Seed: 1, ExecOptions: ExecOptions{CSR: bridge}}, slab, false)
 	if err != nil {
 		t.Fatal(err)
 	}

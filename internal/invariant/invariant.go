@@ -387,20 +387,3 @@ var objectiveOf = map[string]string{
 	"election":  objLeader,
 	"echo":      objEcho,
 }
-
-// CheckAll sweeps every registered driver × family × scenario cell.
-func CheckAll(seed uint64) ([]Violation, error) {
-	fams, err := Families(seed)
-	if err != nil {
-		return nil, err
-	}
-	var out []Violation
-	for _, driver := range gossip.Names() {
-		for _, fam := range fams {
-			for _, sc := range Scenarios() {
-				out = append(out, Check(driver, fam, sc, seed)...)
-			}
-		}
-	}
-	return out, nil
-}
