@@ -194,7 +194,6 @@ type Event struct {
 
 // Schedule is the compiled, engine-ready form of a Spec.
 type Schedule struct {
-	n        int
 	loss     float64
 	edgeLoss map[uint64]float64
 	// down[u] is node u's sorted, disjoint down intervals (nil for the
@@ -204,7 +203,6 @@ type Schedule struct {
 	// events is the leave/rejoin calendar, sorted by round.
 	events  []Event
 	hasLoss bool
-	hasDown bool
 	// edgeRefs lists every edge named by EdgeLoss/Flaps so the engine
 	// can validate them against the topology.
 	edgeRefs [][2]graph.NodeID
@@ -228,7 +226,7 @@ func (s *Spec) Compile(n int) (*Schedule, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("adversity: node count %d", n)
 	}
-	c := &Schedule{n: n, down: make([][]span, n)}
+	c := &Schedule{down: make([][]span, n)}
 	if s == nil {
 		return c, nil
 	}
@@ -289,7 +287,6 @@ func (s *Spec) Compile(n int) (*Schedule, error) {
 		if len(c.down[u]) == 0 {
 			continue
 		}
-		c.hasDown = true
 		sort.Slice(c.down[u], func(i, j int) bool { return c.down[u][i].from < c.down[u][j].from })
 		for i := 1; i < len(c.down[u]); i++ {
 			if c.down[u][i-1].to >= c.down[u][i].from {
@@ -363,16 +360,9 @@ func (c *Schedule) buildEvents() {
 	sort.Slice(c.events, func(i, j int) bool { return c.events[i].Round < c.events[j].Round })
 }
 
-// N returns the node count the schedule was compiled for.
-func (c *Schedule) N() int { return c.n }
-
 // HasLoss reports whether any edge can lose exchanges (the engine only
 // allocates per-node loss streams when true).
 func (c *Schedule) HasLoss() bool { return c.hasLoss }
-
-// HasDown reports whether any node is ever down (the engine only tracks
-// an alive set when true).
-func (c *Schedule) HasDown() bool { return c.hasDown }
 
 // LossProb returns the loss probability of edge {u,v}.
 func (c *Schedule) LossProb(u, v graph.NodeID) float64 {

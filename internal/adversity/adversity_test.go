@@ -118,8 +118,8 @@ func TestScheduleQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.HasLoss() || !c.HasDown() {
-		t.Fatalf("predicates: loss=%v down=%v", c.HasLoss(), c.HasDown())
+	if !c.HasLoss() {
+		t.Fatal("HasLoss = false for a lossy schedule")
 	}
 	if p := c.LossProb(1, 0); p != 0.6 {
 		t.Fatalf("edge override (either orientation) = %v, want 0.6", p)

@@ -90,8 +90,9 @@ func runE24(ctx context.Context, cfg Config) (*Table, error) {
 // fraction of nodes leaves early and rejoins mid-run, either retaining
 // their rumor state or rejoining amnesic. Push-pull routes around the
 // absences; amnesia forces re-dissemination, so it can only be slower
-// than retention. Completion is judged over currently-alive nodes (the
-// survivors), and every trial asserts serial/sharded equality.
+// than retention. Completion is judged over survivors (a node away
+// mid-run must be informed after it rejoins), and every trial asserts
+// serial/sharded equality.
 var expE25Churn = Experiment{
 	ID:     "E25",
 	Title:  "churn resilience (push-pull, 4-regular random graph)",

@@ -253,6 +253,20 @@ func TestPatternBroadcastUnknownD(t *testing.T) {
 	}
 }
 
+// TestPatternGivesUpAtGuessCap: with phases too short to ever finish
+// (MaxRounds 3 on the 24-node latency-8 ring), guess-and-double stops at
+// the spanner pipeline's bound — 256, the largest power of two ≤
+// 2·n·ℓmax = 384 — and reports the run incomplete.
+func TestPatternGivesUpAtGuessCap(t *testing.T) {
+	res, err := broadcastVia("pattern", pipelineGraphs(t)["ring"], DriverOptions{Seed: 5, MaxRounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed || res.FinalGuess != 256 {
+		t.Fatalf("completed=%v final guess %d, want an incomplete run at guess 256", res.Completed, res.FinalGuess)
+	}
+}
+
 // Lemma 26: after T(k), nodes within weighted distance k have exchanged
 // rumors. Check on a path with mixed latencies.
 func TestPatternReachesDistanceK(t *testing.T) {

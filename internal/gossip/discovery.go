@@ -19,8 +19,8 @@ var (
 	_ sim.AmnesiaReseter = (*Discover)(nil)
 )
 
-// NewDiscover returns the discovery protocol for one node.
-func NewDiscover(nv *sim.NodeView) *Discover { return &Discover{nv: nv} }
+// newDiscover returns the discovery protocol for one node.
+func newDiscover(nv *sim.NodeView) *Discover { return &Discover{nv: nv} }
 
 // Activate probes the next neighbor.
 func (d *Discover) Activate(int) (int, bool) {
@@ -60,7 +60,7 @@ func (p *pipeline) discover(opts DriverOptions) (DriverResult, error) {
 		MaxRounds: opts.MaxRounds,
 		Mode:      sim.AllToAll,
 		Adversity: opts.Adversity,
-	}, func(nv *sim.NodeView) sim.Protocol { return NewDiscover(nv) }, sim.StopNever(), nil)
+	}, func(nv *sim.NodeView) sim.Protocol { return newDiscover(nv) }, sim.StopNever(), nil)
 	if err != nil {
 		return res, err
 	}

@@ -51,9 +51,9 @@ var (
 	_ sim.StateCloner    = (*Election)(nil)
 )
 
-// NewElection returns the election protocol for one node: initially its
+// newElection returns the election protocol for one node: initially its
 // own candidate, with fresh evidence.
-func NewElection(nv *sim.NodeView, suspectAfter, stableRounds int) *Election {
+func newElection(nv *sim.NodeView, suspectAfter, stableRounds int) *Election {
 	return &Election{
 		nv:           nv,
 		suspectAfter: suspectAfter,
@@ -201,7 +201,7 @@ func init() {
 			slab := make([]Election, n)
 			factory := func(nv *sim.NodeView) sim.Protocol {
 				p := &slab[nv.ID()]
-				*p = *NewElection(nv, suspectAfter, stableRounds)
+				*p = *newElection(nv, suspectAfter, stableRounds)
 				return p
 			}
 			return sim.Config{

@@ -221,7 +221,7 @@ func TestAmnesiaRestartAcrossDrivers(t *testing.T) {
 // TestChurnedNodeMustBeInformedAfterRejoin pins the survivor-completion
 // semantics: a broadcast under churn may not declare completion while a
 // temporarily-down node is away — the node rejoins and must be informed
-// first, exactly as the multi-phase pipelines' goneForever rule judges
+// first, exactly as the multi-phase pipelines' survivorsInformed judges
 // the same spec. (A never-returning churn, by contrast, is exempt.)
 func TestChurnedNodeMustBeInformedAfterRejoin(t *testing.T) {
 	g := graphgen.Clique(12, 1)

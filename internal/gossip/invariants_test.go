@@ -121,7 +121,7 @@ func TestQuickUnifiedIsMin(t *testing.T) {
 // RR with an empty spanner (no out-edges) must terminate immediately
 // rather than loop.
 func TestRRNoOutEdges(t *testing.T) {
-	r := NewRR(nil, 100)
+	r := newRR(nil, 100)
 	if _, ok := r.Activate(0); ok {
 		t.Fatal("activation with no out-edges")
 	}

@@ -50,7 +50,7 @@ func patternBroadcast(opts DriverOptions, ph phaseRunner) (BroadcastResult, erro
 	if known {
 		guess = nextPow2(opts.D)
 	}
-	cap64 := int64(csr.N()) * int64(csr.MaxLatency()) * 4
+	cap64 := guessCap(csr)
 	p := newPipeline(opts, ph)
 	for {
 		if err := p.pattern(guess, opts, &out, "t"); err != nil {

@@ -31,9 +31,9 @@ func (r *RR) CloneStateFrom(src sim.Protocol) {
 	r.steps = src.(*RR).steps
 }
 
-// NewRR returns the RR protocol for one node. outIdx are the node's
+// newRR returns the RR protocol for one node. outIdx are the node's
 // spanner out-edge adjacency indices (already filtered to latency <= k).
-func NewRR(outIdx []int, budget int) *RR {
+func newRR(outIdx []int, budget int) *RR {
 	return &RR{out: outIdx, budget: budget}
 }
 
@@ -132,5 +132,5 @@ func prepareRR(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc, error
 		MaxRounds:      opts.MaxRounds,
 		Mode:           sim.AllToAll,
 		Adversity:      opts.Adversity,
-	}, func(nv *sim.NodeView) sim.Protocol { return NewRR(outIdx[nv.ID()], budget) }, stop, nil
+	}, func(nv *sim.NodeView) sim.Protocol { return newRR(outIdx[nv.ID()], budget) }, stop, nil
 }

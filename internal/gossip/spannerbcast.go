@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 
+	"gossip/internal/graph"
 	"gossip/internal/sim"
 	"gossip/internal/spanner"
 )
@@ -201,8 +202,7 @@ func spannerBroadcast(opts DriverOptions, ph phaseRunner) (BroadcastResult, erro
 	if !known {
 		guess = 1
 	}
-	// Diameter never exceeds (n-1)·ℓmax; one more doubling detects it.
-	cap64 := int64(csr.N()) * int64(csr.MaxLatency()) * 2
+	cap64 := guessCap(csr)
 	reps := spanner.DefaultK(csr.N()) // ⌈log₂ n⌉ gather repetitions; also the spanner's depth
 	p := newPipeline(opts, ph)
 	for {
@@ -246,6 +246,13 @@ func spannerBroadcast(opts DriverOptions, ph phaseRunner) (BroadcastResult, erro
 			return out, nil
 		}
 	}
+}
+
+// guessCap is the largest diameter guess a guess-and-double pipeline
+// tries. Diameter never exceeds (n-1)·ℓmax; one more doubling detects it:
+// the largest power of two ≤ 2·n·ℓmax exceeds n·ℓmax.
+func guessCap(csr *graph.CSR) int64 {
+	return int64(csr.N()) * int64(csr.MaxLatency()) * 2
 }
 
 // gatherNeighborhood runs one diameter guess's neighborhood collection on

@@ -77,10 +77,10 @@ func (s *Superstep) Waiting() bool {
 	return !s.done && s.timeout > 0 && s.pending >= 0
 }
 
-// NewSuperstep returns the randomized local broadcast protocol for one
+// newSuperstep returns the randomized local broadcast protocol for one
 // node. ell <= 0 disables the latency filter; timeout <= 0 disables
 // abandonment.
-func NewSuperstep(nv *sim.NodeView, ell, timeout int) *Superstep {
+func newSuperstep(nv *sim.NodeView, ell, timeout int) *Superstep {
 	s := &Superstep{nv: nv, ell: ell, timeout: timeout, pending: -1}
 	if timeout > 0 {
 		s.abandoned = make([]bool, nv.Degree())
@@ -111,7 +111,7 @@ func prepareSuperstep(opts DriverOptions) (sim.Config, sim.Factory, sim.StopFunc
 			Mode:           sim.AllToAll,
 			Adversity:      opts.Adversity,
 		}, func(nv *sim.NodeView) sim.Protocol {
-			return NewSuperstep(nv, opts.Ell, opts.LBTimeout)
+			return newSuperstep(nv, opts.Ell, opts.LBTimeout)
 		}, sim.StopAllDone(), nil
 }
 

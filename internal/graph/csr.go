@@ -270,9 +270,6 @@ func NewCSRBuilder(n int) *CSRBuilder {
 	return &CSRBuilder{n: n}
 }
 
-// N returns the node count the builder was created with.
-func (b *CSRBuilder) N() int { return b.n }
-
 // AddEdge appends the undirected edge (u,v). Endpoint range, self-loops
 // and latency positivity are checked here; duplicate edges are detected
 // at Finalize (a streaming builder has no per-pair index to consult).

@@ -9,7 +9,7 @@
 //   - monotonic informed growth: in runs without amnesia, a node that
 //     was ever informed still holds the watched rumor at the end;
 //   - survivor-only completion: a completed broadcast has informed
-//     every node that is alive when the run ends;
+//     every survivor, every node the schedule never removes for good;
 //   - payload accounting: only delivered (non-dropped) exchanges carry
 //     payload — benign runs drop nothing, Delivered+Dropped never
 //     exceeds Exchanges, and zero deliveries means zero payload;
@@ -266,7 +266,8 @@ func Check(driver string, fam Family, sc Scenario, seed uint64) []Violation {
 	// Survivor-only completion: a completed broadcast has informed every
 	// survivor — every node the schedule never permanently removes,
 	// including nodes that were temporarily churned out (they rejoin and
-	// must not be left behind; the pipelines' goneForever semantics).
+	// must not be left behind; the rule StopAllSurvivorsInformed and the
+	// pipelines judge completion by).
 	if objectiveOf[driver] == objBroadcast && r1.Completed {
 		for u := range w.Views {
 			if !spec.NeverReturns(u) && !w.Views[u].Knows(0) {
@@ -367,7 +368,7 @@ func warmReplay(driver string, opts gossip.DriverOptions, atRound int) (fingerpr
 }
 
 // Completion objectives per driver: broadcast drivers finish when every
-// (alive) node holds the source rumor; local drivers (DTG, Superstep)
+// survivor holds the source rumor; local drivers (DTG, Superstep)
 // finish at local-broadcast quiescence — every node heard each of its
 // G_ℓ neighbors. rr finishes on budget exhaustion and the pipelines
 // (auto, spanner, pattern) expose no single final world, so only the

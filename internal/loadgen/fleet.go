@@ -19,7 +19,10 @@ type Fleet struct {
 // StartFleet boots n servers on loopback listeners, all configured with
 // the full peer list so every member can forward cache traffic and
 // coordinate sharded jobs across the others. cfg applies to every
-// member (Peers/Advertise are overwritten).
+// member (Peers/Advertise are overwritten). No binary calls it: it is
+// the in-process fleet of four test packages (cmd/gossipd,
+// internal/server, internal/loadgen and the root's dist_bench_test.go),
+// which is why it is exported from here and not from one of them.
 func StartFleet(n int, cfg server.Config) (*Fleet, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("loadgen: a fleet needs at least 2 members, got %d", n)

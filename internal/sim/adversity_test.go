@@ -22,13 +22,15 @@ func (p *randProtocol) Activate(int) (int, bool) {
 }
 func (p *randProtocol) OnDeliver(Delivery) {}
 
-// TestStopAliveInformedUnderChurn is the stop-condition agreement gate:
+// TestStopSurvivorsInformedUnderChurn is the stop-condition agreement
+// gate, and the one gate on the engine's informed tally under amnesia:
 // for schedules that take nodes down and bring them back (with and
-// without amnesia), the O(n/64) word-level tally path of
-// StopAllAliveInformed (alive ⊆ informed over the engine-maintained
-// bitsets) must agree with the per-node scan at every single stop
-// check, and the run must be identical at workers 1 and 8.
-func TestStopAliveInformedUnderChurn(t *testing.T) {
+// without amnesia), the O(n/64) word-level path of
+// StopAllSurvivorsInformed (survivors ⊆ informed over the
+// engine-maintained tally) must agree with a per-node scan over the
+// nodes the schedule never removes for good at every single stop check,
+// and the run must be identical at workers 1 and 8.
+func TestStopSurvivorsInformedUnderChurn(t *testing.T) {
 	cases := []struct {
 		name string
 		spec *adversity.Spec
@@ -47,15 +49,15 @@ func TestStopAliveInformedUnderChurn(t *testing.T) {
 			var results []Result
 			for _, workers := range []int{1, 8} {
 				checks := 0
-				fast := StopAllAliveInformed(0)
+				fast := StopAllSurvivorsInformed(0, tc.spec)
 				stop := func(w *World) bool {
 					checks++
 					got := fast(w)
-					// The per-node slow path: every alive node holds
+					// The per-node slow path: every survivor holds
 					// rumor 0, probing each rumor set directly.
 					want := true
 					for u, nv := range w.Views {
-						if w.Alive(u) && !nv.rum.Contains(0) {
+						if !tc.spec.NeverReturns(u) && !nv.rum.Contains(0) {
 							want = false
 							break
 						}

@@ -115,8 +115,9 @@ func TestDeliveryNewsDelta(t *testing.T) {
 }
 
 // TestCrashRoundIsCalendarEvent: a stop condition quantifying over alive
-// nodes can first hold at a crash round with no delivery or activation —
-// the engine must process that round rather than jump past it.
+// nodes (World.Alive, as StopAllDone and StopLeaderStable read it) can
+// first hold at a crash round with no delivery or activation — the
+// engine must process that round rather than jump past it.
 func TestCrashRoundIsCalendarEvent(t *testing.T) {
 	// Node 2 sits behind a latency-500 edge and crashes at round 7 while
 	// node 1's round-1 exchange to it is still in flight (so the run
@@ -135,7 +136,14 @@ func TestCrashRoundIsCalendarEvent(t *testing.T) {
 			sched[1] = nv.NeighborIndex(2)
 		}
 		return newSleepy(nv, sched)
-	}, StopAllAliveInformed(0))
+	}, func(w *World) bool {
+		for u, nv := range w.Views {
+			if w.Alive(u) && !nv.Knows(0) {
+				return false
+			}
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func TestDistMatchesSerial(t *testing.T) {
 		{name: "alltoall", cfg: Config{CSR: g.CSR(), Seed: 7, Mode: AllToAll, MaxRounds: 1 << 12},
 			factory: random, stop: StopAllHaveAll()},
 		{name: "crashes", cfg: Config{CSR: g.CSR(), Seed: 11, Mode: OneToAll, Source: 1, MaxRounds: 1 << 12, Adversity: twoCrashes},
-			factory: random, stop: StopAllAliveInformed(1)},
+			factory: random, stop: StopAllSurvivorsInformed(1, twoCrashes)},
 		{name: "adversity", cfg: Config{CSR: g.CSR(), Seed: 3, Mode: OneToAll, Source: 2, MaxRounds: 1 << 12, Adversity: full},
 			factory: random, stop: StopAllSurvivorsInformed(2, full), shards: []int{2, 3, 5, n + 4}},
 		{name: "sleeper-timer", cfg: Config{CSR: g.CSR(), Seed: 5, Mode: AllToAll, MaxRounds: 1 << 12},

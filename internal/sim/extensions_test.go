@@ -102,20 +102,21 @@ type countingProto struct {
 func (p *countingProto) Activate(round int) (int, bool) { return p.inner.Activate(round) }
 func (p *countingProto) OnDeliver(d Delivery)           { *p.hits++ }
 
-func TestStopAllAliveInformed(t *testing.T) {
+func TestStopAllSurvivorsInformedSkipsCrashed(t *testing.T) {
 	g := pathGraph(1, 100)
 	// Node 2 is behind a latency-100 edge and crashes at round 1: the
 	// run should stop once nodes 0 and 1 are informed.
+	spec := crashes(1, 2)
 	res, err := Run(Config{
 		CSR: g.CSR(), Mode: OneToAll, Source: 0, MaxRounds: 1000,
-		Adversity: crashes(1, 2),
+		Adversity: spec,
 	}, func(nv *NodeView) Protocol {
 		p := &fixedProtocol{nv: nv, schedule: map[int]int{}}
 		if nv.ID() == 0 {
 			p.schedule[0] = 0
 		}
 		return p
-	}, StopAllAliveInformed(0))
+	}, StopAllSurvivorsInformed(0, spec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type World struct {
 	// per-node set probes.
 	watched  graph.NodeID
 	informed *bitset.Set
-	// alive tracks the nodes currently up (nil when the schedule never
-	// takes a node down).
-	alive *bitset.Set
 	// dones caches the DoneReporter facet per node (nil entries for
 	// protocols without one, a nil table when no protocol has it) so
 	// quiescence stops skip per-check type assertions.
@@ -666,15 +663,6 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 	e.amnesiac = facets(e.amnesiac, protos, ownLo, ownHi)
 	e.recv = facets(e.recv, protos, ownLo, ownHi)
 
-	var alive *bitset.Set
-	if sched != nil && sched.HasDown() {
-		if alive = e.world.alive; alive == nil {
-			alive = bitset.New(n)
-		}
-		for u := 0; u < n; u++ {
-			alive.Add(u)
-		}
-	}
 	e.advEvents, e.nextAdvEvent = nil, 0
 	if sched != nil {
 		// Crash/leave/rejoin transitions are calendar events, applied
@@ -703,9 +691,7 @@ func (e *engine) load(cfg Config, factory Factory, shardIdx, shardCount int, car
 	*e.world = World{
 		CSR: csr, Views: views, Protos: protos,
 		adv: sched, watched: watched, informed: informed,
-		alive:   alive,
-		dones:   dones,
-		leaders: leaders,
+		dones: dones, leaders: leaders,
 	}
 	e.res = Result{InformedAt: informedAt, World: e.world}
 
@@ -1434,20 +1420,18 @@ func (e *engine) amnesia(u int, round int) {
 	}
 }
 
-// applyFaultEvents applies every crash/leave/rejoin transition scheduled
-// at or before round to the alive set, in calendar order. The calendar
-// is config-derived, so on distributed shard workers every replica
-// applies it identically — including the amnesia data reset of remote
-// nodes (protocol-facet restarts happen owner-side only; remote facets
-// are nil).
+// applyFaultEvents applies every rejoin scheduled at or before round, in
+// calendar order: the amnesia reset and the wake. A crash or leave needs
+// no engine state (World.Alive asks the schedule); its calendar entry
+// only makes its round one the stop condition sees. The calendar is
+// config-derived, so on distributed shard workers every replica applies
+// it identically — including the amnesia data reset of remote nodes
+// (protocol-facet restarts happen owner-side only; remote facets are
+// nil).
 func (e *engine) applyFaultEvents(round int) {
 	for e.nextAdvEvent < len(e.advEvents) && e.advEvents[e.nextAdvEvent].Round <= round {
 		ev := &e.advEvents[e.nextAdvEvent]
-		for _, u := range ev.Leave {
-			e.world.alive.Remove(u)
-		}
 		for _, rj := range ev.Rejoin {
-			e.world.alive.Add(rj.Node)
 			if rj.Amnesia {
 				e.amnesia(rj.Node, round)
 			}

@@ -73,7 +73,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				stop = StopAllHaveAll()
 			}
 			if base.Adversity != nil {
-				stop = StopAllAliveInformed(base.Source)
+				stop = StopAllSurvivorsInformed(base.Source, base.Adversity)
 			}
 			var want shardFingerprint
 			for i, workers := range []int{1, 2, 3, 8, 64} {

@@ -126,7 +126,10 @@ type Config struct {
 	// of Mode's default assignment (the sets are cloned). It is the
 	// reference seeding a Pipeline phase is tested against: pipelines
 	// carry their rumor sets from phase to phase themselves, so a
-	// pipeline phase leaves it nil.
+	// pipeline phase leaves it nil. It stays a Config field although no
+	// non-test code sets it, because internal/gossip's pipeline tests
+	// seed their fresh-engine reference through it from outside this
+	// package, which a test helper in sim cannot serve.
 	InitialRumors []*bitset.Set
 	// Sources, when non-empty in OneToAll mode, seeds several sources
 	// (multi-source dissemination); Source is ignored and completion is

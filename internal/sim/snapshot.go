@@ -86,8 +86,8 @@ func (s *Snapshot) Done() bool { return s.done }
 // worker count.
 //
 // Adversity divergence semantics: the prefix ran under the capture
-// schedule — in-flight exchange fates and the alive set carry over
-// unchanged — and the diverged schedule governs from the fork round on.
+// schedule — in-flight exchange fates carry over unchanged — and the
+// diverged schedule governs from the fork round on.
 // Diverged-schedule events scheduled before the fork round are skipped,
 // and loss draws come from fresh per-node streams, so a diverged resume
 // is deterministic but is not claimed equal to any cold run. Place
@@ -140,9 +140,6 @@ func (s *Snapshot) restore(cfg Config, factory Factory) (*engine, error) {
 		copy(e.sent, src.sent)
 	}
 	e.world.informed = src.world.informed.Clone()
-	if src.world.alive != nil {
-		e.world.alive = src.world.alive.Clone()
-	}
 
 	// Calendar: every pending exchange, in (deliver, seq) order — the
 	// order cold execution appended them — re-scheduled relative to the

@@ -56,33 +56,15 @@ func StopLocalBroadcast() StopFunc {
 	}
 }
 
-// StopAllAliveInformed stops when every node still alive holds rumor r
-// (the meaningful completion criterion under fail-stop crashes: crashed
-// nodes can never be informed). When r is the watched rumor this is a
-// word-level subset test of the alive mask against the informed tally.
-func StopAllAliveInformed(r graph.NodeID) StopFunc {
-	return func(w *World) bool {
-		if w.informed != nil && w.alive != nil && r == w.watched {
-			return w.alive.SubsetOf(w.informed)
-		}
-		for u, nv := range w.Views {
-			if w.Alive(u) && !nv.rum.Contains(r) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // StopAllSurvivorsInformed stops when every node the failure model
 // never permanently removes holds rumor r — the completion criterion
-// under churn. A temporarily-down node rejoins and must still be
-// informed, so unlike StopAllAliveInformed the run cannot end while it
-// is away; only nodes a crash batch or a never-rejoining churn interval
-// removes for good are exempt. This matches the never-returns semantics
-// the multi-phase pipelines judge completion with. When r is the
-// watched rumor the check is a word-level subset test of the survivor
-// mask against the engine-maintained informed tally.
+// under failures. A temporarily-down node rejoins and must still be
+// informed, so the run cannot end while it is away; only nodes a crash
+// batch or a never-rejoining churn interval removes for good are
+// exempt. This matches the never-returns semantics the multi-phase
+// pipelines judge completion with. When r is the watched rumor the check
+// is a word-level subset test of the survivor mask against the
+// engine-maintained informed tally.
 func StopAllSurvivorsInformed(r graph.NodeID, spec *adversity.Spec) StopFunc {
 	lazy := lazySurvivors(spec)
 	return func(w *World) bool {
